@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DistributionError
+from ..sparse.coo import colmajor_keys, indptr_from_cols, stable_order
 from ..sparse.matrix import INDEX_DTYPE, SparseMatrix
 from ..sparse.ops import split_bounds, submatrix
 from .grid3d import ProcGrid3D
@@ -148,7 +149,10 @@ def gather_tiles(
     nrows: int, ncols: int, pieces
 ) -> SparseMatrix:
     """Assemble a global matrix from ``(row_offset, col_offset, tile)``
-    triples.  Tiles must not overlap (duplicate coordinates raise)."""
+    triples.  Tiles must not overlap (duplicate coordinates raise): the
+    global coordinates are range-checked and their keys sorted once, an
+    overlap is two equal neighbours among them, and the result is built
+    from what that pass established, with no second validation."""
     rows_parts = []
     cols_parts = []
     vals_parts = []
@@ -163,12 +167,22 @@ def gather_tiles(
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     vals = np.concatenate(vals_parts)
-    try:
-        return SparseMatrix.from_coo(
-            nrows, ncols, rows, cols, vals, sum_duplicates=False
+    for name, idx, bound in (("row", rows, nrows), ("column", cols, ncols)):
+        if idx.min() < 0 or idx.max() >= bound:
+            raise DistributionError(
+                f"overlapping or invalid tiles in gather: "
+                f"{name} index out of range [0, {bound})"
+            )
+    order, sorted_key = stable_order(colmajor_keys(nrows, rows, cols))
+    if np.any(sorted_key[1:] == sorted_key[:-1]):
+        raise DistributionError(
+            "overlapping or invalid tiles in gather: "
+            "duplicate (row, col) coordinate"
         )
-    except Exception as exc:
-        raise DistributionError(f"overlapping or invalid tiles in gather: {exc}") from exc
+    return SparseMatrix(
+        nrows, ncols, indptr_from_cols(cols, ncols), rows[order], vals[order],
+        sorted_within_columns=True, validate=False,
+    )
 
 
 def gather_dense_tiles(nrows: int, ncols: int, pieces) -> np.ndarray:

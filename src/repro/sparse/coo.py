@@ -1,9 +1,15 @@
-"""COO (coordinate triple) utilities.
+"""COO (coordinate triple) utilities and the one group-by-key primitive.
 
 The distributed pipeline constantly moves matrices around as flat
 ``(rows, cols, vals)`` triples — they serialise trivially and merge by
 key — so the COO <-> CSC conversions here are fully vectorised and are on
 the hot path of almost every collective.
+
+Everything that groups coordinates (the ESC compress, every merge, COO
+construction, ``sort_indices``, the symbolic counts, the gather epilogue)
+is :func:`stable_order` of the column-major keys plus :func:`run_starts`
+of the sorted keys: one sort, one neighbour compare.  Nothing on those
+paths hashes (``np.unique``) or arg-sorts a flops-sized array.
 """
 
 from __future__ import annotations
@@ -12,6 +18,50 @@ import numpy as np
 
 from ..errors import FormatError
 from .matrix import INDEX_DTYPE, VALUE_DTYPE
+from .semiring import PLUS_TIMES, Semiring
+
+
+def colmajor_keys(nrows: int, rows, cols) -> np.ndarray:
+    """``col * nrows + row``: one int64 per coordinate, ordered as CSC
+    storage is."""
+    return cols * np.int64(max(nrows, 1)) + rows
+
+
+def stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, key[order])`` with ``order`` equal to
+    ``np.argsort(key, kind="stable")``: equal keys keep their input order,
+    which fixes the summation order of every merge.
+
+    ``(key << bits) | position`` is unique per entry, so a plain value
+    sort of it *is* the stable order — several times faster than an
+    argsort.  When key bits plus position bits do not fit an int64 (or a
+    key is negative) the stable argsort does the same job."""
+    n = key.shape[0]
+    bits = max(n - 1, 0).bit_length()
+    if n and key.min() >= 0 and int(key.max()).bit_length() + bits <= 62:
+        packed = key << bits
+        packed |= np.arange(n, dtype=np.int64)
+        packed.sort()
+        order = packed & np.int64((1 << bits) - 1)
+        packed >>= bits
+        return order, packed
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
+
+
+def run_starts(sorted_key: np.ndarray) -> np.ndarray:
+    """Positions at which a new key begins in an already sorted array:
+    group ``g`` of the stable order is ``order[starts[g]:starts[g + 1]]``."""
+    boundary = np.empty(sorted_key.shape[0], dtype=bool)
+    boundary[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
+
+
+def indptr_from_cols(cols: np.ndarray, ncols: int) -> np.ndarray:
+    """CSC ``indptr`` from the column index of every stored entry."""
+    counts = np.bincount(cols, minlength=ncols).astype(INDEX_DTYPE)
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def sort_coo(nrows: int, rows, cols, vals):
@@ -23,29 +73,27 @@ def sort_coo(nrows: int, rows, cols, vals):
     rows = np.asarray(rows, dtype=INDEX_DTYPE)
     cols = np.asarray(cols, dtype=INDEX_DTYPE)
     vals = np.asarray(vals, dtype=VALUE_DTYPE)
-    key = cols * np.int64(max(nrows, 1)) + rows
-    order = np.argsort(key, kind="stable")
+    order, _ = stable_order(colmajor_keys(nrows, rows, cols))
     return rows[order], cols[order], vals[order]
 
 
-def dedup_coo(nrows: int, rows, cols, vals):
-    """Sort triples into CSC order and sum duplicate coordinates.
+def dedup_coo(nrows: int, rows, cols, vals, semiring: Semiring = PLUS_TIMES):
+    """Sort triples into CSC order and reduce duplicate coordinates with the
+    semiring's add (a sum by default).
 
     This is the workhorse of every "merge" in the pipeline: given a pile of
     partial products, grouping by (col, row) and summing within groups is
     exactly the accumulation a hash table performs, done with one sort and
     one segmented reduction.
     """
-    rows, cols, vals = sort_coo(nrows, rows, cols, vals)
-    if rows.shape[0] == 0:
-        return rows, cols, vals
-    key = cols * np.int64(max(nrows, 1)) + rows
-    boundary = np.empty(key.shape[0], dtype=bool)
-    boundary[0] = True
-    np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(vals, starts)
-    return rows[starts], cols[starts], summed
+    rows = np.asarray(rows, dtype=INDEX_DTYPE)
+    cols = np.asarray(cols, dtype=INDEX_DTYPE)
+    vals = np.asarray(vals, dtype=VALUE_DTYPE)
+    order, sorted_key = stable_order(colmajor_keys(nrows, rows, cols))
+    starts = run_starts(sorted_key)
+    first = order[starts]
+    reduced = semiring.reduce_segments(vals[order], starts)
+    return rows[first], cols[first], reduced.astype(VALUE_DTYPE, copy=False)
 
 
 def coo_to_csc_arrays(
@@ -74,13 +122,9 @@ def coo_to_csc_arrays(
             raise FormatError(f"row index out of range [0, {nrows})")
         if cols.min() < 0 or cols.max() >= ncols:
             raise FormatError(f"column index out of range [0, {ncols})")
-    if sum_duplicates:
-        rows, cols, vals = dedup_coo(nrows, rows, cols, vals)
-    else:
-        rows, cols, vals = sort_coo(nrows, rows, cols, vals)
-    counts = np.bincount(cols, minlength=ncols).astype(INDEX_DTYPE)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, rows, vals
+    regroup = dedup_coo if sum_duplicates else sort_coo
+    rows, cols, vals = regroup(nrows, rows, cols, vals)
+    return indptr_from_cols(cols, ncols), rows, vals
 
 
 def concat_coo(parts):

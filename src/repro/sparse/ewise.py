@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ShapeError
+from .coo import colmajor_keys, stable_order
 from .matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from .merge import merge_grouped
 from .semiring import PLUS_TIMES, Semiring, get_semiring
@@ -58,16 +59,10 @@ def ewise_mult(
         raise ShapeError(f"ewise_mult shape mismatch: {a.shape} vs {b.shape}")
     if a.nnz == 0 or b.nnz == 0:
         return SparseMatrix.empty(a.nrows, a.ncols)
-    scale = np.int64(max(a.nrows, 1))
-    ka = a.col_indices() * scale + a.rowidx
-    kb = b.col_indices() * scale + b.rowidx
-    oa = np.argsort(ka, kind="stable")
-    ob = np.argsort(kb, kind="stable")
-    common, ia, ib = np.intersect1d(
-        ka[oa], kb[ob], assume_unique=True, return_indices=True
-    )
-    rows = common % scale
-    cols = common // scale
+    oa, ka = stable_order(colmajor_keys(a.nrows, a.rowidx, a.col_indices()))
+    ob, kb = stable_order(colmajor_keys(b.nrows, b.rowidx, b.col_indices()))
+    common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+    cols, rows = np.divmod(common, np.int64(max(a.nrows, 1)))
     vals = mul(a.values[oa][ia], b.values[ob][ib]).astype(VALUE_DTYPE, copy=False)
     return SparseMatrix.from_coo(
         a.nrows, a.ncols, rows, cols, vals, sum_duplicates=False

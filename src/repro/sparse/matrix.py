@@ -17,6 +17,12 @@ Invariants (always enforced at construction unless ``validate=False``):
   pile of partial products);
 * if ``sorted_within_columns`` is True, row indices are strictly increasing
   within each column.
+
+What the check costs: the last two invariants together say "the
+column-major keys ``col * nrows + row`` strictly increase", so input whose
+columns are in ascending order takes one linear neighbour compare; only a
+column out of order (hash-suite output, or a defect) costs one sort of
+the keys, to tell a duplicate from disorder.  Nothing hashes.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ class SparseMatrix:
     sorted_within_columns:
         Whether row indices are ascending within each column.
     validate:
-        Verify all invariants (O(nnz)); disable only on hot internal paths
+        Verify all invariants (linear in ``nnz`` for input in ascending
+        order, one key sort otherwise); disable only on hot internal paths
         that construct provably-valid arrays.
     """
 
@@ -171,14 +178,12 @@ class SparseMatrix:
         """
         if self.sorted_within_columns:
             return self
-        rowidx = self.rowidx.copy()
-        values = self.values.copy()
-        for j in range(self.ncols):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            if hi - lo > 1:
-                order = np.argsort(rowidx[lo:hi], kind="stable")
-                rowidx[lo:hi] = rowidx[lo:hi][order]
-                values[lo:hi] = values[lo:hi][order]
+        from .coo import colmajor_keys, stable_order
+
+        order, _ = stable_order(
+            colmajor_keys(self.nrows, self.rowidx, self.col_indices())
+        )
+        rowidx, values = self.rowidx[order], self.values[order]
         return SparseMatrix(
             self.nrows, self.ncols, self.indptr, rowidx, values,
             sorted_within_columns=True, validate=False,
@@ -265,16 +270,19 @@ class SparseMatrix:
         if nnz:
             if self.rowidx.min() < 0 or self.rowidx.max() >= self.nrows:
                 raise FormatError("row index out of range")
-        # duplicate / sortedness check per column, vectorised: entries within
-        # a column must have distinct rows; if sorted flag set, increasing.
+        # Column-major keys are strictly increasing exactly when every
+        # column is sorted and duplicate-free: one linear neighbour compare
+        # settles both.  Only when that finds disorder does it take a sort
+        # to tell a duplicate from a merely unsorted column.
         if nnz:
-            cols = self.col_indices()
-            key = cols * np.int64(max(self.nrows, 1)) + self.rowidx
-            if np.unique(key).shape[0] != nnz:
-                raise FormatError("duplicate (row, col) coordinate")
-            if self.sorted_within_columns:
-                same_col = cols[1:] == cols[:-1]
-                if np.any(same_col & (np.diff(self.rowidx) <= 0)):
+            from .coo import colmajor_keys
+
+            key = colmajor_keys(self.nrows, self.rowidx, self.col_indices())
+            if np.any(key[1:] <= key[:-1]):
+                key.sort()
+                if np.any(key[1:] == key[:-1]):
+                    raise FormatError("duplicate (row, col) coordinate")
+                if self.sorted_within_columns:
                     raise FormatError(
                         "sorted_within_columns set but a column is unsorted"
                     )

@@ -22,6 +22,7 @@ from ..errors import FormatError, ShapeError
 from .matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from .semiring import PLUS_TIMES, get_semiring
 from .spgemm.accumulators import HashAccumulator
+from .spgemm.esc import compress_products
 
 
 def _check_parts(parts) -> tuple[int, int]:
@@ -136,30 +137,10 @@ def merge_grouped(parts, semiring=PLUS_TIMES) -> SparseMatrix:
     parts = list(parts)
     nrows, ncols = _check_parts(parts)
     semiring = get_semiring(semiring)
-    total = sum(p.nnz for p in parts)
-    if total == 0:
-        return SparseMatrix.empty(nrows, ncols)
     rows = np.concatenate([p.rowidx for p in parts])
     cols = np.concatenate([p.col_indices() for p in parts])
     vals = np.concatenate([p.values for p in parts])
-    key = cols * np.int64(max(nrows, 1)) + rows
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    merged_vals = semiring.reduce_segments(vals[order], starts).astype(
-        VALUE_DTYPE, copy=False
-    )
-    merged_rows = rows[order][starts]
-    merged_cols = cols[order][starts]
-    col_counts = np.bincount(merged_cols, minlength=ncols).astype(INDEX_DTYPE)
-    indptr = np.concatenate(([0], np.cumsum(col_counts)))
-    return SparseMatrix(
-        nrows, ncols, indptr, merged_rows, merged_vals,
-        sorted_within_columns=True, validate=False,
-    )
+    return compress_products(nrows, ncols, rows, cols, vals, semiring)
 
 
 _MERGE_METHODS = {

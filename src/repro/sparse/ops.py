@@ -287,20 +287,9 @@ def hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """
     if a.shape != b.shape:
         raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    if a.nnz == 0 or b.nnz == 0:
-        return SparseMatrix.empty(a.nrows, a.ncols)
-    scale = np.int64(max(a.nrows, 1))
-    ka = a.col_indices() * scale + a.rowidx
-    kb = b.col_indices() * scale + b.rowidx
-    oa = np.argsort(ka, kind="stable")
-    ob = np.argsort(kb, kind="stable")
-    common, ia, ib = np.intersect1d(
-        ka[oa], kb[ob], assume_unique=True, return_indices=True
-    )
-    rows = common % scale
-    cols = common // scale
-    vals = a.values[oa][ia] * b.values[ob][ib]
-    return SparseMatrix.from_coo(a.nrows, a.ncols, rows, cols, vals, sum_duplicates=False)
+    from .ewise import ewise_mult
+
+    return ewise_mult(a, b)
 
 
 def spmv(a: SparseMatrix, x) -> np.ndarray:

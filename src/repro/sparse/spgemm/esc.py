@@ -3,11 +3,11 @@
 For ``C = A @ B`` every nonzero ``B(k, j)`` expands into ``nnz(A(:, k))``
 partial products.  The expansion is materialised as flat COO arrays with
 pure NumPy gather arithmetic, then compressed by one key sort plus a
-segmented reduction.  Cost: O(flops) to expand, O(flops log flops) to
-sort — all at C speed, which in CPython beats any per-element accumulator
-loop by orders of magnitude.  This is the reproduction's production
-default kernel (see the package docstring for how it relates to the
-paper's hash/heap/hybrid kernels).
+segmented reduction (:func:`repro.sparse.coo.dedup_coo`).  Cost: O(flops)
+to expand, O(flops log flops) to sort — all at C speed, which in CPython
+beats any per-element accumulator loop by orders of magnitude.  This is
+the reproduction's production default kernel (see the package docstring
+for how it relates to the paper's hash/heap/hybrid kernels).
 """
 
 from __future__ import annotations
@@ -15,8 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ShapeError
+from ..coo import dedup_coo, indptr_from_cols
 from ..matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
+
+
+def expansion(a: SparseMatrix, b: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(gather, lens)``: the index into A's storage of every partial
+    product of ``A @ B``, and how many each B nonzero expands into
+    (``lens.sum() == flops``).  Built without Python loops: B nonzero ``t``
+    takes the contiguous span ``A.indptr[k[t]] .. + lens[t]``."""
+    if a.ncols != b.nrows:
+        raise ShapeError(
+            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
+        )
+    k = b.rowidx                       # inner index of each B nonzero
+    lens = np.diff(a.indptr)[k]        # expansion length per B nonzero
+    total = int(lens.sum())            # == flops
+    offsets = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(np.cumsum(lens) - lens, lens)
+    return np.repeat(a.indptr[k], lens) + offsets, lens
 
 
 def expand_products(
@@ -29,25 +46,7 @@ def expand_products(
     Local-Multiply, whose unmerged result size is what the paper's memory
     analysis (Eq. 1) bounds.
     """
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
-        )
-    if a.nnz == 0 or b.nnz == 0:
-        empty_i = np.empty(0, dtype=INDEX_DTYPE)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=VALUE_DTYPE)
-    k = b.rowidx                       # inner index of each B nonzero
-    lens = np.diff(a.indptr)[k]        # expansion length per B nonzero
-    total = int(lens.sum())            # == flops
-    if total == 0:
-        empty_i = np.empty(0, dtype=INDEX_DTYPE)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=VALUE_DTYPE)
-    # Gather indices into A's storage: for B nonzero t, the contiguous span
-    # A.indptr[k[t]] .. +lens[t]. Built without Python loops:
-    seg_ends = np.cumsum(lens)
-    seg_starts = seg_ends - lens
-    offsets = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(seg_starts, lens)
-    gather = np.repeat(a.indptr[k], lens) + offsets
+    gather, lens = expansion(a, b)
     rows = a.rowidx[gather]
     vals = semiring.mul(a.values[gather], np.repeat(b.values, lens)).astype(
         VALUE_DTYPE, copy=False
@@ -65,24 +64,9 @@ def compress_products(
     semiring: Semiring = PLUS_TIMES,
 ) -> SparseMatrix:
     """Merge COO partial products into a sorted CSC matrix."""
-    if rows.shape[0] == 0:
-        return SparseMatrix.empty(nrows, ncols)
-    key = cols * np.int64(max(nrows, 1)) + rows
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    boundary = np.empty(key.shape[0], dtype=bool)
-    boundary[0] = True
-    np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    merged_vals = semiring.reduce_segments(vals[order], starts).astype(
-        VALUE_DTYPE, copy=False
-    )
-    merged_rows = rows[order][starts]
-    merged_cols = cols[order][starts]
-    counts = np.bincount(merged_cols, minlength=ncols).astype(INDEX_DTYPE)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows, cols, vals = dedup_coo(nrows, rows, cols, vals, semiring)
     return SparseMatrix(
-        nrows, ncols, indptr, merged_rows, merged_vals,
+        nrows, ncols, indptr_from_cols(cols, ncols), rows, vals,
         sorted_within_columns=True, validate=False,
     )
 

@@ -16,6 +16,7 @@ from ..matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from ..semiring import PLUS_TIMES, get_semiring
 from .accumulators import HashAccumulator
 from .heap import spgemm_heap
+from .symbolic import flops_per_column
 
 #: Columns whose flops are below this use the heap path (low-constant
 #: regime); above it the O(1)-per-product hash path wins.  The exact value
@@ -39,12 +40,7 @@ def spgemm_hybrid(
         raise FormatError("hybrid SpGEMM requires A sorted within columns")
     semiring = get_semiring(semiring)
     mul = semiring.mul
-    a_col_nnz = np.diff(a.indptr)
-    # per output column j: flops_j = sum of nnz(A(:,k)) over nonzeros B(k,j)
-    per_entry = a_col_nnz[b.rowidx] if b.nnz else np.empty(0, dtype=INDEX_DTYPE)
-    flops_per_col = np.zeros(b.ncols, dtype=INDEX_DTYPE)
-    if b.nnz:
-        np.add.at(flops_per_col, b.col_indices(), per_entry)
+    flops_per_col = flops_per_column(a, b)
 
     acc = HashAccumulator(semiring)
     out_rows: list[np.ndarray] = []

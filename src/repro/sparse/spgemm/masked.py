@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ShapeError
+from ..coo import colmajor_keys
 from ..matrix import SparseMatrix
 from ..semiring import PLUS_TIMES, get_semiring
 from .esc import compress_products, expand_products
@@ -25,7 +26,7 @@ from .esc import compress_products, expand_products
 
 def _mask_keys(mask: SparseMatrix) -> np.ndarray:
     """Sorted flat coordinate keys of the mask's pattern."""
-    keys = mask.col_indices() * np.int64(max(mask.nrows, 1)) + mask.rowidx
+    keys = colmajor_keys(mask.nrows, mask.rowidx, mask.col_indices())
     keys.sort()
     return keys
 
@@ -56,7 +57,7 @@ def spgemm_masked(
     semiring = get_semiring(semiring)
     rows, cols, vals = expand_products(a, b, semiring)
     if rows.shape[0]:
-        keys = cols * np.int64(max(a.nrows, 1)) + rows
+        keys = colmajor_keys(a.nrows, rows, cols)
         mkeys = _mask_keys(mask)
         pos = np.searchsorted(mkeys, keys)
         pos = np.minimum(pos, max(mkeys.shape[0] - 1, 0))

@@ -7,7 +7,7 @@ values.  These kernels provide:
 * :func:`symbolic_flops` — number of partial products (``flops``),
   an O(nnz(B)) vectorised count;
 * :func:`symbolic_nnz` — ``nnz(A @ B)`` after merging, via a values-free
-  ESC pass;
+  ESC pass (expand the keys, sort them, count the runs);
 * :func:`symbolic_per_column` — per-output-column ``(nnz, flops)``, the
   basis of compression-factor statistics and the hybrid kernel's policy.
 """
@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ShapeError
+from ..coo import colmajor_keys, indptr_from_cols, run_starts
 from ..matrix import INDEX_DTYPE, SparseMatrix
+from .esc import expansion
 
 
 def _check(a: SparseMatrix, b: SparseMatrix) -> None:
@@ -35,50 +37,42 @@ def symbolic_flops(a: SparseMatrix, b: SparseMatrix) -> int:
     return int(np.diff(a.indptr)[b.rowidx].sum())
 
 
+def flops_per_column(a: SparseMatrix, b: SparseMatrix) -> np.ndarray:
+    """``flops_j``: the sum of ``nnz(A(:, k))`` over the nonzeros ``B(k, j)``."""
+    _check(a, b)
+    return np.bincount(
+        b.col_indices(), weights=np.diff(a.indptr)[b.rowidx], minlength=b.ncols
+    ).astype(INDEX_DTYPE)
+
+
 def _expanded_keys(a: SparseMatrix, b: SparseMatrix) -> np.ndarray:
     """(col, row) keys of all partial products, unmerged."""
-    k = b.rowidx
-    lens = np.diff(a.indptr)[k]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg_starts = np.cumsum(lens) - lens
-    offsets = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(seg_starts, lens)
-    gather = np.repeat(a.indptr[k], lens) + offsets
-    rows = a.rowidx[gather]
-    cols = np.repeat(b.col_indices(), lens)
-    return cols * np.int64(max(a.nrows, 1)) + rows
+    gather, lens = expansion(a, b)
+    return colmajor_keys(
+        a.nrows, a.rowidx[gather], np.repeat(b.col_indices(), lens)
+    )
+
+
+def _pattern_keys(a: SparseMatrix, b: SparseMatrix) -> np.ndarray:
+    """Distinct (col, row) keys of ``A @ B``, ascending: one sort of the
+    expanded keys, then the first of every run."""
+    keys = _expanded_keys(a, b)
+    keys.sort()
+    return keys[run_starts(keys)]
 
 
 def symbolic_nnz(a: SparseMatrix, b: SparseMatrix) -> int:
     """``nnz(A @ B)`` (structural: no numeric cancellation assumed)."""
-    _check(a, b)
-    if a.nnz == 0 or b.nnz == 0:
-        return 0
-    keys = _expanded_keys(a, b)
-    if keys.shape[0] == 0:
-        return 0
-    return int(np.unique(keys).shape[0])
+    return int(_pattern_keys(a, b).shape[0])
 
 
 def symbolic_per_column(
     a: SparseMatrix, b: SparseMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-output-column ``(nnz_j, flops_j)`` arrays of length ``b.ncols``."""
-    _check(a, b)
-    flops_per_col = np.zeros(b.ncols, dtype=INDEX_DTYPE)
-    nnz_per_col = np.zeros(b.ncols, dtype=INDEX_DTYPE)
-    if a.nnz == 0 or b.nnz == 0:
-        return nnz_per_col, flops_per_col
-    per_entry = np.diff(a.indptr)[b.rowidx]
-    np.add.at(flops_per_col, b.col_indices(), per_entry)
-    keys = _expanded_keys(a, b)
-    if keys.shape[0]:
-        uniq = np.unique(keys)
-        out_cols = uniq // np.int64(max(a.nrows, 1))
-        nnz_per_col += np.bincount(
-            out_cols, minlength=b.ncols
-        ).astype(INDEX_DTYPE)
+    flops_per_col = flops_per_column(a, b)
+    out_cols = _pattern_keys(a, b) // np.int64(max(a.nrows, 1))
+    nnz_per_col = np.bincount(out_cols, minlength=b.ncols).astype(INDEX_DTYPE)
     return nnz_per_col, flops_per_col
 
 
@@ -89,17 +83,12 @@ def symbolic_pattern(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     this pattern keeps every structural nonzero, so it reproduces the
     unmasked product — and any sparser mask is a subset of it.
     """
-    _check(a, b)
-    keys = _expanded_keys(a, b)
-    if keys.shape[0] == 0:
-        return SparseMatrix.empty(a.nrows, b.ncols)
-    uniq = np.unique(keys)
+    keys = _pattern_keys(a, b)
     n = np.int64(max(a.nrows, 1))
-    cols = uniq // n
-    rows = uniq - cols * n
-    return SparseMatrix.from_coo(
-        a.nrows, b.ncols, rows, cols, np.ones(uniq.shape[0]),
-        sum_duplicates=False,
+    cols = keys // n
+    return SparseMatrix(
+        a.nrows, b.ncols, indptr_from_cols(cols, b.ncols), keys - cols * n,
+        np.ones(keys.shape[0]), sorted_within_columns=True, validate=False,
     )
 
 

@@ -806,13 +806,11 @@ def _compose_mask(mask: SparseMatrix, complement: bool, inner):
     def hook(batch: int, c0: int, c1: int, block: SparseMatrix) -> SparseMatrix:
         mask_block = submatrix(mask, 0, mask.nrows, c0, c1)
         if complement:
+            from ..sparse.coo import colmajor_keys
             from ..sparse.matrix import INDEX_DTYPE
             from ..sparse.spgemm.masked import _mask_keys
 
-            keys = (
-                block.col_indices() * np.int64(max(block.nrows, 1))
-                + block.rowidx
-            )
+            keys = colmajor_keys(block.nrows, block.rowidx, block.col_indices())
             mkeys = _mask_keys(mask_block)
             pos = np.searchsorted(mkeys, keys)
             pos = np.minimum(pos, max(mkeys.shape[0] - 1, 0))

@@ -166,3 +166,30 @@ class TestCommunicationAvoidance:
                             tracker=tracker)
             volumes[layers] = tracker.by_step()["AllToAll-Fiber"]["total_bytes"]
         assert volumes[16] > volumes[4]
+
+
+class TestSortOnceRunPath:
+    def test_no_hash_unique_on_the_run_path(self, monkeypatch):
+        """Driver epilogue, in-band Symbolic, SYMBOLIC3D, kernel, merges
+        and the resident gather all group by one sort: none may fall back
+        to ``np.unique`` (0.4 s per call on flops-sized keys)."""
+        import numpy as np
+
+        from repro.dist import DistContext
+
+        a = random_sparse(96, 96, nnz=900, seed=7)
+        expected = multiply(a, a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called on the run path")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        r = batched_summa3d(
+            a, a, nprocs=16, layers=4,
+            memory_budget=12 * a.nnz * BYTES_PER_NONZERO,
+        )
+        assert r.batches > 1  # the budget made SYMBOLIC3D choose b
+        assert r.matrix.allclose(expected)
+        with DistContext(nprocs=4, world="threads") as ctx:
+            hc, _ = ctx.multiply(ctx.distribute(a, "A"), ctx.distribute(a, "B"))
+            assert hc.to_global().allclose(expected)
