@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from ..errors import DistributionError, ShapeError
+from ..errors import DistributionError
 from ..grid.distribution import (
     a_tile_range,
     b_tile_range,
@@ -34,14 +34,15 @@ from ..grid.distribution import (
     gather_tiles,
 )
 from ..grid.grid3d import ProcGrid3D
+from ..kernels.base import TileSource
+from ..plan.spec import ExecSpec
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import run_spmd
 from ..simmpi.tracker import CommTracker
 from ..sparse.matrix import SparseMatrix
 from ..sparse.ops import col_concat, submatrix
-from ..summa.core import TileSource, spmd_batched_summa3d
+from ..summa.batched import drive
 from ..summa.result import SummaResult
-from ..utils.timing import StepTimes
 
 _STANDARD_LAYOUTS = {"A": a_tile_range, "B": b_tile_range}
 
@@ -54,21 +55,21 @@ def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
     ]
 
 
-class DistMatrixHandle:
-    """A matrix resident tile-per-rank inside a :class:`DistContext`.
+class DistMatrixHandle(TileSource):
+    """A matrix resident tile-per-rank inside a :class:`DistContext` —
+    the :class:`~repro.kernels.TileSource` the shared driver multiplies.
 
     ``layout`` is ``"A"`` / ``"B"`` (standard, usable as the corresponding
     multiply operand) or ``"C"`` (product-native; redistribute first).
     """
 
-    __slots__ = ("context", "key", "nrows", "ncols", "layout", "ranges")
+    __slots__ = ("context", "key", "layout", "ranges")
 
     def __init__(self, context: "DistContext", key: int, nrows: int,
                  ncols: int, layout: str, ranges) -> None:
+        super().__init__(nrows, ncols, lambda rank: context._tiles[key][rank])
         self.context = context
         self.key = key
-        self.nrows = nrows
-        self.ncols = ncols
         self.layout = layout
         self.ranges = list(ranges)  # per-rank (r0, r1, c0, c1)
 
@@ -79,9 +80,6 @@ class DistMatrixHandle:
     @property
     def nnz(self) -> int:
         return sum(t.nnz for t in self.context._tiles[self.key])
-
-    def tile(self, rank: int) -> SparseMatrix:
-        return self.context._tiles[self.key][rank]
 
     def to_global(self) -> SparseMatrix:
         return self.context.gather(self)
@@ -174,15 +172,13 @@ class DistContext:
         run id is recorded *even when the run raises*, so :meth:`close`
         can re-sweep it later."""
         self._ensure_open()
-        world_info: dict = {}
+        world_info = kwargs.setdefault("world_info", {})
         kwargs.setdefault("tracker", self.tracker)
         kwargs.setdefault("timeout", self.timeout)
         kwargs.setdefault("world", self.world)
         kwargs.setdefault("transport", self.transport)
         try:
-            return run_spmd(
-                self.grid.nprocs, fn, *args, world_info=world_info, **kwargs
-            )
+            return run_spmd(self.grid.nprocs, fn, *args, **kwargs)
         finally:
             run_id = world_info.get("run_id")
             if run_id:
@@ -350,149 +346,54 @@ class DistContext:
 
         ``ha`` must be standard ``"A"``-layout and ``hb`` standard
         ``"B"``-layout (use :meth:`redistribute` to convert — including
-        from a previous product's ``"C"`` layout).  ``postprocess`` is the
-        per-batch distributed hook of
-        :func:`~repro.summa.core.spmd_batched_summa3d` (HipMCL-style
-        pruning on resident matrices).  Returns
+        from a previous product's ``"C"`` layout).  Returns
         ``(handle, result)``: the handle is ``"A"`` when the batch
         boundaries happen to nest into the standard slices, else ``"C"``;
-        either way it gathers and redistributes normally.
         ``result.matrix`` is ``None`` — call ``handle.to_global()`` if the
         assembled product is wanted.
 
-        ``faults`` / ``checksums`` / ``max_retries`` run the multiplication
-        under the same deterministic fault injection, envelope checksums
-        and bounded retry as :func:`~repro.summa.batched.batched_summa3d`,
-        in whichever execution world the context was built with — under
-        ``world="processes"`` injected crashes kill real worker processes
-        and retries sleep their (bounded, jittered) backoff for real;
-        every blocking rendezvous is watched by the wait-for-graph hang
-        watchdog either way, so a wedged resident-matrix pipeline raises a
-        classified :class:`~repro.errors.HangError` instead of hanging.
+        The run goes through :func:`repro.summa.batched.drive` — the
+        driver behind :func:`~repro.summa.run_plan` — with the handles'
+        tiles as operands, so every argument means what it means there and
+        ``result`` carries the same report.  ``kernel`` may be
+        ``"spgemm"`` (a global ``mask=`` is then a postprocess filter) or
+        ``"masked_spgemm"`` (``mask=`` required); kernels with a dense
+        operand don't fit sparse handles — see :meth:`spmm`.
 
-        ``kernel`` may be ``"spgemm"`` (default) or ``"masked_spgemm"``
-        (with a *global* ``mask=`` pattern, applied inside the local
-        multiply; ``mask_complement=True`` keeps the unmasked positions).
-        Dense-output kernels don't fit resident sparse handles — use
-        :meth:`spmm` for ``A @ X`` with dense ``X``.
-
-        ``plan=`` accepts an :class:`~repro.plan.ExecSpec` /
-        :class:`~repro.plan.ExecPlan` instead of the loose knobs (same
-        funnel as :func:`~repro.summa.run_plan`); the context's own grid,
-        world and timeout override the plan's slot-level fields.  Either
-        way the resolved plan is recorded in ``result.info["plan"]``.
+        ``plan=`` replaces the loose knobs with an
+        :class:`~repro.plan.ExecSpec` / :class:`~repro.plan.ExecPlan`; the
+        context's own grid, world and timeout override its slot-level
+        fields.  Every other field is honoured by the run or refused with
+        :class:`~repro.errors.DistributionError` before any region is
+        launched (``checkpoint_dir`` / ``resume`` / ``heal``,
+        ``spill_dir``, ``keep_output=False`` and ``comm_backend="auto"``
+        need the global operands).
         """
-        from ..kernels import MaskedSpgemmKernel, get_kernel
-
-        spec, plan_src = self._resolve_spec(
-            plan,
-            batches=batches,
-            memory_budget=memory_budget,
-            suite=suite,
-            semiring=semiring,
-            kernel=kernel,
-            mask_complement=mask_complement,
-            checksums=checksums,
-            max_retries=max_retries,
+        self._operand(ha, "A", "left operand")
+        self._operand(hb, "B", "right operand")
+        run = self._drive(
+            ha, hb, plan,
+            dict(batches=batches, memory_budget=memory_budget, suite=suite,
+                 semiring=semiring, kernel=kernel,
+                 mask_complement=mask_complement, checksums=checksums,
+                 max_retries=max_retries),
+            mask=mask, postprocess=postprocess, faults=faults,
         )
-        batches = spec.batches
-        memory_budget, _per_rank = spec.resolved_budget()
-        suite = spec.suite
-        semiring = spec.semiring
-        kernel = spec.kernel
-        mask_complement = spec.mask_complement
-        checksums = spec.checksums
-        max_retries = spec.max_retries
-
-        kern = get_kernel(kernel)
-        if kern.name not in ("spgemm", "masked_spgemm"):
-            raise DistributionError(
-                f"resident multiply supports sparse-output SpGEMM kernels "
-                f"(got {kern.name!r}); use DistContext.spmm for dense output"
-            )
-        aux = None
-        if kern.name == "masked_spgemm":
-            if mask is None:
-                raise DistributionError(
-                    'kernel="masked_spgemm" needs mask= (a global sparse '
-                    "pattern shaped like the product)"
-                )
-            if isinstance(kernel, str) and mask_complement:
-                kern = MaskedSpgemmKernel(complement=True)
-            aux = mask
-        elif mask is not None:
-            raise DistributionError(
-                'mask= requires kernel="masked_spgemm" on resident handles'
-            )
-        self._check(ha)
-        self._check(hb)
-        if ha.layout != "A":
-            raise DistributionError(
-                "left operand must have standard layout 'A' "
-                f"(got {ha.layout!r}; redistribute first)"
-            )
-        if hb.layout != "B":
-            raise DistributionError(
-                "right operand must have standard layout 'B' "
-                f"(got {hb.layout!r}; redistribute first)"
-            )
-        if ha.ncols != hb.nrows:
-            raise ShapeError(
-                f"cannot multiply {ha.nrows}x{ha.ncols} by {hb.nrows}x{hb.ncols}"
-            )
-        a_src = TileSource(ha.nrows, ha.ncols, lambda r: self._tiles[ha.key][r])
-        b_src = TileSource(hb.nrows, hb.ncols, lambda r: self._tiles[hb.key][r])
-        per_rank = self._run_spmd(
-            spmd_batched_summa3d,
-            a_src,
-            b_src,
-            self.grid,
-            batches=batches,
-            memory_budget=memory_budget,
-            suite=suite,
-            semiring=semiring,
-            kernel=kern,
-            aux=aux,
-            keep_pieces=True,
-            postprocess=postprocess,
-            max_retries=max_retries,
-            faults=faults,
-            checksums=checksums,
-        )
-        ran_batches = per_rank[0]["batches"]
         # Each rank's batch pieces are contiguous in global column space
         # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
         # order and record the realised ranges.
         new_tiles = []
         ranges = []
-        for rank, r in enumerate(per_rank):
+        for r in run.per_rank:
             pieces = sorted(r["pieces"], key=lambda p: p[2])  # by c0
             tile = col_concat([p[3] for p in pieces])
-            r0 = pieces[0][1]
-            c0 = pieces[0][2]
+            _batch, r0, c0, _first = pieces[0]
             new_tiles.append(tile)
             ranges.append((r0, r0 + tile.nrows, c0, c0 + tile.ncols))
         standard = _standard_ranges("A", self.grid, ha.nrows, hb.ncols)
         layout = "A" if ranges == standard else "C"
         handle = self._register(new_tiles, ha.nrows, hb.ncols, layout, ranges)
-        from ..mem import MemoryLedger
-
-        info = dict(per_rank[0]["info"], resident=True)
-        info["memory"] = MemoryLedger.merge_reports(
-            [r["info"]["memory"] for r in per_rank]
-        )
-        info["plan"] = self._resolved_plan(spec, plan_src, info, ran_batches)
-        result = SummaResult(
-            matrix=None,
-            grid=self.grid,
-            batches=ran_batches,
-            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
-            per_rank_times=[r["times"] for r in per_rank],
-            tracker=self.tracker,
-            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
-            info=info,
-        )
-        return handle, result
+        return handle, run.result
 
     def spmm(
         self,
@@ -516,130 +417,44 @@ class DistContext:
         slices its block — dense panels ride collectives on either
         backend).  Returns ``(y, result)`` with ``y`` the assembled dense
         ``(ha.nrows, f)`` product; the panel is *not* registered as a
-        handle (handles hold sparse tiles).
+        handle (handles hold sparse tiles).  ``plan=`` is treated as in
+        :meth:`multiply`, with the kernel pinned to ``"spmm"``.
         """
-        from ..kernels import SpmmKernel
-
-        spec, plan_src = self._resolve_spec(
-            plan,
-            batches=batches,
-            memory_budget=memory_budget,
-            semiring=semiring,
-            kernel="spmm",
-            comm_backend=comm_backend,
-            overlap=overlap,
-            max_retries=max_retries,
-        )
-        batches = spec.batches
-        memory_budget, _per_rank = spec.resolved_budget()
-        semiring = spec.semiring
-        comm_backend = spec.comm_backend
-        overlap = spec.overlap
-        max_retries = spec.max_retries
-
-        self._check(ha)
-        if ha.layout != "A":
-            raise DistributionError(
-                "spmm needs a standard 'A'-layout left operand "
-                f"(got {ha.layout!r}; redistribute first)"
-            )
+        self._operand(ha, "A", "spmm left operand")
         x = np.ascontiguousarray(x)
-        if x.ndim != 2 or x.shape[0] != ha.ncols:
-            raise ShapeError(
-                f"feature panel shape {x.shape} does not match "
-                f"A with {ha.ncols} columns"
+        run = self._drive(
+            ha, x, plan,
+            dict(batches=batches, memory_budget=memory_budget,
+                 semiring=semiring, comm_backend=comm_backend,
+                 overlap=overlap, max_retries=max_retries),
+            kernel="spmm",
+        )
+        pieces = [p[1:] for r in run.per_rank for p in r["pieces"]]
+        return gather_dense_tiles(ha.nrows, x.shape[1], pieces), run.result
+
+    def _drive(self, ha, b, plan, knobs, *, kernel=None, **runtime):
+        """Run the shared driver on resident operands: launched through
+        :meth:`_run_spmd`, with this context's grid, world and timeout
+        overriding the plan's slot-level fields."""
+        pinned = dict(
+            nprocs=self.grid.nprocs, layers=self.grid.layers,
+            timeout=self.timeout, world=self.world, transport=self.transport,
+        )
+        if kernel is not None:
+            pinned["kernel"] = kernel
+        return drive(
+            ha, b, plan if plan is not None else ExecSpec.from_kwargs(**knobs),
+            tracker=self.tracker, launch=self._run_spmd, pinned=pinned,
+            **runtime,
+        )
+
+    def _operand(self, handle: DistMatrixHandle, layout: str, role: str) -> None:
+        self._check(handle)
+        if handle.layout != layout:
+            raise DistributionError(
+                f"{role} must have standard layout {layout!r} "
+                f"(got {handle.layout!r}; redistribute first)"
             )
-        a_src = TileSource(ha.nrows, ha.ncols, lambda r: self._tiles[ha.key][r])
-        per_rank = self._run_spmd(
-            spmd_batched_summa3d,
-            a_src,
-            x,
-            self.grid,
-            batches=batches,
-            memory_budget=memory_budget,
-            semiring=semiring,
-            kernel=SpmmKernel(),
-            comm_backend=comm_backend,
-            overlap=overlap,
-            keep_pieces=True,
-            max_retries=max_retries,
-        )
-        ran_batches = per_rank[0]["batches"]
-        pieces = [
-            (r0, c0, tile)
-            for r in per_rank
-            for (_batch, r0, c0, tile) in r["pieces"]
-        ]
-        y = gather_dense_tiles(ha.nrows, x.shape[1], pieces)
-        from ..mem import MemoryLedger
-
-        info = dict(per_rank[0]["info"], resident=True)
-        info["memory"] = MemoryLedger.merge_reports(
-            [r["info"]["memory"] for r in per_rank]
-        )
-        info["plan"] = self._resolved_plan(spec, plan_src, info, ran_batches)
-        result = SummaResult(
-            matrix=None,
-            grid=self.grid,
-            batches=ran_batches,
-            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
-            per_rank_times=[r["times"] for r in per_rank],
-            tracker=self.tracker,
-            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
-            info=info,
-        )
-        return y, result
-
-    # ------------------------------------------------------------------ #
-    # plan plumbing: one shared builder for both resident entry points
-    # ------------------------------------------------------------------ #
-
-    def _resolve_spec(self, plan, **knobs):
-        """Resolve ``plan=`` or loose knobs to the spec a resident run
-        executes — the same funnel :func:`~repro.summa.run_plan` uses,
-        with the context's grid/world/timeout overriding the slot-level
-        fields either way."""
-        from ..plan.spec import ExecSpec
-        from ..summa.batched import _plan_to_spec
-
-        plan_src = None
-        if plan is not None:
-            spec, plan_src = _plan_to_spec(plan)
-        else:
-            spec = ExecSpec.from_kwargs(**knobs)
-        spec = spec.amended(
-            nprocs=self.grid.nprocs,
-            layers=self.grid.layers,
-            timeout=self.timeout,
-            world=self.world,
-            transport=self.transport,
-        )
-        return spec, plan_src
-
-    def _resolved_plan(self, spec, plan_src, info: dict, ran_batches) -> dict:
-        """The ``info["plan"]`` record of a resident run — the executed
-        spec with the realised batch count and backend pinned, keeping
-        the originating plan's provenance when one was passed."""
-        from ..plan.spec import ExecPlan, _registry_name
-
-        backend = info.get("comm_backend", _registry_name(spec.comm_backend))
-        prov = dict(plan_src.provenance) if plan_src is not None else {}
-        prov.setdefault("mode", "resident")
-        return ExecPlan(
-            layers=self.grid.layers,
-            batches=int(ran_batches),
-            predicted_seconds=(
-                plan_src.predicted_seconds if plan_src is not None else None
-            ),
-            candidates=plan_src.candidates if plan_src is not None else (),
-            backend=backend,
-            predicted_memory=(
-                plan_src.predicted_memory if plan_src is not None else None
-            ),
-            spec=spec.amended(batches=int(ran_batches), comm_backend=backend),
-            provenance=prov,
-            revision=plan_src.revision if plan_src is not None else 0,
-        ).to_dict()
 
     def _register(self, tiles, nrows, ncols, layout, ranges) -> DistMatrixHandle:
         key = next(self._next_key)

@@ -24,12 +24,16 @@ about one such workload:
   :meth:`batches_for_budget`, the kernel's analogue of the paper's
   Table III closed form.
 
+* **driver capabilities** — what the drivers may compose the kernel
+  with, asked by flag and never by name: :attr:`postprocess_mask`,
+  :attr:`checkpointable`, :attr:`row_batchable`, and the
+  :meth:`resolve_aux` hook that turns the drivers' ``mask=`` /
+  ``sample=`` arguments into the kernel's aux operand.
+
 The *operand protocol* also lives here: :class:`TileSource` (already
 distributed per-rank tiles, the :class:`repro.dist.DistContext`
 mechanism) and :func:`resolve_tile` (global-matrix extraction under the
-3D distribution) replace the ``TileSource`` / ``_operand_tile`` pair the
-SUMMA drivers used to re-implement; :mod:`repro.summa.core` re-exports
-them for compatibility.
+3D distribution).
 """
 
 from __future__ import annotations
@@ -182,24 +186,43 @@ class LocalKernel(ABC):
     #: whether Alg. 3's sparse symbolic pass applies to this kernel's
     #: operands (requires sparse A and B).
     supports_symbolic: bool = True
+    #: driver capabilities — everything below is ``False`` unless a kernel
+    #: opts in.  ``postprocess_mask``: a ``mask=`` may be applied as a
+    #: per-batch postprocess filter on the finished column block.
+    postprocess_mask: bool = False
+    #: run fingerprints and batch files cover this kernel's operands, so
+    #: ``checkpoint_dir=`` / ``resume=`` / ``heal=`` (and the service's
+    #: crash transparency) may be armed.
+    checkpointable: bool = False
+    #: the transpose identity ``C = (Bᵀ Aᵀ)ᵀ`` behind row batching holds
+    #: (sparse operands on both sides, no aux operand to transpose).
+    row_batchable: bool = False
 
     # ------------------------------------------------------------------ #
     # operand protocol
     # ------------------------------------------------------------------ #
 
     @property
-    def operand_kinds(self) -> dict:
-        """The declared kinds, keyed ``a`` / ``b`` / ``aux`` / ``output``."""
-        return {
-            "a": self.a_kind,
-            "b": self.b_kind,
-            "aux": self.aux_kind,
-            "output": self.output_kind,
-        }
-
-    @property
     def uses_aux(self) -> bool:
         return self.aux_mode is not None
+
+    def resolve_aux(self, a, b, *, mask=None, sample=None, complement=False):
+        """Wire the drivers' ``mask=`` / ``sample=`` arguments to this
+        kernel: returns ``(kernel, aux, mask)`` — the kernel to run, its
+        aux operand, and the mask left over for the postprocess filter
+        (only kernels declaring :attr:`postprocess_mask` keep one).
+        ``complement`` is the caller's by-name ``mask_complement=``."""
+        if sample is not None:
+            raise ValueError(
+                f'sample= only applies to kernel="sddmm", not {self.name!r}'
+            )
+        if mask is not None and not self.postprocess_mask:
+            raise ValueError(
+                'mask= applies to kernel="spgemm" (postprocess filtering) '
+                'or kernel="masked_spgemm" (in-multiply masking), '
+                f"not {self.name!r}"
+            )
+        return self, None, mask
 
     def validate(self, a, b, aux=None) -> tuple[int, int]:
         """Check operand shapes; return the product shape ``(m, n)``."""
@@ -257,14 +280,6 @@ class LocalKernel(ABC):
     # ------------------------------------------------------------------ #
     # geometry helpers (kind-dispatched, rarely overridden)
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def nrows_of(x) -> int:
-        return operand_shape(x)[0]
-
-    @staticmethod
-    def ncols_of(x) -> int:
-        return operand_shape(x)[1]
 
     def select_columns(self, tile, local_cols):
         """A batch's column block of the B tile."""
@@ -365,10 +380,11 @@ def dense_tile_bytes_max(
     return worst * itemsize
 
 
-def sparse_tile_nnz_max(
-    matrix: SparseMatrix, grid: ProcGrid3D, which: str,
-) -> int:
-    """Exact max per-rank tile nonzero count under the A or B layout."""
+def sparse_tile_nnz_max(matrix, grid: ProcGrid3D, which: str) -> int:
+    """Exact max per-rank tile nonzero count under the A or B layout
+    (a :class:`TileSource` is asked for the tiles it already holds)."""
+    if isinstance(matrix, TileSource):
+        return max(matrix.tile(rank).nnz for rank in range(grid.nprocs))
     rows = matrix.rowidx
     cols = matrix.col_indices()
     worst = 0

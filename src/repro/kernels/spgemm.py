@@ -20,8 +20,10 @@ prediction becomes the mask-producing prologue
 
 from __future__ import annotations
 
+from ..errors import DistributionError
 from ..sparse.spgemm.masked import spgemm_masked
-from .base import LocalKernel
+from ..sparse.spgemm.symbolic import symbolic_pattern
+from .base import LocalKernel, TileSource
 
 __all__ = ["MaskedSpgemmKernel", "SpgemmKernel"]
 
@@ -30,6 +32,9 @@ class SpgemmKernel(LocalKernel):
     """Sparse × sparse → sparse (the paper's Alg. 4 local kernel)."""
 
     name = "spgemm"
+    postprocess_mask = True
+    checkpointable = True
+    row_batchable = True
 
     def stage_multiply(self, state):
         return state.suite.local_multiply(state.a_recv, state.b_recv, state.semiring)
@@ -50,9 +55,29 @@ class MaskedSpgemmKernel(SpgemmKernel):
     # the driver may synthesise the mask from the symbolic pass when the
     # caller does not supply one.
     aux_mode = "optional"
+    # the mask is consumed inside the multiply, and neither checkpoint
+    # fingerprints nor the transpose identity cover it
+    postprocess_mask = False
+    checkpointable = False
+    row_batchable = False
 
     def __init__(self, complement: bool = False) -> None:
         self.complement = bool(complement)
+
+    def resolve_aux(self, a, b, *, mask=None, sample=None, complement=False):
+        super().resolve_aux(a, b, sample=sample)  # refuses sample=
+        kern = MaskedSpgemmKernel(complement=True) if complement else self
+        if mask is None:
+            if isinstance(a, TileSource) or isinstance(b, TileSource):
+                raise DistributionError(
+                    'kernel="masked_spgemm" needs mask= (a global sparse '
+                    "pattern shaped like the product) on resident operands"
+                )
+            # symbolic pass as the mask-producing prologue: the product
+            # pattern keeps every structural nonzero, so this matches the
+            # unmasked product while exercising the masked pipeline.
+            mask = symbolic_pattern(a, b)
+        return kern, mask, None
 
     def stage_multiply(self, state):
         return spgemm_masked(

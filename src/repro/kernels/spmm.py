@@ -89,10 +89,7 @@ class SpmmKernel(LocalKernel):
         am, ak = operand_shape(a)
         bk, bn = operand_shape(b)
         bpn = 24  # r: bytes per sparse nonzero (matrix.py accounting)
-        if isinstance(a, SparseMatrix):
-            a_nnz = sparse_tile_nnz_max(a, grid, "A")
-        else:  # TileSource: balanced estimate with the standard skew factor
-            a_nnz = int(np.ceil(1.3 * getattr(a, "nnz", am) / nprocs))
+        a_nnz = sparse_tile_nnz_max(a, grid, "A")
         rows_loc = rows_block_max(am, grid)
         cols_batch = batch_cols_max(bn, grid, batches)
         cols_piece = layer_block_max(bn, grid, batches)

@@ -303,10 +303,9 @@ class ExecPlan:
     """A resolved :class:`ExecSpec`: the chosen configuration plus the
     model's predictions and the provenance of the choice.
 
-    Attribute-compatible with the historical ``PlanChoice`` (which is now
-    a deprecated alias of this class): ``layers``, ``batches``,
-    ``predicted_seconds``, ``candidates``, ``backend`` and
-    ``predicted_memory`` keep their meaning and positional order.
+    ``layers``, ``batches``, ``predicted_seconds``, ``candidates``,
+    ``backend`` and ``predicted_memory`` are the auto-tuner's outcome, in
+    that positional order.
 
     ``provenance`` records *how* the plan was chosen — ``{"mode":
     "explicit" | "auto" | "replan", ...}`` with mode-specific detail

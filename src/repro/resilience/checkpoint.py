@@ -57,17 +57,12 @@ def run_key(a, b, **config) -> str:
 
     Covers the operand contents (CRC of the structural arrays) and every
     keyword given (grid shape, batch scheme, merge policy, suite,
-    semiring, ...).  Operands that are not plain
-    :class:`~repro.sparse.matrix.SparseMatrix` (e.g. pre-distributed
-    :class:`~repro.summa.core.TileSource`) contribute their shape only.
+    semiring, ...).  Both operands must be global matrices — the drivers
+    refuse checkpointing on resident tiles, whose contents no driver-side
+    fingerprint can cover.
     """
-    def _ident(m):
-        if isinstance(m, SparseMatrix):
-            return m
-        return ["shape", int(m.nrows), int(m.ncols)]
-
     items = [[k, str(v)] for k, v in sorted(config.items())]
-    return f"{payload_checksum([_ident(a), _ident(b), items]):08x}"
+    return f"{payload_checksum([a, b, items]):08x}"
 
 
 class CheckpointManager:

@@ -30,7 +30,7 @@ from .sketch import MatrixSketch, sketch_of
 class PlanCache:
     """Thread-safe LRU map from plan keys to
     :class:`~repro.plan.ExecPlan` (the reified execution plan the
-    auto-tuner returns — historically called ``PlanChoice``)."""
+    auto-tuner returns)."""
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:

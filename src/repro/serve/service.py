@@ -49,6 +49,7 @@ from ..errors import (
     ReproError,
     SpmdError,
 )
+from ..kernels import get_kernel
 from ..resilience.checkpoint import run_key
 from ..summa.batched import run_plan
 from .admission import KIND_KERNELS, AdmissionController
@@ -379,13 +380,8 @@ class SpgemmService:
             world=slot.world,
             transport=slot.transport,
         )
-        runtime = {"tracker": slot.tracker}
-        if spec.kind == "masked_spgemm":
-            runtime["mask"] = spec.mask
-        if spec.faults is not None:
-            runtime["faults"] = spec.faults
         ckpt_dir = None
-        if self.heal is not None and kernel == "spgemm":
+        if self.heal is not None and get_kernel(kernel).checkpointable:
             # crash transparency: per-job checkpoint subdir + online heal.
             # The job id joins the key so two concurrent identical jobs
             # can never adopt each other's manifests.
@@ -402,7 +398,10 @@ class SpgemmService:
                 checkpoint_dir=ckpt_dir,
                 checkpoint_keep_last=self.checkpoint_keep_last,
             )
-        result = run_plan(spec.a, spec.b, run, **runtime)
+        result = run_plan(
+            spec.a, spec.b, run, tracker=slot.tracker, faults=spec.faults,
+            mask=spec.mask if spec.kind == "masked_spgemm" else None,
+        )
         return result.matrix, result.info, ckpt_dir
 
     def _execute_chain(self, slot: GridSlot, job: Job, timeout: float):

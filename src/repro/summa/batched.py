@@ -1,32 +1,43 @@
 """BatchedSUMMA3D driver (paper Alg. 4) — the library's flagship entry point.
 
-The driver validates inputs, builds the process grid, launches the SPMD
-program on the simulated-MPI engine, and reassembles the distributed
-output.  When a memory budget is given and no explicit batch count, the
-distributed symbolic step (Alg. 3) chooses ``b`` exactly as the paper does.
+There is one driver, :func:`drive`, a short pipeline of phases: resolve
+the spec → prepare (kernel, aux, shapes, backend; every refusal) → open
+the checkpoint / symbolic pre-pass → execute (the launch loop, re-entered
+on a replan or re-batch amendment) → assemble the report.  Entry points
+differ only in the operands they hand it (global matrices, or a
+:class:`~repro.dist.DistContext`'s resident tiles) and in how the
+per-rank pieces are delivered: :func:`run_plan` gathers them into one
+global matrix, the context keeps them distributed.
 
 The run configuration is a first-class value: :func:`run_plan` executes
 an :class:`~repro.plan.ExecSpec` (or a resolved
-:class:`~repro.plan.ExecPlan`), and the classic keyword surfaces —
-:func:`batched_summa3d`, :func:`batched_summa3d_rows`, ``summa2d/3d`` —
-are thin shims whose knobs funnel through the single conversion point
-:meth:`~repro.plan.ExecSpec.from_kwargs`.  Every result records the
-final resolved plan verbatim in ``info["plan"]``, including any mid-run
-amendments the :class:`~repro.plan.Replanner` made.
+:class:`~repro.plan.ExecPlan`), and the keyword surfaces —
+:func:`batched_summa3d`, :func:`batched_summa3d_rows`, :func:`summa2d`,
+:func:`summa3d` — are thin shims whose knobs funnel through the single
+conversion point :meth:`~repro.plan.ExecSpec.from_kwargs`.  Every result
+records the final resolved plan verbatim in ``info["plan"]``, including
+any mid-run amendments the :class:`~repro.plan.Replanner` made.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import MemoryPressureError, ReplanSignal, ShapeError, SpmdError
+from ..errors import (
+    DistributionError,
+    MemoryPressureError,
+    ReplanSignal,
+    ShapeError,
+    SpmdError,
+)
 from ..grid.distribution import extract_a_tile, extract_b_tile, gather_tiles
 from ..grid.grid3d import ProcGrid3D
-from ..kernels import MaskedSpgemmKernel, get_kernel
+from ..kernels import LocalKernel, TileSource, get_kernel
 from ..mem import MemoryLedger
 from ..model.memory import predict_memory
 from ..mp.bridge import DriverCallback
@@ -34,7 +45,7 @@ from ..plan.spec import ExecPlan, ExecSpec, _registry_name
 from ..resilience import CheckpointManager, HealContext, HealingBody
 from ..resilience import run_key as _checkpoint_run_key
 from ..simmpi.engine import run_spmd
-from ..simmpi.faults import FaultInjector
+from ..simmpi.faults import FaultInjector, FaultPlan
 from ..simmpi.tracker import CommTracker
 from ..sparse.io import save_matrix
 from ..sparse.matrix import SparseMatrix
@@ -103,29 +114,26 @@ def _coerce_plan(plan, nprocs, layers, knobs):
     folded into a spec through the single conversion point
     :meth:`ExecSpec.from_kwargs`.
     """
-    if plan is not None:
-        if knobs or nprocs is not None or layers is not None:
-            extras = sorted(knobs)
-            if nprocs is not None:
-                extras.insert(0, "nprocs")
-            if layers is not None:
-                extras.insert(1 if nprocs is not None else 0, "layers")
-            raise TypeError(
-                "pass either plan= or loose execution knobs, not both "
-                f"(got plan= plus {', '.join(extras)}); amend the plan's "
-                "spec instead (ExecPlan.with_spec / ExecSpec.amended)"
-            )
-        return plan
-    if nprocs is not None:
-        knobs["nprocs"] = nprocs
-    if layers is not None:
-        knobs["layers"] = layers
-    return ExecSpec.from_kwargs(**knobs)
+    for name, value in (("nprocs", nprocs), ("layers", layers)):
+        if value is not None:
+            knobs[name] = value
+    if plan is None:
+        return ExecSpec.from_kwargs(**knobs)
+    if knobs:
+        raise TypeError(
+            "pass either plan= or loose execution knobs, not both "
+            f"(got plan= plus {', '.join(sorted(knobs))}); amend the plan's "
+            "spec instead (ExecPlan.with_spec / ExecSpec.amended)"
+        )
+    return plan
 
 
-def _plan_to_spec(plan) -> tuple[ExecSpec, "ExecPlan | None"]:
+def _plan_to_spec(plan, pinned=None) -> tuple[ExecSpec, "ExecPlan | None"]:
     """Resolve ``plan`` to the spec to execute, keeping the originating
-    :class:`ExecPlan` (when there is one) for provenance."""
+    :class:`ExecPlan` (when there is one) for provenance.  ``pinned``
+    fields override whatever the plan says (a resident context's grid,
+    world and timeout)."""
+    src = None
     if isinstance(plan, dict):
         plan = (
             ExecPlan.from_dict(plan)
@@ -139,13 +147,15 @@ def _plan_to_spec(plan) -> tuple[ExecSpec, "ExecPlan | None"]:
             changes["batches"] = plan.batches
         if plan.backend:
             changes["comm_backend"] = plan.backend
-        return spec.amended(**changes), plan
-    if isinstance(plan, ExecSpec):
-        return plan, None
-    raise TypeError(
-        "plan must be an ExecSpec, ExecPlan or their dict form, "
-        f"got {type(plan).__name__}"
-    )
+        spec, src = spec.amended(**changes), plan
+    elif isinstance(plan, ExecSpec):
+        spec = plan
+    else:
+        raise TypeError(
+            "plan must be an ExecSpec, ExecPlan or their dict form, "
+            f"got {type(plan).__name__}"
+        )
+    return spec.amended(**(pinned or {})), src
 
 
 def batched_summa3d(
@@ -168,16 +178,11 @@ def batched_summa3d(
 
     Configuration is an :class:`~repro.plan.ExecSpec`: pass one (or a
     resolved :class:`~repro.plan.ExecPlan`) as ``plan=``, or pass its
-    fields as loose keywords — ``batches=``, ``memory_budget=``,
-    ``enforce=``, ``suite=``, ``semiring=``, ``kernel=``,
-    ``mask_complement=``, ``keep_output=``, ``batch_scheme=``,
-    ``merge_policy=``, ``comm_backend=``, ``overlap=``, ``spill_dir=``,
-    ``timeout=``, ``checksums=``, ``max_retries=``, ``checkpoint_dir=``,
-    ``resume=``, ``checkpoint_keep_last=``, ``heal=``, ``world_spares=``,
-    ``world=``, ``transport=``, ``replan=`` and friends — which are
-    folded into a spec through :meth:`~repro.plan.ExecSpec.from_kwargs`
-    (the single conversion point; see the spec's field docs for
-    semantics).  The two styles are mutually exclusive.
+    fields as loose keywords (``batches=``, ``memory_budget=``,
+    ``comm_backend=``, ... — every spec field is a knob and nothing else
+    is; see the spec's field docs for semantics), which are folded into a
+    spec through :meth:`~repro.plan.ExecSpec.from_kwargs`, the single
+    conversion point.  The two styles are mutually exclusive.
 
     Runtime-only arguments — objects with no serialised form — stay
     keywords in either style:
@@ -216,6 +221,26 @@ def batched_summa3d(
     )
 
 
+def summa2d(a, b, nprocs: int = 4, **knobs) -> SummaResult:
+    """2D sparse SUMMA (paper Alg. 1, the classic CombBLAS baseline) on a
+    square process grid: :func:`batched_summa3d` with ``layers = 1`` and
+    ``batches = 1`` — the stage structure, broadcasts and layer merge are
+    identical; the fiber steps vanish.  Every other argument passes
+    through unchanged; passing a pinned one raises ``TypeError``."""
+    return batched_summa3d(a, b, nprocs=nprocs, layers=1, batches=1, **knobs)
+
+
+def summa3d(a, b, nprocs: int = 8, layers: int = 2, **knobs) -> SummaResult:
+    """3D sparse SUMMA (paper Alg. 2; communication-avoiding, unbatched)
+    on a ``sqrt(p/l) x sqrt(p/l) x l`` grid: :func:`batched_summa3d` with
+    ``batches = 1`` — per-layer SUMMA2D followed by the fiber ColSplit /
+    AllToAll / Merge.  Every other argument passes through unchanged;
+    passing ``batches`` raises ``TypeError``."""
+    return batched_summa3d(
+        a, b, nprocs=nprocs, layers=layers, batches=1, **knobs
+    )
+
+
 def run_plan(
     a,
     b,
@@ -234,494 +259,573 @@ def run_plan(
 
     This is the real driver; :func:`batched_summa3d` and every other
     keyword surface delegate here.  See :func:`batched_summa3d` for the
-    runtime-only arguments.
+    runtime-only arguments.  It is :func:`drive` plus the *gathered*
+    delivery mode: batches are consumed (``spill_dir`` / ``on_batch``) in
+    batch order and the pieces assembled into one global matrix.
     """
-    spec, exec_plan = _plan_to_spec(plan)
+    run = drive(
+        a, b, plan, mask=mask, sample=sample, postprocess=postprocess,
+        on_batch=on_batch, tracker=tracker, faults=faults,
+    )
+    run.result.matrix = _deliver_gathered(run)
+    return run.result
 
-    kern = get_kernel(spec.kernel)
-    aux = None
-    if kern.name == "masked_spgemm":
-        # the mask is the kernel's aux operand; a caller-level name-based
-        # request honours mask_complement= through the kernel constructor
-        if isinstance(spec.kernel, str) and spec.mask_complement:
-            kern = MaskedSpgemmKernel(complement=True)
-        if mask is not None:
-            aux = mask
-        else:
-            # symbolic pass as the mask-producing prologue: the product
-            # pattern keeps every structural nonzero, so this matches the
-            # unmasked product while exercising the masked pipeline.
-            from ..sparse.spgemm.symbolic import symbolic_pattern
 
-            aux = symbolic_pattern(a, b)
-        mask = None  # consumed by the kernel, not the postprocess path
-    elif kern.name == "sddmm":
-        if sample is None:
-            raise ValueError(
-                'kernel="sddmm" requires sample= (the sparse sampling '
-                "pattern S, shaped like the product)"
-            )
-        aux = sample
-    elif sample is not None:
-        raise ValueError(
-            f'sample= only applies to kernel="sddmm", not {kern.name!r}'
-        )
-    out_nrows, out_ncols = kern.validate(a, b, aux)
-    if mask is not None and kern.name != "spgemm":
-        raise ValueError(
-            'mask= applies to kernel="spgemm" (postprocess filtering) or '
-            'kernel="masked_spgemm" (in-multiply masking), '
-            f"not {kern.name!r}"
-        )
-    if kern.name != "spgemm" and (
-        spec.checkpoint_dir is not None or spec.resume or spec.heal is not None
-    ):
+@dataclass
+class _Run:
+    """One multiplication's driver state, handed from phase to phase."""
+
+    a: object
+    b: object
+    spec: ExecSpec
+    exec_plan: ExecPlan | None
+    kern: LocalKernel
+    aux: object
+    out_shape: tuple
+    grid: ProcGrid3D
+    tracker: CommTracker
+    injector: FaultInjector | None
+    launch: object
+    postprocess: object
+    on_batch: object
+    #: the two fields mid-run amendments (replan / re-batch) rewrite
+    batches: int | None
+    comm_backend: object
+    #: an operand is a TileSource: tiles already live on the ranks
+    resident: bool
+    # checkpoint phase
+    ckpt: CheckpointManager | None = None
+    ckpt_key: str | None = None
+    first_batch: int = 0
+    sym_prepass: dict | None = None
+    # execute phase
+    replan_policy: object = None
+    collector: _BatchPieceCollector | None = None
+    heal_ctx: HealContext | None = None
+    rebatched: list = field(default_factory=list)
+    replans: list = field(default_factory=list)
+    world_info: dict = field(default_factory=dict)
+    per_rank: list = field(default_factory=list)
+    result: SummaResult | None = None
+
+    def ckpt_plan(self, batches) -> dict:
+        # the manifest's embedded plan: this spec with the batch geometry
+        # pinned, so a resume proves it resumes under the same plan
+        return self.spec.amended(batches=batches).to_dict()
+
+
+def drive(a, b, plan, *, launch=None, pinned=None, **runtime) -> _Run:
+    """The one driver: runs the phases named in the module docstring, in
+    order, on global or resident (:class:`~repro.kernels.TileSource`)
+    operands.
+
+    Returns the run with ``per_rank`` (each rank's pieces, for the caller
+    to deliver) and ``result`` (``matrix=None``; ``info``, times and rank
+    traces assembled) set.  ``launch`` replaces ``run_spmd(nprocs, ...)``
+    for a caller that owns the world (the context's run-id bookkeeping);
+    ``pinned`` are spec fields the caller's slot fixes, whatever the plan
+    says; ``runtime`` are :func:`run_plan`'s runtime-only arguments.
+    """
+    run = _prepare(a, b, *_plan_to_spec(plan, pinned), launch, **runtime)
+    _open_checkpoint(run)
+    run.replan_policy = _replan_policy(run)
+    run.collector = _make_collector(run)
+    run.per_rank = _execute(run)
+    run.result = _assemble_report(run)
+    return run
+
+
+def _refuse(kern, spec: ExecSpec, resident: bool, hooks: dict) -> None:
+    """Every kernel × feature composition the drivers cannot run, refused
+    off the kernel's declared capabilities before anything is launched."""
+    wants_ckpt = {
+        "checkpoint_dir": spec.checkpoint_dir is not None,
+        "resume": spec.resume,
+        "heal": spec.heal is not None,
+    }
+    if any(wants_ckpt.values()) and not kern.checkpointable:
         raise NotImplementedError(
             "checkpoint/resume/heal currently require the default SpGEMM "
             f"kernel (got kernel={kern.name!r}): run fingerprints and "
             "batch files do not cover kernel/aux operands yet"
         )
     if kern.output_kind != "sparse":
-        for value, name in (
-            (postprocess, "postprocess"), (mask, "mask"),
-            (spec.spill_dir, "spill_dir"), (on_batch, "on_batch"),
-        ):
+        for name, value in hooks.items():
             if value is not None:
                 raise ValueError(
                     f"{name}= requires a sparse-output kernel; "
                     f"{kern.name!r} produces a dense result"
                 )
-    spec.validate()
-    memory_budget, budget_per_rank = spec.resolved_budget()
-
-    nprocs = spec.nprocs
-    layers = spec.layers
-    batches = spec.batches
-    comm_backend = spec.comm_backend
-    suite = spec.suite
-    semiring = spec.semiring
-    keep_output = spec.keep_output
-    spill_dir = spec.spill_dir
-    checkpoint_dir = spec.checkpoint_dir
-    heal = spec.heal
-    world = spec.world
-
-    grid = ProcGrid3D(nprocs, layers)
-    if tracker is None:
-        tracker = CommTracker()
-
-    injector = None
-    if faults is not None:
-        if isinstance(faults, FaultInjector):
-            injector = faults
-        else:
-            from ..simmpi.faults import FaultPlan
-
-            injector = FaultInjector(
-                faults if isinstance(faults, FaultPlan) else FaultPlan(faults)
+    if resident:
+        # fingerprints, batch files and the α–β backend chooser read the
+        # global matrices; the product stays distributed, so nothing
+        # driver-side could spill or discard it
+        unmet = {
+            **wants_ckpt,
+            "spill_dir": spec.spill_dir is not None,
+            "keep_output=False": not spec.keep_output,
+            'comm_backend="auto"':
+                spec.comm_backend == "auto" and kern.supports_symbolic,
+            # a resident sparse product is one contiguous tile per rank,
+            # which across layers only the block-cyclic scheme yields
+            f"batch_scheme={spec.batch_scheme!r} with layers > 1":
+                spec.batch_scheme != "block-cyclic" and spec.layers > 1
+                and kern.output_kind == "sparse",
+        }
+        if any(unmet.values()):
+            raise DistributionError(
+                ", ".join(name for name, asked in unmet.items() if asked)
+                + " cannot be honoured on resident operands; gather them "
+                "and use run_plan, or drop the field"
             )
 
+
+def _prepare(
+    a, b, spec: ExecSpec, exec_plan, launch=None, *, mask=None, sample=None,
+    postprocess=None, on_batch=None, tracker=None, faults=None,
+) -> _Run:
+    """Resolve everything a launch needs and refuse what cannot run."""
+    kern = get_kernel(spec.kernel)
+    resident = isinstance(a, TileSource) or isinstance(b, TileSource)
+    for operand, kind in ((a, kern.a_kind), (b, kern.b_kind)):
+        if isinstance(operand, TileSource) and kind != "sparse":
+            raise DistributionError(
+                "resident multiply supports sparse-operand kernels (got "
+                f"{kern.name!r}): handles hold sparse tiles; use "
+                "DistContext.spmm for a dense right operand"
+            )
+    # a caller-level name-based request honours mask_complement= through
+    # the kernel constructor; an instance keeps its own setting
+    kern, aux, mask = kern.resolve_aux(
+        a, b, mask=mask, sample=sample,
+        complement=spec.mask_complement and isinstance(spec.kernel, str),
+    )
+    out_shape = kern.validate(a, b, aux)
+    _refuse(kern, spec, resident, {
+        "postprocess": postprocess, "mask": mask,
+        "spill_dir": spec.spill_dir, "on_batch": on_batch,
+    })
+    spec.validate()
+
+    injector = faults
+    if faults is not None and not isinstance(faults, FaultInjector):
+        injector = FaultInjector(
+            faults if isinstance(faults, FaultPlan) else FaultPlan(faults)
+        )
+
+    comm_backend = spec.comm_backend
     if comm_backend == "auto":
-        if not kern.supports_symbolic:
+        if kern.supports_symbolic:
+            from .planner import choose_backend
+
+            comm_backend = choose_backend(
+                a, b, nprocs=spec.nprocs, layers=spec.layers,
+                batches=spec.batches or 1, overlap=spec.overlap,
+            )
+        else:
             # the α–β chooser needs nonzero statistics of both operands;
             # dense-operand kernels ship dense panels by collectives on
             # either backend, so "dense" is the honest default.
             comm_backend = "dense"
-        else:
-            from .planner import choose_backend
-
-            comm_backend = choose_backend(
-                a, b, nprocs=nprocs, layers=layers, batches=batches or 1,
-                overlap=spec.overlap,
-            )
 
     if mask is not None:
-        if mask.shape != (out_nrows, out_ncols):
+        if mask.shape != out_shape:
             raise ShapeError(
-                f"mask shape {mask.shape} != product shape "
-                f"{(out_nrows, out_ncols)}"
+                f"mask shape {mask.shape} != product shape {out_shape}"
             )
         postprocess = _compose_mask(mask, spec.mask_complement, postprocess)
 
-    def ckpt_plan(b_count) -> dict:
-        # the manifest's embedded plan: this spec with the batch geometry
-        # pinned, so a resume proves it resumes under the same plan
-        return spec.amended(batches=b_count).to_dict()
+    return _Run(
+        a=a, b=b, spec=spec, exec_plan=exec_plan, kern=kern, aux=aux,
+        out_shape=out_shape, grid=ProcGrid3D(spec.nprocs, spec.layers),
+        tracker=tracker if tracker is not None else CommTracker(),
+        injector=injector,
+        launch=launch or functools.partial(run_spmd, spec.nprocs),
+        postprocess=postprocess, on_batch=on_batch,
+        batches=spec.batches, comm_backend=comm_backend, resident=resident,
+    )
 
-    # Checkpointing: the batch is the durability granule.  The driver
-    # must know the batch count before the run to fingerprint the batch
-    # geometry, so when the symbolic step would normally run in-band it
-    # runs as a driver pre-pass instead (same Alg. 3, same metering).
-    ckpt = None
-    first_batch = 0
-    sym_prepass = None
-    # Checkpoint buffers live on the driver, not on any rank; they get
-    # their own ledger so the merged memory report still accounts them.
-    ckpt_ledger = MemoryLedger(rank="driver")
-    if checkpoint_dir is not None:
-        ckpt = CheckpointManager(
-            checkpoint_dir, keep_last=spec.checkpoint_keep_last,
-            ledger=ckpt_ledger,
-        )
-        ckpt_key = _checkpoint_run_key(
-            a, b,
-            nprocs=nprocs, layers=layers, batch_scheme=spec.batch_scheme,
-            merge_policy=spec.merge_policy,
-            suite=str(getattr(suite, "name", suite)),
-            semiring=str(getattr(semiring, "name", semiring)),
-        )
-        manifest = ckpt.load_manifest() if spec.resume else None
-        if batches is None and manifest is None:
-            if memory_budget is not None:
-                from .symbolic3d import symbolic3d
 
-                sym = symbolic3d(
-                    a, b, nprocs, layers,
-                    memory_budget=memory_budget,
-                    bytes_per_nonzero=spec.bytes_per_nonzero,
-                    tracker=tracker, timeout=spec.timeout,
-                    world=world, transport=spec.transport,
-                )
-                batches = sym.batches
-                sym_prepass = {
-                    "batches": sym.batches, "max_nnz_c": sym.max_nnz_c,
-                    "max_nnz_a": sym.max_nnz_a, "max_nnz_b": sym.max_nnz_b,
-                }
-            else:
-                batches = 1
-        if spec.resume:
-            batches, first_batch = ckpt.resume_run(
-                ckpt_key, batches, ckpt_plan(batches)
+def _open_checkpoint(run: _Run) -> None:
+    """Checkpointing: the batch is the durability granule.  The driver
+    must know the batch count before the run to fingerprint the batch
+    geometry, so when the symbolic step would normally run in-band it
+    runs as a driver pre-pass instead (same Alg. 3, same metering)."""
+    spec = run.spec
+    if spec.checkpoint_dir is None:
+        return
+    # checkpoint buffers live on the driver, not on any rank; they get
+    # their own ledger so the merged memory report still accounts them
+    run.ckpt = ckpt = CheckpointManager(
+        spec.checkpoint_dir, keep_last=spec.checkpoint_keep_last,
+        ledger=MemoryLedger(rank="driver"),
+    )
+    run.ckpt_key = _checkpoint_run_key(
+        run.a, run.b,
+        nprocs=spec.nprocs, layers=spec.layers,
+        batch_scheme=spec.batch_scheme, merge_policy=spec.merge_policy,
+        suite=_registry_name(spec.suite),
+        semiring=_registry_name(spec.semiring),
+    )
+    manifest = ckpt.load_manifest() if spec.resume else None
+    if run.batches is None and manifest is None:
+        memory_budget, _per_rank = spec.resolved_budget()
+        if memory_budget is not None:
+            from .symbolic3d import symbolic3d
+
+            sym = symbolic3d(
+                run.a, run.b, spec.nprocs, spec.layers,
+                memory_budget=memory_budget,
+                bytes_per_nonzero=spec.bytes_per_nonzero,
+                tracker=run.tracker, timeout=spec.timeout,
+                world=spec.world, transport=spec.transport,
             )
+            run.batches = sym.batches
+            run.sym_prepass = {
+                key: getattr(sym, key)
+                for key in ("batches", "max_nnz_c", "max_nnz_a", "max_nnz_b")
+            }
         else:
-            ckpt.start_run(ckpt_key, batches, ckpt_plan(batches))
-
-    # Mid-run replanning: build the picklable decision policy shipped to
-    # every rank.  Forced amendments (spec.replan_force) run even with
-    # replan="off" — the deterministic test/demo hook.
-    replan_policy = None
-    if spec.replan == "auto" or spec.replan_force:
-        from ..plan.replan import ReplanPolicy, modelled_comm_per_batch
-
-        modelled = ()
-        if spec.replan == "auto" and kern.supports_symbolic:
-            modelled = modelled_comm_per_batch(a, b, spec, batches)
-        auto = spec.replan == "auto"
-        replan_policy = ReplanPolicy(
-            threshold=spec.replan_threshold,
-            min_batches=spec.replan_min_batches,
-            max_replans=spec.max_replans,
-            allow_shrink=auto,
-            allow_grow=auto,
-            allow_backend_flip=auto and bool(modelled),
-            resumable=ckpt is not None,
-            modelled_comm=modelled,
-            force=spec.replan_force,
+            run.batches = 1
+    if spec.resume:
+        run.batches, run.first_batch = ckpt.resume_run(
+            run.ckpt_key, run.batches, run.ckpt_plan(run.batches)
         )
+    else:
+        ckpt.start_run(run.ckpt_key, run.batches, run.ckpt_plan(run.batches))
 
-    # Memory-constrained streaming: when the output is discarded but
-    # batches are still consumed, ranks stream each finished piece to the
-    # driver instead of holding it, so per-rank memory stays flat.  A
-    # checkpointing run always streams: batches must become durable the
-    # moment they complete, not after the run.
-    def make_collector():
-        if ckpt is not None:
-            return _BatchPieceCollector(
-                nprocs, out_nrows, out_ncols, on_complete=ckpt.write_batch
-            )
-        if not keep_output and (on_batch is not None or spill_dir is not None):
-            return _BatchPieceCollector(nprocs, out_nrows, out_ncols)
+
+def _replan_policy(run: _Run):
+    """Mid-run replanning: the picklable decision policy shipped to every
+    rank.  Forced amendments (``spec.replan_force``) run even with
+    ``replan="off"`` — the deterministic test/demo hook."""
+    spec = run.spec
+    auto = spec.replan == "auto"
+    if not auto and not spec.replan_force:
         return None
+    from ..plan.replan import ReplanPolicy, modelled_comm_per_batch
 
-    collector = make_collector()
-    rebatched: list[dict] = []
-    replans: list[dict] = []
-    heal_ctx = None
-    world_info: dict = {}
+    modelled = ()
+    if auto and run.kern.supports_symbolic:
+        # () for resident operands: the flip lever then stays off
+        modelled = modelled_comm_per_batch(run.a, run.b, spec, run.batches)
+    return ReplanPolicy(
+        threshold=spec.replan_threshold,
+        min_batches=spec.replan_min_batches,
+        max_replans=spec.max_replans,
+        allow_shrink=auto,
+        allow_grow=auto,
+        allow_backend_flip=auto and bool(modelled),
+        resumable=run.ckpt is not None,
+        modelled_comm=modelled,
+        force=spec.replan_force,
+    )
+
+
+def _make_collector(run: _Run):
+    """Memory-constrained streaming: when the output is discarded but
+    batches are still consumed, ranks stream each finished piece to the
+    driver instead of holding it, so per-rank memory stays flat.  A
+    checkpointing run always streams: batches must become durable the
+    moment they complete, not after the run."""
+    spec = run.spec
+    durable = run.ckpt.write_batch if run.ckpt is not None else None
+    streamed = not spec.keep_output and (
+        run.on_batch is not None or spec.spill_dir is not None
+    )
+    if durable is None and not streamed:
+        return None
+    return _BatchPieceCollector(
+        spec.nprocs, *run.out_shape, on_complete=durable
+    )
+
+
+def _execute(run: _Run) -> list:
+    """The one launch loop: run the SPMD region; when every rank raised
+    the same collective amendment, apply it and re-enter."""
     while True:
-        # Under the process world the collector's sink must run in the
-        # driver (it feeds gather/checkpoint state workers cannot see);
-        # the DriverCallback wrapper ships each piece back through the
-        # engine's results queue.
-        sink = collector.sink if collector is not None else None
-        if sink is not None and world == "processes":
-            sink = DriverCallback(sink)
-        spmd_kwargs = dict(
-            kernel=kern,
-            aux=aux,
-            batches=batches,
-            memory_budget=memory_budget,
-            memory_budget_per_rank=budget_per_rank,
-            enforce=spec.enforce,
-            bytes_per_nonzero=spec.bytes_per_nonzero,
-            suite=suite,
-            semiring=semiring,
-            keep_pieces=keep_output,
-            postprocess=postprocess,
-            batch_scheme=spec.batch_scheme,
-            merge_policy=spec.merge_policy,
-            comm_backend=comm_backend,
-            overlap=spec.overlap,
-            piece_sink=sink,
-            max_retries=spec.max_retries,
-            batch_barrier=ckpt is not None,
-            replan=replan_policy,
-        )
         try:
-            if heal is None:
-                per_rank = run_spmd(
-                    nprocs,
-                    spmd_batched_summa3d,
-                    a,
-                    b,
-                    grid,
-                    start_batch=first_batch,
-                    **spmd_kwargs,
-                    tracker=tracker,
-                    timeout=spec.timeout,
-                    faults=injector,
-                    checksums=spec.checksums,
-                    world=world,
-                    transport=spec.transport,
-                    world_info=world_info,
-                )
-            else:
-                # Online healing: each rank runs a HealingBody that
-                # re-enters the SPMD program from the checkpointed batch
-                # boundary after every membership epoch change, instead of
-                # the whole world aborting on the first crash.
-                heal_ctx = HealContext(
-                    heal, checkpoint=ckpt, collector=collector,
-                    first_batch=first_batch,
-                )
-
-                def attempt(comm, start_batch, _kw=spmd_kwargs):
-                    return spmd_batched_summa3d(
-                        comm, a, b, grid, start_batch=start_batch, **_kw
-                    )
-
-                def join_bytes(position, _grid=grid):
-                    # uniform nbytes protocol (repro.mem.nbytes_of): the
-                    # tiles themselves know their storage footprint.
-                    ta = extract_a_tile(a, _grid, position)
-                    tb = extract_b_tile(b, _grid, position)
-                    return ta.nbytes + tb.nbytes
-
-                body = HealingBody(heal_ctx, attempt, join_bytes=join_bytes)
-                if isinstance(sink, DriverCallback):
-                    # the sink hides inside the attempt closure; expose
-                    # it so the process engine can index the callback.
-                    body.driver_callbacks = [sink]
-                per_rank = run_spmd(
-                    nprocs,
-                    body,
-                    tracker=tracker,
-                    timeout=spec.timeout,
-                    faults=injector,
-                    checksums=spec.checksums,
-                    world_spares=spec.world_spares,
-                    heal=heal_ctx,
-                    world=world,
-                    transport=spec.transport,
-                    world_info=world_info,
-                )
-            break
+            return _launch(run)
         except SpmdError as err:
-            signals = [
-                e for e in err.failures.values()
-                if isinstance(e, ReplanSignal)
-            ]
-            if signals and all(
-                isinstance(e, ReplanSignal) for e in err.failures.values()
-            ):
-                # a collective mid-run amendment: every rank raised the
-                # same decision at the same batch boundary.  Apply it
-                # through the re-batch machinery and re-enter.
-                sig = signals[0]
-                cur = sig.batches or (batches or 1)
-                new_b = int(sig.amended.get("batches", cur))
-                new_backend = sig.amended.get("comm_backend", comm_backend)
-                geometry_changed = new_b != cur
-                replans.append({
-                    "at_batch": sig.batch,
-                    "reason": sig.reason,
-                    "from": {
-                        "batches": int(cur),
-                        "backend": _registry_name(comm_backend),
-                    },
-                    "to": {
-                        "batches": int(new_b),
-                        "backend": _registry_name(new_backend),
-                    },
-                    "measurements": dict(sig.measurements),
-                })
-                batches = new_b
-                comm_backend = new_backend
-                # one amendment spent; a force that fired never re-fires
-                replan_policy = replace(
-                    replan_policy,
-                    revision=replan_policy.revision + 1,
-                    force=tuple(
-                        (bt, am) for bt, am in replan_policy.force
-                        if int(bt) != sig.batch
-                    ),
-                )
-                if ckpt is not None:
-                    if geometry_changed:
-                        # the column geometry is a function of b: every
-                        # checkpointed batch is invalid — restart
-                        ckpt.reset(ckpt_key, new_b, ckpt_plan(new_b))
-                        first_batch = 0
-                    else:
-                        # backend flip preserves geometry: completed
-                        # batches stay durable, resume past them
-                        first_batch = ckpt.completed_prefix()
-                else:
-                    first_batch = 0
-                collector = make_collector()
+            if _amend(run, err):
                 continue
-            pressures = [
-                e for e in err.failures.values()
-                if isinstance(e, MemoryPressureError)
-            ]
-            if pressures and all(
-                isinstance(e, MemoryPressureError) for e in err.failures.values()
-            ):
-                # graceful degradation (the paper's own memory lever):
-                # double the batch count and rerun.  The column geometry
-                # changes with b, so checkpointed batches are invalid.
-                cur = next(
-                    (e.batches for e in pressures if e.batches), None
-                ) or (batches or 1)
-                new_b = min(cur * 2, max(1, out_ncols))
-                if new_b <= cur:
-                    raise
-                rebatched.append({"from": int(cur), "to": int(new_b)})
-                batches = new_b
-                first_batch = 0
-                if ckpt is not None:
-                    ckpt.reset(ckpt_key, new_b, ckpt_plan(new_b))
-                collector = make_collector()
-                continue
-            if ckpt is not None:
+            if run.ckpt is not None:
                 raise SpmdError(
-                    err.failures, checkpoint_dir=os.fspath(checkpoint_dir)
+                    err.failures,
+                    checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
                 ) from err
             raise
 
-    ran_batches = per_rank[0]["batches"]
-    per_rank_times = [r["times"] for r in per_rank]
-    step_times = StepTimes.critical_path(per_rank_times)
-    info = dict(per_rank[0]["info"])
-    info.update(
-        suite=str(getattr(suite, "name", suite)),
-        semiring=str(getattr(semiring, "name", semiring)),
-        layers=layers,
-        nprocs=nprocs,
-    )
-    info["world"] = dict(world_info) if world_info else {"world": world}
 
-    # Uniform memory report: per-rank ledger marks merged into one block,
-    # plus the driver-side checkpoint category and — when symbolic matrix
-    # statistics exist — the Table III closed-form prediction with the
-    # measured-vs-predicted ratio (the closed-loop calibration signal).
-    mem_block = MemoryLedger.merge_reports(
-        [r["info"]["memory"] for r in per_rank]
+def _launch(run: _Run) -> list:
+    spec, a, b, grid = run.spec, run.a, run.b, run.grid
+    # Under the process world the collector's sink must run in the
+    # driver (it feeds gather/checkpoint state workers cannot see); the
+    # DriverCallback wrapper ships each piece back through the engine's
+    # results queue.
+    sink = run.collector.sink if run.collector is not None else None
+    if sink is not None and spec.world == "processes":
+        sink = DriverCallback(sink)
+    memory_budget, budget_per_rank = spec.resolved_budget()
+    body_kwargs = dict(
+        kernel=run.kern,
+        aux=run.aux,
+        batches=run.batches,
+        memory_budget=memory_budget,
+        memory_budget_per_rank=budget_per_rank,
+        enforce=spec.enforce,
+        bytes_per_nonzero=spec.bytes_per_nonzero,
+        suite=spec.suite,
+        semiring=spec.semiring,
+        keep_pieces=spec.keep_output,
+        postprocess=run.postprocess,
+        batch_scheme=spec.batch_scheme,
+        merge_policy=spec.merge_policy,
+        comm_backend=run.comm_backend,
+        overlap=spec.overlap,
+        piece_sink=sink,
+        max_retries=spec.max_retries,
+        batch_barrier=run.ckpt is not None,
+        replan=run.replan_policy,
     )
-    if ckpt_ledger.high_water("checkpoint"):
-        mem_block["categories"]["checkpoint"] = {
-            "high_water": ckpt_ledger.high_water("checkpoint"),
-            "current": ckpt_ledger.current("checkpoint"),
+    engine_kwargs = dict(
+        tracker=run.tracker,
+        timeout=spec.timeout,
+        faults=run.injector,
+        checksums=spec.checksums,
+        world=spec.world,
+        transport=spec.transport,
+        world_info=run.world_info,
+    )
+    if spec.heal is None:
+        return run.launch(
+            spmd_batched_summa3d, a, b, grid,
+            start_batch=run.first_batch, **body_kwargs, **engine_kwargs,
+        )
+    # Online healing: each rank runs a HealingBody that re-enters the
+    # SPMD program from the checkpointed batch boundary after every
+    # membership epoch change, instead of the whole world aborting on
+    # the first crash.
+    run.heal_ctx = HealContext(
+        spec.heal, checkpoint=run.ckpt, collector=run.collector,
+        first_batch=run.first_batch,
+    )
+
+    def attempt(comm, start_batch):
+        return spmd_batched_summa3d(
+            comm, a, b, grid, start_batch=start_batch, **body_kwargs
+        )
+
+    def join_bytes(position):
+        # uniform nbytes protocol (repro.mem.nbytes_of): the tiles
+        # themselves know their storage footprint.
+        ta = extract_a_tile(a, grid, position)
+        tb = extract_b_tile(b, grid, position)
+        return ta.nbytes + tb.nbytes
+
+    body = HealingBody(run.heal_ctx, attempt, join_bytes=join_bytes)
+    if isinstance(sink, DriverCallback):
+        # the sink hides inside the attempt closure; expose it so the
+        # process engine can index the callback.
+        body.driver_callbacks = [sink]
+    return run.launch(
+        body, world_spares=spec.world_spares, heal=run.heal_ctx,
+        **engine_kwargs,
+    )
+
+
+def _amend(run: _Run, err: SpmdError) -> bool:
+    """Apply a collective mid-run amendment, if that is what every failed
+    rank of ``err`` carries: a :class:`ReplanSignal` — all ranks raised
+    the same decision at the same batch boundary — or memory pressure,
+    answered by the paper's own lever of doubling the batch count.
+    Returns whether the run should re-enter."""
+    failures = list(err.failures.values())
+    cur = run.batches or 1
+    new_backend = run.comm_backend
+    if failures and all(isinstance(e, ReplanSignal) for e in failures):
+        sig = failures[0]
+        cur = sig.batches or cur
+        new_b = int(sig.amended.get("batches", cur))
+        new_backend = sig.amended.get("comm_backend", new_backend)
+        run.replans.append({
+            "at_batch": sig.batch,
+            "reason": sig.reason,
+            "from": {
+                "batches": int(cur),
+                "backend": _registry_name(run.comm_backend),
+            },
+            "to": {
+                "batches": int(new_b),
+                "backend": _registry_name(new_backend),
+            },
+            "measurements": dict(sig.measurements),
+        })
+        # one amendment spent; a force that fired never re-fires
+        run.replan_policy = replace(
+            run.replan_policy,
+            revision=run.replan_policy.revision + 1,
+            force=tuple(
+                (bt, am) for bt, am in run.replan_policy.force
+                if int(bt) != sig.batch
+            ),
+        )
+    elif failures and all(
+        isinstance(e, MemoryPressureError) for e in failures
+    ):
+        cur = next((e.batches for e in failures if e.batches), None) or cur
+        new_b = min(cur * 2, max(1, run.out_shape[1]))
+        if new_b <= cur:
+            raise err  # nothing left to double
+        run.rebatched.append({"from": int(cur), "to": int(new_b)})
+    else:
+        return False
+    run.first_batch = 0
+    if run.ckpt is not None:
+        if new_b != cur:
+            # the column geometry is a function of b: every checkpointed
+            # batch is invalid — restart
+            run.ckpt.reset(run.ckpt_key, new_b, run.ckpt_plan(new_b))
+        else:
+            # a backend flip preserves geometry: completed batches stay
+            # durable, resume past them
+            run.first_batch = run.ckpt.completed_prefix()
+    run.batches, run.comm_backend = new_b, new_backend
+    run.collector = _make_collector(run)
+    return True
+
+
+def _memory_report(run: _Run, info: dict, ran_batches: int) -> dict:
+    """Uniform memory report: per-rank ledger marks merged into one block,
+    plus the driver-side checkpoint category and — when symbolic matrix
+    statistics exist — the Table III closed-form prediction with the
+    measured-vs-predicted ratio (the closed-loop calibration signal)."""
+    spec = run.spec
+    block = MemoryLedger.merge_reports(
+        [r["info"]["memory"] for r in run.per_rank]
+    )
+    ledger = run.ckpt.ledger if run.ckpt is not None else None
+    if ledger is not None and ledger.high_water("checkpoint"):
+        block["categories"]["checkpoint"] = {
+            "high_water": ledger.high_water("checkpoint"),
+            "current": ledger.current("checkpoint"),
         }
-    sym_stats = info.get("symbolic") or sym_prepass
-    predicted = None
+    model = dict(
+        nprocs=spec.nprocs, layers=spec.layers, batches=ran_batches,
+        keep_output=spec.keep_output, overlap=spec.overlap,
+    )
+    sym_stats = info.get("symbolic") or run.sym_prepass
     if sym_stats is not None:
         predicted = predict_memory(
-            nprocs=nprocs,
-            layers=layers,
-            batches=ran_batches,
             max_nnz_a=sym_stats["max_nnz_a"],
             max_nnz_b=sym_stats["max_nnz_b"],
             max_nnz_c=sym_stats["max_nnz_c"],
-            keep_output=keep_output,
-            overlap=spec.overlap,
-            bytes_per_nonzero=spec.bytes_per_nonzero,
+            bytes_per_nonzero=spec.bytes_per_nonzero, **model,
         )
     else:
         # no symbolic statistics (non-SpGEMM kernels, or SpGEMM without a
         # budget): the kernel's own geometry-exact footprint model stands
         # in for the Table III closed form.
-        predicted = kern.predict_memory(
-            a, b, aux,
-            nprocs=nprocs,
-            layers=layers,
-            batches=ran_batches,
-            keep_output=keep_output,
-            overlap=spec.overlap,
-        )
+        predicted = run.kern.predict_memory(run.a, run.b, run.aux, **model)
     if predicted is not None:
-        mem_block["model"] = predicted
-        if mem_block["high_water_total"]:
-            mem_block["model_error"] = (
-                predicted["high_water_total"] / mem_block["high_water_total"]
+        block["model"] = predicted
+        if block["high_water_total"]:
+            block["model_error"] = (
+                predicted["high_water_total"] / block["high_water_total"]
             )
-    info["memory"] = mem_block
-    # alias of info["memory"]["high_water_total"] (== max over ranks)
-    max_local_bytes = mem_block["high_water_total"]
+    return block
 
+
+def _assemble_report(run: _Run) -> SummaResult:
+    """Fold the per-rank returns into one :class:`SummaResult` (matrix
+    not yet delivered): critical-path times, the merged memory block,
+    resilience and fault summaries, and the final resolved plan."""
+    spec, per_rank, ckpt = run.spec, run.per_rank, run.ckpt
+    ran_batches = per_rank[0]["batches"]
+    per_rank_times = [r["times"] for r in per_rank]
+    info = dict(per_rank[0]["info"])
+    info.update(
+        suite=_registry_name(spec.suite),
+        semiring=_registry_name(spec.semiring),
+        layers=spec.layers,
+        nprocs=spec.nprocs,
+    )
+    info["world"] = (
+        dict(run.world_info) if run.world_info else {"world": spec.world}
+    )
+    info["memory"] = _memory_report(run, info, ran_batches)
     info["fiber_piece_nnz"] = [r["fiber_piece_nnz"] for r in per_rank]
     info["batch_scheme"] = spec.batch_scheme
     info["merge_policy"] = spec.merge_policy
-    if sym_prepass is not None and "symbolic" not in info:
-        info["symbolic"] = sym_prepass
-    if injector is not None:
-        info["fault_stats"] = injector.stats()
-    if injector is not None or ckpt is not None or rebatched or replans:
+    if run.sym_prepass is not None and "symbolic" not in info:
+        info["symbolic"] = run.sym_prepass
+    if run.resident:
+        info["resident"] = True
+    if run.injector is not None:
+        info["fault_stats"] = run.injector.stats()
+    if run.injector is not None or ckpt is not None or run.rebatched or run.replans:
         resilience: dict = {"max_retries": spec.max_retries}
         if ckpt is not None:
-            resilience["checkpoint_dir"] = os.fspath(checkpoint_dir)
-            resilience["resumed_from_batch"] = first_batch
+            resilience["checkpoint_dir"] = os.fspath(spec.checkpoint_dir)
+            resilience["resumed_from_batch"] = run.first_batch
             resilience["checkpoint_io"] = ckpt.io_stats()
-        if heal_ctx is not None:
-            resilience["heal"] = heal_ctx.report()
+        if run.heal_ctx is not None:
+            resilience["heal"] = run.heal_ctx.report()
             resilience["world_spares"] = spec.world_spares
-        if rebatched:
-            resilience["rebatched"] = rebatched
-        if replans:
-            resilience["replans"] = replans
+        if run.rebatched:
+            resilience["rebatched"] = run.rebatched
+        if run.replans:
+            resilience["replans"] = run.replans
         info["resilience"] = resilience
 
     # The final resolved plan, recorded verbatim: what actually ran,
     # with the provenance trail of how the configuration was reached.
-    backend_name = info.get("comm_backend", _registry_name(comm_backend))
-    prov = dict(exec_plan.provenance) if exec_plan is not None else {}
+    src = run.exec_plan if run.exec_plan is not None else ExecPlan()
+    backend_name = info.get("comm_backend", _registry_name(run.comm_backend))
+    prov = dict(src.provenance)
     prov.setdefault("mode", "explicit")
-    if replans:
-        prov["replans"] = list(prov.get("replans", ())) + replans
+    if run.replans:
+        prov["replans"] = list(prov.get("replans", ())) + run.replans
         prov["mode"] = "replan"
-    final_plan = ExecPlan(
-        layers=layers,
+    info["plan"] = replace(
+        src,
+        layers=spec.layers,
         batches=int(ran_batches),
-        predicted_seconds=(
-            exec_plan.predicted_seconds if exec_plan is not None else None
-        ),
-        candidates=exec_plan.candidates if exec_plan is not None else (),
         backend=backend_name,
-        predicted_memory=(
-            exec_plan.predicted_memory if exec_plan is not None else None
-        ),
         spec=spec.amended(batches=int(ran_batches), comm_backend=backend_name),
         provenance=prov,
-        revision=(
-            (exec_plan.revision if exec_plan is not None else 0) + len(replans)
-        ),
-    )
-    info["plan"] = final_plan.to_dict()
+        revision=src.revision + len(run.replans),
+    ).to_dict()
 
+    return SummaResult(
+        matrix=None,
+        grid=run.grid,
+        batches=ran_batches,
+        step_times=StepTimes.critical_path(per_rank_times),
+        per_rank_times=per_rank_times,
+        tracker=run.tracker,
+        # alias of info["memory"]["high_water_total"] (== max over ranks)
+        max_local_bytes=info["memory"]["high_water_total"],
+        info=info,
+        trace=[r["trace"] for r in per_rank],
+    )
+
+
+def _deliver_gathered(run: _Run, view=None):
+    """The global delivery mode: consume every batch in batch order
+    (``spill_dir`` files, the ``on_batch`` hook) and assemble the global
+    product when the output is kept.  ``view`` maps what the run computed
+    to what the caller sees (row batching's transpose back)."""
+    spec, ckpt, collector = run.spec, run.ckpt, run.collector
+    per_rank, on_batch, spill_dir = run.per_rank, run.on_batch, spec.spill_dir
+    ran_batches = run.result.batches
+    consumed = on_batch is not None or spill_dir is not None
     if spill_dir is not None:
         os.makedirs(spill_dir, exist_ok=True)
 
     def consume(batch: int, spans: list, batch_matrix: SparseMatrix) -> None:
+        if view is not None:
+            batch_matrix = view(batch_matrix)
         if spill_dir is not None:
             save_matrix(
                 os.path.join(spill_dir, f"batch_{batch}.npz"), batch_matrix
@@ -738,34 +842,29 @@ def run_plan(
         # When nothing downstream consumes batches the prefix is never
         # loaded back — required under keep_last pruning, where older
         # batch files are tombstones by design.
-        needs_batches = (
-            keep_output or on_batch is not None or spill_dir is not None
-        )
-        if needs_batches:
+        if spec.keep_output or consumed:
             batch_matrices = []
-            for batch in range(first_batch):
-                spans, batch_matrix = ckpt.load_batch(batch)
+            for batch in range(ran_batches):
+                spans, batch_matrix = (
+                    ckpt.load_batch(batch) if batch < run.first_batch
+                    else collector.completed.pop(batch)
+                )
                 consume(batch, spans, batch_matrix)
                 batch_matrices.append(batch_matrix)
-            for batch in range(first_batch, ran_batches):
-                spans, batch_matrix = collector.completed.pop(batch)
-                consume(batch, spans, batch_matrix)
-                batch_matrices.append(batch_matrix)
-            if keep_output:
+            if spec.keep_output:
                 matrix = gather_tiles(
-                    out_nrows, out_ncols, [(0, 0, m) for m in batch_matrices]
+                    *run.out_shape, [(0, 0, m) for m in batch_matrices]
                 )
         else:
             collector.completed.clear()
         gc_stats = ckpt.gc()
         if gc_stats["orphans_removed"] or gc_stats["pruned"]:
-            info.setdefault("resilience", {})["checkpoint_gc"] = gc_stats
+            run.result.info.setdefault("resilience", {})["checkpoint_gc"] = gc_stats
     elif collector is not None:
         for batch in range(ran_batches):
-            spans, batch_matrix = collector.completed.pop(batch)
-            consume(batch, spans, batch_matrix)
-    elif keep_output:
-        if on_batch is not None or spill_dir is not None:
+            consume(batch, *collector.completed.pop(batch))
+    elif spec.keep_output:
+        if consumed:
             for batch in range(ran_batches):
                 batch_pieces = [
                     (r0, c0, tile)
@@ -773,29 +872,17 @@ def run_plan(
                     for (bt, r0, c0, tile) in r["pieces"]
                     if bt == batch
                 ]
-                batch_matrix = gather_tiles(out_nrows, out_ncols, batch_pieces)
+                batch_matrix = gather_tiles(*run.out_shape, batch_pieces)
                 spans = sorted({(c0, c0 + t.ncols) for _r0, c0, t in batch_pieces})
                 consume(batch, spans, batch_matrix)
-        all_pieces = [
+        # the kernel knows its output representation: sparse kernels
+        # concatenate COO pieces, dense kernels place panels in an ndarray
+        matrix = run.kern.gather(*run.out_shape, [
             (r0, c0, tile)
             for r in per_rank
             for (_batch, r0, c0, tile) in r["pieces"]
-        ]
-        # the kernel knows its output representation: sparse kernels
-        # concatenate COO pieces, dense kernels place panels in an ndarray
-        matrix = kern.gather(out_nrows, out_ncols, all_pieces)
-
-    return SummaResult(
-        matrix=matrix,
-        grid=grid,
-        batches=ran_batches,
-        step_times=step_times,
-        per_rank_times=per_rank_times,
-        tracker=tracker,
-        max_local_bytes=max_local_bytes,
-        info=info,
-        trace=[r["trace"] for r in per_rank],
-    )
+        ])
+    return matrix if view is None or matrix is None else view(matrix)
 
 
 def _compose_mask(mask: SparseMatrix, complement: bool, inner):
@@ -807,7 +894,7 @@ def _compose_mask(mask: SparseMatrix, complement: bool, inner):
         mask_block = submatrix(mask, 0, mask.nrows, c0, c1)
         if complement:
             from ..sparse.coo import colmajor_keys
-            from ..sparse.matrix import INDEX_DTYPE
+            from ..sparse.ewise import select
             from ..sparse.spgemm.masked import _mask_keys
 
             keys = colmajor_keys(block.nrows, block.rowidx, block.col_indices())
@@ -819,14 +906,7 @@ def _compose_mask(mask: SparseMatrix, complement: bool, inner):
                 if mkeys.shape[0]
                 else np.zeros(keys.shape[0], bool)
             )
-            keep = ~inside
-            csum = np.concatenate(([0], np.cumsum(keep, dtype=INDEX_DTYPE)))
-            block = SparseMatrix(
-                block.nrows, block.ncols, csum[block.indptr],
-                block.rowidx[keep], block.values[keep],
-                sorted_within_columns=block.sorted_within_columns,
-                validate=False,
-            )
+            block = select(block, lambda _r, _c, _v: ~inside)
         else:
             pattern = SparseMatrix(
                 mask_block.nrows, mask_block.ncols, mask_block.indptr,
@@ -872,19 +952,17 @@ def batched_summa3d_rows(
     Only ordinary arithmetic and other commutative-multiply semirings
     preserve the identity; the multiply order is swapped by the transpose.
 
-    The signature is *identical* to :func:`batched_summa3d` — both are
-    derived from :class:`~repro.plan.ExecSpec` through the same
-    conversion point, so the two surfaces cannot drift apart.  Every spec
-    knob applies unchanged (acting on the transposed run); ``spill_dir``
-    files hold *row* blocks of ``C`` (already transposed back),
-    consistent with ``on_batch``; checkpoints fingerprint the transposed
-    operands, so resuming requires this same entry point.  The runtime
-    hooks ``mask=``, ``sample=`` and ``postprocess=`` are column-batched
-    concepts and raise here.
+    The signature is *identical* to :func:`batched_summa3d` (same
+    conversion point).  Every spec knob applies unchanged, acting on the
+    transposed run; ``spill_dir`` files hold *row* blocks of ``C``
+    (already transposed back), consistent with ``on_batch``; checkpoints
+    fingerprint the transposed operands, so resuming requires this same
+    entry point.  The runtime hooks ``mask=``, ``sample=`` and
+    ``postprocess=`` are column-batched concepts and raise here.
     """
     from ..sparse.ops import transpose
 
-    spec_or_plan = _coerce_plan(plan, nprocs, layers, knobs)
+    plan = _coerce_plan(plan, nprocs, layers, knobs)
     for value, name in (
         (mask, "mask"), (sample, "sample"), (postprocess, "postprocess"),
     ):
@@ -894,46 +972,19 @@ def batched_summa3d_rows(
                 "row batching runs through the transpose identity and has "
                 "no transposed equivalent of it yet"
             )
-    spec, exec_plan = _plan_to_spec(spec_or_plan)
-    kern = get_kernel(spec.kernel)
-    if kern.name != "spgemm":
+    kern = get_kernel(_plan_to_spec(plan)[0].kernel)
+    if not kern.row_batchable:
         raise NotImplementedError(
             "row batching runs through the transpose identity, which only "
             "holds for sparse operands on both sides; "
             f"kernel={kern.name!r} is column-batched only"
         )
-
-    # spilling is handled here, not forwarded: the inner run computes
-    # Cᵀ, and files must hold row blocks of C, transposed back.
-    spill_dir = spec.spill_dir
-    on_batch_outer = on_batch
-
-    def transposed_hook(batch, spans, batch_matrix):
-        mat = transpose(batch_matrix)
-        if spill_dir is not None:
-            os.makedirs(spill_dir, exist_ok=True)
-            save_matrix(os.path.join(spill_dir, f"batch_{batch}.npz"), mat)
-        if on_batch_outer is not None:
-            on_batch_outer(batch, spans, mat)
-
-    inner_spec = spec.amended(spill_dir=None)
-    inner_plan = (
-        replace(exec_plan, spec=inner_spec)
-        if exec_plan is not None else inner_spec
+    # the inner run computes Cᵀ; what the caller sees — spilled files,
+    # on_batch blocks, the product — is transposed back on delivery
+    run = drive(
+        transpose(b), transpose(a), plan,
+        on_batch=on_batch, tracker=tracker, faults=faults,
     )
-    result = run_plan(
-        transpose(b),
-        transpose(a),
-        inner_plan,
-        on_batch=(
-            transposed_hook
-            if (on_batch is not None or spill_dir is not None)
-            else None
-        ),
-        tracker=tracker,
-        faults=faults,
-    )
-    if result.matrix is not None:
-        result.matrix = transpose(result.matrix)
-    result.info["batch_axis"] = "rows"
-    return result
+    run.result.matrix = _deliver_gathered(run, view=transpose)
+    run.result.info["batch_axis"] = "rows"
+    return run.result

@@ -32,8 +32,8 @@ section is a stack of these.
 from __future__ import annotations
 
 from ..comm import get_backend
-from ..kernels.base import TileSource, get_kernel, resolve_tile
-from ..mem import ENFORCE_MODES, MemoryLedger, nbytes_of
+from ..kernels.base import get_kernel, operand_shape, resolve_tile
+from ..mem import MemoryLedger, nbytes_of
 from ..model.memory import batches_for_budget
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..resilience import RetryPolicy
@@ -63,18 +63,8 @@ __all__ = [
     "STEP_SYMBOLIC", "STEP_COMM_PLAN", "STEP_A_BCAST", "STEP_B_BCAST",
     "STEP_LOCAL_MULTIPLY", "STEP_MERGE_LAYER", "STEP_ALLTOALL_FIBER",
     "STEP_MERGE_FIBER", "STEP_POSTPROCESS",
-    "TileSource", "spmd_symbolic3d", "spmd_batched_summa3d",
+    "spmd_symbolic3d", "spmd_batched_summa3d",
 ]
-
-
-# The operand protocol (TileSource + per-layout tile resolution) lives
-# in the kernel layer now; ``TileSource`` is re-exported from here for
-# compatibility and ``_operand_tile`` is the sparse-kind specialisation
-# the symbolic pass (and older call sites) use.
-
-
-def _operand_tile(operand, grid: ProcGrid3D, rank: int, which: str) -> SparseMatrix:
-    return resolve_tile(operand, grid, rank, which, "sparse")
 
 
 def spmd_symbolic3d(
@@ -94,8 +84,8 @@ def spmd_symbolic3d(
     structure pass is as exposed to flaky messages as the numeric one).
     """
     grid = comms.grid
-    a_tile = _operand_tile(a, grid, comms.world.rank, "A")
-    b_tile = _operand_tile(b, grid, comms.world.rank, "B")
+    a_tile = resolve_tile(a, grid, comms.world.rank, "A", "sparse")
+    b_tile = resolve_tile(b, grid, comms.world.rank, "B", "sparse")
 
     def call(comm, op, fn):
         return fn() if retry is None else retry.call(fn, comm=comm, op=op)
@@ -266,10 +256,6 @@ def spmd_batched_summa3d(
             f"unknown merge policy {merge_policy!r}; "
             "expected 'deferred' or 'incremental'"
         )
-    if enforce not in ENFORCE_MODES:
-        raise ValueError(
-            f"unknown enforce mode {enforce!r}; expected one of {ENFORCE_MODES}"
-        )
     executor = get_executor(overlap)
     suite = get_suite(suite)
     semiring = get_semiring(semiring)
@@ -323,8 +309,8 @@ def spmd_batched_summa3d(
     b_tile = kernel.b_tile(b, grid, comm.rank)
     a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile, suite)
 
-    a_nrows = kernel.nrows_of(a)
-    b_ncols = kernel.ncols_of(b)
+    a_nrows = operand_shape(a)[0]
+    b_ncols = operand_shape(b)[1]
 
     # assemble the per-rank execution state
     state = ExecState()

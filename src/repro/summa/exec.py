@@ -32,6 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import DistributionError, ExecPlanError
+from ..kernels.base import operand_shape
 from ..kernels.spgemm import SpgemmKernel
 from ..mem import MemoryLedger, nbytes_of
 from ..grid.distribution import (
@@ -563,7 +564,7 @@ def _run_c_range(batch):
             state.grid, state.b_ncols, state.batches, batch,
             state.comms.j, state.comms.k, state.batch_scheme,
         )
-        tile_cols = state.kernel.ncols_of(state.c_tile)
+        tile_cols = operand_shape(state.c_tile)[1]
         if state.c1 - state.c0 != tile_cols:
             raise DistributionError(
                 f"batch {batch}: output tile spans {tile_cols} "

@@ -66,9 +66,7 @@ def verify_installation(*, nprocs: int = 4, seed: int = 7) -> CheckReport:
         report.record(f"kernel:{name}", run_kernel)
 
     # distributed algorithms
-    from .batched import batched_summa3d
-    from .summa2d import summa2d
-    from .summa3d import summa3d
+    from .batched import batched_summa3d, summa2d, summa3d
 
     report.record(
         "summa2d", lambda: check_equal(summa2d(a, b, nprocs=nprocs).matrix)

@@ -16,7 +16,13 @@ import pytest
 
 from repro.plan.spec import SPEC_FIELDS, ExecSpec
 from repro.sparse import random_sparse
-from repro.summa import batched_summa3d, batched_summa3d_rows, run_plan
+from repro.summa import (
+    batched_summa3d,
+    batched_summa3d_rows,
+    run_plan,
+    summa2d,
+    summa3d,
+)
 
 
 def _tiny():
@@ -46,6 +52,43 @@ class TestSignatureParity:
                      "tracker", "faults", "plan"):
             assert name in sig.parameters
             assert name not in SPEC_FIELDS
+
+
+class TestPinnedShims:
+    """``summa2d`` / ``summa3d`` are ``**knobs`` pass-throughs: they take
+    every ``batched_summa3d`` argument except the ones they pin."""
+
+    SHIMS = {summa2d: {"layers": 1, "batches": 1}, summa3d: {"batches": 1}}
+
+    @pytest.mark.parametrize("shim", SHIMS, ids=lambda f: f.__name__)
+    def test_every_unpinned_knob_passes_through(self, shim, monkeypatch):
+        import repro.summa.batched as driver
+
+        seen = {}
+        monkeypatch.setattr(
+            driver, "batched_summa3d", lambda a, b, **kw: seen.update(kw)
+        )
+        pinned = self.SHIMS[shim]
+        runtime = [
+            p for p in inspect.signature(batched_summa3d).parameters
+            if p not in ("a", "b", "nprocs", "layers", "knobs")
+        ]
+        passed = {
+            name: object() for name in (*SPEC_FIELDS, *runtime)
+            if name not in pinned and name != "nprocs"
+        }
+        shim("A", "B", **passed)
+        for name, value in passed.items():
+            assert seen[name] is value
+        for name, value in pinned.items():
+            assert seen[name] == value
+
+    @pytest.mark.parametrize("shim", SHIMS, ids=lambda f: f.__name__)
+    def test_pinned_knobs_raise_type_error(self, shim):
+        a, b = _tiny()
+        for name in self.SHIMS[shim]:
+            with pytest.raises(TypeError, match=name):
+                shim(a, b, **{name: 2})
 
 
 class TestUnknownKnobParity:

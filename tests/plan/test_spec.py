@@ -205,9 +205,3 @@ class TestExecPlanAmend:
         assert run.spec.timeout == 9.0
         assert run.spec.batches == 4      # chosen configuration untouched
         assert run.batches == 4
-
-
-def test_planchoice_is_deprecated_alias():
-    from repro.summa.planner import PlanChoice
-
-    assert PlanChoice is ExecPlan

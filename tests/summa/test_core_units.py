@@ -6,13 +6,9 @@ from repro.grid import ProcGrid3D
 from repro.grid.distribution import extract_a_tile, extract_b_tile
 from repro.simmpi import run_spmd
 from repro.sparse import multiply, random_sparse
+from repro.kernels.base import TileSource, resolve_tile
 from repro.mem import MemoryLedger
-from repro.summa.core import (
-    ALL_STEPS,
-    TileSource,
-    _operand_tile,
-    spmd_batched_summa3d,
-)
+from repro.summa.core import ALL_STEPS, spmd_batched_summa3d
 
 
 class TestStepInventory:
@@ -36,17 +32,17 @@ class TestTileSource:
         a = random_sparse(16, 16, nnz=50, seed=412)
         grid = ProcGrid3D(4)
         # global matrix -> layout-specific extraction
-        assert _operand_tile(a, grid, 1, "A").allclose(
+        assert resolve_tile(a, grid, 1, "A", "sparse").allclose(
             extract_a_tile(a, grid, 1)
         )
-        assert _operand_tile(a, grid, 2, "B").allclose(
+        assert resolve_tile(a, grid, 2, "B", "sparse").allclose(
             extract_b_tile(a, grid, 2)
         )
         # TileSource -> passthrough regardless of role
         marker = random_sparse(4, 4, nnz=3, seed=413)
         src = TileSource(16, 16, lambda r: marker)
-        assert _operand_tile(src, grid, 0, "A") is marker
-        assert _operand_tile(src, grid, 3, "B") is marker
+        assert resolve_tile(src, grid, 0, "A", "sparse") is marker
+        assert resolve_tile(src, grid, 3, "B", "sparse") is marker
 
 
 class TestMemoryAccounting:

@@ -1,0 +1,76 @@
+"""Structure gates (AST walks over ``src/``): the driver stays a pipeline
+of short phases, kernel decisions stay behind ``LocalKernel``, and the
+SPMD body has exactly one launch site."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+DRIVER = SRC / "summa" / "batched.py"
+MAX_FUNCTION_LINES = 150
+
+
+def functions(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+@pytest.mark.parametrize(
+    "path", [DRIVER, SRC / "dist" / "context.py"], ids=lambda p: p.name
+)
+def test_no_long_functions_in_the_drivers(path):
+    long = {
+        fn.name: fn.end_lineno - fn.lineno + 1
+        for fn in functions(path)
+        if fn.end_lineno - fn.lineno + 1 > MAX_FUNCTION_LINES
+    }
+    assert not long, f"split into phases (> {MAX_FUNCTION_LINES} lines): {long}"
+
+
+def _names_a_kernel(node):
+    """``kern.name`` / ``kernel.name``, or a bare ``kernel`` variable."""
+    if isinstance(node, ast.Attribute) and node.attr == "name":
+        node = node.value
+        return isinstance(node, ast.Name) and node.id in ("kern", "kernel")
+    return isinstance(node, ast.Name) and node.id == "kernel"
+
+
+def test_drivers_never_branch_on_a_kernel_name():
+    """What a kernel composes with is a capability it declares
+    (``postprocess_mask``, ``checkpointable``, ``row_batchable``, operand
+    kinds, ``resolve_aux``), not a name the drivers compare."""
+    offenders = []
+    for package in ("summa", "dist", "serve"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Compare):
+                    continue
+                sides = [node.left, *node.comparators]
+                literal = any(
+                    isinstance(s, ast.Constant) and isinstance(s.value, str)
+                    or isinstance(s, (ast.Tuple, ast.List, ast.Set))
+                    for s in sides
+                )
+                if literal and any(_names_a_kernel(s) for s in sides):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_spmd_body_is_launched_from_the_execute_phase_only():
+    body = "spmd_batched_summa3d"
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "summa" / "core.py":  # its definition
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:  # uses are attributed to the top-level def
+            sites += [
+                (str(path.relative_to(SRC)), getattr(top, "name", "<module>"))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == body
+            ]
+    assert sites, "the driver must launch the SPMD body somewhere"
+    assert set(sites) == {("summa/batched.py", "_launch")}, sites
