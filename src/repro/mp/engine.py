@@ -56,6 +56,7 @@ import signal
 import sys
 import time
 from collections.abc import Callable
+from multiprocessing.connection import wait as _wait_any
 from typing import Any
 
 from ..errors import CommError, HangError, RankCrashError, SpmdError
@@ -674,12 +675,17 @@ def run_spmd_processes(
     # ------------------------ supervisor loop ----------------------- #
     try:
         while pending:
-            try:
-                msg = results_q.get(timeout=0.05)
-            except _queue.Empty:
-                msg = None
-            if msg is not None:
-                handle(msg)
+            # Sleep until a message arrives or a worker exits — not for a
+            # full tick after the last "done" — with the tick as the idle
+            # timeout that paces the watchdog and the deadline.  An exited
+            # worker's sentinel stays ready, but it is reaped (and leaves
+            # the wait set) below, so nothing spins on it.  `_reader` is
+            # the queue's read end; multiprocessing has no public name for it.
+            _wait_any(
+                [results_q._reader, *(w.sentinel for w in pending.values())],
+                timeout=0.05,
+            )
+            drain_now()
             for grank, proc in list(pending.items()):
                 if proc.is_alive():
                     continue
@@ -687,13 +693,12 @@ def run_spmd_processes(
                 del pending[grank]
                 on_exit(grank, proc)
             now = time.monotonic()
-            if msg is None:
-                # the queue is drained at this instant: safe points for the
-                # heal decision (stale callbacks consumed) and the watchdog
-                maybe_decide()
-                if now >= next_watch:
-                    watchdog_sweep()
-                    next_watch = now + watch_interval
+            # the queue was drained at this instant: safe points for the
+            # heal decision (stale callbacks consumed) and the watchdog
+            maybe_decide()
+            if now >= next_watch:
+                watchdog_sweep()
+                next_watch = now + watch_interval
             if (
                 heal is not None
                 and not finish_sent

@@ -9,7 +9,15 @@ Everything that groups coordinates (the ESC compress, every merge, COO
 construction, ``sort_indices``, the symbolic counts, the gather epilogue)
 is :func:`stable_order` of the column-major keys plus :func:`run_starts`
 of the sorted keys: one sort, one neighbour compare.  Nothing on those
-paths hashes (``np.unique``) or arg-sorts a flops-sized array.
+paths hashes (``np.unique``) or arg-sorts.
+
+What is sorted at once depends on what is known about the input.  Work
+that is already grouped by column — the partial products of a multiply,
+the parts of a merge — is sorted one column chunk at a time
+(:mod:`repro.sparse.spgemm.esc`), so no array there is sized by
+``flops``.  Triples in arbitrary order (:func:`dedup_coo`,
+:func:`sort_coo`: COO construction, the gather epilogue) take one sort
+of everything given, which is ``nnz``-sized.
 """
 
 from __future__ import annotations
@@ -81,10 +89,11 @@ def dedup_coo(nrows: int, rows, cols, vals, semiring: Semiring = PLUS_TIMES):
     """Sort triples into CSC order and reduce duplicate coordinates with the
     semiring's add (a sum by default).
 
-    This is the workhorse of every "merge" in the pipeline: given a pile of
-    partial products, grouping by (col, row) and summing within groups is
-    exactly the accumulation a hash table performs, done with one sort and
-    one segmented reduction.
+    Grouping by (col, row) and summing within groups is exactly the
+    accumulation a hash table performs, done with one sort and one
+    segmented reduction.  This is the whole-input form, for triples in
+    arbitrary order; the multiply and the merges, whose input is grouped
+    by column, run the same two primitives chunk by chunk.
     """
     rows = np.asarray(rows, dtype=INDEX_DTYPE)
     cols = np.asarray(cols, dtype=INDEX_DTYPE)

@@ -15,10 +15,12 @@ kernel    accumulator           output sorted  provenance
 
 ``esc`` (expansion / sort / compress) is this reproduction's
 NumPy-vectorised production default — in CPython the per-element loops of
-the classic accumulators cannot compete with an O(flops log flops) sort at
-C speed, so the repo-wide default favours it while the paper's hash/heap/
-hybrid kernels remain faithful per-column implementations used by the
-Fig. 15 / Table VII ablations.
+the classic accumulators cannot compete with a sort at C speed, so the
+repo-wide default favours it while the paper's hash/heap/hybrid kernels
+remain faithful per-column implementations used by the Fig. 15 /
+Table VII ablations.  It keeps their Gustavson-sized working set: it
+expands, sorts and reduces one chunk of output columns at a time, never
+all ``flops`` products of a tile (see :mod:`.esc`).
 """
 
 from .suite import KernelSuite, get_suite, multiply

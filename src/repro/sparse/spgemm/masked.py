@@ -8,9 +8,12 @@ coordinate is outside the mask before they ever reach an accumulator,
 shrinking the intermediate from ``flops`` entries to only those landing on
 ``nnz(M)`` coordinates.
 
-The implementation extends the vectorised ESC kernel: partial products
-are expanded as usual, filtered by membership of their ``(row, col)`` key
-in the mask's (sorted) key set with one ``searchsorted``, then compressed.
+The implementation rides the column-chunked ESC kernel
+(:mod:`.esc`): each chunk of partial products is filtered by membership
+of its ``(row, col)`` keys in the mask's sorted keys for the same column
+range — an ``indptr`` slice, since the mask is CSC — with one
+``searchsorted``, *before* the sort, so only surviving products are
+sorted and reduced.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from ...errors import ShapeError
 from ..coo import colmajor_keys
 from ..matrix import SparseMatrix
 from ..semiring import PLUS_TIMES, get_semiring
-from .esc import compress_products, expand_products
+from .esc import check_inner_dimension, compress_chunks, product_chunks
 
 
 def _mask_keys(mask: SparseMatrix) -> np.ndarray:
-    """Sorted flat coordinate keys of the mask's pattern."""
+    """Sorted flat coordinate keys of the mask's pattern.  Sorting keeps
+    every column's entries in that column's ``indptr`` span."""
     keys = colmajor_keys(mask.nrows, mask.rowidx, mask.col_indices())
     keys.sort()
     return keys
@@ -46,24 +50,26 @@ def spgemm_masked(
     Raises :class:`~repro.errors.ShapeError` if the mask shape does not
     match the product shape.
     """
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
-        )
+    check_inner_dimension(a, b)
     if mask.shape != (a.nrows, b.ncols):
         raise ShapeError(
             f"mask shape {mask.shape} != product shape {(a.nrows, b.ncols)}"
         )
     semiring = get_semiring(semiring)
-    rows, cols, vals = expand_products(a, b, semiring)
-    if rows.shape[0]:
-        keys = colmajor_keys(a.nrows, rows, cols)
-        mkeys = _mask_keys(mask)
-        pos = np.searchsorted(mkeys, keys)
-        pos = np.minimum(pos, max(mkeys.shape[0] - 1, 0))
-        inside = (
-            mkeys[pos] == keys if mkeys.shape[0] else np.zeros(keys.shape[0], bool)
-        )
-        keep = ~inside if complement else inside
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return compress_products(a.nrows, b.ncols, rows, cols, vals, semiring)
+    mkeys = _mask_keys(mask)
+    nrows = np.int64(max(a.nrows, 1))
+
+    def surviving():
+        for j0, j1, keys, vals in product_chunks(a, b, semiring):
+            local = mkeys[mask.indptr[j0]:mask.indptr[j1]] - j0 * nrows
+            if local.shape[0]:
+                pos = np.searchsorted(local, keys)
+                np.minimum(pos, local.shape[0] - 1, out=pos)
+                keep = local[pos] == keys
+            else:
+                keep = np.zeros(keys.shape[0], dtype=bool)
+            if complement:
+                np.logical_not(keep, out=keep)
+            yield j0, j1, keys[keep], vals[keep]
+
+    return compress_chunks(a.nrows, b.ncols, surviving(), semiring)

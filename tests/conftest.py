@@ -23,6 +23,26 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--chunk-products", type=int, default=None, metavar="N",
+        help="run with the ESC kernels' private column-chunk target set to "
+             "N partial products, so that the suite's small matrices span "
+             "many chunks (the library itself reads no option)",
+    )
+
+
+def pytest_configure(config):
+    target = config.getoption("--chunk-products")
+    if target is not None:
+        if target < 1:
+            raise pytest.UsageError("--chunk-products must be >= 1")
+        # set before any rank process forks: workers inherit it
+        from repro.sparse.spgemm import esc
+
+        esc._CHUNK_PRODUCTS = target
+
+
 def to_scipy(m: SparseMatrix) -> sp.csc_matrix:
     """Convert to scipy CSC (sorting first; scipy requires sorted indices)."""
     s = m.sort_indices()

@@ -193,3 +193,103 @@ class TestSortOnceRunPath:
         with DistContext(nprocs=4, world="threads") as ctx:
             hc, _ = ctx.multiply(ctx.distribute(a, "A"), ctx.distribute(a, "B"))
             assert hc.to_global().allclose(expected)
+
+
+class TestChunkSizedWorkingSets:
+    """The Gustavson property of the local kernels (PR 15): working sets
+    are sized by a column chunk and by the matrices, never by ``flops``."""
+
+    def test_multiply_peak_memory_tracks_the_matrices_not_flops(self):
+        import tracemalloc
+
+        from repro.data import protein_similarity
+        from repro.sparse import symbolic_flops
+        from repro.sparse.spgemm import esc
+
+        a = protein_similarity(1500, intra_density=0.35, noise_degree=0.1, seed=5)
+        c = multiply(a, a)
+        flops = symbolic_flops(a, a)
+        assert flops / c.nnz >= 10  # high cf: flops-sized arrays would dwarf C
+        assert flops > 8 * esc._CHUNK_PRODUCTS  # and the product spans chunks
+
+        def stored(m):
+            return m.indptr.nbytes + m.rowidx.nbytes + m.values.nbytes
+
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            multiply(a, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A, B-sized bookkeeping plus C twice (pieces, then their
+        # concatenation), and a dozen chunk-sized temporaries.  Expanding
+        # the whole tile instead peaks at ~8 flops-sized arrays — 5x this.
+        bound = 3 * (2 * stored(a) + stored(c)) + 12 * esc._CHUNK_PRODUCTS * 8
+        assert peak - before < bound
+        assert bound < 3 * flops * 8
+
+    def test_no_flops_sized_array_on_the_run_path(self, monkeypatch):
+        """A budgeted 3D run and SYMBOLIC3D, with the chunk target far
+        below a tile's flops: the full expansion is never built, and no
+        array the kernels expand, index or concatenate while they work on
+        a tile reaches that tile's flops."""
+        import threading
+
+        import numpy as np
+
+        from repro.sparse import symbolic_flops
+        from repro.sparse.spgemm import esc, masked, symbolic
+        from repro.sparse.spgemm.symbolic import flops_per_column
+        from repro.summa import symbolic3d
+
+        target = 64
+        a = random_sparse(160, 160, nnz=6000, seed=2)  # work on every tile
+        expected = multiply(a, a)
+        budget = 12 * a.nnz * BYTES_PER_NONZERO
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full expansion built on the run path")
+
+        tile = threading.local()   # flops of the tile this rank is working on
+        checked = {"numeric": 0, "symbolic": 0}
+        real_chunks = esc.product_chunks
+
+        def spying_chunks(a_tile, b_tile, semiring):
+            flops = symbolic_flops(a_tile, b_tile)
+            widest = int(flops_per_column(a_tile, b_tile).max(initial=0))
+            if flops >= 4 * (target + widest):   # a tile of many chunks
+                tile.flops = flops
+                checked["symbolic" if semiring is None else "numeric"] += 1
+            try:
+                yield from real_chunks(a_tile, b_tile, semiring)
+            finally:
+                tile.flops = None
+
+        def sized(fn):
+            def checking(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                limit = getattr(tile, "flops", None)
+                assert limit is None or out.size < limit, (
+                    f"np.{fn.__name__} built {out.size} elements for a tile "
+                    f"of {limit} flops")
+                return out
+            return checking
+
+        monkeypatch.setattr(esc, "_CHUNK_PRODUCTS", target)
+        monkeypatch.setattr(esc, "expand_products", refuse)
+        for module in (esc, masked, symbolic):
+            monkeypatch.setattr(module, "product_chunks", spying_chunks)
+        for name in ("repeat", "arange", "concatenate", "zeros", "empty"):
+            monkeypatch.setattr(np, name, sized(getattr(np, name)))
+
+        r = batched_summa3d(a, a, nprocs=16, layers=4, memory_budget=budget)
+        assert r.batches > 1  # the budget made SYMBOLIC3D choose b
+        assert r.matrix.allclose(expected)
+        assert checked["numeric"] >= 32 and checked["symbolic"] >= 32
+        before = dict(checked)
+        sym = symbolic3d(a, a, nprocs=16, layers=4, memory_budget=budget)
+        assert sym.batches == r.batches
+        assert checked["symbolic"] >= before["symbolic"] + 32
+        assert checked["numeric"] == before["numeric"]

@@ -1,10 +1,12 @@
 """Guardrails of the process world: real crash faults carried with a
-uniform error context, a watchdog that names the stuck *process*, and
-no shared-memory litter under either exit path.
+uniform error context, a watchdog that names the stuck *process*, a
+supervisor that returns when the last rank does, and no shared-memory
+litter under either exit path.
 """
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -79,6 +81,40 @@ class TestProcessFaults:
     def test_unknown_world_rejected(self):
         with pytest.raises(ValueError, match="threads.*processes"):
             run_spmd(2, _noop, world="ranks")
+
+
+def _staggered(comm):
+    time.sleep(0.03 * comm.rank)
+    return comm.rank, os.getpid()
+
+
+class TestSupervisorLatency:
+    """The supervisor sleeps on the results pipe *and* the workers' exit
+    sentinels, so a region costs its fork and its work — not a poll tick
+    (50 ms) after the last rank has reported."""
+
+    def test_empty_region_returns_within_a_tick(self):
+        run_spmd(4, _noop, world="processes")  # resource tracker, imports
+        walls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            assert run_spmd(4, _noop, world="processes") == [0, 1, 2, 3]
+            walls.append(time.perf_counter() - t0)
+        # fork + start + flush + exit of four workers is ~15-20 ms; a
+        # supervisor that polls adds its whole tick and cannot get here
+        assert min(walls) < 0.040, walls
+
+    def test_ranks_finishing_at_different_times_all_report(self):
+        walls = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = run_spmd(4, _staggered, world="processes")
+            walls.append(time.perf_counter() - t0)
+            assert [rank for rank, _ in out] == [0, 1, 2, 3]
+            assert len({pid for _, pid in out} | {os.getpid()}) == 5
+        # the slowest rank sleeps 90 ms: the region ends with it, not a
+        # poll tick later
+        assert 0.09 <= min(walls) < 0.09 + 0.050, walls
 
 
 class TestWatchdog:
