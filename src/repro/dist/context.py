@@ -18,33 +18,48 @@ paper distributes C like A), so iterated squaring — HipMCL's access
 pattern — pays at most two redistributions per iteration, to refresh the
 operands.  Redistribution is a real alltoall over the simulated runtime,
 metered under the ``"Redistribute"`` step label.
+
+The tiles live **in the ranks**.  A context owns one world for its
+lifetime (:func:`repro.simmpi.engine.open_world`; in the process world,
+rank workers forked once and parked between regions), each rank keeps
+its tiles in ``comm.world.store`` under the handle's key, and every
+operation is one named region (:data:`REGIONS`) submitted to that world.
+The driver side holds names and sizes only.  The store holds *owning*
+arrays only: a tile received as a zero-copy view of a shared-memory
+segment is copied out before the region ends and releases the segment.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+import weakref
 
 import numpy as np
 
 from ..errors import DistributionError
-from ..grid.distribution import (
-    a_tile_range,
-    b_tile_range,
-    gather_dense_tiles,
-    gather_tiles,
-)
+from ..grid.distribution import a_tile_range, b_tile_range
 from ..grid.grid3d import ProcGrid3D
-from ..kernels.base import TileSource
+from ..kernels.base import TileSource, get_kernel
 from ..plan.spec import ExecSpec
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
-from ..simmpi.engine import run_spmd
+from ..simmpi.engine import PerRank, open_world
 from ..simmpi.tracker import CommTracker
 from ..sparse.matrix import SparseMatrix
 from ..sparse.ops import col_concat, submatrix
+from ..sparse.ops import transpose as local_transpose
 from ..summa.batched import drive
 from ..summa.result import SummaResult
 
 _STANDARD_LAYOUTS = {"A": a_tile_range, "B": b_tile_range}
+
+#: handle keys are unique per process, not per context: a handle freed
+#: on the wrong context can never name somebody else's tile
+_KEYS = itertools.count()
+
+#: sparse tiles are assembled the way the sparse kernels' output is
+_assemble = get_kernel("spgemm").gather
 
 
 def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
@@ -55,44 +70,183 @@ def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
     ]
 
 
+# ---------------------------------------------------------------------- #
+# rank side: the regions a context submits, over the rank's tile store
+# ---------------------------------------------------------------------- #
+
+def _keep(store: dict, key, tile: SparseMatrix) -> tuple[int, int]:
+    """Store ``tile`` under ``key``; returns the ``(nnz, nbytes)`` the
+    driver records.  The store owns its arrays: a received tile may be a
+    read-only view of a shm segment this region's end releases."""
+    arrays = (tile.indptr, tile.rowidx, tile.values)
+    if not all(arr.flags.writeable for arr in arrays):
+        tile = SparseMatrix(
+            tile.nrows, tile.ncols, *(np.array(arr) for arr in arrays),
+            sorted_within_columns=tile.sorted_within_columns, validate=False,
+        )
+    store[key] = tile
+    return tile.nnz, tile.nbytes
+
+
+def _scatter(comm: SimComm, store: dict, *, key, tile):
+    _keep(store, key, tile)  # the driver cut the tiles; keep mine
+
+
+def _gather(comm: SimComm, store: dict, *, key):
+    return store[key]
+
+
+def _redistribute(comm: SimComm, store: dict, *, src, key, src_ranges,
+                  dst_ranges):
+    """One metered alltoall: each rank intersects its tile with every
+    target rank's range, sends the pieces personalised, and assembles
+    what it receives."""
+    rank = comm.rank
+    my_tile = store[src]
+    sr0, _sr1, sc0, _sc1 = src_ranges[rank]
+    sendlist = []
+    for dest in range(comm.size):
+        dr0, dr1, dc0, dc1 = dst_ranges[dest]
+        # overlap of my source tile with dest's target range, in my
+        # tile's local coordinates
+        lo_r = max(dr0 - sr0, 0)
+        hi_r = min(dr1 - sr0, my_tile.nrows)
+        lo_c = max(dc0 - sc0, 0)
+        hi_c = min(dc1 - sc0, my_tile.ncols)
+        if lo_r < hi_r and lo_c < hi_c:
+            piece = submatrix(my_tile, lo_r, hi_r, lo_c, hi_c)
+            sendlist.append((sr0 + lo_r, sc0 + lo_c, piece))
+        else:
+            sendlist.append(None)
+    with comm.step("Redistribute"):
+        received = comm.alltoall(sendlist)
+    dr0, dr1, dc0, dc1 = dst_ranges[rank]
+    pieces = [
+        (r0 - dr0, c0 - dc0, piece)
+        for item in received
+        if item is not None
+        for (r0, c0, piece) in [item]
+    ]
+    return _keep(store, key, _assemble(dr1 - dr0, dc1 - dc0, pieces))
+
+
+def _transpose(comm: SimComm, store: dict, *, src, key, grid):
+    """Transpose locally, swap with the grid-mirror rank."""
+    i, j, k = grid.coords(comm.rank)
+    mirror = grid.rank_of(j, i, k)
+    received = local_transpose(store[src])
+    with comm.step("Transpose"):
+        if mirror != comm.rank:
+            comm.send(received, dest=mirror, tag=9)
+            received = comm.recv(source=mirror, tag=9)
+    return _keep(store, key, received)
+
+
+def _multiply(comm: SimComm, store: dict, *, body, a, b, key, **kwargs):
+    """Run the SPMD ``body`` on resident operands (handles arrive as
+    their :meth:`DistMatrixHandle.record`).  A sparse product stays
+    here: only its range and size travel back with the report."""
+    a, b = (
+        TileSource(x[1], x[2], lambda _rank, k=x[0]: store[k], x[3])
+        if isinstance(x, tuple) else x
+        for x in (a, b)
+    )
+    out = body(comm, a, b, **kwargs)
+    if key is not None:
+        # Each rank's batch pieces are contiguous in global column space
+        # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
+        # order and report the realised range.
+        pieces = sorted(out["pieces"], key=lambda p: p[2])  # by c0
+        tile = col_concat([p[3] for p in pieces])
+        _batch, r0, c0, _first = pieces[0]
+        out["pieces"] = []
+        out["stored"] = (
+            key, (r0, r0 + tile.nrows, c0, c0 + tile.ncols),
+            *_keep(store, key, tile),
+        )
+    return out
+
+
+#: region name -> rank-side body ``fn(comm, store, **submitted)``
+REGIONS = {
+    "scatter": _scatter,
+    "gather": _gather,
+    "redistribute": _redistribute,
+    "transpose": _transpose,
+    "multiply": _multiply,
+}
+
+
+def _region(comm: SimComm, *, region: str, free=(), **submitted):
+    """The one body of a context's world: drop the tiles freed since the
+    last region, then run the named region over this rank's store."""
+    store = comm.world.store
+    for key in free:
+        store.pop(key, None)
+    return REGIONS[region](comm, store, **submitted)
+
+
+# ---------------------------------------------------------------------- #
+# driver side
+# ---------------------------------------------------------------------- #
+
 class DistMatrixHandle(TileSource):
-    """A matrix resident tile-per-rank inside a :class:`DistContext` —
-    the :class:`~repro.kernels.TileSource` the shared driver multiplies.
+    """The name of a matrix resident tile-per-rank inside a
+    :class:`DistContext` — the :class:`~repro.kernels.TileSource` the
+    shared driver multiplies.  Metadata only: ``key``, shape, ``layout``,
+    per-rank ``ranges`` and recorded ``tile_nnz`` / ``tile_nbytes``.
 
     ``layout`` is ``"A"`` / ``"B"`` (standard, usable as the corresponding
     multiply operand) or ``"C"`` (product-native; redistribute first).
     """
 
-    __slots__ = ("context", "key", "layout", "ranges")
+    __slots__ = ("context", "key", "layout", "ranges", "tile_nbytes")
 
-    def __init__(self, context: "DistContext", key: int, nrows: int,
-                 ncols: int, layout: str, ranges) -> None:
-        super().__init__(nrows, ncols, lambda rank: context._tiles[key][rank])
+    def __init__(self, context: DistContext, key: int, nrows: int,
+                 ncols: int, layout: str, ranges, sizes) -> None:
+        super().__init__(nrows, ncols, None, [s[0] for s in sizes])
         self.context = context
         self.key = key
         self.layout = layout
         self.ranges = list(ranges)  # per-rank (r0, r1, c0, c1)
+        self.tile_nbytes = tuple(s[1] for s in sizes)
+
+    def tile(self, rank: int):
+        raise DistributionError(
+            f"the tiles of {self!r} live in the ranks; gather() the handle"
+        )
+
+    def record(self) -> tuple:
+        """What a region needs to find this operand in the rank store."""
+        return (self.key, self.nrows, self.ncols, self.tile_nnz)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     @property
+    def live(self) -> bool:
+        return self.context._live.get(self.key) is self
+
+    @property
     def nnz(self) -> int:
-        return sum(t.nnz for t in self.context._tiles[self.key])
+        self.context._check(self)
+        return sum(self.tile_nnz)
 
     def to_global(self) -> SparseMatrix:
         return self.context.gather(self)
 
     def __repr__(self) -> str:
+        state = f"nnz={sum(self.tile_nnz)}" if self.live else "freed"
         return (
             f"DistMatrixHandle({self.nrows}x{self.ncols}, layout={self.layout!r}, "
-            f"nnz={self.nnz}, grid={self.context.grid!r})"
+            f"{state}, grid={self.context.grid!r})"
         )
 
 
 class DistContext:
-    """Owner of a process grid and the matrices distributed on it.
+    """Owner of a process grid, its world, and the matrices distributed
+    on it.
 
     >>> ctx = DistContext(nprocs=4, layers=1)
     >>> ha = ctx.distribute(A, layout="A")
@@ -100,6 +254,14 @@ class DistContext:
     >>> hc, result = ctx.multiply(ha, hb)      # C = A @ A, stays distributed
     >>> hb2 = ctx.redistribute(hc, "B")        # feed it back as B
     >>> hc2, _ = ctx.multiply(ha, hb2)         # A @ (A @ A)
+
+    With ``world="processes"`` the rank workers are forked at the first
+    operation and stay until :meth:`close` (or garbage collection); what
+    a call hands them after that travels pickled, so a ``postprocess=``
+    hook must pickle by reference.  A region whose ranks *raise* fails
+    alone.  If a rank *process* dies its tiles are gone: the
+    :class:`~repro.errors.RankCrashError` surfaces, the context closes
+    itself and every handle refuses further use.
     """
 
     def __init__(self, nprocs: int = 4, layers: int = 1,
@@ -109,22 +271,19 @@ class DistContext:
                  transport: str = "auto") -> None:
         self.grid = ProcGrid3D(nprocs, layers)
         self.tracker = tracker if tracker is not None else CommTracker()
+        #: deadline of each region, read at submit time
         self.timeout = timeout
-        #: execution world for every SPMD region this context launches
-        #: (redistribute / transpose / multiply): "threads" or
+        #: execution world of this context's regions: "threads" or
         #: "processes"; transport applies to the process world only.
         self.world = world
         self.transport = transport
-        self._tiles: dict[int, list[SparseMatrix]] = {}
-        self._next_key = itertools.count()
+        self._world = None  # opened by the first region
+        self._live: dict[int, DistMatrixHandle] = {}
+        #: keys freed since the last region; the next one drops them
+        self._freed: list[int] = []
         #: set by :meth:`close`; a closed context refuses every operation
         self.closed = False
-        #: process-world run ids this context launched — :meth:`close`
-        #: re-sweeps them all as defense in depth (the engine sweeps at
-        #: the end of each run, but a resident pool cannot afford to
-        #: trust that every historical exit path did)
-        self._run_ids: set[str] = set()
-        #: ``world_info`` of the most recent SPMD region (diagnostics)
+        #: ``world_info`` of the most recent region (a fresh dict each)
         self.last_world_info: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -133,7 +292,7 @@ class DistContext:
     # included — the resident-pool contract
     # ------------------------------------------------------------------ #
 
-    def __enter__(self) -> "DistContext":
+    def __enter__(self) -> DistContext:
         self._ensure_open()
         return self
 
@@ -142,23 +301,19 @@ class DistContext:
         return False
 
     def close(self) -> int:
-        """Release every resident tile and sweep all `/dev/shm` segments
-        from every process-world run this context launched.  Idempotent;
-        returns the number of segments the final sweep collected (0 when
-        the engine's own per-run teardown already got them all — the
-        healthy case)."""
+        """Stop the world — rank workers reaped, their tiles gone,
+        `/dev/shm` swept — and forget every handle.  Idempotent; returns
+        the number of segments the final sweep collected (0 when every
+        region cleaned up after itself — the healthy case)."""
         if self.closed:
             return 0
         self.closed = True
-        self._tiles.clear()
-        swept = 0
-        if self.world == "processes":
-            from ..mp.shm import sweep_segments
-
-            for run_id in sorted(self._run_ids):
-                swept += sweep_segments(run_id)
-        self._run_ids.clear()
-        return swept
+        self._live.clear()
+        self._freed.clear()
+        if self._world is None:
+            return 0
+        self._finalizer.detach()
+        return self._world.stop()
 
     def _ensure_open(self) -> None:
         if self.closed:
@@ -167,31 +322,40 @@ class DistContext:
                 "(resident grids are re-forked, never resurrected)"
             )
 
-    def _run_spmd(self, fn, *args, **kwargs):
-        """Every SPMD launch goes through here: the region's process-world
-        run id is recorded *even when the run raises*, so :meth:`close`
-        can re-sweep it later."""
+    def _submit(self, region: str, **submitted) -> list:
+        """Every region goes through here: one collective on the
+        context's world, which the first region opens."""
         self._ensure_open()
-        world_info = kwargs.setdefault("world_info", {})
-        kwargs.setdefault("tracker", self.tracker)
-        kwargs.setdefault("timeout", self.timeout)
-        kwargs.setdefault("world", self.world)
-        kwargs.setdefault("transport", self.transport)
+        if self._world is None:
+            self._world = open_world(
+                self.grid.nprocs, _region, world=self.world,
+                transport=self.transport,
+            )
+            # a context dropped without close() must not leave workers
+            self._finalizer = weakref.finalize(self, self._world.stop)
+        self.last_world_info = {}
+        free, self._freed = self._freed, []
         try:
-            return run_spmd(self.grid.nprocs, fn, *args, **kwargs)
+            return self._world.submit(
+                tracker=self.tracker, timeout=self.timeout,
+                world_info=self.last_world_info, region=region, free=free,
+                **submitted,
+            )
+        except BaseException:
+            self._freed[:0] = free  # dropping a key twice is harmless
+            raise
         finally:
-            run_id = world_info.get("run_id")
-            if run_id:
-                self._run_ids.add(run_id)
-            self.last_world_info = world_info
+            if not self._world.alive:
+                self.close()  # a rank died and took its tiles along
 
     # ------------------------------------------------------------------ #
     # handle management
     # ------------------------------------------------------------------ #
 
     def distribute(self, matrix: SparseMatrix, layout: str = "A") -> DistMatrixHandle:
-        """Cut a global matrix into this grid's tiles (simulating data that
-        arrives already distributed; no communication is metered)."""
+        """Cut a global matrix into this grid's tiles and hand each rank
+        its own (simulating data that arrives already distributed; no
+        communication is metered)."""
         self._ensure_open()
         if layout not in _STANDARD_LAYOUTS:
             raise DistributionError(
@@ -199,37 +363,43 @@ class DistContext:
             )
         ranges = _standard_ranges(layout, self.grid, matrix.nrows, matrix.ncols)
         tiles = [submatrix(matrix, *rng) for rng in ranges]
-        return self._register(tiles, matrix.nrows, matrix.ncols, layout, ranges)
+        key = next(_KEYS)
+        self._submit("scatter", key=key, tile=PerRank(tiles))
+        return self._register(
+            key, matrix.nrows, matrix.ncols, layout, ranges,
+            [(t.nnz, t.nbytes) for t in tiles],
+        )
 
     def gather(self, handle: DistMatrixHandle) -> SparseMatrix:
         """Assemble a handle's tiles into a global matrix."""
         self._check(handle)
-        pieces = [
-            (rng[0], rng[2], tile)
-            for rng, tile in zip(handle.ranges, self._tiles[handle.key])
-        ]
-        return gather_tiles(handle.nrows, handle.ncols, pieces)
+        tiles = self._submit("gather", key=handle.key)
+        return _assemble(handle.nrows, handle.ncols, [
+            (rng[0], rng[2], tile) for rng, tile in zip(handle.ranges, tiles, strict=True)
+        ])
 
     def free(self, handle: DistMatrixHandle) -> None:
-        """Release a handle's tiles."""
-        self._tiles.pop(handle.key, None)
+        """Release a handle's tiles (the ranks drop them at the next
+        region).  Freeing twice is a no-op; a handle of another context
+        is refused."""
+        if handle.context is not self:
+            raise DistributionError("handle does not belong to this context")
+        if self._live.pop(handle.key, None) is not None:
+            self._freed.append(handle.key)
 
     def memory_bytes(self) -> int:
         """Total bytes of all resident tiles (r = 24 B/nonzero accounting)."""
-        return sum(t.nbytes for tiles in self._tiles.values() for t in tiles)
+        return sum(sum(h.tile_nbytes) for h in self._live.values())
 
     # ------------------------------------------------------------------ #
     # layout conversion
     # ------------------------------------------------------------------ #
 
     def redistribute(self, handle: DistMatrixHandle, layout: str) -> DistMatrixHandle:
-        """Convert a handle to a standard layout with one metered alltoall.
-
-        Each rank intersects its tile with every target rank's range, sends
-        the pieces personalised, and assembles what it receives — the
-        standard redistribution kernel of distributed sparse libraries.
-        Works from any source layout (including product-native ``"C"``).
-        """
+        """Convert a handle to a standard layout with one metered alltoall
+        — the standard redistribution kernel of distributed sparse
+        libraries.  Works from any source layout (including
+        product-native ``"C"``)."""
         self._check(handle)
         if layout not in _STANDARD_LAYOUTS:
             raise DistributionError(
@@ -237,44 +407,12 @@ class DistContext:
             )
         if layout == handle.layout:
             return handle
-        src_ranges = handle.ranges
         dst_ranges = _standard_ranges(
             layout, self.grid, handle.nrows, handle.ncols
         )
-        tiles = self._tiles[handle.key]
-
-        def spmd(comm: SimComm):
-            rank = comm.rank
-            my_tile = tiles[rank]
-            sr0, _sr1, sc0, _sc1 = src_ranges[rank]
-            sendlist = []
-            for dest in range(comm.size):
-                dr0, dr1, dc0, dc1 = dst_ranges[dest]
-                # overlap of my source tile with dest's target range,
-                # in my tile's local coordinates
-                lo_r = max(dr0 - sr0, 0)
-                hi_r = min(dr1 - sr0, my_tile.nrows)
-                lo_c = max(dc0 - sc0, 0)
-                hi_c = min(dc1 - sc0, my_tile.ncols)
-                if lo_r < hi_r and lo_c < hi_c:
-                    piece = submatrix(my_tile, lo_r, hi_r, lo_c, hi_c)
-                    sendlist.append((sr0 + lo_r, sc0 + lo_c, piece))
-                else:
-                    sendlist.append(None)
-            with comm.step("Redistribute"):
-                received = comm.alltoall(sendlist)
-            dr0, dr1, dc0, dc1 = dst_ranges[rank]
-            pieces = [
-                (r0 - dr0, c0 - dc0, piece)
-                for item in received
-                if item is not None
-                for (r0, c0, piece) in [item]
-            ]
-            return gather_tiles(dr1 - dr0, dc1 - dc0, pieces)
-
-        new_tiles = self._run_spmd(spmd)
-        return self._register(
-            new_tiles, handle.nrows, handle.ncols, layout, dst_ranges
+        return self._derive(
+            "redistribute", handle, handle.nrows, handle.ncols, layout,
+            dst_ranges, src_ranges=handle.ranges, dst_ranges=dst_ranges,
         )
 
     def transpose(self, handle: DistMatrixHandle) -> DistMatrixHandle:
@@ -294,31 +432,22 @@ class DistContext:
                 f"transpose needs a standard layout, got {handle.layout!r} "
                 "(redistribute first)"
             )
-        grid = self.grid
-        tiles = self._tiles[handle.key]
-        target_layout = "B" if handle.layout == "A" else "A"
-        dst_ranges = _standard_ranges(
-            target_layout, grid, handle.ncols, handle.nrows
+        layout = "B" if handle.layout == "A" else "A"
+        return self._derive(
+            "transpose", handle, handle.ncols, handle.nrows, layout,
+            _standard_ranges(layout, self.grid, handle.ncols, handle.nrows),
+            grid=self.grid,
         )
 
-        def spmd(comm: SimComm):
-            from ..sparse.ops import transpose as local_transpose
-
-            i, j, k = grid.coords(comm.rank)
-            mirror = grid.rank_of(j, i, k)
-            mine = local_transpose(tiles[comm.rank])
-            with comm.step("Transpose"):
-                if mirror == comm.rank:
-                    received = mine
-                else:
-                    comm.send(mine, dest=mirror, tag=9)
-                    received = comm.recv(source=mirror, tag=9)
-            return received
-
-        new_tiles = self._run_spmd(spmd)
-        return self._register(
-            new_tiles, handle.ncols, handle.nrows, target_layout, dst_ranges
-        )
+    def _derive(self, region, src, nrows, ncols, layout, ranges, **submitted):
+        """A new handle made from ``src`` by one collective region."""
+        key = next(_KEYS)
+        try:
+            sizes = self._submit(region, src=src.key, key=key, **submitted)
+        except BaseException:
+            self._freed.append(key)  # ranks that got as far as storing it
+            raise
+        return self._register(key, nrows, ncols, layout, ranges, sizes)
 
     # ------------------------------------------------------------------ #
     # multiplication
@@ -379,20 +508,16 @@ class DistContext:
                  max_retries=max_retries),
             mask=mask, postprocess=postprocess, faults=faults,
         )
-        # Each rank's batch pieces are contiguous in global column space
-        # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
-        # order and record the realised ranges.
-        new_tiles = []
-        ranges = []
-        for r in run.per_rank:
-            pieces = sorted(r["pieces"], key=lambda p: p[2])  # by c0
-            tile = col_concat([p[3] for p in pieces])
-            _batch, r0, c0, _first = pieces[0]
-            new_tiles.append(tile)
-            ranges.append((r0, r0 + tile.nrows, c0, c0 + tile.ncols))
+        # the ranks kept their tiles of C; what came back is each one's
+        # realised range and size
+        stored = [r["stored"] for r in run.per_rank]
+        ranges = [rng for _key, rng, _nnz, _nbytes in stored]
         standard = _standard_ranges("A", self.grid, ha.nrows, hb.ncols)
-        layout = "A" if ranges == standard else "C"
-        handle = self._register(new_tiles, ha.nrows, hb.ncols, layout, ranges)
+        handle = self._register(
+            stored[0][0], ha.nrows, hb.ncols,
+            "A" if ranges == standard else "C", ranges,
+            [s[2:] for s in stored],
+        )
         return handle, run.result
 
     def spmm(
@@ -430,12 +555,12 @@ class DistContext:
             kernel="spmm",
         )
         pieces = [p[1:] for r in run.per_rank for p in r["pieces"]]
-        return gather_dense_tiles(ha.nrows, x.shape[1], pieces), run.result
+        return run.kern.gather(ha.nrows, x.shape[1], pieces), run.result
 
     def _drive(self, ha, b, plan, knobs, *, kernel=None, **runtime):
-        """Run the shared driver on resident operands: launched through
-        :meth:`_run_spmd`, with this context's grid, world and timeout
-        overriding the plan's slot-level fields."""
+        """Run the shared driver on resident operands: its regions are
+        submitted to this context's world, with this context's grid,
+        world and timeout overriding the plan's slot-level fields."""
         pinned = dict(
             nprocs=self.grid.nprocs, layers=self.grid.layers,
             timeout=self.timeout, world=self.world, transport=self.transport,
@@ -444,9 +569,32 @@ class DistContext:
             pinned["kernel"] = kernel
         return drive(
             ha, b, plan if plan is not None else ExecSpec.from_kwargs(**knobs),
-            tracker=self.tracker, launch=self._run_spmd, pinned=pinned,
+            tracker=self.tracker, world=self._multiply_world, pinned=pinned,
             **runtime,
         )
+
+    @contextlib.contextmanager
+    def _multiply_world(self, run, body, a, b, grid, **fixed):
+        """What :func:`~repro.summa.batched.drive` opens instead of a
+        one-shot world: ``submit(**amendable)`` is a ``multiply`` region
+        on the resident ranks, re-entered as often as the run amends."""
+        # a sparse product stays in the ranks under a new key; a dense
+        # one (spmm's panel) comes back whole
+        key = next(_KEYS) if run.kern.output_kind == "sparse" else None
+        a, b = (
+            x.record() if isinstance(x, DistMatrixHandle) else x
+            for x in (a, b)
+        )
+        try:
+            yield functools.partial(
+                self._submit, "multiply", body=body, a=a, b=b, grid=grid,
+                key=key, faults=run.injector, checksums=run.spec.checksums,
+                **fixed,
+            )
+        except BaseException:
+            if key is not None:
+                self._freed.append(key)
+            raise
 
     def _operand(self, handle: DistMatrixHandle, layout: str, role: str) -> None:
         self._check(handle)
@@ -456,14 +604,14 @@ class DistContext:
                 f"(got {handle.layout!r}; redistribute first)"
             )
 
-    def _register(self, tiles, nrows, ncols, layout, ranges) -> DistMatrixHandle:
-        key = next(self._next_key)
-        self._tiles[key] = list(tiles)
-        return DistMatrixHandle(self, key, nrows, ncols, layout, ranges)
+    def _register(self, key, nrows, ncols, layout, ranges, sizes) -> DistMatrixHandle:
+        handle = DistMatrixHandle(self, key, nrows, ncols, layout, ranges, sizes)
+        self._live[key] = handle
+        return handle
 
     def _check(self, handle: DistMatrixHandle) -> None:
         self._ensure_open()
-        if handle.context is not self or handle.key not in self._tiles:
+        if handle.context is not self or not handle.live:
             raise DistributionError(
                 "handle does not belong to this context (or was freed)"
             )

@@ -77,14 +77,18 @@ class TileSource:
     mechanism behind :class:`repro.dist.DistContext`, where matrices
     persist across multiplications without re-extraction.  Tiles may be
     sparse or dense; the kernel's declared operand kind is authoritative.
+    ``tile_nnz`` records every rank's tile nonzero count: the tiles live
+    in the ranks, so whoever sizes a run (the driver, or one rank for all)
+    reads the record instead of asking for a tile it does not hold.
     """
 
-    __slots__ = ("nrows", "ncols", "_getter")
+    __slots__ = ("nrows", "ncols", "_getter", "tile_nnz")
 
-    def __init__(self, nrows: int, ncols: int, getter) -> None:
+    def __init__(self, nrows: int, ncols: int, getter, tile_nnz=()) -> None:
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self._getter = getter
+        self.tile_nnz = tuple(tile_nnz)
 
     def tile(self, rank: int):
         return self._getter(rank)
@@ -382,9 +386,9 @@ def dense_tile_bytes_max(
 
 def sparse_tile_nnz_max(matrix, grid: ProcGrid3D, which: str) -> int:
     """Exact max per-rank tile nonzero count under the A or B layout
-    (a :class:`TileSource` is asked for the tiles it already holds)."""
+    (a :class:`TileSource` has it on record)."""
     if isinstance(matrix, TileSource):
-        return max(matrix.tile(rank).nnz for rank in range(grid.nprocs))
+        return max(matrix.tile_nnz)
     rows = matrix.rowidx
     cols = matrix.col_indices()
     worst = 0

@@ -1,7 +1,8 @@
 """Process-backed execution world (``world="processes"``).
 
-One OS process per rank, queues for control traffic, shared-memory
-segments for bulk payloads.  The threaded simulator in
+One OS process per rank — forked once per world and parked between
+regions (:class:`ProcessWorld`: ``start → submit(region)* → stop``) —
+queues for control traffic, shared-memory segments for bulk payloads.  The threaded simulator in
 :mod:`repro.simmpi` stays the deterministic reference; this package is
 the performance world — same :class:`~repro.simmpi.comm.SimComm` API,
 bit-identical products, real multicore speedup.
@@ -9,7 +10,7 @@ bit-identical products, real multicore speedup.
 
 from .bridge import DriverCallback, set_runtime
 from .comm import MpComm, MpWorld
-from .engine import run_spmd_processes
+from .engine import ProcessWorld
 from .shm import leaked_segments, sweep_segments
 from .transport import AUTO_THRESHOLD, TRANSPORTS, get_transport
 
@@ -19,9 +20,9 @@ __all__ = [
     "DriverCallback",
     "MpComm",
     "MpWorld",
+    "ProcessWorld",
     "get_transport",
     "leaked_segments",
-    "run_spmd_processes",
     "set_runtime",
     "sweep_segments",
 ]

@@ -47,8 +47,10 @@ buffers and shared-memory segments on the way (:meth:`MpWorld.epoch_reset`).
 from __future__ import annotations
 
 import os
+import pickle
 import queue as _queue
 import time
+from multiprocessing.connection import wait as _wait_any
 
 from ..errors import CommError, HangError, HealError
 from ..simmpi.comm import SimComm, _normalize_alltoallv
@@ -82,22 +84,20 @@ class MpWorld:
     real_backoff = True
 
     def __init__(self, rank: int, nprocs: int, inboxes, failed, *,
-                 timeout: float, checksums: bool, transport: str,
-                 run_id: str) -> None:
+                 transport: str, run_id: str) -> None:
         self.rank = int(rank)
         self.nprocs = int(nprocs)
         self.inboxes = inboxes
         self.inbox = inboxes[rank]
         self.failed = failed
-        self.tracker = CommTracker()
-        self.timeout = float(timeout)
-        self.checksums = bool(checksums)
-        self.injector = None
+        #: rank-owned tiles of a resident context (key -> tile): the one
+        #: thing that outlives a region.  Owning arrays only — a view of
+        #: a shared-memory segment dies with the region's ``finish()``.
+        self.store: dict = {}
+        #: read end of the parent's job pipe; installed by the worker main.
+        self.jobs = None
         self.membership = None
         self.revoke_epoch = 0
-        self.step_label = ""
-        self.backend_label = ""
-        self.ledger = None
         self.run_id = run_id
         registry = SegmentRegistry(run_id, rank)
         self.transport = get_transport(transport)(
@@ -113,19 +113,66 @@ class MpWorld:
         self.adopted_epoch = 0
         #: set by a ``("ctl", "finish")`` item (parks spares off).
         self.finish_flag = False
-        #: classified hang shipped by the parent watchdog, if any.
-        self._hang_notice = None
-        self._tick = max(0.005, min(0.2, self.timeout / 50.0))
-        #: how long a wait blocks before shipping its record to the
-        #: parent watchdog (short enough to classify well before the
-        #: flat deadline, long enough to skip the fast path entirely).
-        self._watch_grace = max(0.05, min(1.0, self.timeout / 20.0))
         self._heartbeats: dict[int, int] = {}
         # demux buffers
         self._msgs: dict[tuple, object] = {}
         self._multi: dict[tuple, dict] = {}
         self._p2p: dict[tuple, list] = {}
         self._seq: dict[tuple, int] = {}
+
+    # -------------------------------------------------------------- #
+    # region lifecycle: park -> begin_region -> body -> finish -> park
+    # -------------------------------------------------------------- #
+
+    def pump(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` for one inbox item and buffer it;
+        returns whether one arrived."""
+        try:
+            item = self.inbox.get(timeout=timeout)
+        except _queue.Empty:
+            return False
+        self._demux(item)
+        return True
+
+    def next_job(self, parent_pid: int):
+        """Park until the parent submits the next region: blocks on the
+        job pipe and the inbox (no idle tick), looks about once a second
+        whether the parent is still there.  Returns the job's fields, or
+        ``None`` when the world was stopped or orphaned.  What arrives in
+        the inbox meanwhile — a faster peer's traffic for the region this
+        rank has not been told about yet, late acks — is buffered."""
+        while True:
+            ready = _wait_any([self.jobs, self.inbox._reader], timeout=1.0)
+            if self.jobs in ready:
+                try:
+                    return pickle.loads(self.jobs.recv_bytes())
+                except EOFError:  # every write end closed: no parent
+                    return None
+            if ready:
+                self.pump(0)
+            elif os.getppid() != parent_pid:
+                return None
+
+    def begin_region(self, region: int, timeout: float, checksums: bool,
+                     injector) -> None:
+        """Fresh per-region state: deadline, meters, fault injector.
+        The region number is the epoch tag of its communicators, so
+        whatever an aborted earlier region left behind (buffered wires,
+        the segments behind them) is reaped, not decoded."""
+        self.timeout = float(timeout)
+        self._tick = max(0.005, min(0.2, self.timeout / 50.0))
+        # how long a wait blocks before shipping its record to the
+        # parent watchdog (short enough to classify well before the
+        # flat deadline, long enough to skip the fast path entirely)
+        self._watch_grace = max(0.05, min(1.0, self.timeout / 20.0))
+        self.checksums = bool(checksums)
+        self.injector = injector
+        self.tracker = CommTracker()
+        self.transport.reset_stats()
+        self.step_label = self.backend_label = ""
+        self.ledger = None
+        self._hang_notice = None
+        self.epoch_reset(region)
 
     # -------------------------------------------------------------- #
     # plumbing shared with the threaded World's attribute surface
@@ -165,9 +212,10 @@ class MpWorld:
         if kind == "ack":
             self.transport.segments.ack(item[1])
             return
-        if self.membership is not None and comm_epoch(item[1]) < self.adopted_epoch:
-            # stale wire from a revoked epoch: never decode it, but do
-            # remove the segment it may point at — nobody else will.
+        if comm_epoch(item[1]) < self.adopted_epoch:
+            # stale wire from a revoked epoch or an aborted region: never
+            # decode it, but do remove the segment it may point at —
+            # nobody else will.
             reap_wire(item[-1])
             return
         if kind in ("c", "a", "m"):
@@ -289,16 +337,11 @@ class MpWorld:
             while True:
                 if self.failed.is_set():
                     raise CommError(f"{op} aborted: a peer rank failed")
-                try:
-                    item = self.inbox.get(timeout=self._tick)
-                except _queue.Empty:
-                    item = None
-                if item is not None:
-                    self._demux(item)
+                arrived = self.pump(self._tick)
                 if comm is not None:
                     comm._check_revoked()
                 self.check_hang_notice(op, since)
-                if item is not None:
+                if arrived:
                     hit = ready()
                     if hit is not _NOTHING:
                         return hit
@@ -316,9 +359,7 @@ class MpWorld:
                         "heartbeat": self._heartbeats.get(self.rank, 0),
                     }))
                     posted = True
-                if item is not None:
-                    continue
-                if now >= deadline:
+                if not arrived and now >= deadline:
                     self.failed.set()
                     raise self._hang(comm, op, tag=tag, peers=peers)
         finally:
@@ -411,14 +452,9 @@ class MpWorld:
         registry = self.transport.segments
         deadline = time.monotonic() + self.timeout
         while registry.outstanding():
-            try:
-                item = self.inbox.get(timeout=self._tick)
-            except _queue.Empty:
-                item = None
-            if item is not None:
-                self._demux(item)
-                continue
-            if self.failed.is_set() or time.monotonic() >= deadline:
+            if not self.pump(self._tick) and (
+                self.failed.is_set() or time.monotonic() >= deadline
+            ):
                 registry.abandon()
                 break
         for name in list(registry.adopted):
@@ -723,14 +759,7 @@ class MpMembership:
             if voted < epoch:
                 rt.results.put(("vote", global_rank, epoch))
                 voted = epoch
-            try:
-                item = rt.inbox.get(timeout=rt._tick)
-            except _queue.Empty:
-                item = None
-            if item is not None:
-                rt._demux(item)
-                continue
-            if time.monotonic() >= deadline:
+            if not rt.pump(rt._tick) and time.monotonic() >= deadline:
                 rt.failed.set()
                 raise HealError(
                     f"heal agreement for epoch {epoch} timed out after "

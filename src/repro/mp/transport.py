@@ -87,6 +87,11 @@ class Transport:
             "naive_bytes": self.naive_bytes,
         }
 
+    def reset_stats(self) -> None:
+        """Start a region's traffic count from zero."""
+        self.naive_msgs = self.naive_bytes = 0
+        self.segments.segments = self.segments.shm_bytes = 0
+
     # -------------------------------------------------------------- #
     # encode
     # -------------------------------------------------------------- #

@@ -283,6 +283,17 @@ class World:
     def ledger(self, value) -> None:
         self._tls.ledger = value
 
+    @property
+    def store(self) -> dict:
+        """This rank's resident tile store (key -> tile) — thread-local,
+        installed by the engine from the world that outlives the region
+        (:class:`~repro.simmpi.engine.ThreadWorld`)."""
+        return self._tls.store
+
+    @store.setter
+    def store(self, value: dict) -> None:
+        self._tls.store = value
+
 
 class SimComm:
     """One rank's communicator handle.

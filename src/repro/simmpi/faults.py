@@ -250,6 +250,18 @@ class FaultInjector:
                 self._plan_ops.append(spec)
         self._spec_ids = {id(spec): idx for idx, spec in enumerate(self.plan)}
 
+    def __getstate__(self) -> dict:
+        # what crosses to a worker process: the plan and what has fired.
+        # Locks, thread-local counters and id-keyed indices do not pickle
+        # (counting starts over per region, as it does per launch), and
+        # the event log stays home so a worker's snapshot is its own
+        # activity only — absorbing it never duplicates an event.
+        return {"plan": self.plan, "fired": self.snapshot()[1]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["plan"])
+        self.absorb((), state["fired"])
+
     # ------------------------------------------------------------------ #
     # counters (per rank-thread, lock-free)
     # ------------------------------------------------------------------ #

@@ -79,9 +79,17 @@ def epoch_comm(world, decision: HealDecision, position: int) -> SimComm:
     :class:`~repro.mp.comm.MpComm` handles on the repaired grid.
     """
     epoch = decision.epoch
-    comm_id = ("world",) if epoch == 0 else ("world", "epoch", epoch)
     cls = getattr(world, "comm_class", SimComm)
-    return cls(world, comm_id, decision.members, position, epoch=epoch)
+    return cls(
+        world, world_comm_id(epoch), decision.members, position, epoch=epoch
+    )
+
+
+def world_comm_id(epoch: int) -> tuple:
+    """Id of the epoch-``epoch`` world communicator.  A heal round and a
+    resident world's next region are the same thing to the wire: a new
+    epoch, whose predecessors' traffic is stale."""
+    return ("world",) if epoch == 0 else ("world", "epoch", epoch)
 
 
 def comm_epoch(comm_id: tuple) -> int:

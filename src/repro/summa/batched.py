@@ -21,8 +21,10 @@ any mid-run amendments the :class:`~repro.plan.Replanner` made.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import pickle
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -44,8 +46,8 @@ from ..mp.bridge import DriverCallback
 from ..plan.spec import ExecPlan, ExecSpec, _registry_name
 from ..resilience import CheckpointManager, HealContext, HealingBody
 from ..resilience import run_key as _checkpoint_run_key
-from ..simmpi.engine import run_spmd
-from ..simmpi.faults import FaultInjector, FaultPlan
+from ..simmpi.engine import as_injector, open_world
+from ..simmpi.faults import FaultInjector
 from ..simmpi.tracker import CommTracker
 from ..sparse.io import save_matrix
 from ..sparse.matrix import SparseMatrix
@@ -285,7 +287,8 @@ class _Run:
     grid: ProcGrid3D
     tracker: CommTracker
     injector: FaultInjector | None
-    launch: object
+    #: opens the world the run's regions are submitted to (see `drive`)
+    world: object
     postprocess: object
     on_batch: object
     #: the two fields mid-run amendments (replan / re-batch) rewrite
@@ -313,20 +316,28 @@ class _Run:
         # pinned, so a resume proves it resumes under the same plan
         return self.spec.amended(batches=batches).to_dict()
 
+    def sink(self, *piece) -> None:
+        # one stable sink for the life of the world: an amendment makes a
+        # new collector, the workers keep the callback they forked with
+        self.collector.sink(*piece)
 
-def drive(a, b, plan, *, launch=None, pinned=None, **runtime) -> _Run:
+
+def drive(a, b, plan, *, world=None, pinned=None, **runtime) -> _Run:
     """The one driver: runs the phases named in the module docstring, in
     order, on global or resident (:class:`~repro.kernels.TileSource`)
     operands.
 
     Returns the run with ``per_rank`` (each rank's pieces, for the caller
     to deliver) and ``result`` (``matrix=None``; ``info``, times and rank
-    traces assembled) set.  ``launch`` replaces ``run_spmd(nprocs, ...)``
-    for a caller that owns the world (the context's run-id bookkeeping);
-    ``pinned`` are spec fields the caller's slot fixes, whatever the plan
-    says; ``runtime`` are :func:`run_plan`'s runtime-only arguments.
+    traces assembled) set.  ``world`` is for a caller that owns its world
+    (a resident context): a context manager ``world(run, fn, *args,
+    **fixed)`` yielding the ``submit(**amendable)`` that runs one region
+    of ``fn(comm, *args, **fixed, **amendable)``; the default opens a
+    one-shot world and stops it.  ``pinned`` are spec fields the caller's
+    slot fixes, whatever the plan says; ``runtime`` are
+    :func:`run_plan`'s runtime-only arguments.
     """
-    run = _prepare(a, b, *_plan_to_spec(plan, pinned), launch, **runtime)
+    run = _prepare(a, b, *_plan_to_spec(plan, pinned), world, **runtime)
     _open_checkpoint(run)
     run.replan_policy = _replan_policy(run)
     run.collector = _make_collector(run)
@@ -378,10 +389,21 @@ def _refuse(kern, spec: ExecSpec, resident: bool, hooks: dict) -> None:
                 + " cannot be honoured on resident operands; gather them "
                 "and use run_plan, or drop the field"
             )
+        if spec.world == "processes" and hooks["postprocess"] is not None:
+            # the ranks were forked before this call: a hook reaches them
+            # pickled, i.e. by reference to an importable name
+            try:
+                pickle.dumps(hooks["postprocess"])
+            except Exception as exc:
+                raise DistributionError(
+                    "postprocess= must pickle by reference (a module-level "
+                    "function or picklable callable, not a lambda or "
+                    f"closure) on a process-world context: {exc}"
+                ) from exc
 
 
 def _prepare(
-    a, b, spec: ExecSpec, exec_plan, launch=None, *, mask=None, sample=None,
+    a, b, spec: ExecSpec, exec_plan, world=None, *, mask=None, sample=None,
     postprocess=None, on_batch=None, tracker=None, faults=None,
 ) -> _Run:
     """Resolve everything a launch needs and refuse what cannot run."""
@@ -407,11 +429,7 @@ def _prepare(
     })
     spec.validate()
 
-    injector = faults
-    if faults is not None and not isinstance(faults, FaultInjector):
-        injector = FaultInjector(
-            faults if isinstance(faults, FaultPlan) else FaultPlan(faults)
-        )
+    injector = as_injector(faults)
 
     comm_backend = spec.comm_backend
     if comm_backend == "auto":
@@ -433,14 +451,13 @@ def _prepare(
             raise ShapeError(
                 f"mask shape {mask.shape} != product shape {out_shape}"
             )
-        postprocess = _compose_mask(mask, spec.mask_complement, postprocess)
+        postprocess = _MaskFilter(mask, spec.mask_complement, postprocess)
 
     return _Run(
         a=a, b=b, spec=spec, exec_plan=exec_plan, kern=kern, aux=aux,
         out_shape=out_shape, grid=ProcGrid3D(spec.nprocs, spec.layers),
         tracker=tracker if tracker is not None else CommTracker(),
-        injector=injector,
-        launch=launch or functools.partial(run_spmd, spec.nprocs),
+        injector=injector, world=world or _one_shot_world,
         postprocess=postprocess, on_batch=on_batch,
         batches=spec.batches, comm_backend=comm_backend, resident=resident,
     )
@@ -541,36 +558,62 @@ def _make_collector(run: _Run):
 
 
 def _execute(run: _Run) -> list:
-    """The one launch loop: run the SPMD region; when every rank raised
-    the same collective amendment, apply it and re-enter."""
-    while True:
-        try:
-            return _launch(run)
-        except SpmdError as err:
-            if _amend(run, err):
-                continue
-            if run.ckpt is not None:
-                raise SpmdError(
-                    err.failures,
-                    checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
-                ) from err
-            raise
+    """The one launch loop: open the world once, submit the region; when
+    every rank raised the same collective amendment, apply it and submit
+    again — the ranks that raised it are parked, not gone."""
+    with _launch(run) as submit:
+        while True:
+            try:
+                return submit(
+                    batches=run.batches, comm_backend=run.comm_backend,
+                    start_batch=run.first_batch, replan=run.replan_policy,
+                )
+            except SpmdError as err:
+                if _amend(run, err):
+                    continue
+                if run.ckpt is not None:
+                    raise SpmdError(
+                        err.failures,
+                        checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
+                    ) from err
+                raise
 
 
-def _launch(run: _Run) -> list:
+@contextlib.contextmanager
+def _one_shot_world(run: _Run, fn, *args, **fixed):
+    """The default world of a run: opened for it, stopped after it."""
+    spec = run.spec
+    world = open_world(
+        spec.nprocs, fn, *args, world=spec.world, transport=spec.transport,
+        **fixed,
+    )
+    try:
+        yield functools.partial(
+            world.submit, tracker=run.tracker, timeout=spec.timeout,
+            faults=run.injector, checksums=spec.checksums,
+            world_info=run.world_info, last=True,
+        )
+    finally:
+        world.stop()
+
+
+@contextlib.contextmanager
+def _launch(run: _Run):
+    """Open the run's world on the SPMD body; yields ``submit(batches=,
+    comm_backend=, start_batch=, replan=)`` — what an amendment changes
+    is what a submit carries, everything else is fixed here."""
     spec, a, b, grid = run.spec, run.a, run.b, run.grid
     # Under the process world the collector's sink must run in the
     # driver (it feeds gather/checkpoint state workers cannot see); the
     # DriverCallback wrapper ships each piece back through the engine's
     # results queue.
-    sink = run.collector.sink if run.collector is not None else None
+    sink = run.sink if run.collector is not None else None
     if sink is not None and spec.world == "processes":
         sink = DriverCallback(sink)
     memory_budget, budget_per_rank = spec.resolved_budget()
-    body_kwargs = dict(
+    fixed = dict(
         kernel=run.kern,
         aux=run.aux,
-        batches=run.batches,
         memory_budget=memory_budget,
         memory_budget_per_rank=budget_per_rank,
         enforce=spec.enforce,
@@ -581,57 +624,51 @@ def _launch(run: _Run) -> list:
         postprocess=run.postprocess,
         batch_scheme=spec.batch_scheme,
         merge_policy=spec.merge_policy,
-        comm_backend=run.comm_backend,
         overlap=spec.overlap,
         piece_sink=sink,
         max_retries=spec.max_retries,
         batch_barrier=run.ckpt is not None,
-        replan=run.replan_policy,
-    )
-    engine_kwargs = dict(
-        tracker=run.tracker,
-        timeout=spec.timeout,
-        faults=run.injector,
-        checksums=spec.checksums,
-        world=spec.world,
-        transport=spec.transport,
-        world_info=run.world_info,
     )
     if spec.heal is None:
-        return run.launch(
-            spmd_batched_summa3d, a, b, grid,
-            start_batch=run.first_batch, **body_kwargs, **engine_kwargs,
-        )
+        with run.world(run, spmd_batched_summa3d, a, b, grid, **fixed) as submit:
+            yield submit
+        return
+
     # Online healing: each rank runs a HealingBody that re-enters the
     # SPMD program from the checkpointed batch boundary after every
     # membership epoch change, instead of the whole world aborting on
-    # the first crash.
-    run.heal_ctx = HealContext(
-        spec.heal, checkpoint=run.ckpt, collector=run.collector,
-        first_batch=run.first_batch,
-    )
-
-    def attempt(comm, start_batch):
-        return spmd_batched_summa3d(
-            comm, a, b, grid, start_batch=start_batch, **body_kwargs
+    # the first crash.  Spares are forked with the world and membership
+    # is per launch, so every (re-)entry is a one-shot world of its own.
+    def submit(*, start_batch, **amendable):
+        run.heal_ctx = HealContext(
+            spec.heal, checkpoint=run.ckpt, collector=run.collector,
+            first_batch=start_batch,
         )
 
-    def join_bytes(position):
-        # uniform nbytes protocol (repro.mem.nbytes_of): the tiles
-        # themselves know their storage footprint.
-        ta = extract_a_tile(a, grid, position)
-        tb = extract_b_tile(b, grid, position)
-        return ta.nbytes + tb.nbytes
+        def attempt(comm, start_batch):
+            return spmd_batched_summa3d(
+                comm, a, b, grid, start_batch=start_batch, **fixed,
+                **amendable,
+            )
 
-    body = HealingBody(run.heal_ctx, attempt, join_bytes=join_bytes)
-    if isinstance(sink, DriverCallback):
-        # the sink hides inside the attempt closure; expose it so the
-        # process engine can index the callback.
-        body.driver_callbacks = [sink]
-    return run.launch(
-        body, world_spares=spec.world_spares, heal=run.heal_ctx,
-        **engine_kwargs,
-    )
+        def join_bytes(position):
+            # uniform nbytes protocol (repro.mem.nbytes_of): the tiles
+            # themselves know their storage footprint.
+            ta = extract_a_tile(a, grid, position)
+            tb = extract_b_tile(b, grid, position)
+            return ta.nbytes + tb.nbytes
+
+        body = HealingBody(run.heal_ctx, attempt, join_bytes=join_bytes)
+        if isinstance(sink, DriverCallback):
+            # the sink hides inside the attempt closure; expose it so the
+            # process engine can index the callback.
+            body.driver_callbacks = [sink]
+        with _one_shot_world(
+            run, body, heal=run.heal_ctx, world_spares=spec.world_spares,
+        ) as region:
+            return region()
+
+    yield submit
 
 
 def _amend(run: _Run, err: SpmdError) -> bool:
@@ -885,14 +922,20 @@ def _deliver_gathered(run: _Run, view=None):
     return matrix if view is None or matrix is None else view(matrix)
 
 
-def _compose_mask(mask: SparseMatrix, complement: bool, inner):
-    """Build a postprocess hook applying an output mask per column block,
-    composed before any user-provided hook."""
-    from ..sparse.ops import hadamard, submatrix
+class _MaskFilter:
+    """Postprocess hook applying an output mask per column block,
+    composed before any user-provided hook.  A class, not a closure: a
+    resident process-world context ships it to ranks forked long ago."""
 
-    def hook(batch: int, c0: int, c1: int, block: SparseMatrix) -> SparseMatrix:
-        mask_block = submatrix(mask, 0, mask.nrows, c0, c1)
-        if complement:
+    def __init__(self, mask: SparseMatrix, complement: bool, inner) -> None:
+        self.mask, self.complement, self.inner = mask, complement, inner
+
+    def __call__(self, batch: int, c0: int, c1: int,
+                 block: SparseMatrix) -> SparseMatrix:
+        from ..sparse.ops import hadamard, submatrix
+
+        mask_block = submatrix(self.mask, 0, self.mask.nrows, c0, c1)
+        if self.complement:
             from ..sparse.coo import colmajor_keys
             from ..sparse.ewise import select
             from ..sparse.spgemm.masked import _mask_keys
@@ -915,11 +958,9 @@ def _compose_mask(mask: SparseMatrix, complement: bool, inner):
                 validate=False,
             )
             block = hadamard(block, pattern)
-        if inner is not None:
-            block = inner(batch, c0, c1, block)
+        if self.inner is not None:
+            block = self.inner(batch, c0, c1, block)
         return block
-
-    return hook
 
 
 def batched_summa3d_rows(

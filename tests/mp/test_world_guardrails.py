@@ -104,6 +104,24 @@ class TestSupervisorLatency:
         # supervisor that polls adds its whole tick and cannot get here
         assert min(walls) < 0.040, walls
 
+    @pytest.mark.parametrize("nprocs,bound", [(4, 0.005), (8, 0.010)])
+    def test_region_on_a_started_world_costs_a_round_trip(self, nprocs, bound):
+        """Second-and-later regions find their workers parked: no fork,
+        no teardown, one message each way per rank."""
+        from repro.simmpi.engine import open_world
+
+        world = open_world(nprocs, _noop, world="processes")
+        try:
+            assert world.submit() == list(range(nprocs))  # the first one
+            walls = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                assert world.submit() == list(range(nprocs))
+                walls.append(time.perf_counter() - t0)
+        finally:
+            world.stop()
+        assert min(walls) < bound, walls
+
     def test_ranks_finishing_at_different_times_all_report(self):
         walls = []
         for _ in range(3):

@@ -1,7 +1,8 @@
 """The kernel × feature composition table: every combination the drivers
 cannot run is refused with its documented exception type in the prepare
 phase, off the kernel's declared capabilities — never deep in a run.
-``run_spmd`` is patched to fail the test if any region is launched.
+``run_spmd`` / ``open_world`` are patched to fail the test if any region
+is launched.
 """
 
 import sys
@@ -31,8 +32,12 @@ def no_launch(monkeypatch):
 
     # by module name: ``repro.summa.symbolic3d`` the attribute is the
     # function of that name, not the module
-    for name in ("summa.batched", "summa.symbolic3d", "dist.context"):
-        monkeypatch.setattr(sys.modules[f"repro.{name}"], "run_spmd", refuse)
+    for name in ("summa.batched", "summa.symbolic3d"):
+        module = sys.modules[f"repro.{name}"]
+        for launcher in ("run_spmd", "open_world"):
+            if hasattr(module, launcher):
+                monkeypatch.setattr(module, launcher, refuse)
+    return refuse
 
 
 def operands(kernel):
@@ -138,10 +143,12 @@ def test_row_driver_refuses_column_hooks(hook_name):
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
-def test_resident_multiply(kernel):
+def test_resident_multiply(kernel, no_launch, monkeypatch):
     kern = get_kernel(kernel)
     ctx = DistContext(nprocs=4)
     ha, hb = ctx.distribute(SPARSE, "A"), ctx.distribute(SPARSE, "B")
+    # a context's regions all go through its one submit seam
+    monkeypatch.setattr(ctx, "_submit", no_launch)
     got = outcome(lambda: ctx.multiply(ha, hb, kernel=kernel))
     sparse_operands = (kern.a_kind, kern.b_kind) == ("sparse", "sparse")
     # handles hold sparse tiles; an aux operand cannot be synthesised

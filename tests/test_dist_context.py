@@ -54,6 +54,42 @@ class TestHandles:
         with pytest.raises(DistributionError):
             ctx.gather(h)
 
+    def test_free_refuses_a_foreign_handle(self, ctx, matrix):
+        """Keys used to be per-context counters from 0 and ``free``
+        skipped the ownership check: freeing another context's handle
+        silently dropped *this* context's tile with the same key."""
+        mine = ctx.distribute(matrix)
+        other = DistContext(nprocs=4)
+        theirs = other.distribute(matrix)
+        assert mine.key != theirs.key
+        with pytest.raises(DistributionError):
+            ctx.free(theirs)
+        assert mine.to_global().allclose(matrix)
+        assert theirs.to_global().allclose(matrix)
+
+    def test_double_free_is_a_noop(self, ctx, matrix):
+        h = ctx.distribute(matrix)
+        keep = ctx.distribute(matrix)
+        ctx.free(h)
+        ctx.free(h)
+        assert ctx.memory_bytes() == matrix.nnz * 24
+        assert keep.to_global().allclose(matrix)
+
+    def test_freed_handle_reads_raise_typed_errors(self, ctx, matrix):
+        h = ctx.distribute(matrix)
+        ctx.free(h)
+        with pytest.raises(DistributionError):
+            h.nnz  # noqa: B018 - used to be a bare KeyError
+        assert "freed" in repr(h)
+        with pytest.raises(DistributionError):
+            h.tile(0)  # the tiles live in the ranks
+
+    def test_freed_tiles_leave_the_ranks(self, ctx, matrix):
+        h = ctx.distribute(matrix)
+        ctx.free(h)
+        ctx.distribute(matrix)  # frees ride the next region
+        assert all(h.key not in store for store in ctx._world.stores)
+
     def test_memory_accounting(self, ctx, matrix):
         before = ctx.memory_bytes()
         ctx.distribute(matrix)

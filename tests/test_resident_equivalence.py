@@ -189,7 +189,7 @@ def test_fields_the_run_cannot_honour_are_refused_before_launch(
     a, b, _mask = operands
     ctx = DistContext(NPROCS, LAYERS)
     ha, hb = ctx.distribute(a, "A"), ctx.distribute(b, "B")
-    monkeypatch.setattr(ctx, "_run_spmd", lambda *args, **kw: pytest.fail(
+    monkeypatch.setattr(ctx, "_submit", lambda *args, **kw: pytest.fail(
         "a region was launched before the refusal"
     ))
     with pytest.raises(DistributionError, match="resident operands"):

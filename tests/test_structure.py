@@ -3,6 +3,7 @@ of short phases, kernel decisions stay behind ``LocalKernel``, and the
 SPMD body has exactly one launch site."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,12 @@ def functions(path):
             yield node
 
 
+CONTEXT = SRC / "dist" / "context.py"
+
+
 @pytest.mark.parametrize(
-    "path", [DRIVER, SRC / "dist" / "context.py"], ids=lambda p: p.name
+    "path", [DRIVER, CONTEXT, *sorted((SRC / "mp").glob("*.py"))],
+    ids=lambda p: p.name,
 )
 def test_no_long_functions_in_the_drivers(path):
     long = {
@@ -74,3 +79,28 @@ def test_spmd_body_is_launched_from_the_execute_phase_only():
             ]
     assert sites, "the driver must launch the SPMD body somewhere"
     assert set(sites) == {("summa/batched.py", "_launch")}, sites
+
+
+def test_context_regions_are_module_level():
+    """What runs in the ranks is a named, module-level region over the
+    rank's store — a started process world cannot be handed a closure —
+    and no tile lives driver-side (the fork-per-region path kept them in
+    ``DistContext._tiles``)."""
+    tree = ast.parse(CONTEXT.read_text())
+    nested = [
+        fn.name
+        for top in ast.walk(tree)
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for fn in ast.walk(top)
+        if fn is not top
+        and isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(arg.arg == "comm" for arg in fn.args.args)
+    ]
+    assert not nested, nested
+    # the issue's gate, verbatim: grep -n "_tiles\b" is empty
+    hits = [
+        f"{n}: {line.strip()}"
+        for n, line in enumerate(CONTEXT.read_text().splitlines(), 1)
+        if re.search(r"_tiles\b", line)
+    ]
+    assert not hits, hits
