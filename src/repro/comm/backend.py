@@ -34,7 +34,7 @@ class StagePrefetch:
 
     Returned by :meth:`CommBackend.prefetch_stage`; holds the two
     nonblocking requests (A along the row communicator, B along the
-    column communicator) so the executor can run the *previous* stage's
+    column communicator) so the rank program can run the *previous* stage's
     local multiply before calling :meth:`wait_a` / :meth:`wait_b`.
     """
 
@@ -88,7 +88,7 @@ class CommBackend(ABC):
 
     def _charge_recv(self, obj) -> None:
         """Record a received payload as a momentary ``recv_buffer`` spike
-        (the executor's op handle takes over the persistent charge)."""
+        (the receiving step's handle takes over the persistent charge)."""
         if self.ledger is not None:
             from ..mem import nbytes_of
 
@@ -163,10 +163,10 @@ class CommBackend(ABC):
     ) -> StagePrefetch:
         """Start delivering stage ``stage``'s operands without waiting.
 
-        Called by the :class:`~repro.summa.exec.PipelinedExecutor` while
-        the *previous* stage's local multiply has yet to run; the
-        executor waits on the returned :class:`StagePrefetch` inside the
-        stage's own broadcast spans.  All ranks issue prefetches at the
+        Called by the rank program (:func:`repro.summa.exec.run_batches`
+        under ``overlap="depth1"``) while the *previous* stage's local
+        multiply has yet to run; it waits on the returned
+        :class:`StagePrefetch` inside the stage's own broadcast spans.  All ranks issue prefetches at the
         same program point, so any collective used here still lines up.
 
         The base implementation is a correct-but-unoverlapped fallback

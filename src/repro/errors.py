@@ -270,8 +270,3 @@ class DeadlineExceededError(ServeError):
 class JobCancelledError(ServeError):
     """The job was cancelled by its submitter while still queued (running
     jobs complete — SPMD regions are not preemptible)."""
-
-
-class ExecPlanError(ReproError, ValueError):
-    """A compiled execution plan is malformed (opids out of order, a
-    dependency pointing at a later op, an unknown overlap mode)."""

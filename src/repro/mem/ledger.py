@@ -31,8 +31,8 @@ The ledger is *continuous* (every acquire/release moves ``current``)
 with monotone per-category and total high-water marks, per-batch peaks
 (:meth:`enter_batch`), and momentary :meth:`touch` spikes for wire
 deliveries that are immediately handed to a tracked handle.  Budget
-enforcement happens only at :meth:`check` — the executors call it at
-stage boundaries — so a ``strict`` overrun raises a *deterministic*
+enforcement happens only at :meth:`check` — the rank program calls it
+at stage boundaries — so a ``strict`` overrun raises a *deterministic*
 :class:`~repro.errors.MemoryBudgetExceededError` at the same program
 point on every run.
 """
@@ -297,7 +297,7 @@ class MemoryLedger:
             self._batch_peaks[batch] = max(peak, self._total)
 
     def check(self, *, batch=None, stage=None, where: str = "stage boundary") -> None:
-        """Enforce the budget (executors call this at stage boundaries).
+        """Enforce the budget (the rank program calls this at stage boundaries).
 
         ``strict`` raises :class:`~repro.errors.MemoryBudgetExceededError`
         the first time the high-water mark exceeds the per-rank budget —

@@ -133,8 +133,8 @@ def overlapped_makespan(
 ) -> float:
     """Modelled makespan when per-stage broadcasts overlap the multiply.
 
-    The sequential cost model sums every step; a depth-1 pipelined
-    executor instead hides each stage's A/B broadcast behind the previous
+    The sequential cost model sums every step; ``overlap="depth1"``
+    instead hides each stage's A/B broadcast behind the previous
     stage's Local-Multiply.  With per-stage communication ``c`` and
     computation ``m`` (the step totals split evenly over ``stages``), the
     classic software-pipelining makespan is

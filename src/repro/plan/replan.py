@@ -5,8 +5,8 @@ each batch every rank holds fresh *measured* evidence — per-step
 :class:`~repro.summa.trace.Tracer` spans and the
 :class:`~repro.mem.MemoryLedger`'s per-batch peak — against which the
 plan that chose ``b`` and the comm backend can be re-examined.  The
-:class:`Replanner` runs as a compiled ``replan-check`` op at the end of
-every non-final batch:
+:class:`Replanner` runs as the rank program's ``replan-check`` step at
+the end of every non-final batch:
 
 1. each rank folds its own batch's spans into three scalars — the
    per-batch *fixed* cost (A-Broadcast + Comm-Plan, paid once per batch
@@ -186,7 +186,7 @@ def decide_replan(
 
 
 class Replanner:
-    """Per-rank controller consulted by the compiled ``replan-check`` op.
+    """Per-rank controller consulted by the ``replan-check`` step.
 
     Holds the policy plus the attempt's start batch (so the hysteresis
     counter measures batches observed *under the current plan*, not

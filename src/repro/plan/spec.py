@@ -69,10 +69,49 @@ def _registry_name(value):
 class ExecSpec:
     """Every knob of one multiplication, as one frozen, serialisable value.
 
-    Field semantics are exactly those of the same-named
-    :func:`~repro.summa.batched_summa3d` keywords (which are now derived
-    from this record); the replanning knobs are new:
+    The fields are the :func:`~repro.summa.batched_summa3d` keywords
+    (which are derived from this record).  What the less obvious ones
+    mean:
 
+    ``batches``, ``memory_budget``, ``memory_budget_per_rank``
+        The batch count ``b``; ``None`` lets the symbolic step (Alg. 3)
+        pick it from the budget — aggregate bytes ``M`` over all ranks,
+        or per rank, never both (:func:`repro.mem.resolve_budget`).
+    ``enforce``
+        What a rank's :class:`~repro.mem.MemoryLedger` does when its
+        high-water mark exceeds the per-rank budget: ``"off"`` (account
+        only), ``"warn"`` (record it in the memory report), ``"strict"``
+        (raise a deterministic
+        :class:`~repro.errors.MemoryBudgetExceededError` at the stage
+        boundary that exceeds it; the driver re-batches and re-enters).
+    ``batch_scheme``
+        ``"block-cyclic"`` (paper Fig. 1(i), balances Merge-Fiber) or
+        ``"block"`` (contiguous; the load-imbalance ablation).
+    ``merge_policy``
+        ``"deferred"`` merges all stage partials once per batch (the
+        paper's choice, Alg. 1 line 8); ``"incremental"`` folds each
+        stage into the running result at once — lower transient memory,
+        more merge work in the worst case (Sec. III-A).  Kernels with
+        dense accumulators always fold.
+    ``comm_backend``
+        ``"dense"`` (whole-tile collectives, the paper's Table II),
+        ``"sparse"`` (SpComm3D-style sparsity-aware point-to-point; see
+        :mod:`repro.comm`), ``"auto"`` (the driver prices both), or a
+        :class:`~repro.comm.CommBackend` class/instance.  Bit-identical
+        products either way.
+    ``overlap``
+        ``"off"`` runs the stages strictly in order; ``"depth1"`` starts
+        stage ``s+1``'s operand delivery behind stage ``s``'s local
+        multiply.  Bit-identical products, identical bytes.
+    ``max_retries``
+        Bound on per-attempt retries of transiently-failed communication
+        (:class:`~repro.resilience.RetryPolicy`); ``None`` disables them.
+    ``kernel``
+        The :class:`~repro.kernels.LocalKernel` (name or instance)
+        deciding what a stage computes — ``"spgemm"`` (default),
+        ``"spmm"``, ``"sddmm"`` or ``"masked_spgemm"``.  It declares
+        operand kinds (dense operands ride collectives on both comm
+        backends), the merge rule and the memory footprint.
     ``replan``
         ``"off"`` (default) or ``"auto"`` — enable the mid-run
         :class:`~repro.plan.replan.Replanner` at batch boundaries.
@@ -174,17 +213,22 @@ class ExecSpec:
         Raises the same exception types (and messages) the drivers
         historically raised, so existing callers' error handling holds.
         """
+        from ..grid.distribution import BATCH_SCHEMES
         from ..mem import ENFORCE_MODES
         from ..resilience import HEAL_MODES
-        from ..summa.exec import OVERLAP_MODES
+        from ..summa.exec import MERGE_POLICIES, OVERLAP_MODES
 
         if self.batches is not None and self.batches < 1:
             raise ShapeError(f"batches must be >= 1, got {self.batches}")
-        if self.overlap not in OVERLAP_MODES:
-            raise ValueError(
-                f"unknown overlap mode {self.overlap!r}; "
-                f"expected one of {OVERLAP_MODES}"
-            )
+        for what, value, known in (
+            ("overlap mode", self.overlap, OVERLAP_MODES),
+            ("merge policy", self.merge_policy, MERGE_POLICIES),
+            ("batch scheme", self.batch_scheme, BATCH_SCHEMES),
+        ):
+            if value not in known:
+                raise ValueError(
+                    f"unknown {what} {value!r}; expected one of {known}"
+                )
         if self.enforce not in ENFORCE_MODES:
             raise ValueError(
                 f"unknown enforce mode {self.enforce!r}; "

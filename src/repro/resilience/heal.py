@@ -22,7 +22,7 @@ repair → continue):
 4. Every holder re-enters the run on fresh epoch-``e`` communicators:
    grid communicators are re-split, operand tiles re-extracted (the
    bytes moved to the *new* holder are metered as redistribution
-   traffic), the execution plan re-compiled from the decision's
+   traffic), the batch loop re-entered at the decision's
    ``restart_batch`` — the last batch made durable by the per-batch
    checkpoint — and the multiplication continues.
 

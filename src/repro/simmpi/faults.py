@@ -7,7 +7,7 @@ events *reproducible* so the recovery machinery (:mod:`repro.resilience`)
 can be tested bit-for-bit:
 
 * :class:`FaultSpec` — one planned fault, addressed by deterministic
-  coordinates: the rank, the operation (or plan-op kind), and the n-th
+  coordinates: the rank, the operation (or step kind), and the n-th
   matching attempt on that rank.  Four kinds:
 
   - ``"transient"`` — the addressed communication attempt raises
@@ -19,7 +19,7 @@ can be tested bit-for-bit:
     transport redelivers;
   - ``"crash"`` — the addressed rank raises
     :class:`~repro.errors.RankCrashError` (a hard, non-retryable death) at
-    a communication attempt or at a chosen (batch, stage) plan op;
+    a communication attempt or at a chosen (batch, stage) step;
   - ``"mem-pressure"`` — the addressed rank raises
     :class:`~repro.errors.MemoryPressureError` at a chosen (batch, stage),
     modelling an under-estimated symbolic bound; the batched driver reacts
@@ -62,9 +62,10 @@ class FaultSpec:
     ``nth`` (1-based) attempt/delivery of communicator operation ``op``
     (``"bcast"``, ``"send"``, ``"recv"``, ``"alltoallv"``, ...) on that
     rank.  Plan-level kinds (``crash`` / ``mem-pressure`` with ``batch``)
-    fire when the rank's executor reaches the given ``(batch, stage)``
-    (``stage=None`` matches the batch's first matching op; ``kind_op``
-    narrows to one plan-op kind such as ``"multiply"``).
+    fire when the rank's program reaches the given ``(batch, stage)``
+    (``stage=None`` matches the batch's first matching step; ``kind_op``
+    narrows to one step kind such as ``"multiply"`` — the batched driver
+    refuses a name outside :data:`repro.summa.STEP_KINDS`).
     """
 
     kind: str
@@ -282,7 +283,7 @@ class FaultInjector:
             self._fired.add(self._spec_ids[id(spec)])
 
     # ------------------------------------------------------------------ #
-    # hooks (called by SimComm / executors)
+    # hooks (called by SimComm / the rank program)
     # ------------------------------------------------------------------ #
 
     def on_attempt(self, rank: int, op: str, step: str = "") -> None:
@@ -328,7 +329,7 @@ class FaultInjector:
         self, rank: int, kind: str, batch: int | None, stage: int | None,
         *, batches: int | None = None,
     ) -> None:
-        """Called by the executor before each plan op; fires crash /
+        """Called by the rank program before each step; fires crash /
         mem-pressure specs addressed by ``(batch, stage)``."""
         if batch is None or not self._plan_ops:
             return

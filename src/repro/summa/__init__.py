@@ -10,11 +10,9 @@
 All run on the simulated-MPI runtime; pass a
 :class:`~repro.simmpi.CommTracker` to meter every collective.
 
-The drivers no longer hard-code their stage order: they compile to the
-execution-plan IR of :mod:`repro.summa.exec` and run under either the
-:class:`~repro.summa.exec.SequentialExecutor` (``overlap="off"``) or the
-:class:`~repro.summa.exec.PipelinedExecutor` (``overlap="depth1"``),
-with structured per-op tracing from :mod:`repro.summa.trace`.
+Every driver runs one rank program, :func:`repro.summa.exec.run_batches`
+— Alg. 4 written as a loop, with ``overlap="depth1"`` one branch in it —
+with structured per-step tracing from :mod:`repro.summa.trace`.
 """
 
 from .batched import (
@@ -24,15 +22,7 @@ from .batched import (
     summa2d,
     summa3d,
 )
-from .exec import (
-    OVERLAP_MODES,
-    ExecutionPlan,
-    PipelinedExecutor,
-    SequentialExecutor,
-    StageOp,
-    compile_batched_summa3d,
-    get_executor,
-)
+from .exec import MERGE_POLICIES, OVERLAP_MODES, STEP_KINDS
 from .planner import (
     auto_config,
     batches_lower_bound,
@@ -66,14 +56,10 @@ __all__ = [
     "batches_upper_bound",
     "choose_backend",
     "recommend_layers",
-    # execution-plan IR and executors
-    "StageOp",
-    "ExecutionPlan",
-    "SequentialExecutor",
-    "PipelinedExecutor",
-    "compile_batched_summa3d",
-    "get_executor",
+    # the rank program's vocabulary
     "OVERLAP_MODES",
+    "MERGE_POLICIES",
+    "STEP_KINDS",
     # structured tracing
     "Tracer",
     "TraceSpan",

@@ -53,6 +53,7 @@ from ..sparse.io import save_matrix
 from ..sparse.matrix import SparseMatrix
 from ..utils.timing import StepTimes
 from .core import spmd_batched_summa3d
+from .exec import STEP_KINDS
 from .result import SummaResult
 
 
@@ -430,6 +431,12 @@ def _prepare(
     spec.validate()
 
     injector = as_injector(faults)
+    for fault in injector.plan if injector is not None else ():
+        if fault.kind_op is not None and fault.kind_op not in STEP_KINDS:
+            raise ValueError(
+                f"unknown kind_op {fault.kind_op!r} in {fault}: a plan-level "
+                f"fault addresses one of the rank program's steps {STEP_KINDS}"
+            )
 
     comm_backend = spec.comm_backend
     if comm_backend == "auto":

@@ -12,15 +12,11 @@ SUMMA3D (Alg. 2)        l         1
 BatchedSUMMA3D (Alg.4)  l         b (symbolic or given)
 =====================  ========  =========
 
-The body itself is *compiled*, not hand-written: this module assembles
-per-rank state, hands the algorithm's shape to
-:func:`repro.summa.exec.compile_batched_summa3d`, and runs the resulting
-:class:`~repro.summa.exec.ExecutionPlan` under the executor selected by
-the ``overlap=`` knob (``"off"`` — sequential, today's exact behaviour;
-``"depth1"`` — broadcasts of stage ``s+1`` prefetched behind stage
-``s``'s multiply).  All timing flows through
-:class:`~repro.summa.trace.Tracer` spans — there is no inline clock
-bookkeeping here — and still reduces to the classic
+The rank program is a loop, not a compiled artefact: this module
+resolves ``b``, builds the rank's :class:`~repro.summa.exec.RankState`
+and calls :func:`repro.summa.exec.run_batches`, which *is* Alg. 4.  All
+timing flows through :class:`~repro.summa.trace.Tracer` spans — there is
+no inline clock bookkeeping — and reduces to the classic
 :class:`~repro.utils.timing.StepTimes` breakdown.
 
 Step labels match the paper's breakdowns exactly: ``Symbolic``,
@@ -33,17 +29,16 @@ from __future__ import annotations
 
 from ..comm import get_backend
 from ..kernels.base import get_kernel, operand_shape, resolve_tile
-from ..mem import MemoryLedger, nbytes_of
+from ..mem import MemoryLedger
 from ..model.memory import batches_for_budget
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..resilience import RetryPolicy
 from ..simmpi.comm import SimComm
 from ..sparse.matrix import BYTES_PER_NONZERO, SparseMatrix
-from ..sparse.ops import split_bounds
 from ..sparse.semiring import get_semiring
 from ..sparse.spgemm.suite import get_suite
 from ..sparse.spgemm.symbolic import symbolic_nnz
-from .exec import ExecState, compile_batched_summa3d, get_executor
+from .exec import RankState, run_batches
 from .trace import (
     ALL_STEPS,
     STEP_A_BCAST,
@@ -74,7 +69,7 @@ def spmd_symbolic3d(
     memory_budget: int,
     bytes_per_nonzero: int,
     tracer: Tracer,
-    retry: "RetryPolicy | None" = None,
+    retry: RetryPolicy | None = None,
 ) -> dict:
     """Alg. 3 as seen by one rank: returns the batch count and statistics.
 
@@ -134,6 +129,29 @@ def spmd_symbolic3d(
     }
 
 
+def _resolve_batches(
+    comms, a, b, aux, kernel, memory_budget, bytes_per_nonzero, tracer, retry,
+) -> tuple[int, dict]:
+    """``b`` when the caller left it open, and the ``info`` entry saying
+    how it was found: one batch without a budget, Alg. 3 in-band for
+    kernels that have a symbolic pass, else the kernel's own footprint
+    model — exact geometry, computed identically (and deterministically)
+    on every rank."""
+    if memory_budget is None:
+        return 1, {}
+    if kernel.supports_symbolic:
+        sym = spmd_symbolic3d(
+            comms, a, b, memory_budget, bytes_per_nonzero, tracer, retry=retry,
+        )
+        return sym["batches"], {"symbolic": sym}
+    grid = comms.grid
+    batches = kernel.batches_for_budget(
+        a, b, aux, nprocs=grid.nprocs, layers=grid.layers,
+        memory_budget=memory_budget,
+    )
+    return batches, {"kernel_batches": batches}
+
+
 def spmd_batched_summa3d(
     comm: SimComm,
     a: SparseMatrix,
@@ -161,89 +179,52 @@ def spmd_batched_summa3d(
     aux=None,
     replan=None,
 ) -> dict:
-    """Alg. 4 (BatchedSUMMA3D) as executed by one rank.
+    """Alg. 4 (BatchedSUMMA3D) as executed by one rank: resolve ``b``,
+    build the rank's state, :func:`~repro.summa.exec.run_batches`, report.
 
-    Parameters
-    ----------
+    The run knobs mean what the same-named :class:`~repro.plan.ExecSpec`
+    fields mean (``keep_pieces`` is the spec's ``keep_output``), already
+    validated and resolved by the driver: budgets converted to both units
+    (:func:`repro.mem.resolve_budget`), ``comm_backend="auto"`` decided.
+    What only the rank body knows:
+
     comm:
         This rank's world communicator (size must equal ``grid.nprocs``).
     a, b:
-        The *global* input matrices; each rank extracts its own tile —
-        the simulation stand-in for data that is already distributed.
+        The *global* input matrices — each rank extracts its own tile,
+        the simulation stand-in for data that is already distributed —
+        or :class:`~repro.kernels.TileSource` views of resident tiles.
     batches:
-        Batch count; ``None`` runs the symbolic step (requires
-        ``memory_budget``).
-    memory_budget_per_rank, enforce:
-        Per-rank byte limit for the rank's :class:`~repro.mem.MemoryLedger`
-        and what to do when the measured high-water mark exceeds it:
-        ``"off"`` (account only), ``"warn"`` (record in the memory
-        report), ``"strict"`` (raise a deterministic
-        :class:`~repro.errors.MemoryBudgetExceededError` at the stage
-        boundary that exceeds it — the driver's graceful-degradation
-        path catches it and re-batches).  The driver resolves the
-        aggregate ↔ per-rank unit conversion before this point
-        (:func:`repro.mem.resolve_budget`).
+        Batch count; ``None`` resolves it in-band from ``memory_budget``
+        (see :func:`_resolve_batches`).
+    aux:
+        The kernel's third operand, distributed like the output: the
+        sampling pattern for ``sddmm``, the mask for ``masked_spgemm``.
+        Must be the *global* matrix; each rank cuts its own blocks.
     postprocess:
         Optional ``fn(batch, col_start, col_stop, block) -> SparseMatrix``
         applied per batch to the complete column block (all ``nrows``
         rows), distributed along the process-column communicator.  This is
         the hook HipMCL-style pruning uses (paper Sec. V-C).
-    batch_scheme:
-        ``"block-cyclic"`` (paper Fig. 1(i), balances Merge-Fiber) or
-        ``"block"`` (contiguous; the load-imbalance ablation).
-    merge_policy:
-        ``"deferred"`` merges all stage partials once per batch (the
-        paper's choice, Alg. 1 line 8); ``"incremental"`` folds each stage
-        into the running result immediately — lower transient memory, more
-        merge work in the worst case (Sec. III-A discussion).
-    comm_backend:
-        ``"dense"`` (whole-tile collectives, the paper's Table II) or
-        ``"sparse"`` (SpComm3D-style sparsity-aware point-to-point; see
-        :mod:`repro.comm`), or a :class:`~repro.comm.CommBackend`
-        class/instance.  Both produce bit-identical results.  ``"auto"``
-        must be resolved by the driver before this point.
-    overlap:
-        ``"off"`` runs the :class:`~repro.summa.exec.SequentialExecutor`
-        (the strict stage order); ``"depth1"`` runs the
-        :class:`~repro.summa.exec.PipelinedExecutor`, which prefetches
-        stage ``s+1``'s operands behind stage ``s``'s local multiply.
-        Bit-identical products either way.
     piece_sink:
         Optional ``fn(batch, r0, c0, tile)`` that receives each finished
         output piece *instead of* it being held in ``pieces`` — the
         memory-constrained streaming path (spilling / per-batch hooks
         with ``keep_output=False``), where held bytes must not grow with
         the batch count.
-    max_retries:
-        Bound on per-attempt retries of transiently-failed communication
-        (a :class:`~repro.resilience.RetryPolicy` attached to the
-        backend); ``None`` disables retrying entirely.
     start_batch:
-        First batch to execute (resume support): the plan covers batches
-        ``start_batch .. batches-1``, and batches below ``start_batch``
-        are assumed durably checkpointed by the driver.
+        First batch to execute (resume support): batches below it are
+        assumed durably checkpointed by the driver.
     batch_barrier:
-        Synchronise all ranks at each batch boundary (see
-        :func:`~repro.summa.exec.compile_batched_summa3d`) — the
-        checkpointing durability guarantee.
-    kernel:
-        The :class:`~repro.kernels.LocalKernel` (name or instance)
-        deciding what a stage computes — ``"spgemm"`` (default,
-        bit-identical to the pre-seam behaviour), ``"spmm"``,
-        ``"sddmm"`` or ``"masked_spgemm"``.  The kernel declares operand
-        kinds (dense operands ride collectives on both comm backends),
-        the merge rule and the memory footprint.
-    aux:
-        The kernel's third operand, distributed like the output: the
-        sampling pattern for ``sddmm``, the mask for ``masked_spgemm``.
-        Must be the *global* matrix; each rank cuts its own blocks.
+        Synchronise all ranks at each batch boundary — the checkpointing
+        durability guarantee (:func:`repro.summa.exec.batch_barrier`).
     replan:
         Optional :class:`~repro.plan.ReplanPolicy`.  When set, a
-        ``replan-check`` op runs after every non-final batch; the
+        ``replan-check`` step runs after every non-final batch; the
         :class:`~repro.plan.Replanner` built from the policy may raise a
         collective :class:`~repro.errors.ReplanSignal` carrying an
         amended plan, which the driver applies through the re-batch
-        path.  ``None`` (default) compiles no check ops at all.
+        path.  ``None`` (default) runs no check at all.
 
     Returns (per rank)
     ------------------
@@ -251,12 +232,6 @@ def spmd_batched_summa3d(
     ``batches``, ``max_local_bytes``, the per-rank ``trace``
     (:class:`~repro.summa.trace.Tracer`) and symbolic statistics when run.
     """
-    if merge_policy not in ("deferred", "incremental"):
-        raise ValueError(
-            f"unknown merge policy {merge_policy!r}; "
-            "expected 'deferred' or 'incremental'"
-        )
-    executor = get_executor(overlap)
     suite = get_suite(suite)
     semiring = get_semiring(semiring)
     backend = get_backend(comm_backend)
@@ -284,82 +259,37 @@ def spmd_batched_summa3d(
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
     info: dict = {}
-
     if batches is None:
-        if memory_budget is None:
-            batches = 1
-        elif kernel.supports_symbolic:
-            sym = spmd_symbolic3d(
-                comms, a, b, memory_budget, bytes_per_nonzero, tracer,
-                retry=retry,
-            )
-            batches = sym["batches"]
-            info["symbolic"] = sym
-        else:
-            # dense-operand kernels need no symbolic pass: the kernel's
-            # own footprint model is exact geometry, computed identically
-            # (and deterministically) on every rank.
-            batches = kernel.batches_for_budget(
-                a, b, aux, nprocs=grid.nprocs, layers=grid.layers,
-                memory_budget=memory_budget,
-            )
-            info["kernel_batches"] = batches
-
-    a_tile = kernel.a_tile(a, grid, comm.rank)
-    b_tile = kernel.b_tile(b, grid, comm.rank)
-    a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile, suite)
-
-    a_nrows = operand_shape(a)[0]
-    b_ncols = operand_shape(b)[1]
-
-    # assemble the per-rank execution state
-    state = ExecState()
-    state.comms = comms
-    state.grid = grid
-    state.backend = backend
-    state.suite = suite
-    state.semiring = semiring
-    state.kernel = kernel
-    state.aux = aux
-    state.a_tile = a_tile
-    state.b_tile = b_tile
+        batches, info = _resolve_batches(
+            comms, a, b, aux, kernel, memory_budget, bytes_per_nonzero,
+            tracer, retry,
+        )
     ledger.batches = batches
-    state.ledger = ledger
-    state.mem["a_tile"] = ledger.acquire("a_piece", nbytes_of(a_tile), "a_tile")
-    state.mem["b_tile"] = ledger.acquire("b_piece", nbytes_of(b_tile), "b_tile")
-    state.batches = batches
-    state.batch_scheme = batch_scheme
-    state.a_nrows = a_nrows
-    state.b_ncols = b_ncols
-    state.row_bounds = split_bounds(a_nrows, grid.pr)
-    state.r0 = int(state.row_bounds[comms.i])
-    col_super = split_bounds(b_ncols, grid.pc)
-    state.c0_super = int(col_super[comms.j])
-    state.super_w = int(col_super[comms.j + 1]) - state.c0_super
-    state.postprocess = postprocess
-    state.keep_pieces = keep_pieces
-    state.piece_sink = piece_sink
-    state.tracer = tracer
     if replan is not None:
         from ..plan.replan import Replanner
-        state.replan = Replanner(replan, start_batch=start_batch)
 
-    plan = compile_batched_summa3d(
-        grid,
-        batches=batches,
-        merge_policy=merge_policy,
-        has_postprocess=postprocess is not None,
-        first_batch=start_batch,
-        batch_barrier=batch_barrier,
-        kernel=kernel,
-        replan=state.replan is not None,
+        replan = Replanner(replan, start_batch=start_batch)
+
+    a_tile, b_tile = kernel.prepare_tiles(
+        kernel.a_tile(a, grid, comm.rank), kernel.b_tile(b, grid, comm.rank),
+        suite,
     )
-    executor.run(plan, state, tracer)
+    state = RankState(
+        comms=comms, backend=backend, kernel=kernel, suite=suite,
+        semiring=semiring, ledger=ledger, tracer=tracer,
+        a_tile=a_tile, b_tile=b_tile, aux=aux,
+        a_nrows=operand_shape(a)[0], b_ncols=operand_shape(b)[1],
+        batches=batches, batch_scheme=batch_scheme,
+        merge_policy=merge_policy, overlap=overlap, postprocess=postprocess,
+        keep_pieces=keep_pieces, piece_sink=piece_sink,
+        batch_barrier=batch_barrier, replan=replan,
+    )
+    run_batches(state, start_batch)
 
-    info["comm_backend"] = backend.name
-    info["overlap"] = executor.overlap
-    info["kernel"] = kernel.name
-    info["memory"] = ledger.report()
+    info.update(
+        comm_backend=backend.name, overlap=overlap, kernel=kernel.name,
+        memory=ledger.report(),
+    )
     return {
         "pieces": state.pieces,
         "times": tracer.step_times(),

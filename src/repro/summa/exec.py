@@ -1,48 +1,50 @@
-"""Execution-plan IR and executors for the SUMMA family.
+"""BatchedSUMMA3D as one rank runs it: Alg. 4 written as the loop it is.
 
-The SPMD body no longer hard-codes its stage order: `repro.summa.core`
-*compiles* BatchedSUMMA3D (and through it SUMMA2D / SUMMA3D, which are
-the ``layers=1`` / ``batches=1`` specialisations) into a flat list of
-:class:`StageOp` records — one per Symbolic / Comm-Plan / A-Broadcast /
-B-Broadcast / Local-Multiply / Merge-Layer / AllToAll-Fiber /
-Merge-Fiber / Postprocess step instance, plus untimed bookkeeping ops —
-each carrying its *data* dependencies.  An executor then walks the plan:
+:func:`run_batches` is the paper's three-deep loop — batches → SUMMA
+stages → fiber exchange — over one :class:`RankState`; SUMMA2D and
+SUMMA3D are its ``layers=1`` / ``batches=1`` specialisations.  Every step
+body is a plain function of the state, and every step runs inside
+:func:`step`: the plan-level fault hook (a
+:class:`~repro.simmpi.faults.FaultInjector` may crash the rank or raise
+synthetic memory pressure at a chosen ``(batch, stage)`` of one of
+:data:`STEP_KINDS`), then the :class:`~repro.summa.trace.Tracer` span the
+step is timed under.
 
-* :class:`SequentialExecutor` runs ops in program order, reproducing the
-  pre-IR monolith bit-for-bit (same collectives, same step attribution);
-* :class:`PipelinedExecutor` exploits the one relaxation the dependency
-  edges expose — a stage's broadcasts depend only on the batch's
-  Comm-Plan, *not* on the previous stage's multiply — to software
-  double-buffer: it issues stage ``s+1``'s operand delivery through
-  :meth:`CommBackend.prefetch_stage` (nonblocking ``ibcast`` / tagged
-  ``isend``/``irecv``) immediately before running stage ``s``'s local
-  multiply, then the broadcast ops of stage ``s+1`` merely wait.
+Memory is charged where it is held: a step releases a buffer's old
+:class:`~repro.mem.MemAllocation` before acquiring its successor, and
+the budget is enforced by ``ledger.check`` at four boundaries per batch
+— after each stage, the layer merge, the fiber exchange and the output
+tile.  Those are the same program points on every run, so a strict
+overrun raises deterministically.
 
-Both executors run the *same program order on every rank* — the SPMD
-contract that makes the simulated collectives line up — and move exactly
-the same bytes per step, so :class:`~repro.simmpi.tracker.CommTracker`
-totals are identical between them.
+``overlap="depth1"`` adds one thing in one place: right before stage
+``s``'s Local-Multiply, stage ``s+1``'s operand delivery is started
+through :meth:`CommBackend.prefetch_stage` (nonblocking ``ibcast`` /
+tagged ``isend``/``irecv``), and that stage's broadcast steps merely
+wait.  Legal because a stage's broadcasts need only the batch's
+Comm-Plan (not the previous multiply), every rank issues the prefetch at
+the same program point, and per-stage tags keep in-flight stages apart;
+the bytes moved per step are identical either way.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import DistributionError, ExecPlanError
-from ..kernels.base import operand_shape
-from ..kernels.spgemm import SpgemmKernel
-from ..mem import MemoryLedger, nbytes_of
+from ..errors import DistributionError
 from ..grid.distribution import (
     batch_layer_blocks,
     batch_local_columns,
     c_tile_columns,
     gather_tiles,
 )
+from ..kernels.base import operand_shape
+from ..mem import nbytes_of
 from ..sparse.matrix import SparseMatrix
-from ..sparse.ops import submatrix
+from ..sparse.ops import split_bounds, submatrix
 from .trace import (
     STEP_A_BCAST,
     STEP_ALLTOALL_FIBER,
@@ -52,390 +54,327 @@ from .trace import (
     STEP_MERGE_FIBER,
     STEP_MERGE_LAYER,
     STEP_POSTPROCESS,
-    Tracer,
 )
+
+__all__ = [
+    "MERGE_POLICIES", "OVERLAP_MODES", "STEP_KINDS",
+    "RankState", "run_batches", "step",
+]
 
 #: supported settings of the ``overlap=`` knob.
 OVERLAP_MODES = ("off", "depth1")
 
+#: ``merge_policy=`` → is each stage's product folded into the running
+#: partial at once (True), or kept until the batch's one Merge-Layer?
+_FOLDS_EACH_STAGE = {"deferred": False, "incremental": True}
+#: supported settings of the ``merge_policy=`` knob.
+MERGE_POLICIES = tuple(_FOLDS_EACH_STAGE)
 
-@dataclass(frozen=True)
-class StageOp:
-    """One node of the execution plan.
-
-    ``kind`` is the structural role (``"bcast-a"``, ``"multiply"``, …);
-    ``op`` is the trace/StepTimes label the span is recorded under;
-    ``timed=False`` marks bookkeeping that never fed the paper's step
-    breakdown (column splits, memory metering, piece accounting).
-    ``deps`` lists the opids whose *outputs* this op reads — the edges
-    that legitimise (or forbid) reordering by a smarter executor.
-    ``mem_delta``, when set, predicts the bytes this op will charge to
-    the :class:`~repro.mem.MemoryLedger` *before* it runs — a
-    ``state -> {category: bytes}`` closure.  The pipelined executor
-    prices in-flight prefetches with it (charging *both* buffers of the
-    depth-1 double-buffer), and planners can walk a plan's deltas to
-    shape a run's footprint without executing it.
-    """
-
-    opid: int
-    kind: str
-    op: str
-    batch: int | None
-    stage: int | None
-    deps: tuple[int, ...]
-    run: Callable[["ExecState", Any], None]
-    timed: bool = True
-    mem_delta: Callable[["ExecState"], dict] | None = None
-
-
-@dataclass
-class ExecutionPlan:
-    """A compiled SUMMA program: ops in program order plus the prefetch
-    issuers a pipelining executor may fire early.
-
-    ``prefetch_issuers`` maps ``(batch, stage)`` to a closure that starts
-    that stage's operand delivery via the backend's nonblocking path and
-    returns a :class:`~repro.comm.backend.StagePrefetch`.  Stage 0 of
-    every batch has no issuer — its broadcasts run blocking, right after
-    the batch's Comm-Plan (whose collectives must not be overtaken).
-
-    ``mem_annotations`` indexes the broadcast ops' ``mem_delta``
-    predictors by ``(batch, stage)`` as ``(operand, closure)`` pairs, so
-    the pipelined executor can charge a stage's in-flight operands the
-    moment it issues the prefetch.
-    """
-
-    ops: list[StageOp] = field(default_factory=list)
-    prefetch_issuers: dict[tuple[int, int], Callable] = field(default_factory=dict)
-    mem_annotations: dict[tuple[int, int], tuple] = field(default_factory=dict)
-    #: registry name of the local kernel this plan was compiled for —
-    #: recorded so plans are self-describing (the op bodies themselves
-    #: dispatch through ``state.kernel``).
-    kernel: str = "spgemm"
-
-    def validate(self) -> None:
-        """Check the plan is a DAG consistent with program order: every
-        dependency must point at an earlier op."""
-        for idx, op in enumerate(self.ops):
-            if op.opid != idx:
-                raise ExecPlanError(f"plan op {idx} carries opid {op.opid}")
-            for dep in op.deps:
-                if not 0 <= dep < idx:
-                    raise ExecPlanError(
-                        f"op {idx} ({op.kind}) depends on {dep}, which is "
-                        "not an earlier op"
-                    )
-
-    def ops_of_kind(self, kind: str) -> list[StageOp]:
-        return [op for op in self.ops if op.kind == kind]
+#: step kind → (trace / StepTimes label, timed).  ``timed=False`` marks
+#: bookkeeping that never fed the paper's step breakdown (column splits,
+#: piece accounting): on the timeline, not in the stacked bars.
+_STEPS = {
+    "col-split": ("ColSplit", False),
+    "comm-plan": (STEP_COMM_PLAN, True),
+    "bcast-a": (STEP_A_BCAST, True),
+    "bcast-b": (STEP_B_BCAST, True),
+    "multiply": (STEP_LOCAL_MULTIPLY, True),
+    "merge-stage": (STEP_MERGE_LAYER, True),
+    "accumulate": ("Accumulate", False),
+    "merge-layer": (STEP_MERGE_LAYER, True),
+    "fiber-split": ("FiberSplit", False),
+    "fiber-exchange": (STEP_ALLTOALL_FIBER, True),
+    "merge-fiber": (STEP_MERGE_FIBER, True),
+    "sort-output": ("SortOutput", False),
+    "c-range": ("CRange", False),
+    "postprocess": (STEP_POSTPROCESS, True),
+    "finalize": ("Finalize", False),
+    "batch-barrier": ("Batch-Barrier", False),
+    "replan-check": ("Replan-Check", False),
+}
+#: the kinds a plan-level fault may name (``FaultSpec.kind_op``).
+STEP_KINDS = tuple(_STEPS)
 
 
-class ExecState:
-    """Mutable per-rank state the ops read and write.
+@dataclass(slots=True)
+class RankState:
+    """What one rank holds while it runs :func:`run_batches`.
 
-    The compiler only bakes *indices* (batch, stage) into op closures;
-    everything rank-specific — communicators, backend instance, tiles,
-    geometry, the memory ledger — lives here, assembled by
-    :func:`repro.summa.core.spmd_batched_summa3d` before execution.
+    The first block is fixed for the attempt and handed in by
+    :func:`repro.summa.core.spmd_batched_summa3d`; the geometry is
+    derived from it; the rest is the working set the steps pass to each
+    other.  :class:`~repro.kernels.LocalKernel` methods and
+    :meth:`repro.plan.Replanner.check` read these attributes by name.
 
-    ``ledger`` is this rank's :class:`~repro.mem.MemoryLedger`; ``mem``
-    maps logical buffer names (``"a_recv"``, ``"d_local"``, the
+    ``mem`` maps logical buffer names (``"a_recv"``, ``"d_local"``, the
     ``"partials"`` list, prefetch keys …) to the live
-    :class:`~repro.mem.MemAllocation` handles tracking them.  Op bodies
-    release a buffer's old handle before acquiring its successor, so the
-    ledger's continuous totals equal the historical boundary snapshots.
+    :class:`~repro.mem.MemAllocation` handles tracking them; the input
+    tiles are charged for as long as the state exists.
     """
 
-    __slots__ = (
-        "comms", "grid", "backend", "suite", "semiring", "kernel",
-        "a_tile", "b_tile", "b_batch", "aux", "aux_batch",
-        "a_recv", "b_recv",
-        "partials", "stage_out", "d_local", "sendlist", "received", "c_tile",
-        "pieces", "fiber_piece_nnz", "ledger", "mem", "prefetched",
-        "batches", "batch_scheme", "super_w", "row_bounds", "r0", "c0_super",
-        "a_nrows", "b_ncols", "c0", "c1",
-        "postprocess", "keep_pieces", "piece_sink", "info",
-        "tracer", "replan",
+    comms: object
+    backend: object
+    kernel: object
+    suite: object
+    semiring: object
+    ledger: object
+    tracer: object
+    a_tile: object
+    b_tile: object
+    aux: object
+    a_nrows: int
+    b_ncols: int
+    batches: int
+    batch_scheme: str
+    merge_policy: str
+    overlap: str
+    postprocess: Callable | None
+    keep_pieces: bool
+    piece_sink: Callable | None
+    batch_barrier: bool
+    replan: object
+
+    # geometry: this rank's row block and super-column of the output
+    grid: object = field(init=False)
+    row_bounds: np.ndarray = field(init=False)
+    r0: int = field(init=False)
+    r1: int = field(init=False)
+    c0_super: int = field(init=False)
+    super_w: int = field(init=False)
+    mem: dict = field(init=False)
+
+    # working set
+    b_batch: object = None
+    aux_batch: object = None
+    a_recv: object = None
+    b_recv: object = None
+    stage_out: object = None
+    partials: list = field(default_factory=list)
+    d_local: object = None
+    sendlist: list | None = None
+    received: list | None = None
+    c_tile: object = None
+    c0: int | None = None
+    c1: int | None = None
+    prefetched: dict = field(default_factory=dict)
+    pieces: list = field(default_factory=list)
+    fiber_piece_nnz: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        comms = self.comms
+        self.grid = grid = comms.grid
+        self.row_bounds = split_bounds(self.a_nrows, grid.pr)
+        self.r0 = int(self.row_bounds[comms.i])
+        self.r1 = int(self.row_bounds[comms.i + 1])
+        col_super = split_bounds(self.b_ncols, grid.pc)
+        self.c0_super = int(col_super[comms.j])
+        self.super_w = int(col_super[comms.j + 1]) - self.c0_super
+        acquire = self.ledger.acquire
+        self.mem = {
+            "a_tile": acquire("a_piece", nbytes_of(self.a_tile), "a_tile"),
+            "b_tile": acquire("b_piece", nbytes_of(self.b_tile), "b_tile"),
+        }
+
+
+# --------------------------------------------------------------------- #
+# the loop
+# --------------------------------------------------------------------- #
+
+def fault_point(state, kind, batch, stage=None) -> None:
+    """The plan-level fault hook — the deterministic stand-in for node
+    death and under-estimated symbolic bounds."""
+    world = state.comms.world
+    injector = world.world.injector
+    if injector is not None:
+        injector.on_plan_op(
+            world.global_rank, kind, batch, stage, batches=state.batches
+        )
+
+
+def _span(state, kind, batch, stage):
+    label, timed = _STEPS[kind]
+    return state.tracer.span(label, stage=stage, batch=batch, timed=timed)
+
+
+def step(state, kind, batch, stage=None):
+    """What surrounds every step: its fault point fires now, and the
+    returned context is the span it runs in (``with step(...) as span``)."""
+    fault_point(state, kind, batch, stage)
+    return _span(state, kind, batch, stage)
+
+
+def run_batches(state: RankState, start_batch: int = 0) -> None:
+    """Alg. 4 on one rank: batches ``start_batch .. batches-1`` (lower
+    ones are durable in a checkpoint; every step is keyed by its *global*
+    batch index, so a resumed run computes exactly the same column
+    blocks)."""
+    if not 0 <= start_batch <= state.batches:
+        raise ValueError(
+            f"start_batch {start_batch} outside [0, {state.batches}]"
+        )
+    stages, layers, ledger = state.grid.stages, state.grid.layers, state.ledger
+    # kernels with dense accumulators never hold one partial per stage
+    incremental = (
+        state.kernel.incremental_only or _FOLDS_EACH_STAGE[state.merge_policy]
     )
+    for batch in range(start_batch, state.batches):
+        ledger.enter_batch(batch)
+        with step(state, "col-split", batch):
+            col_split(state, batch)
+        with step(state, "comm-plan", batch):
+            comm_plan(state)
 
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, None)
-        self.partials = []
-        self.pieces = []
-        self.fiber_piece_nnz = []
-        self.prefetched = {}
-        self.info = {}
-        self.mem = {}
-        self.kernel = SpgemmKernel()  # default; core installs the chosen one
-        self.ledger = MemoryLedger()  # unlimited unless core installs one
-
-
-def compile_batched_summa3d(
-    grid,
-    *,
-    batches: int,
-    merge_policy: str = "deferred",
-    has_postprocess: bool = False,
-    first_batch: int = 0,
-    batch_barrier: bool = False,
-    kernel=None,
-    replan: bool = False,
-) -> ExecutionPlan:
-    """Compile Alg. 4 for ``grid`` into an :class:`ExecutionPlan`.
-
-    The op sequence (and which instants are timed under which step
-    label) mirrors the pre-IR monolith exactly, so a
-    :class:`SequentialExecutor` run is indistinguishable from it.
-
-    ``first_batch`` compiles only batches ``first_batch .. batches-1`` —
-    the resume path: batches below it are already durable in a
-    checkpoint, and every op closure is keyed by its *global* batch
-    index, so a resumed plan computes exactly the same column blocks the
-    full plan would have.
-
-    ``batch_barrier`` appends a world-wide barrier as each batch's last
-    op.  Checkpointing needs it for its durability guarantee: a rank can
-    only reach batch ``i`` by passing batch ``i-1``'s barrier, which it
-    only passes once *every* rank has finalized batch ``i-1`` — i.e. the
-    batch's last piece has landed and its checkpoint entry is written.
-    Without the barrier a fast rank crashing in batch ``i`` can abort
-    slower peers while they are still mid-batch ``i-1``, losing it.
-
-    ``kernel`` is the :class:`~repro.kernels.LocalKernel` the plan is
-    compiled for (default: SpGEMM).  The op *structure* is kernel-
-    agnostic — bodies dispatch through ``state.kernel`` — but kernels
-    with dense accumulators declare :attr:`incremental_only` and force
-    ``merge_policy="incremental"`` here, so the plan never holds one
-    dense partial per stage.
-
-    ``replan`` appends a ``replan-check`` op after every non-final
-    batch's last op.  The op consults ``state.replan`` (a
-    :class:`~repro.plan.Replanner`, when the driver installed one) and
-    may raise a collective :class:`~repro.errors.ReplanSignal`.  It runs
-    *after* the batch barrier so a checkpointed batch is durable before
-    any amendment abandons the attempt.
-    """
-    if kernel is None:
-        kernel = SpgemmKernel()
-    if kernel.incremental_only:
-        merge_policy = "incremental"
-    if not 0 <= first_batch <= batches:
-        raise ExecPlanError(
-            f"first_batch {first_batch} outside [0, {batches}]"
-        )
-    plan = ExecutionPlan(kernel=kernel.name)
-    last = -1  # opid of the most recent op (default dependency)
-
-    def add(kind, label, run, *, batch=None, stage=None, timed=True, deps=None,
-            mem_delta=None):
-        nonlocal last
-        opid = len(plan.ops)
-        if deps is None:
-            deps = (last,) if last >= 0 else ()
-        plan.ops.append(StageOp(
-            opid=opid, kind=kind, op=label, batch=batch, stage=stage,
-            deps=tuple(deps), run=run, timed=timed, mem_delta=mem_delta,
-        ))
-        last = opid
-        return opid
-
-    for batch in range(first_batch, batches):
-        add("col-split", "ColSplit", _run_col_split(batch), batch=batch,
-            timed=False)
-        plan_id = add("comm-plan", STEP_COMM_PLAN, _run_comm_plan,
-                      batch=batch)
-
-        stage_tail = plan_id  # accumulation chain within the layer
-        for s in range(grid.stages):
-            # The broadcasts of stage s depend only on this batch's
-            # Comm-Plan — not on stage s-1's multiply.  That missing edge
-            # is exactly the freedom the PipelinedExecutor exploits.
-            a_id = add("bcast-a", STEP_A_BCAST, _run_bcast_a(batch, s),
-                       batch=batch, stage=s, deps=(plan_id,),
-                       mem_delta=_delta_bcast_a)
-            b_id = add("bcast-b", STEP_B_BCAST, _run_bcast_b(batch, s),
-                       batch=batch, stage=s, deps=(plan_id,),
-                       mem_delta=_delta_bcast_b)
-            plan.mem_annotations[(batch, s)] = (
-                ("a", _delta_bcast_a), ("b", _delta_bcast_b),
-            )
-            mul_id = add("multiply", STEP_LOCAL_MULTIPLY, _run_multiply,
-                         batch=batch, stage=s, deps=(a_id, b_id),
-                         mem_delta=_delta_multiply)
-            if merge_policy == "incremental" and s > 0:
-                acc_id = add("merge-stage", STEP_MERGE_LAYER,
-                             _run_merge_stage, batch=batch, stage=s,
-                             deps=(mul_id, stage_tail))
+        for s in range(stages):  # Alg. 1: one SUMMA stage per process column
+            with step(state, "bcast-a", batch, s) as span:
+                bcast_a(state, batch, s, span)
+            with step(state, "bcast-b", batch, s) as span:
+                bcast_b(state, batch, s, span)
+            # Local-Multiply, its two halves apart: the next stage's
+            # operands start moving after its fault point, before its span
+            fault_point(state, "multiply", batch, s)
+            if state.overlap == "depth1" and s + 1 < stages:
+                prefetch(state, batch, s + 1)
+            with _span(state, "multiply", batch, s):
+                multiply(state)
+            if incremental and s > 0:
+                with step(state, "merge-stage", batch, s):
+                    merge_stage(state)
             else:
-                acc_id = add("accumulate", "Accumulate", _run_accumulate,
-                             batch=batch, stage=s, timed=False,
-                             deps=(mul_id, stage_tail))
-            stage_tail = add("meter", "Meter", _run_meter_stage,
-                             batch=batch, stage=s, timed=False,
-                             deps=(acc_id,))
-            if s + 1 < grid.stages:
-                plan.prefetch_issuers[(batch, s + 1)] = _issue_prefetch(s + 1)
+                with step(state, "accumulate", batch, s):
+                    accumulate(state)
+            ledger.check(batch=batch, stage=s)
 
-        add("merge-layer", STEP_MERGE_LAYER, _run_merge_layer, batch=batch,
-            deps=(stage_tail,))
-        add("meter", "Meter", _run_meter_layer, batch=batch, timed=False)
+        with step(state, "merge-layer", batch):
+            merge_layer(state)
+        ledger.check(batch=batch)
 
-        if grid.layers > 1:
-            add("fiber-split", "FiberSplit", _run_fiber_split(batch),
-                batch=batch, timed=False)
-            add("fiber-exchange", STEP_ALLTOALL_FIBER, _run_fiber_exchange,
-                batch=batch, mem_delta=_delta_fiber_exchange)
-            add("meter", "Meter", _run_meter_fiber, batch=batch, timed=False)
-            add("merge-fiber", STEP_MERGE_FIBER, _run_merge_fiber,
-                batch=batch)
+        if layers > 1:  # Alg. 2: exchange and merge along the fiber
+            with step(state, "fiber-split", batch):
+                fiber_split(state, batch)
+            with step(state, "fiber-exchange", batch) as span:
+                fiber_exchange(state, span)
+            state.fiber_piece_nnz.append(
+                sum(_piece_count(p) for p in state.received)
+            )
+            ledger.check(batch=batch)
+            with step(state, "merge-fiber", batch):
+                merge_fiber(state)
         else:
-            add("sort-output", "SortOutput", _run_sort_output, batch=batch,
-                timed=False)
-        add("meter", "Meter", _run_meter_output, batch=batch, timed=False)
+            with step(state, "sort-output", batch):
+                output_tile(state, state.d_local)
+        ledger.check(batch=batch)
 
-        add("c-range", "CRange", _run_c_range(batch), batch=batch,
-            timed=False)
-        if has_postprocess:
-            add("postprocess", STEP_POSTPROCESS, _run_postprocess(batch),
-                batch=batch)
-        add("finalize", "Finalize", _run_finalize(batch), batch=batch,
-            timed=False)
-        if batch_barrier:
-            add("batch-barrier", "Batch-Barrier", _run_batch_barrier,
-                batch=batch, timed=False)
-        if replan and batch + 1 < batches:
-            add("replan-check", "Replan-Check", _run_replan_check(batch),
-                batch=batch, timed=False)
-
-    plan.validate()
-    return plan
-
-
-# --------------------------------------------------------------------- #
-# predicted memory deltas (StageOp.mem_delta annotations)
-# --------------------------------------------------------------------- #
-
-def _delta_bcast_a(state) -> dict:
-    """A stage receives a whole peer A tile; size a rank's own tile."""
-    return {"recv_buffer": state.a_tile.nbytes}
-
-
-def _delta_bcast_b(state) -> dict:
-    """A stage receives a peer's batch column block of B."""
-    return {"recv_buffer": state.b_batch.nbytes}
-
-
-def _delta_multiply(state) -> dict:
-    """Upper bound on the stage product: the merge scratch cannot exceed
-    the operands' combined flop expansion; used for introspection only
-    (the multiply charges its *actual* output size)."""
-    return {"merge_scratch": state.a_recv.nbytes + state.b_recv.nbytes}
-
-
-def _delta_fiber_exchange(state) -> dict:
-    """The fiber pieces received are the peers' shares of intermediates
-    the same size as this rank's; size our own layer result."""
-    return {"recv_buffer": state.d_local.nbytes}
+        with step(state, "c-range", batch):
+            c_range(state, batch)
+        if state.postprocess is not None:
+            with step(state, "postprocess", batch):
+                postprocess(state, batch)
+        with step(state, "finalize", batch):
+            finalize(state, batch)
+        if state.batch_barrier:
+            with step(state, "batch-barrier", batch):
+                batch_barrier(state)
+        # after the barrier, so a checkpointed batch is durable before
+        # any amendment abandons the attempt
+        if state.replan is not None and batch + 1 < state.batches:
+            with step(state, "replan-check", batch):
+                state.replan.check(state, batch)
 
 
 # --------------------------------------------------------------------- #
-# op bodies (closures over compile-time indices; all data via ExecState)
+# step bodies
 # --------------------------------------------------------------------- #
 
-def _run_col_split(batch):
-    def run(state, span):
-        local_cols = batch_local_columns(
-            state.super_w, state.batches, state.grid.layers, batch,
-            state.batch_scheme,
+def col_split(state, batch) -> None:
+    local_cols = batch_local_columns(
+        state.super_w, state.batches, state.grid.layers, batch,
+        state.batch_scheme,
+    )
+    state.b_batch = state.kernel.select_columns(state.b_tile, local_cols)
+    if state.kernel.uses_aux:
+        # the aux operand (mask / sampling pattern) is distributed like
+        # the output: this rank's row block × the batch's global columns.
+        # Identical at every stage of the batch, so it is cut once here
+        # and charged next to the input tiles.
+        led = state.ledger
+        led.release(state.mem.pop("aux_batch", None))
+        state.aux_batch = state.kernel.aux_block(
+            state.aux, state.r0, state.r1, state.c0_super + local_cols,
         )
-        state.b_batch = state.kernel.select_columns(state.b_tile, local_cols)
-        if state.kernel.uses_aux:
-            # the aux operand (mask / sampling pattern) is distributed
-            # like the output: this rank's row block × the batch's global
-            # columns.  Identical at every stage of the batch, so it is
-            # cut once here and charged next to the input tiles.
-            led = state.ledger
-            led.release(state.mem.pop("aux_batch", None))
-            state.aux_batch = state.kernel.aux_block(
-                state.aux, state.r0, int(state.row_bounds[state.comms.i + 1]),
-                state.c0_super + local_cols,
-            )
-            state.mem["aux_batch"] = led.acquire(
-                "b_piece", nbytes_of(state.aux_batch), "aux_batch"
-            )
-    return run
+        state.mem["aux_batch"] = led.acquire(
+            "b_piece", nbytes_of(state.aux_batch), "aux_batch"
+        )
 
 
-def _run_comm_plan(state, span):
+def comm_plan(state) -> None:
     with state.comms.world.step(STEP_COMM_PLAN):
         state.backend.prepare_batch(state.comms, state.a_tile, state.b_batch)
 
 
-def _issue_prefetch(stage):
-    def issue(state):
-        return state.backend.prefetch_stage(
-            state.comms, state.a_tile, state.b_batch, stage
+def bcast_a(state, batch, stage, span) -> None:
+    led = state.ledger
+    # the previous stage's operand buffer is reused — release its handle
+    # before the replacement lands
+    led.release(state.mem.pop("a_recv", None))
+    pf = state.prefetched.get((batch, stage))
+    if pf is not None:
+        state.a_recv = pf.wait_a()
+        # the in-flight charge placed at issue time hands over to the
+        # actual buffer's handle
+        led.release(state.mem.pop(("pf", batch, stage, "a"), None))
+    else:
+        with state.comms.row.step(STEP_A_BCAST):
+            state.a_recv = state.backend.bcast_a(
+                state.comms, state.a_tile, stage
+            )
+    state.mem["a_recv"] = led.acquire(
+        "recv_buffer", state.a_recv.nbytes, "a_recv"
+    )
+    span.nbytes = state.a_recv.nbytes
+
+
+def bcast_b(state, batch, stage, span) -> None:
+    led = state.ledger
+    led.release(state.mem.pop("b_recv", None))
+    pf = state.prefetched.pop((batch, stage), None)
+    if pf is not None:
+        state.b_recv = pf.wait_b()
+        led.release(state.mem.pop(("pf", batch, stage, "b"), None))
+    else:
+        with state.comms.col.step(STEP_B_BCAST):
+            state.b_recv = state.backend.bcast_b(
+                state.comms, state.b_batch, stage
+            )
+    state.mem["b_recv"] = led.acquire(
+        "recv_buffer", state.b_recv.nbytes, "b_recv"
+    )
+    span.nbytes = state.b_recv.nbytes
+
+
+def prefetch(state, batch, stage) -> None:
+    """Depth-1 double-buffering holds *two* stages of operands at once:
+    start ``stage``'s delivery and charge its in-flight buffers (a peer's
+    tiles, sized by this rank's own) next to the current stage's live
+    ones, so the overlap/memory trade-off shows up in the ledger."""
+    state.prefetched[(batch, stage)] = state.backend.prefetch_stage(
+        state.comms, state.a_tile, state.b_batch, stage
+    )
+    for operand, tile in (("a", state.a_tile), ("b", state.b_batch)):
+        state.mem[("pf", batch, stage, operand)] = state.ledger.acquire(
+            "recv_buffer", tile.nbytes, f"prefetch-{operand}"
         )
-    return issue
 
 
-def _run_bcast_a(batch, stage):
-    def run(state, span):
-        led = state.ledger
-        # the previous stage's operand buffer is reused — release its
-        # handle before the replacement lands
-        led.release(state.mem.pop("a_recv", None))
-        pf = state.prefetched.get((batch, stage))
-        if pf is not None:
-            state.a_recv = pf.wait_a()
-            # the in-flight charge placed at issue time hands over to
-            # the actual buffer's handle
-            led.release(state.mem.pop(("pf", batch, stage, "a"), None))
-        else:
-            with state.comms.row.step(STEP_A_BCAST):
-                state.a_recv = state.backend.bcast_a(
-                    state.comms, state.a_tile, stage
-                )
-        state.mem["a_recv"] = led.acquire(
-            "recv_buffer", state.a_recv.nbytes, "a_recv"
-        )
-        span.nbytes = state.a_recv.nbytes
-    return run
-
-
-def _run_bcast_b(batch, stage):
-    def run(state, span):
-        led = state.ledger
-        led.release(state.mem.pop("b_recv", None))
-        pf = state.prefetched.pop((batch, stage), None)
-        if pf is not None:
-            state.b_recv = pf.wait_b()
-            led.release(state.mem.pop(("pf", batch, stage, "b"), None))
-        else:
-            with state.comms.col.step(STEP_B_BCAST):
-                state.b_recv = state.backend.bcast_b(
-                    state.comms, state.b_batch, stage
-                )
-        state.mem["b_recv"] = led.acquire(
-            "recv_buffer", state.b_recv.nbytes, "b_recv"
-        )
-        span.nbytes = state.b_recv.nbytes
-    return run
-
-
-def _run_multiply(state, span):
+def multiply(state) -> None:
     state.stage_out = state.kernel.stage_multiply(state)
     state.mem["stage_out"] = state.ledger.acquire(
         "merge_scratch", state.stage_out.nbytes, "stage_out"
     )
 
 
-def _run_merge_stage(state, span):
+def merge_stage(state) -> None:
     led = state.ledger
-    merged = state.kernel.merge(
-        [state.partials[0], state.stage_out], state
-    )
+    merged = state.kernel.merge([state.partials[0], state.stage_out], state)
     # release inputs before acquiring the merged result: the ledger's
     # totals stay at the historical stage-boundary value (the merge's
     # own double-buffering instant is deliberately not charged, matching
@@ -450,18 +389,13 @@ def _run_merge_stage(state, span):
     ]
 
 
-def _run_accumulate(state, span):
+def accumulate(state) -> None:
     state.partials.append(state.stage_out)
     state.stage_out = None
     state.mem.setdefault("partials", []).append(state.mem.pop("stage_out"))
 
 
-def _run_meter_stage(state, span):
-    # stage boundary: enforcement happens in the executor's check() call
-    pass
-
-
-def _run_merge_layer(state, span):
+def merge_layer(state) -> None:
     led = state.ledger
     partials = state.partials
     state.d_local = (
@@ -479,29 +413,23 @@ def _run_merge_layer(state, span):
     )
 
 
-def _run_meter_layer(state, span):
-    pass
+def fiber_split(state, batch) -> None:
+    widths = [
+        e - s_ for s_, e in batch_layer_blocks(
+            state.super_w, state.batches, state.grid.layers, batch,
+            state.batch_scheme,
+        )
+    ]
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    state.sendlist = [
+        state.kernel.slice_columns(
+            state.d_local, int(offsets[t]), int(offsets[t + 1])
+        )
+        for t in range(state.grid.layers)
+    ]
 
 
-def _run_fiber_split(batch):
-    def run(state, span):
-        widths = [
-            e - s_ for s_, e in batch_layer_blocks(
-                state.super_w, state.batches, state.grid.layers, batch,
-                state.batch_scheme,
-            )
-        ]
-        offsets = np.concatenate(([0], np.cumsum(widths)))
-        state.sendlist = [
-            state.kernel.slice_columns(
-                state.d_local, int(offsets[t]), int(offsets[t + 1])
-            )
-            for t in range(state.grid.layers)
-        ]
-    return run
-
-
-def _run_fiber_exchange(state, span):
+def fiber_exchange(state, span) -> None:
     with state.comms.fiber.step(STEP_ALLTOALL_FIBER):
         state.received = state.backend.fiber_exchange(
             state.comms, state.sendlist
@@ -521,32 +449,23 @@ def _piece_count(piece) -> int:
     return int(piece.size)
 
 
-def _run_meter_fiber(state, span):
-    state.fiber_piece_nnz.append(sum(_piece_count(p) for p in state.received))
-
-
-def _run_merge_fiber(state, span):
-    led = state.ledger
+def merge_fiber(state) -> None:
     received = state.received
-    c_tile = (
+    merged = (
         state.kernel.merge(received, state)
         if len(received) > 1 else received[0]
     )
-    # the final output is canonicalised (sorted within columns for
-    # sparse, contiguous for dense; Sec. IV-D)
-    state.c_tile = state.kernel.finalize_tile(c_tile)
     state.received = None
-    state.d_local = None
-    led.release(state.mem.pop("received", None))
-    led.release(state.mem.pop("d_local", None))
-    state.mem["c_tile"] = led.acquire(
-        "output_batch", state.c_tile.nbytes, "c_tile"
-    )
+    state.ledger.release(state.mem.pop("received", None))
+    output_tile(state, merged)
 
 
-def _run_sort_output(state, span):
+def output_tile(state, tile) -> None:
+    """The batch's output tile from the layer result (``layers == 1``) or
+    the merged fiber pieces.  Only the *final* output is canonicalised —
+    sorted within columns for sparse, contiguous for dense (Sec. IV-D)."""
     led = state.ledger
-    state.c_tile = state.kernel.finalize_tile(state.d_local)
+    state.c_tile = state.kernel.finalize_tile(tile)
     state.d_local = None
     led.release(state.mem.pop("d_local", None))
     state.mem["c_tile"] = led.acquire(
@@ -554,163 +473,63 @@ def _run_sort_output(state, span):
     )
 
 
-def _run_meter_output(state, span):
-    pass
-
-
-def _run_c_range(batch):
-    def run(state, span):
-        state.c0, state.c1 = c_tile_columns(
-            state.grid, state.b_ncols, state.batches, batch,
-            state.comms.j, state.comms.k, state.batch_scheme,
+def c_range(state, batch) -> None:
+    state.c0, state.c1 = c_tile_columns(
+        state.grid, state.b_ncols, state.batches, batch,
+        state.comms.j, state.comms.k, state.batch_scheme,
+    )
+    tile_cols = operand_shape(state.c_tile)[1]
+    if state.c1 - state.c0 != tile_cols:
+        raise DistributionError(
+            f"batch {batch}: output tile spans {tile_cols} "
+            f"columns but owns [{state.c0}, {state.c1})"
         )
-        tile_cols = operand_shape(state.c_tile)[1]
-        if state.c1 - state.c0 != tile_cols:
-            raise DistributionError(
-                f"batch {batch}: output tile spans {tile_cols} "
-                f"columns but owns [{state.c0}, {state.c1})"
-            )
-    return run
 
 
-def _run_postprocess(batch):
-    def run(state, span):
-        comms, row_bounds = state.comms, state.row_bounds
-        with comms.col.step(STEP_POSTPROCESS):
-            gathered = comms.col.allgather(state.c_tile)
-        block = gather_tiles(
-            state.a_nrows,
-            state.c1 - state.c0,
-            (
-                (int(row_bounds[ii]), 0, tile)
-                for ii, tile in enumerate(gathered)
-            ),
-        )
-        block = state.postprocess(batch, state.c0, state.c1, block)
-        state.c_tile = submatrix(
-            block, state.r0, int(row_bounds[comms.i + 1]), 0,
-            state.c1 - state.c0,
-        )
-        # the hook replaced the tile (masking/pruning usually shrinks it)
-        state.ledger.resize(state.mem["c_tile"], state.c_tile.nbytes)
-    return run
+def postprocess(state, batch) -> None:
+    """The per-batch hook sees the complete column block (all rows),
+    gathered along the process column; this rank keeps its row block."""
+    comms, row_bounds = state.comms, state.row_bounds
+    with comms.col.step(STEP_POSTPROCESS):
+        gathered = comms.col.allgather(state.c_tile)
+    block = gather_tiles(
+        state.a_nrows,
+        state.c1 - state.c0,
+        (
+            (int(row_bounds[ii]), 0, tile)
+            for ii, tile in enumerate(gathered)
+        ),
+    )
+    block = state.postprocess(batch, state.c0, state.c1, block)
+    state.c_tile = submatrix(
+        block, state.r0, state.r1, 0, state.c1 - state.c0,
+    )
+    # the hook replaced the tile (masking/pruning usually shrinks it)
+    state.ledger.resize(state.mem["c_tile"], state.c_tile.nbytes)
 
 
-def _run_replan_check(batch):
-    def run(state, span):
-        if state.replan is not None:
-            state.replan.check(state, batch)
-    return run
+def finalize(state, batch) -> None:
+    led = state.ledger
+    handle = state.mem.pop("c_tile", None)
+    if state.piece_sink is not None:
+        # streaming mode: the piece leaves the rank immediately, so
+        # held memory stays flat across batches.
+        state.piece_sink(batch, state.r0, state.c0, state.c_tile)
+        led.release(handle)
+    elif state.keep_pieces:
+        state.pieces.append((batch, state.r0, state.c0, state.c_tile))
+        # the piece stays resident: its handle stays live
+        state.mem.setdefault("held", []).append(handle)
+    else:
+        led.release(handle)
+    state.c_tile = None
 
 
-def _run_batch_barrier(state, span):
+def batch_barrier(state) -> None:
+    """Checkpointing's durability guarantee: a rank reaches batch ``i``
+    only past batch ``i-1``'s barrier, which it passes only once *every*
+    rank has finalized batch ``i-1`` — its last piece has landed and its
+    checkpoint entry is written.  Without it a fast rank crashing in
+    batch ``i`` can abort slower peers still mid-batch ``i-1``."""
     with state.comms.world.step("Batch-Barrier"):
         state.comms.world.barrier()
-
-
-def _run_finalize(batch):
-    def run(state, span):
-        led = state.ledger
-        handle = state.mem.pop("c_tile", None)
-        if state.piece_sink is not None:
-            # streaming mode: the piece leaves the rank immediately, so
-            # held memory stays flat across batches.
-            state.piece_sink(batch, state.r0, state.c0, state.c_tile)
-            led.release(handle)
-        elif state.keep_pieces:
-            state.pieces.append((batch, state.r0, state.c0, state.c_tile))
-            # the piece stays resident: its handle stays live
-            state.mem.setdefault("held", []).append(handle)
-        else:
-            led.release(handle)
-        state.c_tile = None
-    return run
-
-
-# --------------------------------------------------------------------- #
-# executors
-# --------------------------------------------------------------------- #
-
-class SequentialExecutor:
-    """Run ops strictly in program order — the pre-IR behaviour."""
-
-    name = "sequential"
-    overlap = "off"
-
-    def run(self, plan: ExecutionPlan, state: ExecState, tracer: Tracer) -> None:
-        # plan-level fault hook: a FaultInjector may crash this rank (or
-        # raise synthetic memory pressure) when it reaches a chosen
-        # (batch, stage) op — the deterministic stand-in for node death
-        # and under-estimated symbolic bounds.
-        world = state.comms.world.world
-        injector = world.injector
-        rank = state.comms.world.global_rank
-        ledger = state.ledger
-        for op in plan.ops:
-            if injector is not None:
-                injector.on_plan_op(
-                    rank, op.kind, op.batch, op.stage, batches=state.batches
-                )
-            if ledger is not None and op.batch is not None:
-                ledger.enter_batch(op.batch)
-            self._before(op, plan, state)
-            with tracer.span(
-                op.op, stage=op.stage, batch=op.batch, timed=op.timed
-            ) as span:
-                op.run(state, span)
-            if ledger is not None and op.kind == "meter":
-                # stage boundary: the deterministic enforcement point —
-                # a strict budget overrun raises here, at the same
-                # program point on every run.
-                ledger.check(batch=op.batch, stage=op.stage)
-
-    def _before(self, op: StageOp, plan: ExecutionPlan, state: ExecState) -> None:
-        """Hook for subclasses; the sequential executor does nothing."""
-
-
-class PipelinedExecutor(SequentialExecutor):
-    """Depth-1 software double-buffering.
-
-    Identical program order, with one addition: immediately before each
-    Local-Multiply of stage ``s``, issue stage ``s+1``'s operand
-    delivery through the backend's nonblocking path.  The broadcasts of
-    stage ``s+1`` then find the prefetch in flight (or already buffered)
-    and merely wait, so on a broadcast-bound machine the transfer hides
-    behind the multiply.  Legal because the plan's dependency edges show
-    the broadcasts need only the batch's Comm-Plan, every rank issues
-    the prefetch at the same program point, and per-stage message tags
-    keep in-flight stages from matching each other.
-    """
-
-    name = "pipelined"
-    overlap = "depth1"
-
-    def _before(self, op: StageOp, plan: ExecutionPlan, state: ExecState) -> None:
-        if op.kind != "multiply":
-            return
-        nxt = (op.batch, op.stage + 1)
-        issuer = plan.prefetch_issuers.get(nxt)
-        if issuer is not None and nxt not in state.prefetched:
-            state.prefetched[nxt] = issuer(state)
-            # depth-1 double-buffering holds *two* stages of operands at
-            # once: charge the in-flight buffers (sized by the plan's
-            # predicted deltas) next to the current stage's live ones,
-            # so the overlap/memory trade-off shows up in the ledger.
-            led = state.ledger
-            if led is not None:
-                for operand, delta in plan.mem_annotations.get(nxt, ()):
-                    nbytes = delta(state).get("recv_buffer", 0)
-                    state.mem[("pf", nxt[0], nxt[1], operand)] = led.acquire(
-                        "recv_buffer", nbytes, f"prefetch-{operand}"
-                    )
-
-
-def get_executor(overlap: str) -> SequentialExecutor:
-    """Resolve the ``overlap=`` knob to an executor instance."""
-    if overlap == "off":
-        return SequentialExecutor()
-    if overlap == "depth1":
-        return PipelinedExecutor()
-    raise ValueError(
-        f"unknown overlap mode {overlap!r}; expected one of {OVERLAP_MODES}"
-    )

@@ -1,12 +1,12 @@
-"""Structured per-op tracing for the SPMD executors.
+"""Structured per-step tracing for the rank program.
 
-The SPMD core used to interleave ad-hoc ``time.perf_counter()`` pairs
-with the algorithm.  Executors now wrap every :class:`~repro.summa.exec.
-StageOp` in a :class:`TraceSpan` — (rank, op, stage, batch, bytes,
-t0/t1) — collected per rank by a :class:`Tracer`.  Spans still reduce to
-the :class:`~repro.utils.timing.StepTimes` breakdowns the paper's
-figures use (and :meth:`StepTimes.critical_path` across ranks), but the
-full span stream additionally exports a `chrome://tracing
+There are no inline ``time.perf_counter()`` pairs in the algorithm:
+:func:`repro.summa.exec.step` runs every step of the loop inside a
+:class:`TraceSpan` — (rank, op, stage, batch, bytes, t0/t1) — collected
+per rank by a :class:`Tracer`.  Spans reduce to the
+:class:`~repro.utils.timing.StepTimes` breakdowns the paper's figures
+use (and :meth:`StepTimes.critical_path` across ranks), and the full
+span stream additionally exports a `chrome://tracing
 <https://www.chromium.org/developers/how-tos/trace-event-profiling-tool/>`_
 timeline: one track per rank, one slice per op, with stage/batch/bytes
 in the slice arguments.
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..utils.timing import StepTimes
 
@@ -117,8 +117,7 @@ class Tracer:
             self.spans.append(sp)
 
     def step_times(self) -> StepTimes:
-        """Reduce timed spans to the classic per-step breakdown — the
-        exact quantity the pre-IR core accumulated inline."""
+        """Reduce timed spans to the classic per-step breakdown."""
         times = StepTimes()
         for sp in self.spans:
             if sp.timed:
@@ -131,7 +130,7 @@ class Tracer:
         )
 
 
-def merge_traces(tracers: Iterable["Tracer | None"]) -> list[TraceSpan]:
+def merge_traces(tracers: Iterable[Tracer | None]) -> list[TraceSpan]:
     """Concatenate per-rank span streams in global time order."""
     spans: list[TraceSpan] = []
     for tr in tracers:

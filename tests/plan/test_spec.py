@@ -128,6 +128,11 @@ class TestExecSpecConversionPoint:
         with pytest.raises(ValueError, match="overlap"):
             ExecSpec.from_kwargs(overlap="sometimes").validate()
 
+    @pytest.mark.parametrize("knob", ["merge_policy", "batch_scheme"])
+    def test_validate_rejects_a_misspelt_policy_or_scheme(self, knob):
+        with pytest.raises(ValueError, match=knob.replace("_", " ")):
+            ExecSpec.from_kwargs(**{knob: "bogus"}).validate()
+
     def test_validate_rejects_bad_replan_mode(self):
         with pytest.raises(ValueError, match="replan"):
             ExecSpec.from_kwargs(replan="maybe").validate()

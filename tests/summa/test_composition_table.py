@@ -13,6 +13,7 @@ import pytest
 from repro.dist import DistContext
 from repro.errors import DistributionError
 from repro.kernels import available_kernels, get_kernel
+from repro.simmpi.faults import FaultSpec
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d, batched_summa3d_rows
 
@@ -106,6 +107,20 @@ def test_column_driver(kernel, feature, tmp_path):
         a, b, 4, kernel=kernel, **runtime, **knobs(str(tmp_path))
     ))
     assert got is (None if capable(get_kernel(kernel)) else refusal)
+
+
+@pytest.mark.parametrize("typo", [
+    {"merge_policy": "bogus"},
+    {"batch_scheme": "bogus"},
+    {"faults": ["crash:rank=0,batch=0,kind_op=multipy"]},
+    {"faults": [FaultSpec("crash", 0, batch=0, kind_op="meter")]},
+], ids=["merge_policy", "batch_scheme", "kind_op-cli", "kind_op-spec"])
+def test_a_misspelt_name_never_reaches_a_launch(typo):
+    """Found by validation, not by the ranks (nor, as an unknown
+    ``kind_op`` was, by nobody: the fault silently never fired)."""
+    assert outcome(
+        lambda: batched_summa3d(SPARSE, SPARSE, 4, batches=2, **typo)
+    ) is ValueError
 
 
 @pytest.mark.parametrize("kernel", available_kernels())

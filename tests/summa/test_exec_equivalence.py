@@ -1,31 +1,23 @@
-"""Executor equivalence matrix and execution-plan IR invariants.
+"""Overlap equivalence matrix.
 
-The contract of :mod:`repro.summa.exec`: the :class:`PipelinedExecutor`
-(``overlap="depth1"``) runs the *same* compiled program as the
-:class:`SequentialExecutor` with stage ``s+1``'s operand delivery issued
-early, so every cell of the (backend x merge policy x layers) matrix must
-be **bit-identical** between the two — same indptr/rowidx/values — and
-must move exactly the same number of bytes per :class:`CommTracker`.
+The contract of :mod:`repro.summa.exec`: ``overlap="depth1"`` runs the
+*same* rank program as ``overlap="off"`` with stage ``s+1``'s operand
+delivery issued early, so every cell of the (backend x merge policy x
+layers) matrix must be **bit-identical** between the two — same
+indptr/rowidx/values — and must move exactly the same number of bytes per
+:class:`CommTracker`.  (That the program itself is Alg. 4, step for step,
+is ``test_program_order.py``.)
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecPlanError
-from repro.grid import ProcGrid3D
 from repro.data.generators import erdos_renyi, rmat
+from repro.plan import ExecSpec
 from repro.simmpi import CommTracker
 from repro.sparse import SparseMatrix
 from repro.summa import batched_summa3d
-from repro.summa.exec import (
-    OVERLAP_MODES,
-    ExecutionPlan,
-    PipelinedExecutor,
-    SequentialExecutor,
-    StageOp,
-    compile_batched_summa3d,
-    get_executor,
-)
+from repro.summa.exec import OVERLAP_MODES
 from tests.conftest import to_scipy
 
 
@@ -99,81 +91,10 @@ class TestEquivalenceMatrix:
                   policy=policy)
 
 
-class TestPlanIR:
-    def test_validate_passes(self):
-        grid = ProcGrid3D(16, layers=4)
-        plan = compile_batched_summa3d(grid, batches=3)
-        plan.validate()  # compile already validates; must stay clean
-        assert len(plan.ops_of_kind("multiply")) == 3 * grid.stages
-
-    def test_bcasts_depend_only_on_comm_plan(self):
-        """The load-bearing edge: broadcasts must NOT depend on the
-        previous stage's multiply, or pipelining would be illegal."""
-        grid = ProcGrid3D(16, layers=1)
-        plan = compile_batched_summa3d(grid, batches=2)
-        by_id = {op.opid: op for op in plan.ops}
-        for kind in ("bcast-a", "bcast-b"):
-            for op in plan.ops_of_kind(kind):
-                assert len(op.deps) == 1
-                assert by_id[op.deps[0]].kind == "comm-plan"
-                assert by_id[op.deps[0]].batch == op.batch
-
-    def test_multiply_depends_on_both_bcasts(self):
-        grid = ProcGrid3D(4, layers=1)
-        plan = compile_batched_summa3d(grid, batches=1)
-        by_id = {op.opid: op for op in plan.ops}
-        for op in plan.ops_of_kind("multiply"):
-            kinds = sorted(by_id[d].kind for d in op.deps)
-            assert kinds == ["bcast-a", "bcast-b"]
-
-    def test_prefetch_issuers_skip_stage_zero(self):
-        grid = ProcGrid3D(16, layers=1)  # 4 stages
-        plan = compile_batched_summa3d(grid, batches=2)
-        assert set(plan.prefetch_issuers) == {
-            (batch, s) for batch in range(2) for s in range(1, grid.stages)
-        }
-
-    def test_merge_policy_changes_op_kinds(self):
-        grid = ProcGrid3D(16, layers=1)
-        deferred = compile_batched_summa3d(grid, batches=1)
-        incremental = compile_batched_summa3d(
-            grid, batches=1, merge_policy="incremental"
-        )
-        assert not deferred.ops_of_kind("merge-stage")
-        # stage 0 has nothing to merge into; every later stage does
-        assert len(incremental.ops_of_kind("merge-stage")) == grid.stages - 1
-
-    def test_validate_rejects_forward_dep(self):
-        plan = ExecutionPlan(ops=[
-            StageOp(opid=0, kind="x", op="X", batch=None, stage=None,
-                    deps=(1,), run=lambda state, span: None),
-            StageOp(opid=1, kind="y", op="Y", batch=None, stage=None,
-                    deps=(), run=lambda state, span: None),
-        ])
-        with pytest.raises(ExecPlanError):
-            plan.validate()
-
-    def test_validate_rejects_bad_opid(self):
-        plan = ExecutionPlan(ops=[
-            StageOp(opid=5, kind="x", op="X", batch=None, stage=None,
-                    deps=(), run=lambda state, span: None),
-        ])
-        with pytest.raises(ExecPlanError):
-            plan.validate()
-
-
 class TestExecutorRegistry:
-    def test_resolution(self):
-        seq = get_executor("off")
-        pipe = get_executor("depth1")
-        assert isinstance(seq, SequentialExecutor)
-        assert not isinstance(seq, PipelinedExecutor)
-        assert isinstance(pipe, PipelinedExecutor)
-        assert (seq.overlap, pipe.overlap) == ("off", "depth1")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            get_executor("depth2")
+            ExecSpec(overlap="depth2").validate()
 
     def test_driver_rejects_unknown_mode(self, er_pair):
         a, b, _ = er_pair

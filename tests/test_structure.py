@@ -1,6 +1,6 @@
 """Structure gates (AST walks over ``src/``): the driver stays a pipeline
-of short phases, kernel decisions stay behind ``LocalKernel``, and the
-SPMD body has exactly one launch site."""
+of short phases, kernel decisions stay behind ``LocalKernel``, the SPMD
+body has exactly one launch site, and the rank program stays a loop."""
 
 import ast
 import re
@@ -20,11 +20,17 @@ def functions(path):
 
 
 CONTEXT = SRC / "dist" / "context.py"
+RANK_BODY = SRC / "summa" / "core.py"
+RANK_LOOP = SRC / "summa" / "exec.py"
+DESIGN = SRC.parent.parent / "DESIGN.md"
 
 
 @pytest.mark.parametrize(
-    "path", [DRIVER, CONTEXT, *sorted((SRC / "mp").glob("*.py"))],
-    ids=lambda p: p.name,
+    "path",
+    [DRIVER, CONTEXT, RANK_BODY, RANK_LOOP, SRC / "simmpi" / "engine.py",
+     *sorted((SRC / "mp").glob("*.py"))],
+    # mp/engine.py is "engine.py"; the thread carrier's needs its package
+    ids=lambda p: f"simmpi/{p.name}" if p.parent.name == "simmpi" else p.name,
 )
 def test_no_long_functions_in_the_drivers(path):
     long = {
@@ -104,3 +110,48 @@ def test_context_regions_are_module_level():
         if re.search(r"_tiles\b", line)
     ]
     assert not hits, hits
+
+
+def test_the_rank_program_is_a_loop_not_an_ir():
+    """No closure factories in ``summa/exec.py``; ``overlap`` branches in
+    one place; and the names of the compile-then-interpret machinery are
+    gone from ``src/`` (the issue's grep gate, verbatim)."""
+    nested = [
+        getattr(fn, "name", "<lambda>")
+        for top in functions(RANK_LOOP)
+        for fn in ast.walk(top)
+        if fn is not top
+        and isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert not nested, nested
+    compared = [
+        f"{path.name}:{node.lineno}"
+        for path in (RANK_LOOP, RANK_BODY)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators)
+        if getattr(side, "attr", getattr(side, "id", None)) == "overlap"
+    ]
+    assert len(compared) == 1, compared
+    gone = re.compile(
+        "StageOp|ExecutionPlan|SequentialExecutor|PipelinedExecutor"
+        "|compile_batched_summa3d|get_executor|mem_delta|prefetch_issuers"
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert not hits, hits
+
+
+def test_design_inventory_names_every_package_and_summa_module():
+    inventory = DESIGN.read_text().split("## 3. Package inventory")[1]
+    inventory = inventory.split("\n## ")[0]
+    packages = [p.name + "/" for p in SRC.iterdir() if (p / "__init__.py").exists()]
+    modules = [
+        p.name for p in (SRC / "summa").glob("*.py") if p.name != "__init__.py"
+    ]
+    missing = [name for name in packages + modules if name not in inventory]
+    assert not missing, missing
