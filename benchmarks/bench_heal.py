@@ -1,15 +1,15 @@
-"""Heal study — what online recovery costs, by strategy and crash point.
+"""Heal study — what recovering from a crash costs, by strategy and
+crash point.
 
 Three ways to survive a rank crash at batch ``i`` of ``b``, compared in
-the tracker's deterministic byte currency plus the heal layer's own
-meters (recovery latency, operand bytes redistributed to the repaired
+the tracker's deterministic byte currency plus the repair's own meters
+(recovery latency, operand bytes redistributed to the repaired
 position):
 
-* **spare-promotion** (``heal="spare"``) — a parked spare rank takes
-  over the dead grid position; the run continues in place.
-* **shrink-redistribute** (``heal="shrink"``) — the host pool shrinks
-  and the dead position respawns oversubscribed on a survivor host;
-  the run continues in place.
+* **spare** (``heal="spare"``) — a spare rank takes over the dead grid
+  position; the driver re-enters from the checkpointed batch boundary.
+* **shrink** (``heal="shrink"``) — the host pool shrinks and the dead
+  position respawns oversubscribed on a survivor host; same re-entry.
 * **full restart** (the PR 3 baseline) — the run aborts with a
   checkpoint pointer and a second invocation resumes from the last
   durable batch.
@@ -17,15 +17,15 @@ position):
 All three must produce bit-identical products; the interesting numbers
 are the extra communication each pays and how it scales with the crash
 point.  Restart pays the whole prefix replay machinery again (process
-launch, symbolic step, re-broadcasts from batch ``i``); healing pays one
-agreement round plus re-entry from batch ``i`` — and only the repaired
-position's operand tiles move again.
+launch, symbolic step, re-broadcasts from batch ``i``); a repair pays
+the re-entry from batch ``i`` inside the same call — and only the
+repaired position's operand tiles move again.
 
 ``python benchmarks/bench_heal.py --smoke [--world processes]`` runs the
 CI-sized version: one crash point, every strategy, in the chosen
 execution world — under ``--world processes`` the injected crash is a
-real ``SIGKILL`` of a forked worker and the heal latency is a genuine
-cross-process agreement round.
+real ``SIGKILL`` of a forked worker and the latency includes launching
+the world the repaired region runs on.
 """
 
 import argparse
@@ -218,7 +218,7 @@ def main(argv=None):
     parser.add_argument(
         "--world", default="threads", choices=["threads", "processes"],
         help="execution world for the sweep (processes: real SIGKILL "
-        "crashes, parent-coordinated healing)",
+        "crashes, a fresh world per repaired region)",
     )
     args = parser.parse_args(argv)
     if not args.smoke:

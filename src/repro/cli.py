@@ -594,11 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="garbage-collect all but the newest K checkpointed "
                    "batch files as the run progresses")
     p.add_argument("--heal", default=None, choices=["spare", "shrink"],
-                   help="survive rank crashes online (requires "
-                   "--checkpoint-dir): promote a parked spare rank, or "
-                   "shrink the host pool and respawn the dead position")
+                   help="survive rank crashes (requires --checkpoint-dir): "
+                   "hand the dead position to a spare rank, or respawn it "
+                   "on a surviving host, and re-enter from the last "
+                   "completed batch")
     p.add_argument("--spares", type=int, default=0, metavar="N",
-                   help="pre-allocate N spare ranks for --heal spare")
+                   help="repair budget of --heal spare: N spare ranks")
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("stats", help="symbolic SpGEMM statistics")

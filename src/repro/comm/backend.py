@@ -137,13 +137,12 @@ class CommBackend(ABC):
     def revoke(self) -> None:
         """Discard all cached per-run plan state.
 
-        Called when the communicators this backend planned against are
-        revoked (an online heal rebuilt the grid, see
-        :mod:`repro.resilience.heal`) and on every (re-)entry of the
-        SPMD body: anything derived from the old membership — exchange
+        Called on every (re-)entry of the SPMD body — a first launch, or
+        an amended one (replan, re-batch, a repaired grid): anything
+        derived from the previous entry's communicators — exchange
         plans, occupancy masks, outstanding prefetches — must be
-        recomputed against the repaired grid.  Default no-op: the dense
-        backend is stateless between calls."""
+        recomputed against the ones just built.  Default no-op: the
+        dense backend is stateless between calls."""
 
     @abstractmethod
     def bcast_a(self, comms, a_tile: SparseMatrix, stage: int) -> SparseMatrix:

@@ -63,8 +63,8 @@ class SparseP2P(CommBackend):
 
     def revoke(self) -> None:
         """Drop the exchange plan and occupancy masks: they were built
-        against a membership that no longer exists, and the repaired
-        grid's re-entry re-runs the symbolic prologue from scratch."""
+        against a previous entry's communicators, and a re-entry re-runs
+        the symbolic prologue from scratch."""
         self.plan = None
         self._a_col_masks = None
         self._b_requests = None

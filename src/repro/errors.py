@@ -68,16 +68,6 @@ class TransientCommError(ReproError, RuntimeError):
     that must keep its rank attribution."""
 
 
-class RankRevokedError(CommError):
-    """The communicator's epoch was revoked by an online heal: a member
-    died and the surviving set agreed to rebuild.  Raised at operation
-    entry and inside rendezvous waits on every stale-epoch communicator;
-    the healing wrapper (:mod:`repro.resilience.heal`) catches it, joins
-    the agreement for the new epoch and re-enters the run.  A
-    :class:`CommError` subclass so that, should it ever leak past a
-    non-healing caller, the engine files it with the abort cascade."""
-
-
 class HangError(ReproError, RuntimeError):
     """The simulated-MPI watchdog fired.
 
@@ -108,10 +98,9 @@ class HangError(ReproError, RuntimeError):
 
 
 class HealError(ReproError, RuntimeError):
-    """Online recovery could not repair the run: no spare or host was
-    available for a dead grid coordinate, the agreement protocol timed
-    out, or the heal-round budget was exhausted.  The run falls back to
-    the PR 3 path — abort with a checkpoint pointer."""
+    """A rank death could not be repaired: no spare or host was
+    available for a dead grid position, or the repair-round budget was
+    exhausted.  The run aborts with a checkpoint pointer."""
 
 
 class CorruptPayloadError(ReproError, RuntimeError):
@@ -169,9 +158,12 @@ class ReplanSignal(ReproError, RuntimeError):
 
 
 class RankCrashError(ReproError, RuntimeError):
-    """An injected hard crash of one rank (fault-injection stand-in for a
-    node failure).  Not retryable; surfaces through :class:`SpmdError`
-    with rank attribution, pointing at the checkpoint when one exists."""
+    """The hard death of one rank (an injected crash, the stand-in for a
+    node failure; under the process world a worker process that really
+    died).  Not retryable inside the region; surfaces through
+    :class:`SpmdError` with rank attribution, pointing at the checkpoint
+    when one exists — unless the run has ``heal=`` set, where the driver
+    repairs the grid and re-enters (:mod:`repro.resilience.heal`)."""
 
 
 class CheckpointError(ReproError, RuntimeError):

@@ -130,21 +130,3 @@ class GridComms:
         fiber = world.split(color=i * grid.pc + j, key=k)
         layer = world.split(color=k, key=i * grid.pc + j)
         return cls(grid, world, row, col, fiber, layer, i, j, k)
-
-    @property
-    def epoch(self) -> int:
-        """Membership epoch these communicators were built in (see
-        :mod:`repro.resilience.heal`); 0 for a never-healed run."""
-        return self.world.epoch
-
-    def rebuild(self, world: SimComm) -> "GridComms":
-        """Re-split the grid communicators on a repaired world communicator.
-
-        The ULFM-style grid repair: after a heal decision the old epoch's
-        communicators are revoked, and every holder of a grid position —
-        survivors and replacements alike — calls this collectively on the
-        new epoch's world communicator.  The *geometry* is reused
-        unchanged: positions, not ranks, define the grid, so the repaired
-        grid is identical up to which global rank holds each position.
-        """
-        return type(self).build(world, self.grid)

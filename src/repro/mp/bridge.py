@@ -35,7 +35,7 @@ def set_runtime(rt) -> None:
 class DriverCallback:
     """Wrap a driver-side callable so SPMD bodies can call it anywhere.
 
-    In the parent (or the threaded world) it is a transparent
+    In the parent (or the threaded world) it is a plain
     pass-through.  Inside a worker process it pickles the arguments
     eagerly — surfacing unpicklable-argument errors at the call site,
     not in a queue feeder thread — and posts them to the parent.

@@ -35,13 +35,10 @@ classified :class:`~repro.errors.HangError` (kind ``"deadlock"`` or
 per-rank deadline stays as the backstop (kind ``"timeout"``, dump
 naming this stuck process's PID) for hangs the graph cannot prove.
 
-Healing (ULFM revoke → agree → repair) works here too: the parent
-converts a worker's real death into an epoch revocation shipped as
-``("ctl", "revoke", epoch)``; blocked waits observe it and raise
-:class:`~repro.errors.RankRevokedError`; :class:`MpMembership` votes
-through the results queue and adopts the parent-computed
-:class:`~repro.simmpi.membership.HealDecision`, resetting stale-epoch
-buffers and shared-memory segments on the way (:meth:`MpWorld.epoch_reset`).
+Region ``n`` of a world runs on epoch-``n`` communicators
+(:func:`world_comm_id`): what an aborted region left on the wire is
+stale to the next one and is reaped, never decoded
+(:meth:`MpWorld.epoch_reset`).
 """
 
 from __future__ import annotations
@@ -52,9 +49,8 @@ import queue as _queue
 import time
 from multiprocessing.connection import wait as _wait_any
 
-from ..errors import CommError, HangError, HealError
+from ..errors import CommError, HangError
 from ..simmpi.comm import SimComm, _normalize_alltoallv
-from ..simmpi.membership import HealDecision, comm_epoch
 from ..simmpi.serialization import payload_nbytes
 from ..simmpi.tracker import CommTracker
 from .shm import SegmentRegistry
@@ -63,21 +59,35 @@ from .transport import get_transport, reap_wire
 _NOTHING = object()
 
 
+def world_comm_id(epoch: int) -> tuple:
+    """Id of the epoch-``epoch`` world communicator: a world's next
+    region is a new epoch, whose predecessors' traffic is stale."""
+    return ("world",) if epoch == 0 else ("world", "epoch", epoch)
+
+
+def comm_epoch(comm_id: tuple) -> int:
+    """Region epoch a communicator id belongs to.
+
+    Epoch-``e`` world communicators are ``("world", "epoch", e)`` and
+    every derived communicator (split/dup) appends to its parent's id,
+    so the epoch is recoverable from the prefix; ids not rooted in an
+    epoch-tagged world communicator are epoch 0.
+    """
+    if len(comm_id) >= 3 and comm_id[0] == "world" and comm_id[1] == "epoch":
+        return int(comm_id[2])
+    return 0
+
+
 class MpWorld:
     """One worker process's view of the run: queues, buffers, transport.
 
     Exposes the attribute surface :class:`SimComm` and the layers above
     it read from a world — ``tracker``, ``timeout``, ``checksums``,
-    ``injector`` (the fork-inherited :class:`FaultInjector`, or
-    ``None``), ``membership`` (an :class:`MpMembership` when healing) /
-    ``revoke_epoch``, ``failed`` (the shared abort event),
+    ``injector`` (the region's :class:`FaultInjector`, or ``None``),
+    ``failed`` (the shared abort event),
     ``step_label`` / ``backend_label`` / ``ledger`` (plain attributes —
     one thread per process, so no TLS needed) and ``heartbeat``.
     """
-
-    #: the communicator class :func:`~repro.simmpi.membership.epoch_comm`
-    #: builds on this world (assigned below, after MpComm is defined).
-    comm_class: type | None = None
 
     #: retries in this world really sleep — see
     #: :meth:`repro.resilience.retry.RetryPolicy.call`.
@@ -96,23 +106,17 @@ class MpWorld:
         self.store: dict = {}
         #: read end of the parent's job pipe; installed by the worker main.
         self.jobs = None
-        self.membership = None
-        self.revoke_epoch = 0
         self.run_id = run_id
         registry = SegmentRegistry(run_id, rank)
         self.transport = get_transport(transport)(
             registry, post_ack=self._post_ack
         )
         #: parent result queue; installed by the worker main for the
-        #: driver-callback bridge, votes, heal meters and wait records.
+        #: driver-callback bridge and wait records.
         self.results = None
-        #: proxy shipping heal meters to the driver's HealContext.
-        self.heal_proxy = None
-        #: latest heal decision epoch this worker adopted; older wires
-        #: and buffers are stale and get reaped, not decoded.
+        #: epoch of the latest region this worker began; older wires and
+        #: buffers are stale and get reaped, not decoded.
         self.adopted_epoch = 0
-        #: set by a ``("ctl", "finish")`` item (parks spares off).
-        self.finish_flag = False
         self._heartbeats: dict[int, int] = {}
         # demux buffers
         self._msgs: dict[tuple, object] = {}
@@ -213,9 +217,8 @@ class MpWorld:
             self.transport.segments.ack(item[1])
             return
         if comm_epoch(item[1]) < self.adopted_epoch:
-            # stale wire from a revoked epoch or an aborted region: never
-            # decode it, but do remove the segment it may point at —
-            # nobody else will.
+            # stale wire from an aborted region: never decode it, but do
+            # remove the segment it may point at — nobody else will.
             reap_wire(item[-1])
             return
         if kind in ("c", "a", "m"):
@@ -233,21 +236,16 @@ class MpWorld:
             raise CommError(f"rank {self.rank}: unknown wire item {kind!r}")
 
     def _handle_ctl(self, item) -> None:
-        """Parent-coordinator control items (healing and watchdog)."""
+        """Parent-coordinator control items."""
         what = item[1]
-        if what == "revoke":
-            epoch = int(item[2])
-            if epoch > self.revoke_epoch:
-                self.revoke_epoch = epoch
-        elif what == "decision":
-            if self.membership is not None:
-                self.membership.receive(item[2])
-        elif what == "hang":
+        if what == "hang":
             _, _, kind, cycle, dump, message, target_since = item
             self._hang_notice = (kind, tuple(cycle), dump, message,
                                  target_since)
-        elif what == "finish":
-            self.finish_flag = True
+        elif what == "abort":
+            # a wake-up, nothing more: the parent set ``failed`` and the
+            # wait this item ends reads it — a tick sooner than it would
+            pass
         else:
             raise CommError(f"rank {self.rank}: unknown ctl item {what!r}")
 
@@ -283,15 +281,14 @@ class MpWorld:
             self._demux(item)
 
     def epoch_reset(self, epoch: int) -> None:
-        """Adopt heal ``epoch``: purge pre-``epoch`` buffers + segments.
+        """Begin region ``epoch``: purge pre-``epoch`` buffers + segments.
 
-        Selective, not wholesale — a fast survivor's new-epoch traffic
-        can land in this inbox *before* this rank adopts the decision,
-        and must survive the reset.  Each dropped wire's shared-memory
-        segment is reaped here (the dead rank cannot, and a dead
-        receiver's single-owner handoffs are reaped by the registry's
-        own ``epoch_reset``).  Adopted mappings with live views are
-        untouched: in-flight zero-copy receives stay valid.
+        Selective, not wholesale — a fast peer's new-epoch traffic can
+        land in this inbox *before* this rank is told of the region, and
+        must survive the reset.  Each dropped wire's shared-memory
+        segment is reaped here, as is whatever this rank still owned of
+        the aborted region.  Adopted mappings with live views are
+        untouched.
         """
         if epoch <= self.adopted_epoch:
             return
@@ -306,28 +303,23 @@ class MpWorld:
                 reap_wire(wire)
         for key in [k for k in self._seq if comm_epoch(k[0]) < epoch]:
             del self._seq[key]
-        self.transport.segments.epoch_reset()
+        self.transport.segments.abandon()
 
     def _wait(self, ready, *, comm, op: str, tag=None, peers=()):
         """Pump the inbox until ``ready()`` returns something.
 
         ``ready`` returns :data:`_NOTHING` while unsatisfied.  Respects
         the shared abort event (raising :class:`CommError`, the cascade
-        error the engine filters), epoch revocation
-        (:class:`~repro.errors.RankRevokedError` via the comm, so a
-        blocked survivor joins the heal agreement promptly), the parent
-        watchdog's classified hang notices, and the flat per-rank
-        timeout backstop (raising a PID-naming :class:`HangError`).
-        A wait outlasting the grace period ships its record to the
-        parent, which runs cross-process deadlock/peer-exited
-        classification over all shipped records.
+        error the engine filters), the parent watchdog's classified hang
+        notices, and the flat per-rank timeout backstop (raising a
+        PID-naming :class:`HangError`).  A wait outlasting the grace
+        period ships its record to the parent, which runs cross-process
+        deadlock/peer-exited classification over all shipped records.
         """
         peers = tuple(int(p) for p in peers)
         hit = ready()
         if hit is not _NOTHING:
             return hit
-        if comm is not None:
-            comm._check_revoked()
         since = time.monotonic()
         self.check_hang_notice(op, since)
         deadline = since + self.timeout
@@ -338,8 +330,6 @@ class MpWorld:
                 if self.failed.is_set():
                     raise CommError(f"{op} aborted: a peer rank failed")
                 arrived = self.pump(self._tick)
-                if comm is not None:
-                    comm._check_revoked()
                 self.check_hang_notice(op, since)
                 if arrived:
                     hit = ready()
@@ -658,116 +648,8 @@ class MpComm(SimComm):
     # ------------------------------------------------------------------ #
 
     def _inject(self, op: str) -> None:
-        """Drain queued control items first, so a revocation that is
-        already sitting in the inbox is observed at op entry — same
-        point the threaded world checks — before fault injection."""
+        """Drain what is queued first: acks release their segments, and
+        a control item already sitting in the inbox is seen at op entry
+        — before fault injection."""
         self.world.drain()
         super()._inject(op)
-
-
-class _HealProxy:
-    """Worker-side stand-in for the driver's :class:`HealContext`.
-
-    Workers are forked, so their ``heal_ctx`` copy is dead weight; the
-    meters a healing body reports (redistribution bytes, recovery
-    latency) ship through the results queue to the parent, which applies
-    them to the one real context."""
-
-    __slots__ = ("world",)
-
-    def __init__(self, world: MpWorld) -> None:
-        self.world = world
-
-    def add_bytes(self, epoch: int, nbytes: int) -> None:
-        self.world.results.put(("heal", "bytes", int(epoch), int(nbytes)))
-
-    def add_latency(self, epoch: int, seconds: float) -> None:
-        self.world.results.put(("heal", "latency", int(epoch), float(seconds)))
-
-
-class MpMembership:
-    """Worker-side half of the process-world heal agreement.
-
-    Presents the surface :class:`~repro.resilience.heal.HealingBody`
-    uses from the threaded :class:`~repro.simmpi.membership.Membership`
-    — ``register_body`` / ``current_decision`` / ``agree`` — but the
-    agreement itself is parent-coordinated: votes travel up the results
-    queue, the parent computes the :class:`HealDecision` once every
-    survivor of the previous decision has voted (reusing
-    :func:`~repro.simmpi.membership.compute_decision`), and the decision
-    comes back as a ``("ctl", "decision", ...)`` item.  Determinism is
-    preserved: the decision depends only on the fault plan and the
-    checkpointed prefix, never on vote arrival order.
-    """
-
-    def __init__(self, world: MpWorld, nprocs: int, first_batch: int,
-                 mode: str) -> None:
-        self.world = world
-        self.mode = mode
-        self.decisions: dict[int, HealDecision] = {
-            0: HealDecision(0, tuple(range(nprocs)), int(first_batch),
-                            "initial", hosts={p: p for p in range(nprocs)})
-        }
-        self.latest = 0
-        self.body = None
-
-    def register_body(self, body) -> None:
-        if self.body is None:
-            self.body = body
-
-    def current_decision(self) -> HealDecision:
-        return self.decisions[self.latest]
-
-    def receive(self, decision: HealDecision) -> None:
-        """A decision arrived from the parent (demux path)."""
-        self.decisions[decision.epoch] = decision
-        if decision.epoch > self.latest:
-            self.latest = decision.epoch
-        # a decision implies its revocation (promoted spares never saw
-        # the revoke ctl — they were parked outside the member set)
-        if decision.epoch > self.world.revoke_epoch:
-            self.world.revoke_epoch = decision.epoch
-
-    def assignment(self, global_rank: int):
-        """Position this parked rank was promoted into, if any."""
-        decision = self.decisions[self.latest]
-        position = decision.promoted.get(global_rank)
-        if position is None:
-            return None
-        return position, decision
-
-    def agree(self, global_rank: int) -> HealDecision:
-        """Vote for the observed revoke epoch; adopt the parent's
-        decision.  Re-votes when a further death advances the epoch
-        mid-wait, mirroring the threaded agreement."""
-        rt = self.world
-        deadline = time.monotonic() + rt.timeout
-        voted = -1
-        while True:
-            if rt.failed.is_set():
-                raise CommError("heal agreement aborted: a peer rank failed")
-            rt.check_hang_notice("agree")
-            epoch = rt.revoke_epoch
-            if self.latest >= epoch:
-                decision = self.decisions[self.latest]
-                rt.epoch_reset(decision.epoch)
-                if decision.mode == "failed":
-                    raise HealError(decision.reason).with_context(
-                        rank=global_rank, epoch=decision.epoch,
-                    )
-                return decision
-            if voted < epoch:
-                rt.results.put(("vote", global_rank, epoch))
-                voted = epoch
-            if not rt.pump(rt._tick) and time.monotonic() >= deadline:
-                rt.failed.set()
-                raise HealError(
-                    f"heal agreement for epoch {epoch} timed out after "
-                    f"{rt.timeout:g}s waiting for the parent decision"
-                ).with_context(
-                    rank=global_rank, epoch=epoch, pid=os.getpid(),
-                )
-
-
-#: `epoch_comm` builds this world's communicators as MpComm handles.
-MpWorld.comm_class = MpComm

@@ -25,21 +25,6 @@ tracker under the same name, so exactly one ``unlink()`` balances the
 books.  A crashed worker leaves its names behind; the parent engine's
 :func:`sweep_segments` backstop removes anything bearing the run prefix
 after all workers have been joined.
-
-Under healing the registry is also the epoch reaper: a revoked epoch's
-unreceived segments would otherwise outlive the survivors (the creator
-closed its handle on single-receiver handoff; the receiver that was
-supposed to unlink is dead or has abandoned the op).  When healing is
-on, single-receiver handoffs are remembered in ``_transferred`` and
-:meth:`SegmentRegistry.epoch_reset` reaps them — together with every
-still-owned segment — when a survivor adopts a new
-:class:`~repro.simmpi.membership.HealDecision`.  The parent additionally
-sweeps the *dead* rank's names (rank-filtered :func:`sweep_segments`)
-after all survivors have voted and before it publishes the decision, so
-no survivor can attach a name the parent is unlinking.  Adopted
-mappings are never reaped: POSIX keeps an unlinked mapping alive until
-the last view dies, so in-flight zero-copy receive views held by
-survivors stay valid across a heal.
 """
 
 from __future__ import annotations
@@ -98,12 +83,6 @@ class SegmentRegistry:
         self.pending: dict[str, int] = {}
         #: attached on receive; name -> _Adopted.
         self.adopted: dict[str, _Adopted] = {}
-        #: healing only: single-receiver names whose ownership left with
-        #: the message.  On a clean run every one is unlinked by its
-        #: receiver; on a revoked epoch the receiver may be dead, so
-        #: :meth:`epoch_reset` reaps whatever of these still exists.
-        self.track_transfers = False
-        self._transferred: set[str] = set()
         #: handles whose close() was refused because a buffer export was
         #: still live — typically the *dying* view whose finalizer asked
         #: for the close (finalizers run before the view's dealloc
@@ -156,8 +135,6 @@ class SegmentRegistry:
         else:
             # ownership transferred: the receiver unlinks after attach
             shm.close()
-            if self.track_transfers:
-                self._transferred.add(name)
 
     def ack(self, names) -> None:
         """Process receiver acks; unlink when a refcount drains."""
@@ -223,32 +200,9 @@ class SegmentRegistry:
         """Messages whose receivers have not acked yet."""
         return len(self.pending)
 
-    def epoch_reset(self) -> int:
-        """Heal-epoch hygiene: reap every segment this process still
-        owns plus every single-receiver handoff whose receiver may have
-        died mid-adopt.  Called by a survivor adopting a heal decision;
-        everything this touches belongs to the revoked epoch — the new
-        epoch has not created segments yet.  Adopted mappings are kept
-        (live views must survive the heal).  Returns names reaped."""
-        reaped = 0
-        for store in (self._fresh, self._owned):
-            for _name, shm in list(store.items()):
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-                self._try_close(shm)
-                reaped += 1
-            store.clear()
-        self.pending.clear()
-        for name in self._transferred:
-            if reap_segment(name):
-                reaped += 1
-        self._transferred.clear()
-        return reaped
-
     def abandon(self) -> None:
-        """Error-path cleanup: unlink whatever this process still owns.
+        """Error-path cleanup, and the first thing a new region does to
+        what an aborted one left: unlink whatever this process still owns.
         Adopted mappings are left to process exit (views may be live);
         the parent sweep removes any name a peer never released."""
         for store in (self._fresh, self._owned):
@@ -265,7 +219,7 @@ class SegmentRegistry:
 def reap_segment(name: str) -> bool:
     """Unlink one segment by name, in-process and tracker-balanced.
 
-    Used for stale-epoch wires a survivor drops without decoding: the
+    Used for stale-epoch wires a rank drops without decoding: the
     attach registers with the resource tracker and the unlink
     unregisters, so the books stay balanced.  Returns ``True`` when the
     name existed (racing with another reaper is fine)."""
@@ -282,22 +236,16 @@ def reap_segment(name: str) -> bool:
     return True
 
 
-def sweep_segments(run_id: str, rank: int | None = None) -> int:
-    """Parent-side backstop: remove leftover segments of one run.
-
-    With ``rank=None`` (end of run, all workers joined) every name
-    bearing the run prefix goes.  With a ``rank`` this is the heal-time
-    reaper for one *dead* worker's creations (``{run_id}.{rank}.…``) —
-    safe only once every survivor has voted for the revoke epoch, i.e.
-    abandoned the ops that could still attach those names.
-    Returns the number of names removed — 0 on a clean run.
+def sweep_segments(run_id: str) -> int:
+    """Parent-side backstop: remove every leftover segment bearing the
+    run prefix (workers joined, or parked between regions).  Returns the
+    number of names removed — 0 on a clean run.
     """
     if not os.path.isdir(SHM_DIR):
         return 0
-    prefix = run_id if rank is None else f"{run_id}.{int(rank)}."
     removed = 0
     for fname in os.listdir(SHM_DIR):
-        if not fname.startswith(prefix):
+        if not fname.startswith(run_id):
             continue
         try:
             os.unlink(os.path.join(SHM_DIR, fname))

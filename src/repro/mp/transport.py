@@ -41,10 +41,10 @@ AUTO_THRESHOLD = 32 * 1024
 def reap_wire(wire) -> bool:
     """Reap the segment behind an undecoded wire item, if any.
 
-    Heal hygiene: a survivor that drops a stale-epoch message without
-    decoding it must still remove the shared-memory segment the wire
-    points at — nobody else will (a single-receiver creator already
-    closed its handle; a multi-receiver creator may be the dead rank).
+    A rank that drops a stale-epoch message without decoding it must
+    still remove the shared-memory segment the wire points at — nobody
+    else will (a single-receiver creator already closed its handle; a
+    multi-receiver creator may be dead).
     Safe against double-reaps and non-shm wires.  Returns ``True`` when
     a segment was actually removed."""
     if (

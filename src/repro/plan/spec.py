@@ -250,8 +250,8 @@ class ExecSpec:
                 )
             if self.checkpoint_dir is None:
                 raise ValueError(
-                    "heal= requires checkpoint_dir=: the re-entry point of "
-                    "an online heal is the last durably checkpointed batch"
+                    "heal= requires checkpoint_dir=: the re-entry point "
+                    "after a repair is the last durably checkpointed batch"
                 )
             if self.heal == "spare" and self.world_spares < 1:
                 raise ValueError('heal="spare" needs world_spares >= 1')
@@ -263,12 +263,6 @@ class ExecSpec:
             raise ValueError(
                 f"unknown replan mode {self.replan!r}; "
                 f"expected one of {REPLAN_MODES}"
-            )
-        if self.replan != "off" and self.heal is not None:
-            raise ValueError(
-                "replan= cannot be combined with heal=: a mid-run "
-                "amendment restarts through the re-batch path, which "
-                "conflicts with the heal machinery's re-entry protocol"
             )
         if not 0.0 <= self.replan_threshold < 1.0:
             raise ValueError(

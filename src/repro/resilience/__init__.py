@@ -17,21 +17,19 @@ the side that *survives* it:
 * graceful degradation — a :class:`~repro.errors.MemoryPressureError`
   makes the driver double the batch count (the paper's own memory
   lever) and rerun, rather than die.
-* online healing (:mod:`repro.resilience.heal`) — ULFM-style
-  continue-through-failure: a rank crash revokes the communicators,
-  survivors agree on a repaired grid (spare promotion or host-pool
-  shrink + respawn) and the run resumes in place from the checkpointed
-  batch boundary, bit-identical to a fault-free run.
+* healing (:mod:`repro.resilience.heal`) — a rank death under
+  ``heal=`` is the driver's third amendment: :class:`HealContext`
+  repairs the grid (a spare takes the dead position, or it is respawned
+  onto a surviving host — a :class:`HealDecision`) and the run re-enters
+  from the checkpointed batch boundary, bit-identical to a fault-free
+  run.
 """
 
-# Order matters: repro.summa.core (pulled in transitively by .heal via
-# repro.summa.trace) imports RetryPolicy from this partially-initialised
-# package, so .retry and .checkpoint must be bound before .heal runs.
 from .checkpoint import CheckpointManager, run_key
+from .heal import HEAL_MODES, HealContext, HealDecision
 from .retry import RetryPolicy
-from .heal import HEAL_MODES, HealContext, HealingBody
 
 __all__ = [
     "RetryPolicy", "CheckpointManager", "run_key",
-    "HealContext", "HealingBody", "HEAL_MODES",
+    "HealContext", "HealDecision", "HEAL_MODES",
 ]

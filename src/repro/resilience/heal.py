@@ -1,206 +1,196 @@
-"""Online recovery: continue a BatchedSUMMA3D run through a rank crash.
+"""Recovery from a rank death: repair the grid, re-enter at a batch boundary.
 
-PR 3 made crashes survivable *by restart*; this layer makes them
-survivable **in place**, following MPI's ULFM model (revoke → agree →
-repair → continue):
+Every batch of BatchedSUMMA3D (paper Alg. 4) is an independent column
+block of ``C`` — nothing batch ``i`` computes is read by batch ``i+1`` —
+so a rank death is recovered the way the driver recovers from memory
+pressure or a replan: the failed region is over, the driver amends the
+run and submits it again from the last durably checkpointed batch
+(:func:`repro.summa.batched._amend`, the one re-entry loop).  Nothing
+inside a region knows about it: the engines and communicators only ever
+report the death as a :class:`~repro.errors.RankCrashError`.
 
-1. The crashing rank's death revokes every live communicator
-   (:meth:`~repro.simmpi.membership.Membership.declare_dead` bumps the
-   world's revoke epoch; survivors observe
-   :class:`~repro.errors.RankRevokedError` at op entry or inside the
-   rendezvous they are blocked in).
-2. :class:`HealingBody` — the SPMD body the engine runs under
-   ``heal=`` — catches the revocation and joins the deterministic
-   survivor agreement (:meth:`Membership.agree`).
-3. The published :class:`~repro.simmpi.membership.HealDecision` repairs
-   the grid: a parked **spare** rank is promoted into the dead position
-   (``mode="spare"``), or a fresh rank is **respawned** oversubscribed
-   onto the lowest surviving host (``mode="shrink"`` — host-pool
-   shrink).  The logical grid never changes: floating-point reductions
-   do not compose across grid geometries, so preserving bit-identical
-   results requires preserving the stage/layer decomposition.
-4. Every holder re-enters the run on fresh epoch-``e`` communicators:
-   grid communicators are re-split, operand tiles re-extracted (the
-   bytes moved to the *new* holder are metered as redistribution
-   traffic), the batch loop re-entered at the decision's
-   ``restart_batch`` — the last batch made durable by the per-batch
-   checkpoint — and the multiplication continues.
+What a death adds to that amendment is a **repair** — deciding who holds
+the dead grid position from now on: a **spare** rank takes it
+(``mode="spare"``, at most ``world_spares`` times per run), or a fresh
+rank is **respawned** oversubscribed onto the lowest surviving host
+(``mode="shrink"`` — the host pool shrinks, the grid does not).  The
+logical grid is preserved in both modes: partial floating-point
+reductions do not compose across grid geometries, so a geometric shrink
+could not stay bit-identical to the fault-free run.  The position's new
+holder runs under the position's own rank number; the holder's global
+rank and host are bookkeeping in the event record.
 
-:class:`HealContext` is the driver-side half: it owns the heal knobs,
-links the membership layer to the checkpoint manager and the driver's
-piece collector, and accumulates the per-event report that surfaces as
-``info["resilience"]["heal"]``.
+:class:`HealContext` is the driver-side state of those decisions and the
+report that surfaces as ``info["resilience"]["heal"]``.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 import time
-from typing import Callable
 
-from ..errors import HealError, RankRevokedError
-from ..simmpi.membership import epoch_comm
-from ..summa.trace import STEP_HEAL, TraceSpan
+from ..errors import HealError
 
 HEAL_MODES = ("spare", "shrink")
 
 
+class HealDecision:
+    """Who holds the grid after one repair.
+
+    ``members`` maps grid position -> global rank holding it.  ``hosts``
+    maps grid position -> host id (initially its own position; a
+    respawned position is oversubscribed onto a survivor's host).
+    ``mode`` is ``"initial"``, ``"spare"`` or ``"shrink"``.
+    """
+
+    __slots__ = ("epoch", "members", "restart_batch", "mode", "dead",
+                 "promoted", "hosts")
+
+    def __init__(self, epoch, members, restart_batch, mode, dead=(),
+                 promoted=None, hosts=None):
+        self.epoch = int(epoch)
+        self.members = tuple(members)
+        self.restart_batch = int(restart_batch)
+        self.mode = mode
+        self.dead = tuple(dead)                    # ((position, global_rank), ...)
+        self.promoted = dict(promoted or {})       # global rank -> position
+        self.hosts = dict(hosts or {})             # position -> host id
+
+    def describe(self) -> dict:
+        return {
+            "epoch": self.epoch,
+            "mode": self.mode,
+            "restart_batch": self.restart_batch,
+            "dead": [{"position": p, "rank": g} for p, g in self.dead],
+            "promoted": {int(g): int(p) for g, p in self.promoted.items()},
+            "hosts": {int(p): int(h) for p, h in self.hosts.items()},
+        }
+
+
+def compute_decision(
+    epoch: int,
+    prev: HealDecision,
+    dead_positions,
+    mode: str,
+    restart_batch: int,
+    *,
+    spares: list,
+    alloc_rank,
+    max_rounds: int,
+) -> HealDecision:
+    """Deterministic repair of ``prev``'s grid: the pure rule.
+
+    ``spares`` is the mutable pool of unused spare ranks (popped in rank
+    order); ``alloc_rank()`` allocates a fresh global rank for a shrink
+    respawn.  Raises :class:`~repro.errors.HealError` when the grid
+    cannot be repaired (no spare left, no surviving host, round budget).
+    """
+    if epoch > max_rounds:
+        raise HealError(f"heal round budget exhausted ({max_rounds})")
+    members = list(prev.members)
+    hosts = dict(prev.hosts)
+    dead = [(p, members[p]) for p in sorted(dead_positions)]
+    promoted: dict[int, int] = {}
+    for position, _ in dead:
+        if mode == "spare":
+            if not spares:
+                raise HealError(
+                    f"no spare rank left for grid position {position}"
+                )
+            fresh = spares.pop(0)
+            hosts[position] = fresh  # the spare brings its own host
+        else:  # shrink: respawn on the lowest surviving host
+            alive_hosts = [hosts[q] for q in range(len(members))
+                           if q not in dead_positions]
+            if not alive_hosts:
+                raise HealError("no surviving host to respawn onto")
+            fresh = alloc_rank()
+            hosts[position] = min(alive_hosts)
+        members[position] = fresh
+        promoted[fresh] = position
+    return HealDecision(
+        epoch, members, restart_batch, mode,
+        dead=dead, promoted=promoted, hosts=hosts,
+    )
+
+
 class HealContext:
-    """Driver-side coordination and reporting for one healing run.
+    """Driver-side repair state and report of one run under ``heal=``.
 
     Parameters
     ----------
     mode:
-        ``"spare"`` (promote a parked spare rank) or ``"shrink"``
-        (shrink the host pool; respawn the position oversubscribed onto
-        a survivor host).
-    checkpoint:
-        The run's :class:`~repro.resilience.checkpoint.CheckpointManager`.
-        Healing requires checkpointing: the restart point of every heal
-        is the durable completed-batch prefix.
-    collector:
-        The driver's piece collector (its partially gathered batches are
-        dropped on heal and recomputed), or ``None``.
-    first_batch:
-        Batch the run started from (resume support).
+        ``"spare"`` (a spare rank takes the dead position) or
+        ``"shrink"`` (the position is respawned oversubscribed onto a
+        survivor's host).
+    nprocs:
+        Grid size; positions ``0 .. nprocs-1`` start out held by the
+        same-numbered ranks on their own hosts.
+    world_spares:
+        The ``"spare"`` repair budget: how many dead positions may be
+        handed to a spare rank over the run (global ranks ``nprocs ..
+        nprocs + world_spares - 1`` in the event records).  Nothing is
+        forked or parked for them.
     max_rounds:
-        Heal-round budget: more than this many revoke epochs fails the
-        run with :class:`~repro.errors.HealError`.
+        Repair-round budget: more than this many rounds fails the run
+        with :class:`~repro.errors.HealError`.
     """
 
-    def __init__(self, mode: str, *, checkpoint=None, collector=None,
-                 first_batch: int = 0, max_rounds: int = 8) -> None:
+    def __init__(self, mode: str, *, nprocs: int = 0, world_spares: int = 0,
+                 max_rounds: int = 8) -> None:
         if mode not in HEAL_MODES:
             raise HealError(
                 f"unknown heal mode {mode!r}; expected one of {HEAL_MODES}"
             )
         self.mode = mode
-        self.checkpoint = checkpoint
-        self.collector = collector
-        self.first_batch = int(first_batch)
         self.max_rounds = int(max_rounds)
+        self.decision = HealDecision(
+            0, range(nprocs), 0, "initial",
+            hosts={p: p for p in range(nprocs)},
+        )
+        self._spares = list(range(nprocs, nprocs + world_spares))
+        self._respawns = itertools.count(nprocs + world_spares)
         self.events: list[dict] = []
-        self._lock = threading.Lock()
+        #: when the region that the latest, not yet re-submitted repair
+        #: answers had failed (``time.perf_counter()``)
+        self._failed_at: float | None = None
 
-    # ---- hooks called by the membership layer ------------------------ #
+    def repair(self, dead_positions, restart_batch: int, join_bytes,
+               failed_at: float) -> None:
+        """Decide who holds ``dead_positions`` from now on and open the
+        event record; raises :class:`~repro.errors.HealError` when the
+        grid cannot be repaired.  ``join_bytes(position)`` is what a
+        *new* holder of ``position`` must receive (its A and B tiles) —
+        the redistribution traffic metered per event."""
+        self.decision = compute_decision(
+            self.decision.epoch + 1, self.decision, set(dead_positions),
+            self.mode, restart_batch, spares=self._spares,
+            alloc_rank=self._respawns.__next__, max_rounds=self.max_rounds,
+        )
+        event = self.decision.describe()
+        event["bytes_redistributed"] = sum(
+            int(join_bytes(p)) for p in self.decision.promoted.values()
+        )
+        event["latency_s"] = 0.0
+        self.events.append(event)
+        self._failed_at = failed_at
 
-    def restart_point(self) -> int:
-        """Durable re-entry batch: the completed checkpoint prefix."""
-        if self.checkpoint is None:
-            return self.first_batch
-        return max(self.checkpoint.completed_prefix(), self.first_batch)
-
-    def on_decision(self, decision) -> None:
-        """A heal decision was published: drop half-gathered batches
-        (they restart from the checkpoint boundary) and open the event
-        record for this epoch."""
-        if self.collector is not None:
-            self.collector.drop_pending()
-        with self._lock:
-            event = decision.describe()
-            event["bytes_redistributed"] = 0
-            event["latency_s"] = 0.0
-            self.events.append(event)
-
-    # ---- hooks called by the healing bodies -------------------------- #
-
-    def add_bytes(self, epoch: int, nbytes: int) -> None:
-        """Meter operand bytes moved to a repaired position."""
-        with self._lock:
-            for event in self.events:
-                if event["epoch"] == epoch:
-                    event["bytes_redistributed"] += int(nbytes)
-                    return
-
-    def add_latency(self, epoch: int, seconds: float) -> None:
-        """Record one rank's recovery latency; the event keeps the max
-        across ranks (the run resumes when the slowest rank has)."""
-        with self._lock:
-            for event in self.events:
-                if event["epoch"] == epoch:
-                    event["latency_s"] = max(event["latency_s"],
-                                             round(seconds, 6))
-                    return
-
-    # ---- reporting --------------------------------------------------- #
-
-    def total_extra_bytes(self) -> int:
-        with self._lock:
-            return sum(e["bytes_redistributed"] for e in self.events)
+    def resubmitted(self) -> None:
+        """The repaired region is about to run (its world relaunched, if
+        the death had stopped it): close the latest event's latency."""
+        if self._failed_at is not None:
+            self.events[-1]["latency_s"] = round(
+                time.perf_counter() - self._failed_at, 6
+            )
+            self._failed_at = None
 
     def report(self) -> dict:
         """The ``info["resilience"]["heal"]`` payload."""
-        with self._lock:
-            return {
-                "mode": self.mode,
-                "events": [dict(e) for e in self.events],
-                "heals": len(self.events),
-                "extra_bytes_moved": sum(
-                    e["bytes_redistributed"] for e in self.events
-                ),
-            }
-
-
-class HealingBody:
-    """The SPMD body run under healing: attempt → revoked → agree → re-enter.
-
-    ``attempt(comm, start_batch)`` runs the full per-rank multiplication
-    on the given world communicator, re-splitting grid communicators and
-    re-compiling the execution plan from ``start_batch``.
-    ``join_bytes(position)`` returns the operand bytes a *new* holder of
-    ``position`` must receive (its A and B tiles) — the redistribution
-    cost metered per heal event.
-    """
-
-    def __init__(self, heal_ctx: HealContext,
-                 attempt: Callable[..., dict],
-                 join_bytes: Callable[[int], int] | None = None) -> None:
-        self.heal_ctx = heal_ctx
-        self.attempt = attempt
-        self.join_bytes = join_bytes
-        #: driver callbacks buried in the ``attempt`` closure (e.g. a
-        #: piece sink), listed here so the process engine's callback
-        #: scan can find and index them.
-        self.driver_callbacks: list = []
-
-    def __call__(self, comm, *args, **kwargs):
-        """Entry point for primary ranks (engine calls ``fn(comm)``)."""
-        comm.world.membership.register_body(self)
-        return self.run(comm.world, comm.rank, comm.global_rank)
-
-    def run(self, world, position: int, global_rank: int):
-        """Entry point for every holder of ``position`` (primaries,
-        promoted spares, respawned ranks)."""
-        membership = world.membership
-        membership.register_body(self)
-        # The process world forks workers, so a worker's ``self.heal_ctx``
-        # is a dead copy of the driver's; its world exposes a proxy that
-        # ships add_bytes/add_latency to the parent's real HealContext.
-        heal = getattr(world, "heal_proxy", None) or self.heal_ctx
-        heal_spans: list[tuple[int, float, float]] = []
-        decision = membership.current_decision()
-        if decision.promoted.get(global_rank) == position:
-            # This rank just joined a repaired grid: meter the operand
-            # redistribution it receives before taking part.
-            if self.join_bytes is not None:
-                heal.add_bytes(decision.epoch, self.join_bytes(position))
-        while True:
-            comm = epoch_comm(world, decision, position)
-            try:
-                result = self.attempt(comm, decision.restart_batch)
-                break
-            except RankRevokedError:
-                t0 = time.perf_counter()
-                decision = membership.agree(global_rank)
-                t1 = time.perf_counter()
-                heal_spans.append((decision.epoch, t0, t1))
-                heal.add_latency(decision.epoch, t1 - t0)
-        tracer = result.get("trace") if isinstance(result, dict) else None
-        if tracer is not None:
-            for epoch, t0, t1 in heal_spans:
-                tracer.spans.append(TraceSpan(
-                    rank=position, op=STEP_HEAL, stage=epoch, batch=None,
-                    nbytes=0, t0=t0, t1=t1, timed=False,
-                ))
-            tracer.spans.sort(key=lambda sp: sp.t0)
-        return result
+        return {
+            "mode": self.mode,
+            "events": [dict(e) for e in self.events],
+            "heals": len(self.events),
+            "extra_bytes_moved": sum(
+                e["bytes_redistributed"] for e in self.events
+            ),
+        }

@@ -14,11 +14,11 @@ One instance owns
 
 Robustness contracts (the tested ones):
 
-* **crash transparency** — ``multiply`` jobs run under the PR 4/8 heal
-  path (``heal=`` + spares + a per-job checkpoint directory), so a rank
-  lost mid-job is healed online and the client receives the bit-identical
-  product with the event recorded in
-  ``result.info["resilience"]["heal"]`` — never an error;
+* **crash transparency** — ``multiply`` jobs run under ``heal=`` (a
+  repair budget and a per-job checkpoint directory), so a rank lost
+  mid-job is repaired, the job re-enters from its last completed batch
+  and the client receives the bit-identical product with the event
+  recorded in ``result.info["resilience"]["heal"]`` — never an error;
 * **deadlines** — a job's remaining deadline is installed as the
   execution world's watchdog timeout, so an overrun surfaces as a
   classified hang that the service converts to
@@ -109,7 +109,7 @@ class SpgemmService:
     ) -> None:
         if heal is not None and checkpoint_root is None:
             raise ValueError(
-                "heal= needs checkpoint_root= (online healing re-enters "
+                "heal= needs checkpoint_root= (a repaired job re-enters "
                 "from the last completed batch, so jobs must checkpoint)"
             )
         self.world = world
@@ -317,14 +317,12 @@ class SpgemmService:
         wall = time.monotonic() - t0
         heal_info = (info.get("resilience") or {}).get("heal") or {}
         heals = int(heal_info.get("heals", 0))
-        world_info = info.get("world") or {}
-        swept = int(world_info.get("swept_segments", 0))
-        heal_swept = int(world_info.get("heal_swept_segments", 0))
+        swept = int((info.get("world") or {}).get("swept_segments", 0))
         if heals:
             slot.breaker.record_heal(heals)
-        if swept > heal_swept:
+        if swept:
             # segments the run itself failed to release: hygiene drift
-            slot.breaker.record_shm_leak(swept - heal_swept)
+            slot.breaker.record_shm_leak(swept)
         elif not heals:
             slot.breaker.record_success()
         slot.jobs_done += 1
@@ -382,7 +380,7 @@ class SpgemmService:
         )
         ckpt_dir = None
         if self.heal is not None and get_kernel(kernel).checkpointable:
-            # crash transparency: per-job checkpoint subdir + online heal.
+            # crash transparency: per-job checkpoint subdir + heal=.
             # The job id joins the key so two concurrent identical jobs
             # can never adopt each other's manifests.
             from ..resilience.checkpoint import CheckpointManager

@@ -24,23 +24,20 @@ layer (:mod:`repro.simmpi.faults`): a seeded :class:`FaultPlan` drives a
 :class:`FaultInjector` hooked into every communicator operation, and
 per-message checksums (:mod:`repro.simmpi.serialization`) catch injected
 in-flight corruption.  Every blocking rendezvous is supervised by a hang
-watchdog (wait-for graph in :class:`~repro.simmpi.comm.World`), and the
-ULFM-style membership layer (:mod:`repro.simmpi.membership`) lets
-``run_spmd(..., heal=...)`` repair rank crashes online.
+watchdog (wait-for graph in :class:`~repro.simmpi.comm.World`).  A rank
+that dies ends its region with a :class:`~repro.errors.RankCrashError`;
+what happens next is the driver's business (:mod:`repro.resilience`).
 """
 
 from .comm import SimComm
 from .engine import run_spmd
 from .faults import FaultEvent, FaultInjector, FaultPlan, FaultSpec
-from .membership import HealDecision, Membership
 from .serialization import payload_checksum, payload_nbytes
 from .tracker import CommEvent, CommTracker
 
 __all__ = [
     "SimComm",
     "run_spmd",
-    "Membership",
-    "HealDecision",
     "payload_nbytes",
     "payload_checksum",
     "CommTracker",

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CommError, CorruptPayloadError, HangError, RankRevokedError
+from ..errors import CommError, CorruptPayloadError, HangError
 from .serialization import (
     CHECKSUM_NBYTES,
     Envelope,
@@ -130,11 +130,6 @@ class World:
         self._contexts: dict[tuple, _CommContext] = {}
         self._ctx_lock = threading.Lock()
         self._tls = threading.local()
-        #: current communicator epoch; bumped by Membership.declare_dead.
-        #: Read lock-free on the op hot path (monotonic int, GIL-atomic).
-        self.revoke_epoch = 0
-        #: Membership/heal state (None unless the engine enables healing).
-        self.membership = None
         #: wait-for graph: global rank -> _WaitInfo of its current block.
         self._waits: dict[int, _WaitInfo] = {}
         self._wait_lock = threading.Lock()
@@ -152,20 +147,15 @@ class World:
                 ctx = self._contexts[comm_id] = _CommContext()
             return ctx
 
-    def wake_all(self) -> None:
-        """Wake every rank blocked in any rendezvous (revocation/abort)."""
+    def abort(self) -> None:
+        """Mark the run failed and wake every rank blocked in any
+        rendezvous."""
+        self.failed.set()
         with self._ctx_lock:
             contexts = list(self._contexts.values())
         for ctx in contexts:
             with ctx.cv:
                 ctx.cv.notify_all()
-
-    def abort(self) -> None:
-        """Mark the run failed and wake every waiting rank."""
-        self.failed.set()
-        self.wake_all()
-        if self.membership is not None:
-            self.membership.wake()
 
     # ------------------------------------------------------------------ #
     # watchdog: wait-for graph of blocked ranks
@@ -203,8 +193,8 @@ class World:
         """Diagnose a definite hang observable from ``global_rank``.
 
         Returns ``("peer-exited", gone_peers, None)`` when a pending peer's
-        thread has already returned and nothing (no heal layer) can replace
-        it; ``("deadlock", cycle, signature)`` when the wait-for graph has
+        thread has already returned and can never arrive;
+        ``("deadlock", cycle, signature)`` when the wait-for graph has
         a cycle through ``global_rank`` (the caller must observe the same
         signature on two consecutive sweeps before firing, so a cycle that
         resolves itself between sweeps never trips the watchdog); else
@@ -214,10 +204,9 @@ class World:
         info = waits.get(global_rank)
         if info is None:
             return None
-        if self.membership is None:
-            gone = tuple(p for p in info.pending if p in finished)
-            if gone:
-                return ("peer-exited", gone, None)
+        gone = tuple(p for p in info.pending if p in finished)
+        if gone:
+            return ("peer-exited", gone, None)
         cycle = self._find_cycle(waits, global_rank)
         if cycle is not None:
             sig = tuple((r, waits[r].op_id, waits[r].since) for r in cycle)
@@ -308,23 +297,17 @@ class SimComm:
         Global ranks belonging to this communicator, in local-rank order.
     rank:
         This process's local rank within the communicator.
-    epoch:
-        Membership epoch this communicator belongs to.  When the world's
-        ``revoke_epoch`` advances past it (a member died and the heal
-        layer revoked the old grid), every operation on this communicator
-        raises :class:`~repro.errors.RankRevokedError`.
     """
 
-    __slots__ = ("world", "comm_id", "members", "rank", "_opseq", "epoch")
+    __slots__ = ("world", "comm_id", "members", "rank", "_opseq")
 
     def __init__(self, world: World, comm_id: tuple, members: tuple[int, ...],
-                 rank: int, epoch: int = 0):
+                 rank: int):
         self.world = world
         self.comm_id = comm_id
         self.members = tuple(members)
         self.rank = int(rank)
         self._opseq = 0
-        self.epoch = int(epoch)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -410,18 +393,6 @@ class SimComm:
                 del ctx.slots[op_id]
         return result, completed_here
 
-    def _check_revoked(self) -> None:
-        """Raise when the heal layer revoked this communicator's epoch."""
-        world = self.world
-        if world.membership is not None and world.revoke_epoch > self.epoch:
-            raise RankRevokedError(
-                f"rank {self.global_rank}: communicator {self.comm_id} "
-                f"(epoch {self.epoch}) revoked at epoch {world.revoke_epoch}"
-            ).with_context(
-                rank=self.global_rank, comm=str(self.comm_id),
-                epoch=self.epoch, revoke_epoch=world.revoke_epoch,
-            )
-
     def _blocked_wait(self, ctx: _CommContext, op: str, *, tag, op_id,
                       ready, pending, abort_msg: str) -> None:
         """Wait under ``ctx.cv`` until ``ready()`` — watchdog-supervised.
@@ -444,7 +415,6 @@ class SimComm:
             while not ready():
                 if world.failed.is_set():
                     raise CommError(abort_msg)
-                self._check_revoked()
                 pend = tuple(pending())
                 world.register_wait(me, _WaitInfo(
                     rank=me, op=op, comm_id=self.comm_id, tag=tag,
@@ -539,13 +509,12 @@ class SimComm:
     # ------------------------------------------------------------------ #
 
     def _inject(self, op: str) -> None:
-        """Operation-entry hook — heartbeat, revocation check, fault
-        injection.  Runs before ``_opseq`` advances or any shared state is
-        touched, so a raise here leaves the operation perfectly retryable
-        on this rank alone (peers just keep waiting in the rendezvous)."""
+        """Operation-entry hook — heartbeat, fault injection.  Runs before
+        ``_opseq`` advances or any shared state is touched, so a raise
+        here leaves the operation perfectly retryable on this rank alone
+        (peers just keep waiting in the rendezvous)."""
         world = self.world
         world.heartbeat(self.global_rank)
-        self._check_revoked()
         injector = world.injector
         if injector is not None:
             injector.on_attempt(self.global_rank, op, world.step_label)
@@ -562,7 +531,7 @@ class SimComm:
         mismatch meters a redelivery — the retransmission a real transport
         would perform — and tries again, up to :data:`MAX_REDELIVERIES`
         extra attempts.  The slot keeps the *original* payload, so
-        redelivery always heals injected corruption."""
+        redelivery always undoes injected corruption."""
         ledger = self.world.ledger
         if ledger is not None:
             ledger.touch(
@@ -766,7 +735,7 @@ class SimComm:
         new_rank = local_ranks.index(self.rank)
         comm_id = (*self.comm_id, op_marker, mine[0])
         # type(self) so process-world subclasses split into their own kind
-        return type(self)(self.world, comm_id, members, new_rank, epoch=self.epoch)
+        return type(self)(self.world, comm_id, members, new_rank)
 
     def dup(self) -> "SimComm":
         """Duplicate the communicator (fresh collective sequence space)."""

@@ -57,15 +57,23 @@ FAULT_KINDS = ("transient", "corrupt", "crash", "mem-pressure")
 class FaultSpec:
     """One planned fault.
 
-    ``rank`` is the global rank it targets.  Communication-level kinds
-    (``transient``, ``corrupt``, and ``crash`` with an ``op``) address the
-    ``nth`` (1-based) attempt/delivery of communicator operation ``op``
-    (``"bcast"``, ``"send"``, ``"recv"``, ``"alltoallv"``, ...) on that
-    rank.  Plan-level kinds (``crash`` / ``mem-pressure`` with ``batch``)
-    fire when the rank's program reaches the given ``(batch, stage)``
-    (``stage=None`` matches the batch's first matching step; ``kind_op``
-    narrows to one step kind such as ``"multiply"`` — the batched driver
-    refuses a name outside :data:`repro.summa.STEP_KINDS`).
+    ``rank`` is the grid position it targets: the rank number the SPMD
+    body sees.  A run that re-enters after a rank death puts a new holder
+    on the dead position *under the same number*, so the coordinates keep
+    addressing the position, not a process — which is why a ``crash``
+    fires once per run however it is addressed (its position's next
+    holder would otherwise die at the same point, for ever), while
+    ``transient`` / ``corrupt`` address every region's own attempt count.
+
+    Communication-level kinds (``transient``, ``corrupt``, and ``crash``
+    with an ``op``) address the ``nth`` (1-based) attempt/delivery of
+    communicator operation ``op`` (``"bcast"``, ``"send"``, ``"recv"``,
+    ``"alltoallv"``, ...) on that rank.  Plan-level kinds (``crash`` /
+    ``mem-pressure`` with ``batch``) fire when the rank's program reaches
+    the given ``(batch, stage)`` (``stage=None`` matches the batch's
+    first matching step; ``kind_op`` narrows to one step kind such as
+    ``"multiply"`` — the batched driver refuses a name outside
+    :data:`repro.summa.STEP_KINDS`).
     """
 
     kind: str
@@ -189,9 +197,9 @@ class FaultPlan:
         never fire; :meth:`FaultInjector.stats` reports planned vs fired.
         ``transient``/``corrupt`` draw retryable attempt/delivery faults;
         ``crash`` draws plan-level rank crashes addressed by batch
-        (``0..max_batch-1``) — the chaos-test lever: under healing each
-        crash must be survived in place, without it each must abort with
-        a classified, checkpoint-pointing error.  The ``crash`` draws
+        (``0..max_batch-1``) — the chaos-test lever: a run that recovers
+        from rank deaths must survive each crash, any other must abort
+        with a classified, checkpoint-pointing error.  The ``crash`` draws
         come last, so extending a plan with crashes never changes which
         transient/corrupt coordinates an existing seed produces.
         """
@@ -278,9 +286,14 @@ class FaultInjector:
         with self._lock:
             self.events.append(event)
 
-    def _mark_fired(self, spec: FaultSpec) -> None:
+    def _mark_fired(self, spec: FaultSpec) -> bool:
+        """Record that ``spec`` fired; returns whether it had not before
+        (in this region or, through :meth:`absorb`, an earlier one)."""
+        idx = self._spec_ids[id(spec)]
         with self._lock:
-            self._fired.add(self._spec_ids[id(spec)])
+            first = idx not in self._fired
+            self._fired.add(idx)
+        return first
 
     # ------------------------------------------------------------------ #
     # hooks (called by SimComm / the rank program)
@@ -296,7 +309,8 @@ class FaultInjector:
         spec = self._by_attempt.get((rank, op, n))
         if spec is None:
             return
-        self._mark_fired(spec)
+        if not self._mark_fired(spec) and spec.kind == "crash":
+            return  # counting starts over per region; a death does not
         event = FaultEvent(spec.kind, rank, op=op, step=step, attempt=n)
         self._log(event)
         if spec.kind == "crash":
@@ -314,7 +328,7 @@ class FaultInjector:
         returns the payload — corrupted when a ``corrupt`` spec addresses
         this delivery.  Redelivery of the same message counts as a fresh
         delivery, so the injected corruption (addressed to one attempt)
-        heals on retransmission, exactly like a real transient bit flip."""
+        is gone on retransmission, exactly like a real transient bit flip."""
         counters = self._counters("deliveries")
         n = counters.get(op, 0) + 1
         counters[op] = n
@@ -340,11 +354,8 @@ class FaultInjector:
                 continue
             if spec.kind_op is not None and spec.kind_op != kind:
                 continue
-            idx = self._spec_ids[id(spec)]
-            with self._lock:
-                if idx in self._fired:
-                    continue
-                self._fired.add(idx)
+            if not self._mark_fired(spec):
+                continue
             event = FaultEvent(spec.kind, rank, batch=batch, stage=stage)
             self._log(event)
             if spec.kind == "crash":

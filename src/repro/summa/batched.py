@@ -3,8 +3,8 @@
 There is one driver, :func:`drive`, a short pipeline of phases: resolve
 the spec → prepare (kernel, aux, shapes, backend; every refusal) → open
 the checkpoint / symbolic pre-pass → execute (the launch loop, re-entered
-on a replan or re-batch amendment) → assemble the report.  Entry points
-differ only in the operands they hand it (global matrices, or a
+on a replan, re-batch or repair amendment) → assemble the report.  Entry
+points differ only in the operands they hand it (global matrices, or a
 :class:`~repro.dist.DistContext`'s resident tiles) and in how the
 per-rank pieces are delivered: :func:`run_plan` gathers them into one
 global matrix, the context keeps them distributed.
@@ -22,17 +22,19 @@ any mid-run amendments the :class:`~repro.plan.Replanner` made.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import pickle
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..errors import (
     DistributionError,
+    HealError,
     MemoryPressureError,
+    RankCrashError,
     ReplanSignal,
     ShapeError,
     SpmdError,
@@ -44,7 +46,7 @@ from ..mem import MemoryLedger
 from ..model.memory import predict_memory
 from ..mp.bridge import DriverCallback
 from ..plan.spec import ExecPlan, ExecSpec, _registry_name
-from ..resilience import CheckpointManager, HealContext, HealingBody
+from ..resilience import CheckpointManager, HealContext
 from ..resilience import run_key as _checkpoint_run_key
 from ..simmpi.engine import as_injector, open_world
 from ..simmpi.faults import FaultInjector
@@ -99,11 +101,11 @@ class _BatchPieceCollector:
             self._on_complete(batch, spans, gathered)
 
     def drop_pending(self) -> None:
-        """Discard half-gathered batches (online heal): the repaired run
-        re-enters from the checkpointed batch boundary and every
-        incomplete batch is recomputed from scratch, so stale pieces —
-        possibly including ones sunk by the dead rank — must not mix
-        with their recomputed replacements."""
+        """Discard half-gathered batches: a run that re-enters from the
+        checkpointed batch boundary recomputes every incomplete batch
+        from scratch, so stale pieces — possibly including ones sunk by
+        a rank that died — must not mix with their recomputed
+        replacements."""
         with self._lock:
             self._pending.clear()
 
@@ -297,6 +299,8 @@ class _Run:
     comm_backend: object
     #: an operand is a TileSource: tiles already live on the ranks
     resident: bool
+    #: who holds the grid when ranks die (``spec.heal``), else ``None``
+    heal_ctx: HealContext | None
     # checkpoint phase
     ckpt: CheckpointManager | None = None
     ckpt_key: str | None = None
@@ -305,7 +309,6 @@ class _Run:
     # execute phase
     replan_policy: object = None
     collector: _BatchPieceCollector | None = None
-    heal_ctx: HealContext | None = None
     rebatched: list = field(default_factory=list)
     replans: list = field(default_factory=list)
     world_info: dict = field(default_factory=dict)
@@ -467,6 +470,9 @@ def _prepare(
         injector=injector, world=world or _one_shot_world,
         postprocess=postprocess, on_batch=on_batch,
         batches=spec.batches, comm_backend=comm_backend, resident=resident,
+        heal_ctx=HealContext(
+            spec.heal, nprocs=spec.nprocs, world_spares=spec.world_spares,
+        ) if spec.heal is not None else None,
     )
 
 
@@ -565,9 +571,9 @@ def _make_collector(run: _Run):
 
 
 def _execute(run: _Run) -> list:
-    """The one launch loop: open the world once, submit the region; when
-    every rank raised the same collective amendment, apply it and submit
-    again — the ranks that raised it are parked, not gone."""
+    """The one launch loop: open the world, submit the region; when what
+    failed it is an amendment — every rank raised the same collective
+    signal, or ranks died under ``heal=`` — apply it and submit again."""
     with _launch(run) as submit:
         while True:
             try:
@@ -588,18 +594,34 @@ def _execute(run: _Run) -> list:
 
 @contextlib.contextmanager
 def _one_shot_world(run: _Run, fn, *args, **fixed):
-    """The default world of a run: opened for it, stopped after it."""
+    """The default world of a run: opened for it, stopped after it — and
+    opened again when a rank death stopped it under a region (the process
+    world's rule), so the repaired region gets fresh workers on fresh
+    queues and inherits nothing a dying rank may have left wedged."""
     spec = run.spec
-    world = open_world(
-        spec.nprocs, fn, *args, world=spec.world, transport=spec.transport,
-        **fixed,
-    )
-    try:
-        yield functools.partial(
-            world.submit, tracker=run.tracker, timeout=spec.timeout,
-            faults=run.injector, checksums=spec.checksums,
-            world_info=run.world_info, last=True,
+
+    def launch():
+        return open_world(
+            spec.nprocs, fn, *args, world=spec.world,
+            transport=spec.transport, **fixed,
         )
+
+    world = launch()
+
+    def submit(**amendable):
+        nonlocal world
+        if not world.alive:
+            world = launch()
+        if run.heal_ctx is not None:
+            run.heal_ctx.resubmitted()
+        return world.submit(
+            tracker=run.tracker, timeout=spec.timeout, faults=run.injector,
+            checksums=spec.checksums, world_info=run.world_info, last=True,
+            **amendable,
+        )
+
+    try:
+        yield submit
     finally:
         world.stop()
 
@@ -609,7 +631,7 @@ def _launch(run: _Run):
     """Open the run's world on the SPMD body; yields ``submit(batches=,
     comm_backend=, start_batch=, replan=)`` — what an amendment changes
     is what a submit carries, everything else is fixed here."""
-    spec, a, b, grid = run.spec, run.a, run.b, run.grid
+    spec = run.spec
     # Under the process world the collector's sink must run in the
     # driver (it feeds gather/checkpoint state workers cannot see); the
     # DriverCallback wrapper ships each piece back through the engine's
@@ -618,7 +640,8 @@ def _launch(run: _Run):
     if sink is not None and spec.world == "processes":
         sink = DriverCallback(sink)
     memory_budget, budget_per_rank = spec.resolved_budget()
-    fixed = dict(
+    with run.world(
+        run, spmd_batched_summa3d, run.a, run.b, run.grid,
         kernel=run.kern,
         aux=run.aux,
         memory_budget=memory_budget,
@@ -635,58 +658,21 @@ def _launch(run: _Run):
         piece_sink=sink,
         max_retries=spec.max_retries,
         batch_barrier=run.ckpt is not None,
-    )
-    if spec.heal is None:
-        with run.world(run, spmd_batched_summa3d, a, b, grid, **fixed) as submit:
-            yield submit
-        return
-
-    # Online healing: each rank runs a HealingBody that re-enters the
-    # SPMD program from the checkpointed batch boundary after every
-    # membership epoch change, instead of the whole world aborting on
-    # the first crash.  Spares are forked with the world and membership
-    # is per launch, so every (re-)entry is a one-shot world of its own.
-    def submit(*, start_batch, **amendable):
-        run.heal_ctx = HealContext(
-            spec.heal, checkpoint=run.ckpt, collector=run.collector,
-            first_batch=start_batch,
-        )
-
-        def attempt(comm, start_batch):
-            return spmd_batched_summa3d(
-                comm, a, b, grid, start_batch=start_batch, **fixed,
-                **amendable,
-            )
-
-        def join_bytes(position):
-            # uniform nbytes protocol (repro.mem.nbytes_of): the tiles
-            # themselves know their storage footprint.
-            ta = extract_a_tile(a, grid, position)
-            tb = extract_b_tile(b, grid, position)
-            return ta.nbytes + tb.nbytes
-
-        body = HealingBody(run.heal_ctx, attempt, join_bytes=join_bytes)
-        if isinstance(sink, DriverCallback):
-            # the sink hides inside the attempt closure; expose it so the
-            # process engine can index the callback.
-            body.driver_callbacks = [sink]
-        with _one_shot_world(
-            run, body, heal=run.heal_ctx, world_spares=spec.world_spares,
-        ) as region:
-            return region()
-
-    yield submit
+    ) as submit:
+        yield submit
 
 
 def _amend(run: _Run, err: SpmdError) -> bool:
-    """Apply a collective mid-run amendment, if that is what every failed
-    rank of ``err`` carries: a :class:`ReplanSignal` — all ranks raised
-    the same decision at the same batch boundary — or memory pressure,
-    answered by the paper's own lever of doubling the batch count.
-    Returns whether the run should re-enter."""
+    """Apply a mid-run amendment, if that is what the failed ranks of
+    ``err`` carry: a :class:`ReplanSignal` — all ranks raised the same
+    decision at the same batch boundary —, memory pressure, answered by
+    the paper's own lever of doubling the batch count, or, under
+    ``heal=``, rank deaths, answered by repairing the grid.  Returns
+    whether the run should re-enter."""
+    failed_at = time.perf_counter()
     failures = list(err.failures.values())
     cur = run.batches or 1
-    new_backend = run.comm_backend
+    new_b, new_backend = cur, run.comm_backend
     if failures and all(isinstance(e, ReplanSignal) for e in failures):
         sig = failures[0]
         cur = sig.batches or cur
@@ -722,20 +708,42 @@ def _amend(run: _Run, err: SpmdError) -> bool:
         if new_b <= cur:
             raise err  # nothing left to double
         run.rebatched.append({"from": int(cur), "to": int(new_b)})
+    elif run.heal_ctx is not None and failures and all(
+        isinstance(e, RankCrashError) for e in failures
+    ):
+        # the survivors keep nothing a re-entry would not rebuild (tiles
+        # re-extracted, communicators re-split, finished pieces already
+        # streamed to the driver), so a death costs the same re-entry —
+        # plus deciding who holds the dead positions from now on
+        def join_bytes(position):
+            return (extract_a_tile(run.a, run.grid, position).nbytes
+                    + extract_b_tile(run.b, run.grid, position).nbytes)
+
+        try:
+            run.heal_ctx.repair(
+                err.failures, run.ckpt.completed_prefix(), join_bytes,
+                failed_at,
+            )
+        except HealError as exc:
+            raise SpmdError(
+                dict.fromkeys(err.failures, exc),
+                checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
+            ) from err
     else:
         return False
-    run.first_batch = 0
-    if run.ckpt is not None:
-        if new_b != cur:
-            # the column geometry is a function of b: every checkpointed
-            # batch is invalid — restart
+    if run.ckpt is not None and new_b == cur:
+        # the column geometry is a function of b alone (a backend flip
+        # and a repair preserve it): completed batches stay durable and
+        # gathered, half-gathered ones are recomputed — resume past them
+        run.first_batch = run.ckpt.completed_prefix()
+        run.collector.drop_pending()
+    else:
+        run.first_batch = 0
+        if run.ckpt is not None:
+            # every checkpointed batch is invalid — restart
             run.ckpt.reset(run.ckpt_key, new_b, run.ckpt_plan(new_b))
-        else:
-            # a backend flip preserves geometry: completed batches stay
-            # durable, resume past them
-            run.first_batch = run.ckpt.completed_prefix()
+        run.collector = _make_collector(run)
     run.batches, run.comm_backend = new_b, new_backend
-    run.collector = _make_collector(run)
     return True
 
 
@@ -797,6 +805,8 @@ def _assemble_report(run: _Run) -> SummaResult:
     info["world"] = (
         dict(run.world_info) if run.world_info else {"world": spec.world}
     )
+    if run.heal_ctx is not None:
+        info["world"]["heal_epochs"] = len(run.heal_ctx.events)
     info["memory"] = _memory_report(run, info, ran_batches)
     info["fiber_piece_nnz"] = [r["fiber_piece_nnz"] for r in per_rank]
     info["batch_scheme"] = spec.batch_scheme
@@ -879,19 +889,22 @@ def _deliver_gathered(run: _Run, view=None):
 
     matrix = None
     if ckpt is not None:
-        # resumed prefix from the checkpoint, computed suffix from the
-        # collector; consumption replays in batch order either way, and
+        # what this run gathered — before or after a geometry-preserving
+        # re-entry — comes from the collector, a resumed prefix from the
+        # checkpoint; consumption replays in batch order either way, and
         # the final assembly concatenates the same canonical COO set the
         # non-checkpointed path would, so products are bit-identical.
         # When nothing downstream consumes batches the prefix is never
         # loaded back — required under keep_last pruning, where older
-        # batch files are tombstones by design.
+        # batch files are tombstones by design (and why a re-entering
+        # run keeps what it has gathered instead of reading it back).
         if spec.keep_output or consumed:
             batch_matrices = []
             for batch in range(ran_batches):
                 spans, batch_matrix = (
-                    ckpt.load_batch(batch) if batch < run.first_batch
-                    else collector.completed.pop(batch)
+                    collector.completed.pop(batch)
+                    if batch in collector.completed
+                    else ckpt.load_batch(batch)
                 )
                 consume(batch, spans, batch_matrix)
                 batch_matrices.append(batch_matrix)

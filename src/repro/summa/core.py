@@ -244,9 +244,9 @@ def spmd_batched_summa3d(
         )
     retry = RetryPolicy(max_retries) if max_retries is not None else None
     backend.retry = retry
-    # Entry hygiene: any cached plan state belongs to a previous grid
-    # membership (heal re-entry, or a caller-shared backend instance) and
-    # must be re-planned against the communicators built below.
+    # Entry hygiene: any cached plan state belongs to a previous entry
+    # (an amended run's re-entry, or a caller-shared backend instance)
+    # and must be re-planned against the communicators built below.
     backend.revoke()
     # One ledger per rank per attempt; the world (thread-local) and the
     # backend both see it, so wire deliveries and recv buffers are

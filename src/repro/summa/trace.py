@@ -40,9 +40,6 @@ STEP_MERGE_LAYER = "Merge-Layer"
 STEP_ALLTOALL_FIBER = "AllToAll-Fiber"
 STEP_MERGE_FIBER = "Merge-Fiber"
 STEP_POSTPROCESS = "Batch-Postprocess"
-#: online-recovery span (agreement + grid rebuild + re-entry); recorded by
-#: :mod:`repro.resilience.heal`, outside the paper's seven-step stack.
-STEP_HEAL = "Heal"
 
 #: the seven steps every figure in the paper's evaluation stacks.
 ALL_STEPS = (

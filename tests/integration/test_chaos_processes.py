@@ -127,6 +127,34 @@ class TestShmHygieneUnderKill:
         assert _shm_names() <= before
 
 
+class TestNoWedge:
+    def test_forty_sigkills_mid_bcast_all_heal(self, tmp_path, operands):
+        """A rank ``SIGKILL``ed while its feeder thread holds a *peer's*
+        inbox write lock wedges that inbox.  The in-world protocol had
+        to reach every survivor through exactly those inboxes (2-4 % of
+        p = 8 heals classified at the timeout instead); a re-entry asks
+        nothing of them — survivors notice the abort event on their own
+        tick and the repaired region runs on fresh queues."""
+        a, b = operands
+        ref = batched_summa3d(a, b, nprocs=8, layers=2, batches=4)
+        before = _shm_names()
+        for i in range(40):
+            t0 = time.monotonic()
+            result = batched_summa3d(
+                a, b, nprocs=8, layers=2, batches=4,
+                checkpoint_dir=tmp_path / f"ck{i}",
+                faults=FaultPlan.parse(
+                    f"crash:rank={i % 8},op=bcast,nth={2 + i % 5}"
+                ),
+                heal="spare", world_spares=1, timeout=6,
+                world="processes", transport="shm",
+            )
+            assert time.monotonic() - t0 < 3.0, i
+            assert result.info["resilience"]["heal"]["heals"] == 1, i
+            assert_bit_identical(result.matrix, ref.matrix)
+        assert _shm_names() <= before
+
+
 class TestCheckpointParity:
     def test_checkpoint_io_matches_thread_world(self, tmp_path, operands):
         """The same faulty healed run writes the same checkpoint batches

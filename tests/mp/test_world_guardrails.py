@@ -83,6 +83,27 @@ class TestProcessFaults:
             run_spmd(2, _noop, world="ranks")
 
 
+class TestAbortLatency:
+    def test_a_crashed_region_is_noticed_at_once(self):
+        """When the parent classifies a death it sets the abort event
+        and *wakes* the survivors blocked on their inboxes; left to
+        their pump tick (0.2 s at any timeout >= 10 s) the same region
+        took 250 ms to surface, against 55 ms for a clean run."""
+        a = random_sparse(36, 36, nnz=400, seed=71)
+        walls = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            with pytest.raises(SpmdError) as info:
+                batched_summa3d(
+                    a, a, nprocs=4, batches=2, timeout=30,
+                    world="processes", transport="shm",
+                    faults=FaultPlan.parse("crash:rank=1,op=bcast,nth=2"),
+                )
+            walls.append(time.perf_counter() - t0)
+            assert isinstance(info.value.failures[1], RankCrashError)
+        assert sorted(walls)[2] < 0.150, walls
+
+
 def _staggered(comm):
     time.sleep(0.03 * comm.rank)
     return comm.rank, os.getpid()

@@ -220,6 +220,41 @@ class TestReplanBitIdentity:
         assert spec.batches == 2
 
 
+class TestReplanComposesWithHeal:
+    """A replan and a repair are amendments of the same loop, re-entering
+    at the same batch boundaries from the same checkpoint: they compose
+    in either order (the crash before, at or after the forced replan)
+    without a second protocol to reconcile."""
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("crash_batch", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "amended", [{"batches": 8}, {"comm_backend": "sparse"}],
+        ids=["rebatch", "flip"],
+    )
+    def test_forced_replan_and_crash_match_fixed_plan(
+        self, tmp_path, amended, crash_batch, world
+    ):
+        a, b = _operands("spgemm")
+        final = {"batches": 6, "comm_backend": "dense", **amended}
+        run = batched_summa3d(
+            a, b, 4, batches=6, comm_backend="dense",
+            replan_force=((1, amended),), checkpoint_dir=tmp_path / "ck",
+            faults=[f"crash:rank=1,batch={crash_batch}"],
+            heal="spare", world_spares=1, world=world, timeout=60.0,
+        )
+        fixed = batched_summa3d(a, b, 4, timeout=60.0, **final)
+        assert _identical(run.matrix, fixed.matrix)
+        resilience = run.info["resilience"]
+        assert resilience["heal"]["heals"] == 1
+        assert len(resilience["replans"]) == 1
+        assert run.info["world"]["heal_epochs"] == 1
+        plan = run.info["plan"]
+        assert (plan["batches"], plan["backend"]) == (
+            final["batches"], final["comm_backend"]
+        )
+
+
 class TestReplanHysteresis:
     def test_noisy_but_stable_workload_never_replans(self):
         # replan="auto" on a small balanced problem: measured timings are

@@ -137,12 +137,13 @@ class TestExecSpecConversionPoint:
         with pytest.raises(ValueError, match="replan"):
             ExecSpec.from_kwargs(replan="maybe").validate()
 
-    def test_validate_rejects_replan_with_heal(self):
+    def test_validate_accepts_replan_with_heal(self):
+        # both are amendments of the driver's one re-entry loop: there is
+        # no second protocol for a replan to conflict with
         spec = ExecSpec.from_kwargs(
             replan="auto", heal="shrink", checkpoint_dir="/tmp/ckpt"
         )
-        with pytest.raises(ValueError, match="heal"):
-            spec.validate()
+        assert spec.validate() is spec
 
     def test_validate_rejects_bad_threshold(self):
         with pytest.raises(ValueError, match="replan_threshold"):

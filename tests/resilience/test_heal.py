@@ -147,3 +147,74 @@ class TestHealContext:
             "mode": "spare", "events": [], "heals": 0,
             "extra_bytes_moved": 0,
         }
+
+
+class TestRepair:
+    """The repair rule, driven the way the driver's amend loop drives it."""
+
+    @staticmethod
+    def repair(ctx, dead, restart=0):
+        ctx.repair(dead, restart, lambda position: 100 + position, 0.0)
+        return ctx.events[-1]
+
+    def test_spare_takes_the_position_and_brings_its_host(self):
+        event = self.repair(HealContext("spare", nprocs=4, world_spares=1), {1}, 2)
+        assert event["epoch"] == 1 and event["restart_batch"] == 2
+        assert event["dead"] == [{"position": 1, "rank": 1}]
+        assert event["promoted"] == {4: 1} and event["hosts"][1] == 4
+        assert event["bytes_redistributed"] == 101
+
+    def test_a_repaired_position_can_die_again(self):
+        ctx = HealContext("spare", nprocs=4, world_spares=2)
+        self.repair(ctx, {1})
+        event = self.repair(ctx, {1})
+        assert event["dead"] == [{"position": 1, "rank": 4}]
+        assert event["promoted"] == {5: 1}
+        assert ctx.report()["extra_bytes_moved"] == 202
+
+    def test_world_spares_is_the_budget(self):
+        ctx = HealContext("spare", nprocs=4, world_spares=1)
+        self.repair(ctx, {0})
+        with pytest.raises(HealError, match="no spare rank left .* position 2"):
+            self.repair(ctx, {2})
+        assert ctx.report()["heals"] == 1
+
+    def test_shrink_respawns_onto_the_lowest_surviving_host(self):
+        ctx = HealContext("shrink", nprocs=4)
+        event = self.repair(ctx, {0, 2})
+        assert event["promoted"] == {4: 0, 5: 2}
+        assert event["hosts"] == {0: 1, 1: 1, 2: 1, 3: 3}
+
+    def test_round_budget(self):
+        ctx = HealContext("shrink", nprocs=2, max_rounds=1)
+        self.repair(ctx, {0})
+        with pytest.raises(HealError, match="round budget"):
+            self.repair(ctx, {1})
+
+    def test_latency_runs_until_the_repaired_region_is_submitted(self):
+        ctx = HealContext("spare", nprocs=4, world_spares=1)
+        event = self.repair(ctx, {3})
+        assert event["latency_s"] == 0.0
+        ctx.resubmitted()
+        assert ctx.events[-1]["latency_s"] > 0
+        closed = ctx.events[-1]["latency_s"]
+        ctx.resubmitted()  # a later amendment's submit: nothing open
+        assert ctx.events[-1]["latency_s"] == closed
+
+
+def test_a_repaired_run_keeps_what_it_gathered(tmp_path):
+    """``keep_last`` pruning (the service's default) turns old batch files
+    into tombstones, so a re-entering run must not read back the batches
+    it had already gathered — it keeps them and recomputes the rest."""
+    from repro.summa import batched_summa3d
+
+    a = random_sparse(48, 48, nnz=400, seed=71)
+    ref = batched_summa3d(a, a, nprocs=4, batches=6)
+    healed = batched_summa3d(
+        a, a, nprocs=4, batches=6, checkpoint_dir=tmp_path / "ck",
+        checkpoint_keep_last=2, faults=["crash:rank=1,batch=4"],
+        heal="spare", world_spares=1, timeout=20,
+    )
+    assert healed.info["resilience"]["heal"]["events"][0]["restart_batch"] == 4
+    assert healed.matrix.allclose(ref.matrix)
+    assert (healed.matrix.values == ref.matrix.values).all()

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import (
     CorruptPayloadError,
     RankCrashError,
+    SpmdError,
     TransientCommError,
 )
 from repro.simmpi import run_spmd
@@ -135,6 +136,43 @@ class TestInjectorCounters:
         assert stats["retries"] == 1
         assert stats["simulated_backoff_s"] == pytest.approx(0.001)
         assert stats["events"][0]["kind"] == "retry"
+
+
+def _two_bcasts_past_a_fault_point(comm):
+    comm.world.injector.on_plan_op(comm.global_rank, "multiply", 0, 0)
+    for _ in range(2):
+        comm.bcast("x" * 64 if comm.rank == 0 else None, root=0)
+    return comm.rank
+
+
+class TestCrashFiresOncePerRun:
+    """``rank=`` addresses a grid position, and a run that re-enters
+    after a death puts a new holder on it under the same number: a
+    ``crash`` must not kill that one too, however it is addressed."""
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize(
+        "fault", ["crash:rank=1,op=bcast,nth=2", "crash:rank=1,batch=0"]
+    )
+    def test_reentry_spares_the_positions_next_holder(self, world, fault):
+        inj = FaultInjector(FaultPlan([fault]))
+        run = dict(faults=inj, world=world, timeout=15.0)
+        with pytest.raises(SpmdError) as info:
+            run_spmd(4, _two_bcasts_past_a_fault_point, **run)
+        assert isinstance(info.value.failures[1], RankCrashError)
+        # the re-entry: same injector, counting starts over — the death
+        # does not
+        assert run_spmd(4, _two_bcasts_past_a_fault_point, **run) == [0, 1, 2, 3]
+        assert inj.stats()["injected"] == {"crash": 1}
+
+    def test_transient_addresses_every_regions_own_count(self):
+        inj = FaultInjector(FaultPlan(["transient:rank=1,op=bcast,nth=1"]))
+        for _ in range(2):
+            with pytest.raises(SpmdError) as info:
+                run_spmd(2, _two_bcasts_past_a_fault_point, faults=inj,
+                         timeout=10)
+            assert isinstance(info.value.failures[1], TransientCommError)
+        assert inj.stats()["injected"] == {"transient": 2}
 
 
 class TestSerializationChecksums:

@@ -1,6 +1,7 @@
 """Structure gates (AST walks over ``src/``): the driver stays a pipeline
 of short phases, kernel decisions stay behind ``LocalKernel``, the SPMD
-body has exactly one launch site, and the rank program stays a loop."""
+body has exactly one launch site, the rank program stays a loop, and
+recovering from a rank death stays the driver's business."""
 
 import ast
 import re
@@ -17,6 +18,15 @@ def functions(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
+
+
+def _grep(pattern, paths):
+    return [
+        f"{path.relative_to(SRC)}:{n}: {line.strip()}"
+        for path in paths
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
 
 
 CONTEXT = SRC / "dist" / "context.py"
@@ -137,13 +147,7 @@ def test_the_rank_program_is_a_loop_not_an_ir():
         "StageOp|ExecutionPlan|SequentialExecutor|PipelinedExecutor"
         "|compile_batched_summa3d|get_executor|mem_delta|prefetch_issuers"
     )
-    hits = [
-        f"{path.relative_to(SRC)}:{n}"
-        for path in sorted(SRC.rglob("*.py"))
-        for n, line in enumerate(path.read_text().splitlines(), 1)
-        if gone.search(line)
-    ]
-    assert not hits, hits
+    assert not _grep(gone, sorted(SRC.rglob("*.py")))
 
 
 def test_design_inventory_names_every_package_and_summa_module():
@@ -155,3 +159,76 @@ def test_design_inventory_names_every_package_and_summa_module():
     ]
     missing = [name for name in packages + modules if name not in inventory]
     assert not missing, missing
+
+
+ENGINES = [
+    *sorted((SRC / "simmpi").rglob("*.py")), *sorted((SRC / "mp").rglob("*.py")),
+]
+
+
+def test_the_engines_do_not_know_what_healing_is():
+    """A rank death leaves a region as a ``RankCrashError`` and re-enters
+    through the driver's amend loop; the issue's two grep gates, verbatim:
+    nothing under ``simmpi/`` or ``mp/`` names the concept, and the
+    in-world protocol's classes are gone from ``src/``."""
+    concept = re.compile("heal|membership|revoke|respawn|spare", re.I)
+    assert not _grep(concept, ENGINES)
+    protocol = re.compile(
+        "RankRevokedError|HealingBody|MpMembership|_HealProxy|epoch_comm"
+    )
+    assert not _grep(protocol, sorted(SRC.rglob("*.py")))
+    assert not (SRC / "simmpi" / "membership.py").exists()
+
+
+def test_a_rank_death_is_recovered_in_one_function():
+    sites = {
+        (path.name, top.name)
+        for path in sorted((SRC / "summa").glob("*.py"))
+        for top in functions(path)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "RankCrashError"
+    }
+    assert sites == {("batched.py", "_amend")}, sites
+
+
+def test_the_supervisors_share_one_settle_rule():
+    """``ThreadWorld.submit`` is launch → join → settle, and what is left
+    common to both carriers — how a region ends — is one function."""
+    thread_engine = SRC / "simmpi" / "engine.py"
+    (submit,) = [
+        fn for cls in ast.walk(ast.parse(thread_engine.read_text()))
+        if isinstance(cls, ast.ClassDef) and cls.name == "ThreadWorld"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "submit"
+    ]
+    assert submit.end_lineno - submit.lineno + 1 <= 60
+    spawners = [
+        fn.name
+        for fn in ast.walk(submit)
+        if fn is not submit
+        and isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Attribute) and node.attr in ("Thread", "start")
+            for node in ast.walk(fn)
+        )
+    ]
+    assert not spawners, spawners
+    # the rule — SpmdError over the genuine failures — is written once...
+    raisers = {
+        (path.name, fn.name)
+        for path in ENGINES
+        for fn in functions(path)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "SpmdError"
+    }
+    assert raisers == {("engine.py", "settle")}, raisers
+    assert [fn.name for fn in functions(thread_engine)].count("settle") == 1
+    # ...and both engines end a region through it
+    for path in (thread_engine, SRC / "mp" / "engine.py"):
+        calls = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "settle"
+        ]
+        assert calls, path
