@@ -7,17 +7,18 @@ the hot path of almost every collective.
 
 Everything that groups coordinates (the ESC compress, every merge, COO
 construction, ``sort_indices``, the symbolic counts, the gather epilogue)
-is :func:`stable_order` of the column-major keys plus :func:`run_starts`
+is :func:`stable_order` of the column-major keys plus :func:`run_boundary`
 of the sorted keys: one sort, one neighbour compare.  Nothing on those
 paths hashes (``np.unique``) or arg-sorts.
 
 What is sorted at once depends on what is known about the input.  Work
 that is already grouped by column — the partial products of a multiply,
-the parts of a merge — is sorted one column chunk at a time
-(:mod:`repro.sparse.spgemm.esc`), so no array there is sized by
-``flops``.  Triples in arbitrary order (:func:`dedup_coo`,
-:func:`sort_coo`: COO construction, the gather epilogue) take one sort
-of everything given, which is ``nnz``-sized.
+the parts of a merge — is grouped one column chunk at a time
+(:mod:`repro.sparse.spgemm.esc`: sorted, or where the chunk is dense
+scattered into a table), so no array there is sized by ``flops``.
+Triples in arbitrary order (:func:`dedup_coo`, :func:`sort_coo`: COO
+construction, the gather epilogue) take one sort of everything given,
+which is ``nnz``-sized.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def colmajor_keys(nrows: int, rows, cols) -> np.ndarray:
     return cols * np.int64(max(nrows, 1)) + rows
 
 
-def stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stable_order(
+    key: np.ndarray, space: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(order, key[order])`` with ``order`` equal to
     ``np.argsort(key, kind="stable")``: equal keys keep their input order,
     which fixes the summation order of every merge.
@@ -43,10 +46,14 @@ def stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(key << bits) | position`` is unique per entry, so a plain value
     sort of it *is* the stable order — several times faster than an
     argsort.  When key bits plus position bits do not fit an int64 (or a
-    key is negative) the stable argsort does the same job."""
+    key is negative) the stable argsort does the same job.  A caller that
+    knows ``0 <= key < space`` says so and saves the two passes that
+    would find it out."""
     n = key.shape[0]
     bits = max(n - 1, 0).bit_length()
-    if n and key.min() >= 0 and int(key.max()).bit_length() + bits <= 62:
+    if space is None:
+        space = int(key.max()) + 1 if n and key.min() >= 0 else 0
+    if space and (space - 1).bit_length() + bits <= 62:
         packed = key << bits
         packed |= np.arange(n, dtype=np.int64)
         packed.sort()
@@ -57,13 +64,14 @@ def stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, key[order]
 
 
-def run_starts(sorted_key: np.ndarray) -> np.ndarray:
-    """Positions at which a new key begins in an already sorted array:
-    group ``g`` of the stable order is ``order[starts[g]:starts[g + 1]]``."""
+def run_boundary(sorted_key: np.ndarray) -> np.ndarray:
+    """Bool mask over an already sorted array, true where a new key
+    begins: with ``starts = np.flatnonzero(mask)``, group ``g`` of the
+    stable order is ``order[starts[g]:starts[g + 1]]``."""
     boundary = np.empty(sorted_key.shape[0], dtype=bool)
     boundary[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-    return np.flatnonzero(boundary)
+    return boundary
 
 
 def indptr_from_cols(cols: np.ndarray, ncols: int) -> np.ndarray:
@@ -99,9 +107,9 @@ def dedup_coo(nrows: int, rows, cols, vals, semiring: Semiring = PLUS_TIMES):
     cols = np.asarray(cols, dtype=INDEX_DTYPE)
     vals = np.asarray(vals, dtype=VALUE_DTYPE)
     order, sorted_key = stable_order(colmajor_keys(nrows, rows, cols))
-    starts = run_starts(sorted_key)
-    first = order[starts]
-    reduced = semiring.reduce_segments(vals[order], starts)
+    boundary = run_boundary(sorted_key)
+    first = order[np.flatnonzero(boundary)]
+    reduced = semiring.reduce_segments(vals[order], boundary)
     return rows[first], cols[first], reduced.astype(VALUE_DTYPE, copy=False)
 
 

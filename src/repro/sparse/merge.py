@@ -10,8 +10,8 @@ grouped merge used as this reproduction's production default.  The
 grouped merge walks the parts' columns in the same chunks as the ESC
 multiply (:func:`repro.sparse.spgemm.esc.column_chunks`): the parts are
 CSC, so a column range of every part is an ``indptr`` slice, and one
-sort plus one segmented reduction per chunk merges it — no intermediate
-is sized by the parts' total nonzeros.
+grouping (table or sort) plus one reduction per chunk merges it — no
+intermediate is sized by the parts' total nonzeros.
 
 All three produce numerically identical results; they differ in input
 requirements (heap needs sorted columns) and output ordering guarantees.
@@ -137,9 +137,9 @@ def merge_heap(parts, semiring=PLUS_TIMES) -> SparseMatrix:
 
 def merge_grouped(parts, semiring=PLUS_TIMES) -> SparseMatrix:
     """Vectorised merge: per column chunk, concatenate the parts' entries,
-    one key sort, one segmented reduction.  Coinciding entries are
-    reduced in part order.  Accepts unsorted inputs; emits sorted output.
-    The production default of this reproduction."""
+    group them by key, reduce each group left to right (so coinciding
+    entries are added in part order).  Accepts unsorted inputs; emits
+    sorted output.  The production default of this reproduction."""
     parts = list(parts)
     nrows, ncols = _check_parts(parts)
     semiring = get_semiring(semiring)

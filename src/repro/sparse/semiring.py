@@ -3,8 +3,8 @@
 The paper (Sec. II-A) notes the algorithms apply over an arbitrary semiring
 since nothing Strassen-like is used.  A :class:`Semiring` bundles the two
 binary operations as NumPy ufuncs so the vectorised kernels can use
-``reduceat``-style segmented reductions for "add" and elementwise ufunc
-application for "multiply".
+segmented reductions for "add" and elementwise ufunc application for
+"multiply".
 
 Only value semantics change across semirings; sparsity structure handling
 is identical, so every kernel and every distributed algorithm accepts an
@@ -42,11 +42,17 @@ class Semiring:
     mul: np.ufunc
     add_identity: float
 
-    def reduce_segments(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Segmented reduction of ``values`` at segment ``starts`` with ``add``."""
+    def reduce_segments(self, values: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+        """Reduce with ``add`` each run of ``values`` that begins where
+        ``boundary`` is true.  The one summation rule of every kernel and
+        merge: coinciding entries are added **left to right** in the order
+        given — what ``bincount`` does and ``np.add.reduceat`` (pairwise
+        by SIMD lane) does not.  min / max / or are order-free."""
+        if self.add is np.add:
+            return np.bincount(np.cumsum(boundary), weights=values)[1:]
         if values.shape[0] == 0:
             return values
-        return self.add.reduceat(values, starts)
+        return self.add.reduceat(values, np.flatnonzero(boundary))
 
     def __repr__(self) -> str:  # keep dataclass repr short — ufuncs are noisy
         return f"Semiring({self.name})"

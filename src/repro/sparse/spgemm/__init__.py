@@ -10,7 +10,7 @@ kernel    accumulator           output sorted  provenance
 ``heap``  k-way heap merge      yes            prior SUMMA3D [13]
 ``hybrid``heap or hash + sort   yes            Nagasaka et al. [25]
 ``spa``   dense sparse accum.   yes            Gilbert et al. [21]
-``esc``   sort + segmented add  yes            vectorised fast path
+``esc``   table or sort + add   yes            vectorised fast path
 ========= ===================== ============== =====================
 
 ``esc`` (expansion / sort / compress) is this reproduction's
@@ -18,9 +18,9 @@ NumPy-vectorised production default — in CPython the per-element loops of
 the classic accumulators cannot compete with a sort at C speed, so the
 repo-wide default favours it while the paper's hash/heap/hybrid kernels
 remain faithful per-column implementations used by the Fig. 15 /
-Table VII ablations.  It keeps their Gustavson-sized working set: it
-expands, sorts and reduces one chunk of output columns at a time, never
-all ``flops`` products of a tile (see :mod:`.esc`).
+Table VII ablations.  It keeps their Gustavson-sized working set — one
+chunk of output columns at a time, never all ``flops`` products of a tile
+— and, where a chunk is dense, their sort-free accumulator (see :mod:`.esc`).
 """
 
 from .suite import KernelSuite, get_suite, multiply

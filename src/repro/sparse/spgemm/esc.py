@@ -9,17 +9,24 @@ column-by-column accumulators whose working set is one column's flops
 intermediate must never outgrow memory.  This kernel keeps both
 properties at NumPy speed: :func:`column_chunks` walks B's columns in
 consecutive ranges of about ``_CHUNK_PRODUCTS`` partial products, and
-each range is expanded with pure gather arithmetic, sorted once
-(:func:`repro.sparse.coo.stable_order`) and reduced by one segmented
-reduction.  Output columns are disjoint between ranges, so the pieces
-concatenate into the sorted CSC result.
+each range is expanded with pure gather arithmetic, grouped and reduced.
+Output columns are disjoint between ranges, so the pieces concatenate
+into the sorted CSC result.
+
+There are two ways to group and one way to sum.  A chunk whose key space
+(its columns x ``nrows``) is a few times its products is scattered into
+a dense table over that space — the paper's sort-free accumulator, chosen
+per chunk by density as Azad et al. choose the SPA per column; any other
+chunk is sorted once (:func:`repro.sparse.coo.stable_order`) and reduced
+by segment.  Either way coinciding products are added left to right in
+expansion order (:meth:`~repro.sparse.semiring.Semiring.reduce_segments`),
+so neither the tier nor a chunk boundary shows in the bits, and the
+values equal those of the per-column hash and SPA loop kernels.
 
 Nothing here is sized by ``flops``: every temporary is chunk-sized and
 stays in cache, which is why this is ~2x faster than sorting the whole
 expansion at once, and why a run's resident memory follows
-``nnz(A) + nnz(B) + nnz(C)`` rather than ``flops``.  Within one output
-coordinate the products keep their expansion order whatever the chunk
-boundaries are, so values are bit-identical for every chunk target.
+``nnz(A) + nnz(B) + nnz(C)`` rather than ``flops``.
 
 The same iterator serves every group-by-column consumer — the masked
 multiply (:mod:`.masked`), the values-free symbolic counts
@@ -35,7 +42,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ...errors import ShapeError
-from ..coo import dedup_coo, indptr_from_cols, run_starts, stable_order
+from ..coo import dedup_coo, indptr_from_cols, run_boundary, stable_order
 from ..matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 
@@ -49,6 +56,29 @@ from ..semiring import PLUS_TIMES, Semiring, get_semiring
 #: multiply and the merge have the same shape).  A single column is never
 #: split, so a chunk may exceed it by one column's products.
 _CHUNK_PRODUCTS = 1 << 16
+
+#: Key-space cells per key up to which a chunk takes a dense table
+#: instead of a sort: ``space <= c * n``, both read off the tile, so the
+#: tier is the same under every run setting.  Constants, not options.
+#: ``_TABLE_SUM`` bounds the float64 accumulate table.  Table / sort time
+#: of one multiply at space / n = 1, 2, 3, 3.8, 5.5, 7.6, 12, 16, 30 on
+#: Erdos-Renyi squares: 0.61, 0.81, 0.85, 0.73, 0.91, 0.97, 1.42, 1.64,
+#: 1.98; protein (2.0) 0.58, R-MAT (5-11) 1.06, planted (7.5) 1.2, R-MAT
+#: tile (17) 1.67 — at c = 8 the table already loses on real tiles.
+#: ``_TABLE_SEEN`` bounds the bool tables (symbolic count, pattern, mask
+#: filter).  Symbolic table / sort at 1-12, 16, 30, 50, 100: 0.6, 0.76,
+#: 0.92, 1.23, 1.65.  The mask bitmap still beats ``searchsorted`` at 100
+#: (0.4-0.5 up to 30, 0.73 at 100) but shares the constant, so that no
+#: table outgrows the chunk's other temporaries (32 n bytes = four of them).
+_TABLE_SUM = 4
+_TABLE_SEEN = 32
+
+
+def key_table(keys: np.ndarray, space: int) -> np.ndarray:
+    """Bool table over a chunk's key space, true at each of ``keys``."""
+    table = np.zeros(space, dtype=bool)
+    table[keys] = True
+    return table
 
 
 def check_inner_dimension(a: SparseMatrix, b: SparseMatrix) -> None:
@@ -126,26 +156,38 @@ def compress_chunks(
     chunks: Iterable[tuple[int, int, np.ndarray, np.ndarray | None]],
     semiring: Semiring | None,
 ) -> SparseMatrix:
-    """Group each chunk's ``(keys, vals)`` by key — one stable sort, one
-    segmented reduction — and concatenate the pieces, which arrive in
-    column order, into a sorted CSC matrix.  With ``semiring`` ``None``
-    only the keys are grouped and the result is the pattern, valued 1."""
-    stride = np.int64(max(nrows, 1))
+    """Group each chunk's ``(keys, vals)`` by key — through a dense table
+    where the chunk's key space is a few times its keys, by one stable
+    sort otherwise — reduce each group left to right, and concatenate the
+    pieces, which arrive in column order, into a sorted CSC matrix.  With
+    ``semiring`` ``None`` only the keys are grouped and the result is the
+    pattern, valued 1."""
+    stride = max(nrows, 1)
+    cells = (_TABLE_SEEN if semiring is None
+             else _TABLE_SUM if semiring.add is np.add else -1)
     rows, counts, vals = [], [], []
     for j0, j1, keys, chunk_vals in chunks:
-        if semiring is None:
-            keys.sort()
+        space = (j1 - j0) * stride
+        if space <= cells * keys.shape[0]:
+            distinct = np.flatnonzero(key_table(keys, space))
+            if semiring is not None:
+                sums = np.bincount(keys, weights=chunk_vals, minlength=space)
+                vals.append(sums[distinct])
         else:
-            order, keys = stable_order(keys)
-        starts = run_starts(keys)
-        distinct = keys[starts]
+            if semiring is None:
+                keys.sort()
+            else:
+                order, keys = stable_order(keys, space)
+            boundary = run_boundary(keys)
+            distinct = keys[np.flatnonzero(boundary)]
+            if semiring is not None:
+                vals.append(
+                    semiring.reduce_segments(chunk_vals[order], boundary))
         cols = distinct // stride
         counts.append(np.bincount(cols, minlength=j1 - j0))
         cols *= stride
         distinct -= cols
         rows.append(distinct)
-        if semiring is not None:
-            vals.append(semiring.reduce_segments(chunk_vals[order], starts))
     indptr = np.zeros(ncols + 1, dtype=INDEX_DTYPE)
     np.cumsum(_joined(counts), out=indptr[1:])
     rowidx = _joined(rows)

@@ -10,10 +10,9 @@ shrinking the intermediate from ``flops`` entries to only those landing on
 
 The implementation rides the column-chunked ESC kernel
 (:mod:`.esc`): each chunk of partial products is filtered by membership
-of its ``(row, col)`` keys in the mask's sorted keys for the same column
-range — an ``indptr`` slice, since the mask is CSC — with one
-``searchsorted``, *before* the sort, so only surviving products are
-sorted and reduced.
+of its ``(row, col)`` keys in the mask's keys for the same column range
+(:func:`mask_hits`) *before* they are grouped, so only surviving products
+are accumulated.
 """
 
 from __future__ import annotations
@@ -21,18 +20,30 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ShapeError
-from ..coo import colmajor_keys
-from ..matrix import SparseMatrix
+from ..matrix import INDEX_DTYPE, SparseMatrix
 from ..semiring import PLUS_TIMES, get_semiring
+from . import esc
 from .esc import check_inner_dimension, compress_chunks, product_chunks
 
 
-def _mask_keys(mask: SparseMatrix) -> np.ndarray:
-    """Sorted flat coordinate keys of the mask's pattern.  Sorting keeps
-    every column's entries in that column's ``indptr`` span."""
-    keys = colmajor_keys(mask.nrows, mask.rowidx, mask.col_indices())
-    keys.sort()
-    return keys
+def mask_hits(mask: SparseMatrix, j0: int, j1: int, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` — chunk-local ``(col - j0) * nrows + row`` in
+    columns ``[j0, j1)`` — are stored in ``mask``, whose own keys for the
+    range are an ``indptr`` slice: looked up in a bool table of the range
+    where the range is dense enough, by ``searchsorted`` otherwise."""
+    stride = max(mask.nrows, 1)
+    space = (j1 - j0) * stride
+    stored = np.repeat(
+        np.arange(j1 - j0, dtype=INDEX_DTYPE) * stride,
+        np.diff(mask.indptr[j0:j1 + 1]),
+    )
+    stored += mask.rowidx[mask.indptr[j0]:mask.indptr[j1]]
+    if space <= esc._TABLE_SEEN * keys.shape[0]:
+        return esc.key_table(stored, space)[keys]
+    if not mask.sorted_within_columns:
+        stored.sort()
+    stored = np.append(stored, space)  # no key reaches it: pos stays inside
+    return stored[np.searchsorted(stored, keys)] == keys
 
 
 def spgemm_masked(
@@ -56,20 +67,13 @@ def spgemm_masked(
             f"mask shape {mask.shape} != product shape {(a.nrows, b.ncols)}"
         )
     semiring = get_semiring(semiring)
-    mkeys = _mask_keys(mask)
-    nrows = np.int64(max(a.nrows, 1))
 
     def surviving():
         for j0, j1, keys, vals in product_chunks(a, b, semiring):
-            local = mkeys[mask.indptr[j0]:mask.indptr[j1]] - j0 * nrows
-            if local.shape[0]:
-                pos = np.searchsorted(local, keys)
-                np.minimum(pos, local.shape[0] - 1, out=pos)
-                keep = local[pos] == keys
-            else:
-                keep = np.zeros(keys.shape[0], dtype=bool)
-            if complement:
-                np.logical_not(keep, out=keep)
+            hits = mask_hits(mask, j0, j1, keys)
+            # positions, not the bool mask: a take is several times
+            # faster than a masked select when hits and misses interleave
+            keep = np.flatnonzero(~hits if complement else hits)
             yield j0, j1, keys[keep], vals[keep]
 
     return compress_chunks(a.nrows, b.ncols, surviving(), semiring)

@@ -9,7 +9,7 @@ values.  These kernels provide:
 * :func:`symbolic_nnz` — ``nnz(A @ B)`` after merging, via a values-free
   ESC pass over the same column chunks the numeric kernel walks
   (:func:`~repro.sparse.spgemm.esc.product_chunks`): expand a chunk's
-  keys, sort them, count the runs.  Like the multiply it prices, the
+  keys, count the distinct ones.  Like the multiply it prices, the
   pass never holds more than one chunk of the ``flops`` keys;
 * :func:`symbolic_per_column` — per-output-column ``(nnz, flops)``, the
   basis of compression-factor statistics and the hybrid kernel's policy;
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coo import run_starts
+from ..coo import run_boundary
 from ..matrix import INDEX_DTYPE, SparseMatrix
+from . import esc
 from .esc import check_inner_dimension, compress_chunks, product_chunks
 
 
@@ -43,10 +44,15 @@ def flops_per_column(a: SparseMatrix, b: SparseMatrix) -> np.ndarray:
 
 def symbolic_nnz(a: SparseMatrix, b: SparseMatrix) -> int:
     """``nnz(A @ B)`` (structural: no numeric cancellation assumed)."""
-    nnz = 0
-    for _, _, keys, _ in product_chunks(a, b, None):
-        keys.sort()
-        nnz += run_starts(keys).shape[0]
+    stride, nnz = max(a.nrows, 1), 0
+    for j0, j1, keys, _ in product_chunks(a, b, None):
+        space = (j1 - j0) * stride
+        if space <= esc._TABLE_SEEN * keys.shape[0]:
+            marks = esc.key_table(keys, space)
+        else:
+            keys.sort()
+            marks = run_boundary(keys)
+        nnz += int(np.count_nonzero(marks))
     return nnz
 
 

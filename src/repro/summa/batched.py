@@ -952,25 +952,18 @@ class _MaskFilter:
 
     def __call__(self, batch: int, c0: int, c1: int,
                  block: SparseMatrix) -> SparseMatrix:
-        from ..sparse.ops import hadamard, submatrix
-
-        mask_block = submatrix(self.mask, 0, self.mask.nrows, c0, c1)
         if self.complement:
             from ..sparse.coo import colmajor_keys
             from ..sparse.ewise import select
-            from ..sparse.spgemm.masked import _mask_keys
+            from ..sparse.spgemm.masked import mask_hits
 
             keys = colmajor_keys(block.nrows, block.rowidx, block.col_indices())
-            mkeys = _mask_keys(mask_block)
-            pos = np.searchsorted(mkeys, keys)
-            pos = np.minimum(pos, max(mkeys.shape[0] - 1, 0))
-            inside = (
-                mkeys[pos] == keys
-                if mkeys.shape[0]
-                else np.zeros(keys.shape[0], bool)
-            )
+            inside = mask_hits(self.mask, c0, c1, keys)
             block = select(block, lambda _r, _c, _v: ~inside)
         else:
+            from ..sparse.ops import hadamard, submatrix
+
+            mask_block = submatrix(self.mask, 0, self.mask.nrows, c0, c1)
             pattern = SparseMatrix(
                 mask_block.nrows, mask_block.ncols, mask_block.indptr,
                 mask_block.rowidx, np.ones(mask_block.nnz),

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from repro.sparse import SparseMatrix, random_sparse
+from repro.sparse.spgemm import esc
 
 # SPMD tests spawn threads per example; keep hypothesis example counts sane
 settings.register_profile(
@@ -23,12 +24,29 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+#: ``(esc._TABLE_SUM, esc._TABLE_SEEN)`` that force one accumulate tier
+#: whatever a chunk's density is, beside the shipped pair (read here,
+#: before any option overrides it)
+TIER_THRESHOLDS = {
+    "table": (1 << 62, 1 << 62),
+    "sort": (-1, -1),
+    "default": (esc._TABLE_SUM, esc._TABLE_SEEN),
+}
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--chunk-products", type=int, default=None, metavar="N",
         help="run with the ESC kernels' private column-chunk target set to "
              "N partial products, so that the suite's small matrices span "
              "many chunks (the library itself reads no option)",
+    )
+    parser.addoption(
+        "--accumulate-tier", choices=("table", "sort"), default=None,
+        help="force every ESC chunk, Symbolic count and mask filter onto "
+             "the dense-table tier (where the semiring's add allows it) or "
+             "the sort tier, by setting the kernels' private density "
+             "thresholds (the library itself reads no option)",
     )
 
 
@@ -38,9 +56,10 @@ def pytest_configure(config):
         if target < 1:
             raise pytest.UsageError("--chunk-products must be >= 1")
         # set before any rank process forks: workers inherit it
-        from repro.sparse.spgemm import esc
-
         esc._CHUNK_PRODUCTS = target
+    tier = config.getoption("--accumulate-tier")
+    if tier is not None:
+        esc._TABLE_SUM, esc._TABLE_SEEN = TIER_THRESHOLDS[tier]
 
 
 def to_scipy(m: SparseMatrix) -> sp.csc_matrix:

@@ -7,7 +7,8 @@ the same matrices span many chunks (down to one column per chunk) and
 require the multiply, the masked multiply, the symbolic counts and the
 grouped merge to stay bit-identical to the single-chunk result and to the
 whole-expansion reference formulation (:func:`expand_products` + stable
-``argsort`` + ``reduceat``), under every registered semiring.
+``argsort`` + a left-to-right ``ufunc.at`` reduction), under every
+registered semiring.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def assert_identical(got, want):
 def reference_product(a, b, semiring, keep=None):
     """The whole-expansion formulation: all ``flops`` products at once,
     optionally filtered by ``keep(rows, cols)``, one stable argsort, one
-    ``reduceat``."""
+    left-to-right reduction."""
     rows, cols, vals = expand_products(a, b, semiring)
     if keep is not None:
         sel = keep(rows, cols)
@@ -69,7 +70,7 @@ def reference_product(a, b, semiring, keep=None):
 def reference_matrix(nrows, ncols, rows, cols, vals, semiring):
     if rows.shape[0]:
         rows, cols, vals = reference_dedup(
-            nrows, rows, cols, vals, semiring.add.reduceat)
+            nrows, rows, cols, vals, semiring.add, semiring.add_identity)
     counts = np.bincount(cols, minlength=ncols)
     return SparseMatrix(
         nrows, ncols, np.concatenate(([0], np.cumsum(counts))), rows,

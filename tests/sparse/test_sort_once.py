@@ -1,9 +1,9 @@
 """The sort-once data path: one group-by-key primitive, no hash-unique.
 
 Every block that was rebuilt on :func:`repro.sparse.coo.stable_order` is
-checked bit for bit against the formulation it replaced, which is kept
-here as the reference (stable ``argsort`` + ``reduceat``; ``np.unique``
-duplicate check; per-column sort loop), and against SciPy.
+checked bit for bit against an independent formulation kept here as the
+reference (stable ``argsort`` + a left-to-right ``ufunc.at`` reduction;
+``np.unique`` duplicate check; per-column sort loop), and against SciPy.
 """
 
 import re
@@ -30,7 +30,7 @@ from repro.sparse import (
     random_sparse,
     transpose,
 )
-from repro.sparse.coo import run_starts, stable_order
+from repro.sparse.coo import run_boundary, stable_order
 from repro.sparse.ops import submatrix
 from repro.sparse.spgemm.esc import expand_products
 from repro.sparse.spgemm.hash import spgemm_hash
@@ -46,13 +46,20 @@ from tests.conftest import to_scipy
 # the formulations this path replaced, kept as references
 # --------------------------------------------------------------------- #
 
-def reference_dedup(nrows, rows, cols, vals, reduceat=np.add.reduceat):
+def reference_dedup(nrows, rows, cols, vals, add=np.add, identity=0.0):
+    """Coinciding entries reduced left to right in input order, starting
+    from the identity: ``ufunc.at`` is unbuffered and applies the
+    operands one by one in the order given."""
     rows, cols, vals = map(np.asarray, (rows, cols, vals))
     key = cols * np.int64(max(nrows, 1)) + rows
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return rows[order][starts], cols[order][starts], reduceat(vals[order], starts)
+    group = np.repeat(
+        np.arange(starts.shape[0]), np.diff(np.append(starts, key.shape[0])))
+    reduced = np.full(starts.shape[0], identity, dtype=np.float64)
+    add.at(reduced, group, vals[order])
+    return rows[order][starts], cols[order][starts], reduced
 
 
 def reference_csc(nrows, ncols, rows, cols, vals):
@@ -118,7 +125,7 @@ FAMILIES = families()
 
 
 # --------------------------------------------------------------------- #
-# stable_order / run_starts
+# stable_order / run_boundary
 # --------------------------------------------------------------------- #
 
 class TestStableOrder:
@@ -157,7 +164,7 @@ class TestStableOrder:
     def test_groups_partition_the_input(self, keys):
         key = np.array(keys, dtype=np.int64)
         order, sorted_key = stable_order(key)
-        starts = run_starts(sorted_key)
+        starts = np.flatnonzero(run_boundary(sorted_key))
         assert np.array_equal(sorted_key[starts], np.unique(key))
         bounds = np.append(starts, key.shape[0])
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -246,7 +253,7 @@ def test_dedup_coo_other_semiring_matches_reference():
     vals = rng.random(200)
     for got, want in zip(
         dedup_coo(6, rows, cols, vals, MIN_PLUS),
-        reference_dedup(6, rows, cols, vals, np.minimum.reduceat),
+        reference_dedup(6, rows, cols, vals, np.minimum, np.inf),
     ):
         assert np.array_equal(got, want)
 
