@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DistributionError
-from ..sparse.coo import colmajor_keys, indptr_from_cols, stable_order
-from ..sparse.matrix import INDEX_DTYPE, SparseMatrix
+from ..sparse.matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from ..sparse.ops import split_bounds, submatrix
 from .grid3d import ProcGrid3D
 
@@ -145,44 +144,86 @@ def c_tile_columns(
     return c0 + s, c0 + e
 
 
+def _rows_rise(indptr: np.ndarray, rows: np.ndarray) -> bool:
+    """Rows strictly increasing inside every column: sorted, duplicate-free."""
+    rising = rows[1:] > rows[:-1]
+    starts = indptr[1:-1]
+    # a column's first entry owes nothing to its predecessor's last
+    rising[starts[(starts > 0) & (starts < rows.shape[0])] - 1] = True
+    return bool(rising.all())
+
+
 def gather_tiles(
     nrows: int, ncols: int, pieces
 ) -> SparseMatrix:
     """Assemble a global matrix from ``(row_offset, col_offset, tile)``
-    triples.  Tiles must not overlap (duplicate coordinates raise): the
-    global coordinates are range-checked and their keys sorted once, an
-    overlap is two equal neighbours among them, and the result is built
-    from what that pass established, with no second validation."""
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    for r0, c0, tile in pieces:
-        if tile.nnz == 0:
-            continue
-        rows_parts.append(tile.rowidx + np.int64(r0))
-        cols_parts.append(tile.col_indices() + np.int64(c0))
-        vals_parts.append(tile.values)
-    if not rows_parts:
+    triples.  Tiles must not overlap (duplicate coordinates raise).
+
+    Assembly is placement: the global ``indptr`` is the sum of the sorted
+    tiles' own column counts, and inside a column the tiles follow one
+    another in row-offset order, so every entry is written straight to
+    its CSC slot — for non-overlapping tiles, what a stable sort of the
+    concatenated coordinates returns.  One linear compare proves it; an
+    assembly it rejects is sorted, to tell rectangles that interleave
+    rows from an overlap.  One sorted tile of the full shape is its own
+    gather, uncopied."""
+    tiles = sorted(
+        ((int(r0), int(c0), tile.sort_indices())
+         for r0, c0, tile in pieces if tile.nnz),
+        key=lambda piece: piece[0],
+    )
+    if not tiles:
         return SparseMatrix.empty(nrows, ncols)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
-    for name, idx, bound in (("row", rows, nrows), ("column", cols, ncols)):
+    r0, c0, whole = tiles[0]
+    if len(tiles) > 1 or (r0, c0) != (0, 0) or whole.shape != (nrows, ncols):
+        whole = None
+    rows = whole.rowidx if whole is not None else np.concatenate(
+        [t.rowidx + np.int64(r0) for r0, _c0, t in tiles]
+    )
+    # one run per occupied (tile, column), tile-major as the entries are:
+    # its length and the global column it belongs to
+    run_len = np.concatenate([t.col_nnz() for _r0, _c0, t in tiles])
+    live = run_len > 0
+    run_len = run_len[live]
+    run_col = np.concatenate([
+        np.arange(c0, c0 + t.ncols, dtype=INDEX_DTYPE) for _r0, c0, t in tiles
+    ])[live]
+    for name, idx, bound in (("row", rows, nrows), ("column", run_col, ncols)):
         if idx.min() < 0 or idx.max() >= bound:
             raise DistributionError(
                 f"overlapping or invalid tiles in gather: "
                 f"{name} index out of range [0, {bound})"
             )
-    order, sorted_key = stable_order(colmajor_keys(nrows, rows, cols))
-    if np.any(sorted_key[1:] == sorted_key[:-1]):
-        raise DistributionError(
-            "overlapping or invalid tiles in gather: "
-            "duplicate (row, col) coordinate"
-        )
-    return SparseMatrix(
-        nrows, ncols, indptr_from_cols(cols, ncols), rows[order], vals[order],
-        sorted_within_columns=True, validate=False,
+    if whole is not None:
+        indptr, vals = whole.indptr, whole.values
+    else:
+        # CSC order of the runs: by column, a column's tiles by row offset
+        order = np.argsort(run_col, kind="stable")
+        ends = np.concatenate(([0], np.cumsum(run_len[order])))
+        indptr = ends[np.searchsorted(run_col[order], np.arange(ncols + 1))]
+        # an entry's slot is its position among the concatenated tiles
+        # plus a shift that is constant along its run
+        shift = np.empty_like(run_len)
+        shift[order] = ends[:-1]
+        shift -= np.cumsum(run_len) - run_len
+        slot = np.repeat(shift, run_len)
+        slot += np.arange(slot.shape[0], dtype=INDEX_DTYPE)
+        placed, vals = np.empty_like(rows), np.empty(rows.shape[0], VALUE_DTYPE)
+        placed[slot] = rows
+        vals[slot] = np.concatenate([t.values for _r0, _c0, t in tiles])
+        rows = placed
+    out = SparseMatrix(
+        nrows, ncols, indptr, rows, vals,
+        sorted_within_columns=_rows_rise(indptr, rows), validate=False,
     )
+    if not out.sorted_within_columns:
+        out = out.sort_indices()
+        if not _rows_rise(out.indptr, out.rowidx):
+            raise DistributionError(
+                "overlapping or invalid tiles in gather: "
+                "duplicate (row, col) coordinate"
+            )
+    return out
 
 
 def gather_dense_tiles(nrows: int, ncols: int, pieces) -> np.ndarray:

@@ -7,8 +7,10 @@ closures; under the process world a worker cannot call into the parent
 directly, so the driver wraps each one in a :class:`DriverCallback`
 before launch.  The wrapper is inherited by the forked worker, where
 :func:`set_runtime` has installed the worker's :class:`MpWorld`; calling
-it there ships the (pickled) arguments up the results queue, and the
-parent engine invokes the real function on arrival.
+it there ships the arguments up the results queue the way a region's
+return value travels (:meth:`repro.mp.transport.Transport.ship`: large
+arrays in a segment the parent adopts, the rest pickled), and the parent
+engine invokes the real function on arrival — on read-only views.
 
 Ordering guarantee: a worker's callback messages and its final
 ``("done", ...)`` message travel the same queue, so the parent has
@@ -19,8 +21,6 @@ return value.  Callback *return values* are not shipped back — a
 """
 
 from __future__ import annotations
-
-import pickle
 
 #: the current worker's MpWorld; None in the parent / threaded world.
 _RUNTIME = None
@@ -36,7 +36,7 @@ class DriverCallback:
     """Wrap a driver-side callable so SPMD bodies can call it anywhere.
 
     In the parent (or the threaded world) it is a plain
-    pass-through.  Inside a worker process it pickles the arguments
+    pass-through.  Inside a worker process it ships the arguments
     eagerly — surfacing unpicklable-argument errors at the call site,
     not in a queue feeder thread — and posts them to the parent.
     """
@@ -52,5 +52,5 @@ class DriverCallback:
         rt = _RUNTIME
         if rt is None:
             return self.fn(*args)
-        rt.post_callback(self.index, pickle.dumps(args))
+        rt.results.put(("cb", rt.rank, self.index, rt.transport.ship(args)))
         return None

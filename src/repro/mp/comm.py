@@ -187,11 +187,6 @@ class MpWorld:
         self._heartbeats[global_rank] = beat
         return beat
 
-    def post_callback(self, index: int, args_blob: bytes) -> None:
-        """Ship a :class:`~repro.mp.bridge.DriverCallback` invocation to
-        the parent (pre-pickled argument tuple)."""
-        self.results.put(("cb", self.rank, index, args_blob))
-
     # -------------------------------------------------------------- #
     # message plumbing
     # -------------------------------------------------------------- #

@@ -10,8 +10,11 @@ the parked workers: it ships a deadline, the fault injector and a few
 *picklable* keyword arguments (through the world's transport, so arrays
 ride shared memory); every rank calls the inherited body with them and
 reports its return value — or the exception it raised — with its
-tracker events and transport statistics, pickled, through its results
-queue.  Region ``n`` runs on epoch-``n``
+tracker events and transport statistics through its results queue.  The
+return value is a message like any other (:meth:`Transport.ship
+<repro.mp.transport.Transport.ship>`): its large arrays ride one segment
+the driver adopts, only the descriptor is pickled into the pipe, and the
+caller gets read-only views.  Region ``n`` runs on epoch-``n``
 communicators, so what an aborted region left on the wire is stale to
 the next one and is reaped, never decoded.  One-shot
 :func:`repro.simmpi.engine.run_spmd` is exactly ``start; submit; stop``
@@ -62,7 +65,7 @@ from . import bridge
 from .bridge import DriverCallback
 from .comm import MpComm, MpWorld, world_comm_id
 from .shm import SegmentRegistry, sweep_segments
-from .transport import get_transport
+from .transport import get_transport, reap_wire, receive
 
 _RUN_COUNTER = itertools.count(1)
 
@@ -148,9 +151,9 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
                       tuple(range(world.nprocs)), rank)
         value = world.fn(comm, *world.args, **world.kwargs,
                          **rt.transport.decode(wire))
-        vblob = pickle.dumps(value)
+        shipped = rt.transport.ship(value)
         rt.finish()
-        results.put(("done", rank, vblob, *meters()))
+        results.put(("done", rank, shipped, *meters()))
     except BaseException as exc:  # noqa: BLE001 — reported via SpmdError
         rt.abandon()
         rt.failed.set()
@@ -303,18 +306,13 @@ class ProcessWorld:
 
     def submit(self, *, tracker: CommTracker | None = None,
                timeout: float = DEFAULT_TIMEOUT, world_info: dict | None = None,
-               faults=None, checksums: bool | None = None, last: bool = False,
-               **kwargs) -> list:
+               faults=None, checksums: bool | None = None, **kwargs) -> list:
         """Run one region: every rank calls the body with ``kwargs``
         added (a :class:`~repro.simmpi.engine.PerRank` value hands rank
         ``i`` its ``i``-th element only).  The other arguments and the
         contract — the per-rank return list, or :class:`SpmdError` — are
         :func:`~repro.simmpi.engine.run_spmd`'s; the fault injector is
-        shipped to the workers and its activity absorbed back.  ``last``
-        says the caller is done with the world once a region succeeds:
-        the workers are then reaped *before* the results are unpickled —
-        into pages no longer shared with live forks (copy-on-write made
-        16 MB of results cost 14 ms instead of 1.4 ms)."""
+        shipped to the workers and its activity absorbed back."""
         if self.pending is None:
             raise RuntimeError("this process world is not running")
         self._begin(float(timeout), as_injector(faults), checksums, kwargs)
@@ -323,7 +321,7 @@ class ProcessWorld:
         except BaseException:
             self.stop()  # workers are mid-region: nothing to come back to
             raise
-        return self._collect(tracker, world_info, last)
+        return self._collect(tracker, world_info)
 
     # ------------------------------------------------------------------ #
     # one region: begin, supervise, collect
@@ -344,7 +342,7 @@ class ProcessWorld:
         self.region += 1
         self.timeout = timeout
         self.injector = injector
-        self.done: dict[int, bytes] = {}   # rank -> pickled return value
+        self.done: dict[int, tuple] = {}   # rank -> shipped return value
         self.failures: dict[int, BaseException] = {}
         #: rank -> (events blob, transport stats) of every rank that
         #: reported, whether it returned or raised
@@ -390,19 +388,25 @@ class ProcessWorld:
                 break
         self._drain()
 
-    def _collect(self, tracker, world_info, last: bool) -> list:
-        """Settle the region: sweep, classify ranks that never reported,
-        merge the meters of those that did — the region need not have
-        succeeded for its traffic to have happened — and return the
-        values or raise."""
+    def _collect(self, tracker, world_info) -> list:
+        """Settle the region: take over what the ranks returned, sweep,
+        classify ranks that never reported, merge the meters of those
+        that did — the region need not have succeeded for its traffic to
+        have happened — and return the values or raise."""
         failures, done = self.failures, self.done
+        # result segments change hands before anything sweeps /dev/shm:
+        # adopted when the region stands, reaped undecoded when it fell
+        values = []
+        if not failures and len(done) == self.nprocs:
+            values = [receive(done[r]) for r in range(self.nprocs)]
+        else:
+            for wire in done.values():
+                reap_wire(wire)
         # a worker that died took its tiles along, one that blew the
         # parent deadline is not coming back: either way the world ends
-        # — as it does when the caller's last region has succeeded
         over = (
             len(self.pending) < self.nprocs
             or not set(self.pending) <= self.meters.keys()
-            or (last and not failures and len(done) == self.nprocs)
         )
         swept = self.stop() if over else sweep_segments(self.run_id)
         for rank in range(self.nprocs):
@@ -444,10 +448,6 @@ class ProcessWorld:
                                "naive_bytes")},
                 "swept_segments": swept,
             })
-        # nothing is unpickled for a region that is about to raise
-        values = [] if failures else [
-            pickle.loads(done[r]) for r in range(self.nprocs)
-        ]
         return settle(values, failures)
 
     # ------------------------------------------------------------------ #
@@ -485,7 +485,7 @@ class ProcessWorld:
     def _handle(self, msg) -> None:
         kind = msg[0]
         if kind == "cb":
-            self.callbacks[msg[2]].fn(*pickle.loads(msg[3]))
+            self.callbacks[msg[2]].fn(*receive(msg[3]))
         elif kind in ("done", "err"):
             _, grank, blob, evblob, stats, fault_blob = msg
             if kind == "done":

@@ -29,6 +29,7 @@ after all workers have been joined.
 
 from __future__ import annotations
 
+import mmap
 import os
 import weakref
 from multiprocessing import resource_tracker, shared_memory
@@ -214,6 +215,20 @@ class SegmentRegistry:
                 self._try_close(shm)
             store.clear()
         self.pending.clear()
+
+
+def adopt_mapping(name: str) -> mmap.mmap:
+    """Single-receiver handoff without a handle: attach, unlink, and map
+    the segment read-only.  Arrays built on the mapping keep it open and
+    close it with the last of them — a ``SharedMemory`` that dies before
+    its views prints a ``BufferError`` from ``__del__`` instead."""
+    shm = shared_memory.SharedMemory(name=name)
+    try:
+        shm.unlink()
+        # SharedMemory has no public name for its descriptor
+        return mmap.mmap(shm._fd, shm.size, access=mmap.ACCESS_READ)
+    finally:
+        shm.close()
 
 
 def reap_segment(name: str) -> bool:

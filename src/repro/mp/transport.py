@@ -25,11 +25,13 @@ threaded world can only document.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
 from ..simmpi.serialization import Envelope, payload_nbytes
 from ..sparse.matrix import SparseMatrix
-from .shm import ALIGN, SegmentRegistry, reap_segment
+from .shm import ALIGN, SegmentRegistry, adopt_mapping, reap_segment
 
 #: registered transport names, in documentation order.
 TRANSPORTS = ("naive", "shm", "auto")
@@ -96,14 +98,12 @@ class Transport:
     # encode
     # -------------------------------------------------------------- #
 
-    def encode(self, obj, receivers: int = 1):
-        """Build the wire form of ``obj`` for ``receivers`` recipients."""
-        if self.threshold is None:
-            self.naive_msgs += 1
-            self.naive_bytes += _safe_nbytes(obj)
-            return ("py", obj)
+    def encode(self, obj, receivers: int = 1, floor: int = 0):
+        """Build the wire form of ``obj`` for ``receivers`` recipients;
+        arrays under ``floor`` bytes stay inline whatever the transport."""
         bufs: list[np.ndarray] = []
-        spec = self._spec(obj, bufs)
+        spec = (None if self.threshold is None  # naive: nothing to pack
+                else self._spec(obj, bufs, max(self.threshold, floor)))
         if not bufs:
             self.naive_msgs += 1
             self.naive_bytes += _safe_nbytes(obj)
@@ -122,12 +122,12 @@ class Transport:
         return ("shm", name, self.segments.rank, receivers > 1,
                 tuple(offsets), spec)
 
-    def _spec(self, obj, bufs: list):
+    def _spec(self, obj, bufs: list, threshold: int):
         if (
             isinstance(obj, np.ndarray)
             and not obj.dtype.hasobject
             and obj.size > 0
-            and obj.nbytes >= self.threshold
+            and obj.nbytes >= threshold
         ):
             idx = len(bufs)
             bufs.append(obj)
@@ -135,19 +135,31 @@ class Transport:
         if isinstance(obj, SparseMatrix):
             return (
                 "sm", obj.nrows, obj.ncols, bool(obj.sorted_within_columns),
-                self._spec(obj.indptr, bufs),
-                self._spec(obj.rowidx, bufs),
-                self._spec(obj.values, bufs),
+                self._spec(obj.indptr, bufs, threshold),
+                self._spec(obj.rowidx, bufs, threshold),
+                self._spec(obj.values, bufs, threshold),
             )
         if isinstance(obj, Envelope):
-            return ("env", obj.crc, self._spec(obj.payload, bufs))
-        if isinstance(obj, list):
-            return ("L", [self._spec(x, bufs) for x in obj])
-        if isinstance(obj, tuple):
-            return ("T", [self._spec(x, bufs) for x in obj])
-        if isinstance(obj, dict):
-            return ("D", [(k, self._spec(v, bufs)) for k, v in obj.items()])
+            return ("env", obj.crc, self._spec(obj.payload, bufs, threshold))
+        # exact types: a subclass (a namedtuple) would arrive as its base
+        if type(obj) is list:
+            return ("L", [self._spec(x, bufs, threshold) for x in obj])
+        if type(obj) is tuple:
+            return ("T", [self._spec(x, bufs, threshold) for x in obj])
+        if type(obj) is dict:
+            return ("D", [(k, self._spec(v, bufs, threshold))
+                          for k, v in obj.items()])
         return ("o", obj)
+
+    def ship(self, obj) -> tuple:
+        """What a rank hands the driver (a region's return value, a
+        driver callback's arguments; the driver's end is :func:`receive`)
+        as a single-receiver wire: arrays ride a segment from
+        :data:`AUTO_THRESHOLD` up — under ``shm`` too, so a small report
+        creates none — and the rest is pickled here, at the call site,
+        where an object that cannot cross is the caller's error."""
+        wire = self.encode(obj, receivers=1, floor=AUTO_THRESHOLD)
+        return (*wire[:-1], pickle.dumps(wire[-1]))
 
     # -------------------------------------------------------------- #
     # decode
@@ -158,47 +170,58 @@ class Transport:
         if kind == "py":
             return wire[1]
         _, name, creator, ack_needed, offsets, spec = wire
-        self.segments.adopt(name, owned=not ack_needed)
+        buf = self.segments.adopt(name, owned=not ack_needed).shm.buf
         if ack_needed and self.post_ack is not None:
             self.post_ack(creator, name)
-        return self._build(spec, name, offsets)
+        return _build(
+            spec, buf, offsets, lambda arr: self.segments.view(name, arr)
+        )
 
-    def _build(self, spec, name: str, offsets):
-        tag = spec[0]
-        if tag == "o":
-            return spec[1]
-        if tag == "nd":
-            _, idx, dstr, shape = spec
-            dtype = np.dtype(dstr)
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            rec = self.segments.adopted[name]
-            arr = np.frombuffer(
-                rec.shm.buf, dtype=dtype, count=count, offset=offsets[idx]
-            )
-            if tuple(shape) != (count,):
-                arr = arr.reshape(shape)
-            arr.flags.writeable = False
-            self.segments.view(name, arr)
-            return arr
-        if tag == "sm":
-            _, nrows, ncols, swc, s_indptr, s_rowidx, s_values = spec
-            return SparseMatrix(
-                nrows, ncols,
-                self._build(s_indptr, name, offsets),
-                self._build(s_rowidx, name, offsets),
-                self._build(s_values, name, offsets),
-                sorted_within_columns=swc, validate=False,
-            )
-        if tag == "env":
-            _, crc, sub = spec
-            return Envelope(self._build(sub, name, offsets), crc)
-        if tag == "L":
-            return [self._build(s, name, offsets) for s in spec[1]]
-        if tag == "T":
-            return tuple(self._build(s, name, offsets) for s in spec[1])
-        if tag == "D":
-            return {k: self._build(s, name, offsets) for k, s in spec[1]}
-        raise ValueError(f"unknown wire spec tag {tag!r}")
+
+def receive(wire: tuple):
+    """The driver's end of :meth:`Transport.ship`: the segment changes
+    hands (attach + unlink) and its mapping is the base of the read-only
+    arrays built on it, so it closes with the last of them.  A shipped
+    wire nobody will read goes to :func:`reap_wire` instead, unpickled."""
+    if wire[0] == "py":
+        return pickle.loads(wire[1])
+    _, name, _creator, _ack_needed, offsets, spec = wire
+    return _build(pickle.loads(spec), adopt_mapping(name), offsets)
+
+
+def _build(spec, buf, offsets, track=None):
+    """The object ``spec`` describes; ``track`` sees each of its arrays,
+    read-only views of ``buf``."""
+    tag = spec[0]
+    if tag == "o":
+        return spec[1]
+    if tag == "nd":
+        _, idx, dstr, shape = spec
+        dtype = np.dtype(dstr)
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offsets[idx])
+        if tuple(shape) != (count,):
+            arr = arr.reshape(shape)
+        arr.flags.writeable = False
+        if track is not None:
+            track(arr)
+        return arr
+    if tag == "sm":
+        _, nrows, ncols, swc, *arrays = spec
+        return SparseMatrix(
+            nrows, ncols, *(_build(s, buf, offsets, track) for s in arrays),
+            sorted_within_columns=swc, validate=False,
+        )
+    if tag == "env":
+        _, crc, sub = spec
+        return Envelope(_build(sub, buf, offsets, track), crc)
+    if tag == "L":
+        return [_build(s, buf, offsets, track) for s in spec[1]]
+    if tag == "T":
+        return tuple(_build(s, buf, offsets, track) for s in spec[1])
+    if tag == "D":
+        return {k: _build(s, buf, offsets, track) for k, s in spec[1]}
+    raise ValueError(f"unknown wire spec tag {tag!r}")
 
 
 class NaiveTransport(Transport):

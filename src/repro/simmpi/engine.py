@@ -155,7 +155,7 @@ def run_spmd(
     try:
         return opened.submit(
             tracker=tracker, timeout=timeout, faults=faults,
-            checksums=checksums, world_info=world_info, last=True,
+            checksums=checksums, world_info=world_info,
         )
     finally:
         opened.stop()
@@ -181,9 +181,8 @@ class ThreadWorld:
     def submit(self, *, tracker: CommTracker | None = None,
                timeout: float = DEFAULT_TIMEOUT, faults=None,
                checksums: bool | None = None, world_info: dict | None = None,
-               last: bool = False, **submitted) -> list:
-        """One region on fresh rank threads (see :func:`run_spmd`;
-        ``last`` only matters to a world with workers to reap)."""
+               **submitted) -> list:
+        """One region on fresh rank threads (see :func:`run_spmd`)."""
         if isinstance(world_info, dict):
             world_info.update({"world": "threads", "transport": None})
         world = World(

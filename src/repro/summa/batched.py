@@ -616,7 +616,7 @@ def _one_shot_world(run: _Run, fn, *args, **fixed):
             run.heal_ctx.resubmitted()
         return world.submit(
             tracker=run.tracker, timeout=spec.timeout, faults=run.injector,
-            checksums=spec.checksums, world_info=run.world_info, last=True,
+            checksums=spec.checksums, world_info=run.world_info,
             **amendable,
         )
 

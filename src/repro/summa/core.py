@@ -28,7 +28,7 @@ section is a stack of these.
 from __future__ import annotations
 
 from ..comm import get_backend
-from ..kernels.base import get_kernel, operand_shape, resolve_tile
+from ..kernels.base import get_kernel, operand_shape
 from ..mem import MemoryLedger
 from ..model.memory import batches_for_budget
 from ..grid.grid3d import GridComms, ProcGrid3D
@@ -64,14 +64,17 @@ __all__ = [
 
 def spmd_symbolic3d(
     comms: GridComms,
-    a: SparseMatrix,
-    b: SparseMatrix,
+    a_tile: SparseMatrix,
+    b_tile: SparseMatrix,
+    b_ncols: int,
     memory_budget: int,
     bytes_per_nonzero: int,
     tracer: Tracer,
     retry: RetryPolicy | None = None,
 ) -> dict:
-    """Alg. 3 as seen by one rank: returns the batch count and statistics.
+    """Alg. 3 as seen by one rank, on its tiles of A and B (``b_ncols``
+    is the global column count, the most batches there can be): returns
+    the batch count and statistics.
 
     ``memory_budget`` is the aggregate memory ``M`` over all processes;
     Alg. 3 line 12 works with the per-process share ``M / p``.  ``retry``
@@ -79,8 +82,6 @@ def spmd_symbolic3d(
     structure pass is as exposed to flaky messages as the numeric one).
     """
     grid = comms.grid
-    a_tile = resolve_tile(a, grid, comms.world.rank, "A", "sparse")
-    b_tile = resolve_tile(b, grid, comms.world.rank, "B", "sparse")
 
     def call(comm, op, fn):
         return fn() if retry is None else retry.call(fn, comm=comm, op=op)
@@ -119,7 +120,7 @@ def spmd_symbolic3d(
         max_nnz_b=max_nnz_b,
         max_nnz_c=max_nnz_c,
         bytes_per_nonzero=bytes_per_nonzero,
-        max_batches=b.ncols,
+        max_batches=b_ncols,
     )
     return {
         "batches": batches,
@@ -130,18 +131,21 @@ def spmd_symbolic3d(
 
 
 def _resolve_batches(
-    comms, a, b, aux, kernel, memory_budget, bytes_per_nonzero, tracer, retry,
+    comms, a, b, a_tile, b_tile, aux, kernel, memory_budget,
+    bytes_per_nonzero, tracer, retry,
 ) -> tuple[int, dict]:
     """``b`` when the caller left it open, and the ``info`` entry saying
-    how it was found: one batch without a budget, Alg. 3 in-band for
-    kernels that have a symbolic pass, else the kernel's own footprint
-    model — exact geometry, computed identically (and deterministically)
-    on every rank."""
+    how it was found: one batch without a budget, Alg. 3 in-band (on the
+    tiles the numeric phase is about to use) for kernels that have a
+    symbolic pass, else the kernel's own footprint model — exact
+    geometry, computed identically (and deterministically) on every
+    rank."""
     if memory_budget is None:
         return 1, {}
     if kernel.supports_symbolic:
         sym = spmd_symbolic3d(
-            comms, a, b, memory_budget, bytes_per_nonzero, tracer, retry=retry,
+            comms, a_tile, b_tile, operand_shape(b)[1], memory_budget,
+            bytes_per_nonzero, tracer, retry=retry,
         )
         return sym["batches"], {"symbolic": sym}
     grid = comms.grid
@@ -259,10 +263,12 @@ def spmd_batched_summa3d(
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
     info: dict = {}
+    a_tile = kernel.a_tile(a, grid, comm.rank)
+    b_tile = kernel.b_tile(b, grid, comm.rank)
     if batches is None:
         batches, info = _resolve_batches(
-            comms, a, b, aux, kernel, memory_budget, bytes_per_nonzero,
-            tracer, retry,
+            comms, a, b, a_tile, b_tile, aux, kernel, memory_budget,
+            bytes_per_nonzero, tracer, retry,
         )
     ledger.batches = batches
     if replan is not None:
@@ -270,10 +276,7 @@ def spmd_batched_summa3d(
 
         replan = Replanner(replan, start_batch=start_batch)
 
-    a_tile, b_tile = kernel.prepare_tiles(
-        kernel.a_tile(a, grid, comm.rank), kernel.b_tile(b, grid, comm.rank),
-        suite,
-    )
+    a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile, suite)
     state = RankState(
         comms=comms, backend=backend, kernel=kernel, suite=suite,
         semiring=semiring, ledger=ledger, tracer=tracer,

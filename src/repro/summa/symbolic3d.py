@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..errors import ShapeError
 from ..grid.grid3d import GridComms, ProcGrid3D
+from ..kernels.base import resolve_tile
 from ..mem import resolve_budget
 from ..model.memory import predict_memory
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
@@ -31,7 +32,11 @@ def _spmd_symbolic(
 ) -> dict:
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
-    out = spmd_symbolic3d(comms, a, b, memory_budget, bytes_per_nonzero, tracer)
+    out = spmd_symbolic3d(
+        comms, resolve_tile(a, grid, comm.rank, "A", "sparse"),
+        resolve_tile(b, grid, comm.rank, "B", "sparse"), b.ncols,
+        memory_budget, bytes_per_nonzero, tracer,
+    )
     out["times"] = tracer.step_times()
     return out
 
