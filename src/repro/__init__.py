@@ -35,7 +35,6 @@ from .sparse import (
     SparseMatrix,
     col_concat,
     col_split,
-    col_split_block_cyclic,
     diag,
     eye,
     from_dense,
@@ -97,7 +96,6 @@ __all__ = [
     "tril",
     "triu",
     "col_split",
-    "col_split_block_cyclic",
     "col_concat",
     "prune_threshold",
     "prune_topk_per_column",

@@ -11,23 +11,15 @@ exist in memory:
   ``A @ Aᵀ``;
 * :mod:`matching` — Zoltan-style heavy-connectivity matching for
   hypergraph coarsening via batched ``A @ Aᵀ``;
-* :mod:`jaccard` — communication-efficient all-pairs Jaccard similarity
-  ([14] in the paper);
-* :mod:`gnn_propagate` — SGC-style k-hop feature propagation, iterated
-  distributed SpMM against a resident normalised adjacency;
-* :mod:`als` — ALS-style rating prediction, distributed SDDMM on the
-  observed-rating pattern.
+* :mod:`components` — connected components via the boolean (OR, AND)
+  closure, iterated squaring under an optional memory budget.
 """
 
-from .als import AlsResidual, als_residual, predict_ratings
 from .components import connected_components
-from .gnn_propagate import PropagateResult, gnn_propagate, normalize_adjacency
-from .jaccard import JaccardResult, jaccard_similarity
 from .mcl import MCLResult, markov_cluster, markov_cluster_resident
 from .triangles import count_triangles, clustering_coefficients
 from .overlap import OverlapResult, find_overlaps
 from .matching import heavy_connectivity_matching
-from .pagerank import pagerank
 
 __all__ = [
     "markov_cluster",
@@ -38,14 +30,5 @@ __all__ = [
     "find_overlaps",
     "OverlapResult",
     "heavy_connectivity_matching",
-    "jaccard_similarity",
-    "JaccardResult",
     "connected_components",
-    "pagerank",
-    "gnn_propagate",
-    "normalize_adjacency",
-    "PropagateResult",
-    "predict_ratings",
-    "als_residual",
-    "AlsResidual",
 ]

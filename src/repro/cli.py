@@ -494,23 +494,17 @@ def cmd_serve(args) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Communication-avoiding, memory-constrained SpGEMM "
-        "(Hussain et al., IPDPS 2021 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_operands(p):
+    p.add_argument("matrix_a", help=".npz/.mtx path or dataset:<name>")
+    p.add_argument("matrix_b", nargs="?", default=None,
+                   help="second operand (default: square the first)")
+    p.add_argument("--aat", action="store_true",
+                   help="multiply A by its transpose")
 
-    def add_operands(p):
-        p.add_argument("matrix_a", help=".npz/.mtx path or dataset:<name>")
-        p.add_argument("matrix_b", nargs="?", default=None,
-                       help="second operand (default: square the first)")
-        p.add_argument("--aat", action="store_true",
-                       help="multiply A by its transpose")
 
+def _add_multiply(sub) -> None:
     p = sub.add_parser("multiply", help="run BatchedSUMMA3D")
-    add_operands(p)
+    _add_operands(p)
     p.add_argument("--nprocs", type=int, default=4)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--batches", type=int, default=None)
@@ -602,16 +596,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repair budget of --heal spare: N spare ranks")
     p.set_defaults(func=cmd_multiply)
 
+
+def _add_stats(sub) -> None:
     p = sub.add_parser("stats", help="symbolic SpGEMM statistics")
-    add_operands(p)
+    _add_operands(p)
     p.set_defaults(func=cmd_stats)
 
+
+def _add_generate(sub) -> None:
     p = sub.add_parser("generate", help="materialise a scaled dataset")
     p.add_argument("dataset", choices=sorted(DATASETS))
     p.add_argument("output")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
+
+def _add_predict(sub) -> None:
     p = sub.add_parser("predict", help="paper-scale model projection")
     p.add_argument("dataset", choices=sorted(DATASETS))
     p.add_argument("--cores", type=int, default=65536)
@@ -623,10 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "(max(comm, comp) per stage)")
     p.set_defaults(func=cmd_predict)
 
+
+def _add_doctor(sub) -> None:
     p = sub.add_parser("doctor", help="verify the installation end to end")
     p.add_argument("--nprocs", type=int, default=4)
     p.set_defaults(func=cmd_doctor)
 
+
+def _add_triangles(sub) -> None:
     p = sub.add_parser("triangles", help="triangle counting")
     p.add_argument("matrix_a", help=".npz/.mtx path or dataset:<name>")
     p.add_argument("--nprocs", type=int, default=4)
@@ -636,6 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print clustering coefficients")
     p.set_defaults(func=cmd_triangles)
 
+
+def _add_components(sub) -> None:
     p = sub.add_parser("components", help="connected components")
     p.add_argument("matrix_a", help=".npz/.mtx path or dataset:<name>")
     p.add_argument("--nprocs", type=int, default=4)
@@ -644,18 +650,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="save labels here")
     p.set_defaults(func=cmd_components)
 
+
+def _add_compare(sub) -> None:
     p = sub.add_parser("compare", help="algorithm families head-to-head")
-    add_operands(p)
+    _add_operands(p)
     p.add_argument("--nprocs", type=int, default=4)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--batches", type=int, default=2)
     p.set_defaults(func=cmd_compare)
 
+
+def _add_calibrate(sub) -> None:
     p = sub.add_parser("calibrate", help="fit machine constants from JSON")
     p.add_argument("observations", help="JSON list of observation records")
     p.add_argument("--name", default="calibrated")
     p.set_defaults(func=cmd_calibrate)
 
+
+def _add_serve(sub) -> None:
     p = sub.add_parser(
         "serve", help="replay a multi-tenant job trace against a service"
     )
@@ -678,6 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: a temp dir)")
     p.set_defaults(func=cmd_serve)
 
+
+def _add_cluster(sub) -> None:
     p = sub.add_parser("cluster", help="Markov clustering (HipMCL)")
     p.add_argument("matrix_a", help=".npz/.mtx path or dataset:<name>")
     p.add_argument("--nprocs", type=int, default=4)
@@ -688,6 +702,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="save labels here")
     p.set_defaults(func=cmd_cluster)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Communication-avoiding, memory-constrained SpGEMM "
+        "(Hussain et al., IPDPS 2021 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in (
+        _add_multiply,
+        _add_stats,
+        _add_generate,
+        _add_predict,
+        _add_doctor,
+        _add_triangles,
+        _add_components,
+        _add_compare,
+        _add_calibrate,
+        _add_serve,
+        _add_cluster,
+    ):
+        add(sub)
     return parser
 
 

@@ -107,22 +107,3 @@ class CommPlan:
         """Attach the root-side request masks received from peers."""
         self.a_requests = list(a_requests)
         self.b_requests = list(b_requests)
-
-    # ------------------------------------------------------------------ #
-    # introspection (benchmarks / tests)
-    # ------------------------------------------------------------------ #
-
-    def needed_fraction_a(self) -> float:
-        """Mean fraction of incoming A-tile columns actually needed."""
-        return _mean_fraction(self.a_needed)
-
-    def needed_fraction_b(self) -> float:
-        """Mean fraction of incoming B-batch rows actually needed."""
-        return _mean_fraction(self.b_needed)
-
-
-def _mean_fraction(masks: list[np.ndarray]) -> float:
-    total = sum(int(m.shape[0]) for m in masks)
-    if total == 0:
-        return 0.0
-    return sum(int(m.sum()) for m in masks) / total

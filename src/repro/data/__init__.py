@@ -1,9 +1,7 @@
 """Synthetic workload generators and the scaled Table-V dataset registry."""
 
 from .generators import (
-    banded,
     erdos_renyi,
-    small_world,
     kmer_matrix,
     planted_partition,
     protein_similarity,
@@ -13,8 +11,6 @@ from .datasets import DATASETS, DatasetSpec, dataset_names, load_dataset
 
 __all__ = [
     "erdos_renyi",
-    "small_world",
-    "banded",
     "rmat",
     "protein_similarity",
     "planted_partition",

@@ -95,62 +95,6 @@ def rmat(
     return m
 
 
-def small_world(
-    n: int,
-    *,
-    k: int = 6,
-    rewire: float = 0.1,
-    seed=None,
-) -> SparseMatrix:
-    """Watts–Strogatz small-world graph.
-
-    A ring lattice where each vertex connects to its ``k`` nearest
-    neighbours, with each edge rewired to a random endpoint with
-    probability ``rewire`` — high clustering with short paths, a common
-    middle ground between the regular and power-law regimes of the other
-    generators.
-    """
-    if k % 2 or k >= n:
-        raise ValueError(f"k must be even and < n, got k={k}, n={n}")
-    rng = as_rng(seed)
-    us = np.repeat(np.arange(n, dtype=INDEX_DTYPE), k // 2)
-    offsets = np.tile(np.arange(1, k // 2 + 1, dtype=INDEX_DTYPE), n)
-    vs = (us + offsets) % n
-    # rewire each lattice edge's far endpoint with probability `rewire`
-    do_rewire = rng.random(us.shape[0]) < rewire
-    vs = vs.copy()
-    vs[do_rewire] = rng.integers(0, n, size=int(do_rewire.sum()))
-    keep = us != vs
-    edges = np.stack([us[keep], vs[keep]], axis=1)
-    return from_edges(n, n, edges, symmetric=True)
-
-
-def banded(
-    n: int,
-    *,
-    bandwidth: int = 2,
-    value: float = 1.0,
-) -> SparseMatrix:
-    """Banded matrix: entries on all diagonals within ``bandwidth``.
-
-    The stencil/PDE regime — perfectly load balanced and low-cf, the
-    antipode of the paper's skewed protein matrices; useful as the
-    balanced control in imbalance experiments.
-    """
-    rows_parts = []
-    cols_parts = []
-    for off in range(-bandwidth, bandwidth + 1):
-        lo, hi = max(0, -off), min(n, n - off)
-        idx = np.arange(lo, hi, dtype=INDEX_DTYPE)
-        rows_parts.append(idx)
-        cols_parts.append(idx + off)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    return SparseMatrix.from_coo(
-        n, n, rows, cols, np.full(rows.shape[0], value, dtype=VALUE_DTYPE)
-    )
-
-
 def _power_law_sizes(total: int, rng, *, exponent: float = 2.0,
                      min_size: int = 2, max_frac: float = 0.1) -> np.ndarray:
     """Cluster sizes from a bounded discrete power law summing to ``total``."""

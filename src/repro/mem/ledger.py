@@ -75,8 +75,7 @@ def nbytes_of(obj) -> int:
     """Uniform ``nbytes`` protocol: the tracked size of ``obj`` in bytes.
 
     Anything with an ``nbytes`` attribute (:class:`~repro.sparse.SparseMatrix`
-    at ``r`` bytes per nonzero, :class:`~repro.sparse.dcsc.DcscMatrix`,
-    numpy arrays) reports it directly; memoryviews report their mapped
+    at ``r`` bytes per nonzero, numpy arrays) reports it directly; memoryviews report their mapped
     extent; lists/tuples sum their elements; ``None`` is free.  This is
     the one place that decides how an object is priced, so every layer
     charges the same number for the same thing.

@@ -41,7 +41,6 @@ from .memory import (
     batches_for_budget,
     estimate_max_tile_stats,
     fit_memory_model,
-    predict_kernel_memory,
     predict_memory,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "parallel_efficiency",
     "strong_scaling_series",
     "ScalePoint",
-    "predict_kernel_memory",
     "predict_memory",
     "batches_for_budget",
     "estimate_max_tile_stats",

@@ -34,7 +34,6 @@ __all__ = [
     "batches_for_budget",
     "estimate_max_tile_stats",
     "fit_memory_model",
-    "predict_kernel_memory",
     "predict_memory",
 ]
 
@@ -193,60 +192,6 @@ def predict_memory(
             "scale": scale,
         },
     }
-
-
-def predict_kernel_memory(
-    kernel,
-    a,
-    b,
-    aux=None,
-    *,
-    nprocs: int,
-    layers: int = 1,
-    batches: int = 1,
-    keep_output: bool = True,
-    overlap: str = "off",
-) -> dict:
-    """Per-process footprint of a :class:`~repro.kernels.LocalKernel` run.
-
-    Dispatches to the kernel's own geometry-exact
-    :meth:`~repro.kernels.LocalKernel.predict_memory` (dense operand
-    panels are sized from the actual grid geometry, not nonzero counts);
-    kernels that defer to the symbolic statistics — SpGEMM — fall back to
-    the Table III closed form :func:`predict_memory` with the analytic
-    :func:`estimate_max_tile_stats` stand-ins.  The returned block is
-    shaped like ``info["memory"]["model"]`` either way.
-    """
-    # lazy import: repro.kernels sits above the model layer
-    from ..kernels import get_kernel
-
-    kern = get_kernel(kernel)
-    predicted = kern.predict_memory(
-        a, b, aux,
-        nprocs=nprocs, layers=layers, batches=batches,
-        keep_output=keep_output, overlap=overlap,
-    )
-    if predicted is not None:
-        return predicted
-    from ..sparse.spgemm.symbolic import symbolic_flops, symbolic_nnz
-
-    stats = estimate_max_tile_stats(
-        nnz_a=a.nnz,
-        nnz_b=b.nnz,
-        nnz_c=symbolic_nnz(a, b),
-        flops=symbolic_flops(a, b),
-        nprocs=nprocs,
-        layers=layers,
-    )
-    return predict_memory(
-        nprocs=nprocs,
-        layers=layers,
-        batches=batches,
-        keep_output=keep_output,
-        overlap=overlap,
-        basis="analytic",
-        **stats,
-    )
 
 
 @dataclass(frozen=True)

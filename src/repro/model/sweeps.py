@@ -1,88 +1,15 @@
-"""Reusable experiment sweeps — the paper's figures as library functions.
+"""The Eq. 2 sweep as a library function.
 
-The benchmark harness prints and asserts; these functions *produce* the
-underlying series so downstream users (scripts, notebooks, the CLI) can
-regenerate any figure's data without going through pytest.  Each returns
-plain lists of dicts, ready for tabulation or plotting.
+``bench_eq2_budget_curve`` prints and asserts; this function *produces*
+the underlying series as a plain list of dicts, ready for tabulation or
+plotting.
 """
 
 from __future__ import annotations
 
 from ..sparse.matrix import BYTES_PER_NONZERO
 from .machine import CORI_KNL, MachineSpec
-from .predictor import estimate_batches, predict_steps, strong_scaling_series
-
-STEP_ORDER = (
-    "Symbolic",
-    "A-Broadcast",
-    "B-Broadcast",
-    "Local-Multiply",
-    "Merge-Layer",
-    "AllToAll-Fiber",
-    "Merge-Fiber",
-)
-
-
-def layer_batch_sweep(
-    *,
-    machine: MachineSpec = CORI_KNL,
-    nprocs: int,
-    layer_values=(1, 4, 16),
-    batch_values=(1, 16, 64),
-    nnz_a: int,
-    nnz_b: int,
-    nnz_c: int,
-    flops: int,
-) -> list[dict]:
-    """The Fig. 4 sweep: per-step modelled seconds over an (l, b) grid."""
-    rows = []
-    for layers in layer_values:
-        for batches in batch_values:
-            times = predict_steps(
-                machine, nprocs=nprocs, layers=layers, batches=batches,
-                nnz_a=nnz_a, nnz_b=nnz_b, nnz_c=nnz_c, flops=flops,
-            )
-            rows.append({
-                "layers": layers,
-                "batches": batches,
-                "total": times.total(),
-                **{s: times.get(s) for s in STEP_ORDER},
-            })
-    return rows
-
-
-def strong_scaling_sweep(
-    *,
-    machine: MachineSpec = CORI_KNL,
-    core_counts,
-    layers: int = 16,
-    memory_fraction: float = 0.35,
-    nnz_a: int,
-    nnz_b: int,
-    nnz_c: int,
-    flops: int,
-) -> list[dict]:
-    """The Fig. 6/7 series: per-scale batch counts and step breakdowns."""
-    points = strong_scaling_series(
-        machine,
-        core_counts=core_counts,
-        layers=layers,
-        memory_fraction=memory_fraction,
-        nnz_a=nnz_a,
-        nnz_b=nnz_b,
-        nnz_c=nnz_c,
-        flops=flops,
-    )
-    return [
-        {
-            "cores": pt.cores,
-            "nprocs": pt.nprocs,
-            "batches": pt.batches,
-            "total": pt.total,
-            **{s: pt.times.get(s) for s in STEP_ORDER},
-        }
-        for pt in points
-    ]
+from .predictor import estimate_batches
 
 
 def batch_requirement_sweep(
@@ -116,39 +43,4 @@ def batch_requirement_sweep(
         except ValueError:
             rows.append({"memory_budget": budget, "batches": None,
                          "feasible": False})
-    return rows
-
-
-def machine_comparison(
-    machines,
-    *,
-    nprocs: int,
-    layers: int,
-    batches: int,
-    nnz_a: int,
-    nnz_b: int,
-    nnz_c: int,
-    flops: int,
-) -> list[dict]:
-    """The Fig. 12/13 axis: the same run projected on several machines."""
-    rows = []
-    for machine in machines:
-        times = predict_steps(
-            machine, nprocs=nprocs, layers=layers, batches=batches,
-            nnz_a=nnz_a, nnz_b=nnz_b, nnz_c=nnz_c, flops=flops,
-        )
-        comm = sum(
-            times.get(s)
-            for s in ("A-Broadcast", "B-Broadcast", "AllToAll-Fiber")
-        )
-        comp = sum(
-            times.get(s)
-            for s in ("Local-Multiply", "Merge-Layer", "Merge-Fiber")
-        )
-        rows.append({
-            "machine": machine.name,
-            "comm": comm,
-            "comp": comp,
-            "total": times.total(),
-        })
     return rows

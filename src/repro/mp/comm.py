@@ -69,7 +69,7 @@ def comm_epoch(comm_id: tuple) -> int:
     """Region epoch a communicator id belongs to.
 
     Epoch-``e`` world communicators are ``("world", "epoch", e)`` and
-    every derived communicator (split/dup) appends to its parent's id,
+    every derived communicator (split) appends to its parent's id,
     so the epoch is recoverable from the prefix; ids not rooted in an
     epoch-tagged world communicator are epoch 0.
     """
@@ -454,8 +454,8 @@ class MpComm(SimComm):
 
     ``world`` is an :class:`MpWorld`.  All inherited operations that go
     through :meth:`_exchange`, :meth:`send`/:meth:`recv` or
-    :meth:`_try_recv` (barrier, allgather, allreduce, gather, scatter,
-    reduce, split, dup, isend, irecv, ibcast, step/backend scopes,
+    :meth:`_try_recv` (barrier, allgather, allreduce, split, isend,
+    irecv, ibcast, step/backend scopes,
     envelope checksums, ledger charging) work unmodified on top of the
     overrides below.
     """

@@ -15,7 +15,7 @@ reifies it into two values:
   memory, and the provenance of how it was chosen (auto-config scoring,
   explicit knobs, or a mid-run amendment trail).
 
-:func:`run_plan` executes a plan; the classic drivers
+:func:`repro.summa.run_plan` executes a plan; the classic drivers
 (:func:`~repro.summa.batched_summa3d` and friends) are thin shims that
 build a spec from their kwargs through the single conversion point
 :meth:`ExecSpec.from_kwargs`.  :class:`Replanner` re-examines the plan
@@ -48,14 +48,4 @@ __all__ = [
     "SPEC_VERSION",
     "decide_replan",
     "modelled_comm_per_batch",
-    "run_plan",
 ]
-
-
-def __getattr__(name: str):
-    # run_plan lives in repro.summa.batched (it *is* the driver); importing
-    # it eagerly would make repro.plan depend on the whole SUMMA stack.
-    if name == "run_plan":
-        from ..summa.batched import run_plan
-        return run_plan
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

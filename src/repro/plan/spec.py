@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from ..errors import PlannerError, ShapeError
+from ..errors import ShapeError
 from ..simmpi.comm import DEFAULT_TIMEOUT
 from ..sparse.matrix import BYTES_PER_NONZERO
 
@@ -136,7 +136,6 @@ class ExecSpec:
     memory_budget: int | None = None
     memory_budget_per_rank: int | None = None
     enforce: str = "off"
-    bytes_per_nonzero: int = BYTES_PER_NONZERO
     suite: object = "esc"
     semiring: object = "plus_times"
     kernel: object = "spgemm"
@@ -299,13 +298,23 @@ class ExecSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExecSpec":
-        """Inverse of :meth:`to_dict`; unknown keys land in ``extra``."""
+        """Inverse of :meth:`to_dict`; unknown keys land in ``extra``.
+
+        A dict from before ``bytes_per_nonzero`` stopped being a knob
+        loads when it names the one ``r`` the library runs and meters at.
+        """
         if not isinstance(d, dict):
             raise TypeError(f"ExecSpec.from_dict needs a dict, got {type(d)}")
+        if d.get("bytes_per_nonzero", BYTES_PER_NONZERO) != BYTES_PER_NONZERO:
+            raise ValueError(
+                f"plan was written with bytes_per_nonzero="
+                f"{d['bytes_per_nonzero']!r}; runs are sized and metered at "
+                f"r = {BYTES_PER_NONZERO} only"
+            )
         known = {}
         extra = {}
         for key, value in d.items():
-            if key == "spec_version":
+            if key in ("spec_version", "bytes_per_nonzero"):
                 continue
             if key in SPEC_FIELDS:
                 known[key] = value
@@ -374,44 +383,6 @@ class ExecPlan:
         a cached plan without disturbing the chosen configuration."""
         base = self.spec if self.spec is not None else ExecSpec()
         return replace(self, spec=base.amended(**changes))
-
-    def amend(self, *, reason: str, measurements: dict | None = None,
-              **changes) -> "ExecPlan":
-        """The replanning transition: a new revision with ``changes``
-        applied to the resolved choice (``batches=`` / ``backend=``) and
-        the decision recorded in ``provenance``."""
-        resolved = {
-            k: changes.pop(k)
-            for k in ("layers", "batches", "backend")
-            if k in changes
-        }
-        if changes:
-            raise PlannerError(
-                f"ExecPlan.amend only changes the resolved choice "
-                f"(layers/batches/backend), not {sorted(changes)}"
-            )
-        prov = dict(self.provenance)
-        prov.setdefault("replans", [])
-        prov["replans"] = list(prov["replans"]) + [{
-            "reason": reason,
-            "from": {"batches": self.batches, "backend": self.backend},
-            "to": {
-                "batches": resolved.get("batches", self.batches),
-                "backend": resolved.get("backend", self.backend),
-            },
-            "measurements": dict(measurements or {}),
-        }]
-        prov["mode"] = "replan"
-        spec = self.spec
-        if spec is not None:
-            spec = spec.amended(
-                batches=resolved.get("batches", self.batches),
-                comm_backend=resolved.get("backend", self.backend),
-            )
-        return replace(
-            self, spec=spec, provenance=prov, revision=self.revision + 1,
-            **resolved,
-        )
 
     # ------------------------------------------------------------------ #
     # serialisation

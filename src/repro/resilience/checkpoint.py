@@ -48,7 +48,7 @@ MANIFEST_VERSION = 1
 #: output (budgets, overlap, world/transport, timeouts, resilience).
 PLAN_GEOMETRY_KEYS = (
     "nprocs", "layers", "kernel", "suite", "semiring",
-    "batch_scheme", "merge_policy", "mask_complement", "bytes_per_nonzero",
+    "batch_scheme", "merge_policy", "mask_complement",
 )
 
 

@@ -8,8 +8,8 @@ with mpi4py-like semantics:
 * :func:`run_spmd` launches ``p`` ranks as threads, each executing the same
   function with its own :class:`SimComm`;
 * :class:`SimComm` supports ``barrier`` / ``bcast`` / ``allreduce`` /
-  ``allgather`` / ``gather`` / ``scatter`` / ``alltoall`` / ``alltoallv``
-  / ``split`` with MPI collective semantics, plus tag-matched
+  ``allgather`` / ``alltoall`` / ``alltoallv`` / ``split`` with MPI
+  collective semantics, plus tag-matched
   ``send``/``recv``/``isend``/``irecv`` point-to-point;
 * every collective is **metered**: a :class:`CommTracker` records payload
   bytes, message counts and communicator sizes per named algorithm step,

@@ -608,36 +608,6 @@ class SimComm:
                          sum(sizes) * max(self.size - 1, 0))
         return [contrib[r] for r in range(self.size)]
 
-    def gather(self, obj, root: int = 0) -> list | None:
-        """Root receives the list of contributions; others get ``None``."""
-        self._check_root(root)
-        self._inject("gather")
-        contrib, last = self._exchange(obj, "gather")
-        if last:
-            sizes = [payload_nbytes(v) for v in contrib.values()]
-            self._record("gather", max(sizes, default=0), sum(sizes))
-        if self.rank == root:
-            return [contrib[r] for r in range(self.size)]
-        return None
-
-    def scatter(self, objs, root: int = 0):
-        """Root provides a list of ``size`` payloads; member ``i`` gets the
-        ``i``-th."""
-        self._check_root(root)
-        self._inject("scatter")
-        if self.rank == root:
-            objs = list(objs)
-            if len(objs) != self.size:
-                raise CommError(
-                    f"scatter needs {self.size} payloads, got {len(objs)}"
-                )
-        contrib, last = self._exchange(objs if self.rank == root else None, "scatter")
-        payloads = contrib[root]
-        if last:
-            sizes = [payload_nbytes(v) for v in payloads]
-            self._record("scatter", max(sizes, default=0), sum(sizes))
-        return payloads[self.rank]
-
     def allreduce(self, value, op: str = "sum"):
         """Reduce scalars or same-shape ndarrays across members.
 
@@ -651,18 +621,6 @@ class SimComm:
             self._record("allreduce", nbytes, nbytes * max(self.size - 1, 0))
         values = [contrib[r] for r in range(self.size)]
         return _reduce(values, op)
-
-    def reduce(self, value, op: str = "sum", root: int = 0):
-        """Like :meth:`allreduce` but only ``root`` receives the result."""
-        self._check_root(root)
-        self._inject("reduce")
-        contrib, last = self._exchange(value, "reduce")
-        if last:
-            nbytes = payload_nbytes(value)
-            self._record("gather", nbytes, nbytes * max(self.size - 1, 0))
-        if self.rank != root:
-            return None
-        return _reduce([contrib[r] for r in range(self.size)], op)
 
     def alltoall(self, sendlist) -> list:
         """Personalised all-to-all: member ``i`` sends ``sendlist[j]`` to
@@ -736,10 +694,6 @@ class SimComm:
         comm_id = (*self.comm_id, op_marker, mine[0])
         # type(self) so process-world subclasses split into their own kind
         return type(self)(self.world, comm_id, members, new_rank)
-
-    def dup(self) -> "SimComm":
-        """Duplicate the communicator (fresh collective sequence space)."""
-        return self.split(0, self.rank)
 
     # ------------------------------------------------------------------ #
     # point-to-point

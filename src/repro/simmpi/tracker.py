@@ -27,8 +27,7 @@ class CommEvent:
         Algorithm step label active when the collective ran ("" if none).
     op:
         Collective name: ``bcast`` / ``allreduce`` / ``allgather`` /
-        ``gather`` / ``scatter`` / ``alltoall`` / ``alltoallv`` /
-        ``send`` / ``barrier``.
+        ``alltoall`` / ``alltoallv`` / ``send`` / ``barrier``.
     comm_size:
         Number of participating processes.
     nbytes:

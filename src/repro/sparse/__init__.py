@@ -25,12 +25,9 @@ from .ops import (
     col_concat,
     col_slice,
     col_split,
-    col_split_block_cyclic,
-    hstack_interleave_block_cyclic,
     prune_threshold,
     prune_topk_per_column,
     scale_columns,
-    scale_rows,
     transpose,
     tril,
     triu,
@@ -47,7 +44,7 @@ from .spgemm import (
     spgemm_reference,
     spgemm_spa,
 )
-from .spgemm.symbolic import symbolic_flops, symbolic_nnz, symbolic_per_column
+from .spgemm.symbolic import symbolic_flops, symbolic_nnz
 from .io import load_matrix, load_matrix_market, save_matrix, save_matrix_market
 
 __all__ = [
@@ -64,12 +61,9 @@ __all__ = [
     "col_concat",
     "col_slice",
     "col_split",
-    "col_split_block_cyclic",
-    "hstack_interleave_block_cyclic",
     "prune_threshold",
     "prune_topk_per_column",
     "scale_columns",
-    "scale_rows",
     "transpose",
     "tril",
     "triu",
@@ -88,7 +82,6 @@ __all__ = [
     "spgemm_spa",
     "symbolic_flops",
     "symbolic_nnz",
-    "symbolic_per_column",
     "load_matrix",
     "load_matrix_market",
     "save_matrix",

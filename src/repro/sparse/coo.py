@@ -142,17 +142,3 @@ def coo_to_csc_arrays(
     regroup = dedup_coo if sum_duplicates else sort_coo
     rows, cols, vals = regroup(nrows, rows, cols, vals)
     return indptr_from_cols(cols, ncols), rows, vals
-
-
-def concat_coo(parts):
-    """Concatenate a sequence of (rows, cols, vals) triples into one."""
-    if not parts:
-        return (
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=VALUE_DTYPE),
-        )
-    rows = np.concatenate([np.asarray(p[0], dtype=INDEX_DTYPE) for p in parts])
-    cols = np.concatenate([np.asarray(p[1], dtype=INDEX_DTYPE) for p in parts])
-    vals = np.concatenate([np.asarray(p[2], dtype=VALUE_DTYPE) for p in parts])
-    return rows, cols, vals

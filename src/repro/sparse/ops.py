@@ -1,9 +1,8 @@
 """Structural operations on CSC matrices.
 
 These are the data-layout primitives the distributed algorithms are made
-of: column splitting for batches (plain and block-cyclic, Fig. 1(i) of the
-paper), column concatenation for reassembling batched output (Alg. 4
-line 7), tile extraction for grid distribution, transpose for the A·Aᵀ
+of: column splitting for batches, column concatenation for reassembling
+batched output (Alg. 4 line 7), tile extraction for grid distribution, transpose for the A·Aᵀ
 applications, triangular extraction for triangle counting, and the pruning
 operators HipMCL applies to each output batch.
 """
@@ -57,18 +56,6 @@ def scale_columns(a: SparseMatrix, scales) -> SparseMatrix:
     if scales.shape != (a.ncols,):
         raise ShapeError(f"scales has shape {scales.shape}, expected ({a.ncols},)")
     values = a.values * np.repeat(scales, np.diff(a.indptr))
-    return SparseMatrix(
-        a.nrows, a.ncols, a.indptr, a.rowidx, values,
-        sorted_within_columns=a.sorted_within_columns, validate=False,
-    )
-
-
-def scale_rows(a: SparseMatrix, scales) -> SparseMatrix:
-    """Multiply row ``i`` by ``scales[i]``."""
-    scales = np.asarray(scales, dtype=VALUE_DTYPE)
-    if scales.shape != (a.nrows,):
-        raise ShapeError(f"scales has shape {scales.shape}, expected ({a.nrows},)")
-    values = a.values * scales[a.rowidx]
     return SparseMatrix(
         a.nrows, a.ncols, a.indptr, a.rowidx, values,
         sorted_within_columns=a.sorted_within_columns, validate=False,
@@ -198,35 +185,6 @@ def split_bounds(n: int, nparts: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def col_split_block_cyclic(
-    a: SparseMatrix, nparts: int, nblocks_per_part: int
-) -> tuple[list[SparseMatrix], list[np.ndarray]]:
-    """Block-cyclic column split (paper Fig. 1(i)).
-
-    The columns are first cut into ``nparts * nblocks_per_part`` contiguous
-    blocks; part ``i`` receives blocks ``i, i + nparts, i + 2*nparts, ...``.
-    For batching, ``nparts = b`` and ``nblocks_per_part = l`` so each batch
-    draws one block from the territory of every layer, balancing the
-    Merge-Fiber load.
-
-    Returns ``(parts, col_maps)`` where ``col_maps[i]`` lists the original
-    column index of every column of part ``i`` — needed to reassemble or to
-    interpret batched output.
-    """
-    total_blocks = nparts * nblocks_per_part
-    bounds = split_bounds(a.ncols, total_blocks)
-    parts: list[SparseMatrix] = []
-    col_maps: list[np.ndarray] = []
-    for i in range(nparts):
-        block_ids = range(i, total_blocks, nparts)
-        cols = np.concatenate(
-            [np.arange(bounds[blk], bounds[blk + 1], dtype=INDEX_DTYPE) for blk in block_ids]
-        ) if total_blocks else np.empty(0, dtype=INDEX_DTYPE)
-        parts.append(col_select(a, cols))
-        col_maps.append(cols)
-    return parts, col_maps
-
-
 def col_concat(parts) -> SparseMatrix:
     """Concatenate matrices side by side (Alg. 4 line 7, ColConcat)."""
     parts = list(parts)
@@ -252,33 +210,6 @@ def col_concat(parts) -> SparseMatrix:
     )
 
 
-def hstack_interleave_block_cyclic(
-    parts, col_maps, ncols: int
-) -> SparseMatrix:
-    """Reassemble the output of a block-cyclic split into original order.
-
-    ``parts[i]`` holds the columns listed in ``col_maps[i]``; the result has
-    ``ncols`` columns with every column returned to its original position.
-    """
-    parts = list(parts)
-    if len(parts) != len(col_maps):
-        raise ShapeError("parts and col_maps must have equal length")
-    wide = col_concat(parts)
-    all_cols = np.concatenate([np.asarray(m, dtype=INDEX_DTYPE) for m in col_maps]) \
-        if col_maps else np.empty(0, dtype=INDEX_DTYPE)
-    if wide.ncols != all_cols.shape[0]:
-        raise ShapeError(
-            f"col_maps cover {all_cols.shape[0]} columns but parts have {wide.ncols}"
-        )
-    # position of original column j inside `wide`
-    inverse = np.empty(ncols, dtype=INDEX_DTYPE)
-    inverse.fill(-1)
-    inverse[all_cols] = np.arange(all_cols.shape[0], dtype=INDEX_DTYPE)
-    if np.any(inverse < 0):
-        raise ShapeError("col_maps do not cover all output columns")
-    return col_select(wide, inverse)
-
-
 def hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Elementwise product on the intersection of the sparsity patterns.
 
@@ -290,21 +221,6 @@ def hadamard(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     from .ewise import ewise_mult
 
     return ewise_mult(a, b)
-
-
-def spmv(a: SparseMatrix, x) -> np.ndarray:
-    """Sparse matrix × dense vector: ``y = A @ x`` (length ``nrows``).
-
-    The workhorse of iterative solvers and PageRank; fully vectorised via
-    a scatter-add over the stored entries.
-    """
-    x = np.asarray(x, dtype=VALUE_DTYPE)
-    if x.shape != (a.ncols,):
-        raise ShapeError(f"vector has shape {x.shape}, expected ({a.ncols},)")
-    y = np.zeros(a.nrows, dtype=VALUE_DTYPE)
-    if a.nnz:
-        np.add.at(y, a.rowidx, a.values * x[a.col_indices()])
-    return y
 
 
 def diagonal(a: SparseMatrix) -> np.ndarray:

@@ -30,7 +30,7 @@ from .heap import spgemm_heap
 from .hybrid import spgemm_hybrid
 from .spa import spgemm_spa
 from .reference import spgemm_reference
-from .symbolic import symbolic_flops, symbolic_nnz, symbolic_per_column
+from .symbolic import symbolic_flops, symbolic_nnz
 
 __all__ = [
     "KernelSuite",
@@ -44,5 +44,4 @@ __all__ = [
     "spgemm_reference",
     "symbolic_flops",
     "symbolic_nnz",
-    "symbolic_per_column",
 ]

@@ -11,8 +11,8 @@ values.  These kernels provide:
   (:func:`~repro.sparse.spgemm.esc.product_chunks`): expand a chunk's
   keys, count the distinct ones.  Like the multiply it prices, the
   pass never holds more than one chunk of the ``flops`` keys;
-* :func:`symbolic_per_column` — per-output-column ``(nnz, flops)``, the
-  basis of compression-factor statistics and the hybrid kernel's policy;
+* :func:`flops_per_column` — per-output-column ``flops_j``, the basis of
+  the hybrid kernel's policy;
 * :func:`symbolic_pattern` — the structure of ``A @ B`` as a matrix.
 """
 
@@ -64,18 +64,3 @@ def symbolic_pattern(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     unmasked product — and any sparser mask is a subset of it.
     """
     return compress_chunks(a.nrows, b.ncols, product_chunks(a, b, None), None)
-
-
-def symbolic_per_column(
-    a: SparseMatrix, b: SparseMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-output-column ``(nnz_j, flops_j)`` arrays of length ``b.ncols``."""
-    return symbolic_pattern(a, b).col_nnz(), flops_per_column(a, b)
-
-
-def compression_factor(a: SparseMatrix, b: SparseMatrix) -> float:
-    """cf = flops / nnz(C) (paper Sec. II-A); >= 1 whenever C is nonempty."""
-    nnz_c = symbolic_nnz(a, b)
-    if nnz_c == 0:
-        return 1.0
-    return symbolic_flops(a, b) / nnz_c

@@ -69,8 +69,3 @@ def tile_imbalance(
     if mean == 0:
         return 1.0
     return float(counts.max() / mean)
-
-
-def nnz_histogram(a: SparseMatrix, bins: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of per-column nnz (counts, bin edges)."""
-    return np.histogram(np.diff(a.indptr), bins=bins)

@@ -28,7 +28,6 @@ from .planner import (
     batches_lower_bound,
     batches_upper_bound,
     choose_backend,
-    recommend_layers,
 )
 from .result import SummaResult, SymbolicResult
 from .symbolic3d import symbolic3d
@@ -55,7 +54,6 @@ __all__ = [
     "batches_lower_bound",
     "batches_upper_bound",
     "choose_backend",
-    "recommend_layers",
     # the rank program's vocabulary
     "OVERLAP_MODES",
     "MERGE_POLICIES",

@@ -109,58 +109,6 @@ def spgemm_1d(
 # Cannon's algorithm
 # --------------------------------------------------------------------- #
 
-def _spmd_cannon_overlapped(comm: SimComm, a, b, suite, semiring):
-    """Cannon with communication/computation overlap: the next round's
-    tiles are in flight (isend/irecv) while the current multiply runs —
-    the "communication overlapping" optimisation of the paper's related
-    work (Sec. I)."""
-    suite = get_suite(suite)
-    semiring = get_semiring(semiring)
-    q = math.isqrt(comm.size)
-    i, j = divmod(comm.rank, q)
-    row_bounds = split_bounds(a.nrows, q)
-    inner_bounds = split_bounds(a.ncols, q)
-    col_bounds = split_bounds(b.ncols, q)
-    cur_a = submatrix(a, int(row_bounds[i]), int(row_bounds[i + 1]),
-                      int(inner_bounds[(j + i) % q]),
-                      int(inner_bounds[(j + i) % q + 1]))
-    cur_b = submatrix(b, int(inner_bounds[(i + j) % q]),
-                      int(inner_bounds[(i + j) % q + 1]),
-                      int(col_bounds[j]), int(col_bounds[j + 1]))
-    times = StepTimes()
-    partials = []
-    left = i * q + (j - 1) % q
-    right = i * q + (j + 1) % q
-    up = ((i - 1) % q) * q + j
-    down = ((i + 1) % q) * q + j
-    for step in range(q):
-        recv_a = recv_b = None
-        if step < q - 1:
-            # launch the next round's exchange before computing
-            t0 = time.perf_counter()
-            with comm.step("Shift"):
-                comm.isend(cur_a, dest=left, tag=1)
-                comm.isend(cur_b, dest=up, tag=2)
-                recv_a = comm.irecv(source=right, tag=1)
-                recv_b = comm.irecv(source=down, tag=2)
-            times.add("Shift", time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        partials.append(suite.local_multiply(cur_a, cur_b, semiring))
-        times.add("Local-Multiply", time.perf_counter() - t0)
-        if step < q - 1:
-            t0 = time.perf_counter()
-            cur_a = recv_a.wait()
-            cur_b = recv_b.wait()
-            times.add("Shift", time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    c_local = merge_partials(partials, method="grouped", semiring=semiring)
-    times.add("Merge", time.perf_counter() - t0)
-    return {
-        "piece": (int(row_bounds[i]), int(col_bounds[j]), c_local.sort_indices()),
-        "times": times,
-    }
-
-
 def _spmd_cannon(comm: SimComm, a, b, suite, semiring):
     suite = get_suite(suite)
     semiring = get_semiring(semiring)
@@ -217,7 +165,6 @@ def cannon2d(
     *,
     suite="esc",
     semiring="plus_times",
-    overlap: bool = False,
     tracker: CommTracker | None = None,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> SummaResult:
@@ -226,11 +173,6 @@ def cannon2d(
     After an initial skew, ``sqrt(p)`` rounds of multiply-and-shift move
     each A tile left and each B tile up by one position; communication is
     nearest-neighbour point-to-point rather than broadcasts.
-
-    ``overlap=True`` posts each round's exchange (isend/irecv) *before*
-    the local multiply and completes it after — the classic
-    communication/computation overlap optimisation.  Results are
-    identical; only the step structure differs.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -241,9 +183,8 @@ def cannon2d(
         raise GridError(f"Cannon needs a square process count, got {nprocs}")
     if tracker is None:
         tracker = CommTracker()
-    body = _spmd_cannon_overlapped if overlap else _spmd_cannon
     per_rank = run_spmd(
-        nprocs, body, a, b, suite, semiring,
+        nprocs, _spmd_cannon, a, b, suite, semiring,
         tracker=tracker, timeout=timeout,
     )
     matrix = gather_tiles(a.nrows, b.ncols, (r["piece"] for r in per_rank))

@@ -506,7 +506,6 @@ def _open_checkpoint(run: _Run) -> None:
             sym = symbolic3d(
                 run.a, run.b, spec.nprocs, spec.layers,
                 memory_budget=memory_budget,
-                bytes_per_nonzero=spec.bytes_per_nonzero,
                 tracker=run.tracker, timeout=spec.timeout,
                 world=spec.world, transport=spec.transport,
             )
@@ -647,7 +646,6 @@ def _launch(run: _Run):
         memory_budget=memory_budget,
         memory_budget_per_rank=budget_per_rank,
         enforce=spec.enforce,
-        bytes_per_nonzero=spec.bytes_per_nonzero,
         suite=spec.suite,
         semiring=spec.semiring,
         keep_pieces=spec.keep_output,
@@ -771,8 +769,7 @@ def _memory_report(run: _Run, info: dict, ran_batches: int) -> dict:
         predicted = predict_memory(
             max_nnz_a=sym_stats["max_nnz_a"],
             max_nnz_b=sym_stats["max_nnz_b"],
-            max_nnz_c=sym_stats["max_nnz_c"],
-            bytes_per_nonzero=spec.bytes_per_nonzero, **model,
+            max_nnz_c=sym_stats["max_nnz_c"], **model,
         )
     else:
         # no symbolic statistics (non-SpGEMM kernels, or SpGEMM without a

@@ -34,7 +34,7 @@ from ..model.memory import batches_for_budget
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..resilience import RetryPolicy
 from ..simmpi.comm import SimComm
-from ..sparse.matrix import BYTES_PER_NONZERO, SparseMatrix
+from ..sparse.matrix import SparseMatrix
 from ..sparse.semiring import get_semiring
 from ..sparse.spgemm.suite import get_suite
 from ..sparse.spgemm.symbolic import symbolic_nnz
@@ -68,7 +68,6 @@ def spmd_symbolic3d(
     b_tile: SparseMatrix,
     b_ncols: int,
     memory_budget: int,
-    bytes_per_nonzero: int,
     tracer: Tracer,
     retry: RetryPolicy | None = None,
 ) -> dict:
@@ -119,7 +118,6 @@ def spmd_symbolic3d(
         max_nnz_a=max_nnz_a,
         max_nnz_b=max_nnz_b,
         max_nnz_c=max_nnz_c,
-        bytes_per_nonzero=bytes_per_nonzero,
         max_batches=b_ncols,
     )
     return {
@@ -131,8 +129,7 @@ def spmd_symbolic3d(
 
 
 def _resolve_batches(
-    comms, a, b, a_tile, b_tile, aux, kernel, memory_budget,
-    bytes_per_nonzero, tracer, retry,
+    comms, a, b, a_tile, b_tile, aux, kernel, memory_budget, tracer, retry,
 ) -> tuple[int, dict]:
     """``b`` when the caller left it open, and the ``info`` entry saying
     how it was found: one batch without a budget, Alg. 3 in-band (on the
@@ -144,8 +141,8 @@ def _resolve_batches(
         return 1, {}
     if kernel.supports_symbolic:
         sym = spmd_symbolic3d(
-            comms, a_tile, b_tile, operand_shape(b)[1], memory_budget,
-            bytes_per_nonzero, tracer, retry=retry,
+            comms, a_tile, b_tile, operand_shape(b)[1], memory_budget, tracer,
+            retry=retry,
         )
         return sym["batches"], {"symbolic": sym}
     grid = comms.grid
@@ -166,7 +163,6 @@ def spmd_batched_summa3d(
     memory_budget: int | None,
     memory_budget_per_rank: int | None = None,
     enforce: str = "off",
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     suite="esc",
     semiring="plus_times",
     keep_pieces: bool = True,
@@ -267,8 +263,7 @@ def spmd_batched_summa3d(
     b_tile = kernel.b_tile(b, grid, comm.rank)
     if batches is None:
         batches, info = _resolve_batches(
-            comms, a, b, a_tile, b_tile, aux, kernel, memory_budget,
-            bytes_per_nonzero, tracer, retry,
+            comms, a, b, a_tile, b_tile, aux, kernel, memory_budget, tracer, retry,
         )
     ledger.batches = batches
     if replan is not None:

@@ -71,7 +71,6 @@ def _reify(
     nprocs: int,
     kernel,
     memory_budget,
-    bytes_per_nonzero: int,
     overlap: str,
     use_symbolic: bool,
     machine,
@@ -88,7 +87,6 @@ def _reify(
         overlap=overlap,
         kernel=kernel,
         memory_budget=memory_budget,
-        bytes_per_nonzero=bytes_per_nonzero,
     )
     provenance = {
         "mode": "auto",
@@ -159,6 +157,34 @@ def choose_backend(
     return "sparse" if sparse < dense else "dense"
 
 
+def _layer_counts(nprocs: int) -> list[int]:
+    """The ``l`` for which ``p / l`` is a perfect square (valid 3D grids)."""
+    return [
+        layers for layers in range(1, nprocs + 1)
+        if nprocs % layers == 0
+        and math.isqrt(nprocs // layers) ** 2 == nprocs // layers
+    ]
+
+
+def _choose(candidates, backends, memory, *, nprocs, memory_budget) -> ExecPlan:
+    """The argmin of the scored ``(layers, batches, seconds)`` table."""
+    if not candidates:
+        raise PlannerError(
+            f"no feasible (layers, batches) configuration for nprocs={nprocs} "
+            f"under budget {memory_budget}"
+        )
+    best_idx = min(range(len(candidates)), key=lambda i: candidates[i][2])
+    best = candidates[best_idx]
+    return ExecPlan(
+        layers=best[0],
+        batches=best[1],
+        predicted_seconds=best[2],
+        candidates=tuple(candidates),
+        backend=backends[best_idx],
+        predicted_memory=memory[best_idx],
+    )
+
+
 def _auto_config_kernel(
     kern,
     a,
@@ -169,7 +195,6 @@ def _auto_config_kernel(
     memory_budget: int | None,
     machine,
     overlap: str,
-    bytes_per_nonzero: int,
 ) -> ExecPlan:
     """Candidate loop for kernels without a symbolic pass (SpMM, SDDMM).
 
@@ -181,9 +206,7 @@ def _auto_config_kernel(
     """
     from ..kernels.base import operand_shape
     from ..model.complexity import comm_complexity
-    from ..model.machine import CORI_KNL
 
-    machine = machine if machine is not None else CORI_KNL
     am, ak = operand_shape(a)
     _, bn = operand_shape(b)
     a_sparse = kern.a_kind == "sparse"
@@ -198,11 +221,7 @@ def _auto_config_kernel(
     aux_nnz = int(aux.nnz) if aux is not None and hasattr(aux, "nnz") else 0
     candidates = []
     candidate_memory = []
-    for layers in range(1, nprocs + 1):
-        if nprocs % layers:
-            continue
-        if math.isqrt(nprocs // layers) ** 2 != nprocs // layers:
-            continue
+    for layers in _layer_counts(nprocs):
         if memory_budget is None:
             batches = 1
         else:
@@ -222,7 +241,6 @@ def _auto_config_kernel(
             nnz_a=nnz_a,
             nnz_b=nnz_b,
             flops=layers * aux_nnz,
-            bytes_per_nonzero=bytes_per_nonzero,
             kernel=kern.name,
             dense_a_bytes=dense_a,
             dense_b_bytes=dense_b,
@@ -235,20 +253,72 @@ def _auto_config_kernel(
         )
         candidates.append((layers, batches, predicted))
         candidate_memory.append(cand_memory)
-    if not candidates:
-        raise PlannerError(
-            f"no feasible (layers, batches) configuration for nprocs={nprocs} "
-            f"under budget {memory_budget}"
+    return _choose(
+        candidates, ["dense"] * len(candidates), candidate_memory,
+        nprocs=nprocs, memory_budget=memory_budget,
+    )
+
+
+def _candidate_batches(
+    a, b, nprocs: int, layers: int, memory_budget, use_symbolic: bool, stats,
+):
+    """``(batches, predicted_memory)`` of one SpGEMM candidate grid, or
+    ``None`` when the budget cannot hold it at this layer count."""
+    if memory_budget is None:
+        return 1, None
+    if use_symbolic:
+        from ..errors import MemoryBudgetError, SpmdError
+        from .symbolic3d import symbolic3d
+
+        try:
+            sym = symbolic3d(
+                a, b, nprocs=nprocs, layers=layers, memory_budget=memory_budget,
+            )
+        except (MemoryBudgetError, SpmdError) as exc:
+            if isinstance(exc, SpmdError) and not all(
+                isinstance(e, MemoryBudgetError)
+                for e in exc.failures.values()
+            ):
+                raise
+            # genuinely infeasible at this layer count: the per-process
+            # input maxima exceed the share (layering splits tiles
+            # thinner, so higher l can be feasible where l=1 is not)
+            return None
+        return sym.batches, sym.info.get("predicted_memory")
+    from ..model.memory import estimate_max_tile_stats, predict_memory
+    from ..model.predictor import estimate_batches
+
+    try:
+        batches = estimate_batches(
+            memory_budget=memory_budget, nprocs=nprocs, layers=layers, **stats,
         )
-    best_idx = min(range(len(candidates)), key=lambda i: candidates[i][2])
-    best = candidates[best_idx]
-    return ExecPlan(
-        layers=best[0],
-        batches=best[1],
-        predicted_seconds=best[2],
-        candidates=tuple(candidates),
-        backend="dense",
-        predicted_memory=candidate_memory[best_idx],
+    except ValueError:
+        return None
+    return batches, predict_memory(
+        nprocs=nprocs, layers=layers, batches=batches, basis="estimate",
+        **estimate_max_tile_stats(nprocs=nprocs, layers=layers, **stats),
+    )
+
+
+def _price(machine, a, nprocs, layers, batches, backends, overlap, stats):
+    """``(seconds, backend)`` of one candidate: the α–β step times folded
+    into a makespan, under the cheapest of ``backends``."""
+    from ..model.predictor import overlapped_makespan, predict_steps
+
+    return min(
+        (
+            overlapped_makespan(
+                predict_steps(
+                    machine, nprocs=nprocs, layers=layers,
+                    batches=batches, comm_backend=be,
+                    inner_dim=a.ncols, **stats,
+                ),
+                stages=math.isqrt(nprocs // layers),
+                overlap=overlap,
+            ),
+            be,
+        )
+        for be in backends
     )
 
 
@@ -260,7 +330,6 @@ def auto_config(
     memory_budget: int | None = None,
     machine=None,
     use_symbolic: bool = True,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     backend: str = "dense",
     overlap: str = "off",
     kernel="spgemm",
@@ -303,29 +372,23 @@ def auto_config(
     SDDMM's pattern).  ``"masked_spgemm"`` plans like SpGEMM: the
     symbolic statistics upper-bound the masked intermediate.
     """
-    import math as _math
-
     from ..kernels import get_kernel
     from ..model.machine import CORI_KNL
-    from ..model.predictor import (
-        estimate_batches,
-        overlapped_makespan,
-        predict_steps,
-    )
     from ..sparse.spgemm.symbolic import symbolic_flops, symbolic_nnz
 
     kern = get_kernel(kernel)
     machine = machine if machine is not None else CORI_KNL
+    chosen_under = dict(
+        nprocs=nprocs, kernel=kernel, memory_budget=memory_budget,
+        overlap=overlap, machine=machine,
+    )
     if not kern.supports_symbolic:
         return _reify(
             _auto_config_kernel(
                 kern, a, b, sample, nprocs,
-                memory_budget=memory_budget, machine=machine,
-                overlap=overlap, bytes_per_nonzero=bytes_per_nonzero,
+                memory_budget=memory_budget, machine=machine, overlap=overlap,
             ),
-            nprocs=nprocs, kernel=kernel, memory_budget=memory_budget,
-            bytes_per_nonzero=bytes_per_nonzero, overlap=overlap,
-            use_symbolic=False, machine=machine,
+            use_symbolic=False, **chosen_under,
         )
     if backend not in ("dense", "sparse", "auto"):
         raise PlannerError(f"unknown communication backend {backend!r}")
@@ -339,135 +402,23 @@ def auto_config(
     candidates = []
     candidate_backends = []
     candidate_memory = []
-    for layers in range(1, nprocs + 1):
-        if nprocs % layers:
+    for layers in _layer_counts(nprocs):
+        sized = _candidate_batches(
+            a, b, nprocs, layers, memory_budget, use_symbolic, stats
+        )
+        if sized is None:
             continue
-        if _math.isqrt(nprocs // layers) ** 2 != nprocs // layers:
-            continue
-        cand_memory = None
-        if memory_budget is None:
-            batches = 1
-        elif use_symbolic:
-            from .symbolic3d import symbolic3d
-
-            from ..errors import MemoryBudgetError, SpmdError
-
-            try:
-                sym = symbolic3d(
-                    a, b, nprocs=nprocs, layers=layers,
-                    memory_budget=memory_budget,
-                    bytes_per_nonzero=bytes_per_nonzero,
-                )
-                batches = sym.batches
-                cand_memory = sym.info.get("predicted_memory")
-            except (MemoryBudgetError, SpmdError) as exc:
-                if isinstance(exc, SpmdError) and not all(
-                    isinstance(e, MemoryBudgetError)
-                    for e in exc.failures.values()
-                ):
-                    raise
-                # genuinely infeasible at this layer count: the per-process
-                # input maxima exceed the share (layering splits tiles
-                # thinner, so higher l can be feasible where l=1 is not)
-                continue
-        else:
-            try:
-                batches = estimate_batches(
-                    memory_budget=memory_budget,
-                    nprocs=nprocs,
-                    layers=layers,
-                    bytes_per_nonzero=bytes_per_nonzero,
-                    **stats,
-                )
-            except ValueError:
-                continue
-            from ..model.memory import estimate_max_tile_stats, predict_memory
-
-            cand_memory = predict_memory(
-                nprocs=nprocs, layers=layers, batches=batches,
-                bytes_per_nonzero=bytes_per_nonzero, basis="estimate",
-                **estimate_max_tile_stats(
-                    nprocs=nprocs, layers=layers, **stats
-                ),
-            )
-        stages = _math.isqrt(nprocs // layers)
-        predicted, cand_backend = min(
-            (
-                overlapped_makespan(
-                    predict_steps(
-                        machine, nprocs=nprocs, layers=layers,
-                        batches=batches, comm_backend=be,
-                        inner_dim=a.ncols, **stats,
-                    ),
-                    stages=stages,
-                    overlap=overlap,
-                ),
-                be,
-            )
-            for be in backends
+        batches, cand_memory = sized
+        predicted, cand_backend = _price(
+            machine, a, nprocs, layers, batches, backends, overlap, stats
         )
         candidates.append((layers, batches, predicted))
         candidate_backends.append(cand_backend)
         candidate_memory.append(cand_memory)
-    if not candidates:
-        raise PlannerError(
-            f"no feasible (layers, batches) configuration for nprocs={nprocs} "
-            f"under budget {memory_budget}"
-        )
-    best_idx = min(range(len(candidates)), key=lambda i: candidates[i][2])
-    best = candidates[best_idx]
     return _reify(
-        ExecPlan(
-            layers=best[0],
-            batches=best[1],
-            predicted_seconds=best[2],
-            candidates=tuple(candidates),
-            backend=candidate_backends[best_idx],
-            predicted_memory=candidate_memory[best_idx],
+        _choose(
+            candidates, candidate_backends, candidate_memory,
+            nprocs=nprocs, memory_budget=memory_budget,
         ),
-        nprocs=nprocs, kernel=kernel, memory_budget=memory_budget,
-        bytes_per_nonzero=bytes_per_nonzero, overlap=overlap,
-        use_symbolic=use_symbolic, machine=machine,
-    )
-
-
-def recommend_layers(
-    nprocs: int,
-    *,
-    nnz_a: int,
-    nnz_b: int,
-    flops: int,
-    batches: int = 1,
-    machine=None,
-) -> int:
-    """Choose the layer count ``l`` minimising the modelled communication.
-
-    Candidates are the divisors ``l`` of ``nprocs`` with square ``p / l``;
-    the α–β cost of A-Broadcast + B-Broadcast + AllToAll-Fiber (Table II)
-    is evaluated for each and the argmin returned.  This encodes the
-    paper's observed tradeoff: broadcasts shrink like ``1/sqrt(l)`` while
-    the fiber all-to-all grows with ``l`` (Table VI), so the optimum is an
-    interior point that moves right as broadcasts dominate.
-    """
-    from ..model.machine import CORI_KNL
-    from ..model.complexity import total_comm_time
-
-    machine = machine if machine is not None else CORI_KNL
-    candidates = [
-        l for l in range(1, nprocs + 1)
-        if nprocs % l == 0 and math.isqrt(nprocs // l) ** 2 == nprocs // l
-    ]
-    if not candidates:
-        raise PlannerError(f"no valid layer counts for nprocs={nprocs}")
-    return min(
-        candidates,
-        key=lambda l: total_comm_time(
-            machine,
-            nprocs=nprocs,
-            layers=l,
-            batches=batches,
-            nnz_a=nnz_a,
-            nnz_b=nnz_b,
-            flops=flops,
-        ),
+        use_symbolic=use_symbolic, **chosen_under,
     )

@@ -107,7 +107,6 @@ class SymbolicResult:
     max_nnz_a: int
     max_nnz_b: int
     memory_budget: int
-    bytes_per_nonzero: int
     grid: ProcGrid3D
     step_times: StepTimes
     tracker: CommTracker

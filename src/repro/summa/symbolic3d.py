@@ -15,7 +15,7 @@ from ..model.memory import predict_memory
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import run_spmd
 from ..simmpi.tracker import CommTracker
-from ..sparse.matrix import BYTES_PER_NONZERO, SparseMatrix
+from ..sparse.matrix import SparseMatrix
 from ..utils.timing import StepTimes
 from .core import spmd_symbolic3d
 from .result import SymbolicResult
@@ -28,14 +28,13 @@ def _spmd_symbolic(
     b: SparseMatrix,
     grid: ProcGrid3D,
     memory_budget: int,
-    bytes_per_nonzero: int,
 ) -> dict:
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
     out = spmd_symbolic3d(
         comms, resolve_tile(a, grid, comm.rank, "A", "sparse"),
         resolve_tile(b, grid, comm.rank, "B", "sparse"), b.ncols,
-        memory_budget, bytes_per_nonzero, tracer,
+        memory_budget, tracer,
     )
     out["times"] = tracer.step_times()
     return out
@@ -49,7 +48,6 @@ def symbolic3d(
     *,
     memory_budget: int | None = None,
     memory_budget_per_rank: int | None = None,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     tracker: CommTracker | None = None,
     timeout: float = DEFAULT_TIMEOUT,
     world: str = "threads",
@@ -88,7 +86,6 @@ def symbolic3d(
         b,
         grid,
         memory_budget,
-        bytes_per_nonzero,
         tracker=tracker,
         timeout=timeout,
         world=world,
@@ -101,7 +98,6 @@ def symbolic3d(
         max_nnz_a=first["max_nnz_a"],
         max_nnz_b=first["max_nnz_b"],
         memory_budget=memory_budget,
-        bytes_per_nonzero=bytes_per_nonzero,
         grid=grid,
         step_times=StepTimes.critical_path(r["times"] for r in per_rank),
         tracker=tracker,
@@ -113,7 +109,6 @@ def symbolic3d(
                 max_nnz_a=first["max_nnz_a"],
                 max_nnz_b=first["max_nnz_b"],
                 max_nnz_c=first["max_nnz_c"],
-                bytes_per_nonzero=bytes_per_nonzero,
             )
         },
     )

@@ -2,8 +2,7 @@
 
 Every stochastic entry point in the library accepts ``seed`` as either an
 ``int``, ``None`` or an already-constructed :class:`numpy.random.Generator`.
-Centralising the coercion here keeps generators reproducible and lets SPMD
-code hand each rank an independent-but-deterministic stream.
+Centralising the coercion here keeps generators reproducible.
 """
 
 from __future__ import annotations
@@ -22,15 +21,3 @@ def as_rng(seed=None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent deterministic generators from one seed.
-
-    Used by the SPMD engine so each simulated rank gets its own stream:
-    results are reproducible regardless of thread interleaving.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    ss = np.random.SeedSequence(seed if not isinstance(seed, np.random.Generator) else None)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

@@ -57,17 +57,6 @@ class StepTimes:
     def total(self) -> float:
         return float(sum(self.seconds.values()))
 
-    def __add__(self, other: "StepTimes") -> "StepTimes":
-        out = StepTimes(dict(self.seconds))
-        for step, secs in other.seconds.items():
-            out.add(step, secs)
-        return out
-
-    def __truediv__(self, divisor: float) -> "StepTimes":
-        if divisor == 0:
-            raise ZeroDivisionError("cannot average StepTimes over zero items")
-        return StepTimes({k: v / divisor for k, v in self.seconds.items()})
-
     def max_with(self, other: "StepTimes") -> "StepTimes":
         """Element-wise max — the critical-path combination across ranks."""
         keys = set(self.seconds) | set(other.seconds)

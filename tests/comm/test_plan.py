@@ -120,23 +120,3 @@ class TestCommPlan:
         req = [np.array([True, False, True])]
         plan.fill_requests(req, [None])
         assert np.array_equal(plan.a_requests[0], req[0])
-
-    def test_needed_fractions(self):
-        plan = CommPlan.derive(
-            a_col_masks=[np.array([True, False, False, False])],
-            b_row_masks=[np.array([True, True, False, False])],
-            row_rank=0,
-            col_rank=0,
-        )
-        assert plan.needed_fraction_a() == pytest.approx(0.5)
-        assert plan.needed_fraction_b() == pytest.approx(0.25)
-
-    def test_empty_masks(self):
-        plan = CommPlan.derive(
-            a_col_masks=[np.zeros(0, bool)],
-            b_row_masks=[np.zeros(0, bool)],
-            row_rank=0,
-            col_rank=0,
-        )
-        assert plan.needed_fraction_a() == 0.0
-        assert plan.needed_fraction_b() == 0.0

@@ -252,3 +252,56 @@ class TestBitIdentity:
             assert out_l.sort_indices().allclose(out_f.sort_indices())
         else:
             assert np.allclose(out_l, out_f)
+
+
+# ---------------------------------------------------------------------- #
+# the resident SpMM chain (what k-hop feature propagation runs on)
+# ---------------------------------------------------------------------- #
+
+class TestResidentSpmmChain:
+    """One ``"A"``-layout handle, distributed once, multiplied against a
+    dense panel hop after hop through :meth:`DistContext.spmm`."""
+
+    @pytest.fixture(scope="class")
+    def operator(self):
+        return random_sparse(48, 48, nnz=400, seed=23)
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return np.ascontiguousarray(
+            np.random.default_rng(4).standard_normal((48, 5))
+        )
+
+    @staticmethod
+    def _chain(operator, panel, hops, *, world="threads", **knobs):
+        from repro.dist import DistContext
+
+        results = []
+        with DistContext(nprocs=4, world=world, transport="shm") as ctx:
+            handle = ctx.distribute(operator, layout="A")
+            for _ in range(hops):
+                panel, result = ctx.spmm(handle, panel, **knobs)
+                results.append(result)
+        return panel, results
+
+    def test_iterated_spmm_matches_dense_reference(self, operator, panel):
+        out, per_hop = self._chain(operator, panel, 3, batches=2)
+        dense = operator.to_dense()
+        assert np.allclose(out, dense @ (dense @ (dense @ panel)))
+        for hop in per_hop:
+            assert hop.info["kernel"] == "spmm"
+            assert hop.memory["high_water_total"] > 0
+
+    def test_process_world_shm_matches_threads(self, operator, panel):
+        threaded, _ = self._chain(operator, panel, 2, batches=2)
+        procs, _ = self._chain(
+            operator, panel, 2, world="processes", batches=2
+        )
+        assert_identical(procs, threaded)
+
+    def test_memory_budget_forces_batching(self, operator, panel):
+        out, (hop,) = self._chain(
+            operator, panel, 1, batches=None, memory_budget=30_000
+        )
+        assert hop.batches > 1
+        assert np.allclose(out, operator.to_dense() @ panel)

@@ -12,7 +12,6 @@ from repro.mem import (
     resolve_budget,
 )
 from repro.sparse import random_sparse
-from repro.sparse.dcsc import to_dcsc
 
 
 class TestNbytesOf:
@@ -22,11 +21,6 @@ class TestNbytesOf:
     def test_sparse_matrix_at_r_per_nonzero(self):
         a = random_sparse(16, 16, nnz=40, seed=1)
         assert nbytes_of(a) == a.nbytes == 40 * 24
-
-    def test_dcsc_counts_real_arrays(self):
-        a = random_sparse(64, 64, nnz=30, seed=2)
-        d = to_dcsc(a)
-        assert nbytes_of(d) == d.nbytes
 
     def test_numpy_array(self):
         arr = np.zeros(10, dtype=np.float64)

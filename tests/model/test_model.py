@@ -1,7 +1,6 @@
 """Tests for the α–β model: machine specs, Table II/III closed forms,
 and the predictor's paper-shape behaviours."""
 
-import math
 
 import pytest
 
@@ -209,26 +208,6 @@ class TestPredictor:
 
 
 class TestLayerRecommendation:
-    def test_comm_bound_prefers_more_layers(self):
-        from repro.summa import recommend_layers
-
-        # heavily communication-bound instance (huge A, modest flops)
-        l = recommend_layers(
-            4096,
-            nnz_a=10**10,
-            nnz_b=10**10,
-            flops=10**10,
-            batches=32,
-        )
-        assert l > 1
-
-    def test_valid_candidates_only(self):
-        from repro.summa import recommend_layers
-
-        l = recommend_layers(16, nnz_a=100, nnz_b=100, flops=1000)
-        assert 16 % l == 0
-        assert math.isqrt(16 // l) ** 2 == 16 // l
-
     def test_total_comm_time_positive(self):
         assert total_comm_time(
             CORI_KNL, nprocs=1024, layers=4, batches=2, **CSTATS

@@ -1,47 +1,8 @@
-"""Tests for the reusable experiment sweeps and PageRank/spmv additions."""
+"""Tests for the Eq. 2 budget sweep."""
 
-import numpy as np
-import pytest
-
-from repro.model import CORI_HASWELL, CORI_KNL
-from repro.model.sweeps import (
-    batch_requirement_sweep,
-    layer_batch_sweep,
-    machine_comparison,
-    strong_scaling_sweep,
-)
+from repro.model.sweeps import batch_requirement_sweep
 
 STATS = dict(nnz_a=10**9, nnz_b=10**9, nnz_c=10**10, flops=10**12)
-
-
-class TestLayerBatchSweep:
-    def test_grid_covered(self):
-        rows = layer_batch_sweep(nprocs=1024, **STATS)
-        assert len(rows) == 9
-        assert {(r["layers"], r["batches"]) for r in rows} == {
-            (l, b) for l in (1, 4, 16) for b in (1, 16, 64)
-        }
-
-    def test_totals_positive_and_consistent(self):
-        for row in layer_batch_sweep(nprocs=1024, **STATS):
-            parts = sum(
-                row[s] for s in (
-                    "Symbolic", "A-Broadcast", "B-Broadcast", "Local-Multiply",
-                    "Merge-Layer", "AllToAll-Fiber", "Merge-Fiber",
-                )
-            )
-            assert row["total"] == pytest.approx(parts)
-
-
-class TestStrongScalingSweep:
-    def test_series_fields(self):
-        rows = strong_scaling_sweep(
-            core_counts=[4096, 16384, 65536], **STATS
-        )
-        assert [r["cores"] for r in rows] == [4096, 16384, 65536]
-        assert all(r["batches"] >= 1 for r in rows)
-        totals = [r["total"] for r in rows]
-        assert totals == sorted(totals, reverse=True)
 
 
 class TestBatchRequirementSweep:
@@ -60,93 +21,3 @@ class TestBatchRequirementSweep:
         )
         assert rows[0]["feasible"] is False
         assert rows[0]["batches"] is None
-
-
-class TestMachineComparison:
-    def test_haswell_beats_knl(self):
-        rows = machine_comparison(
-            [CORI_KNL, CORI_HASWELL],
-            nprocs=1024, layers=16, batches=4, **STATS,
-        )
-        by_name = {r["machine"]: r for r in rows}
-        assert by_name["cori-haswell"]["total"] < by_name["cori-knl"]["total"]
-        assert by_name["cori-haswell"]["comp"] < by_name["cori-knl"]["comp"]
-
-
-class TestSpmv:
-    def test_matches_dense(self):
-        from repro.sparse import random_sparse
-        from repro.sparse.ops import spmv
-
-        a = random_sparse(20, 15, nnz=80, seed=341)
-        x = np.arange(15, dtype=float)
-        assert np.allclose(spmv(a, x), a.to_dense() @ x)
-
-    def test_shape_error(self):
-        from repro.errors import ShapeError
-        from repro.sparse import eye
-        from repro.sparse.ops import spmv
-
-        with pytest.raises(ShapeError):
-            spmv(eye(3), np.ones(4))
-
-    def test_empty_matrix(self):
-        from repro.sparse import SparseMatrix
-        from repro.sparse.ops import spmv
-
-        assert np.allclose(spmv(SparseMatrix.empty(4, 3), np.ones(3)), 0.0)
-
-
-class TestPagerank:
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        from repro.apps import pagerank
-        from repro.data import rmat
-
-        g = rmat(7, edge_factor=5, seed=331, symmetric=False)
-        pr = pagerank(g)
-        gx = nx.DiGraph()
-        gx.add_nodes_from(range(g.nrows))
-        rows, cols, _ = g.to_coo()
-        gx.add_edges_from((int(c), int(r)) for r, c in zip(rows, cols))
-        oracle = nx.pagerank(gx, alpha=0.85, tol=1e-12, max_iter=500)
-        assert np.allclose(pr, [oracle[i] for i in range(g.nrows)], atol=1e-6)
-
-    def test_sums_to_one(self):
-        from repro.apps import pagerank
-        from repro.data import erdos_renyi
-
-        pr = pagerank(erdos_renyi(50, avg_degree=6, seed=342))
-        assert pr.sum() == pytest.approx(1.0)
-        assert np.all(pr > 0)
-
-    def test_uniform_on_cycle(self):
-        from repro.apps import pagerank
-        from repro.sparse import from_edges
-
-        # a directed cycle is regular: all scores equal
-        n = 20
-        ring = from_edges(n, n, [[(i + 1) % n, i] for i in range(n)])
-        pr = pagerank(ring)
-        assert np.allclose(pr, 1.0 / n, atol=1e-6)
-
-    def test_dangling_nodes_handled(self):
-        from repro.apps import pagerank
-        from repro.sparse import from_edges
-
-        # 0 -> 1 -> 2, vertex 2 dangling (our convention: entry (dst, src))
-        g = from_edges(3, 3, [[1, 0], [2, 1]])
-        pr = pagerank(g)
-        assert pr.sum() == pytest.approx(1.0)
-        assert pr[2] > pr[0]  # sink accumulates rank
-
-    def test_validation(self):
-        from repro.apps import pagerank
-        from repro.sparse import SparseMatrix, random_sparse
-
-        with pytest.raises(ValueError):
-            pagerank(random_sparse(3, 4, nnz=2, seed=0))
-        with pytest.raises(ValueError):
-            pagerank(SparseMatrix.empty(3, 3), damping=1.5)
-        assert pagerank(SparseMatrix.empty(0, 0)).shape == (0,)

@@ -295,6 +295,15 @@ class TestCheckpointPlanGuard:
         )
         assert (batches, first) == (4, 0)
 
+    def test_resume_accepts_a_manifest_that_still_names_r(self, tmp_path):
+        # written before bytes_per_nonzero left the spec (it only ever
+        # fed the batch count, which resume checks on its own)
+        mgr = CheckpointManager(tmp_path)
+        mgr.start_run("k", 4, dict(self.SPEC.to_dict(), bytes_per_nonzero=24))
+        assert CheckpointManager(tmp_path).resume_run(
+            "k", plan=self.SPEC.to_dict()
+        ) == (4, 0)
+
     def test_backend_flip_is_not_a_geometry_change(self, tmp_path):
         # comm_backend is deliberately outside PLAN_GEOMETRY_KEYS — a
         # replanned flip resumes past durable batches instead of

@@ -38,27 +38,6 @@ class TestAllgatherGatherScatter:
         assert out[0] == [0, 1, 4, 9]
         assert all(o == out[0] for o in out)
 
-    def test_gather_root_only(self):
-        out = run_spmd(3, lambda comm: comm.gather(comm.rank, root=1))
-        assert out[0] is None and out[2] is None
-        assert out[1] == [0, 1, 2]
-
-    def test_scatter(self):
-        def prog(comm):
-            payload = [f"to-{i}" for i in range(comm.size)] if comm.rank == 0 else None
-            return comm.scatter(payload, root=0)
-
-        assert run_spmd(3, prog) == ["to-0", "to-1", "to-2"]
-
-    def test_scatter_wrong_length(self):
-        def prog(comm):
-            payload = [1] if comm.rank == 0 else None
-            return comm.scatter(payload, root=0)
-
-        with pytest.raises(SpmdError):
-            run_spmd(3, prog)
-
-
 class TestAllreduce:
     def test_sum(self):
         assert run_spmd(4, lambda c: c.allreduce(c.rank + 1)) == [10] * 4
@@ -76,11 +55,6 @@ class TestAllreduce:
     def test_unknown_op(self):
         with pytest.raises(SpmdError):
             run_spmd(2, lambda c: c.allreduce(1, op="xor"))
-
-    def test_reduce_root_only(self):
-        out = run_spmd(3, lambda c: c.reduce(c.rank + 1, root=0))
-        assert out == [6, None, None]
-
 
 class TestAlltoall:
     def test_transposes_payloads(self):
@@ -123,14 +97,6 @@ class TestSplit:
             return quarter.size
 
         assert run_spmd(4, prog) == [1, 1, 1, 1]
-
-    def test_dup_keeps_membership(self):
-        def prog(comm):
-            d = comm.dup()
-            return (d.size, d.rank)
-
-        assert run_spmd(3, prog) == [(3, 0), (3, 1), (3, 2)]
-
 
 class TestPointToPoint:
     def test_send_recv(self):

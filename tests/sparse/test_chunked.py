@@ -27,7 +27,6 @@ from repro.sparse.spgemm.symbolic import (
     flops_per_column,
     symbolic_nnz,
     symbolic_pattern,
-    symbolic_per_column,
 )
 from tests.sparse.test_sort_once import FAMILIES, reference_dedup
 
@@ -224,7 +223,8 @@ def test_symbolic_counts(name, target, chunk_target):
     chunk_target(target)
     assert symbolic_nnz(a, b) == keys.shape[0]
     assert isinstance(symbolic_nnz(a, b), int)
-    nnz_per_col, flops_per_col = symbolic_per_column(a, b)
+    nnz_per_col = symbolic_pattern(a, b).col_nnz()
+    flops_per_col = flops_per_column(a, b)
     assert nnz_per_col.dtype == flops_per_col.dtype == np.int64
     assert np.array_equal(
         nnz_per_col, np.bincount(keys // a.nrows, minlength=b.ncols))
@@ -256,7 +256,7 @@ def check_all_consumers(a, b, chunk_target, targets=(1, 2, 5, ONE_CHUNK)):
             spgemm_masked(a, b, mask, complement=True),
             reference_product(a, b, sr, lambda r, c: ~inside(r, c)))
         assert symbolic_nnz(a, b) == want.nnz
-        assert np.array_equal(symbolic_per_column(a, b)[0], want.col_nnz())
+        assert np.array_equal(symbolic_pattern(a, b).col_nnz(), want.col_nnz())
         assert np.array_equal(symbolic_pattern(a, b).indptr, want.indptr)
         assert np.array_equal(symbolic_pattern(a, b).rowidx, want.rowidx)
         parts = split_by_inner(a, b, 2)
@@ -279,7 +279,7 @@ class TestEdgeCases:
             assert np.array_equal(c.indptr, np.zeros(shape_b[1] + 1))
             assert symbolic_nnz(a, b) == 0
             assert symbolic_pattern(a, b).nnz == 0
-            assert symbolic_per_column(a, b)[0].shape == (shape_b[1],)
+            assert symbolic_pattern(a, b).col_nnz().shape == (shape_b[1],)
             m = spgemm_masked(a, b, SparseMatrix.empty(*c.shape))
             assert m.shape == c.shape and m.nnz == 0
             assert merge_grouped([c, c]).nnz == 0
@@ -350,7 +350,7 @@ class TestEdgeCases:
     def test_shape_mismatch_is_refused_before_any_work(self, chunk_target):
         chunk_target(1)
         a, b = random_sparse(4, 5, nnz=6, seed=1), random_sparse(4, 5, nnz=6, seed=2)
-        for fn in (multiply, symbolic_nnz, symbolic_per_column, symbolic_pattern):
+        for fn in (multiply, symbolic_nnz, flops_per_column, symbolic_pattern):
             with pytest.raises(ShapeError, match="cannot multiply"):
                 fn(a, b)
         with pytest.raises(ShapeError):

@@ -1,10 +1,9 @@
 """Unit tests for COO triple utilities."""
 
-import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.sparse.coo import concat_coo, coo_to_csc_arrays, dedup_coo, sort_coo
+from repro.sparse.coo import coo_to_csc_arrays, dedup_coo, sort_coo
 
 
 class TestSortCoo:
@@ -70,18 +69,3 @@ class TestCooToCsc:
             2, 1, [0, 0], [0, 0], [1.0, 2.0], sum_duplicates=False
         )
         assert len(rowidx) == 2
-
-
-class TestConcatCoo:
-    def test_concatenates(self):
-        r, c, v = concat_coo([
-            (np.array([0]), np.array([1]), np.array([2.0])),
-            (np.array([1]), np.array([0]), np.array([3.0])),
-        ])
-        assert r.tolist() == [0, 1]
-        assert v.tolist() == [2.0, 3.0]
-
-    def test_empty_list(self):
-        r, c, v = concat_coo([])
-        assert r.shape == (0,)
-        assert v.dtype == np.float64

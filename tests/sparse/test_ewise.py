@@ -1,19 +1,11 @@
-"""Tests for the elementwise / reduction operations."""
+"""Tests for the elementwise operations."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.sparse import SparseMatrix, from_dense, random_sparse
-from repro.sparse.ewise import (
-    apply,
-    ewise_add,
-    ewise_mult,
-    reduce_columns,
-    reduce_rows,
-    select,
-)
-from repro.sparse.semiring import MAX_MIN, MIN_PLUS
+from repro.sparse.ewise import ewise_mult, select
 
 
 @pytest.fixture
@@ -21,38 +13,6 @@ def pair():
     a = random_sparse(20, 25, nnz=120, seed=151)
     b = random_sparse(20, 25, nnz=110, seed=152)
     return a, b
-
-
-class TestEwiseAdd:
-    def test_plain_sum(self, pair):
-        a, b = pair
-        assert np.allclose(
-            ewise_add(a, b).to_dense(), a.to_dense() + b.to_dense()
-        )
-
-    def test_scaled(self, pair):
-        a, b = pair
-        got = ewise_add(a, b, alpha=2.0, beta=-0.5)
-        assert np.allclose(got.to_dense(), 2 * a.to_dense() - 0.5 * b.to_dense())
-
-    def test_min_plus_union_min(self, pair):
-        a, b = pair
-        got = ewise_add(a, b, semiring=MIN_PLUS).to_dense()
-        da, db = a.to_dense(), b.to_dense()
-        both = (da != 0) & (db != 0)
-        only_a = (da != 0) & ~both
-        assert np.allclose(got[both], np.minimum(da, db)[both])
-        assert np.allclose(got[only_a], da[only_a])
-
-    def test_shape_mismatch(self, pair):
-        a, _ = pair
-        with pytest.raises(ShapeError):
-            ewise_add(a, SparseMatrix.empty(3, 3))
-
-    def test_with_empty(self, pair):
-        a, _ = pair
-        got = ewise_add(a, SparseMatrix.empty(20, 25))
-        assert got.allclose(a)
 
 
 class TestEwiseMult:
@@ -80,25 +40,6 @@ class TestEwiseMult:
             ewise_mult(a, SparseMatrix.empty(5, 5))
 
 
-class TestApply:
-    def test_square_values(self, pair):
-        a, _ = pair
-        got = apply(a, np.square)
-        assert np.allclose(got.to_dense(), a.to_dense() ** 2)
-
-    def test_drops_exact_zeros(self):
-        m = from_dense(np.array([[1.0, -1.0], [2.0, 0.0]]))
-        got = apply(m, lambda v: v + 1.0)
-        # the -1 entry becomes exactly 0 and is dropped
-        assert got.nnz == 2
-        assert got.to_dense()[0, 0] == 2.0
-
-    def test_bad_function(self, pair):
-        a, _ = pair
-        with pytest.raises(ShapeError):
-            apply(a, lambda v: v[:3])
-
-
 class TestSelect:
     def test_value_filter(self, pair):
         a, _ = pair
@@ -121,37 +62,3 @@ class TestSelect:
         a, _ = pair
         with pytest.raises(ShapeError):
             select(a, lambda r, c, v: True)
-
-
-class TestReductions:
-    def test_column_sums(self, pair):
-        a, _ = pair
-        assert np.allclose(reduce_columns(a), a.to_dense().sum(axis=0))
-
-    def test_row_sums(self, pair):
-        a, _ = pair
-        assert np.allclose(reduce_rows(a), a.to_dense().sum(axis=1))
-
-    def test_min_plus_column_reduce(self, pair):
-        a, _ = pair
-        got = reduce_columns(a, MIN_PLUS)
-        d = a.to_dense()
-        for j in range(a.ncols):
-            col = d[:, j][d[:, j] != 0]
-            expected = col.min() if col.size else float("inf")
-            assert got[j] == pytest.approx(expected)
-
-    def test_max_min_row_reduce(self, pair):
-        a, _ = pair
-        got = reduce_rows(a, MAX_MIN)
-        d = a.to_dense()
-        for i in range(a.nrows):
-            row = d[i][d[i] != 0]
-            expected = row.max() if row.size else float("-inf")
-            assert got[i] == pytest.approx(expected)
-
-    def test_empty_matrix(self):
-        out = reduce_columns(SparseMatrix.empty(3, 4))
-        assert np.allclose(out, 0.0)
-        out = reduce_columns(SparseMatrix.empty(3, 4), MIN_PLUS)
-        assert np.all(np.isinf(out))

@@ -8,14 +8,11 @@ from repro.sparse import (
     SparseMatrix,
     col_concat,
     col_split,
-    col_split_block_cyclic,
     from_dense,
-    hstack_interleave_block_cyclic,
     prune_threshold,
     prune_topk_per_column,
     random_sparse,
     scale_columns,
-    scale_rows,
     transpose,
     tril,
     triu,
@@ -82,19 +79,10 @@ class TestScaling:
             scale_columns(a, s).to_dense(), a.to_dense() * s[None, :]
         )
 
-    def test_scale_rows(self, small_pair):
-        a, _ = small_pair
-        s = np.arange(a.nrows, dtype=float) + 1
-        assert np.allclose(
-            scale_rows(a, s).to_dense(), a.to_dense() * s[:, None]
-        )
-
     def test_scale_shape_errors(self, small_pair):
         a, _ = small_pair
         with pytest.raises(ShapeError):
             scale_columns(a, np.ones(3))
-        with pytest.raises(ShapeError):
-            scale_rows(a, np.ones(3))
 
     def test_elementwise_power(self, square_matrix):
         p = elementwise_power(square_matrix, 2.0)
@@ -148,23 +136,6 @@ class TestColumnOps:
     def test_col_concat_height_mismatch(self):
         with pytest.raises(ShapeError):
             col_concat([SparseMatrix.empty(2, 2), SparseMatrix.empty(3, 2)])
-
-    def test_block_cyclic_roundtrip(self, square_matrix):
-        for nparts, blocks in [(1, 1), (2, 3), (4, 4), (7, 2)]:
-            parts, maps = col_split_block_cyclic(square_matrix, nparts, blocks)
-            back = hstack_interleave_block_cyclic(parts, maps, 64)
-            assert back.allclose(square_matrix), (nparts, blocks)
-
-    def test_block_cyclic_covers_all_columns(self, square_matrix):
-        parts, maps = col_split_block_cyclic(square_matrix, 3, 4)
-        all_cols = np.sort(np.concatenate(maps))
-        assert np.array_equal(all_cols, np.arange(64))
-
-    def test_interleave_incomplete_cover_raises(self, square_matrix):
-        parts, maps = col_split_block_cyclic(square_matrix, 2, 2)
-        with pytest.raises(ShapeError):
-            hstack_interleave_block_cyclic(parts[:1], maps[:1], 64)
-
 
 class TestSubmatrix:
     def test_matches_dense(self, square_matrix):

@@ -12,9 +12,7 @@ from repro.sparse import (
     SparseMatrix,
     col_concat,
     col_split,
-    col_split_block_cyclic,
     eye,
-    hstack_interleave_block_cyclic,
     merge_hash,
     merge_heap,
     spgemm_esc,
@@ -103,12 +101,6 @@ class TestSplitProperties:
     @given(sparse_matrices(), st.integers(1, 6))
     def test_col_split_concat_roundtrip(self, m, parts):
         assert col_concat(col_split(m, parts)).allclose(m)
-
-    @given(sparse_matrices(), st.integers(1, 4), st.integers(1, 4))
-    def test_block_cyclic_roundtrip(self, m, nparts, blocks):
-        parts, maps = col_split_block_cyclic(m, nparts, blocks)
-        back = hstack_interleave_block_cyclic(parts, maps, m.ncols)
-        assert back.allclose(m)
 
     @given(sparse_matrices(), st.integers(1, 5))
     def test_split_preserves_nnz(self, m, parts):

@@ -35,9 +35,9 @@ from repro.sparse.ops import submatrix
 from repro.sparse.spgemm.esc import expand_products
 from repro.sparse.spgemm.hash import spgemm_hash
 from repro.sparse.spgemm.symbolic import (
+    flops_per_column,
     symbolic_nnz,
     symbolic_pattern,
-    symbolic_per_column,
 )
 from tests.conftest import to_scipy
 
@@ -219,7 +219,8 @@ class TestBitIdentity:
         a, b = FAMILIES[name]
         rows, cols, _ = expand_products(a, b)
         keys = np.unique(cols * np.int64(a.nrows) + rows)
-        nnz_per_col, flops_per_col = symbolic_per_column(a, b)
+        nnz_per_col = symbolic_pattern(a, b).col_nnz()
+        flops_per_col = flops_per_column(a, b)
         want_flops = np.zeros(b.ncols, dtype=np.int64)
         np.add.at(want_flops, cols, 1)
         assert symbolic_nnz(a, b) == keys.shape[0] == multiply(a, b).nnz

@@ -1,4 +1,4 @@
-"""Tests for permutation, statistics, and the threaded local SpGEMM."""
+"""Tests for permutation and statistics."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from repro.data import rmat, erdos_renyi
 from repro.grid import ProcGrid3D
 from repro.sparse import multiply, random_sparse
 from repro.sparse.ops import permute, random_symmetric_permutation
-from repro.sparse.spgemm.parallel import spgemm_parallel
 from repro.sparse.stats import (
     DegreeStats,
     degree_stats,
-    nnz_histogram,
     tile_imbalance,
 )
 
@@ -123,53 +121,3 @@ class TestStats:
         a = rmat(7, seed=9)
         grid = ProcGrid3D(8, 2)
         assert tile_imbalance(a, grid, operand="B") >= 1.0
-
-    def test_nnz_histogram(self, square_matrix):
-        counts, edges = nnz_histogram(square_matrix, bins=5)
-        assert counts.sum() == 64
-        assert len(edges) == 6
-
-
-class TestParallelSpgemm:
-    @pytest.mark.parametrize("nthreads", [1, 2, 4, 7])
-    def test_matches_serial(self, small_pair, nthreads):
-        a, b = small_pair
-        expected = multiply(a, b)
-        got = spgemm_parallel(a, b, nthreads=nthreads)
-        assert got.allclose(expected)
-
-    @pytest.mark.parametrize("suite", ["esc", "unsorted-hash", "sorted-heap"])
-    def test_all_suites(self, small_pair, suite):
-        a, b = small_pair
-        assert spgemm_parallel(a, b, nthreads=3, suite=suite).allclose(
-            multiply(a, b)
-        )
-
-    def test_semiring(self, small_pair):
-        from repro.sparse.semiring import MIN_PLUS
-
-        a, b = small_pair
-        assert spgemm_parallel(a, b, nthreads=3, semiring=MIN_PLUS).allclose(
-            multiply(a, b, semiring=MIN_PLUS)
-        )
-
-    def test_more_threads_than_columns(self):
-        a = random_sparse(10, 3, nnz=12, seed=10)
-        b = random_sparse(3, 2, nnz=4, seed=11)
-        assert spgemm_parallel(a, b, nthreads=16).allclose(multiply(a, b))
-
-    def test_single_column(self):
-        a = random_sparse(10, 5, nnz=20, seed=12)
-        b = random_sparse(5, 1, nnz=3, seed=13)
-        assert spgemm_parallel(a, b, nthreads=4).allclose(multiply(a, b))
-
-    def test_invalid_threads(self, small_pair):
-        a, b = small_pair
-        with pytest.raises(ValueError):
-            spgemm_parallel(a, b, nthreads=0)
-
-    def test_shape_error(self):
-        from repro.sparse import eye
-
-        with pytest.raises(ShapeError):
-            spgemm_parallel(eye(3), eye(4))

@@ -113,28 +113,3 @@ class TestBaselineVsSumma:
         vol_1d = t1.total_bytes()
         vol_2d = ts.total_bytes()
         assert vol_2d < vol_1d
-
-
-class TestOverlappedCannon:
-    def test_matches_blocking_variant(self, operands):
-        a, b, expected = operands
-        import numpy as np
-
-        r = cannon2d(a, b, nprocs=9, overlap=True)
-        assert np.allclose(r.matrix.to_dense(), expected)
-
-    def test_single_process(self, operands):
-        a, b, expected = operands
-        import numpy as np
-
-        r = cannon2d(a, b, nprocs=1, overlap=True)
-        assert np.allclose(r.matrix.to_dense(), expected)
-
-    def test_same_communication_volume(self, operands):
-        """Overlap changes scheduling, not what moves."""
-        a, b, _ = operands
-        t_blocking = CommTracker()
-        cannon2d(a, b, nprocs=9, tracker=t_blocking)
-        t_overlap = CommTracker()
-        cannon2d(a, b, nprocs=9, overlap=True, tracker=t_overlap)
-        assert t_overlap.total_bytes() == t_blocking.total_bytes()

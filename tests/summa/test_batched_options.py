@@ -205,20 +205,6 @@ class TestRowBatchingForwarding:
             d1.matrix.canonical().to_dense(),
         )
 
-    def test_bytes_per_nonzero_forwarded(self, operands):
-        """A fatter nonzero makes the symbolic step choose more batches
-        under the same budget — visible only if the knob reaches the
-        inner (transposed) run."""
-        a, b, _ = operands
-        budget = 24 * (a.nnz + b.nnz) * 12
-        thin = batched_summa3d_rows(
-            a, b, nprocs=4, memory_budget=budget, bytes_per_nonzero=12,
-        )
-        fat = batched_summa3d_rows(
-            a, b, nprocs=4, memory_budget=budget, bytes_per_nonzero=48,
-        )
-        assert fat.batches >= thin.batches
-
     def test_spill_writes_row_blocks(self, operands, tmp_path):
         a, b, expected = operands
         r = batched_summa3d_rows(

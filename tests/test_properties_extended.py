@@ -1,9 +1,8 @@
 """Extended property-based tests across the newer modules.
 
 Covers the algebraic identities and round-trips of the elementwise ops,
-the DCSC format, Kronecker products, masking, and the distributed-context
-layer — properties that must hold for *every* input, not just the unit
-fixtures.
+masking, and the distributed-context layer — properties that must hold
+for *every* input, not just the unit fixtures.
 """
 
 import numpy as np
@@ -12,9 +11,8 @@ from hypothesis import strategies as st
 
 from repro.dist import DistContext
 from repro.sparse import SparseMatrix, multiply
-from repro.sparse.dcsc import from_dcsc, to_dcsc
-from repro.sparse.ewise import apply, ewise_add, ewise_mult, select
-from repro.sparse.kron import kron
+from repro.sparse.ewise import ewise_mult, select
+from repro.sparse.merge import merge_grouped
 from repro.sparse.ops import permute
 from repro.sparse.spgemm.masked import spgemm_masked
 from repro.sparse.spgemm.outer import spgemm_outer
@@ -54,55 +52,14 @@ def same_shape_pairs(draw):
 
 class TestEwiseAlgebra:
     @given(same_shape_pairs())
-    def test_add_commutative(self, pair):
-        a, b = pair
-        assert ewise_add(a, b).allclose(ewise_add(b, a))
-
-    @given(same_shape_pairs())
     def test_mult_commutative(self, pair):
         a, b = pair
         assert ewise_mult(a, b).allclose(ewise_mult(b, a))
 
     @given(matrices())
-    def test_add_with_zero_identity(self, a):
-        zero = SparseMatrix.empty(a.nrows, a.ncols)
-        assert ewise_add(a, zero).allclose(a.canonical())
-
-    @given(matrices())
     def test_select_true_keeps_everything(self, a):
         kept = select(a, lambda r, c, v: np.ones(r.shape[0], dtype=bool))
         assert kept.allclose(a)
-
-    @given(matrices())
-    def test_apply_identity(self, a):
-        assert apply(a, lambda v: v).allclose(a.canonical())
-
-
-class TestDcscProperties:
-    @given(matrices(max_dim=30, max_nnz=60))
-    def test_roundtrip(self, a):
-        assert from_dcsc(to_dcsc(a)).allclose(a)
-
-    @given(matrices(max_dim=30, max_nnz=60))
-    def test_nzc_bounds(self, a):
-        d = to_dcsc(a)
-        assert d.nzc <= min(d.nnz, a.ncols)
-
-
-class TestKronProperties:
-    @settings(max_examples=20)
-    @given(matrices(max_dim=6, max_nnz=12), matrices(max_dim=6, max_nnz=12))
-    def test_matches_numpy(self, a, b):
-        assert np.allclose(
-            kron(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense())
-        )
-
-    @settings(max_examples=20)
-    @given(matrices(max_dim=5, max_nnz=10), matrices(max_dim=5, max_nnz=10))
-    def test_nnz_multiplicative_without_cancellation(self, a, b):
-        # kron never merges coordinates, so nnz is exactly the product
-        assert kron(a, b).nnz == a.nnz * b.nnz
-
 
 class TestMaskedProperties:
     @settings(max_examples=20)
@@ -132,7 +89,7 @@ class TestMaskedProperties:
         mask = data.draw(matrices_fixed(n, n, 20))
         inside = spgemm_masked(a, a, mask)
         outside = spgemm_masked(a, a, mask, complement=True)
-        total = ewise_add(inside, outside)
+        total = merge_grouped([inside, outside])
         assert total.allclose(multiply(a, a).canonical())
 
 

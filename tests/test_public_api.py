@@ -38,6 +38,16 @@ class TestTopLevelExports:
         ]
         assert not undocumented, f"missing docstrings: {undocumented}"
 
+    def test_import_is_warning_free(self):
+        import subprocess
+        import sys
+
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import repro, repro.cli"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+
     def test_version_matches_changelog(self):
         assert repro.__version__ == "1.0.0"
 
@@ -67,7 +77,7 @@ class TestSubpackages:
 
     @pytest.mark.parametrize("module", [
         "repro.sparse", "repro.simmpi", "repro.summa", "repro.model",
-        "repro.apps", "repro.data", "repro.dist",
+        "repro.apps", "repro.data", "repro.dist", "repro.utils", "repro.plan",
     ])
     def test_subpackage_all_resolves(self, module):
         mod = importlib.import_module(module)

@@ -35,13 +35,15 @@ RANK_LOOP = SRC / "summa" / "exec.py"
 DESIGN = SRC.parent.parent / "DESIGN.md"
 
 
-@pytest.mark.parametrize(
-    "path",
-    [DRIVER, CONTEXT, RANK_BODY, RANK_LOOP, SRC / "simmpi" / "engine.py",
-     *sorted((SRC / "mp").glob("*.py"))],
-    # mp/engine.py is "engine.py"; the thread carrier's needs its package
-    ids=lambda p: f"simmpi/{p.name}" if p.parent.name == "simmpi" else p.name,
-)
+def _rule_id(path):
+    # the files the rule began with keep the ids they had (bare names for the
+    # four driver files and mp/); the rest are named by their path
+    if path.parent.name == "mp" or path in (DRIVER, CONTEXT, RANK_BODY, RANK_LOOP):
+        return path.name
+    return str(path.relative_to(SRC if path.parent != SRC else SRC.parent))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=_rule_id)
 def test_no_long_functions_in_the_drivers(path):
     long = {
         fn.name: fn.end_lineno - fn.lineno + 1
@@ -49,6 +51,59 @@ def test_no_long_functions_in_the_drivers(path):
         if fn.end_lineno - fn.lineno + 1 > MAX_FUNCTION_LINES
     }
     assert not long, f"split into phases (> {MAX_FUNCTION_LINES} lines): {long}"
+
+
+def _imports(path, package):
+    """``(module, name)`` per import in a file; relative imports resolve
+    against ``package`` (dotted), ``import x.y`` is ``("x.y", None)``."""
+    here = package.split(".")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = here[: len(here) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_no_module_is_reached_only_by_its_package_init_and_the_tests():
+    """The reachability audit's static half (``benchmarks/reach.py`` is the
+    dynamic one): every module under ``src/repro`` is imported — directly,
+    or as a name its package re-exports — by another part of the program,
+    a benchmark or an example.  What only its own ``__init__`` and
+    ``tests/`` import has no caller to break."""
+    src = SRC.parent
+    files = {}  # path -> (dotted name, package its relative imports start at)
+    for path in SRC.rglob("*.py"):
+        name = ".".join(path.relative_to(src).with_suffix("").parts)
+        if path.name == "__init__.py":
+            name = name[: -len(".__init__")]
+        files[path] = (name, name if path.name == "__init__.py"
+                       else name.rpartition(".")[0])
+    modules = {name for path, (name, _) in files.items()
+               if path.name != "__init__.py"}
+    exported = {}  # (package, name) -> the submodule / subpackage it is from
+    for path, (name, package) in files.items():
+        if path.name == "__init__.py":
+            exported.update(
+                ((package, what), module)
+                for module, what in _imports(path, package)
+                if module.startswith(package + ".")
+            )
+    for top in ("benchmarks", "examples"):
+        files.update((path, (None, "")) for path in (src.parent / top).rglob("*.py"))
+    used = set()
+    for path, (own, package) in files.items():
+        for module, what in _imports(path, package):
+            if path.name == "__init__.py" and module.startswith(package + "."):
+                continue  # a package re-exporting its own module is not a use
+            target = f"{module}.{what}" if f"{module}.{what}" in modules else module
+            while (target, what) in exported:
+                target = exported[target, what]
+            if target != own:
+                used.add(target)
+    orphans = sorted(modules - used - {"repro.__main__", "repro.cli"})
+    assert not orphans, orphans
 
 
 def _names_a_kernel(node):
