@@ -45,35 +45,39 @@ def test_ablation_gustavson_vs_outer(benchmark):
 
 
 def test_ablation_resident_vs_broadcast_mcl(benchmark):
-    """Resident handles eliminate per-iteration re-distribution; the
-    redistribution alltoalls they pay instead move less than the operand
-    tiles the broadcast path re-extracts every iteration (the CombBLAS
-    argument for persistent distributed matrices)."""
+    """Resident handles eliminate per-iteration re-distribution (the
+    CombBLAS argument for persistent distributed matrices).  On a 2D grid
+    the product's tiles already are the next operands' and residency costs
+    nothing; with layers it pays the A -> B redistribution alltoalls."""
     from repro.apps import markov_cluster, markov_cluster_resident
 
     adj, _ = planted_partition(60, 4, p_in=0.65, p_out=0.02, seed=311)
     t_broadcast = CommTracker()
     std = markov_cluster(adj, nprocs=4, max_iterations=12,
                          tracker=t_broadcast)
-    t_resident = CommTracker()
+    t_resident, t_layered = CommTracker(), CommTracker()
     res = markov_cluster_resident(adj, nprocs=4, max_iterations=12,
                                   tracker=t_resident)
+    layered = markov_cluster_resident(adj, nprocs=8, layers=2,
+                                      max_iterations=12, tracker=t_layered)
     rows = [
-        ["broadcast", t_broadcast.total_bytes(),
-         t_broadcast.total_bytes("Redistribute")],
-        ["resident", t_resident.total_bytes(),
-         t_resident.total_bytes("Redistribute")],
+        [engine, t.total_bytes(), t.total_bytes("Redistribute")]
+        for engine, t in (("broadcast p=4", t_broadcast),
+                          ("resident p=4", t_resident),
+                          ("resident p=8 l=2", t_layered))
     ]
     print_series(
-        "MCL engines: transmitted bytes over 12 iterations (p=4)",
+        "MCL engines: transmitted bytes over 12 iterations",
         ["engine", "total bytes", "redistribute bytes"],
         rows,
     )
     # identical clusterings
-    mapping = {}
-    for la, lb in zip(std.labels.tolist(), res.labels.tolist()):
-        assert mapping.setdefault(la, lb) == lb
-    # resident pays redistribution; broadcast pays none
-    assert t_resident.total_bytes("Redistribute") > 0
+    for other in (res, layered):
+        mapping = {}
+        for la, lb in zip(std.labels.tolist(), other.labels.tolist()):
+            assert mapping.setdefault(la, lb) == lb
+    # residency pays redistribution only where layouts differ
     assert t_broadcast.total_bytes("Redistribute") == 0
+    assert t_resident.total_bytes("Redistribute") == 0
+    assert t_layered.total_bytes("Redistribute") > 0
     benchmark(lambda: markov_cluster_resident(adj, nprocs=4, max_iterations=3))

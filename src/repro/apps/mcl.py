@@ -180,7 +180,9 @@ def markov_cluster_resident(
 
     Functionally identical to :func:`markov_cluster`, but the iterate
     never leaves the grid: each squaring consumes the previous product's
-    handles (one redistribution per operand per iteration, CombBLAS-style)
+    handles (at most one redistribution per operand per iteration,
+    CombBLAS-style; none where the product's tiles already fit, as on every
+    2D grid)
     and the chaos convergence measure is computed inside the distributed
     per-batch hook — no global matrix is assembled until the final
     interpretation step.

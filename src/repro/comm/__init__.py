@@ -19,7 +19,7 @@ on the wire and message counts, which the tracker separates by backend
 tag (:meth:`repro.simmpi.CommTracker.by_backend`).
 """
 
-from .backend import CommBackend, DenseCollective, available_backends, get_backend
+from .backend import CommBackend, DenseCollective, get_backend
 from .plan import CommPlan, pack_mask, unpack_mask
 from .sparse_p2p import SparseP2P
 
@@ -28,7 +28,6 @@ __all__ = [
     "CommPlan",
     "DenseCollective",
     "SparseP2P",
-    "available_backends",
     "get_backend",
     "pack_mask",
     "unpack_mask",

@@ -263,10 +263,3 @@ def get_backend(backend) -> CommBackend:
         f"unknown communication backend {backend!r}; "
         f"expected one of {sorted(registry)} or a CommBackend"
     )
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend` (besides ``"auto"``)."""
-    from .sparse_p2p import SparseP2P
-
-    return (DenseCollective.name, SparseP2P.name)

@@ -13,11 +13,17 @@ Layouts (paper Fig. 1):
   A ``"C"`` handle can be gathered or redistributed, but must be
   converted (one metered alltoall) before serving as a multiply operand.
 
-A product computed by BatchedSUMMA3D lands in ``"C"``/``"A"`` layout (the
-paper distributes C like A), so iterated squaring — HipMCL's access
-pattern — pays at most two redistributions per iteration, to refresh the
-operands.  Redistribution is a real alltoall over the simulated runtime,
-metered under the ``"Redistribute"`` step label.
+Layouts are ranges: the name is the label a handle was born with, and a
+handle *fits* every standard layout whose per-rank ranges equal its own.
+An operand is accepted where it fits, and redistributing to a layout a
+handle fits returns the handle and launches nothing.  On a 2D grid
+(``l = 1``) ``"A"`` and ``"B"`` are the same ranges and a product always
+lands in them, so iterated squaring — HipMCL's access pattern — is one
+``multiply`` region per iteration; with layers a product lands in
+``"C"``/``"A"`` (the paper distributes C like A) and pays at most two
+redistributions per iteration, to refresh the operands.  Redistribution
+is a real alltoall over the simulated runtime, metered under the
+``"Redistribute"`` step label.
 
 The tiles live **in the ranks**.  A context owns one world for its
 lifetime (:func:`repro.simmpi.engine.open_world`; in the process world,
@@ -32,7 +38,7 @@ segment is copied out before the region ends and releases the segment.
 from __future__ import annotations
 
 import contextlib
-import functools
+import hashlib
 import itertools
 import weakref
 
@@ -60,6 +66,14 @@ _KEYS = itertools.count()
 
 #: sparse tiles are assembled the way the sparse kernels' output is
 _assemble = get_kernel("spgemm").gather
+
+
+def _digest(m: SparseMatrix) -> bytes:
+    """Content key of a mask: shape, pattern and values."""
+    h = hashlib.blake2b(repr(m.shape).encode(), digest_size=16)
+    for arr in (m.indptr, m.rowidx, m.values):
+        h.update(np.ascontiguousarray(arr))
+    return h.digest()
 
 
 def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
@@ -142,16 +156,22 @@ def _transpose(comm: SimComm, store: dict, *, src, key, grid):
     return _keep(store, key, received)
 
 
-def _multiply(comm: SimComm, store: dict, *, body, a, b, key, **kwargs):
+def _multiply(comm: SimComm, store: dict, *, body, a, b, key, aux, aux_key,
+              **kwargs):
     """Run the SPMD ``body`` on resident operands (handles arrive as
-    their :meth:`DistMatrixHandle.record`).  A sparse product stays
+    their :meth:`DistMatrixHandle.record`; a mask the ranks were sent
+    before arrives as its ``aux_key`` alone).  A sparse product stays
     here: only its range and size travel back with the report."""
     a, b = (
         TileSource(x[1], x[2], lambda _rank, k=x[0]: store[k], x[3])
         if isinstance(x, tuple) else x
         for x in (a, b)
     )
-    out = body(comm, a, b, **kwargs)
+    if aux_key is not None:
+        if aux is not None:
+            _keep(store, aux_key, aux)
+        aux = store[aux_key]
+    out = body(comm, a, b, aux=aux, **kwargs)
     if key is not None:
         # Each rank's batch pieces are contiguous in global column space
         # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
@@ -196,8 +216,9 @@ class DistMatrixHandle(TileSource):
     shared driver multiplies.  Metadata only: ``key``, shape, ``layout``,
     per-rank ``ranges`` and recorded ``tile_nnz`` / ``tile_nbytes``.
 
-    ``layout`` is ``"A"`` / ``"B"`` (standard, usable as the corresponding
-    multiply operand) or ``"C"`` (product-native; redistribute first).
+    ``layout`` is the label the handle was made under — ``"A"`` / ``"B"``
+    (standard) or ``"C"`` (product-native); whether it can serve as an
+    operand is decided by ``ranges`` (module docstring).
     """
 
     __slots__ = ("context", "key", "layout", "ranges", "tile_nbytes")
@@ -281,6 +302,9 @@ class DistContext:
         self._live: dict[int, DistMatrixHandle] = {}
         #: keys freed since the last region; the next one drops them
         self._freed: list[int] = []
+        #: ``(digest, rank-store key)`` of the one mask the ranks keep: a
+        #: chain's mask travels once, and again when its content changes
+        self._held_aux: tuple = (None, None)
         #: set by :meth:`close`; a closed context refuses every operation
         self.closed = False
         #: ``world_info`` of the most recent region (a fresh dict each)
@@ -388,7 +412,9 @@ class DistContext:
             self._freed.append(handle.key)
 
     def memory_bytes(self) -> int:
-        """Total bytes of all resident tiles (r = 24 B/nonzero accounting)."""
+        """Total bytes of all live handles' tiles: the sum of the
+        ``tile_nbytes`` the ranks reported (index, pointer and value
+        arrays as stored)."""
         return sum(sum(h.tile_nbytes) for h in self._live.values())
 
     # ------------------------------------------------------------------ #
@@ -399,17 +425,19 @@ class DistContext:
         """Convert a handle to a standard layout with one metered alltoall
         — the standard redistribution kernel of distributed sparse
         libraries.  Works from any source layout (including
-        product-native ``"C"``)."""
+        product-native ``"C"``).  A handle whose tiles already fit
+        ``layout`` is returned as is and no region is launched — on a 2D
+        grid that is every ``"A"`` / ``"B"`` handle and every product."""
         self._check(handle)
         if layout not in _STANDARD_LAYOUTS:
             raise DistributionError(
                 f"unknown target layout {layout!r}; expected 'A' or 'B'"
             )
-        if layout == handle.layout:
-            return handle
         dst_ranges = _standard_ranges(
             layout, self.grid, handle.nrows, handle.ncols
         )
+        if handle.ranges == dst_ranges:
+            return handle
         return self._derive(
             "redistribute", handle, handle.nrows, handle.ncols, layout,
             dst_ranges, src_ranges=handle.ranges, dst_ranges=dst_ranges,
@@ -473,9 +501,10 @@ class DistContext:
     ) -> tuple[DistMatrixHandle, SummaResult]:
         """``C = A @ B`` between resident handles; C stays distributed.
 
-        ``ha`` must be standard ``"A"``-layout and ``hb`` standard
-        ``"B"``-layout (use :meth:`redistribute` to convert — including
-        from a previous product's ``"C"`` layout).  Returns
+        ``ha`` must fit standard layout ``"A"`` and ``hb`` standard
+        layout ``"B"`` — by their ranges, whatever their labels (use
+        :meth:`redistribute` to convert — including from a previous
+        product's ``"C"`` layout; it is free where nothing moves).  Returns
         ``(handle, result)``: the handle is ``"A"`` when the batch
         boundaries happen to nest into the standard slices, else ``"C"``;
         ``result.matrix`` is ``None`` — call ``handle.to_global()`` if the
@@ -536,7 +565,7 @@ class DistContext:
         """``Y = A @ X`` with a resident sparse ``A`` and dense feature
         panel ``X`` — the GNN-propagation primitive.
 
-        ``ha`` must be a standard ``"A"``-layout handle; ``x`` is a global
+        ``ha`` must fit standard layout ``"A"``; ``x`` is a global
         dense ``(ha.ncols, f)`` array (feature panels are small relative
         to the matrix, so they travel to the ranks whole and each rank
         slices its block — dense panels ride collectives on either
@@ -574,7 +603,7 @@ class DistContext:
         )
 
     @contextlib.contextmanager
-    def _multiply_world(self, run, body, a, b, grid, **fixed):
+    def _multiply_world(self, run, body, a, b, grid, *, aux, **fixed):
         """What :func:`~repro.summa.batched.drive` opens instead of a
         one-shot world: ``submit(**amendable)`` is a ``multiply`` region
         on the resident ranks, re-entered as often as the run amends."""
@@ -585,20 +614,45 @@ class DistContext:
             x.record() if isinstance(x, DistMatrixHandle) else x
             for x in (a, b)
         )
-        try:
-            yield functools.partial(
-                self._submit, "multiply", body=body, a=a, b=b, grid=grid,
-                key=key, faults=run.injector, checksums=run.spec.checksums,
-                **fixed,
+        digest = aux_key = None
+        if isinstance(aux, SparseMatrix):
+            digest = _digest(aux)
+            held_digest, held_key = self._held_aux
+            aux_key = held_key if held_digest == digest else next(_KEYS)
+
+        def submit(**amendable):
+            # until a region that carried the mask has succeeded, every
+            # rank is sent it; from then on, its store key
+            held = aux_key is not None and self._held_aux[1] == aux_key
+            out = self._submit(
+                "multiply", body=body, a=a, b=b, grid=grid, key=key,
+                aux=None if held else aux, aux_key=aux_key,
+                faults=run.injector, checksums=run.spec.checksums,
+                **fixed, **amendable,
             )
+            if aux_key is not None and not held:
+                superseded = self._held_aux[1]
+                if superseded is not None:
+                    self._freed.append(superseded)
+                self._held_aux = (digest, aux_key)
+            return out
+
+        try:
+            yield submit
         except BaseException:
-            if key is not None:
-                self._freed.append(key)
+            # ranks that got as far as storing them drop them
+            self._freed.extend(k for k in (key, aux_key) if k is not None)
+            if self._held_aux[1] == aux_key:
+                self._held_aux = (None, None)
             raise
 
     def _operand(self, handle: DistMatrixHandle, layout: str, role: str) -> None:
+        """Refuse an operand whose tiles do not fit ``layout`` — fitting
+        is by ranges; the label only words the refusal."""
         self._check(handle)
-        if handle.layout != layout:
+        if handle.ranges != _standard_ranges(
+            layout, self.grid, handle.nrows, handle.ncols
+        ):
             raise DistributionError(
                 f"{role} must have standard layout {layout!r} "
                 f"(got {handle.layout!r}; redistribute first)"

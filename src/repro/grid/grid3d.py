@@ -101,8 +101,10 @@ class ProcGrid3D:
 class GridComms:
     """One rank's communicators on a :class:`ProcGrid3D`.
 
-    Built collectively: every rank of the world communicator must call
-    :meth:`build` (it performs ``split`` collectives).
+    Derived, not negotiated: :meth:`build` computes the four groups from
+    the grid's own arithmetic (:meth:`SimComm.derive`), so no message is
+    exchanged — but every rank of the world communicator must still call
+    it at the same program point, as it would a collective.
     """
 
     grid: ProcGrid3D
@@ -116,17 +118,21 @@ class GridComms:
     k: int
 
     @classmethod
-    def build(cls, world: SimComm, grid: ProcGrid3D) -> "GridComms":
+    def build(cls, world: SimComm, grid: ProcGrid3D) -> GridComms:
         if world.size != grid.nprocs:
             raise GridError(
                 f"world communicator has {world.size} ranks, grid needs {grid.nprocs}"
             )
         i, j, k = grid.coords(world.rank)
-        # colors are unique integers per group; keys order members so that
+        pr, pc, layers = grid.shape
+        rank_of = grid.rank_of
+        # colors are unique integers per group; members are listed so that
         # local rank within each derived communicator equals the grid index
         # along the varying dimension.
-        row = world.split(color=k * grid.pr + i, key=j)
-        col = world.split(color=k * grid.pc + j, key=i)
-        fiber = world.split(color=i * grid.pc + j, key=k)
-        layer = world.split(color=k, key=i * grid.pc + j)
+        row = world.derive(k * pr + i, [rank_of(i, jj, k) for jj in range(pc)])
+        col = world.derive(k * pc + j, [rank_of(ii, j, k) for ii in range(pr)])
+        fiber = world.derive(
+            i * pc + j, [rank_of(i, j, kk) for kk in range(layers)]
+        )
+        layer = world.derive(k, range(k * pr * pc, (k + 1) * pr * pc))
         return cls(grid, world, row, col, fiber, layer, i, j, k)

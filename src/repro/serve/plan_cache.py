@@ -146,10 +146,6 @@ class PlanCache:
 
     # ------------------------------------------------------------------ #
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

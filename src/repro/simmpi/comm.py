@@ -695,6 +695,21 @@ class SimComm:
         # type(self) so process-world subclasses split into their own kind
         return type(self)(self.world, comm_id, members, new_rank)
 
+    def derive(self, color: int, local_ranks) -> "SimComm":
+        """The communicator :meth:`split` would return for ``color``,
+        without the rendezvous: the caller already knows its group —
+        ``local_ranks``, in the new communicator's rank order, this rank
+        among them.  Collective like ``split`` (every member calls it at
+        the same program point, with groups that partition the members);
+        it takes the op id ``split`` would, so the id is unique per call,
+        equal on all members and extends this communicator's."""
+        comm_id = (*self.comm_id, self._opseq, int(color))
+        self._opseq += 1
+        members = tuple(self.members[r] for r in local_ranks)
+        return type(self)(
+            self.world, comm_id, members, members.index(self.global_rank)
+        )
+
     # ------------------------------------------------------------------ #
     # point-to-point
     # ------------------------------------------------------------------ #

@@ -102,10 +102,6 @@ class CommTracker:
         with self._lock:
             return list(self._events)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
     def extend(self, events) -> None:
         """Merge already-recorded events (e.g. shipped back from worker
         processes) into this tracker."""

@@ -9,6 +9,8 @@ operators HipMCL applies to each output batch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ShapeError
@@ -175,14 +177,20 @@ def col_split(a: SparseMatrix, nparts: int) -> list[SparseMatrix]:
     return [col_slice(a, bounds[i], bounds[i + 1]) for i in range(nparts)]
 
 
+@functools.lru_cache(maxsize=256)
 def split_bounds(n: int, nparts: int) -> np.ndarray:
-    """Boundaries of the balanced block partition of ``range(n)``."""
+    """Boundaries of the balanced block partition of ``range(n)``: block
+    ``i`` is ``[bounds[i], bounds[i + 1])``, the first ``n % nparts``
+    blocks one wider.  One read-only table per ``(n, nparts)``, shared by
+    every caller: a run asks for the same few partitions on every rank,
+    batch and stage."""
     if nparts <= 0:
         raise ShapeError(f"nparts must be positive, got {nparts}")
     base, extra = divmod(n, nparts)
-    sizes = np.full(nparts, base, dtype=INDEX_DTYPE)
-    sizes[:extra] += 1
-    return np.concatenate(([0], np.cumsum(sizes)))
+    idx = np.arange(nparts + 1, dtype=INDEX_DTYPE)
+    bounds = idx * base + np.minimum(idx, extra)
+    bounds.setflags(write=False)
+    return bounds
 
 
 def col_concat(parts) -> SparseMatrix:

@@ -710,7 +710,7 @@ def _amend(run: _Run, err: SpmdError) -> bool:
         isinstance(e, RankCrashError) for e in failures
     ):
         # the survivors keep nothing a re-entry would not rebuild (tiles
-        # re-extracted, communicators re-split, finished pieces already
+        # re-extracted, communicators re-derived, finished pieces already
         # streamed to the driver), so a death costs the same re-entry —
         # plus deciding who holds the dead positions from now on
         def join_bytes(position):

@@ -22,8 +22,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterable
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..utils.timing import StepTimes
 
@@ -61,6 +60,10 @@ class TraceSpan:
     accounting) that appear on the timeline but are excluded from the
     :class:`StepTimes` breakdown, which only ever contained the paper's
     metered steps.
+
+    A span from :meth:`Tracer.span` is its own context manager: entering
+    stamps ``t0``, leaving stamps ``t1`` and files the span with its
+    tracer (``sink``, dropped once filed).
     """
 
     rank: int
@@ -71,10 +74,20 @@ class TraceSpan:
     t0: float
     t1: float
     timed: bool = True
+    sink: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
+
+    def __enter__(self) -> TraceSpan:
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.t1 = time.perf_counter()
+        sink, self.sink = self.sink, None
+        sink.append(self)
 
 
 class Tracer:
@@ -91,7 +104,6 @@ class Tracer:
         self.rank = int(rank)
         self.spans: list[TraceSpan] = []
 
-    @contextmanager
     def span(
         self,
         op: str,
@@ -100,18 +112,13 @@ class Tracer:
         batch: int | None = None,
         nbytes: int = 0,
         timed: bool = True,
-    ):
-        """Record one span around the block; yields the mutable span so
-        the body can fill in ``nbytes`` once the payload is known."""
-        sp = TraceSpan(
-            rank=self.rank, op=op, stage=stage, batch=batch,
-            nbytes=nbytes, t0=time.perf_counter(), t1=0.0, timed=timed,
+    ) -> TraceSpan:
+        """The span to run a block under (``with tracer.span(...) as
+        sp``); mutable, so the body can fill in ``nbytes`` once the
+        payload is known."""
+        return TraceSpan(
+            self.rank, op, stage, batch, nbytes, 0.0, 0.0, timed, self.spans
         )
-        try:
-            yield sp
-        finally:
-            sp.t1 = time.perf_counter()
-            self.spans.append(sp)
 
     def step_times(self) -> StepTimes:
         """Reduce timed spans to the classic per-step breakdown."""

@@ -1,10 +1,9 @@
-"""Shared utilities: deterministic RNG handling and timers."""
+"""Shared utilities: deterministic RNG handling and step-time breakdowns."""
 
 from .rng import as_rng
-from .timing import Timer, StepTimes
+from .timing import StepTimes
 
 __all__ = [
     "as_rng",
-    "Timer",
     "StepTimes",
 ]

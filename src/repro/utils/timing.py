@@ -1,4 +1,4 @@
-"""Lightweight wall-clock timing helpers.
+"""Per-step wall-clock breakdowns.
 
 The distributed algorithms report per-step times (A-Broadcast, B-Broadcast,
 Local-Multiply, Merge-Layer, AllToAll-Fiber, Merge-Fiber, Symbolic) exactly
@@ -9,32 +9,8 @@ so benches can print measured and modelled breakdowns side by side.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-
-
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    >>> with Timer() as t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
 
 
 @dataclass

@@ -15,7 +15,6 @@ from repro.comm import (
     CommBackend,
     DenseCollective,
     SparseP2P,
-    available_backends,
     get_backend,
 )
 from repro.data.generators import erdos_renyi, rmat
@@ -46,9 +45,6 @@ def _run_both(a, b, **kw):
 
 
 class TestRegistry:
-    def test_available(self):
-        assert available_backends() == ("dense", "sparse")
-
     def test_resolution(self):
         assert isinstance(get_backend("dense"), DenseCollective)
         assert isinstance(get_backend("sparse"), SparseP2P)

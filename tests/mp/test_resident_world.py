@@ -210,7 +210,7 @@ class TestResidentContext:
         with DistContext(nprocs=4, world="processes", transport="shm") as ctx:
             ha = ctx.distribute(matrix, "A")
             infos.append(ctx.last_world_info)
-            hb = ctx.redistribute(ha, "B")
+            hb = ctx.distribute(matrix, "B")
             infos.append(ctx.last_world_info)
             for _ in range(3):
                 hc, _ = ctx.multiply(ha, hb, batches=2)

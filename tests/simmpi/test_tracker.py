@@ -74,12 +74,6 @@ class TestTrackerAggregation:
         assert t.total_bytes("missing") == 0
         assert t.message_count() == 1
 
-    def test_clear(self):
-        t = CommTracker()
-        t.record("A", "bcast", 2, 5)
-        t.clear()
-        assert t.events == []
-
     def test_format_table(self):
         t = CommTracker()
         assert "no communication" in t.format_table()

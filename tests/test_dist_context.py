@@ -105,7 +105,9 @@ class TestRedistribute:
         ctx = DistContext(nprocs=nprocs, layers=layers)
         ha = ctx.distribute(matrix, "A")
         hb = ctx.redistribute(ha, "B")
-        assert hb.layout == "B"
+        # on a 2D grid "A" and "B" are the same ranges: nothing to move
+        assert (hb is ha) == (layers == 1)
+        assert hb.layout == ("A" if layers == 1 else "B")
         assert hb.to_global().allclose(matrix)
         back = ctx.redistribute(hb, "A")
         assert back.to_global().allclose(matrix)
@@ -115,14 +117,16 @@ class TestRedistribute:
         assert ctx.redistribute(h, "A") is h
 
     def test_redistribution_metered(self, matrix):
-        ctx = DistContext(nprocs=4)
+        ctx = DistContext(nprocs=8, layers=2)
         h = ctx.distribute(matrix, "A")
         ctx.redistribute(h, "B")
         assert ctx.tracker.total_bytes("Redistribute") > 0
 
-    def test_preserves_nnz(self, ctx, matrix):
+    def test_preserves_nnz(self, matrix):
+        ctx = DistContext(nprocs=8, layers=2)
         h = ctx.distribute(matrix, "A")
-        assert ctx.redistribute(h, "B").nnz == matrix.nnz
+        moved = ctx.redistribute(h, "B")
+        assert moved is not h and moved.nnz == matrix.nnz
 
 
 class TestMultiply:
@@ -149,7 +153,8 @@ class TestMultiply:
         expected = multiply(matrix, multiply(matrix, matrix))
         assert hc2.to_global().allclose(expected)
 
-    def test_layout_enforced(self, ctx, matrix):
+    def test_layout_enforced(self, matrix):
+        ctx = DistContext(nprocs=8, layers=2)  # where "A" and "B" differ
         ha = ctx.distribute(matrix, "A")
         hb = ctx.distribute(matrix, "B")
         with pytest.raises(DistributionError):

@@ -287,3 +287,42 @@ def test_the_supervisors_share_one_settle_rule():
             and getattr(node.func, "id", None) == "settle"
         ]
         assert calls, path
+
+
+GEOMETRY = [
+    *sorted((SRC / "grid").rglob("*.py")), *sorted((SRC / "summa").rglob("*.py")),
+]
+
+
+def test_grid_communicators_are_derived_not_negotiated():
+    """No run path calls ``split`` on a communicator: ``GridComms.build``
+    derives the four groups locally (``SimComm.split`` stays as the
+    general MPI-style API, exercised by ``tests/simmpi``)."""
+    split_call = re.compile(r"\.split\(")
+    assert not _grep(
+        split_call, [*GEOMETRY, *sorted((SRC / "dist").rglob("*.py"))]
+    )
+
+
+def test_partition_boundaries_come_from_split_bounds_only():
+    """``sparse.ops.split_bounds`` is the one place that turns ``(n,
+    nparts)`` into boundaries; under ``grid/`` and ``summa/`` nothing
+    builds a partition of its own — the only ``divmod`` left turns a rank
+    into grid coordinates."""
+    builders = re.compile(r"np\.(full|linspace|array_split)\(")
+    assert not _grep(builders, GEOMETRY)
+    divmods = {
+        (path.name, fn.name)
+        for path in GEOMETRY
+        for fn in functions(path)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod"
+    }
+    assert divmods == {("grid3d.py", "coords"), ("baselines.py", "_spmd_cannon")}
+    cached = [
+        fn for fn in functions(SRC / "sparse" / "ops.py")
+        if fn.name == "split_bounds"
+    ]
+    assert len(cached) == 1 and any(
+        "lru_cache" in ast.unparse(dec) for dec in cached[0].decorator_list
+    )

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils import StepTimes, Timer, as_rng
+from repro.utils import StepTimes, as_rng
 
 
 class TestRng:
@@ -16,12 +16,6 @@ class TestRng:
 
     def test_as_rng_none(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0
 
 
 class TestStepTimes:
