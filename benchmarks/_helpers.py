@@ -28,13 +28,12 @@ COMM_STEPS = ("Symbolic", "A-Broadcast", "B-Broadcast", "AllToAll-Fiber")
 COMP_STEPS = ("Local-Multiply", "Merge-Layer", "Merge-Fiber")
 
 
-def run_breakdown(a, b, *, nprocs, layers, batches=None, memory_budget=None,
-                  suite="esc"):
+def run_breakdown(a, b, *, nprocs, layers, batches=None, memory_budget=None):
     """One metered BatchedSUMMA3D run -> (StepTimes, CommTracker, result)."""
     tracker = CommTracker()
     result = batched_summa3d(
         a, b, nprocs=nprocs, layers=layers, batches=batches,
-        memory_budget=memory_budget, suite=suite, tracker=tracker,
+        memory_budget=memory_budget, tracker=tracker,
     )
     return result.step_times, tracker, result
 

@@ -105,10 +105,11 @@ def test_ablation_kernel_suites_all_agree_and_rank(benchmark):
     times = {}
     reference = None
     for suite in ("esc", "unsorted-hash", "sorted-heap", "hybrid", "spa"):
+        kernel = f"spgemm:{suite}"  # the tier, through the kernel seam
         best = float("inf")
         for _ in range(2):
             t0 = time.perf_counter()
-            r = batched_summa3d(a, a, nprocs=4, layers=1, batches=1, suite=suite)
+            r = batched_summa3d(a, a, nprocs=4, layers=1, batches=1, kernel=kernel)
             best = min(best, time.perf_counter() - t0)
         times[suite] = best
         if reference is None:
@@ -122,4 +123,4 @@ def test_ablation_kernel_suites_all_agree_and_rank(benchmark):
     )
     assert times["esc"] == min(times.values())
     assert times["unsorted-hash"] < times["sorted-heap"]
-    benchmark(lambda: batched_summa3d(a, a, nprocs=4, batches=1, suite="esc"))
+    benchmark(lambda: batched_summa3d(a, a, nprocs=4, batches=1))

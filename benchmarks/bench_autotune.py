@@ -124,7 +124,7 @@ def run_sweep(*, nprocs=4, seed=5):
     wall_r, replanned = _timed(
         lambda: batched_summa3d(
             a, panel, nprocs, batches=ADVERSARIAL_START, kernel="spmm",
-            replan="auto", replan_min_batches=1, max_replans=2,
+            replan="auto", max_replans=2,
         )
     )
     plan = replanned.info["plan"]
@@ -192,9 +192,7 @@ def check_spgemm_fires(*, nprocs=4, seed=5) -> list[str]:
     """The SpGEMM skew: the shrink must fire and the product must be
     bit-identical to the fixed-plan run of the final configuration."""
     a, b = spgemm_operands(seed)
-    replanned = batched_summa3d(
-        a, b, nprocs, batches=8, replan="auto", replan_min_batches=1,
-    )
+    replanned = batched_summa3d(a, b, nprocs, batches=8, replan="auto")
     plan = replanned.info["plan"]
     events = (replanned.info.get("resilience") or {}).get("replans", [])
     if not events or plan["revision"] < 1:

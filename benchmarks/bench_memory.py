@@ -52,7 +52,7 @@ def run_sweep(*, nprocs=4, n=96, nnz=900, seed=11):
     a = random_sparse(n, n, nnz=nnz, seed=seed)
     ref = multiply(a, a)
     # one symbolic pass supplies the three Table III statistics
-    sym = symbolic3d(a, a, nprocs=nprocs, memory_budget_per_rank=10**6)
+    sym = symbolic3d(a, a, nprocs=nprocs, memory_budget=nprocs * 10**6)
     rows, observations = [], []
     for backend in BACKENDS:
         for b in BATCH_SWEEP:

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from repro.data import load_dataset
-from repro.sparse import load_matrix, prune_threshold
+from repro.sparse import load_matrix, prune_threshold, save_matrix
 from repro.sparse.matrix import BYTES_PER_NONZERO
 from repro.summa import batched_summa3d, symbolic3d
 
@@ -43,13 +43,16 @@ def main() -> None:
         return prune_threshold(block, 0.05)
 
     with tempfile.TemporaryDirectory() as spill_dir:
+        def spill(batch, spans, block):  # the application saves each batch
+            save_matrix(os.path.join(spill_dir, f"batch_{batch}.npz"), block)
+
         result = batched_summa3d(
             a, a,
             nprocs=4,
             memory_budget=budget,
             keep_output=False,          # nothing retained in memory
             postprocess=prune,
-            spill_dir=spill_dir,
+            on_batch=spill,
         )
         files = sorted(os.listdir(spill_dir))
         print(f"\nran {result.batches} batches; "

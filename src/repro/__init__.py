@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     SpmdError,
 )
-from .mem import MemoryLedger, nbytes_of, resolve_budget
+from .mem import MemoryLedger, nbytes_of
 from .sparse import (
     SparseMatrix,
     col_concat,
@@ -39,7 +39,6 @@ from .sparse import (
     eye,
     from_dense,
     from_edges,
-    get_suite,
     load_matrix,
     load_matrix_market,
     merge_hash,
@@ -83,7 +82,6 @@ __all__ = [
     # memory accounting
     "MemoryLedger",
     "nbytes_of",
-    "resolve_budget",
     # sparse core
     "SparseMatrix",
     "eye",
@@ -100,7 +98,6 @@ __all__ = [
     "prune_threshold",
     "prune_topk_per_column",
     "multiply",
-    "get_suite",
     "spgemm_esc",
     "spgemm_hash",
     "spgemm_heap",

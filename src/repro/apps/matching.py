@@ -25,7 +25,6 @@ def heavy_connectivity_matching(
     layers: int = 1,
     memory_budget: int | None = None,
     min_weight: float = 1.0,
-    suite="esc",
     tracker: CommTracker | None = None,
 ) -> np.ndarray:
     """Greedy heavy-connectivity matching over batched ``A @ Aᵀ``.
@@ -60,7 +59,6 @@ def heavy_connectivity_matching(
         nprocs=nprocs,
         layers=layers,
         memory_budget=memory_budget,
-        suite=suite,
         keep_output=False,
         on_batch=harvest,
         tracker=tracker,

@@ -94,7 +94,6 @@ def markov_cluster(
     memory_budget: int | None = None,
     max_iterations: int = 60,
     chaos_tolerance: float = 1e-3,
-    suite="esc",
     tracker: CommTracker | None = None,
     attractor_threshold: float = 0.5,
 ) -> MCLResult:
@@ -132,7 +131,6 @@ def markov_cluster(
             nprocs=nprocs,
             layers=layers,
             memory_budget=memory_budget,
-            suite=suite,
             postprocess=batch_body,
             tracker=tracker,
         )
@@ -172,7 +170,6 @@ def markov_cluster_resident(
     memory_budget: int | None = None,
     max_iterations: int = 60,
     chaos_tolerance: float = 1e-3,
-    suite="esc",
     tracker=None,
     attractor_threshold: float = 0.5,
 ) -> MCLResult:
@@ -223,7 +220,6 @@ def markov_cluster_resident(
             h_a, h_b,
             batches=None if memory_budget is not None else 1,
             memory_budget=memory_budget,
-            suite=suite,
             postprocess=batch_body,
         )
         ctx.free(h_a)

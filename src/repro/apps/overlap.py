@@ -49,7 +49,6 @@ def find_overlaps(
     nprocs: int = 4,
     layers: int = 1,
     memory_budget: int | None = None,
-    suite="esc",
     tracker: CommTracker | None = None,
 ) -> OverlapResult:
     """All sequence pairs sharing at least ``min_shared`` k-mers.
@@ -81,7 +80,6 @@ def find_overlaps(
         nprocs=nprocs,
         layers=layers,
         memory_budget=memory_budget,
-        suite=suite,
         keep_output=False,
         postprocess=post,
         on_batch=harvest,

@@ -42,7 +42,6 @@ def _masked_wedges(
     nprocs: int,
     layers: int,
     memory_budget: int | None,
-    suite,
     tracker: CommTracker | None,
     *,
     push_mask: bool = True,
@@ -61,7 +60,6 @@ def _masked_wedges(
             nprocs=nprocs,
             layers=layers,
             memory_budget=memory_budget,
-            suite=suite,
             mask=adj,
             tracker=tracker,
         )
@@ -72,7 +70,6 @@ def _masked_wedges(
         nprocs=nprocs,
         layers=layers,
         memory_budget=memory_budget,
-        suite=suite,
         tracker=tracker,
     )
     return hadamard(result.matrix, adj)
@@ -84,7 +81,6 @@ def count_triangles(
     layers: int = 1,
     *,
     memory_budget: int | None = None,
-    suite="esc",
     tracker: CommTracker | None = None,
 ) -> int:
     """Number of triangles in the undirected graph with adjacency ``a``.
@@ -92,7 +88,7 @@ def count_triangles(
     ``a`` may be weighted; only its pattern matters.  Self-loops are
     ignored (they cannot participate in the strict triangular parts).
     """
-    masked = _masked_wedges(a, nprocs, layers, memory_budget, suite, tracker)
+    masked = _masked_wedges(a, nprocs, layers, memory_budget, tracker)
     return int(round(masked.values.sum() / 2.0))
 
 
@@ -102,7 +98,6 @@ def clustering_coefficients(
     layers: int = 1,
     *,
     memory_budget: int | None = None,
-    suite="esc",
     tracker: CommTracker | None = None,
 ) -> np.ndarray:
     """Local clustering coefficient of every vertex.
@@ -123,7 +118,6 @@ def clustering_coefficients(
         nprocs=nprocs,
         layers=layers,
         memory_budget=memory_budget,
-        suite=suite,
         tracker=tracker,
     ).matrix
     s = hadamard(product, adj)

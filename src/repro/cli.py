@@ -173,35 +173,15 @@ def cmd_multiply(args) -> int:
 
 
 def _multiply_spec(args):
-    """The CLI's side of the shared spec builder: argparse fields map
-    1:1 onto :class:`~repro.plan.ExecSpec` knobs, so the CLI and the
-    library surfaces cannot diverge on what a run configuration is."""
-    from .plan import ExecSpec
+    """The CLI's side of the shared spec builder: every ``multiply`` flag
+    that is a run knob is declared with the :class:`~repro.plan.ExecSpec`
+    field as its argparse ``dest``, so the spec is read off the namespace
+    by field name and the two surfaces cannot diverge."""
+    from .plan import SPEC_FIELDS, ExecSpec
 
-    return ExecSpec.from_kwargs(
-        nprocs=args.nprocs,
-        layers=args.layers,
-        kernel=args.kernel,
-        batches=args.batches,
-        memory_budget=args.memory_budget,
-        memory_budget_per_rank=args.memory_budget_per_rank,
-        enforce=args.memory_enforce,
-        suite=args.suite,
-        comm_backend=args.comm_backend,
-        overlap=args.overlap,
-        keep_output=args.output is not None or not args.discard,
-        checksums=True if args.checksums else None,
-        max_retries=args.max_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        checkpoint_keep_last=args.checkpoint_keep_last,
-        heal=args.heal,
-        world_spares=args.spares,
-        world=args.world,
-        transport=args.transport,
-        replan=getattr(args, "replan", "off"),
-        replan_threshold=getattr(args, "replan_threshold", 0.15),
-    )
+    knobs = {name: getattr(args, name) for name in SPEC_FIELDS if hasattr(args, name)}
+    knobs["keep_output"] = args.output is not None or not args.discard
+    return ExecSpec.from_kwargs(**knobs)
 
 
 def _run_multiply(args, a, b, tracker):
@@ -510,23 +490,21 @@ def _add_multiply(sub) -> None:
     p.add_argument("--batches", type=int, default=None)
     p.add_argument("--memory-budget", type=int, default=None,
                    help="aggregate budget in bytes (runs the symbolic step)")
-    p.add_argument("--memory-budget-per-rank", type=int, default=None,
-                   help="the same limit per rank (mutually exclusive with "
-                   "--memory-budget)")
-    p.add_argument("--memory-enforce", default="off",
+    p.add_argument("--memory-enforce", dest="enforce", default="off",
                    choices=["off", "warn", "strict"],
                    help="what the per-rank memory ledger does when the "
                    "measured high-water mark exceeds the budget: account "
                    "only, record warnings, or fail the offending stage "
                    "(strict re-batches to 2b via graceful degradation)")
-    p.add_argument("--suite", default="esc",
-                   choices=["esc", "unsorted-hash", "sorted-heap", "hybrid", "spa"])
     p.add_argument("--kernel", default="spgemm",
-                   choices=["spgemm", "masked_spgemm"],
+                   choices=["spgemm", "masked_spgemm", "spgemm:unsorted-hash",
+                            "spgemm:sorted-heap", "spgemm:hybrid", "spgemm:spa"],
                    help="local kernel: plain SpGEMM, or SpGEMM restricted "
                    "to a mask inside the local multiply (--mask supplies "
                    "the pattern; without it the symbolic product pattern "
-                   "is synthesised as the mask prologue)")
+                   "is synthesised as the mask prologue); spgemm:<tier> "
+                   "swaps the vectorised multiply/merge for one of the "
+                   "loop tiers of Table VII")
     p.add_argument("--mask", default=None, metavar="PATH",
                    help="sparse output mask (.npz/.mtx or dataset:<name>) "
                    "for --kernel masked_spgemm")
@@ -543,11 +521,6 @@ def _add_multiply(sub) -> None:
                    "cost models and amend the plan (batch count, comm "
                    "backend) when the projected saving clears the "
                    "hysteresis threshold; the product is unchanged")
-    p.add_argument("--replan-threshold", type=float, default=0.15,
-                   metavar="FRAC",
-                   help="hysteresis guard for --replan auto: only amend "
-                   "when the projected total is at least this fraction "
-                   "below staying the course (default 0.15)")
     p.add_argument("--world", default="threads",
                    choices=["threads", "processes"],
                    help="execution world: the deterministic in-process "
@@ -574,7 +547,7 @@ def _add_multiply(sub) -> None:
     p.add_argument("--max-retries", type=int, default=3,
                    help="retry budget per communication attempt for "
                    "injected transient faults")
-    p.add_argument("--checksums", action="store_true",
+    p.add_argument("--checksums", action="store_const", const=True,
                    help="force per-message envelope checksums on even "
                    "without fault injection")
     p.add_argument("--checkpoint-dir", default=None,
@@ -592,7 +565,8 @@ def _add_multiply(sub) -> None:
                    "hand the dead position to a spare rank, or respawn it "
                    "on a surviving host, and re-enter from the last "
                    "completed batch")
-    p.add_argument("--spares", type=int, default=0, metavar="N",
+    p.add_argument("--spares", dest="world_spares", type=int, default=0,
+                   metavar="N",
                    help="repair budget of --heal spare: N spare ranks")
     p.set_defaults(func=cmd_multiply)
 

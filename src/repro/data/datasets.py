@@ -87,7 +87,7 @@ DATASETS: dict[str, DatasetSpec] = {
         generator=lambda seed: protein_similarity(
             900, intra_density=0.35, noise_degree=1.0, seed=seed
         ),
-        description="protein-similarity network (IMG isolate genomes), smallest of the suite",
+        description="protein-similarity network (IMG isolate genomes), smallest of the collection",
     ),
     "rice_kmers": DatasetSpec(
         name="rice_kmers",

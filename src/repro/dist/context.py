@@ -48,14 +48,13 @@ from ..errors import DistributionError
 from ..grid.distribution import a_tile_range, b_tile_range
 from ..grid.grid3d import ProcGrid3D
 from ..kernels.base import TileSource, get_kernel
-from ..plan.spec import ExecSpec
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import PerRank, open_world
 from ..simmpi.tracker import CommTracker
 from ..sparse.matrix import SparseMatrix
 from ..sparse.ops import col_concat, submatrix
 from ..sparse.ops import transpose as local_transpose
-from ..summa.batched import drive
+from ..summa.batched import coerce_plan, drive
 from ..summa.result import SummaResult
 
 _STANDARD_LAYOUTS = {"A": a_tile_range, "B": b_tile_range}
@@ -487,17 +486,10 @@ class DistContext:
         hb: DistMatrixHandle,
         *,
         plan=None,
-        batches: int | None = 1,
-        memory_budget: int | None = None,
-        suite="esc",
-        semiring="plus_times",
-        kernel="spgemm",
         mask: SparseMatrix | None = None,
-        mask_complement: bool = False,
         postprocess=None,
         faults=None,
-        checksums: bool | None = None,
-        max_retries: int | None = 3,
+        **knobs,
     ) -> tuple[DistMatrixHandle, SummaResult]:
         """``C = A @ B`` between resident handles; C stays distributed.
 
@@ -513,28 +505,24 @@ class DistContext:
         The run goes through :func:`repro.summa.batched.drive` — the
         driver behind :func:`~repro.summa.run_plan` — with the handles'
         tiles as operands, so every argument means what it means there and
-        ``result`` carries the same report.  ``kernel`` may be
-        ``"spgemm"`` (a global ``mask=`` is then a postprocess filter) or
-        ``"masked_spgemm"`` (``mask=`` required); kernels with a dense
-        operand don't fit sparse handles — see :meth:`spmm`.
-
-        ``plan=`` replaces the loose knobs with an
-        :class:`~repro.plan.ExecSpec` / :class:`~repro.plan.ExecPlan`; the
-        context's own grid, world and timeout override its slot-level
-        fields.  Every other field is honoured by the run or refused with
-        :class:`~repro.errors.DistributionError` before any region is
-        launched (``checkpoint_dir`` / ``resume`` / ``heal``,
-        ``spill_dir``, ``keep_output=False`` and ``comm_backend="auto"``
-        need the global operands).
+        ``result`` carries the same report.  The configuration is an
+        :class:`~repro.plan.ExecSpec` as everywhere: ``plan=`` (a spec or
+        :class:`~repro.plan.ExecPlan`) **or** its fields as loose
+        ``**knobs`` (``batches`` defaults to 1 here), with the context's
+        own grid, world and timeout overriding the slot-level fields.
+        ``kernel`` may be ``"spgemm"`` (a global ``mask=`` is then a
+        postprocess filter) or ``"masked_spgemm"`` (``mask=`` required);
+        kernels with a dense operand don't fit sparse handles — see
+        :meth:`spmm`.  Every other field is honoured by the run or
+        refused with :class:`~repro.errors.DistributionError` before any
+        region is launched (``checkpoint_dir`` / ``resume`` / ``heal``,
+        ``keep_output=False`` and ``comm_backend="auto"`` need the global
+        operands).
         """
         self._operand(ha, "A", "left operand")
         self._operand(hb, "B", "right operand")
         run = self._drive(
-            ha, hb, plan,
-            dict(batches=batches, memory_budget=memory_budget, suite=suite,
-                 semiring=semiring, kernel=kernel,
-                 mask_complement=mask_complement, checksums=checksums,
-                 max_retries=max_retries),
+            ha, hb, plan, knobs,
             mask=mask, postprocess=postprocess, faults=faults,
         )
         # the ranks kept their tiles of C; what came back is each one's
@@ -550,17 +538,7 @@ class DistContext:
         return handle, run.result
 
     def spmm(
-        self,
-        ha: DistMatrixHandle,
-        x,
-        *,
-        plan=None,
-        batches: int | None = 1,
-        memory_budget: int | None = None,
-        semiring="plus_times",
-        comm_backend="dense",
-        overlap: str = "off",
-        max_retries: int | None = 3,
+        self, ha: DistMatrixHandle, x, *, plan=None, **knobs,
     ) -> tuple[np.ndarray, SummaResult]:
         """``Y = A @ X`` with a resident sparse ``A`` and dense feature
         panel ``X`` — the GNN-propagation primitive.
@@ -571,18 +549,13 @@ class DistContext:
         slices its block — dense panels ride collectives on either
         backend).  Returns ``(y, result)`` with ``y`` the assembled dense
         ``(ha.nrows, f)`` product; the panel is *not* registered as a
-        handle (handles hold sparse tiles).  ``plan=`` is treated as in
-        :meth:`multiply`, with the kernel pinned to ``"spmm"``.
+        handle (handles hold sparse tiles).  ``plan=`` / ``**knobs`` are
+        treated as in :meth:`multiply`, with the kernel pinned to
+        ``"spmm"``.
         """
         self._operand(ha, "A", "spmm left operand")
         x = np.ascontiguousarray(x)
-        run = self._drive(
-            ha, x, plan,
-            dict(batches=batches, memory_budget=memory_budget,
-                 semiring=semiring, comm_backend=comm_backend,
-                 overlap=overlap, max_retries=max_retries),
-            kernel="spmm",
-        )
+        run = self._drive(ha, x, plan, knobs, kernel="spmm")
         pieces = [p[1:] for r in run.per_rank for p in r["pieces"]]
         return run.kern.gather(ha.nrows, x.shape[1], pieces), run.result
 
@@ -596,14 +569,16 @@ class DistContext:
         )
         if kernel is not None:
             pinned["kernel"] = kernel
+        if plan is None:
+            knobs.setdefault("batches", 1)
         return drive(
-            ha, b, plan if plan is not None else ExecSpec.from_kwargs(**knobs),
+            ha, b, coerce_plan(plan, None, None, knobs),
             tracker=self.tracker, world=self._multiply_world, pinned=pinned,
             **runtime,
         )
 
     @contextlib.contextmanager
-    def _multiply_world(self, run, body, a, b, grid, *, aux, **fixed):
+    def _multiply_world(self, run, body, a, b, grid, spec, *, aux, **fixed):
         """What :func:`~repro.summa.batched.drive` opens instead of a
         one-shot world: ``submit(**amendable)`` is a ``multiply`` region
         on the resident ranks, re-entered as often as the run amends."""
@@ -625,9 +600,9 @@ class DistContext:
             # rank is sent it; from then on, its store key
             held = aux_key is not None and self._held_aux[1] == aux_key
             out = self._submit(
-                "multiply", body=body, a=a, b=b, grid=grid, key=key,
+                "multiply", body=body, a=a, b=b, grid=grid, spec=spec, key=key,
                 aux=None if held else aux, aux_key=aux_key,
-                faults=run.injector, checksums=run.spec.checksums,
+                faults=run.injector, checksums=spec.checksums,
                 **fixed, **amendable,
             )
             if aux_key is not None and not held:

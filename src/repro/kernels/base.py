@@ -210,12 +210,11 @@ class LocalKernel(ABC):
     def uses_aux(self) -> bool:
         return self.aux_mode is not None
 
-    def resolve_aux(self, a, b, *, mask=None, sample=None, complement=False):
+    def resolve_aux(self, a, b, *, mask=None, sample=None):
         """Wire the drivers' ``mask=`` / ``sample=`` arguments to this
-        kernel: returns ``(kernel, aux, mask)`` — the kernel to run, its
-        aux operand, and the mask left over for the postprocess filter
-        (only kernels declaring :attr:`postprocess_mask` keep one).
-        ``complement`` is the caller's by-name ``mask_complement=``."""
+        kernel: returns ``(aux, mask)`` — its aux operand, and the mask
+        left over for the postprocess filter (only kernels declaring
+        :attr:`postprocess_mask` keep one)."""
         if sample is not None:
             raise ValueError(
                 f'sample= only applies to kernel="sddmm", not {self.name!r}'
@@ -226,7 +225,7 @@ class LocalKernel(ABC):
                 'or kernel="masked_spgemm" (in-multiply masking), '
                 f"not {self.name!r}"
             )
-        return self, None, mask
+        return None, mask
 
     def validate(self, a, b, aux=None) -> tuple[int, int]:
         """Check operand shapes; return the product shape ``(m, n)``."""
@@ -262,13 +261,9 @@ class LocalKernel(ABC):
         """This rank's B tile (rows nested; columns split by ``pc``)."""
         return resolve_tile(b, grid, rank, "B", self.b_kind)
 
-    def prepare_tiles(self, a_tile, b_tile, suite):
-        """Suite-conditioned tile preparation (sparse input sorting)."""
-        if suite is not None and suite.requires_sorted_inputs:
-            if isinstance(a_tile, SparseMatrix):
-                a_tile = a_tile.sort_indices()
-            if isinstance(b_tile, SparseMatrix):
-                b_tile = b_tile.sort_indices()
+    def prepare_tiles(self, a_tile, b_tile):
+        """The input tiles as :meth:`stage_multiply` wants them, made once
+        per attempt (an implementation tier that needs sorted inputs)."""
         return a_tile, b_tile
 
     def aux_block(self, aux, r0: int, r1: int, global_cols: np.ndarray):
@@ -491,7 +486,9 @@ def _build_registry() -> dict[str, type]:
 
 
 def get_kernel(name_or_kernel) -> LocalKernel:
-    """Resolve a kernel by registry name, class, or instance."""
+    """Resolve a kernel by registry name, class, or instance.  A name may
+    carry the kernel's implementation tier after a colon
+    (``"spgemm:sorted-heap"``); an instance's ``name`` spells it back."""
     global _REGISTRY
     if isinstance(name_or_kernel, LocalKernel):
         return name_or_kernel
@@ -500,8 +497,9 @@ def get_kernel(name_or_kernel) -> LocalKernel:
     if isinstance(name_or_kernel, type) and issubclass(name_or_kernel, LocalKernel):
         return name_or_kernel()
     try:
-        return _REGISTRY[name_or_kernel]()
-    except (KeyError, TypeError):
+        name, _, tier = name_or_kernel.partition(":")
+        return _REGISTRY[name](tier) if tier else _REGISTRY[name]()
+    except (AttributeError, KeyError, TypeError, ValueError):
         raise DistributionError(
             f"unknown local kernel {name_or_kernel!r}; "
             f"available: {sorted(_REGISTRY)}"

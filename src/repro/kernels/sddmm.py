@@ -88,14 +88,14 @@ class SddmmKernel(LocalKernel):
     incremental_only = True
     supports_symbolic = False
 
-    def resolve_aux(self, a, b, *, mask=None, sample=None, complement=False):
+    def resolve_aux(self, a, b, *, mask=None, sample=None):
         if sample is None:
             raise ValueError(
                 'kernel="sddmm" requires sample= (the sparse sampling '
                 "pattern S, shaped like the product)"
             )
         super().resolve_aux(a, b, mask=mask)  # refuses mask=
-        return self, sample, None
+        return sample, None
 
     def stage_multiply(self, state):
         return sddmm_local(state.aux_batch, state.a_recv, state.b_recv, state.semiring)

@@ -1,10 +1,12 @@
 """SpGEMM kernels: the paper's workload, plus the output-masked variant.
 
-:class:`SpgemmKernel` is the default and reproduces the pre-seam
-behaviour bit-for-bit: stage products via the configured
-:class:`~repro.sparse.spgemm.suite.KernelSuite` and merges via the
-suite's merge routine — the exact calls the execution plan used to make
-inline.
+:class:`SpgemmKernel` owns its implementation *tier* — a
+:class:`~repro.sparse.spgemm.suite.KernelSuite`, the (multiply, merge,
+needs-sorted-input) triple Table VII and Fig. 15 compare.  ``"spgemm"``
+is the vectorised ESC tier; the loop tiers are reached through the same
+``kernel=`` seam as ``"spgemm:<tier>"`` (``unsorted-hash``,
+``sorted-heap``, ``hybrid``, ``spa``), one communication schedule with
+only the local computation swapped.
 
 :class:`MaskedSpgemmKernel` computes ``mask ∘ (A ⊗ B)`` by running
 :func:`repro.sparse.spgemm.masked.spgemm_masked` at every stage against
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from ..errors import DistributionError
 from ..sparse.spgemm.masked import spgemm_masked
+from ..sparse.spgemm.suite import get_suite
 from ..sparse.spgemm.symbolic import symbolic_pattern
 from .base import LocalKernel, TileSource
 
@@ -36,19 +39,31 @@ class SpgemmKernel(LocalKernel):
     checkpointable = True
     row_batchable = True
 
+    def __init__(self, tier="esc") -> None:
+        self.suite = get_suite(tier)
+        if self.suite.name != "esc":
+            # the registry spelling of this instance (plans, info["kernel"])
+            self.name = f"{type(self).name}:{self.suite.name}"
+
+    def run_key_items(self) -> dict:
+        """What a checkpoint's run fingerprint covers of this kernel: the
+        tier, under the key it has always been fingerprinted by."""
+        return {"suite": self.suite.name}
+
+    def prepare_tiles(self, a_tile, b_tile):
+        if self.suite.requires_sorted_inputs:
+            return a_tile.sort_indices(), b_tile.sort_indices()
+        return a_tile, b_tile
+
     def stage_multiply(self, state):
-        return state.suite.local_multiply(state.a_recv, state.b_recv, state.semiring)
+        return self.suite.local_multiply(state.a_recv, state.b_recv, state.semiring)
 
     def merge(self, parts, state):
-        return state.suite.merge(parts, state.semiring)
+        return self.suite.merge(parts, state.semiring)
 
 
 class MaskedSpgemmKernel(SpgemmKernel):
-    """Sparse × sparse → sparse, restricted to a sparse output mask.
-
-    ``complement=True`` keeps entries *outside* the mask instead (the
-    anti-mask form used by e.g. triangle-free fill-in analysis).
-    """
+    """Sparse × sparse → sparse, restricted to a sparse output mask."""
 
     name = "masked_spgemm"
     aux_kind = "sparse"
@@ -61,12 +76,8 @@ class MaskedSpgemmKernel(SpgemmKernel):
     checkpointable = False
     row_batchable = False
 
-    def __init__(self, complement: bool = False) -> None:
-        self.complement = bool(complement)
-
-    def resolve_aux(self, a, b, *, mask=None, sample=None, complement=False):
+    def resolve_aux(self, a, b, *, mask=None, sample=None):
         super().resolve_aux(a, b, sample=sample)  # refuses sample=
-        kern = MaskedSpgemmKernel(complement=True) if complement else self
         if mask is None:
             if isinstance(a, TileSource) or isinstance(b, TileSource):
                 raise DistributionError(
@@ -77,13 +88,9 @@ class MaskedSpgemmKernel(SpgemmKernel):
             # pattern keeps every structural nonzero, so this matches the
             # unmasked product while exercising the masked pipeline.
             mask = symbolic_pattern(a, b)
-        return kern, mask, None
+        return mask, None
 
     def stage_multiply(self, state):
         return spgemm_masked(
-            state.a_recv,
-            state.b_recv,
-            state.aux_batch,
-            state.semiring,
-            complement=self.complement,
+            state.a_recv, state.b_recv, state.aux_batch, state.semiring
         )

@@ -10,7 +10,6 @@ from .ledger import (
     MemAllocation,
     MemoryLedger,
     nbytes_of,
-    resolve_budget,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "MemAllocation",
     "MemoryLedger",
     "nbytes_of",
-    "resolve_budget",
 ]

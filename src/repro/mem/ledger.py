@@ -50,7 +50,6 @@ __all__ = [
     "MemAllocation",
     "MemoryLedger",
     "nbytes_of",
-    "resolve_budget",
 ]
 
 #: ledger categories, in reporting order (see module docstring for the
@@ -102,46 +101,6 @@ def nbytes_of(obj) -> int:
         # delivery would price as zero.
         return nbytes_of(obj.payload) + 8
     return 0
-
-
-def resolve_budget(
-    memory_budget: int | None,
-    memory_budget_per_rank: int | None,
-    nprocs: int,
-) -> tuple[int | None, int | None]:
-    """The one documented aggregate ↔ per-rank budget conversion.
-
-    The paper's Alg. 3 takes the *aggregate* budget ``M`` over all
-    processes and works with the per-process share ``M / p`` (line 12);
-    ledger enforcement is inherently *per rank*.  Historically
-    ``memory_budget`` silently meant both.  Callers now pass exactly one:
-
-    * ``memory_budget`` — aggregate bytes ``M``; the per-rank limit is
-      ``M / nprocs`` (floor).
-    * ``memory_budget_per_rank`` — per-rank bytes; the aggregate used by
-      the symbolic step is ``nprocs *`` that.
-
-    Returns ``(aggregate, per_rank)`` (both ``None`` when neither is
-    given) and raises :class:`ValueError` when both are set — the silent
-    unit mismatch this function exists to kill.
-    """
-    if memory_budget is not None and memory_budget_per_rank is not None:
-        raise ValueError(
-            "pass either memory_budget (aggregate bytes across all "
-            "processes) or memory_budget_per_rank (bytes per process), "
-            "not both — they differ by a factor of nprocs"
-        )
-    if memory_budget_per_rank is not None:
-        per_rank = int(memory_budget_per_rank)
-        if per_rank <= 0:
-            raise ValueError(f"memory_budget_per_rank must be > 0, got {per_rank}")
-        return per_rank * int(nprocs), per_rank
-    if memory_budget is not None:
-        aggregate = int(memory_budget)
-        if aggregate <= 0:
-            raise ValueError(f"memory_budget must be > 0, got {aggregate}")
-        return aggregate, aggregate // int(nprocs)
-    return None, None
 
 
 class MemAllocation:

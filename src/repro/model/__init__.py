@@ -28,7 +28,6 @@ from .complexity import (
 )
 from .predictor import (
     ScalePoint,
-    estimate_batches,
     estimate_dk_nnz,
     overlapped_makespan,
     parallel_efficiency,
@@ -39,6 +38,7 @@ from .predictor import (
 from .memory import (
     MemoryFit,
     batches_for_budget,
+    estimate_batches,
     estimate_max_tile_stats,
     fit_memory_model,
     predict_memory,

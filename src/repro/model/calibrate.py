@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.matrix import BYTES_PER_NONZERO
 from .complexity import comm_complexity, comp_complexity
 from .machine import MachineSpec
 
@@ -47,7 +46,6 @@ def fit_machine(
     *,
     base: MachineSpec | None = None,
     name: str = "calibrated",
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     merge_kernel: str = "hash",
 ) -> MachineSpec:
     """Least-squares fit of (alpha, beta, sparse_rate) to observations.
@@ -77,7 +75,6 @@ def fit_machine(
             nnz_a=obs.nnz_a,
             nnz_b=obs.nnz_b,
             flops=obs.flops,
-            bytes_per_nonzero=bytes_per_nonzero,
         )
         for step in COMM_FIT_STEPS:
             if step not in obs.step_seconds:

@@ -44,7 +44,6 @@ def comm_complexity(
     nnz_b: int,
     flops: int,
     dk_nnz_total: int | None = None,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     backend: str = "dense",
     inner_dim: int | None = None,
     kernel: str = "spgemm",
@@ -82,7 +81,7 @@ def comm_complexity(
     pass (``"spmm"``, ``"sddmm"``) zero the Symbolic row.
     """
     p, l, b = nprocs, layers, batches
-    r = bytes_per_nonzero
+    r = BYTES_PER_NONZERO
     sqrt_pl = math.sqrt(p / l)
     stages = round(sqrt_pl)
     intermediate = flops if dk_nnz_total is None else dk_nnz_total
@@ -227,7 +226,6 @@ def step_times_closed_form(
     nnz_b: int,
     flops: int,
     dk_nnz_total: int | None = None,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     merge_kernel: str = "hash",
     comm_backend: str = "dense",
     inner_dim: int | None = None,
@@ -247,7 +245,6 @@ def step_times_closed_form(
         nnz_b=nnz_b,
         flops=flops,
         dk_nnz_total=dk_nnz_total,
-        bytes_per_nonzero=bytes_per_nonzero,
         backend=comm_backend,
         inner_dim=inner_dim,
     )
@@ -287,7 +284,6 @@ def total_comm_time(
     nnz_a: int,
     nnz_b: int,
     flops: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     backend: str = "dense",
     inner_dim: int | None = None,
 ) -> float:
@@ -304,7 +300,6 @@ def total_comm_time(
         nnz_a=nnz_a,
         nnz_b=nnz_b,
         flops=flops,
-        bytes_per_nonzero=bytes_per_nonzero,
         backend=backend,
         inner_dim=inner_dim,
     )

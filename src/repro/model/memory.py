@@ -32,6 +32,7 @@ from .predictor import estimate_dk_nnz
 __all__ = [
     "MemoryFit",
     "batches_for_budget",
+    "estimate_batches",
     "estimate_max_tile_stats",
     "fit_memory_model",
     "predict_memory",
@@ -45,7 +46,6 @@ def batches_for_budget(
     max_nnz_a: int,
     max_nnz_b: int,
     max_nnz_c: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     max_batches: int | None = None,
 ) -> int:
     """Alg. 3 line 12: the batch count that fits the aggregate budget.
@@ -57,7 +57,7 @@ def batches_for_budget(
     ``max_batches`` caps the answer (a batch needs at least one output
     column, so drivers pass ``b.ncols``).
     """
-    r = bytes_per_nonzero
+    r = BYTES_PER_NONZERO
     per_proc = memory_budget / nprocs
     denom = per_proc - r * (max_nnz_a + max_nnz_b)
     if denom <= 0:
@@ -97,6 +97,34 @@ def estimate_max_tile_stats(
     }
 
 
+def estimate_batches(
+    *,
+    memory_budget: int,
+    nprocs: int,
+    layers: int,
+    nnz_a: int,
+    nnz_b: int,
+    nnz_c: int,
+    flops: int,
+    imbalance: float = 1.0,
+) -> int:
+    """Analytic stand-in for the symbolic step at paper scale: Alg. 3
+    line 12 (:func:`batches_for_budget`) on the estimated maxima of
+    :func:`estimate_max_tile_stats`.
+
+    ``imbalance`` is the max/mean load factor Alg. 3 budgets for (1.0 =
+    perfectly balanced).  Raises :class:`~repro.errors.MemoryBudgetError`
+    when the inputs alone overflow the per-process budget.
+    """
+    return batches_for_budget(
+        memory_budget=memory_budget, nprocs=nprocs,
+        **estimate_max_tile_stats(
+            nnz_a=nnz_a, nnz_b=nnz_b, nnz_c=nnz_c, flops=flops,
+            nprocs=nprocs, layers=layers, imbalance=imbalance,
+        ),
+    )
+
+
 def predict_memory(
     *,
     nprocs: int,
@@ -108,14 +136,13 @@ def predict_memory(
     nnz_c: int | None = None,
     keep_output: bool = False,
     overlap: str = "off",
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     imbalance: float = 1.3,
     scale: float = 1.0,
     basis: str = "symbolic",
 ) -> dict:
     """Table III per-process memory estimate, per ledger category.
 
-    Terms (``r`` = ``bytes_per_nonzero``, ``b`` = ``batches``):
+    Terms (``r`` = :data:`~repro.sparse.matrix.BYTES_PER_NONZERO`, ``b`` = ``batches``):
 
     * ``a_piece`` / ``b_piece`` — resident input tiles, ``r * maxnnz(A_ik)``
       and ``r * maxnnz(B_kj)``;
@@ -145,7 +172,7 @@ def predict_memory(
     """
     if batches < 1:
         raise ValueError(f"batches must be >= 1, got {batches}")
-    r = bytes_per_nonzero
+    r = BYTES_PER_NONZERO
     b = batches
     a_piece = r * max_nnz_a
     b_piece = r * max_nnz_b
@@ -188,7 +215,6 @@ def predict_memory(
             "batches": b,
             "keep_output": keep_output,
             "overlap": overlap,
-            "bytes_per_nonzero": r,
             "scale": scale,
         },
     }

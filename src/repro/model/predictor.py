@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..sparse.matrix import BYTES_PER_NONZERO
 from ..utils.timing import StepTimes
 from .complexity import step_times_closed_form
 from .machine import MachineSpec
@@ -39,37 +38,6 @@ def estimate_dk_nnz(nnz_c: int, flops: int, layers: int) -> int:
     return int(min(flops, round(nnz_c * layers * hit)))
 
 
-def estimate_batches(
-    *,
-    memory_budget: int,
-    nprocs: int,
-    layers: int,
-    nnz_a: int,
-    nnz_b: int,
-    nnz_c: int,
-    flops: int,
-    imbalance: float = 1.0,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
-) -> int:
-    """Analytic stand-in for the symbolic step at paper scale.
-
-    ``imbalance`` is the max/mean load factor Alg. 3 budgets for (1.0 =
-    perfectly balanced).  Raises ``ValueError`` when the inputs alone
-    overflow the per-process budget.
-    """
-    r = bytes_per_nonzero
-    per_proc = memory_budget / nprocs
-    max_nnz_c = imbalance * estimate_dk_nnz(nnz_c, flops, layers) / nprocs
-    max_inputs = imbalance * (nnz_a + nnz_b) / nprocs
-    denom = per_proc - r * max_inputs
-    if denom <= 0:
-        raise ValueError(
-            f"inputs alone exceed the per-process budget "
-            f"({r * max_inputs:.3g} B vs {per_proc:.3g} B)"
-        )
-    return max(1, math.ceil(r * max_nnz_c / denom))
-
-
 def predict_steps(
     machine: MachineSpec,
     *,
@@ -81,7 +49,6 @@ def predict_steps(
     nnz_c: int,
     flops: int,
     include_symbolic: bool = True,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
     merge_kernel: str = "hash",
     comm_backend: str = "dense",
     inner_dim: int | None = None,
@@ -105,7 +72,6 @@ def predict_steps(
         nnz_b=nnz_b,
         flops=flops,
         dk_nnz_total=dk,
-        bytes_per_nonzero=bytes_per_nonzero,
         merge_kernel=merge_kernel,
         comm_backend=comm_backend,
         inner_dim=inner_dim,
@@ -215,6 +181,8 @@ def strong_scaling_series(
     rule to get ``b``, and produce the per-step breakdown.
     ``memory_fraction`` lets benches tighten memory to force batching.
     """
+    from .memory import estimate_batches  # memory imports this module
+
     points: list[ScalePoint] = []
     for cores in core_counts:
         nprocs = machine.procs_for_cores(cores, hyperthreads=hyperthreads)

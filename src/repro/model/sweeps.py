@@ -7,9 +7,9 @@ plotting.
 
 from __future__ import annotations
 
-from ..sparse.matrix import BYTES_PER_NONZERO
+from ..errors import MemoryBudgetError
 from .machine import CORI_KNL, MachineSpec
-from .predictor import estimate_batches
+from .memory import estimate_batches
 
 
 def batch_requirement_sweep(
@@ -22,7 +22,6 @@ def batch_requirement_sweep(
     nnz_b: int,
     nnz_c: int,
     flops: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
 ) -> list[dict]:
     """Batch counts across a memory-budget sweep (the Eq. 2 curve)."""
     rows = []
@@ -36,11 +35,10 @@ def batch_requirement_sweep(
                 nnz_b=nnz_b,
                 nnz_c=nnz_c,
                 flops=flops,
-                bytes_per_nonzero=bytes_per_nonzero,
             )
             rows.append({"memory_budget": budget, "batches": batches,
                          "feasible": True})
-        except ValueError:
+        except MemoryBudgetError:
             rows.append({"memory_budget": budget, "batches": None,
                          "feasible": False})
     return rows

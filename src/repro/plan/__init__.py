@@ -6,8 +6,8 @@ loose keyword arguments copy-pasted across every driver.  This package
 reifies it into two values:
 
 * :class:`ExecSpec` — the frozen *request*: every run knob (kernel,
-  suite, semiring, comm backend, overlap, world/transport, batching,
-  budgets + enforcement, resilience, spill/checkpoint, replanning), with
+  semiring, comm backend, overlap, world/transport, batching, budget +
+  enforcement, resilience, checkpointing, replanning), with
   ``to_dict``/``from_dict`` round-tripping that tolerates unknown keys
   (forward compatibility for checkpoint manifests and the serve layer).
 * :class:`ExecPlan` — the resolved *decision*: a spec plus the chosen

@@ -7,8 +7,8 @@ a call-site convention that had already drifted once.  Here the
 configuration becomes a *value*:
 
 * :class:`ExecSpec` — the frozen record of every run knob (kernel /
-  suite / semiring, comm backend, overlap, world/transport, batching,
-  budgets + enforcement, resilience, spill/checkpoint, replanning).
+  semiring, comm backend, overlap, world/transport, batching, budget +
+  enforcement, resilience, checkpointing, replanning).
   ``ExecSpec.from_kwargs`` is the **single** legacy-kwargs → spec
   conversion point every driver shares, and ``to_dict`` / ``from_dict``
   round-trip the spec through JSON (unknown keys ride along in
@@ -29,7 +29,7 @@ no serialised form (``mask``, ``sample``, ``postprocess``, ``on_batch``,
 ``tracker``, ``faults``) — deliberately stay *out* of the spec; the
 drivers accept them next to ``plan=``.
 
-The ``suite`` / ``semiring`` / ``kernel`` / ``comm_backend`` fields hold
+The ``semiring`` / ``kernel`` / ``comm_backend`` fields hold
 either a registry name (the normal, serialisable case) or a live
 instance passed by an advanced caller; ``to_dict`` normalises instances
 to their registry ``name``, so persisted plans are always plain data.
@@ -55,8 +55,8 @@ _WORLDS = ("threads", "processes")
 
 
 def _registry_name(value):
-    """Normalise a registry object (suite/semiring/kernel/backend) to its
-    name; strings pass through."""
+    """Normalise a registry object (semiring/kernel/backend) to its name;
+    strings pass through."""
     if isinstance(value, str) or value is None:
         return value
     name = getattr(value, "name", None)
@@ -73,10 +73,10 @@ class ExecSpec:
     (which are derived from this record).  What the less obvious ones
     mean:
 
-    ``batches``, ``memory_budget``, ``memory_budget_per_rank``
+    ``batches``, ``memory_budget``
         The batch count ``b``; ``None`` lets the symbolic step (Alg. 3)
-        pick it from the budget — aggregate bytes ``M`` over all ranks,
-        or per rank, never both (:func:`repro.mem.resolve_budget`).
+        pick it from the budget — aggregate bytes ``M`` over all ranks
+        (a rank's share, what its ledger enforces, is ``M // nprocs``).
     ``enforce``
         What a rank's :class:`~repro.mem.MemoryLedger` does when its
         high-water mark exceeds the per-rank budget: ``"off"`` (account
@@ -111,16 +111,13 @@ class ExecSpec:
         deciding what a stage computes — ``"spgemm"`` (default),
         ``"spmm"``, ``"sddmm"`` or ``"masked_spgemm"``.  It declares
         operand kinds (dense operands ride collectives on both comm
-        backends), the merge rule and the memory footprint.
+        backends), the merge rule and the memory footprint.  The SpGEMM
+        kernels take their (multiply, merge) implementation tier after a
+        colon — ``"spgemm:sorted-heap"`` (Table VII / Fig. 15); the
+        default is the vectorised ESC tier.
     ``replan``
         ``"off"`` (default) or ``"auto"`` — enable the mid-run
         :class:`~repro.plan.replan.Replanner` at batch boundaries.
-    ``replan_threshold``
-        Hysteresis: an amended plan must predict at least this relative
-        makespan gain over staying the course before it is adopted.
-    ``replan_min_batches``
-        Hysteresis: number of batches that must have been observed
-        (measured) under the current plan before any amendment fires.
     ``max_replans``
         Hard bound on mid-run amendments per run (termination guarantee).
     ``replan_force``
@@ -134,18 +131,14 @@ class ExecSpec:
     layers: int = 1
     batches: int | None = None
     memory_budget: int | None = None
-    memory_budget_per_rank: int | None = None
     enforce: str = "off"
-    suite: object = "esc"
     semiring: object = "plus_times"
     kernel: object = "spgemm"
-    mask_complement: bool = False
     keep_output: bool = True
     batch_scheme: str = "block-cyclic"
     merge_policy: str = "deferred"
     comm_backend: object = "dense"
     overlap: str = "off"
-    spill_dir: str | None = None
     timeout: float = DEFAULT_TIMEOUT
     checksums: bool | None = None
     max_retries: int | None = 3
@@ -157,8 +150,6 @@ class ExecSpec:
     world: str = "threads"
     transport: str = "auto"
     replan: str = "off"
-    replan_threshold: float = 0.15
-    replan_min_batches: int = 1
     max_replans: int = 1
     replan_force: tuple = ()
     #: unknown keys from a newer writer's ``to_dict`` — preserved verbatim
@@ -185,9 +176,8 @@ class ExecSpec:
                 f"{', '.join(sorted(repr(k) for k in unknown))}; "
                 "expected fields of repro.plan.ExecSpec"
             )
-        for key in ("spill_dir", "checkpoint_dir"):
-            if knobs.get(key) is not None:
-                knobs[key] = os.fspath(knobs[key])
+        if knobs.get("checkpoint_dir") is not None:
+            knobs["checkpoint_dir"] = os.fspath(knobs["checkpoint_dir"])
         if knobs.get("replan_force"):
             knobs["replan_force"] = _canon_force(knobs["replan_force"])
         return cls(**knobs)
@@ -195,16 +185,6 @@ class ExecSpec:
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
-
-    def resolved_budget(self) -> tuple[int | None, int | None]:
-        """``(aggregate, per_rank)`` through the library's single
-        aggregate ↔ per-rank unit conversion point
-        (:func:`repro.mem.resolve_budget`)."""
-        from ..mem import resolve_budget
-
-        return resolve_budget(
-            self.memory_budget, self.memory_budget_per_rank, self.nprocs
-        )
 
     def validate(self) -> "ExecSpec":
         """Check the knob combination is runnable; returns ``self``.
@@ -233,11 +213,14 @@ class ExecSpec:
                 f"unknown enforce mode {self.enforce!r}; "
                 f"expected one of {ENFORCE_MODES}"
             )
-        _agg, budget_per_rank = self.resolved_budget()
-        if self.enforce != "off" and budget_per_rank is None:
+        if self.memory_budget is not None and self.memory_budget <= 0:
+            raise ValueError(
+                f"memory_budget must be > 0, got {self.memory_budget}"
+            )
+        if self.enforce != "off" and self.memory_budget is None:
             raise ValueError(
                 f'enforce="{self.enforce}" needs a budget: pass '
-                "memory_budget= (aggregate) or memory_budget_per_rank="
+                "memory_budget= (aggregate bytes over all ranks)"
             )
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir=")
@@ -263,15 +246,6 @@ class ExecSpec:
                 f"unknown replan mode {self.replan!r}; "
                 f"expected one of {REPLAN_MODES}"
             )
-        if not 0.0 <= self.replan_threshold < 1.0:
-            raise ValueError(
-                "replan_threshold must be in [0, 1), got "
-                f"{self.replan_threshold}"
-            )
-        if self.replan_min_batches < 1:
-            raise ValueError(
-                f"replan_min_batches must be >= 1, got {self.replan_min_batches}"
-            )
         if self.max_replans < 0:
             raise ValueError(
                 f"max_replans must be >= 0, got {self.max_replans}"
@@ -288,7 +262,7 @@ class ExecSpec:
         d = {"spec_version": SPEC_VERSION}
         for name in SPEC_FIELDS:
             value = getattr(self, name)
-            if name in ("suite", "semiring", "kernel", "comm_backend"):
+            if name in ("semiring", "kernel", "comm_backend"):
                 value = _registry_name(value)
             elif name == "replan_force":
                 value = [[int(b), dict(a)] for b, a in value]
@@ -300,29 +274,29 @@ class ExecSpec:
     def from_dict(cls, d: dict) -> "ExecSpec":
         """Inverse of :meth:`to_dict`; unknown keys land in ``extra``.
 
-        A dict from before ``bytes_per_nonzero`` stopped being a knob
-        loads when it names the one ``r`` the library runs and meters at.
+        A dict written while :data:`_REMOVED` names were still knobs loads
+        when each holds the one value the library now always runs at
+        (a ``suite`` tier of the default kernel moves behind ``kernel``);
+        any other value is refused, naming what replaces the knob — never
+        carried along silently in ``extra``.
         """
         if not isinstance(d, dict):
             raise TypeError(f"ExecSpec.from_dict needs a dict, got {type(d)}")
-        if d.get("bytes_per_nonzero", BYTES_PER_NONZERO) != BYTES_PER_NONZERO:
-            raise ValueError(
-                f"plan was written with bytes_per_nonzero="
-                f"{d['bytes_per_nonzero']!r}; runs are sized and metered at "
-                f"r = {BYTES_PER_NONZERO} only"
-            )
-        known = {}
-        extra = {}
-        for key, value in d.items():
-            if key in ("spec_version", "bytes_per_nonzero"):
-                continue
-            if key in SPEC_FIELDS:
-                known[key] = value
-            else:
-                extra[key] = value
+        d = dict(d)
+        if d.get("suite", "esc") != "esc" and d.get("kernel", "spgemm") == "spgemm":
+            d["kernel"] = f"spgemm:{d.pop('suite')}"
+        for key, (only, instead) in _REMOVED.items():
+            if d.get(key, only) != only:
+                raise ValueError(
+                    f"plan was written with {key}={d[key]!r}, which is no "
+                    f"longer a knob: {instead}"
+                )
+            d.pop(key, None)
+        d.pop("spec_version", None)
+        known = {key: d.pop(key) for key in SPEC_FIELDS if key in d}
         if "replan_force" in known:
             known["replan_force"] = _canon_force(known["replan_force"] or ())
-        return cls(**known, extra=extra)
+        return cls(**known, extra=d)
 
     def amended(self, **changes) -> "ExecSpec":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
@@ -334,6 +308,25 @@ class ExecSpec:
 SPEC_FIELDS = tuple(
     f.name for f in fields(ExecSpec) if f.name != "extra"
 )
+
+#: former knobs a stored plan may still carry → (the one value it may
+#: hold, what replaces it).  Outside input: see :meth:`ExecSpec.from_dict`.
+_REMOVED = {
+    "bytes_per_nonzero": (
+        BYTES_PER_NONZERO,
+        f"runs are sized and metered at r = {BYTES_PER_NONZERO} only",
+    ),
+    "memory_budget_per_rank": (
+        None, "pass memory_budget = per_rank × nprocs (aggregate bytes)",
+    ),
+    "mask_complement": (
+        False, "a complement mask is a postprocess= filter of the caller's",
+    ),
+    "spill_dir": (None, "save each batch from an on_batch= hook"),
+    "replan_threshold": (0.15, "it is a constant of repro.plan.replan"),
+    "replan_min_batches": (1, "it is a constant of repro.plan.replan"),
+    "suite": ("esc", 'the tiers are spelt kernel="spgemm:<tier>"'),
+}
 
 
 def _canon_force(force) -> tuple:

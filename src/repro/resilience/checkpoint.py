@@ -34,6 +34,7 @@ import threading
 from contextlib import nullcontext
 
 from ..errors import CheckpointError
+from ..plan.spec import ExecSpec
 from ..simmpi.serialization import payload_checksum
 from ..sparse.io import load_matrix, save_matrix
 from ..sparse.matrix import SparseMatrix
@@ -47,8 +48,7 @@ MANIFEST_VERSION = 1
 #: change between attempts (``comm_backend``) or that do not shape the
 #: output (budgets, overlap, world/transport, timeouts, resilience).
 PLAN_GEOMETRY_KEYS = (
-    "nprocs", "layers", "kernel", "suite", "semiring",
-    "batch_scheme", "merge_policy", "mask_complement",
+    "nprocs", "layers", "kernel", "semiring", "batch_scheme", "merge_policy",
 )
 
 
@@ -56,7 +56,7 @@ def run_key(a, b, **config) -> str:
     """Deterministic fingerprint of one multiplication.
 
     Covers the operand contents (CRC of the structural arrays) and every
-    keyword given (grid shape, batch scheme, merge policy, suite,
+    keyword given (grid shape, batch scheme, merge policy, kernel tier,
     semiring, ...).  Both operands must be global matrices — the drivers
     refuse checkpointing on resident tiles, whose contents no driver-side
     fingerprint can cover.
@@ -215,6 +215,9 @@ class CheckpointManager:
             )
         stored = manifest.get("plan")
         if plan is not None and stored is not None:
+            # a manifest may predate today's knob set: read it as any
+            # stored plan is read (a refused value cannot be resumed)
+            stored = ExecSpec.from_dict(stored).to_dict()
             diffs = {
                 k: (stored.get(k), plan.get(k))
                 for k in PLAN_GEOMETRY_KEYS

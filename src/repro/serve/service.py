@@ -370,7 +370,6 @@ class SpgemmService:
         # single conversion point between service config and the run
         run = plan.with_spec(
             nprocs=slot.nprocs,
-            suite="esc",
             semiring=spec.semiring,
             kernel=kernel,
             overlap=self.overlap,

@@ -51,7 +51,6 @@ from ..resilience import run_key as _checkpoint_run_key
 from ..simmpi.engine import as_injector, open_world
 from ..simmpi.faults import FaultInjector
 from ..simmpi.tracker import CommTracker
-from ..sparse.io import save_matrix
 from ..sparse.matrix import SparseMatrix
 from ..utils.timing import StepTimes
 from .core import spmd_batched_summa3d
@@ -63,9 +62,9 @@ class _BatchPieceCollector:
     """Driver-side sink for the memory-constrained streaming path.
 
     When the caller discards the output (``keep_output=False``) but still
-    consumes batches (``spill_dir`` / ``on_batch``), ranks used to hold
-    every piece anyway so the driver could gather them afterwards —
-    defeating the point of batching.  Instead each rank now hands its
+    consumes batches (``on_batch``), ranks used to hold every piece anyway
+    so the driver could gather them afterwards — defeating the point of
+    batching.  Instead each rank now hands its
     finished piece to :meth:`sink` (called from the rank threads, hence
     the lock) and frees it; once all ``nprocs`` pieces of a batch are in,
     the batch is gathered immediately and the pieces dropped.  The driver
@@ -110,7 +109,7 @@ class _BatchPieceCollector:
             self._pending.clear()
 
 
-def _coerce_plan(plan, nprocs, layers, knobs):
+def coerce_plan(plan, nprocs, layers, knobs):
     """The drivers' shared plan/knobs funnel.
 
     Either the caller passed ``plan=`` (an :class:`ExecSpec`,
@@ -195,8 +194,7 @@ def batched_summa3d(
     ``mask``
         Optional output mask of shape ``(a.nrows, b.ncols)``: only
         coordinates present in the mask's pattern survive (GraphBLAS
-        ``mxm``; with ``mask_complement=True`` only coordinates *absent*
-        from it).  With ``kernel="masked_spgemm"`` the mask is applied
+        ``mxm``).  With ``kernel="masked_spgemm"`` the mask is applied
         inside the local multiply instead of as a postprocess.
     ``sample``
         SDDMM's sampling pattern ``S`` (sparse, shape of the product).
@@ -220,7 +218,7 @@ def batched_summa3d(
     replanning amendments.
     """
     return run_plan(
-        a, b, _coerce_plan(plan, nprocs, layers, knobs),
+        a, b, coerce_plan(plan, nprocs, layers, knobs),
         mask=mask, sample=sample, postprocess=postprocess,
         on_batch=on_batch, tracker=tracker, faults=faults,
     )
@@ -265,8 +263,8 @@ def run_plan(
     This is the real driver; :func:`batched_summa3d` and every other
     keyword surface delegate here.  See :func:`batched_summa3d` for the
     runtime-only arguments.  It is :func:`drive` plus the *gathered*
-    delivery mode: batches are consumed (``spill_dir`` / ``on_batch``) in
-    batch order and the pieces assembled into one global matrix.
+    delivery mode: batches are consumed (``on_batch``) in batch order and
+    the pieces assembled into one global matrix.
     """
     run = drive(
         a, b, plan, mask=mask, sample=sample, postprocess=postprocess,
@@ -374,10 +372,9 @@ def _refuse(kern, spec: ExecSpec, resident: bool, hooks: dict) -> None:
     if resident:
         # fingerprints, batch files and the α–β backend chooser read the
         # global matrices; the product stays distributed, so nothing
-        # driver-side could spill or discard it
+        # driver-side could discard it
         unmet = {
             **wants_ckpt,
-            "spill_dir": spec.spill_dir is not None,
             "keep_output=False": not spec.keep_output,
             'comm_backend="auto"':
                 spec.comm_backend == "auto" and kern.supports_symbolic,
@@ -420,16 +417,10 @@ def _prepare(
                 f"{kern.name!r}): handles hold sparse tiles; use "
                 "DistContext.spmm for a dense right operand"
             )
-    # a caller-level name-based request honours mask_complement= through
-    # the kernel constructor; an instance keeps its own setting
-    kern, aux, mask = kern.resolve_aux(
-        a, b, mask=mask, sample=sample,
-        complement=spec.mask_complement and isinstance(spec.kernel, str),
-    )
+    aux, mask = kern.resolve_aux(a, b, mask=mask, sample=sample)
     out_shape = kern.validate(a, b, aux)
     _refuse(kern, spec, resident, {
-        "postprocess": postprocess, "mask": mask,
-        "spill_dir": spec.spill_dir, "on_batch": on_batch,
+        "postprocess": postprocess, "mask": mask, "on_batch": on_batch,
     })
     spec.validate()
 
@@ -461,7 +452,7 @@ def _prepare(
             raise ShapeError(
                 f"mask shape {mask.shape} != product shape {out_shape}"
             )
-        postprocess = _MaskFilter(mask, spec.mask_complement, postprocess)
+        postprocess = _MaskFilter(mask, postprocess)
 
     return _Run(
         a=a, b=b, spec=spec, exec_plan=exec_plan, kern=kern, aux=aux,
@@ -494,18 +485,16 @@ def _open_checkpoint(run: _Run) -> None:
         run.a, run.b,
         nprocs=spec.nprocs, layers=spec.layers,
         batch_scheme=spec.batch_scheme, merge_policy=spec.merge_policy,
-        suite=_registry_name(spec.suite),
-        semiring=_registry_name(spec.semiring),
+        semiring=_registry_name(spec.semiring), **run.kern.run_key_items(),
     )
     manifest = ckpt.load_manifest() if spec.resume else None
     if run.batches is None and manifest is None:
-        memory_budget, _per_rank = spec.resolved_budget()
-        if memory_budget is not None:
+        if spec.memory_budget is not None:
             from .symbolic3d import symbolic3d
 
             sym = symbolic3d(
                 run.a, run.b, spec.nprocs, spec.layers,
-                memory_budget=memory_budget,
+                memory_budget=spec.memory_budget,
                 tracker=run.tracker, timeout=spec.timeout,
                 world=spec.world, transport=spec.transport,
             )
@@ -539,8 +528,6 @@ def _replan_policy(run: _Run):
         # () for resident operands: the flip lever then stays off
         modelled = modelled_comm_per_batch(run.a, run.b, spec, run.batches)
     return ReplanPolicy(
-        threshold=spec.replan_threshold,
-        min_batches=spec.replan_min_batches,
         max_replans=spec.max_replans,
         allow_shrink=auto,
         allow_grow=auto,
@@ -559,9 +546,7 @@ def _make_collector(run: _Run):
     moment they complete, not after the run."""
     spec = run.spec
     durable = run.ckpt.write_batch if run.ckpt is not None else None
-    streamed = not spec.keep_output and (
-        run.on_batch is not None or spec.spill_dir is not None
-    )
+    streamed = not spec.keep_output and run.on_batch is not None
     if durable is None and not streamed:
         return None
     return _BatchPieceCollector(
@@ -638,24 +623,10 @@ def _launch(run: _Run):
     sink = run.sink if run.collector is not None else None
     if sink is not None and spec.world == "processes":
         sink = DriverCallback(sink)
-    memory_budget, budget_per_rank = spec.resolved_budget()
     with run.world(
-        run, spmd_batched_summa3d, run.a, run.b, run.grid,
-        kernel=run.kern,
-        aux=run.aux,
-        memory_budget=memory_budget,
-        memory_budget_per_rank=budget_per_rank,
-        enforce=spec.enforce,
-        suite=spec.suite,
-        semiring=spec.semiring,
-        keep_pieces=spec.keep_output,
-        postprocess=run.postprocess,
-        batch_scheme=spec.batch_scheme,
-        merge_policy=spec.merge_policy,
-        overlap=spec.overlap,
-        piece_sink=sink,
-        max_retries=spec.max_retries,
-        batch_barrier=run.ckpt is not None,
+        run, spmd_batched_summa3d, run.a, run.b, run.grid, spec,
+        kernel=run.kern, aux=run.aux, postprocess=run.postprocess,
+        piece_sink=sink, batch_barrier=run.ckpt is not None,
     ) as submit:
         yield submit
 
@@ -794,7 +765,6 @@ def _assemble_report(run: _Run) -> SummaResult:
     per_rank_times = [r["times"] for r in per_rank]
     info = dict(per_rank[0]["info"])
     info.update(
-        suite=_registry_name(spec.suite),
         semiring=_registry_name(spec.semiring),
         layers=spec.layers,
         nprocs=spec.nprocs,
@@ -863,26 +833,21 @@ def _assemble_report(run: _Run) -> SummaResult:
 
 
 def _deliver_gathered(run: _Run, view=None):
-    """The global delivery mode: consume every batch in batch order
-    (``spill_dir`` files, the ``on_batch`` hook) and assemble the global
-    product when the output is kept.  ``view`` maps what the run computed
-    to what the caller sees (row batching's transpose back)."""
+    """The global delivery mode: consume every batch in batch order (the
+    ``on_batch`` hook) and assemble the global product when the output is
+    kept.  ``view`` maps what the run computed to what the caller sees
+    (row batching's transpose back)."""
     spec, ckpt, collector = run.spec, run.ckpt, run.collector
-    per_rank, on_batch, spill_dir = run.per_rank, run.on_batch, spec.spill_dir
+    per_rank, on_batch = run.per_rank, run.on_batch
     ran_batches = run.result.batches
-    consumed = on_batch is not None or spill_dir is not None
-    if spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
+    consumed = on_batch is not None
 
     def consume(batch: int, spans: list, batch_matrix: SparseMatrix) -> None:
-        if view is not None:
-            batch_matrix = view(batch_matrix)
-        if spill_dir is not None:
-            save_matrix(
-                os.path.join(spill_dir, f"batch_{batch}.npz"), batch_matrix
+        if consumed:
+            on_batch(
+                batch, spans,
+                batch_matrix if view is None else view(batch_matrix),
             )
-        if on_batch is not None:
-            on_batch(batch, spans, batch_matrix)
 
     matrix = None
     if ckpt is not None:
@@ -944,30 +909,21 @@ class _MaskFilter:
     composed before any user-provided hook.  A class, not a closure: a
     resident process-world context ships it to ranks forked long ago."""
 
-    def __init__(self, mask: SparseMatrix, complement: bool, inner) -> None:
-        self.mask, self.complement, self.inner = mask, complement, inner
+    def __init__(self, mask: SparseMatrix, inner) -> None:
+        self.mask, self.inner = mask, inner
 
     def __call__(self, batch: int, c0: int, c1: int,
                  block: SparseMatrix) -> SparseMatrix:
-        if self.complement:
-            from ..sparse.coo import colmajor_keys
-            from ..sparse.ewise import select
-            from ..sparse.spgemm.masked import mask_hits
+        from ..sparse.ops import hadamard, submatrix
 
-            keys = colmajor_keys(block.nrows, block.rowidx, block.col_indices())
-            inside = mask_hits(self.mask, c0, c1, keys)
-            block = select(block, lambda _r, _c, _v: ~inside)
-        else:
-            from ..sparse.ops import hadamard, submatrix
-
-            mask_block = submatrix(self.mask, 0, self.mask.nrows, c0, c1)
-            pattern = SparseMatrix(
-                mask_block.nrows, mask_block.ncols, mask_block.indptr,
-                mask_block.rowidx, np.ones(mask_block.nnz),
-                sorted_within_columns=mask_block.sorted_within_columns,
-                validate=False,
-            )
-            block = hadamard(block, pattern)
+        mask_block = submatrix(self.mask, 0, self.mask.nrows, c0, c1)
+        pattern = SparseMatrix(
+            mask_block.nrows, mask_block.ncols, mask_block.indptr,
+            mask_block.rowidx, np.ones(mask_block.nnz),
+            sorted_within_columns=mask_block.sorted_within_columns,
+            validate=False,
+        )
+        block = hadamard(block, pattern)
         if self.inner is not None:
             block = self.inner(batch, c0, c1, block)
         return block
@@ -1005,15 +961,13 @@ def batched_summa3d_rows(
 
     The signature is *identical* to :func:`batched_summa3d` (same
     conversion point).  Every spec knob applies unchanged, acting on the
-    transposed run; ``spill_dir`` files hold *row* blocks of ``C``
-    (already transposed back), consistent with ``on_batch``; checkpoints
-    fingerprint the transposed operands, so resuming requires this same
-    entry point.  The runtime hooks ``mask=``, ``sample=`` and
+    transposed run; checkpoints fingerprint the transposed operands, so
+    resuming requires this same entry point.  The runtime hooks ``mask=``, ``sample=`` and
     ``postprocess=`` are column-batched concepts and raise here.
     """
     from ..sparse.ops import transpose
 
-    plan = _coerce_plan(plan, nprocs, layers, knobs)
+    plan = coerce_plan(plan, nprocs, layers, knobs)
     for value, name in (
         (mask, "mask"), (sample, "sample"), (postprocess, "postprocess"),
     ):
@@ -1030,8 +984,8 @@ def batched_summa3d_rows(
             "holds for sparse operands on both sides; "
             f"kernel={kern.name!r} is column-batched only"
         )
-    # the inner run computes Cᵀ; what the caller sees — spilled files,
-    # on_batch blocks, the product — is transposed back on delivery
+    # the inner run computes Cᵀ; what the caller sees — on_batch blocks,
+    # the product — is transposed back on delivery
     run = drive(
         transpose(b), transpose(a), plan,
         on_batch=on_batch, tracker=tracker, faults=faults,

@@ -31,12 +31,12 @@ from ..comm import get_backend
 from ..kernels.base import get_kernel, operand_shape
 from ..mem import MemoryLedger
 from ..model.memory import batches_for_budget
+from ..plan.spec import ExecSpec
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..resilience import RetryPolicy
 from ..simmpi.comm import SimComm
 from ..sparse.matrix import SparseMatrix
 from ..sparse.semiring import get_semiring
-from ..sparse.spgemm.suite import get_suite
 from ..sparse.spgemm.symbolic import symbolic_nnz
 from .exec import RankState, run_batches
 from .trace import (
@@ -158,35 +158,26 @@ def spmd_batched_summa3d(
     a: SparseMatrix,
     b: SparseMatrix,
     grid: ProcGrid3D,
+    spec: ExecSpec,
     *,
-    batches: int | None,
-    memory_budget: int | None,
-    memory_budget_per_rank: int | None = None,
-    enforce: str = "off",
-    suite="esc",
-    semiring="plus_times",
-    keep_pieces: bool = True,
-    postprocess=None,
-    batch_scheme: str = "block-cyclic",
-    merge_policy: str = "deferred",
-    comm_backend="dense",
-    overlap: str = "off",
-    piece_sink=None,
-    max_retries: int | None = 3,
-    start_batch: int = 0,
-    batch_barrier: bool = False,
-    kernel="spgemm",
+    kernel,
     aux=None,
+    postprocess=None,
+    piece_sink=None,
+    batch_barrier: bool = False,
+    batches: int | None,
+    comm_backend="dense",
+    start_batch: int = 0,
     replan=None,
 ) -> dict:
     """Alg. 4 (BatchedSUMMA3D) as executed by one rank: resolve ``b``,
     build the rank's state, :func:`~repro.summa.exec.run_batches`, report.
 
-    The run knobs mean what the same-named :class:`~repro.plan.ExecSpec`
-    fields mean (``keep_pieces`` is the spec's ``keep_output``), already
-    validated and resolved by the driver: budgets converted to both units
-    (:func:`repro.mem.resolve_budget`), ``comm_backend="auto"`` decided.
-    What only the rank body knows:
+    ``spec`` is the run's validated :class:`~repro.plan.ExecSpec`; the
+    steps read its fields where they use them.  The keywords are what a
+    spec does not hold — the driver's resolutions, the runtime hooks, and
+    the four values an amendment (replan, re-batch, repair) changes
+    between submits of one run, which override the spec's:
 
     comm:
         This rank's world communicator (size must equal ``grid.nprocs``).
@@ -194,9 +185,8 @@ def spmd_batched_summa3d(
         The *global* input matrices — each rank extracts its own tile,
         the simulation stand-in for data that is already distributed —
         or :class:`~repro.kernels.TileSource` views of resident tiles.
-    batches:
-        Batch count; ``None`` resolves it in-band from ``memory_budget``
-        (see :func:`_resolve_batches`).
+    kernel:
+        The resolved :class:`~repro.kernels.LocalKernel`.
     aux:
         The kernel's third operand, distributed like the output: the
         sampling pattern for ``sddmm``, the mask for ``masked_spgemm``.
@@ -209,15 +199,20 @@ def spmd_batched_summa3d(
     piece_sink:
         Optional ``fn(batch, r0, c0, tile)`` that receives each finished
         output piece *instead of* it being held in ``pieces`` — the
-        memory-constrained streaming path (spilling / per-batch hooks
-        with ``keep_output=False``), where held bytes must not grow with
-        the batch count.
-    start_batch:
-        First batch to execute (resume support): batches below it are
-        assumed durably checkpointed by the driver.
+        memory-constrained streaming path (per-batch hooks with
+        ``keep_output=False``, checkpointing), where held bytes must not
+        grow with the batch count.
     batch_barrier:
         Synchronise all ranks at each batch boundary — the checkpointing
         durability guarantee (:func:`repro.summa.exec.batch_barrier`).
+    batches:
+        Batch count; ``None`` resolves it in-band from
+        ``spec.memory_budget`` (see :func:`_resolve_batches`).
+    comm_backend:
+        The backend to run on, ``"auto"`` already decided.
+    start_batch:
+        First batch to execute (resume support): batches below it are
+        assumed durably checkpointed by the driver.
     replan:
         Optional :class:`~repro.plan.ReplanPolicy`.  When set, a
         ``replan-check`` step runs after every non-final batch; the
@@ -232,8 +227,6 @@ def spmd_batched_summa3d(
     ``batches``, ``max_local_bytes``, the per-rank ``trace``
     (:class:`~repro.summa.trace.Tracer`) and symbolic statistics when run.
     """
-    suite = get_suite(suite)
-    semiring = get_semiring(semiring)
     backend = get_backend(comm_backend)
     kernel = get_kernel(kernel)
     if kernel.uses_aux and aux is None:
@@ -242,7 +235,9 @@ def spmd_batched_summa3d(
             "(mask / sampling pattern); the drivers synthesise it when "
             "they can — pass it explicitly here"
         )
-    retry = RetryPolicy(max_retries) if max_retries is not None else None
+    retry = (
+        RetryPolicy(spec.max_retries) if spec.max_retries is not None else None
+    )
     backend.retry = retry
     # Entry hygiene: any cached plan state belongs to a previous entry
     # (an amended run's re-entry, or a caller-shared backend instance)
@@ -250,9 +245,12 @@ def spmd_batched_summa3d(
     backend.revoke()
     # One ledger per rank per attempt; the world (thread-local) and the
     # backend both see it, so wire deliveries and recv buffers are
-    # charged where they land, whichever path they take.
+    # charged where they land, whichever path they take.  The budget is
+    # the aggregate ``M``; a rank enforces its share (Alg. 3 line 12).
+    budget = spec.memory_budget
     ledger = MemoryLedger(
-        rank=comm.rank, budget=memory_budget_per_rank, enforce=enforce
+        rank=comm.rank, enforce=spec.enforce,
+        budget=None if budget is None else budget // grid.nprocs,
     )
     comm.world.ledger = ledger
     backend.ledger = ledger
@@ -263,7 +261,7 @@ def spmd_batched_summa3d(
     b_tile = kernel.b_tile(b, grid, comm.rank)
     if batches is None:
         batches, info = _resolve_batches(
-            comms, a, b, a_tile, b_tile, aux, kernel, memory_budget, tracer, retry,
+            comms, a, b, a_tile, b_tile, aux, kernel, budget, tracer, retry,
         )
     ledger.batches = batches
     if replan is not None:
@@ -271,21 +269,19 @@ def spmd_batched_summa3d(
 
         replan = Replanner(replan, start_batch=start_batch)
 
-    a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile, suite)
+    a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile)
     state = RankState(
-        comms=comms, backend=backend, kernel=kernel, suite=suite,
-        semiring=semiring, ledger=ledger, tracer=tracer,
+        spec=spec, comms=comms, backend=backend, kernel=kernel,
+        semiring=get_semiring(spec.semiring), ledger=ledger, tracer=tracer,
         a_tile=a_tile, b_tile=b_tile, aux=aux,
         a_nrows=operand_shape(a)[0], b_ncols=operand_shape(b)[1],
-        batches=batches, batch_scheme=batch_scheme,
-        merge_policy=merge_policy, overlap=overlap, postprocess=postprocess,
-        keep_pieces=keep_pieces, piece_sink=piece_sink,
+        batches=batches, postprocess=postprocess, piece_sink=piece_sink,
         batch_barrier=batch_barrier, replan=replan,
     )
     run_batches(state, start_batch)
 
     info.update(
-        comm_backend=backend.name, overlap=overlap, kernel=kernel.name,
+        comm_backend=backend.name, overlap=spec.overlap, kernel=kernel.name,
         memory=ledger.report(),
     )
     return {

@@ -101,9 +101,12 @@ class RankState:
     """What one rank holds while it runs :func:`run_batches`.
 
     The first block is fixed for the attempt and handed in by
-    :func:`repro.summa.core.spmd_batched_summa3d`; the geometry is
-    derived from it; the rest is the working set the steps pass to each
-    other.  :class:`~repro.kernels.LocalKernel` methods and
+    :func:`repro.summa.core.spmd_batched_summa3d` — the run's
+    :class:`~repro.plan.ExecSpec` as it is (steps read ``spec.overlap``,
+    ``.merge_policy``, ``.batch_scheme``, ``.keep_output`` where they use
+    them) and what was resolved from it; the geometry is derived from
+    it; the rest is the working set the steps pass to each other.
+    :class:`~repro.kernels.LocalKernel` methods and
     :meth:`repro.plan.Replanner.check` read these attributes by name.
 
     ``mem`` maps logical buffer names (``"a_recv"``, ``"d_local"``, the
@@ -112,10 +115,10 @@ class RankState:
     tiles are charged for as long as the state exists.
     """
 
+    spec: object
     comms: object
     backend: object
     kernel: object
-    suite: object
     semiring: object
     ledger: object
     tracer: object
@@ -125,11 +128,7 @@ class RankState:
     a_nrows: int
     b_ncols: int
     batches: int
-    batch_scheme: str
-    merge_policy: str
-    overlap: str
     postprocess: Callable | None
-    keep_pieces: bool
     piece_sink: Callable | None
     batch_barrier: bool
     replan: object
@@ -215,7 +214,8 @@ def run_batches(state: RankState, start_batch: int = 0) -> None:
     stages, layers, ledger = state.grid.stages, state.grid.layers, state.ledger
     # kernels with dense accumulators never hold one partial per stage
     incremental = (
-        state.kernel.incremental_only or _FOLDS_EACH_STAGE[state.merge_policy]
+        state.kernel.incremental_only
+        or _FOLDS_EACH_STAGE[state.spec.merge_policy]
     )
     for batch in range(start_batch, state.batches):
         ledger.enter_batch(batch)
@@ -232,7 +232,7 @@ def run_batches(state: RankState, start_batch: int = 0) -> None:
             # Local-Multiply, its two halves apart: the next stage's
             # operands start moving after its fault point, before its span
             fault_point(state, "multiply", batch, s)
-            if state.overlap == "depth1" and s + 1 < stages:
+            if state.spec.overlap == "depth1" and s + 1 < stages:
                 prefetch(state, batch, s + 1)
             with _span(state, "multiply", batch, s):
                 multiply(state)
@@ -288,7 +288,7 @@ def run_batches(state: RankState, start_batch: int = 0) -> None:
 def col_split(state, batch) -> None:
     local_cols = batch_local_columns(
         state.super_w, state.batches, state.grid.layers, batch,
-        state.batch_scheme,
+        state.spec.batch_scheme,
     )
     state.b_batch = state.kernel.select_columns(state.b_tile, local_cols)
     if state.kernel.uses_aux:
@@ -417,7 +417,7 @@ def fiber_split(state, batch) -> None:
     widths = [
         e - s_ for s_, e in batch_layer_blocks(
             state.super_w, state.batches, state.grid.layers, batch,
-            state.batch_scheme,
+            state.spec.batch_scheme,
         )
     ]
     offsets = np.concatenate(([0], np.cumsum(widths)))
@@ -476,7 +476,7 @@ def output_tile(state, tile) -> None:
 def c_range(state, batch) -> None:
     state.c0, state.c1 = c_tile_columns(
         state.grid, state.b_ncols, state.batches, batch,
-        state.comms.j, state.comms.k, state.batch_scheme,
+        state.comms.j, state.comms.k, state.spec.batch_scheme,
     )
     tile_cols = operand_shape(state.c_tile)[1]
     if state.c1 - state.c0 != tile_cols:
@@ -516,7 +516,7 @@ def finalize(state, batch) -> None:
         # held memory stays flat across batches.
         state.piece_sink(batch, state.r0, state.c0, state.c_tile)
         led.release(handle)
-    elif state.keep_pieces:
+    elif state.spec.keep_output:
         state.pieces.append((batch, state.r0, state.c0, state.c_tile))
         # the piece stays resident: its handle stays live
         state.mem.setdefault("held", []).append(handle)

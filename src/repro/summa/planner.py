@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import PlannerError
+from ..errors import MemoryBudgetError, PlannerError, SpmdError
 from ..sparse.matrix import BYTES_PER_NONZERO
 
 
@@ -28,9 +28,8 @@ def _batches_bound(
     nnz_a: int,
     nnz_b: int,
     memory_budget: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
 ) -> int:
-    r = bytes_per_nonzero
+    r = BYTES_PER_NONZERO
     denom = memory_budget - r * (nnz_a + nnz_b)
     if denom <= 0:
         raise PlannerError(
@@ -45,10 +44,9 @@ def batches_lower_bound(
     nnz_a: int,
     nnz_b: int,
     memory_budget: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
 ) -> int:
     """Eq. (2) with perfect intermediate compression (``mem(C) = r nnz(C)``)."""
-    return _batches_bound(nnz_c, nnz_a, nnz_b, memory_budget, bytes_per_nonzero)
+    return _batches_bound(nnz_c, nnz_a, nnz_b, memory_budget)
 
 
 def batches_upper_bound(
@@ -56,10 +54,9 @@ def batches_upper_bound(
     nnz_a: int,
     nnz_b: int,
     memory_budget: int,
-    bytes_per_nonzero: int = BYTES_PER_NONZERO,
 ) -> int:
     """Eq. (2) with zero intermediate compression (``mem(C) = r flops``)."""
-    return _batches_bound(flops, nnz_a, nnz_b, memory_budget, bytes_per_nonzero)
+    return _batches_bound(flops, nnz_a, nnz_b, memory_budget)
 
 
 from ..plan.spec import ExecPlan, ExecSpec
@@ -267,7 +264,6 @@ def _candidate_batches(
     if memory_budget is None:
         return 1, None
     if use_symbolic:
-        from ..errors import MemoryBudgetError, SpmdError
         from .symbolic3d import symbolic3d
 
         try:
@@ -285,14 +281,17 @@ def _candidate_batches(
             # thinner, so higher l can be feasible where l=1 is not)
             return None
         return sym.batches, sym.info.get("predicted_memory")
-    from ..model.memory import estimate_max_tile_stats, predict_memory
-    from ..model.predictor import estimate_batches
+    from ..model.memory import (
+        estimate_batches,
+        estimate_max_tile_stats,
+        predict_memory,
+    )
 
     try:
         batches = estimate_batches(
             memory_budget=memory_budget, nprocs=nprocs, layers=layers, **stats,
         )
-    except ValueError:
+    except MemoryBudgetError:
         return None
     return batches, predict_memory(
         nprocs=nprocs, layers=layers, batches=batches, basis="estimate",

@@ -37,7 +37,7 @@ class SummaResult:
         ``info["memory"]["high_water_total"]``, the merged
         :class:`~repro.mem.MemoryLedger` mark (see :attr:`memory`).
     info:
-        Run metadata (kernel suite, semiring, symbolic statistics, ...).
+        Run metadata (kernel, semiring, symbolic statistics, ...).
     trace:
         Per-rank :class:`~repro.summa.trace.Tracer` span streams (empty
         for runs predating structured tracing); :meth:`export_trace`

@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..errors import ShapeError
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..kernels.base import resolve_tile
-from ..mem import resolve_budget
 from ..model.memory import predict_memory
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import run_spmd
@@ -46,8 +45,7 @@ def symbolic3d(
     nprocs: int = 4,
     layers: int = 1,
     *,
-    memory_budget: int | None = None,
-    memory_budget_per_rank: int | None = None,
+    memory_budget: int,
     tracker: CommTracker | None = None,
     timeout: float = DEFAULT_TIMEOUT,
     world: str = "threads",
@@ -56,9 +54,7 @@ def symbolic3d(
     """Compute the exact number of batches a memory budget requires.
 
     ``memory_budget`` is the aggregate memory ``M`` in bytes across all
-    ``nprocs`` processes; ``memory_budget_per_rank`` is the same limit
-    per rank (exactly one of the two must be given — conversion happens
-    via :func:`repro.mem.resolve_budget`).  Raises
+    ``nprocs`` processes.  Raises
     :class:`~repro.errors.MemoryBudgetError` when even the inputs do not
     fit (no batch count can help, Sec. II-B).  The result's
     ``info["predicted_memory"]`` carries the Table III closed-form
@@ -67,14 +63,6 @@ def symbolic3d(
     if a.ncols != b.nrows:
         raise ShapeError(
             f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
-        )
-    memory_budget, _per_rank = resolve_budget(
-        memory_budget, memory_budget_per_rank, nprocs
-    )
-    if memory_budget is None:
-        raise ValueError(
-            "symbolic3d needs a budget: pass memory_budget= (aggregate) "
-            "or memory_budget_per_rank="
         )
     grid = ProcGrid3D(nprocs, layers)
     if tracker is None:

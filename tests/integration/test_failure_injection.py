@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    DistributionError,
     GridError,
     MemoryBudgetError,
     MemoryPressureError,
@@ -113,10 +114,10 @@ class TestDistributedFailures:
             for e in info.value.failures.values()
         )
 
-    def test_bad_suite_fails_every_rank(self, matrix):
-        with pytest.raises(SpmdError):
+    def test_bad_kernel_tier_rejected_before_spawn(self, matrix):
+        with pytest.raises(DistributionError, match="unknown local kernel"):
             batched_summa3d(matrix, matrix, nprocs=4, batches=1,
-                            suite="nonexistent", timeout=15)
+                            kernel="spgemm:nonexistent", timeout=15)
 
     def test_bad_grid_rejected_before_spawn(self, matrix):
         with pytest.raises(GridError):

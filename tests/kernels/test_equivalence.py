@@ -10,6 +10,7 @@ merge rule is deterministic.
 import numpy as np
 import pytest
 
+from repro.kernels import SpgemmKernel
 from repro.sparse import SparseMatrix, multiply, random_sparse
 from repro.summa import batched_summa3d
 
@@ -71,15 +72,10 @@ def _coo_dict(m: SparseMatrix) -> dict:
     }
 
 
-def _filter_by_pattern(m: SparseMatrix, mask: SparseMatrix, complement=False):
-    """Entries of ``m`` kept (or dropped) by ``mask``'s pattern."""
+def _filter_by_pattern(m: SparseMatrix, mask: SparseMatrix):
+    """Entries of ``m`` kept by ``mask``'s pattern."""
     keep = set(zip(mask.rowidx.tolist(), mask.col_indices().tolist()))
-    entries = {
-        ij: v
-        for ij, v in _coo_dict(m).items()
-        if (ij in keep) != complement
-    }
-    return entries
+    return {ij: v for ij, v in _coo_dict(m).items() if ij in keep}
 
 
 def assert_identical(x, y):
@@ -95,6 +91,8 @@ def assert_identical(x, y):
 
 
 KERNELS = ["spgemm", "spmm", "sddmm", "masked_spgemm"]
+#: the SpGEMM kernel's (multiply, merge) tiers beside the default ESC one
+TIERS = ["unsorted-hash", "sorted-heap", "hybrid", "spa"]
 
 
 # ---------------------------------------------------------------------- #
@@ -140,18 +138,6 @@ class TestMatchesReference:
             a, b, nprocs=4, batches=2, kernel="masked_spgemm", mask=mask
         ).matrix
         assert _coo_dict(masked) == _filter_by_pattern(full, mask)
-
-    def test_masked_complement_matches_filtered(self, sparse_pair):
-        a, b = sparse_pair
-        mask = random_sparse(M, N, nnz=200, seed=14)
-        full = batched_summa3d(a, b, nprocs=4, batches=2).matrix
-        kept = batched_summa3d(
-            a, b, nprocs=4, batches=2, kernel="masked_spgemm",
-            mask=mask, mask_complement=True,
-        ).matrix
-        assert _coo_dict(kept) == _filter_by_pattern(
-            full, mask, complement=True
-        )
 
     def test_masked_default_mask_is_product_pattern(self, sparse_pair):
         """Without an explicit mask, the symbolic product pattern is the
@@ -218,6 +204,28 @@ class TestBitIdentity:
             comm_backend=comm_backend, overlap=overlap, **extra,
         )
         assert_identical(run.matrix, base.matrix)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("merge_policy", ["deferred", "incremental"])
+    @pytest.mark.parametrize("comm_backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("overlap", ["off", "depth1"])
+    def test_spgemm_tier_matrix(
+        self, tier, merge_policy, comm_backend, overlap, sparse_pair
+    ):
+        """The loop tiers of the SpGEMM kernel ride the same schedule:
+        reached by name or by instance through ``kernel=``, a tier's bits
+        do not depend on backend or overlap, and its product is the ESC
+        tier's."""
+        a, b = sparse_pair
+        kw = dict(nprocs=4, layers=1, batches=2, merge_policy=merge_policy)
+        base = batched_summa3d(a, b, kernel=f"spgemm:{tier}", **kw)
+        run = batched_summa3d(
+            a, b, kernel=SpgemmKernel(tier), comm_backend=comm_backend,
+            overlap=overlap, **kw,
+        )
+        assert_identical(run.matrix, base.matrix)
+        assert run.info["kernel"] == base.info["kernel"] == f"spgemm:{tier}"
+        assert run.matrix.allclose(batched_summa3d(a, b, **kw).matrix)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_process_world_matches_threads(

@@ -9,7 +9,6 @@ from repro.mem import (
     ENFORCE_MODES,
     MemoryLedger,
     nbytes_of,
-    resolve_budget,
 )
 from repro.sparse import random_sparse
 
@@ -33,27 +32,6 @@ class TestNbytesOf:
 
     def test_unknown_objects_are_free(self):
         assert nbytes_of(object()) == 0
-
-
-class TestResolveBudget:
-    def test_aggregate_to_per_rank(self):
-        assert resolve_budget(4000, None, 4) == (4000, 1000)
-
-    def test_per_rank_to_aggregate(self):
-        assert resolve_budget(None, 1000, 4) == (4000, 1000)
-
-    def test_neither(self):
-        assert resolve_budget(None, None, 4) == (None, None)
-
-    def test_both_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_budget(4000, 1000, 4)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_budget(0, None, 4)
-        with pytest.raises(ValueError):
-            resolve_budget(None, -5, 4)
 
 
 class TestLedgerAccounting:

@@ -4,14 +4,17 @@ and the predictor's paper-shape behaviours."""
 
 import pytest
 
+from repro.errors import MemoryBudgetError
 from repro.model import (
     CORI_HASWELL,
     CORI_KNL,
     CORI_KNL_HT,
+    batches_for_budget,
     comm_complexity,
     comp_complexity,
     estimate_batches,
     estimate_dk_nnz,
+    estimate_max_tile_stats,
     parallel_efficiency,
     predict_steps,
     strong_scaling_series,
@@ -130,8 +133,18 @@ class TestEstimateBatches:
         assert b_small >= b_large
 
     def test_infeasible_raises(self):
-        with pytest.raises(ValueError):
+        # the one error of Alg. 3 line 12, as from the symbolic step
+        with pytest.raises(MemoryBudgetError):
             estimate_batches(memory_budget=10**3, nprocs=4, layers=1, **STATS)
+
+    def test_is_alg3_line_12_on_the_estimated_maxima(self):
+        kwargs = dict(nprocs=1024, layers=16, **STATS)
+        for budget in (10**11, 10**12, 10**13):
+            assert estimate_batches(memory_budget=budget, **kwargs) == \
+                batches_for_budget(
+                    memory_budget=budget, nprocs=1024,
+                    **estimate_max_tile_stats(imbalance=1.0, **kwargs),
+                )
 
     def test_generous_is_one(self):
         assert estimate_batches(

@@ -52,7 +52,7 @@ class TestRecvBufferParity:
         transport decode — so every transport meters exactly what the
         threaded world meters."""
         a = random_sparse(80, 80, nnz=2000, seed=17)
-        kw = dict(nprocs=4, batches=2, memory_budget_per_rank=10**7)
+        kw = dict(nprocs=4, batches=2, memory_budget=4 * 10**7)
         ref = batched_summa3d(a, a, **kw)
         run = batched_summa3d(a, a, world="processes",
                               transport=transport, **kw)

@@ -79,9 +79,18 @@ class TestDriverMatrix:
         assert dense_equal(rt.matrix, rp.matrix)
         assert rp.info["world"]["transport"] == transport
 
+    @pytest.mark.parametrize("tier", ["unsorted-hash", "sorted-heap"])
+    def test_a_kernel_tier_reproduces_the_reference(self, operands, tier):
+        a, b = operands
+        kw = dict(nprocs=4, batches=2, kernel=f"spgemm:{tier}")
+        rt = batched_summa3d(a, b, **kw)
+        rp = batched_summa3d(a, b, world="processes", **kw)
+        assert dense_equal(rt.matrix, rp.matrix)
+        assert rp.info["kernel"] == f"spgemm:{tier}"
+
     def test_memory_reports_match(self, operands):
         a, b = operands
-        kw = dict(nprocs=4, batches=2, memory_budget_per_rank=10**6)
+        kw = dict(nprocs=4, batches=2, memory_budget=4 * 10**6)
         rt = batched_summa3d(a, b, **kw)
         rp = batched_summa3d(a, b, world="processes", **kw)
         mt, mp_ = rt.memory, rp.memory
@@ -94,8 +103,8 @@ class TestDriverMatrix:
 class TestSurfaces:
     def test_symbolic3d(self, operands):
         a, b = operands
-        st = symbolic3d(a, b, nprocs=4, memory_budget_per_rank=10**5)
-        sp = symbolic3d(a, b, nprocs=4, memory_budget_per_rank=10**5,
+        st = symbolic3d(a, b, nprocs=4, memory_budget=4 * 10**5)
+        sp = symbolic3d(a, b, nprocs=4, memory_budget=4 * 10**5,
                         world="processes")
         assert st.batches == sp.batches
         assert (st.max_nnz_a, st.max_nnz_b, st.max_nnz_c) == \

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.plan import ExecPlan, ExecSpec
-from repro.plan.spec import SPEC_FIELDS
+from repro.plan.spec import _REMOVED, SPEC_FIELDS
 
 # ---------------------------------------------------------------------- #
 # strategies
@@ -22,18 +22,16 @@ _KNOBS = {
     "layers": st.sampled_from([1, 2, 4]),
     "batches": st.none() | st.integers(1, 32),
     "memory_budget": st.none() | st.integers(1 << 10, 1 << 30),
-    "memory_budget_per_rank": st.none() | st.integers(1 << 10, 1 << 24),
     "enforce": st.sampled_from(["off", "warn", "strict"]),
-    "suite": st.sampled_from(["esc", "heap", "hybrid"]),
     "semiring": st.sampled_from(["plus_times", "min_plus"]),
-    "kernel": st.sampled_from(["spgemm", "spmm", "masked_spgemm"]),
-    "mask_complement": st.booleans(),
+    "kernel": st.sampled_from(
+        ["spgemm", "spmm", "masked_spgemm", "spgemm:sorted-heap"]
+    ),
     "keep_output": st.booleans(),
     "batch_scheme": st.sampled_from(["block-cyclic", "contiguous"]),
     "merge_policy": st.sampled_from(["deferred", "eager"]),
     "comm_backend": st.sampled_from(["dense", "sparse"]),
     "overlap": st.sampled_from(["off", "depth1"]),
-    "spill_dir": st.none() | st.just("/tmp/spill"),
     "timeout": st.sampled_from([5.0, 30.0, 120.0]),
     "checksums": st.none() | st.booleans(),
     "max_retries": st.none() | st.integers(0, 5),
@@ -45,8 +43,6 @@ _KNOBS = {
     "world": st.sampled_from(["threads", "processes"]),
     "transport": st.sampled_from(["auto", "pickle", "shm"]),
     "replan": st.sampled_from(["off", "auto"]),
-    "replan_threshold": st.sampled_from([0.0, 0.15, 0.5]),
-    "replan_min_batches": st.integers(1, 4),
     "max_replans": st.integers(0, 3),
     "replan_force": st.sampled_from(
         [(), ((1, {"batches": 2}),), ((0, {"comm_backend": "sparse"}),)]
@@ -64,7 +60,9 @@ knob_dicts = st.fixed_dictionaries({}, optional=_KNOBS)
 future_keys = st.dictionaries(
     st.text(
         alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=3, max_size=12
-    ).filter(lambda k: k not in SPEC_FIELDS and k != "spec_version"),
+    ).filter(
+        lambda k: k not in SPEC_FIELDS + tuple(_REMOVED) and k != "spec_version"
+    ),
     st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=8),
     max_size=3,
 )
@@ -104,6 +102,15 @@ class TestExecSpecRoundTrip:
         spec = ExecSpec.from_kwargs(kernel=get_kernel("spgemm"))
         assert spec.to_dict()["kernel"] == "spgemm"
 
+    def test_a_kernel_tier_round_trips_through_its_name(self):
+        from repro.kernels import SpgemmKernel, get_kernel
+
+        d = ExecSpec.from_kwargs(kernel=SpgemmKernel("sorted-heap")).to_dict()
+        assert d["kernel"] == "spgemm:sorted-heap"
+        kern = get_kernel(ExecSpec.from_dict(d).kernel)
+        assert type(kern) is SpgemmKernel and kern.suite.name == "sorted-heap"
+        assert get_kernel("spgemm").suite.name == "esc"
+
     def test_replan_force_canonicalised(self):
         spec = ExecSpec.from_kwargs(replan_force=[[1, {"batches": 2}]])
         assert spec.replan_force == ((1, {"batches": 2}),)
@@ -122,11 +129,46 @@ class TestExecSpecRoundTrip:
         with pytest.raises(ValueError, match="bytes_per_nonzero=12"):
             ExecSpec.from_dict(old)
 
+    #: what a dict written at the parent held for the six knobs since removed
+    OLD_DEFAULTS = {
+        "memory_budget_per_rank": None, "mask_complement": False,
+        "spill_dir": None, "replan_threshold": 0.15, "replan_min_batches": 1,
+        "suite": "esc",
+    }
+
+    def test_removed_knobs_at_their_old_defaults_are_dropped(self):
+        old = dict(ExecSpec.from_kwargs(batches=3).to_dict(), **self.OLD_DEFAULTS)
+        spec = ExecSpec.from_dict(old)
+        assert spec == ExecSpec.from_kwargs(batches=3)
+        assert not set(self.OLD_DEFAULTS) & (set(spec.extra) | set(spec.to_dict()))
+
+    def test_a_stored_suite_tier_becomes_the_kernel_spelling(self):
+        old = {**ExecSpec().to_dict(), **self.OLD_DEFAULTS, "suite": "sorted-heap"}
+        assert ExecSpec.from_dict(old) == ExecSpec(kernel="spgemm:sorted-heap")
+
+    @pytest.mark.parametrize("stored, names", [
+        ({"memory_budget_per_rank": 10**6}, "memory_budget = per_rank × nprocs"),
+        ({"spill_dir": "/tmp/spill"}, "on_batch="),
+        ({"mask_complement": True}, "postprocess="),
+        ({"replan_threshold": 0.5}, "repro.plan.replan"),
+        ({"replan_min_batches": 2}, "repro.plan.replan"),
+        ({"suite": "spa", "kernel": "masked_spgemm"}, "spgemm:<tier>"),
+    ])
+    def test_any_other_value_of_a_removed_knob_is_refused(self, stored, names):
+        key = next(iter(stored))
+        with pytest.raises(ValueError, match=f"{key}=.*{names}"):
+            ExecSpec.from_dict(dict(ExecSpec().to_dict(), **stored))
+
 
 class TestExecSpecConversionPoint:
     def test_unknown_knob_raises_with_name(self):
         with pytest.raises(TypeError, match="definitely_not_a_knob"):
             ExecSpec.from_kwargs(definitely_not_a_knob=1)
+
+    @pytest.mark.parametrize("knob", [{"suite": "esc"}, {"spill_dir": "/tmp/x"}])
+    def test_a_removed_knob_is_an_unknown_knob(self, knob):
+        with pytest.raises(TypeError, match=f"unknown execution knob.*{next(iter(knob))}"):
+            ExecSpec.from_kwargs(**knob)
 
     def test_all_spec_fields_accepted(self):
         defaults = {f: getattr(ExecSpec(), f) for f in SPEC_FIELDS}
@@ -157,9 +199,9 @@ class TestExecSpecConversionPoint:
         )
         assert spec.validate() is spec
 
-    def test_validate_rejects_bad_threshold(self):
-        with pytest.raises(ValueError, match="replan_threshold"):
-            ExecSpec.from_kwargs(replan_threshold=1.0).validate()
+    def test_validate_rejects_a_budget_that_is_not_positive(self):
+        with pytest.raises(ValueError, match="memory_budget must be > 0"):
+            ExecSpec.from_kwargs(memory_budget=0).validate()
 
 
 # ---------------------------------------------------------------------- #

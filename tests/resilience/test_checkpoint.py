@@ -30,6 +30,46 @@ class TestRunKey:
             run_key(matrix, matrix, suite="spa")
 
 
+class TestRunKeyOfARun:
+    """What the driver fingerprints.  The multiply / merge tier used to be
+    the spec's ``suite`` field and is read off the kernel now — under the
+    same fingerprint key, so checkpoints written before still resume."""
+
+    @staticmethod
+    def _key(tmp_path, **knobs):
+        from repro.summa import batched_summa3d
+
+        a = random_sparse(24, 24, nnz=90, seed=5)
+        batched_summa3d(
+            a, a, nprocs=4, batches=2, checkpoint_dir=tmp_path, **knobs
+        )
+        with open(os.path.join(tmp_path, "manifest.json")) as fh:
+            return json.load(fh)
+
+    def test_default_run_key_is_what_it_was_before_the_tier_moved(self, tmp_path):
+        # hex pinned from the commit before `suite` left ExecSpec
+        assert self._key(tmp_path)["run_key"] == "5e4af380"
+
+    def test_the_tier_is_fingerprinted(self, tmp_path):
+        plain = self._key(tmp_path / "esc")
+        heap = self._key(tmp_path / "heap", kernel="spgemm:sorted-heap")
+        assert heap["run_key"] != plain["run_key"]
+        assert heap["plan"]["kernel"] == "spgemm:sorted-heap"
+
+    def test_a_manifest_that_names_the_tier_the_old_way_resumes(self, tmp_path):
+        manifest = self._key(tmp_path, kernel="spgemm:sorted-heap")
+        old_plan = dict(manifest["plan"], kernel="spgemm", suite="sorted-heap")
+        mgr = CheckpointManager(tmp_path / "old")
+        mgr.start_run(manifest["run_key"], 2, old_plan)
+        assert CheckpointManager(tmp_path / "old").resume_run(
+            manifest["run_key"], 2, manifest["plan"]
+        ) == (2, 0)
+        with pytest.raises(CheckpointError, match="different execution plan"):
+            CheckpointManager(tmp_path / "old").resume_run(
+                manifest["run_key"], 2, dict(manifest["plan"], kernel="spgemm")
+            )
+
+
 class TestCheckpointManager:
     def test_write_then_load_roundtrip(self, tmp_path, matrix):
         ckpt = CheckpointManager(tmp_path / "ck")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import SparseMatrix, from_dense, random_sparse
-from repro.sparse.ewise import ewise_mult, select
+from repro.sparse import SparseMatrix, random_sparse
+from repro.sparse.ewise import ewise_mult
 
 
 @pytest.fixture
@@ -38,27 +38,3 @@ class TestEwiseMult:
         a, _ = pair
         with pytest.raises(ShapeError):
             ewise_mult(a, SparseMatrix.empty(5, 5))
-
-
-class TestSelect:
-    def test_value_filter(self, pair):
-        a, _ = pair
-        got = select(a, lambda r, c, v: v > 0.5)
-        d = a.to_dense()
-        assert np.allclose(got.to_dense(), np.where(d > 0.5, d, 0.0))
-
-    def test_offdiagonal(self):
-        m = from_dense(np.ones((4, 4)))
-        got = select(m, lambda r, c, v: r != c)
-        assert got.nnz == 12
-        assert np.allclose(np.diag(got.to_dense()), 0.0)
-
-    def test_structural_filter(self, pair):
-        a, _ = pair
-        upper = select(a, lambda r, c, v: r < c)
-        assert np.allclose(upper.to_dense(), np.triu(a.to_dense(), 1))
-
-    def test_bad_predicate(self, pair):
-        a, _ = pair
-        with pytest.raises(ShapeError):
-            select(a, lambda r, c, v: True)

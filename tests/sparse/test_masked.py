@@ -108,14 +108,6 @@ class TestDistributedMask:
         expected = spgemm_masked(a, b, m)
         assert r.matrix.allclose(expected)
 
-    def test_distributed_complement(self, triple):
-        from repro.summa import batched_summa3d
-
-        a, b, m = triple
-        r = batched_summa3d(a, b, nprocs=4, batches=2, mask=m,
-                            mask_complement=True)
-        assert r.matrix.allclose(spgemm_masked(a, b, m, complement=True))
-
     def test_mask_composes_with_postprocess(self, triple):
         from repro.sparse.ops import prune_topk_per_column
         from repro.summa import batched_summa3d

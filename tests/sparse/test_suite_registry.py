@@ -45,6 +45,18 @@ class TestSuiteRegistry:
                 merged.to_dense(), 2 * (a.to_dense() @ a.to_dense())
             ), name
 
+    def test_every_suite_is_a_tier_of_the_spgemm_kernel(self):
+        """The distributed layers reach a suite through ``kernel=``: the
+        SpGEMM kernel owns it, and its name spells the tier back."""
+        from repro.kernels import SpgemmKernel, get_kernel
+
+        for name in available_suites():
+            kern = get_kernel(f"spgemm:{name}")
+            assert type(kern) is SpgemmKernel and kern.suite is get_suite(name)
+            assert get_kernel(kern.name).suite is kern.suite
+            assert kern.name == ("spgemm" if name == "esc" else f"spgemm:{name}")
+        assert get_kernel("spgemm").suite is get_suite("esc")
+
 
 class TestPlusPair:
     def test_counts_structural_products(self):

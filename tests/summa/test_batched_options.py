@@ -1,12 +1,10 @@
 """Tests for the extended batching options: row batching, batch schemes,
-merge policies, and batch spilling."""
-
-import os
+merge policies, and per-batch consumption (``on_batch``)."""
 
 import numpy as np
 import pytest
 
-from repro.sparse import load_matrix, random_sparse
+from repro.sparse import random_sparse
 from repro.summa import batched_summa3d, batched_summa3d_rows
 from tests.conftest import to_scipy
 
@@ -143,30 +141,19 @@ class TestMergePolicies:
         assert incremental.max_local_bytes <= deferred.max_local_bytes
 
 
-class TestSpill:
-    def test_spilled_batches_reassemble(self, operands, tmp_path):
+class TestOnBatch:
+    def test_on_batch_with_keep_output(self, operands):
+        """Consuming batches does not cost the product: with the output
+        kept, the hook sees every batch and the matrix is still whole."""
         a, b, expected = operands
+        seen = {}
         r = batched_summa3d(
-            a, b, nprocs=4, batches=3, keep_output=False,
-            spill_dir=str(tmp_path),
+            a, b, nprocs=4, batches=2,
+            on_batch=lambda batch, spans, m: seen.__setitem__(batch, m),
         )
-        assert r.matrix is None
-        parts = [
-            load_matrix(tmp_path / f"batch_{i}.npz") for i in range(3)
-        ]
-        assert np.allclose(sum(p.to_dense() for p in parts), expected)
-
-    def test_spill_files_named_by_batch(self, operands, tmp_path):
-        a, b, _ = operands
-        batched_summa3d(a, b, nprocs=4, batches=2, keep_output=False,
-                        spill_dir=str(tmp_path))
-        assert sorted(os.listdir(tmp_path)) == ["batch_0.npz", "batch_1.npz"]
-
-    def test_spill_with_keep_output(self, operands, tmp_path):
-        a, b, expected = operands
-        r = batched_summa3d(a, b, nprocs=4, batches=2, spill_dir=str(tmp_path))
         assert np.allclose(r.matrix.to_dense(), expected)
-        assert len(os.listdir(tmp_path)) == 2
+        assert sorted(seen) == [0, 1]
+        assert np.allclose(sum(m.to_dense() for m in seen.values()), expected)
 
 
 class TestRowBatchingForwarding:
@@ -205,55 +192,34 @@ class TestRowBatchingForwarding:
             d1.matrix.canonical().to_dense(),
         )
 
-    def test_spill_writes_row_blocks(self, operands, tmp_path):
-        a, b, expected = operands
-        r = batched_summa3d_rows(
-            a, b, nprocs=4, batches=3, keep_output=False,
-            spill_dir=str(tmp_path),
-        )
-        assert r.matrix is None
-        parts = [load_matrix(tmp_path / f"batch_{i}.npz") for i in range(3)]
-        assert np.allclose(sum(p.to_dense() for p in parts), expected)
-        # each file is a row block: full shape, disjoint row support
-        supports = [set(p.rowidx.tolist()) for p in parts]
-        for x in range(len(supports)):
-            assert parts[x].shape == (a.nrows, b.ncols)
-            for y in range(x + 1, len(supports)):
-                assert not (supports[x] & supports[y])
-
 
 class TestStreamingMemory:
-    """Satellite: with ``keep_output=False`` and a piece sink (spill or
+    """Satellite: with ``keep_output=False`` and a piece sink (a per-batch
     hook), finished pieces leave the ranks immediately, so the per-rank
     high water must not grow with the batch count."""
 
-    def _high_water(self, batches, tmp_path, **kw):
+    def _streamed(self, batches):
         a = random_sparse(60, 60, nnz=1200, seed=81)
         b = random_sparse(60, 60, nnz=1100, seed=82)
+        seen = {}
         r = batched_summa3d(
             a, b, nprocs=4, batches=batches, keep_output=False,
-            spill_dir=str(tmp_path), **kw,
+            on_batch=lambda batch, spans, m: seen.__setitem__(batch, m),
         )
-        return r.max_local_bytes
+        return a, b, r, seen
 
-    def test_spill_high_water_flat_in_batches(self, tmp_path):
-        hw1 = self._high_water(1, tmp_path / "b1")
-        hw4 = self._high_water(4, tmp_path / "b4")
+    def test_on_batch_high_water_flat_in_batches(self):
+        hw1 = self._streamed(1)[2].max_local_bytes
+        hw4 = self._streamed(4)[2].max_local_bytes
         assert hw4 <= hw1
 
-    def test_streaming_beats_keeping(self, tmp_path):
-        a = random_sparse(60, 60, nnz=1200, seed=81)
-        b = random_sparse(60, 60, nnz=1100, seed=82)
+    def test_streaming_beats_keeping(self):
+        a, b, streamed, seen = self._streamed(4)
         kept = batched_summa3d(a, b, nprocs=4, batches=4)
-        streamed = batched_summa3d(
-            a, b, nprocs=4, batches=4, keep_output=False,
-            spill_dir=str(tmp_path),
-        )
         assert streamed.max_local_bytes < kept.max_local_bytes
-        # and streaming loses nothing: the spilled pieces reassemble
-        parts = [load_matrix(tmp_path / f"batch_{i}.npz") for i in range(4)]
+        # and streaming loses nothing: the consumed batches reassemble
         assert np.allclose(
-            sum(p.to_dense() for p in parts), kept.matrix.to_dense()
+            sum(m.to_dense() for m in seen.values()), kept.matrix.to_dense()
         )
 
     def test_on_batch_streams_without_spill(self):

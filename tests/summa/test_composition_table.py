@@ -87,10 +87,6 @@ FEATURES = {
         lambda tmp: {"postprocess": hook},
         ValueError, lambda k: k.output_kind == "sparse",
     ),
-    "spill_dir": (
-        lambda tmp: {"spill_dir": tmp},
-        ValueError, lambda k: k.output_kind == "sparse",
-    ),
     "on_batch": (
         lambda tmp: {"on_batch": hook},
         ValueError, lambda k: k.output_kind == "sparse",

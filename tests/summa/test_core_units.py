@@ -8,6 +8,7 @@ from repro.simmpi import run_spmd
 from repro.sparse import multiply, random_sparse
 from repro.kernels.base import TileSource, resolve_tile
 from repro.mem import MemoryLedger
+from repro.plan import ExecSpec
 from repro.summa.core import ALL_STEPS, spmd_batched_summa3d
 
 
@@ -79,8 +80,8 @@ class TestSpmdDirectInvocation:
         b_src = TileSource(24, 24, lambda r: extract_b_tile(a, grid, r))
 
         per_rank = run_spmd(
-            4, spmd_batched_summa3d, a_src, b_src, grid,
-            batches=2, memory_budget=None,
+            4, spmd_batched_summa3d, a_src, b_src, grid, ExecSpec(),
+            kernel="spgemm", batches=2,
         )
         from repro.grid.distribution import gather_tiles
 
@@ -95,8 +96,8 @@ class TestSpmdDirectInvocation:
         a = random_sparse(16, 16, nnz=60, seed=415)
         grid = ProcGrid3D(4, 1)
         per_rank = run_spmd(
-            4, spmd_batched_summa3d, a, a, grid,
-            batches=1, memory_budget=None,
+            4, spmd_batched_summa3d, a, a, grid, ExecSpec(),
+            kernel="spgemm", batches=1,
         )
         for r in per_rank:
             assert set(r) == {
@@ -115,5 +116,5 @@ class TestSpmdDirectInvocation:
         with pytest.raises((ValueError, SpmdError)):
             run_spmd(
                 1, spmd_batched_summa3d, a, a, grid,
-                batches=1, memory_budget=None, merge_policy="bogus",
+                ExecSpec(merge_policy="bogus"), kernel="spgemm", batches=1,
             )

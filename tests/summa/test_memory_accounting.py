@@ -67,14 +67,6 @@ class TestUniformReport:
 
 
 class TestBudgetUnits:
-    def test_both_budgets_rejected(self, operands):
-        a, _ = operands
-        with pytest.raises(ValueError, match="not both"):
-            batched_summa3d(
-                a, a, nprocs=4,
-                memory_budget=10**6, memory_budget_per_rank=10**5,
-            )
-
     def test_enforce_needs_budget(self, operands):
         a, _ = operands
         with pytest.raises(ValueError, match="needs a budget"):
@@ -84,12 +76,6 @@ class TestBudgetUnits:
         a, _ = operands
         with pytest.raises(ValueError, match="enforce"):
             batched_summa3d(a, a, nprocs=4, batches=1, enforce="loud")
-
-    def test_per_rank_budget_reaches_symbolic(self, operands):
-        a, _ = operands
-        agg = batched_summa3d(a, a, nprocs=4, memory_budget=4 * 10**5)
-        per = batched_summa3d(a, a, nprocs=4, memory_budget_per_rank=10**5)
-        assert agg.batches == per.batches  # same aggregate M either way
 
 
 class TestEnforcement:
@@ -104,7 +90,7 @@ class TestEnforcement:
         budget = (peak1 + peak2) // 2
         r = batched_summa3d(
             a, a, nprocs=4, batches=1,
-            memory_budget_per_rank=budget, enforce="strict",
+            memory_budget=4 * budget, enforce="strict",
         )
         assert r.batches == 2
         assert r.info["resilience"]["rebatched"] == [{"from": 1, "to": 2}]
@@ -119,7 +105,7 @@ class TestEnforcement:
         peak1 = batched_summa3d(a, a, nprocs=4, batches=1).max_local_bytes
         r = batched_summa3d(
             a, a, nprocs=4, batches=1,
-            memory_budget_per_rank=peak1 - 1, enforce="warn",
+            memory_budget=4 * (peak1 - 1), enforce="warn",
         )
         assert r.batches == 1  # warn never re-batches
         assert r.matrix.allclose(ref)
@@ -129,7 +115,7 @@ class TestEnforcement:
     def test_off_ignores_budget(self, operands):
         a, ref = operands
         r = batched_summa3d(
-            a, a, nprocs=4, batches=1, memory_budget_per_rank=1024,
+            a, a, nprocs=4, batches=1, memory_budget=4 * 1024,
         )
         assert r.batches == 1
         assert r.matrix.allclose(ref)
@@ -175,7 +161,7 @@ class TestModelLoop:
         from repro.summa import symbolic3d
 
         a, _ = operands
-        sym = symbolic3d(a, a, nprocs=4, memory_budget_per_rank=10**5)
+        sym = symbolic3d(a, a, nprocs=4, memory_budget=4 * 10**5)
         pred = sym.info["predicted_memory"]
         assert pred["high_water_total"] > 0
         assert pred["params"]["batches"] == sym.batches
@@ -201,7 +187,7 @@ class TestRowsForwarding:
         peak1 = batched_summa3d_rows(a, a, nprocs=4, batches=1).max_local_bytes
         r = batched_summa3d_rows(
             a, a, nprocs=4, batches=1,
-            memory_budget_per_rank=peak1 - 1, enforce="warn",
+            memory_budget=4 * (peak1 - 1), enforce="warn",
         )
         assert len(r.memory["warnings"]) >= 1
         assert r.matrix.allclose(ref)

@@ -16,7 +16,7 @@ from repro.comm import DenseCollective
 from repro.data.generators import erdos_renyi
 from repro.errors import SpmdError
 from repro.grid import ProcGrid3D
-from repro.plan import ReplanPolicy
+from repro.plan import ExecSpec, ReplanPolicy
 from repro.simmpi import run_spmd
 from repro.simmpi.faults import FaultInjector, FaultPlan
 from repro.summa import STEP_KINDS
@@ -100,12 +100,14 @@ def operand():
     return erdos_renyi(36, avg_degree=4.0, seed=5)
 
 
-def _run(operand, nprocs, layers, *, injector=None, **knobs):
+def _run(operand, nprocs, layers, *, injector=None, merge_policy="deferred",
+         overlap="off", **runtime):
     injector = injector or RecordingInjector()
     per_rank = run_spmd(
         nprocs, spmd_batched_summa3d, operand, operand,
-        ProcGrid3D(nprocs, layers), batches=BATCHES, memory_budget=None,
-        faults=injector, **knobs,
+        ProcGrid3D(nprocs, layers),
+        ExecSpec(merge_policy=merge_policy, overlap=overlap),
+        kernel="spgemm", batches=BATCHES, faults=injector, **runtime,
     )
     return injector, per_rank
 

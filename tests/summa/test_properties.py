@@ -1,7 +1,7 @@
 """Property-based tests of the distributed layer.
 
 The core invariance: the BatchedSUMMA3D result is independent of grid
-shape, layer count, batch count and kernel suite — all of it must equal
+shape, layer count, batch count and kernel tier — all of it must equal
 the single-process local product.
 """
 
@@ -51,10 +51,12 @@ class TestDistributionInvariance:
 
     @settings(max_examples=10)
     @given(operand_pairs(), st.sampled_from(["esc", "unsorted-hash", "sorted-heap"]))
-    def test_result_independent_of_suite(self, pair, suite):
+    def test_result_independent_of_suite(self, pair, tier):
         a, b = pair
         expected = multiply(a, b)
-        r = batched_summa3d(a, b, nprocs=8, layers=2, batches=2, suite=suite)
+        r = batched_summa3d(
+            a, b, nprocs=8, layers=2, batches=2, kernel=f"spgemm:{tier}"
+        )
         assert r.matrix.allclose(expected)
 
     @settings(max_examples=10)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.kernels import get_kernel
 from repro.simmpi import CommTracker
 from repro.sparse import multiply, random_sparse
 from repro.sparse.semiring import MIN_PLUS
@@ -78,11 +79,18 @@ class TestBatched:
         r = batched_summa3d(a, b, nprocs=8, layers=2, batches=batches)
         assert np.allclose(r.matrix.to_dense(), expected)
 
-    @pytest.mark.parametrize("suite", ["esc", "unsorted-hash", "sorted-heap", "hybrid", "spa"])
-    def test_kernel_suite_invariance(self, operands, suite):
+    @pytest.mark.parametrize("tier", ["esc", "unsorted-hash", "sorted-heap", "hybrid", "spa"])
+    def test_kernel_suite_invariance(self, operands, tier):
+        """Every (multiply, merge) tier of the SpGEMM kernel, reached
+        through the ``kernel=`` seam, computes the same product."""
         a, b, expected = operands
-        r = batched_summa3d(a, b, nprocs=8, layers=2, batches=2, suite=suite)
+        r = batched_summa3d(
+            a, b, nprocs=8, layers=2, batches=2, kernel=f"spgemm:{tier}"
+        )
         assert np.allclose(r.matrix.to_dense(), expected)
+        assert r.info["kernel"] == ("spgemm" if tier == "esc" else f"spgemm:{tier}")
+        # the recorded plan names the same kernel back
+        assert get_kernel(r.info["plan"]["spec"]["kernel"]).name == r.info["kernel"]
 
     def test_batches_exceeding_columns(self, operands):
         a, b, expected = operands
@@ -178,8 +186,8 @@ class TestResultMetadata:
 
     def test_info_fields(self, operands):
         a, b, _ = operands
-        r = batched_summa3d(a, b, nprocs=4, batches=1, suite="esc")
-        assert r.info["suite"] == "esc"
+        r = batched_summa3d(a, b, nprocs=4, batches=1)
+        assert r.info["kernel"] == "spgemm"
         assert r.info["nprocs"] == 4
 
     def test_repr(self, operands):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.dist import DistContext
 from repro.sparse import SparseMatrix, multiply
-from repro.sparse.ewise import ewise_mult, select
+from repro.sparse.ewise import ewise_mult
 from repro.sparse.merge import merge_grouped
 from repro.sparse.ops import permute
 from repro.sparse.spgemm.masked import spgemm_masked
@@ -55,11 +55,6 @@ class TestEwiseAlgebra:
     def test_mult_commutative(self, pair):
         a, b = pair
         assert ewise_mult(a, b).allclose(ewise_mult(b, a))
-
-    @given(matrices())
-    def test_select_true_keeps_everything(self, a):
-        kept = select(a, lambda r, c, v: np.ones(r.shape[0], dtype=bool))
-        assert kept.allclose(a)
 
 class TestMaskedProperties:
     @settings(max_examples=20)

@@ -63,16 +63,12 @@ def both_ways(ctx, a, b, spec, **runtime):
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 @pytest.mark.parametrize("world", ["threads", "processes"])
 @pytest.mark.parametrize(
-    "kernel,complement",
-    [("spgemm", False), ("masked_spgemm", False), ("masked_spgemm", True)],
+    "kernel", ["spgemm", "masked_spgemm", "spgemm:sorted-heap"]
 )
-def test_multiply_matches_run_plan(
-    operands, kernel, complement, world, backend, overlap
-):
+def test_multiply_matches_run_plan(operands, kernel, world, backend, overlap):
     a, b, mask = operands
     spec = ExecSpec(
-        batches=2, kernel=kernel, mask_complement=complement,
-        comm_backend=backend, overlap=overlap,
+        batches=2, kernel=kernel, comm_backend=backend, overlap=overlap,
     )
     runtime = {"mask": mask} if kernel == "masked_spgemm" else {}
     with DistContext(NPROCS, LAYERS, world=world) as ctx:
@@ -152,7 +148,7 @@ def test_strict_budget_rebatches_resident_run(operands):
     loose = run_plan(a, b, ExecSpec(nprocs=NPROCS, layers=LAYERS, batches=1))
     spec = ExecSpec(
         batches=1, enforce="strict",
-        memory_budget_per_rank=int(loose.max_local_bytes * 0.8),
+        memory_budget=NPROCS * int(loose.max_local_bytes * 0.8),
     )
     with DistContext(NPROCS, LAYERS) as ctx:
         product, resident, ref = both_ways(ctx, a, b, spec)
@@ -178,7 +174,6 @@ def test_mask_on_plain_spgemm_is_the_postprocess_filter(operands):
     {"checkpoint_dir": "unused"},
     {"checkpoint_dir": "unused", "resume": True},
     {"checkpoint_dir": "unused", "heal": "shrink"},
-    {"spill_dir": "unused"},
     {"keep_output": False},
     {"comm_backend": "auto"},
     {"batch_scheme": "block"},

@@ -326,3 +326,85 @@ def test_partition_boundaries_come_from_split_bounds_only():
     assert len(cached) == 1 and any(
         "lru_cache" in ast.unparse(dec) for dec in cached[0].decorator_list
     )
+
+
+#: the run knobs, written out: a field added or removed shows up here
+SPEC_FIELDS_NOW = (
+    "nprocs", "layers", "batches", "memory_budget", "enforce", "semiring",
+    "kernel", "keep_output", "batch_scheme", "merge_policy", "comm_backend",
+    "overlap", "timeout", "checksums", "max_retries", "checkpoint_dir",
+    "resume", "checkpoint_keep_last", "heal", "world_spares", "world",
+    "transport", "replan", "max_replans", "replan_force",
+)
+
+
+def test_the_run_knobs_are_these_25():
+    from repro.plan.spec import SPEC_FIELDS
+
+    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 25
+
+
+def _parameters(path, qualname):
+    """Parameter names of ``Class.method`` / ``function`` in ``path``."""
+    body = ast.parse(path.read_text()).body
+    for part in qualname.split("."):
+        (node,) = [n for n in body if getattr(n, "name", None) == part]
+        body = node.body
+    args = node.args
+    return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+
+
+def test_a_run_knob_is_declared_once():
+    """Below the keyword surfaces a knob travels inside the spec: the rank
+    body, the rank's state and the resident context's two multiplies
+    redeclare none of its fields.  Excepted are what an amendment rewrites
+    between submits (``batches`` / ``comm_backend`` / ``replan``) and what
+    was *resolved* from a field — the kernel, and on the state the
+    semiring object its steps hand to the local kernels."""
+    resolved = {"batches", "comm_backend", "replan", "kernel"}
+    (state,) = [
+        node for node in ast.parse(RANK_LOOP.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "RankState"
+    ]
+    declared = {
+        "spmd_batched_summa3d": _parameters(RANK_BODY, "spmd_batched_summa3d"),
+        "RankState": {
+            stmt.target.id for stmt in state.body
+            if isinstance(stmt, ast.AnnAssign)
+        } - {"semiring"},
+        "DistContext.multiply": _parameters(CONTEXT, "DistContext.multiply"),
+        "DistContext.spmm": _parameters(CONTEXT, "DistContext.spmm"),
+    }
+    assert "spec" in declared["spmd_batched_summa3d"] & declared["RankState"]
+    redeclared = {
+        where: sorted(names & set(SPEC_FIELDS_NOW) - resolved)
+        for where, names in declared.items()
+    }
+    assert not any(redeclared.values()), redeclared
+
+
+def test_suite_is_a_word_of_the_sparse_layer():
+    """The (multiply, merge) bundles are Table VII's subjects in
+    ``sparse/``; the distributed layers reach them as tiers of the SpGEMM
+    kernel (``kernels/spgemm.py``).  Elsewhere the word is left in the two
+    non-SUMMA baselines, ``repro doctor`` and the stored-plan shim."""
+    allowed = ("sparse/", "kernels/spgemm.py", "summa/baselines.py",
+               "summa/verify.py", "plan/spec.py")
+    hits = _grep(re.compile("suite"), [
+        path for path in sorted(SRC.rglob("*.py"))
+        if not str(path.relative_to(SRC)).startswith(allowed)
+    ])
+    assert not hits, hits
+    # in plan/spec.py: ExecSpec.from_dict and the table of removed knobs
+    shim = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(ast.parse((SRC / "plan" / "spec.py").read_text()))
+        if getattr(node, "name", None) == "from_dict"
+        or isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "_REMOVED"
+    ]
+    stray = [
+        hit for hit in _grep(re.compile("suite"), [SRC / "plan" / "spec.py"])
+        if not any(int(hit.split(":")[1]) in lines for lines in shim)
+    ]
+    assert not stray, stray
