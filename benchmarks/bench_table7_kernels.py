@@ -5,22 +5,31 @@ unsorted-hash kernels and reports large merge speedups (an order of
 magnitude on Merge-Layer/Merge-Fiber) while Local-Multiply is comparable
 or moderately faster.  This bench times the actual kernels on the same
 partial results a SUMMA run produces, "Previous" (sorted-heap [13]) vs
-"Now" (unsorted-hash, this paper), at several layer counts.
+"Now" (unsorted-hash, this paper), at several layer counts — and, on the
+same partials, the run path's own rows (the vectorised ESC multiply and
+grouped merge, on each grouping tier) with SciPy's ``A @ B`` as the
+outside reference.
 """
 
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from _helpers import print_series
 from repro.data import load_dataset
 from repro.sparse import (
+    merge_grouped,
     merge_hash,
     merge_heap,
+    spgemm_esc,
     spgemm_hash,
     spgemm_heap,
 )
 from repro.sparse.ops import col_split
+from repro.sparse.spgemm import esc
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +110,40 @@ def test_table7_merge_speedup_grows_with_pieces(workload, benchmark):
     )
     assert t_hash < t_heap
     benchmark(lambda: merge_hash(partials))
+
+
+def _on_tier(tier):
+    """Every ESC chunk on one grouping tier (the kernels' private density
+    thresholds, set as the tests' ``--accumulate-tier`` sets them)."""
+    cells = 1 << 62 if tier == "table" else -1
+    return mock.patch.multiple(esc, _TABLE_SUM=cells, _TABLE_SEEN=cells)
+
+
+def test_table7_run_path_rows(workload, benchmark):
+    """The run path on the loop tiers' partials: ESC multiply and grouped
+    merge on the sort tier and on the table tier.  Only the paper's
+    ordering is asserted — the production merge beats the prior heap merge
+    — and that both tiers give the same bits; SciPy is printed, not
+    compared."""
+    csc = sp.csc_matrix(
+        (workload.values, workload.rowidx, workload.indptr), shape=workload.shape)
+    t_scipy, _ = _time(lambda: csc @ csc)
+    rows = [["scipy A @ A", "-", t_scipy, "-"]]
+    for stages in (2, 4):
+        t_heap, _ = _time(merge_heap, _stage_partials(workload, stages, spgemm_heap))
+        rows.append(["heap (prev)", stages, "-", t_heap])
+        merged = {}
+        for tier in ("sort", "table"):
+            with _on_tier(tier):
+                t_mul, partials = _time(
+                    lambda: _stage_partials(workload, stages, spgemm_esc))
+                t_merge, merged[tier] = _time(merge_grouped, partials)
+            rows.append([f"esc {tier}", stages, t_mul, t_merge])
+            assert t_merge < t_heap
+        assert np.array_equal(merged["sort"].values, merged["table"].values)
+    print_series(
+        "Table VII: the run path beside the loop tiers, seconds",
+        ["kernel", "k-way", "multiply", "merge"],
+        rows,
+    )
+    benchmark(lambda: merge_grouped(_stage_partials(workload, 2, spgemm_esc)))

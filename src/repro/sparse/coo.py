@@ -17,8 +17,8 @@ the parts of a merge — is grouped one column chunk at a time
 (:mod:`repro.sparse.spgemm.esc`: sorted, or where the chunk is dense
 scattered into a table), so no array there is sized by ``flops``.
 Triples in arbitrary order (:func:`dedup_coo`, :func:`sort_coo`: COO
-construction, the gather epilogue) take one sort of everything given,
-which is ``nnz``-sized.
+construction, the gather epilogue) take one ``nnz``-sized sort of all.
+A chunk of two sorted merge parts is two ascending runs: it is merged.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def colmajor_keys(nrows: int, rows, cols) -> np.ndarray:
 
 
 def stable_order(
-    key: np.ndarray, space: int | None = None
+    key: np.ndarray, space: int | None = None, runs: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(order, key[order])`` with ``order`` equal to
     ``np.argsort(key, kind="stable")``: equal keys keep their input order,
@@ -48,7 +48,9 @@ def stable_order(
     argsort.  When key bits plus position bits do not fit an int64 (or a
     key is negative) the stable argsort does the same job.  A caller that
     knows ``0 <= key < space`` says so and saves the two passes that
-    would find it out."""
+    would find it out.  Keys known to be one or two ascending ``runs`` (two
+    sorted merge parts) take NumPy's run-merging sort, 2-5x faster there
+    than the default quicksort, which wins again from four runs."""
     n = key.shape[0]
     bits = max(n - 1, 0).bit_length()
     if space is None:
@@ -56,7 +58,7 @@ def stable_order(
     if space and (space - 1).bit_length() + bits <= 62:
         packed = key << bits
         packed |= np.arange(n, dtype=np.int64)
-        packed.sort()
+        packed.sort(kind="stable" if 0 < runs <= 2 else None)
         order = packed & np.int64((1 << bits) - 1)
         packed >>= bits
         return order, packed
@@ -108,8 +110,9 @@ def dedup_coo(nrows: int, rows, cols, vals, semiring: Semiring = PLUS_TIMES):
     vals = np.asarray(vals, dtype=VALUE_DTYPE)
     order, sorted_key = stable_order(colmajor_keys(nrows, rows, cols))
     boundary = run_boundary(sorted_key)
-    first = order[np.flatnonzero(boundary)]
-    reduced = semiring.reduce_segments(vals[order], boundary)
+    starts = np.flatnonzero(boundary)
+    first = order[starts]
+    reduced = semiring.reduce_segments(vals[order], boundary, starts)
     return rows[first], cols[first], reduced.astype(VALUE_DTYPE, copy=False)
 
 

@@ -11,7 +11,9 @@ grouped merge walks the parts' columns in the same chunks as the ESC
 multiply (:func:`repro.sparse.spgemm.esc.column_chunks`): the parts are
 CSC, so a column range of every part is an ``indptr`` slice, and one
 grouping (table or sort) plus one reduction per chunk merges it — no
-intermediate is sized by the parts' total nonzeros.
+intermediate is sized by the parts' total nonzeros.  A chunk's keys are
+one ``repeat`` of the column bases over all parts; sorted parts are one
+ascending run each, so two of them are merged rather than sorted.
 
 All three produce numerically identical results; they differ in input
 requirements (heap needs sorted columns) and output ordering guarantees.
@@ -144,22 +146,19 @@ def merge_grouped(parts, semiring=PLUS_TIMES) -> SparseMatrix:
     nrows, ncols = _check_parts(parts)
     semiring = get_semiring(semiring)
     stride = np.int64(max(nrows, 1))
+    runs = len(parts) if all(p.sorted_within_columns for p in parts) else 0
 
     def chunks():
         for j0, j1 in column_chunks(sum(p.indptr for p in parts)):
             bases = np.arange(j1 - j0, dtype=INDEX_DTYPE) * stride
-            keys = np.concatenate([
-                np.repeat(bases, p.indptr[j0 + 1:j1 + 1] - p.indptr[j0:j1])
-                for p in parts
-            ])
+            keys = np.repeat(np.concatenate([bases] * len(parts)), np.concatenate(
+                [p.indptr[j0 + 1:j1 + 1] - p.indptr[j0:j1] for p in parts]))
             keys += np.concatenate(
-                [p.rowidx[p.indptr[j0]:p.indptr[j1]] for p in parts]
-            )
+                [p.rowidx[p.indptr[j0]:p.indptr[j1]] for p in parts])
             yield j0, j1, keys, np.concatenate(
-                [p.values[p.indptr[j0]:p.indptr[j1]] for p in parts]
-            )
+                [p.values[p.indptr[j0]:p.indptr[j1]] for p in parts])
 
-    return compress_chunks(nrows, ncols, chunks(), semiring)
+    return compress_chunks(nrows, ncols, chunks(), semiring, runs)
 
 
 _MERGE_METHODS = {

@@ -17,6 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Entries from which a sum is placed rather than ``bincount``-ed: placed /
+#: counted time 1.2-1.8 below 2k entries, 0.75 at 5k, 0.6-0.8 from 10k.
+_PLACE_MIN = 2048
+
 
 @dataclass(frozen=True)
 class Semiring:
@@ -42,17 +46,26 @@ class Semiring:
     mul: np.ufunc
     add_identity: float
 
-    def reduce_segments(self, values: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    def reduce_segments(
+        self, values: np.ndarray, boundary: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
         """Reduce with ``add`` each run of ``values`` that begins where
-        ``boundary`` is true.  The one summation rule of every kernel and
-        merge: coinciding entries are added **left to right** in the order
-        given — what ``bincount`` does and ``np.add.reduceat`` (pairwise
-        by SIMD lane) does not.  min / max / or are order-free."""
-        if self.add is np.add:
+        ``boundary`` is true (at ``starts``, its ``flatnonzero``).  The one
+        summation rule of every kernel and merge: coinciding entries are
+        added **left to right** into ``add_identity`` in the order given —
+        what ``bincount`` and ``ufunc.at`` do and ``ufunc.reduceat``
+        (pairwise by SIMD lane; for min / max it picks among ``±0.0`` and
+        NaNs by position) does not.  Each run's first entry is placed, the
+        rest added into its slot; under ``_PLACE_MIN`` a sum bincounts."""
+        if self.add is np.add and values.shape[0] < _PLACE_MIN:
             return np.bincount(np.cumsum(boundary), weights=values)[1:]
-        if values.shape[0] == 0:
-            return values
-        return self.add.reduceat(values, np.flatnonzero(boundary))
+        sums = values[starts]
+        self.add(self.add_identity, sums, out=sums)
+        rest = np.flatnonzero(~boundary)
+        rest_values = values[rest]
+        rest -= np.arange(1, rest.shape[0] + 1)  # the run each belongs to
+        self.add.at(sums, rest, rest_values)
+        return sums
 
     def __repr__(self) -> str:  # keep dataclass repr short — ufuncs are noisy
         return f"Semiring({self.name})"

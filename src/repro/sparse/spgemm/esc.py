@@ -18,10 +18,16 @@ There are two ways to group and one way to sum.  A chunk whose key space
 a dense table over that space — the paper's sort-free accumulator, chosen
 per chunk by density as Azad et al. choose the SPA per column; any other
 chunk is sorted once (:func:`repro.sparse.coo.stable_order`) and reduced
-by segment.  Either way coinciding products are added left to right in
+by run.  Either way coinciding products are added left to right in
 expansion order (:meth:`~repro.sparse.semiring.Semiring.reduce_segments`),
 so neither the tier nor a chunk boundary shows in the bits, and the
 values equal those of the per-column hash and SPA loop kernels.
+
+Each step uses what its input is: two sorted merge parts are two runs,
+merged, not sorted (``runs``); a run's sum is placed, not counted; and
+the distinct keys become CSC by ``searchsorted`` of the column bases
+where a chunk has many keys per column (R-MAT: 22k keys over 683), by
+division where it has few (k-mer: 555 over 750, ``_DECODE_SEARCH``).
 
 Nothing here is sized by ``flops``: every temporary is chunk-sized and
 stays in cache, which is why this is ~2x faster than sorting the whole
@@ -72,6 +78,11 @@ _CHUNK_PRODUCTS = 1 << 16
 #: table outgrows the chunk's other temporaries (32 n bytes = four of them).
 _TABLE_SUM = 4
 _TABLE_SEEN = 32
+
+#: Keys per column from which :func:`_decode` searches rather than divides:
+#: search / division time 3-6 below 4, 1.3-2 at 6-10, 0.6-0.9 at 14-24,
+#: 0.25-0.4 from 35 on (merge and multiply chunks of the six workloads).
+_DECODE_SEARCH = 16
 
 
 def key_table(keys: np.ndarray, space: int) -> np.ndarray:
@@ -155,13 +166,14 @@ def compress_chunks(
     ncols: int,
     chunks: Iterable[tuple[int, int, np.ndarray, np.ndarray | None]],
     semiring: Semiring | None,
+    runs: int = 0,
 ) -> SparseMatrix:
     """Group each chunk's ``(keys, vals)`` by key — through a dense table
     where the chunk's key space is a few times its keys, by one stable
     sort otherwise — reduce each group left to right, and concatenate the
     pieces, which arrive in column order, into a sorted CSC matrix.  With
     ``semiring`` ``None`` only the keys are grouped and the result is the
-    pattern, valued 1."""
+    pattern, valued 1; ``runs`` goes to :func:`stable_order`."""
     stride = max(nrows, 1)
     cells = (_TABLE_SEEN if semiring is None
              else _TABLE_SUM if semiring.add is np.add else -1)
@@ -177,16 +189,14 @@ def compress_chunks(
             if semiring is None:
                 keys.sort()
             else:
-                order, keys = stable_order(keys, space)
+                order, keys = stable_order(keys, space, runs)
             boundary = run_boundary(keys)
-            distinct = keys[np.flatnonzero(boundary)]
+            starts = np.flatnonzero(boundary)
+            distinct = keys[starts]
             if semiring is not None:
-                vals.append(
-                    semiring.reduce_segments(chunk_vals[order], boundary))
-        cols = distinct // stride
-        counts.append(np.bincount(cols, minlength=j1 - j0))
-        cols *= stride
-        distinct -= cols
+                vals.append(semiring.reduce_segments(
+                    chunk_vals[order], boundary, starts))
+        counts.append(_decode(distinct, j1 - j0, stride))
         rows.append(distinct)
     indptr = np.zeros(ncols + 1, dtype=INDEX_DTYPE)
     np.cumsum(_joined(counts), out=indptr[1:])
@@ -199,6 +209,22 @@ def compress_chunks(
         nrows, ncols, indptr, rowidx, values,
         sorted_within_columns=True, validate=False,
     )
+
+
+def _decode(distinct: np.ndarray, width: int, stride: int) -> np.ndarray:
+    """Turn a chunk's sorted distinct keys into rows, in place; return the
+    entries per column."""
+    if distinct.shape[0] >= _DECODE_SEARCH * width:
+        bases = np.arange(width + 1, dtype=INDEX_DTYPE) * stride
+        firsts = np.searchsorted(distinct, bases)
+        counts = firsts[1:] - firsts[:-1]
+        distinct -= np.repeat(bases[:-1], counts)
+        return counts
+    cols = distinct // stride
+    counts = np.bincount(cols, minlength=width)
+    cols *= stride
+    distinct -= cols
+    return counts
 
 
 def _joined(pieces: list[np.ndarray]) -> np.ndarray:

@@ -47,17 +47,13 @@ def mask_hits(mask: SparseMatrix, j0: int, j1: int, keys: np.ndarray) -> np.ndar
 
 
 def spgemm_masked(
-    a: SparseMatrix,
-    b: SparseMatrix,
-    mask: SparseMatrix,
-    semiring=PLUS_TIMES,
-    *,
-    complement: bool = False,
+    a: SparseMatrix, b: SparseMatrix, mask: SparseMatrix, semiring=PLUS_TIMES
 ) -> SparseMatrix:
-    """``C = (A @ B) .* pattern(M)`` (or ``.* !pattern(M)`` if
-    ``complement``), with the mask applied before accumulation.
+    """``C = (A @ B) .* pattern(M)``, with the mask applied before
+    accumulation.
 
-    The mask's values are ignored; only its sparsity pattern filters.
+    The mask's values are ignored; only its sparsity pattern filters.  A
+    complement mask is the complement's pattern, passed as ``mask``.
     Raises :class:`~repro.errors.ShapeError` if the mask shape does not
     match the product shape.
     """
@@ -70,10 +66,9 @@ def spgemm_masked(
 
     def surviving():
         for j0, j1, keys, vals in product_chunks(a, b, semiring):
-            hits = mask_hits(mask, j0, j1, keys)
             # positions, not the bool mask: a take is several times
             # faster than a masked select when hits and misses interleave
-            keep = np.flatnonzero(~hits if complement else hits)
+            keep = np.flatnonzero(mask_hits(mask, j0, j1, keys))
             yield j0, j1, keys[keep], vals[keep]
 
     return compress_chunks(a.nrows, b.ncols, surviving(), semiring)

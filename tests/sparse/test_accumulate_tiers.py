@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sparse import SparseMatrix, dedup_coo, multiply, random_sparse
+from repro.sparse import semiring as semiring_module
 from repro.sparse.coo import stable_order
 from repro.sparse.merge import merge_grouped
 from repro.sparse.semiring import _REGISTRY as SEMIRINGS
 from repro.sparse.spgemm import esc, symbolic
-from repro.sparse.spgemm.esc import spgemm_esc
+from repro.sparse.spgemm.esc import expand_products, spgemm_esc
 from repro.sparse.spgemm.hash import spgemm_hash
 from repro.sparse.spgemm.masked import mask_hits, spgemm_masked
 from repro.sparse.spgemm.spa import spgemm_spa
@@ -33,6 +34,7 @@ from tests.sparse.test_chunked import (
     ONE_CHUNK,
     TARGETS,
     assert_identical,
+    complement_of,
     reference_product,
     split_by_inner,
     thinned,
@@ -61,7 +63,7 @@ def consumers(a, b):
     return {
         "multiply": lambda: multiply(a, b),
         "masked": lambda: spgemm_masked(a, b, mask),
-        "masked complement": lambda: spgemm_masked(a, b, mask, complement=True),
+        "masked complement": lambda: spgemm_masked(a, b, complement_of(mask)),
         "symbolic pattern": lambda: symbolic_pattern(a, b),
         "merge 2-way": lambda: merge_grouped(halves),
         "merge 4-way": lambda: merge_grouped(quarters),
@@ -98,18 +100,22 @@ class TestForcing:
                 run()
             symbolic_nnz(a, b)
 
-    def test_sort_tier_builds_no_table(self, tier):
+    def test_sort_tier_builds_no_table(self, tier, monkeypatch):
+        """No consumer on the sort tier scatters into a table, and its sum
+        is left to right whether it is placed or ``bincount``-ed."""
         a, b = FAMILIES["protein"]
+        parts = split_by_inner(a, b, 4)
+        triples = [np.concatenate(x) for x in zip(*(p.to_coo() for p in parts))]
         tier("sort")
-        with mock.patch.object(esc, "key_table", side_effect=AssertionError), \
-                mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
-            for run in CONSUMERS["protein"].values():
-                run()
-            symbolic_nnz(a, b)
-        # the left-to-right sum of the sort tier is a bincount over group
-        # ids; the table tier's is one over keys with ``minlength=space``
-        weighted = [c for c in bincount.call_args_list if "weights" in c.kwargs]
-        assert weighted and not any("minlength" in c.kwargs for c in weighted)
+        for place_min in (0, 1 << 62):
+            monkeypatch.setattr(semiring_module, "_PLACE_MIN", place_min)
+            with mock.patch.object(esc, "key_table", side_effect=AssertionError):
+                for run in CONSUMERS["protein"].values():
+                    run()
+                symbolic_nnz(a, b)
+                product, merged = multiply(a, b), merge_grouped(parts)
+            assert_is_the_loop(product, *expand_products(a, b))
+            assert_is_the_loop(merged, *triples)
 
     def test_default_tier_splits_by_density(self, tier, chunk_target):
         """A dense tile takes the table, a hypersparse one the sort, on the
@@ -266,6 +272,14 @@ def loop_dedup(nrows, rows, cols, vals):
             np.array([sums[k] for k in keys], dtype=np.float64))
 
 
+def assert_is_the_loop(got, rows, cols, vals):
+    """``got`` holds the loop's sums of the triples, bit for bit."""
+    want_rows, want_cols, want_vals = loop_dedup(got.nrows, rows, cols, vals)
+    assert np.array_equal(got.rowidx, want_rows)
+    assert np.array_equal(got.col_indices(), want_cols)
+    assert np.array_equal(got.values.view(np.int64), want_vals.view(np.int64))
+
+
 def wide_values(rng, n):
     """Magnitudes 1e-8 .. 1e8, both signs: any other summation order of
     three or more of them differs in the last bits."""
@@ -310,7 +324,7 @@ class TestLeftToRight:
             assert np.array_equal(merged.col_indices(), want_cols)
             assert np.array_equal(merged.values, want_vals)
 
-    def test_reduceat_was_not_this_rule(self):
+    def test_reduceat_was_not_this_rule(self, monkeypatch):
         """Why the rule had to be stated: ``np.add.reduceat`` is not a
         left-to-right sum (it need not even agree with itself across
         machines), so it could not be what two tiers agree on."""
@@ -321,8 +335,10 @@ class TestLeftToRight:
             [sum(vals[s:s + 9].tolist(), 0.0) for s in starts.tolist()])
         boundary = np.zeros(vals.shape[0], dtype=bool)
         boundary[starts] = True
-        ours = SEMIRINGS["plus_times"].reduce_segments(vals, boundary)
-        assert np.array_equal(ours, sequential)
+        for place_min in (0, 1 << 62):  # placed, and bincount-ed
+            monkeypatch.setattr(semiring_module, "_PLACE_MIN", place_min)
+            ours = SEMIRINGS["plus_times"].reduce_segments(vals, boundary, starts)
+            assert np.array_equal(ours, sequential)
         assert np.allclose(np.add.reduceat(vals, starts), sequential, rtol=1e-9)
 
 

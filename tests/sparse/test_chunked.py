@@ -90,6 +90,16 @@ def in_mask(mask):
     return lambda rows, cols: dense[rows, cols]
 
 
+def complement_of(mask):
+    """The pattern of every coordinate ``mask`` does not store: how a
+    caller asks for a complement mask."""
+    stored = np.zeros(mask.shape, dtype=bool)
+    stored[mask.rowidx, mask.col_indices()] = True
+    rows, cols = np.nonzero(~stored)
+    return SparseMatrix.from_coo(
+        mask.nrows, mask.ncols, rows, cols, np.ones(rows.shape[0]))
+
+
 def thinned(m, seed):
     """About half of ``m``'s entries: a mask that hits and misses."""
     rng = np.random.default_rng(seed)
@@ -191,14 +201,14 @@ class TestEveryTargetSameBits:
         a, b = FAMILIES[name]
         sr = SEMIRINGS[semiring]
         mask = thinned(multiply(a, b), seed=3)
+        if complement:  # a dense mask, as a caller spells a complement
+            mask = complement_of(mask)
         chunk_target(ONE_CHUNK)
-        whole = spgemm_masked(a, b, mask, sr, complement=complement)
+        whole = spgemm_masked(a, b, mask, sr)
         chunk_target(target)
-        got = spgemm_masked(a, b, mask, sr, complement=complement)
+        got = spgemm_masked(a, b, mask, sr)
         assert_identical(got, whole)
-        inside = in_mask(mask)
-        keep = (lambda r, c: ~inside(r, c)) if complement else inside
-        assert_identical(got, reference_product(a, b, sr, keep))
+        assert_identical(got, reference_product(a, b, sr, in_mask(mask)))
 
     def test_merge_grouped(self, name, target, semiring, chunk_target):
         a, b = FAMILIES[name]
@@ -241,20 +251,19 @@ def test_symbolic_counts(name, target, chunk_target):
 # --------------------------------------------------------------------- #
 
 def check_all_consumers(a, b, chunk_target, targets=(1, 2, 5, ONE_CHUNK)):
-    """Multiply, both masked forms, the symbolic pass and a merge of
-    ``A @ B`` against the whole-expansion reference, per target."""
+    """Multiply, the masked multiply under a mask and its complement, the
+    symbolic pass and a merge of ``A @ B`` against the whole-expansion
+    reference, per target."""
     sr = SEMIRINGS["plus_times"]
     want = reference_product(a, b, sr)
-    mask = thinned(want, seed=1)
-    inside = in_mask(mask)
+    masks = (thinned(want, seed=1),)
+    masks += (complement_of(masks[0]),)
     for target in targets:
         chunk_target(target)
         assert_identical(multiply(a, b), want)
-        assert_identical(
-            spgemm_masked(a, b, mask), reference_product(a, b, sr, inside))
-        assert_identical(
-            spgemm_masked(a, b, mask, complement=True),
-            reference_product(a, b, sr, lambda r, c: ~inside(r, c)))
+        for mask in masks:
+            assert_identical(spgemm_masked(a, b, mask),
+                             reference_product(a, b, sr, in_mask(mask)))
         assert symbolic_nnz(a, b) == want.nnz
         assert np.array_equal(symbolic_pattern(a, b).col_nnz(), want.col_nnz())
         assert np.array_equal(symbolic_pattern(a, b).indptr, want.indptr)
@@ -333,19 +342,14 @@ class TestEdgeCases:
         only = (cols == 2) | (cols == 11)  # a mask on two columns of 16
         mask = SparseMatrix.from_coo(16, 16, rows[only], cols[only], vals[only])
         sr = SEMIRINGS["plus_times"]
-        inside = in_mask(mask)
+        empty = SparseMatrix.empty(16, 16)
         for target in (1, 4, ONE_CHUNK):
             chunk_target(target)
-            assert_identical(
-                spgemm_masked(a, a, mask),
-                reference_product(a, a, sr, inside))
-            assert_identical(
-                spgemm_masked(a, a, mask, complement=True),
-                reference_product(a, a, sr, lambda r, c: ~inside(r, c)))
-            empty = SparseMatrix.empty(16, 16)
+            for m in (mask, complement_of(mask)):
+                assert_identical(
+                    spgemm_masked(a, a, m), reference_product(a, a, sr, in_mask(m)))
             assert spgemm_masked(a, a, empty).nnz == 0
-            assert_identical(
-                spgemm_masked(a, a, empty, complement=True), product)
+            assert_identical(spgemm_masked(a, a, complement_of(empty)), product)
 
     def test_shape_mismatch_is_refused_before_any_work(self, chunk_target):
         chunk_target(1)

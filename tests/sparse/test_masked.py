@@ -24,12 +24,6 @@ class TestMasked:
         expected = (a.to_dense() @ b.to_dense()) * (m.to_dense() != 0)
         assert np.allclose(got.to_dense(), expected)
 
-    def test_complement(self, triple):
-        a, b, m = triple
-        got = spgemm_masked(a, b, m, complement=True)
-        expected = (a.to_dense() @ b.to_dense()) * (m.to_dense() == 0)
-        assert np.allclose(got.to_dense(), expected)
-
     def test_mask_values_ignored(self, triple):
         a, b, m = triple
         scaled = SparseMatrix(
@@ -41,12 +35,6 @@ class TestMasked:
         a, b, _ = triple
         empty = SparseMatrix.empty(30, 35)
         assert spgemm_masked(a, b, empty).nnz == 0
-
-    def test_empty_mask_complement_is_full_product(self, triple):
-        a, b, _ = triple
-        empty = SparseMatrix.empty(30, 35)
-        got = spgemm_masked(a, b, empty, complement=True)
-        assert np.allclose(got.to_dense(), a.to_dense() @ b.to_dense())
 
     def test_full_mask_is_full_product(self, triple):
         a, b, _ = triple

@@ -82,8 +82,12 @@ class TestMaskedProperties:
         n = data.draw(st.integers(2, 8))
         a = data.draw(matrices_fixed(n, n, 20))
         mask = data.draw(matrices_fixed(n, n, 20))
+        stored = np.zeros((n, n), dtype=bool)
+        stored[mask.rowidx, mask.col_indices()] = True
+        rows, cols = np.nonzero(~stored)  # the complement's pattern
+        complement = SparseMatrix.from_coo(n, n, rows, cols, np.ones(rows.shape[0]))
         inside = spgemm_masked(a, a, mask)
-        outside = spgemm_masked(a, a, mask, complement=True)
+        outside = spgemm_masked(a, a, complement)
         total = merge_grouped([inside, outside])
         assert total.allclose(multiply(a, a).canonical())
 
