@@ -71,8 +71,8 @@ _CHUNK_PRODUCTS = 1 << 16
 #: Erdos-Renyi squares: 0.61, 0.81, 0.85, 0.73, 0.91, 0.97, 1.42, 1.64,
 #: 1.98; protein (2.0) 0.58, R-MAT (5-11) 1.06, planted (7.5) 1.2, R-MAT
 #: tile (17) 1.67 — at c = 8 the table already loses on real tiles.
-#: ``_TABLE_SEEN`` bounds the bool tables (symbolic count, pattern, mask
-#: filter).  Symbolic table / sort at 1-12, 16, 30, 50, 100: 0.6, 0.76,
+#: ``_TABLE_SEEN`` bounds the bool tables (symbolic pattern, mask filter).
+#: Bool table / sort of a count at 1-12, 16, 30, 50, 100: 0.6, 0.76,
 #: 0.92, 1.23, 1.65.  The mask bitmap still beats ``searchsorted`` at 100
 #: (0.4-0.5 up to 30, 0.73 at 100) but shares the constant, so that no
 #: table outgrows the chunk's other temporaries (32 n bytes = four of them).

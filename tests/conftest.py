@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from repro.sparse import SparseMatrix, random_sparse
-from repro.sparse.spgemm import esc
+from repro.sparse.spgemm import esc, symbolic
 
 # SPMD tests spawn threads per example; keep hypothesis example counts sane
 settings.register_profile(
@@ -24,14 +24,25 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-#: ``(esc._TABLE_SUM, esc._TABLE_SEEN)`` that force one accumulate tier
-#: whatever a chunk's density is, beside the shipped pair (read here,
-#: before any option overrides it)
+#: ``(esc._TABLE_SUM, esc._TABLE_SEEN, symbolic._BITSET_WORDS)`` that
+#: force one accumulate tier whatever a chunk's density or an operand's
+#: shape is — the dense table and the bitset count, or the sort and the
+#: ESC count — beside the shipped triple (read here, before any option
+#: overrides it)
 TIER_THRESHOLDS = {
-    "table": (1 << 62, 1 << 62),
-    "sort": (-1, -1),
-    "default": (esc._TABLE_SUM, esc._TABLE_SEEN),
+    "table": (1 << 62, 1 << 62, 1 << 62),
+    "sort": (-1, -1, -1),
+    "default": (esc._TABLE_SUM, esc._TABLE_SEEN, symbolic._BITSET_WORDS),
 }
+
+
+def set_tier(setattr_, name):
+    """Put every kernel on tier ``name``, through ``setattr_`` (the
+    builtin, or a ``monkeypatch.setattr``)."""
+    table_sum, table_seen, bitset_words = TIER_THRESHOLDS[name]
+    setattr_(esc, "_TABLE_SUM", table_sum)
+    setattr_(esc, "_TABLE_SEEN", table_seen)
+    setattr_(symbolic, "_BITSET_WORDS", bitset_words)
 
 
 def pytest_addoption(parser):
@@ -44,9 +55,10 @@ def pytest_addoption(parser):
     parser.addoption(
         "--accumulate-tier", choices=("table", "sort"), default=None,
         help="force every ESC chunk, Symbolic count and mask filter onto "
-             "the dense-table tier (where the semiring's add allows it) or "
-             "the sort tier, by setting the kernels' private density "
-             "thresholds (the library itself reads no option)",
+             "the dense-table tier (where the semiring's add allows it; "
+             "the bitset count for Symbolic) or the sort tier (the ESC "
+             "count), by setting the kernels' private density thresholds "
+             "(the library itself reads no option)",
     )
 
 
@@ -59,7 +71,7 @@ def pytest_configure(config):
         esc._CHUNK_PRODUCTS = target
     tier = config.getoption("--accumulate-tier")
     if tier is not None:
-        esc._TABLE_SUM, esc._TABLE_SEEN = TIER_THRESHOLDS[tier]
+        set_tier(setattr, tier)
 
 
 def to_scipy(m: SparseMatrix) -> sp.csc_matrix:

@@ -234,7 +234,10 @@ class TestChunkSizedWorkingSets:
         """A budgeted 3D run and SYMBOLIC3D, with the chunk target far
         below a tile's flops: the full expansion is never built, and no
         array the kernels expand, index or concatenate while they work on
-        a tile reaches that tile's flops."""
+        a tile reaches that tile's flops.  The Symbolic count may take
+        either tier: the ESC count walks product chunks, the bitset count
+        a table of at most ``max(target, ncols(A))`` words and gathered
+        blocks of at most ``max(target, one B column)`` words."""
         import threading
 
         import numpy as np
@@ -254,18 +257,43 @@ class TestChunkSizedWorkingSets:
 
         tile = threading.local()   # flops of the tile this rank is working on
         checked = {"numeric": 0, "symbolic": 0}
-        real_chunks = esc.product_chunks
+        real_chunks, real_count = esc.product_chunks, symbolic._bitset_count
+        real_table = symbolic._column_bitsets
 
-        def spying_chunks(a_tile, b_tile, semiring):
+        def many_chunks(a_tile, b_tile):
             flops = symbolic_flops(a_tile, b_tile)
             widest = int(flops_per_column(a_tile, b_tile).max(initial=0))
-            if flops >= 4 * (target + widest):   # a tile of many chunks
-                tile.flops = flops
+            return flops if flops >= 4 * (target + widest) else None
+
+        def spying_chunks(a_tile, b_tile, semiring):
+            tile.flops = many_chunks(a_tile, b_tile)
+            if tile.flops is not None:
                 checked["symbolic" if semiring is None else "numeric"] += 1
             try:
                 yield from real_chunks(a_tile, b_tile, semiring)
             finally:
                 tile.flops = None
+
+        def spying_count(a_tile, b_tile, rank, words):
+            tile.flops = many_chunks(a_tile, b_tile)
+            if tile.flops is not None:
+                checked["symbolic"] += 1
+            tile.table_cap = max(target, a_tile.ncols)
+            tile.block_cap = max(
+                target, int(np.diff(b_tile.indptr).max(initial=0)) * words)
+            try:
+                return real_count(a_tile, b_tile, rank, words)
+            finally:
+                tile.flops = tile.table_cap = tile.block_cap = None
+
+        def bounded(fn, cap):
+            def checking(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                limit = getattr(tile, cap, None)
+                assert limit is None or out.size <= limit, (
+                    f"{fn.__name__} built {out.size} words, over {limit}")
+                return out
+            return checking
 
         def sized(fn):
             def checking(*args, **kwargs):
@@ -281,6 +309,10 @@ class TestChunkSizedWorkingSets:
         monkeypatch.setattr(esc, "expand_products", refuse)
         for module in (esc, masked, symbolic):
             monkeypatch.setattr(module, "product_chunks", spying_chunks)
+        monkeypatch.setattr(symbolic, "_bitset_count", spying_count)
+        monkeypatch.setattr(symbolic, "_column_bitsets",
+                            sized(bounded(real_table, "table_cap")))
+        monkeypatch.setattr(np, "take", sized(bounded(np.take, "block_cap")))
         for name in ("repeat", "arange", "concatenate", "zeros", "empty"):
             monkeypatch.setattr(np, name, sized(getattr(np, name)))
 

@@ -2,13 +2,15 @@
 
 ``compress_chunks`` groups a column chunk through a dense table when its
 key space is a few times its products and by a stable sort otherwise; the
-symbolic count and the mask filter make the same choice for their bool
-tables.  The choice is a function of the tile's structure and must never
-show in the result: these tests force every consumer onto each tier by
-setting the private thresholds (as ``--accumulate-tier`` does for whole
-suites) and require identical bits — across tiers, across chunk targets,
-against the per-column SPA and hash loop kernels, and against a Python
-loop that adds coinciding entries left to right.
+symbolic pattern and the mask filter make the same choice for their bool
+tables, and the symbolic count chooses between bitsets (the "table" tier
+here) and the ESC count.  The choice is a function of the tile's
+structure and must never show in the result: these tests force every
+consumer onto each tier by setting the private thresholds (as
+``--accumulate-tier`` does for whole suites) and require identical
+bits — across tiers, across chunk targets, against the per-column SPA
+and hash loop kernels, and against a Python loop that adds coinciding
+entries left to right.
 """
 
 from unittest import mock
@@ -28,7 +30,7 @@ from repro.sparse.spgemm.hash import spgemm_hash
 from repro.sparse.spgemm.masked import mask_hits, spgemm_masked
 from repro.sparse.spgemm.spa import spgemm_spa
 from repro.sparse.spgemm.symbolic import symbolic_nnz, symbolic_pattern
-from tests.conftest import TIER_THRESHOLDS
+from tests.conftest import TIER_THRESHOLDS, set_tier
 from tests.sparse import test_chunked
 from tests.sparse.test_chunked import (
     ONE_CHUNK,
@@ -48,12 +50,7 @@ FORCED = ["sort", "table"]
 
 @pytest.fixture
 def tier(monkeypatch):
-    def set_tier(name):
-        table_sum, table_seen = TIER_THRESHOLDS[name]
-        monkeypatch.setattr(esc, "_TABLE_SUM", table_sum)
-        monkeypatch.setattr(esc, "_TABLE_SEEN", table_seen)
-
-    return set_tier
+    return lambda name: set_tier(monkeypatch.setattr, name)
 
 
 def consumers(a, b):
@@ -101,15 +98,18 @@ class TestForcing:
             symbolic_nnz(a, b)
 
     def test_sort_tier_builds_no_table(self, tier, monkeypatch):
-        """No consumer on the sort tier scatters into a table, and its sum
-        is left to right whether it is placed or ``bincount``-ed."""
+        """No consumer on the sort tier scatters into a table or counts by
+        bitsets, and its sum is left to right whether it is placed or
+        ``bincount``-ed."""
         a, b = FAMILIES["protein"]
         parts = split_by_inner(a, b, 4)
         triples = [np.concatenate(x) for x in zip(*(p.to_coo() for p in parts))]
         tier("sort")
         for place_min in (0, 1 << 62):
             monkeypatch.setattr(semiring_module, "_PLACE_MIN", place_min)
-            with mock.patch.object(esc, "key_table", side_effect=AssertionError):
+            with mock.patch.object(esc, "key_table", side_effect=AssertionError), \
+                    mock.patch.object(symbolic, "_column_bitsets",
+                                      side_effect=AssertionError):
                 for run in CONSUMERS["protein"].values():
                     run()
                 symbolic_nnz(a, b)
@@ -316,7 +316,7 @@ class TestLeftToRight:
         rows, cols, vals = (np.concatenate(x) for x in zip(*triples))
         want_rows, want_cols, want_vals = loop_dedup(nrows, rows, cols, vals)
         for forced in TIERS:
-            table_sum, table_seen = TIER_THRESHOLDS[forced]
+            table_sum, table_seen, _ = TIER_THRESHOLDS[forced]
             with mock.patch.multiple(
                     esc, _TABLE_SUM=table_sum, _TABLE_SEEN=table_seen):
                 merged = merge_grouped(pieces)

@@ -155,7 +155,7 @@ PATHS = st.fixed_dictionaries({
 @contextmanager
 def forced(paths):
     """The drawn paths, with inf - inf and overflow left to the values."""
-    table_sum, table_seen = TIER_THRESHOLDS[paths["tier"]]
+    table_sum, table_seen, _ = TIER_THRESHOLDS[paths["tier"]]
     with mock.patch.multiple(
             esc, _TABLE_SUM=table_sum, _TABLE_SEEN=table_seen,
             _CHUNK_PRODUCTS=paths["target"],
