@@ -108,8 +108,7 @@ class CommBackend(ABC):
         if self.retry is None:
             return req
         return Request(
-            wait_fn=lambda: self.retry.call(req.wait, comm=comm, op=op),
-            try_fn=req.test,
+            wait_fn=lambda: self.retry.call(req.wait, comm=comm, op=op)
         )
 
     def prepare_batch(self, comms, a_tile: SparseMatrix, b_batch: SparseMatrix) -> None:

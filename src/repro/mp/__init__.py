@@ -4,12 +4,13 @@ One OS process per rank — forked once per world and parked between
 regions (:class:`ProcessWorld`: ``start → submit(region)* → stop``) —
 queues for control traffic, shared-memory segments for bulk payloads.  The threaded simulator in
 :mod:`repro.simmpi` stays the deterministic reference; this package is
-the performance world — same :class:`~repro.simmpi.comm.SimComm` API,
-bit-identical products, real multicore speedup.
+the performance world — the same :class:`~repro.simmpi.comm.SimComm`
+ops over another carrier (:class:`MpWorld`), bit-identical products,
+real multicore speedup.
 """
 
 from .bridge import DriverCallback, set_runtime
-from .comm import MpComm, MpWorld
+from .comm import MpWorld
 from .engine import ProcessWorld
 from .shm import leaked_segments, sweep_segments
 from .transport import AUTO_THRESHOLD, TRANSPORTS, get_transport
@@ -18,7 +19,6 @@ __all__ = [
     "AUTO_THRESHOLD",
     "TRANSPORTS",
     "DriverCallback",
-    "MpComm",
     "MpWorld",
     "ProcessWorld",
     "get_transport",

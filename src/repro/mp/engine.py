@@ -54,16 +54,16 @@ import time
 from collections.abc import Callable
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _wait_any
-from types import SimpleNamespace
 from typing import Any
 
-from ..errors import HangError, RankCrashError
-from ..simmpi.comm import DEFAULT_TIMEOUT, World
+from ..errors import RankCrashError
+from ..simmpi.carrier import WaitRecord, diagnose, hang_error
+from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import PerRank, as_injector, settle
 from ..simmpi.tracker import CommTracker
 from . import bridge
 from .bridge import DriverCallback
-from .comm import MpComm, MpWorld, world_comm_id
+from .comm import MpWorld, world_comm_id
 from .shm import SegmentRegistry, sweep_segments
 from .transport import get_transport, reap_wire, receive
 
@@ -147,8 +147,8 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
         )
 
     try:
-        comm = MpComm(rt, world_comm_id(region),
-                      tuple(range(world.nprocs)), rank)
+        comm = SimComm(rt, world_comm_id(region),
+                       tuple(range(world.nprocs)), rank)
         value = world.fn(comm, *world.args, **world.kwargs,
                          **rt.transport.decode(wire))
         shipped = rt.transport.ship(value)
@@ -168,7 +168,7 @@ def _worker_main(world: ProcessWorld, rank: int) -> None:
             comm_file.write(f"repro-mp-rank-{rank}")
     except OSError:
         pass
-    rt = MpWorld(rank, world.nprocs, world.inboxes, world.failed,
+    rt = MpWorld(rank, world.inboxes, world.failed,
                  transport=world.transport, run_id=world.run_id)
     rt.results = world.results[rank]
     # keep only this rank's end of the job pipes: with no stray copies a
@@ -416,17 +416,13 @@ class ProcessWorld:
             if proc.exitcode not in (0, None):
                 failures[rank] = self._crash_error(rank, proc)
                 continue
-            failures[rank] = HangError(
+            me = WaitRecord(rank, "(outside comm)", "?", None, None, (),
+                            time.monotonic() - self.deadline_s, 0, proc.pid)
+            failures[rank] = hang_error("timeout", me, {}, head=(
                 f"rank {rank}: worker process (pid {proc.pid}) produced "
                 f"no result within the parent deadline "
-                f"({self.deadline_s:.1f}s) and was terminated",
-                kind="timeout",
-                dump={rank: {
-                    "rank": rank, "pid": proc.pid, "op": "(outside comm)",
-                    "tag": None, "pending": [],
-                    "blocked_s": round(self.deadline_s, 3),
-                }},
-            ).with_context(rank=rank, pid=proc.pid)
+                f"({self.deadline_s:.1f}s) and was terminated"
+            ))
 
         stats_rows = [self._encoder.stats()]
         self._encoder.reset_stats()
@@ -524,7 +520,7 @@ class ProcessWorld:
             op, step = self.fault_reports[grank]
             last_op = f"{op} @ {step}" if step else op
         elif grank in self.waits:
-            last_op = self.waits[grank].get("op")
+            last_op = self.waits[grank].op
         how = f"on {signame}" if signame else f"with exit code {exitcode}"
         return RankCrashError(
             f"rank {grank}: worker process (pid {proc.pid}) died "
@@ -554,74 +550,37 @@ class ProcessWorld:
     # ------------------------------------------------------------------ #
 
     def _notify_hang(self, grank: int, kind: str, nodes) -> None:
-        """Ship a classified hang to one blocked worker, which raises
-        the :class:`HangError` (same kinds as the threaded watchdog)."""
+        """Ship a classified hang to one blocked worker, which raises the
+        :class:`HangError` with the wait records of the ranks involved."""
         waits = self.waits
-        now = time.monotonic()
-        dump = {}
-        lines = []
-        for r in sorted({grank, *nodes} & set(waits)):
-            rec = waits[r]
-            blocked = round(max(now - rec["since"], 0.0), 3)
-            dump[r] = {
-                "rank": r, "pid": rec["pid"], "op": rec["op"],
-                "comm": rec["comm"], "tag": rec["tag"], "op_id": None,
-                "pending": list(rec["pending"]), "blocked_s": blocked,
-                "heartbeat": rec.get("heartbeat", 0),
-            }
-            lines.append(
-                f"  rank {r}: {rec['op']} on {rec['comm']}"
-                + (f" tag {rec['tag']}" if rec["tag"] is not None else "")
-                + f" waiting on {list(rec['pending'])} for {blocked}s"
-                f" in pid {rec['pid']}"
-            )
-        rec = waits[grank]
-        if kind == "deadlock":
-            head = (
-                f"deadlock: cyclic wait among ranks "
-                f"{' -> '.join(str(r) for r in nodes)} -> {nodes[0]} "
-                "(cross-process wait-for graph, confirmed on two sweeps)"
-            )
-        else:
-            head = (
-                f"rank {grank} (worker process pid {rec['pid']}): "
-                f"{rec['op']} waits on rank(s) "
-                f"{', '.join(str(p) for p in nodes)} whose worker "
-                "already left the region and can never arrive"
-            )
-        self._post(grank, ("ctl", "hang", kind, tuple(nodes), dump,
-                           "\n".join([head, *lines]), rec["since"]))
-        self.hang_sent = (grank, rec["since"])
+        since = waits[grank].since
+        records = {r: waits[r] for r in {grank, *nodes} if r in waits}
+        self._post(grank, ("ctl", "hang", kind, tuple(nodes), records, since))
+        self.hang_sent = (grank, since)
 
     def _watchdog_sweep(self) -> None:
-        """Cross-process deadlock / peer-exited classification."""
+        """Cross-process deadlock / peer-exited classification: the
+        thread watchdog's :func:`diagnose` over the shipped wait records,
+        with the ranks that reported as the ones that left."""
         waits = self.waits
         if self.hang_sent is not None:
             # an outstanding notice is bound to one specific wait; if
             # that wait resolved anyway (the data raced in), the worker
             # dropped the stale notice and the watchdog re-arms
             g, s = self.hang_sent
-            if g in waits and waits[g]["since"] == s:
+            if g in waits and waits[g].since == s:
                 return
             self.hang_sent = None
-        if self.failed.is_set() or not waits:
-            self.prev_cycle_sig = None
-            return
-        for g in sorted(waits):
-            gone = tuple(p for p in waits[g]["pending"] if p in self.meters)
-            if gone:
-                self._notify_hang(g, "peer-exited", gone)
+        verdicts = [] if self.failed.is_set() else [
+            (g, v) for g in sorted(waits)
+            if (v := diagnose(waits, self.meters, g)) is not None
+        ]
+        for g, (kind, nodes, _) in verdicts:
+            if kind == "peer-exited":
+                self._notify_hang(g, kind, nodes)
                 return
-        # the ``.pending`` surface World._find_cycle walks
-        nodes = {g: SimpleNamespace(pending=tuple(rec["pending"]))
-                 for g, rec in waits.items()}
-        for g in sorted(nodes):
-            cycle = World._find_cycle(nodes, g)
-            if cycle:
-                sig = tuple((r, waits[r]["since"]) for r in cycle)
-                if sig == self.prev_cycle_sig:
-                    self._notify_hang(cycle[0], "deadlock", tuple(cycle))
-                else:
-                    self.prev_cycle_sig = sig
-                return
-        self.prev_cycle_sig = None
+        sig = verdicts[0][1][2] if verdicts else None
+        if sig is not None and sig == self.prev_cycle_sig:
+            cycle = verdicts[0][1][1]
+            self._notify_hang(cycle[0], "deadlock", cycle)
+        self.prev_cycle_sig = sig

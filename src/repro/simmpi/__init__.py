@@ -8,9 +8,11 @@ with mpi4py-like semantics:
 * :func:`run_spmd` launches ``p`` ranks as threads, each executing the same
   function with its own :class:`SimComm`;
 * :class:`SimComm` supports ``barrier`` / ``bcast`` / ``allreduce`` /
-  ``allgather`` / ``alltoall`` / ``alltoallv`` / ``split`` with MPI
-  collective semantics, plus tag-matched
-  ``send``/``recv``/``isend``/``irecv`` point-to-point;
+  ``allgather`` / ``alltoall`` / ``alltoallv`` with MPI collective
+  semantics, ``derive`` for sub-communicators, plus tag-matched
+  ``send``/``recv``/``isend``/``irecv`` point-to-point — each op written
+  once over a carrier endpoint (:mod:`repro.simmpi.carrier`), so the
+  process world (:mod:`repro.mp`) runs the very same ops;
 * every collective is **metered**: a :class:`CommTracker` records payload
   bytes, message counts and communicator sizes per named algorithm step,
   which the α–β machine model turns into projected times at paper scale.
@@ -23,8 +25,9 @@ For resilience testing the runtime also carries a deterministic fault
 layer (:mod:`repro.simmpi.faults`): a seeded :class:`FaultPlan` drives a
 :class:`FaultInjector` hooked into every communicator operation, and
 per-message checksums (:mod:`repro.simmpi.serialization`) catch injected
-in-flight corruption.  Every blocking rendezvous is supervised by a hang
-watchdog (wait-for graph in :class:`~repro.simmpi.comm.World`).  A rank
+in-flight corruption.  Every blocking wait is supervised by a hang
+watchdog (the wait-for graph and classifier of
+:mod:`repro.simmpi.carrier`).  A rank
 that dies ends its region with a :class:`~repro.errors.RankCrashError`;
 what happens next is the driver's business (:mod:`repro.resilience`).
 """

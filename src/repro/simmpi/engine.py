@@ -3,7 +3,8 @@
 Each rank runs in its own thread with its own :class:`SimComm` on the
 world communicator.  NumPy releases the GIL inside its C kernels, so local
 multiplies overlap; the collectives serialise through condition variables
-exactly where real MPI would synchronise.
+exactly where real MPI would synchronise (each rank's carrier endpoint
+is a :class:`~repro.simmpi.carrier.ThreadEndpoint`).
 
 Failure semantics (:func:`settle`, shared with the process world): if any
 rank raises, the world is aborted (all blocked collectives wake and raise
@@ -30,7 +31,8 @@ from collections.abc import Callable
 from typing import Any
 
 from ..errors import CommError, SpmdError
-from .comm import DEFAULT_TIMEOUT, SimComm, World
+from .carrier import World
+from .comm import DEFAULT_TIMEOUT, SimComm
 from .faults import FaultInjector, FaultPlan
 from .tracker import CommTracker
 
@@ -186,7 +188,7 @@ class ThreadWorld:
         if isinstance(world_info, dict):
             world_info.update({"world": "threads", "transport": None})
         world = World(
-            self.nprocs, tracker=tracker, timeout=timeout,
+            self.nprocs, self.stores, tracker=tracker, timeout=timeout,
             injector=as_injector(faults), checksums=checksums,
         )
         # one slot per rank, each written by that rank's thread only
@@ -215,8 +217,8 @@ class ThreadWorld:
         """One rank's part of a region: run the body, file what it
         returned or raised."""
         try:
-            comm = SimComm(world, ("world",), tuple(range(self.nprocs)), rank)
-            world.store = self.stores[rank]
+            comm = SimComm(world.endpoints[rank], ("world",),
+                           tuple(range(self.nprocs)), rank)
             results[rank] = self.fn(
                 comm, *self.args, **self.kwargs,
                 **PerRank.pick(submitted, rank),

@@ -225,7 +225,7 @@ class FaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan` against one SPMD run.
 
-    One injector per :class:`~repro.simmpi.comm.World`.  Attempt and
+    One injector per :class:`~repro.simmpi.carrier.World`.  Attempt and
     delivery counters are per ``(rank, op)``; since each rank runs on its
     own thread and only touches its own counters, counting is lock-free.
     The event log is shared and lock-protected.

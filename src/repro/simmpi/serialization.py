@@ -9,7 +9,7 @@ the wire); containers sum their elements.
 This module also owns per-message integrity: :func:`payload_checksum`
 computes a deterministic CRC32 over a payload's content, and
 :class:`Envelope` pairs a payload with its checksum for transit.  When a
-:class:`~repro.simmpi.comm.World` runs with checksums enabled, every
+:class:`~repro.simmpi.carrier.World` runs with checksums enabled, every
 broadcast / point-to-point / all-to-all message travels enveloped and is
 verified on receipt; a mismatch (injected corruption) triggers a metered
 redelivery instead of silently propagating garbage.  An envelope's wire

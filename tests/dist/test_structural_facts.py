@@ -142,25 +142,29 @@ def _describe(comm):
     return comm.members, comm.rank, comm.size
 
 
-def _split_reference(world, grid):
-    """``GridComms.build`` as it was: four ``split`` rendezvous."""
-    i, j, k = grid.coords(world.rank)
+def _grid_groups(grid, rank):
+    """The row, column, fiber and layer of ``rank`` from coordinates
+    alone: the ranks that share all of ``(i, j, k)`` but the varying one
+    (the layer shares ``k``), ordered by what varies."""
+    i, j, k = grid.coords(rank)
+    coords = {r: grid.coords(r) for r in range(grid.nprocs)}
+
+    def group(same, order):
+        members = [r for r, c in coords.items() if same(c)]
+        return tuple(sorted(members, key=lambda r: order(coords[r])))
+
     return (
-        world.split(color=k * grid.pr + i, key=j),
-        world.split(color=k * grid.pc + j, key=i),
-        world.split(color=i * grid.pc + j, key=k),
-        world.split(color=k, key=i * grid.pc + j),
+        group(lambda c: (c[0], c[2]) == (i, k), lambda c: c[1]),
+        group(lambda c: (c[1], c[2]) == (j, k), lambda c: c[0]),
+        group(lambda c: c[:2] == (i, j), lambda c: c[2]),
+        group(lambda c: c[2] == k, lambda c: c[:2]),
     )
 
 
-def _build_and_reference(comm, grid):
+def _build(comm, grid):
     built = GridComms.build(comm, grid)
-    ids = [c.comm_id for c in (built.row, built.col, built.fiber, built.layer)]
-    return (
-        [_describe(c) for c in (built.row, built.col, built.fiber, built.layer)],
-        [_describe(c) for c in _split_reference(comm, grid)],
-        ids,
-    )
+    comms = (built.row, built.col, built.fiber, built.layer)
+    return [_describe(c) for c in comms], [c.comm_id for c in comms]
 
 
 def _row_size(comm, grid):
@@ -197,24 +201,27 @@ def _abort_after_build(comm, grid, *, boom):
 
 class TestGridCommsAreDerived:
     @pytest.mark.parametrize("nprocs,layers", GRIDS)
-    def test_same_groups_as_split(self, nprocs, layers):
+    def test_groups_are_the_grid_rank_sets(self, nprocs, layers):
         grid = ProcGrid3D(nprocs, layers)
-        out = run_spmd(nprocs, _build_and_reference, grid)
-        for built, reference, _ids in out:
-            assert built == reference
+        out = run_spmd(nprocs, _build, grid)
+        for rank, (built, _ids) in enumerate(out):
+            assert built == [
+                (group, group.index(rank), len(group))
+                for group in _grid_groups(grid, rank)
+            ]
         # one id per group, the same on every member
         for which in range(4):
             by_group = {}
-            for (built, _ref, ids) in out:
+            for (built, ids) in out:
                 by_group.setdefault(built[which][0], set()).add(ids[which])
             assert all(len(ids) == 1 for ids in by_group.values())
             assert len({next(iter(ids)) for ids in by_group.values()}) == len(by_group)
 
     def test_build_needs_no_rendezvous(self, monkeypatch):
-        def refuse(self, payload, op="collective"):
+        def refuse(self, payload, op):
             raise AssertionError(f"GridComms.build exchanged a {op}")
 
-        monkeypatch.setattr(SimComm, "_exchange", refuse)
+        monkeypatch.setattr(SimComm, "_relay", refuse)
         assert run_spmd(8, _row_size, ProcGrid3D(8, 2)) == [2] * 8
 
     @pytest.mark.parametrize("world", WORLDS)

@@ -6,11 +6,13 @@ communication-meter aggregates, same memory high-water marks.  This is
 the contract that makes ``world="processes"`` a pure performance knob.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.dist import DistContext
-from repro.simmpi import CommTracker
+from repro.simmpi import CommTracker, run_spmd
 from repro.sparse import multiply, random_sparse
 from repro.summa import (
     batched_summa3d,
@@ -158,3 +160,66 @@ class TestSurfaces:
             out[world] = ctx.gather(hc)
         assert out["threads"].allclose(ref)
         assert dense_equal(out["threads"], out["processes"])
+
+
+def _every_op(comm):
+    """Each communicator op once, on a 4-rank world and its pairs."""
+    payload = np.arange(64, dtype=np.float64) * (comm.rank + 1)
+    with comm.step("ops"):
+        comm.barrier()
+        got = comm.bcast(payload if comm.rank == 1 else None, root=1)
+        gathered = comm.allgather(comm.rank)
+        total = comm.allreduce(payload)
+        a2a = comm.alltoall([payload[: d + 1] for d in range(comm.size)])
+        with comm.backend_scope("sparse"):
+            a2av = comm.alltoallv(
+                [list(range(comm.rank + d)) for d in range(comm.size)]
+            )
+    first = comm.rank // 2 * 2
+    pair = comm.derive(comm.rank // 2, [first, first + 1])
+    with pair.step("p2p"):
+        peer = 1 - pair.rank
+        pair.send(payload[: comm.rank + 1], dest=peer, tag=3)
+        sent = pair.isend(comm.rank, dest=peer, tag=5)
+        five = pair.irecv(source=peer, tag=5)
+        three = pair.recv(source=peer, tag=3)
+        sent.wait()
+    return (float(got.sum()), gathered, float(total.sum()),
+            [float(x.sum()) for x in a2a], a2av, float(three.sum()),
+            five.wait())
+
+
+#: the event multiset of :func:`_every_op` as the two-implementation
+#: communicator recorded it (threads, naive and shm alike):
+#: ``(step, op, comm_size, nbytes, total_bytes, backend) -> count``
+EVERY_OP_EVENTS = {
+    ("ops", "barrier", 4, 0, 0, ""): 1,
+    ("ops", "bcast", 4, 512, 1536, ""): 1,
+    ("ops", "allgather", 4, 8, 96, ""): 1,
+    ("ops", "allreduce", 4, 512, 1536, ""): 1,
+    ("ops", "alltoall", 4, 80, 320, ""): 1,
+    ("ops", "alltoallv", 4, 144, 384, "sparse"): 1,
+    ("p2p", "send", 2, 8, 8, ""): 5,
+    ("p2p", "send", 2, 16, 16, ""): 1,
+    ("p2p", "send", 2, 24, 24, ""): 1,
+    ("p2p", "send", 2, 32, 32, ""): 1,
+}
+
+
+class TestEveryOp:
+    """One program issuing every op pins the meters across carriers."""
+
+    @pytest.mark.parametrize("world,transport", [
+        ("threads", "auto"), ("processes", "naive"), ("processes", "shm"),
+    ])
+    def test_same_values_and_events_on_every_carrier(self, world, transport):
+        reference = run_spmd(4, _every_op)
+        tracker = CommTracker()
+        out = run_spmd(4, _every_op, tracker=tracker, world=world,
+                       transport=transport)
+        assert out == reference
+        events = Counter(
+            (e.step, e.op, e.comm_size, e.nbytes, e.total_bytes, e.backend)
+            for e in tracker.events
+        )
+        assert events == EVERY_OP_EVENTS

@@ -8,6 +8,7 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import HangError, RankCrashError, SpmdError
@@ -218,6 +219,46 @@ class TestWatchdog:
             run_spmd(2, prog, world="processes", timeout=2.0,
                      transport="shm")
         assert _shm_names() <= before
+
+
+def _big_naive_bcast(comm, n):
+    got = comm.bcast(np.arange(n, dtype=np.float64) if comm.rank == 0 else None)
+    # every rank holds the whole payload: its length, a strided sample
+    # and its exact sum (integers below 2**53 add exactly)
+    return (got.shape == (n,)
+            and np.array_equal(got[::4099], np.arange(0, n, 4099))
+            and float(got.sum()) == n * (n - 1) / 2)
+
+
+class TestLargeNaiveBroadcast:
+    def test_64_mib_naive_bcast_at_p8_completes(self):
+        """The 64 MiB broadcast over pickled queues at p = 8 (seven
+        64 MiB pickles in flight at once) completes well inside its
+        timeout and delivers the payload to every rank."""
+        n = 64 * 2**20 // 8
+        out = run_spmd(8, _big_naive_bcast, n, world="processes",
+                       transport="naive", timeout=30)
+        assert out == [True] * 8
+
+    def test_a_rank_reports_after_its_messages_are_written(self):
+        """A rank whose send still sits in a queue feeder when it
+        reports would look gone to a peer waiting on that send — the
+        parent's peer-exited verdict.  ``finish`` (what runs before the
+        report) returns only once the 8 MiB message is in the pipe,
+        i.e. once the receiver, busy for 0.5 s, has read most of it."""
+        out = run_spmd(2, _send_then_finish, world="processes",
+                       transport="naive", timeout=10)
+        assert out[0] >= 0.4 and out[1], out
+
+
+def _send_then_finish(comm):
+    if comm.rank == 0:
+        comm.send(np.zeros(2**20), dest=1)
+        t0 = time.perf_counter()
+        comm.world.finish()
+        return time.perf_counter() - t0
+    time.sleep(0.5)
+    return comm.recv(source=0).shape == (2**20,)
 
 
 class TestShmCleanliness:

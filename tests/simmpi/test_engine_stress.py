@@ -26,8 +26,9 @@ class TestEngineStress:
         """Collectives on parent and child communicators interleave without
         cross-talk."""
         def prog(comm):
-            row = comm.split(color=comm.rank // 4, key=comm.rank)
-            col = comm.split(color=comm.rank % 4, key=comm.rank)
+            i, j = divmod(comm.rank, 4)
+            row = comm.derive(i, [4 * i + c for c in range(4)])
+            col = comm.derive(j, [4 * r + j for r in range(4)])
             results = []
             for _ in range(5):
                 results.append(row.allreduce(1))

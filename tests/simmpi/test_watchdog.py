@@ -7,6 +7,10 @@ wait-for graph of blocked ranks and classifies: a cycle observed on two
 consecutive sweeps is a deadlock (raised *fast*, long before the flat
 timeout); a pending peer whose thread already returned can never arrive
 (peer-exited); anything else is slow progress and must NOT trip it.
+
+Every test runs on both carriers: the thread world's watchdog runs in
+the blocked ranks, the process world's in the parent, and both give the
+same kinds, cycles and dump records.
 """
 
 import time
@@ -14,11 +18,16 @@ import time
 import pytest
 
 from repro.errors import HangError, SpmdError
-from repro.simmpi import run_spmd
+
+from tests.simmpi.worlds import OnThreads, process_twins
 
 # Small flat timeout so the backstop tests stay fast; the watchdog
 # interval derives from it (timeout / 20, clamped to [0.05, 1.0]).
 TIMEOUT = 12.0
+
+#: what every wait record of a dump names (a worker's also its ``pid``)
+DUMP_KEYS = {"rank", "op", "comm", "tag", "op_id", "pending", "blocked_s",
+             "heartbeat"}
 
 
 def _hang_failures(excinfo) -> dict:
@@ -28,7 +37,7 @@ def _hang_failures(excinfo) -> dict:
     return hangs
 
 
-class TestDeadlockDetection:
+class TestDeadlockDetection(OnThreads):
     def test_two_rank_recv_cycle_is_classified_fast(self):
         """rank 0 recvs from 1 while 1 recvs from 0: a provable cycle,
         raised well before the flat timeout and naming both ranks."""
@@ -42,7 +51,7 @@ class TestDeadlockDetection:
 
         t0 = time.monotonic()
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=TIMEOUT)
+            self.spmd(2, prog, timeout=TIMEOUT)
         elapsed = time.monotonic() - t0
         assert elapsed < TIMEOUT * 0.75, "deadlock should beat the flat timeout"
         hangs = _hang_failures(info)
@@ -59,7 +68,7 @@ class TestDeadlockDetection:
             return comm.recv(source=nxt, tag=0)
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(3, prog, timeout=TIMEOUT)
+            self.spmd(3, prog, timeout=TIMEOUT)
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "deadlock"
         assert set(err.cycle) == {0, 1, 2}
@@ -73,10 +82,13 @@ class TestDeadlockDetection:
             return None
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=TIMEOUT)
+            self.spmd(2, prog, timeout=TIMEOUT)
         err = next(iter(_hang_failures(info).values()))
         assert err.dump, "HangError must carry a per-rank dump"
         for record in err.dump.values():
+            assert set(record) == DUMP_KEYS | (
+                {"pid"} if self.world == "processes" else set()
+            )
             assert record["op"] == "recv"
             assert record["tag"] == 42
             assert "pending" in record and "blocked_s" in record
@@ -85,7 +97,7 @@ class TestDeadlockDetection:
         assert err.context["peers"]
 
 
-class TestPeerExited:
+class TestPeerExited(OnThreads):
     def test_collective_after_peer_returned(self):
         """A rank that returns without joining the barrier can never
         arrive — classified immediately, not after the flat timeout."""
@@ -98,7 +110,7 @@ class TestPeerExited:
 
         t0 = time.monotonic()
         with pytest.raises(SpmdError) as info:
-            run_spmd(3, prog, timeout=TIMEOUT)
+            self.spmd(3, prog, timeout=TIMEOUT)
         assert time.monotonic() - t0 < TIMEOUT * 0.75
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "peer-exited"
@@ -106,7 +118,7 @@ class TestPeerExited:
         assert "already returned" in str(err)
 
 
-class TestSlowIsNotHung:
+class TestSlowIsNotHung(OnThreads):
     def test_slow_rank_does_not_trip_watchdog(self):
         """A rank computing past several watchdog sweeps is slow, not
         hung: it holds no wait record, so no cycle can pass through it
@@ -118,7 +130,7 @@ class TestSlowIsNotHung:
             comm.barrier()
             return comm.allreduce(comm.rank)
 
-        results = run_spmd(3, prog, timeout=TIMEOUT)
+        results = self.spmd(3, prog, timeout=TIMEOUT)
         assert results == [3, 3, 3]
 
     def test_slow_p2p_sender_does_not_trip_watchdog(self):
@@ -129,10 +141,10 @@ class TestSlowIsNotHung:
                 return None
             return comm.recv(source=0, tag=5)
 
-        assert run_spmd(2, prog, timeout=TIMEOUT) == [None, 123]
+        assert self.spmd(2, prog, timeout=TIMEOUT) == [None, 123]
 
 
-class TestFlatTimeoutBackstop:
+class TestFlatTimeoutBackstop(OnThreads):
     def test_unclassifiable_stall_still_times_out(self):
         """A stall with no cycle and no exited peer (the stuck rank never
         returns) falls back to the flat timeout with kind='timeout'."""
@@ -145,7 +157,15 @@ class TestFlatTimeoutBackstop:
             return None
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=1.5)
+            self.spmd(2, prog, timeout=1.5)
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "timeout"
         assert "timed out" in str(err)
+
+
+globals().update(process_twins(
+    TestDeadlockDetection,
+    TestPeerExited,
+    TestSlowIsNotHung,
+    TestFlatTimeoutBackstop,
+))

@@ -289,6 +289,36 @@ def test_the_supervisors_share_one_settle_rule():
         assert calls, path
 
 
+def test_one_communicator_two_carriers():
+    """Every op is written once, in ``SimComm``, over a carrier endpoint:
+    no class under ``mp/`` defines an op of its own, one function builds
+    every :class:`HangError` of both worlds, and the parent's watchdog
+    classifies with the thread world's :func:`diagnose` — not by reaching
+    into a class through a stand-in object."""
+    from repro.simmpi.comm import SimComm
+
+    ops = {name for name in vars(SimComm) if not name.startswith("_")}
+    overrides = [
+        f"{path.name}:{cls.name}.{fn.name}"
+        for path in sorted((SRC / "mp").rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ops
+    ]
+    assert not overrides, overrides
+    builders = {
+        (path.name, fn.name)
+        for path in ENGINES
+        for fn in functions(path)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "HangError"
+    }
+    assert builders == {("carrier.py", "hang_error")}, builders
+    assert not _grep(re.compile(r"SimpleNamespace|World\._find_cycle"), ENGINES)
+
+
 GEOMETRY = [
     *sorted((SRC / "grid").rglob("*.py")), *sorted((SRC / "summa").rglob("*.py")),
 ]
@@ -296,12 +326,12 @@ GEOMETRY = [
 
 def test_grid_communicators_are_derived_not_negotiated():
     """No run path calls ``split`` on a communicator: ``GridComms.build``
-    derives the four groups locally (``SimComm.split`` stays as the
-    general MPI-style API, exercised by ``tests/simmpi``)."""
+    derives the four groups locally, and ``SimComm`` has no ``split``."""
     split_call = re.compile(r"\.split\(")
     assert not _grep(
         split_call, [*GEOMETRY, *sorted((SRC / "dist").rglob("*.py"))]
     )
+    assert not _grep(re.compile(r"def split\("), ENGINES)
 
 
 def test_partition_boundaries_come_from_split_bounds_only():
