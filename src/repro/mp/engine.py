@@ -50,6 +50,7 @@ import pickle
 import queue as _queue
 import signal
 import sys
+import threading
 import time
 from collections.abc import Callable
 from multiprocessing import resource_tracker
@@ -191,6 +192,9 @@ def _worker_main(world: ProcessWorld, rank: int) -> None:
         # peer inboxes may never be drained again and are abandoned
         rt.abandon()
         try:
+            # the last thing this rank tells the parent: from here on it
+            # holds nothing shared, only its own teardown is left
+            rt.results.put(("bye", rank))
             rt.results.close()
             rt.results.join_thread()
         except Exception:
@@ -207,6 +211,37 @@ def _worker_main(world: ProcessWorld, rank: int) -> None:
         # spray harmless SharedMemory.__del__ BufferErrors over stderr
         # when a handle dies before its views
         os._exit(code)
+
+
+class _Reaper:
+    """One daemon thread that joins worker processes which already said
+    bye: all that is left of them is the kernel's teardown of their copy
+    of the parent's address space, which nobody needs to wait for.
+    Started on first use and again in a forked child (threads do not
+    survive a fork)."""
+
+    def __init__(self) -> None:
+        self.thread: threading.Thread | None = None
+        self.todo: _queue.SimpleQueue = _queue.SimpleQueue()
+
+    def reap(self, procs) -> None:
+        if self.thread is None or not self.thread.is_alive():
+            self.todo = _queue.SimpleQueue()
+            self.thread = threading.Thread(
+                target=self._run, args=(self.todo,),
+                name="repro-mp-reaper", daemon=True,
+            )
+            self.thread.start()
+        self.todo.put(procs)
+
+    @staticmethod
+    def _run(todo) -> None:
+        while True:
+            for proc in todo.get():
+                proc.join()
+
+
+_reaper = _Reaper()
 
 
 class ProcessWorld:
@@ -275,8 +310,10 @@ class ProcessWorld:
         return self
 
     def stop(self) -> int:
-        """Reap every worker, sweep this world's shm segments, close the
+        """Let every worker go, sweep this world's shm segments, close the
         queues; returns the number of segments swept (0 on a clean world).
+        A worker that said bye is reaped in the background, the others
+        (dead, or terminated after a grace period) before returning.
         Idempotent, and on *every* way out of a world — a parent-side
         exception in a driver callback included."""
         if self.pending is None:
@@ -285,14 +322,20 @@ class ProcessWorld:
         self.failed.set()  # ranks still inside a region abort their waits
         for grank in pending:  # read once the rank is parked
             self._submit_job(grank, None)
-        grace = time.monotonic() + 2.0
-        for proc in pending.values():
-            proc.join(timeout=max(grace - time.monotonic(), 0.0))
-        for proc in pending.values():
+        byes = self._await_byes(pending, time.monotonic() + 2.0)
+        for grank, proc in pending.items():
+            if grank in byes:
+                continue
             if proc.is_alive():
                 proc.terminate()
-                proc.join(timeout=5.0)
-        # every worker joined (or was killed): nothing can attach now
+            proc.join(timeout=5.0)
+        # a rank that said bye holds nothing any more: only the kernel's
+        # teardown of its copy of our address space is left (milliseconds
+        # per rank under a big parent), waited out off the caller's path
+        if byes:
+            _reaper.reap([pending[grank] for grank in byes])
+        # every worker said bye, was joined or was killed: nothing can
+        # attach now
         swept = sweep_segments(self.run_id)
         for q in (*self.inboxes, *self.results):
             try:
@@ -303,6 +346,37 @@ class ProcessWorld:
         for _reader, writer in self.jobs:
             writer.close()
         return swept
+
+    def _await_byes(self, pending: dict, grace: float) -> set:
+        """Wait until every rank in ``pending`` said bye (its last
+        message) or died, at most until ``grace``; returns the ranks that
+        said bye.  What else a stopped rank still reports is dropped."""
+        byes: set = set()
+        left = dict(pending)
+        while left:
+            for grank in list(left):
+                if self._said_bye(grank):
+                    byes.add(grank)
+                    del left[grank]
+                elif not left[grank].is_alive():
+                    del left[grank]
+            timeout = grace - time.monotonic()
+            if not left or timeout <= 0:
+                break
+            _wait_any([*(self.results[g]._reader for g in left),
+                       *(p.sentinel for p in left.values())], timeout=timeout)
+        return byes
+
+    def _said_bye(self, grank: int) -> bool:
+        while True:
+            try:
+                msg = self.results[grank].get_nowait()
+            except (_queue.Empty, OSError, EOFError):
+                return False
+            except Exception:  # a late report that does not unpickle
+                continue
+            if msg[0] == "bye":
+                return True
 
     def submit(self, *, tracker: CommTracker | None = None,
                timeout: float = DEFAULT_TIMEOUT, world_info: dict | None = None,

@@ -156,6 +156,24 @@ class TestSupervisorLatency:
         # poll tick later
         assert 0.09 <= min(walls) < 0.09 + 0.050, walls
 
+    def test_stop_returns_on_bye_and_reaps_in_the_background(self):
+        """``stop`` waits for every rank's bye, not for its exit: the
+        workers then leave on their own (none is terminated) and are
+        reaped without another call."""
+        from repro.simmpi.engine import open_world
+
+        world = open_world(4, _noop, world="processes")
+        assert world.submit() == [0, 1, 2, 3]
+        assert world.stop() == 0
+        procs = list(world.procs.values())
+        # a zombie keeps its /proc entry: these go only once reaped
+        deadline = time.monotonic() + 5.0
+        while (any(os.path.exists(f"/proc/{p.pid}") for p in procs)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert not [p.pid for p in procs if os.path.exists(f"/proc/{p.pid}")]
+        assert [p.exitcode for p in procs] == [0, 0, 0, 0]
+
 
 class TestWatchdog:
     def test_hang_dump_names_the_stuck_process_pid(self):
