@@ -52,86 +52,45 @@ class StagePrefetch:
         """Block until the stage's B operand has arrived; return it."""
         return self._b.wait()
 
-    @classmethod
-    def ready(cls, a_tile: SparseMatrix, b_tile: SparseMatrix) -> "StagePrefetch":
-        """A prefetch that already completed (both operands in hand)."""
-        return cls(
-            Request(ready=True, value=a_tile),
-            Request(ready=True, value=b_tile),
-        )
-
 
 class CommBackend(ABC):
     """How SUMMA moves operand tiles and fiber pieces between ranks.
 
     ``prepare_batch`` runs once per batch before the stage loop (the hook
     the sparse backend uses for its symbolic prologue); the three movement
-    methods run inside the corresponding metered step contexts.
+    methods run inside the corresponding metered step contexts.  Retries
+    and receive-buffer charges are not a backend's business: the rank's
+    endpoint retries every op at its entry and charges every payload it
+    delivers (:class:`~repro.simmpi.comm.SimComm`).
     """
 
     #: registry key and the tag attached to every CommEvent this backend
     #: records.
     name: str = ""
 
-    #: optional :class:`~repro.resilience.RetryPolicy` applied around each
-    #: individual communication attempt.  Injected transient faults raise
-    #: at operation entry (before any rendezvous state advances), so
-    #: re-calling the primitive on the failing rank alone is always safe.
-    retry = None
-
-    #: optional :class:`~repro.mem.MemoryLedger` this backend charges its
-    #: received buffers to; installed per rank by the SPMD core alongside
-    #: ``retry``.  Both concrete backends call :meth:`_charge_recv` on
-    #: every payload they deliver, so recv-buffer spikes are accounted at
-    #: the backend boundary whichever wire path the bytes took.
-    ledger = None
-
-    def _charge_recv(self, obj) -> None:
-        """Record a received payload as a momentary ``recv_buffer`` spike
-        (the receiving step's handle takes over the persistent charge)."""
-        if self.ledger is not None:
-            from ..mem import nbytes_of
-
-            self.ledger.touch("recv_buffer", nbytes_of(obj))
-
-    def _call(self, comm, op: str, fn):
-        """Run one communication attempt under the retry policy (if any)."""
-        if self.retry is None:
-            return fn()
-        return self.retry.call(fn, comm=comm, op=op)
-
-    def _guard(self, comm, op: str, req: Request) -> Request:
-        """Wrap a nonblocking request so its completing ``wait`` (a
-        ``recv`` that may hit an injected transient fault at entry) is
-        retried under the policy.  A failed ``wait`` leaves the request
-        incomplete, so re-waiting re-runs the receive cleanly."""
-        if self.retry is None:
-            return req
-        return Request(
-            wait_fn=lambda: self.retry.call(req.wait, comm=comm, op=op)
-        )
-
     def prepare_batch(self, comms, a_tile: SparseMatrix, b_batch: SparseMatrix) -> None:
         """Per-batch prologue; default no-op."""
 
-    def _ibcast(self, comm, obj, stage: int) -> Request:
-        """Nonblocking ``ibcast``-shaped fan-out with retry applied to
-        each individual ``isend`` — never to the fan-out as a whole,
-        which would re-send to peers that already got their copy and
-        leave a stale duplicate for a later stage's tag to match.
+    @staticmethod
+    def _fan_out(comm, tile, stage: int, cut=None, requests=None) -> Request:
+        """Nonblocking root fan-out of stage ``stage``'s operand, tagged by
+        stage so in-flight stages never cross-match.  The root sends
+        (``isend``) peer ``t`` the whole ``tile``, or ``cut(tile, requests[t])`` — the
+        part that peer asked for — and keeps ``tile``; every other member
+        holds an ``irecv``.  A send buffers at once, so the root's request
+        is born complete."""
+        if comm.rank != stage:
+            return comm.irecv(stage, tag=stage)
+        for t in range(comm.size):
+            if t != stage:
+                comm.isend(tile if cut is None else cut(tile, requests[t]),
+                           t, tag=stage)
+        return Request(ready=True, value=tile)
 
-        Shared across backends: the dense backend prefetches every
-        operand this way, and the sparse backend falls back to it for
-        *dense* operands (a dense panel has no nonzero structure to
-        thin, so collectives are the right path on any backend)."""
-        if comm.rank == stage:
-            for t in range(comm.size):
-                if t != stage:
-                    self._call(
-                        comm, "send", lambda t=t: comm.isend(obj, t, tag=stage)
-                    )
-            return Request(ready=True, value=obj)
-        return self._guard(comm, "recv", comm.irecv(stage, tag=stage))
+    def _cuts(self, a_tile, b_batch) -> tuple:
+        """``(cut, requests)`` of each operand's stage fan-out (see
+        :meth:`_fan_out`); empty sends the whole operand."""
+        return (), ()
 
     def revoke(self) -> None:
         """Discard all cached per-run plan state.
@@ -151,10 +110,14 @@ class CommBackend(ABC):
     def bcast_b(self, comms, b_batch: SparseMatrix, stage: int) -> SparseMatrix:
         """Deliver the stage's B operand along the column communicator."""
 
-    @abstractmethod
     def fiber_exchange(self, comms, sendlist: list) -> list:
         """Personalised exchange of fiber pieces along the fiber
-        communicator; returns the received pieces indexed by source."""
+        communicator; returns the received pieces indexed by source.
+        Fiber pieces are exact output partials — nothing to filter — so
+        every backend ships them whole, by ``alltoallv`` (true
+        per-destination volumes, under the backend's tag)."""
+        with comms.fiber.backend_scope(self.name):
+            return comms.fiber.alltoallv(sendlist)
 
     def prefetch_stage(
         self, comms, a_tile: SparseMatrix, b_batch: SparseMatrix, stage: int
@@ -164,23 +127,21 @@ class CommBackend(ABC):
         Called by the rank program (:func:`repro.summa.exec.run_batches`
         under ``overlap="depth1"``) while the *previous* stage's local
         multiply has yet to run; it waits on the returned
-        :class:`StagePrefetch` inside the stage's own broadcast spans.  All ranks issue prefetches at the
-        same program point, so any collective used here still lines up.
-
-        The base implementation is a correct-but-unoverlapped fallback
-        for backends that only define the blocking paths: it completes
-        both movements immediately (metered under the usual broadcast
-        step labels) and returns a finished prefetch.
+        :class:`StagePrefetch` inside the stage's own broadcast spans.
+        Both operands leave by :meth:`_fan_out`, cut per :meth:`_cuts`,
+        metered under the usual broadcast step labels.  All ranks issue
+        prefetches at the same program point.
         """
         # lazy import: repro.summa.core imports repro.comm, so the step
         # vocabulary must not be pulled in at module import time.
         from ..summa.trace import STEP_A_BCAST, STEP_B_BCAST
 
-        with comms.row.step(STEP_A_BCAST):
-            a = self.bcast_a(comms, a_tile, stage)
-        with comms.col.step(STEP_B_BCAST):
-            b = self.bcast_b(comms, b_batch, stage)
-        return StagePrefetch.ready(a, b)
+        cut_a, cut_b = self._cuts(a_tile, b_batch)
+        with comms.row.step(STEP_A_BCAST), comms.row.backend_scope(self.name):
+            a_req = self._fan_out(comms.row, a_tile, stage, *cut_a)
+        with comms.col.step(STEP_B_BCAST), comms.col.backend_scope(self.name):
+            b_req = self._fan_out(comms.col, b_batch, stage, *cut_b)
+        return StagePrefetch(a_req, b_req)
 
 
 class DenseCollective(CommBackend):
@@ -188,50 +149,19 @@ class DenseCollective(CommBackend):
 
     Every stage broadcasts the whole tile to every row/column member and
     the fiber exchange ships whole pieces — the cost model of the paper's
-    Table II, now tagged ``backend="dense"`` in the tracker.
+    Table II, now tagged ``backend="dense"`` in the tracker.  A prefetched
+    stage fans the whole tile out point to point instead.
     """
 
     name = "dense"
 
     def bcast_a(self, comms, a_tile: SparseMatrix, stage: int) -> SparseMatrix:
         with comms.row.backend_scope(self.name):
-            recv = self._call(
-                comms.row, "bcast", lambda: comms.row.bcast(a_tile, root=stage)
-            )
-        if comms.row.rank != stage:
-            self._charge_recv(recv)
-        return recv
+            return comms.row.bcast(a_tile, root=stage)
 
     def bcast_b(self, comms, b_batch: SparseMatrix, stage: int) -> SparseMatrix:
         with comms.col.backend_scope(self.name):
-            recv = self._call(
-                comms.col, "bcast", lambda: comms.col.bcast(b_batch, root=stage)
-            )
-        if comms.col.rank != stage:
-            self._charge_recv(recv)
-        return recv
-
-    def fiber_exchange(self, comms, sendlist: list) -> list:
-        with comms.fiber.backend_scope(self.name):
-            received = self._call(
-                comms.fiber, "alltoallv",
-                lambda: comms.fiber.alltoallv(sendlist),
-            )
-        self._charge_recv(received)
-        return received
-
-    def prefetch_stage(
-        self, comms, a_tile: SparseMatrix, b_batch: SparseMatrix, stage: int
-    ) -> StagePrefetch:
-        """Issue both broadcasts as nonblocking ``ibcast``-shaped
-        fan-outs, tagged by stage so in-flight stages never cross-match."""
-        from ..summa.trace import STEP_A_BCAST, STEP_B_BCAST
-
-        with comms.row.step(STEP_A_BCAST), comms.row.backend_scope(self.name):
-            a_req = self._ibcast(comms.row, a_tile, stage)
-        with comms.col.step(STEP_B_BCAST), comms.col.backend_scope(self.name):
-            b_req = self._ibcast(comms.col, b_batch, stage)
-        return StagePrefetch(a_req, b_req)
+            return comms.col.bcast(b_batch, root=stage)
 
 
 def get_backend(backend) -> CommBackend:

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..simmpi.comm import Request
 from ..sparse.matrix import SparseMatrix
 from ..sparse.ops import mask_columns, mask_rows, nonempty_columns, nonempty_rows
-from .backend import CommBackend, StagePrefetch
+from .backend import CommBackend
 from .plan import CommPlan, pack_mask, unpack_mask
 
 
@@ -92,32 +91,20 @@ class SparseP2P(CommBackend):
                 # operand reports full occupancy, so the counterpart is
                 # shipped whole — correct, and the plan collectives stay
                 # in lockstep across ranks.
-                packed = self._call(
-                    row, "allgather",
-                    lambda: row.allgather(pack_mask(_occupied_columns(a_tile))),
-                )
+                packed = row.allgather(pack_mask(_occupied_columns(a_tile)))
                 self._a_col_masks = [unpack_mask(p) for p in packed]
-                received = self._call(
-                    col, "alltoall",
-                    lambda: col.alltoall([
-                        pack_mask(self._a_col_masks[t]) for t in range(col.size)
-                    ]),
+                received = col.alltoall(
+                    [pack_mask(self._a_col_masks[t]) for t in range(col.size)]
                 )
                 self._b_requests = [unpack_mask(p) for p in received]
 
             # per-batch half: B-batch occupancy along the col comm, then
             # tell row-peer t which of its A columns this rank needs
             # (the nonempty rows of col-peer t's B batch).
-            packed = self._call(
-                col, "allgather",
-                lambda: col.allgather(pack_mask(_occupied_rows(b_batch))),
-            )
+            packed = col.allgather(pack_mask(_occupied_rows(b_batch)))
             b_row_masks = [unpack_mask(p) for p in packed]
-            received = self._call(
-                row, "alltoall",
-                lambda: row.alltoall([
-                    pack_mask(b_row_masks[t]) for t in range(row.size)
-                ]),
+            received = row.alltoall(
+                [pack_mask(b_row_masks[t]) for t in range(row.size)]
             )
             a_requests = [unpack_mask(p) for p in received]
 
@@ -133,107 +120,29 @@ class SparseP2P(CommBackend):
     # data movement
     # ------------------------------------------------------------------ #
 
+    def _cuts(self, a_tile, b_batch) -> tuple:
+        """A sparse operand's root sends each peer only the segment it
+        asked for; a dense panel has no structure to thin, so it goes
+        whole.  A prefetched stage finds the batch's plan in place: stage
+        0 of every batch runs blocking, after ``prepare_batch``."""
+        return (
+            (mask_columns, self.plan.a_requests)
+            if isinstance(a_tile, SparseMatrix) else (),
+            (mask_rows, self.plan.b_requests)
+            if isinstance(b_batch, SparseMatrix) else (),
+        )
+
     def bcast_a(self, comms, a_tile: SparseMatrix, stage: int) -> SparseMatrix:
-        row = comms.row
-        if not isinstance(a_tile, SparseMatrix):
-            # dense operands ride collectives even on the sparse backend
-            with row.backend_scope(self.name):
-                recv = self._call(
-                    row, "bcast", lambda: row.bcast(a_tile, root=stage)
-                )
-            if row.rank != stage:
-                self._charge_recv(recv)
-            return recv
-        with row.backend_scope(self.name):
-            if row.rank == stage:
-                for t in range(row.size):
-                    if t != stage:
-                        # retry per individual send: a failed attempt never
-                        # enqueued anything, so re-sending is exact-once
-                        self._call(row, "send", lambda t=t: row.isend(
-                            mask_columns(a_tile, self.plan.a_requests[t]),
-                            dest=t, tag=stage,
-                        ))
-                return a_tile
-            recv = self._call(
-                row, "recv", lambda: row.recv(stage, tag=stage)
-            )
-        self._charge_recv(recv)
-        return recv
+        with comms.row.backend_scope(self.name):
+            if not isinstance(a_tile, SparseMatrix):
+                # dense operands ride collectives even on the sparse backend
+                return comms.row.bcast(a_tile, root=stage)
+            return self._fan_out(comms.row, a_tile, stage, mask_columns,
+                                 self.plan.a_requests).wait()
 
     def bcast_b(self, comms, b_batch: SparseMatrix, stage: int) -> SparseMatrix:
-        col = comms.col
-        if not isinstance(b_batch, SparseMatrix):
-            with col.backend_scope(self.name):
-                recv = self._call(
-                    col, "bcast", lambda: col.bcast(b_batch, root=stage)
-                )
-            if col.rank != stage:
-                self._charge_recv(recv)
-            return recv
-        with col.backend_scope(self.name):
-            if col.rank == stage:
-                for t in range(col.size):
-                    if t != stage:
-                        self._call(col, "send", lambda t=t: col.isend(
-                            mask_rows(b_batch, self.plan.b_requests[t]),
-                            dest=t, tag=stage,
-                        ))
-                return b_batch
-            recv = self._call(
-                col, "recv", lambda: col.recv(stage, tag=stage)
-            )
-        self._charge_recv(recv)
-        return recv
-
-    def fiber_exchange(self, comms, sendlist: list) -> list:
-        # fiber pieces are exact output partials — nothing to filter —
-        # but the variable-size exchange meters true per-destination
-        # volumes under the sparse tag.
-        with comms.fiber.backend_scope(self.name):
-            received = self._call(
-                comms.fiber, "alltoallv",
-                lambda: comms.fiber.alltoallv(sendlist),
-            )
-        self._charge_recv(received)
-        return received
-
-    def prefetch_stage(
-        self, comms, a_tile: SparseMatrix, b_batch: SparseMatrix, stage: int
-    ) -> StagePrefetch:
-        """Issue the masked stage sends without waiting: the root's
-        ``isend`` fan-out buffers immediately and non-roots hold an
-        ``irecv`` request, so the previous stage's multiply overlaps the
-        segment transfers.  The within-batch plan is already in place
-        (stage 0 of every batch runs blocking, after ``prepare_batch``)."""
-        from ..summa.trace import STEP_A_BCAST, STEP_B_BCAST
-
-        row, col = comms.row, comms.col
-        with row.step(STEP_A_BCAST), row.backend_scope(self.name):
-            if not isinstance(a_tile, SparseMatrix):
-                # dense operand: nonblocking collective-shaped fan-out
-                a_req = self._ibcast(row, a_tile, stage)
-            elif row.rank == stage:
-                for t in range(row.size):
-                    if t != stage:
-                        self._call(row, "send", lambda t=t: row.isend(
-                            mask_columns(a_tile, self.plan.a_requests[t]),
-                            dest=t, tag=stage,
-                        ))
-                a_req = Request(ready=True, value=a_tile)
-            else:
-                a_req = self._guard(row, "recv", row.irecv(stage, tag=stage))
-        with col.step(STEP_B_BCAST), col.backend_scope(self.name):
+        with comms.col.backend_scope(self.name):
             if not isinstance(b_batch, SparseMatrix):
-                b_req = self._ibcast(col, b_batch, stage)
-            elif col.rank == stage:
-                for t in range(col.size):
-                    if t != stage:
-                        self._call(col, "send", lambda t=t: col.isend(
-                            mask_rows(b_batch, self.plan.b_requests[t]),
-                            dest=t, tag=stage,
-                        ))
-                b_req = Request(ready=True, value=b_batch)
-            else:
-                b_req = self._guard(col, "recv", col.irecv(stage, tag=stage))
-        return StagePrefetch(a_req, b_req)
+                return comms.col.bcast(b_batch, root=stage)
+            return self._fan_out(comms.col, b_batch, stage, mask_rows,
+                                 self.plan.b_requests).wait()

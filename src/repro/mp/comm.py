@@ -140,7 +140,7 @@ class MpWorld(Endpoint):
         self.tracker = CommTracker()
         self.transport.reset_stats()
         self.step_label = self.backend_label = ""
-        self.ledger = None
+        self.ledger = self.retry = None
         self._hang_notice = None
         #: global ranks this rank posted to in the region (see finish)
         self._sent_to: set[int] = set()
@@ -226,8 +226,7 @@ class MpWorld(Endpoint):
         land in this inbox *before* this rank is told of the region, and
         must survive the reset.  Each dropped wire's shared-memory
         segment is reaped here, as is whatever this rank still owned of
-        the aborted region.  Adopted mappings with live views are
-        untouched.
+        the aborted region.  Received mappings close with their views.
         """
         if epoch <= self.adopted_epoch:
             return
@@ -287,8 +286,8 @@ class MpWorld(Endpoint):
     # -------------------------------------------------------------- #
 
     def finish(self) -> None:
-        """Hand every posted item to its pipe, drain outstanding
-        segment acks, then close adopted handles.
+        """Hand every posted item to its pipe and drain outstanding
+        segment acks.
 
         Runs after the SPMD body returned, before the rank reports: a
         peer still waiting on one of this rank's messages must not see
@@ -312,8 +311,6 @@ class MpWorld(Endpoint):
             ):
                 registry.abandon()
                 break
-        for name in list(registry.adopted):
-            registry.release(name)
 
     def abandon(self) -> None:
         self.transport.segments.abandon()

@@ -4,7 +4,9 @@ One segment per message: every qualifying ndarray buffer in a payload is
 packed (64-byte aligned) into a single
 :class:`multiprocessing.shared_memory.SharedMemory` block, and the wire
 carries only the segment name plus per-buffer offsets.  Receivers map
-the block and build zero-copy, read-only array views; the received bytes
+the block read-only (:func:`adopt_mapping`, the one way a segment is
+mapped on the receive side) and build zero-copy, read-only array views
+on the mapping, which closes with the last of them; the received bytes
 are charged once, to the receiver's ledger ``recv_buffer`` category, at
 the normal delivery chokepoint (:meth:`SimComm._deliver`) — never on the
 sender.
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import weakref
 from multiprocessing import resource_tracker, shared_memory
 
 #: byte alignment of each packed buffer inside a segment.
@@ -49,28 +50,21 @@ def _untrack(name: str) -> None:
         pass
 
 
-class _Adopted:
-    """A segment attached on the receive side, kept alive by refcount.
-
-    ``refs`` counts the decoded arrays still viewing the mapping; each
-    carries a :func:`weakref.finalize` that releases one reference, and
-    the registry closes the local handle when the last view dies.
-    """
-
-    __slots__ = ("shm", "refs")
-
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self.shm = shm
-        self.refs = 0
+def _drop(shm: shared_memory.SharedMemory) -> None:
+    """Unlink a created segment (if still named) and close its handle."""
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
+    shm.close()
 
 
 class SegmentRegistry:
-    """Per-process bookkeeping of created and adopted segments.
+    """Per-process bookkeeping of the segments this process created.
 
     ``run_id`` prefixes every segment name, so one run's segments are
-    sweepable as a unit; ``rank`` disambiguates creators.  ``post`` is
-    the world's enqueue function (used here only indirectly — transports
-    post the acks; the registry just counts them).
+    sweepable as a unit; ``rank`` disambiguates creators.  Transports
+    post the acks; the registry just counts them.
     """
 
     def __init__(self, run_id: str, rank: int) -> None:
@@ -82,40 +76,10 @@ class SegmentRegistry:
         #: sent to multiple receivers; name -> (handle, outstanding acks).
         self._owned: dict[str, shared_memory.SharedMemory] = {}
         self.pending: dict[str, int] = {}
-        #: attached on receive; name -> _Adopted.
-        self.adopted: dict[str, _Adopted] = {}
-        #: handles whose close() was refused because a buffer export was
-        #: still live — typically the *dying* view whose finalizer asked
-        #: for the close (finalizers run before the view's dealloc
-        #: releases its export).  Retried by :meth:`reap`.
-        self._zombies: list[shared_memory.SharedMemory] = []
         self.shm_bytes = 0
         self.segments = 0
 
-    def _try_close(self, shm: shared_memory.SharedMemory) -> None:
-        try:
-            shm.close()
-        except BufferError:
-            self._zombies.append(shm)
-
-    def reap(self) -> None:
-        """Retry closing handles a live buffer export blocked earlier."""
-        if not self._zombies:
-            return
-        still: list[shared_memory.SharedMemory] = []
-        for shm in self._zombies:
-            try:
-                shm.close()
-            except BufferError:
-                still.append(shm)
-        self._zombies = still
-
-    # -------------------------------------------------------------- #
-    # create side
-    # -------------------------------------------------------------- #
-
     def create(self, nbytes: int) -> shared_memory.SharedMemory:
-        self.reap()
         name = f"{self.run_id}.{self.rank}.{self._counter}"
         self._counter += 1
         shm = shared_memory.SharedMemory(
@@ -145,57 +109,9 @@ class SegmentRegistry:
                 continue
             if left <= 1:
                 del self.pending[name]
-                shm = self._owned.pop(name)
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-                self._try_close(shm)
+                _drop(self._owned.pop(name))
             else:
                 self.pending[name] = left - 1
-
-    # -------------------------------------------------------------- #
-    # receive side
-    # -------------------------------------------------------------- #
-
-    def adopt(self, name: str, owned: bool) -> _Adopted:
-        """Attach a received segment; unlink immediately when ``owned``
-        (single-receiver handoff — the mapping outlives the name)."""
-        self.reap()
-        rec = self.adopted.get(name)
-        if rec is not None:
-            return rec
-        shm = shared_memory.SharedMemory(name=name)
-        if owned:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        rec = _Adopted(shm)
-        self.adopted[name] = rec
-        return rec
-
-    def view(self, rec_name: str, array):
-        """Register one decoded array view of an adopted segment."""
-        rec = self.adopted[rec_name]
-        rec.refs += 1
-        weakref.finalize(array, self.release, rec_name)
-
-    def release(self, name: str) -> None:
-        rec = self.adopted.get(name)
-        if rec is None:
-            return
-        rec.refs -= 1
-        if rec.refs <= 0:
-            del self.adopted[name]
-            # usually refused here — the finalizer that got us called
-            # belongs to a view that hasn't released its export yet —
-            # and completed by the next reap()
-            self._try_close(rec.shm)
-
-    # -------------------------------------------------------------- #
-    # teardown
-    # -------------------------------------------------------------- #
 
     def outstanding(self) -> int:
         """Messages whose receivers have not acked yet."""
@@ -204,27 +120,27 @@ class SegmentRegistry:
     def abandon(self) -> None:
         """Error-path cleanup, and the first thing a new region does to
         what an aborted one left: unlink whatever this process still owns.
-        Adopted mappings are left to process exit (views may be live);
-        the parent sweep removes any name a peer never released."""
+        Received mappings close with their last view; the parent sweep
+        removes any name a peer never released."""
         for store in (self._fresh, self._owned):
-            for name, shm in list(store.items()):
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-                self._try_close(shm)
+            for shm in store.values():
+                _drop(shm)
             store.clear()
         self.pending.clear()
 
 
-def adopt_mapping(name: str) -> mmap.mmap:
-    """Single-receiver handoff without a handle: attach, unlink, and map
-    the segment read-only.  Arrays built on the mapping keep it open and
-    close it with the last of them — a ``SharedMemory`` that dies before
-    its views prints a ``BufferError`` from ``__del__`` instead."""
+def adopt_mapping(name: str, owned: bool = True) -> mmap.mmap:
+    """Attach a received segment and map it read-only, without keeping a
+    handle.  An ``owned`` segment (single-receiver handoff) is unlinked
+    at once — the mapping outlives the name; a shared one keeps its name
+    until the creator's last ack.  Arrays built on the mapping keep it
+    open and close it with the last of them — a ``SharedMemory`` that
+    dies before its views prints a ``BufferError`` from ``__del__``
+    instead."""
     shm = shared_memory.SharedMemory(name=name)
     try:
-        shm.unlink()
+        if owned:
+            shm.unlink()
         # SharedMemory has no public name for its descriptor
         return mmap.mmap(shm._fd, shm.size, access=mmap.ACCESS_READ)
     finally:

@@ -170,12 +170,10 @@ class Transport:
         if kind == "py":
             return wire[1]
         _, name, creator, ack_needed, offsets, spec = wire
-        buf = self.segments.adopt(name, owned=not ack_needed).shm.buf
+        buf = adopt_mapping(name, owned=not ack_needed)
         if ack_needed and self.post_ack is not None:
             self.post_ack(creator, name)
-        return _build(
-            spec, buf, offsets, lambda arr: self.segments.view(name, arr)
-        )
+        return _build(spec, buf, offsets)
 
 
 def receive(wire: tuple):
@@ -189,9 +187,9 @@ def receive(wire: tuple):
     return _build(pickle.loads(spec), adopt_mapping(name), offsets)
 
 
-def _build(spec, buf, offsets, track=None):
-    """The object ``spec`` describes; ``track`` sees each of its arrays,
-    read-only views of ``buf``."""
+def _build(spec, buf, offsets):
+    """The object ``spec`` describes; its arrays are read-only views of
+    ``buf``."""
     tag = spec[0]
     if tag == "o":
         return spec[1]
@@ -203,24 +201,22 @@ def _build(spec, buf, offsets, track=None):
         if tuple(shape) != (count,):
             arr = arr.reshape(shape)
         arr.flags.writeable = False
-        if track is not None:
-            track(arr)
         return arr
     if tag == "sm":
         _, nrows, ncols, swc, *arrays = spec
         return SparseMatrix(
-            nrows, ncols, *(_build(s, buf, offsets, track) for s in arrays),
+            nrows, ncols, *(_build(s, buf, offsets) for s in arrays),
             sorted_within_columns=swc, validate=False,
         )
     if tag == "env":
         _, crc, sub = spec
-        return Envelope(_build(sub, buf, offsets, track), crc)
+        return Envelope(_build(sub, buf, offsets), crc)
     if tag == "L":
-        return [_build(s, buf, offsets, track) for s in spec[1]]
+        return [_build(s, buf, offsets) for s in spec[1]]
     if tag == "T":
-        return tuple(_build(s, buf, offsets, track) for s in spec[1])
+        return tuple(_build(s, buf, offsets) for s in spec[1])
     if tag == "D":
-        return {k: _build(s, buf, offsets, track) for k, s in spec[1]}
+        return {k: _build(s, buf, offsets) for k, s in spec[1]}
     raise ValueError(f"unknown wire spec tag {tag!r}")
 
 

@@ -4,9 +4,8 @@ The injection side lives in :mod:`repro.simmpi.faults`; this package is
 the side that *survives* it:
 
 * :class:`RetryPolicy` — bounded, deterministic retry of transiently
-  failed communication attempts, applied inside both
-  :class:`~repro.comm.CommBackend` implementations and the symbolic
-  step.  Backoff is *simulated* (recorded, never slept, never random) so
+  failed communication attempts, applied at the entry of every op the
+  rank program issues (:meth:`repro.simmpi.comm.SimComm._inject`).  Backoff is *simulated* (recorded, never slept, never random) so
   faulty runs stay exactly reproducible.
 * :class:`CheckpointManager` — a manifest-backed, atomically written
   checkpoint directory over the batch granularity of BatchedSUMMA3D

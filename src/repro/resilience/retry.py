@@ -1,13 +1,15 @@
 """Bounded deterministic retry of transient communication faults.
 
-A :class:`RetryPolicy` wraps an individual communication attempt — one
-``bcast``, one ``isend``, one ``recv``, one ``alltoallv`` — and re-runs
-it when it raises :class:`~repro.errors.TransientCommError`.  Injection
-happens at operation *entry* (see
+A :class:`RetryPolicy` wraps the entry of an individual communication
+attempt — one ``bcast``, one ``isend``, one ``recv``, one ``alltoallv``
+— and re-runs it when it raises :class:`~repro.errors.TransientCommError`.
+Injection happens at operation *entry* (see
 :meth:`repro.simmpi.faults.FaultInjector.on_attempt`), before the
-operation touches any shared rendezvous state, so re-calling it on the
-failing rank alone is always alignment-safe: the peers are still parked
-in the collective, waiting.
+operation touches any shared rendezvous state, so re-running the entry
+on the failing rank alone is always alignment-safe: the peers are still
+parked in the collective, waiting.  The rank program installs one policy
+on its endpoint, and :meth:`repro.simmpi.comm.SimComm._inject` runs the
+entry hook of every op under it — the one call site.
 
 Backoff is world-aware:
 

@@ -177,9 +177,9 @@ class Endpoint:
 
     Holds what the rank's communicators read — ``tracker``, ``timeout``,
     ``checksums``, ``injector``, ``failed`` (set by the carrier) — its
-    own ``step_label`` / ``backend_label`` / ``ledger`` / ``store`` as
-    plain attributes, its operation-entry counter (``beats``), and its
-    mailbox.  A carrier adds ``post`` and ``_await``.
+    own ``step_label`` / ``backend_label`` / ``ledger`` / ``retry`` /
+    ``store`` as plain attributes, its operation-entry counter
+    (``beats``), and its mailbox.  A carrier adds ``post`` and ``_await``.
     """
 
     #: whether a retry's backoff really sleeps
@@ -195,6 +195,10 @@ class Endpoint:
         #: every payload it *receives* is charged as a momentary
         #: ``recv_buffer`` spike where it lands.
         self.ledger = None
+        #: this rank's :class:`~repro.resilience.RetryPolicy` (or ``None``):
+        #: re-runs an op's entry hook on a transient fault
+        #: (:meth:`~repro.simmpi.comm.SimComm._inject`).
+        self.retry = None
         #: rank-owned tiles of a resident context (key -> tile), the one
         #: thing that outlives a region.
         self.store: dict = {}

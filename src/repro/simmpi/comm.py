@@ -171,13 +171,22 @@ class SimComm:
 
     def _inject(self, op: str) -> None:
         """Operation-entry hook — heartbeat, fault injection.  Runs before
-        an op id is taken or anything is posted, so a raise here leaves
-        the operation perfectly retryable on this rank alone (peers just
-        keep waiting)."""
+        an op id is taken or anything is posted, so a transient fault
+        raised here leaves the operation perfectly retryable on this rank
+        alone (peers just keep waiting): the retry policy the rank program
+        installed (``world.retry``), if any, re-runs this hook — for every
+        op."""
         world = self.world
-        world.heartbeat()
-        if world.injector is not None:
-            world.injector.on_attempt(world.rank, op, world.step_label)
+
+        def attempt() -> None:
+            world.heartbeat()
+            if world.injector is not None:
+                world.injector.on_attempt(world.rank, op, world.step_label)
+
+        if world.retry is None:
+            attempt()
+        else:
+            world.retry.call(attempt, comm=self, op=op)
 
     def _wrap(self, obj):
         """Envelope ``obj`` with its checksum when integrity is on."""

@@ -69,46 +69,26 @@ def spmd_symbolic3d(
     b_ncols: int,
     memory_budget: int,
     tracer: Tracer,
-    retry: RetryPolicy | None = None,
 ) -> dict:
     """Alg. 3 as seen by one rank, on its tiles of A and B (``b_ncols``
     is the global column count, the most batches there can be): returns
     the batch count and statistics.
 
     ``memory_budget`` is the aggregate memory ``M`` over all processes;
-    Alg. 3 line 12 works with the per-process share ``M / p``.  ``retry``
-    optionally re-runs transiently-failed symbolic collectives (the
-    structure pass is as exposed to flaky messages as the numeric one).
+    Alg. 3 line 12 works with the per-process share ``M / p``.
     """
     grid = comms.grid
-
-    def call(comm, op, fn):
-        return fn() if retry is None else retry.call(fn, comm=comm, op=op)
-
     local_unmerged_nnz = 0
     with tracer.span(STEP_SYMBOLIC), comms.world.step(STEP_SYMBOLIC):
         for s in range(grid.stages):
-            a_recv = call(
-                comms.row, "bcast", lambda s=s: comms.row.bcast(a_tile, root=s)
-            )
-            b_recv = call(
-                comms.col, "bcast", lambda s=s: comms.col.bcast(b_tile, root=s)
-            )
+            a_recv = comms.row.bcast(a_tile, root=s)
+            b_recv = comms.col.bcast(b_tile, root=s)
             # LocalSymbolic: nnz of this stage's (internally merged) product;
             # summed over stages it is the unmerged storage of Alg. 1 line 7.
             local_unmerged_nnz += symbolic_nnz(a_recv, b_recv)
-        max_nnz_c = call(
-            comms.world, "allreduce",
-            lambda: comms.world.allreduce(local_unmerged_nnz, op="max"),
-        )
-        max_nnz_a = call(
-            comms.world, "allreduce",
-            lambda: comms.world.allreduce(a_tile.nnz, op="max"),
-        )
-        max_nnz_b = call(
-            comms.world, "allreduce",
-            lambda: comms.world.allreduce(b_tile.nnz, op="max"),
-        )
+        max_nnz_c = comms.world.allreduce(local_unmerged_nnz, op="max")
+        max_nnz_a = comms.world.allreduce(a_tile.nnz, op="max")
+        max_nnz_b = comms.world.allreduce(b_tile.nnz, op="max")
 
     # Alg. 3 line 12 lives in the memory model (the same closed form the
     # driver compares measured high-water marks against).
@@ -129,7 +109,7 @@ def spmd_symbolic3d(
 
 
 def _resolve_batches(
-    comms, a, b, a_tile, b_tile, aux, kernel, memory_budget, tracer, retry,
+    comms, a, b, a_tile, b_tile, aux, kernel, memory_budget, tracer,
 ) -> tuple[int, dict]:
     """``b`` when the caller left it open, and the ``info`` entry saying
     how it was found: one batch without a budget, Alg. 3 in-band (on the
@@ -142,7 +122,6 @@ def _resolve_batches(
     if kernel.supports_symbolic:
         sym = spmd_symbolic3d(
             comms, a_tile, b_tile, operand_shape(b)[1], memory_budget, tracer,
-            retry=retry,
         )
         return sym["batches"], {"symbolic": sym}
     grid = comms.grid
@@ -235,25 +214,24 @@ def spmd_batched_summa3d(
             "(mask / sampling pattern); the drivers synthesise it when "
             "they can — pass it explicitly here"
         )
-    retry = (
-        RetryPolicy(spec.max_retries) if spec.max_retries is not None else None
-    )
-    backend.retry = retry
     # Entry hygiene: any cached plan state belongs to a previous entry
     # (an amended run's re-entry, or a caller-shared backend instance)
     # and must be re-planned against the communicators built below.
     backend.revoke()
-    # One ledger per rank per attempt; the world (thread-local) and the
-    # backend both see it, so wire deliveries and recv buffers are
-    # charged where they land, whichever path they take.  The budget is
-    # the aggregate ``M``; a rank enforces its share (Alg. 3 line 12).
+    # One ledger and one retry policy per rank per attempt, on the rank's
+    # endpoint: every op this rank issues retries a transient fault at its
+    # entry, and every payload it receives is charged where it lands.  The
+    # budget is the aggregate ``M``; a rank enforces its share (Alg. 3
+    # line 12).
     budget = spec.memory_budget
     ledger = MemoryLedger(
         rank=comm.rank, enforce=spec.enforce,
         budget=None if budget is None else budget // grid.nprocs,
     )
     comm.world.ledger = ledger
-    backend.ledger = ledger
+    comm.world.retry = (
+        RetryPolicy(spec.max_retries) if spec.max_retries is not None else None
+    )
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
     info: dict = {}
@@ -261,7 +239,7 @@ def spmd_batched_summa3d(
     b_tile = kernel.b_tile(b, grid, comm.rank)
     if batches is None:
         batches, info = _resolve_batches(
-            comms, a, b, a_tile, b_tile, aux, kernel, budget, tracer, retry,
+            comms, a, b, a_tile, b_tile, aux, kernel, budget, tracer,
         )
     ledger.batches = batches
     if replan is not None:

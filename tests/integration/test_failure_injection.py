@@ -217,6 +217,48 @@ class TestInjectedCommFaults:
             for e in info.value.failures.values()
         )
 
+    # ops no backend moves: a retry sits at every op's entry, so a
+    # transient heals wherever the rank program issues the op
+    ENTRY_FAULTS = {
+        "postprocess-allgather": (
+            "allgather", "Batch-Postprocess",
+            lambda tmp: {"postprocess": lambda batch, c0, c1, block: block},
+        ),
+        "checkpoint-barrier": (
+            "barrier", "Batch-Barrier",
+            lambda tmp: {"checkpoint_dir": tmp / "ck"},
+        ),
+        # without a budget there is no Symbolic pass, so the check's
+        # max-allreduce is the run's first (and unlabelled) allreduce
+        "replan-check-allreduce": (
+            "allreduce", "", lambda tmp: {"replan": "auto"},
+        ),
+    }
+
+    @pytest.mark.parametrize("where", sorted(ENTRY_FAULTS))
+    def test_transient_on_any_op_heals(self, operands, tmp_path, where):
+        a, b = operands
+        op, step, extra = self.ENTRY_FAULTS[where]
+        base = batched_summa3d(a, b, nprocs=4, batches=3, timeout=15)
+        fault = FaultPlan([f"transient:rank=1,op={op},nth=1"])
+        r = batched_summa3d(
+            a, b, nprocs=4, batches=3, timeout=15, faults=fault,
+            **extra(tmp_path / "healed"),
+        )
+        assert_bit_identical(r.matrix, base.matrix)
+        assert r.fault_stats["injected"] == {"transient": 1}
+        assert r.fault_stats["retries"] == 1
+        assert [(e["kind"], e["op"], e["step"])
+                for e in r.fault_stats["events"]] == [
+            ("transient", op, step), ("retry", op, step),
+        ]
+        with pytest.raises(SpmdError) as info:
+            batched_summa3d(
+                a, b, nprocs=4, batches=3, timeout=15, faults=fault,
+                max_retries=None, **extra(tmp_path / "off"),
+            )
+        assert isinstance(info.value.failures[1], TransientCommError)
+
     def test_blocked_peers_released_on_mid_alltoallv_crash(self):
         """A rank dying at its alltoallv entry must release peers already
         parked in the exchange promptly — abort, not timeout."""

@@ -32,7 +32,6 @@ class TestNbytesOf:
             del out
         finally:
             gc.collect()
-            reg.reap()
             reg.abandon()
         assert leaked_segments("repro-test-acct") == []
 

@@ -1,8 +1,9 @@
 """Unit tests for the process-world wire formats (``repro.mp.transport``).
 
 Everything here runs in one process: a single :class:`SegmentRegistry`
-plays both sender and receiver, which exercises the exact encode /
-adopt / view / release lifecycle the workers run, minus the queue hop.
+plays both sender and receiver, which exercises the exact encode / map /
+ack lifecycle the workers run, minus the queue hop.  Whether a segment
+is still mapped is read from ``/proc/self/maps``.
 """
 
 import gc
@@ -10,7 +11,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.mp.shm import SegmentRegistry, leaked_segments
+from repro.mp.shm import SHM_DIR, SegmentRegistry, leaked_segments
 from repro.mp.transport import (
     AUTO_THRESHOLD,
     AutoTransport,
@@ -29,9 +30,15 @@ def registry(request):
     yield reg
     # every test must leave /dev/shm clean for its run prefix
     gc.collect()
-    reg.reap()
     reg.abandon()
     assert leaked_segments(run_id) == []
+
+
+def mapped(name):
+    """Whether this process still maps the segment ``name`` (the sixth
+    column of a maps line is the mapped path)."""
+    with open("/proc/self/maps") as maps:
+        return any(line.split()[5:6] == [f"{SHM_DIR}/{name}"] for line in maps)
 
 
 def roundtrip(transport, obj, receivers=1):
@@ -114,20 +121,48 @@ class TestShm:
 
     def test_views_are_zero_copy(self, registry):
         arr = np.arange(1000, dtype=np.float64)
-        _, out = roundtrip(ShmTransport(registry), arr)
-        # the decoded array views the mapped segment, not a copy
-        (name,) = registry.adopted
+        wire, out = roundtrip(ShmTransport(registry), arr)
+        # the decoded array views the mapped segment, not a copy: the
+        # creator closed its handle on send, so the one mapping left is
+        # the receiver's, and the array is its only holder
+        name = wire[1]
         assert out.base is not None
-        assert registry.adopted[name].refs == 1
+        assert mapped(name)
+        assert leaked_segments(registry.run_id) == []  # receiver unlinked
 
     def test_mapping_closes_when_last_view_dies(self, registry):
-        _, out = roundtrip(
+        wire, out = roundtrip(
             ShmTransport(registry), np.arange(1000, dtype=np.float64)
         )
-        assert len(registry.adopted) == 1
+        view = out[10:20]
         del out
         gc.collect()
-        assert registry.adopted == {}
+        assert mapped(wire[1])  # a slice still holds the mapping
+        assert np.array_equal(view, np.arange(10, 20, dtype=np.float64))
+        del view
+        gc.collect()
+        assert not mapped(wire[1])
+
+    def test_receivers_read_after_the_last_ack_unlinks(self, registry):
+        acks = []
+        t = ShmTransport(registry, post_ack=lambda creator, name:
+                         acks.append(name))
+        m = random_sparse(60, 40, nnz=400, seed=5)
+        wire = t.encode(m, receivers=2)
+        first, second = t.decode(wire), t.decode(wire)
+        registry.ack(acks)
+        # the creator unlinked the name and closed its handle...
+        assert registry.pending == {}
+        assert leaked_segments(registry.run_id) == []
+        # ...and both receivers' mappings still read the payload
+        for out in (first, second):
+            assert np.array_equal(out.indptr, m.indptr)
+            assert np.array_equal(out.rowidx, m.rowidx)
+            assert np.array_equal(out.values, m.values)
+        assert mapped(wire[1])
+        del first, second, out
+        gc.collect()
+        assert not mapped(wire[1])
 
     def test_multi_receiver_acks_drain_ownership(self, registry):
         acks = []

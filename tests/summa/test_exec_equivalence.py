@@ -9,6 +9,8 @@ indptr/rowidx/values — and must move exactly the same number of bytes per
 is ``test_program_order.py``.)
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def _run_cell(a, b, expected, *, layers, backend, policy):
     assert (
         trackers["off"].total_bytes() == trackers["depth1"].total_bytes()
     )
+    if backend == "sparse":
+        # one masked fan-out serves both modes: a blocking stage waits on
+        # it at once, a prefetched one later — the same messages either way
+        moved = {
+            overlap: Counter((e.step, e.op, e.nbytes) for e in t.events)
+            for overlap, t in trackers.items()
+        }
+        assert moved["off"] == moved["depth1"]
 
 
 @pytest.mark.parametrize("layers", [1, 4])

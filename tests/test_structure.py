@@ -319,6 +319,28 @@ def test_one_communicator_two_carriers():
     assert not _grep(re.compile(r"SimpleNamespace|World\._find_cycle"), ENGINES)
 
 
+def test_each_communicator_mechanism_is_written_once():
+    """A transient fault is retried where it is raised — at op entry,
+    under the rank's policy — so ``RetryPolicy.call`` has one caller; the
+    endpoint charges every received payload, so no backend touches a
+    ledger; and a received segment is mapped one way, with no
+    refcount-and-finalizer lifecycle beside it."""
+    callers = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "call"
+    ]
+    assert [c.split(":")[0] for c in callers] == ["simmpi/comm.py"], callers
+    assert not _grep(re.compile(r"retry|ledger|touch\("),
+                     sorted((SRC / "comm").rglob("*.py")))
+    assert "weakref" not in {
+        module.split(".")[0] for module, _ in _imports(SRC / "mp" / "shm.py",
+                                                       "repro.mp")
+    }
+
+
 GEOMETRY = [
     *sorted((SRC / "grid").rglob("*.py")), *sorted((SRC / "summa").rglob("*.py")),
 ]
