@@ -175,10 +175,7 @@ def report(replayed, baseline_s):
 def run_smoke(world="threads", crash=False):
     tenants = ("alice", "bob", "mallory")
     ckpt_root = tempfile.mkdtemp(prefix="bench_serve_ck_")
-    heal_kwargs = (
-        dict(heal="spare", world_spares=1, checkpoint_root=ckpt_root)
-        if crash else {}
-    )
+    heal_kwargs = dict(heal=True, checkpoint_root=ckpt_root) if crash else {}
     try:
         with SpgemmService(
             grids=2, nprocs=4, world=world, timeout=60.0,
@@ -229,8 +226,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--crash", action="store_true",
-        help="one tenant injects real rank crashes (requires heal; "
-        "pair with --world processes for SIGKILL deaths)",
+        help="one tenant injects real rank crashes (runs the service with "
+        "heal=True; pair with --world processes for SIGKILL deaths)",
     )
     args = parser.parse_args(argv)
     if not args.smoke:

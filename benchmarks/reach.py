@@ -36,7 +36,6 @@ KEPT_KNOBS = {
     "replan_force": "the deterministic seam tests/plan and replan x heal stand on",
     "checksums": "failure handling: bench_resilience alone sets it",
     "checkpoint_keep_last": "failure handling: bench_serve --crash alone sets it",
-    "world_spares": "failure handling: the repair budget of heal=\"spare\"",
     "batch_scheme": "one paper ablation (block vs block-cyclic load balance)",
     "merge_policy": "one paper ablation (Sec. III-A deferred vs incremental)",
     "kernel": "the spgemm:<tier> spellings: Fig. 15 / Table VII / one ablation",

@@ -144,13 +144,9 @@ def cmd_multiply(args) -> int:
               f"(resumed from batch {resilience['resumed_from_batch']})")
     if resilience is not None and resilience.get("heal"):
         heal = resilience["heal"]
-        print(f"heal: mode={heal['mode']}, {heal['heals']} event(s), "
-              f"{heal['extra_bytes_moved']} extra bytes redistributed")
+        print(f"heal: {heal['heals']} event(s)")
         for event in heal["events"]:
-            dead = ", ".join(
-                f"position {d['position']} (rank {d['rank']})"
-                for d in event["dead"]
-            )
+            dead = ", ".join(f"position {p}" for p in event["dead"])
             print(f"  epoch {event['epoch']}: lost {dead}; resumed from "
                   f"batch {event['restart_batch']} after "
                   f"{event['latency_s'] * 1e3:.1f} ms")
@@ -418,9 +414,7 @@ def cmd_serve(args) -> int:
         tmp_root = args.checkpoint_root or tempfile.mkdtemp(
             prefix="repro_serve_ck_"
         )
-        heal_kwargs = dict(
-            heal="spare", world_spares=1, checkpoint_root=tmp_root,
-        )
+        heal_kwargs = dict(heal=True, checkpoint_root=tmp_root)
     try:
         with SpgemmService(
             grids=args.grids, nprocs=args.nprocs, world=args.world,
@@ -560,14 +554,9 @@ def _add_multiply(sub) -> None:
                    metavar="K",
                    help="garbage-collect all but the newest K checkpointed "
                    "batch files as the run progresses")
-    p.add_argument("--heal", default=None, choices=["spare", "shrink"],
+    p.add_argument("--heal", action="store_true",
                    help="survive rank crashes (requires --checkpoint-dir): "
-                   "hand the dead position to a spare rank, or respawn it "
-                   "on a surviving host, and re-enter from the last "
-                   "completed batch")
-    p.add_argument("--spares", dest="world_spares", type=int, default=0,
-                   metavar="N",
-                   help="repair budget of --heal spare: N spare ranks")
+                   "re-enter from the last completed batch")
     p.set_defaults(func=cmd_multiply)
 
 
@@ -658,7 +647,8 @@ def _add_serve(sub) -> None:
     p.add_argument("--max-backlog-s", type=float, default=60.0)
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--crash", action="store_true",
-                   help="inject one rank crash (enables heal=spare)")
+                   help="inject one rank crash (runs the service with "
+                   "heal=True)")
     p.add_argument("--checkpoint-root", default=None,
                    help="shared checkpoint root for --crash "
                    "(default: a temp dir)")

@@ -98,9 +98,8 @@ class HangError(ReproError, RuntimeError):
 
 
 class HealError(ReproError, RuntimeError):
-    """A rank death could not be repaired: no spare or host was
-    available for a dead grid position, or the repair-round budget was
-    exhausted.  The run aborts with a checkpoint pointer."""
+    """Rank deaths under ``heal=True`` outlasted the re-entry round
+    budget.  The run aborts with a checkpoint pointer."""
 
 
 class CorruptPayloadError(ReproError, RuntimeError):
@@ -162,8 +161,9 @@ class RankCrashError(ReproError, RuntimeError):
     node failure; under the process world a worker process that really
     died).  Not retryable inside the region; surfaces through
     :class:`SpmdError` with rank attribution, pointing at the checkpoint
-    when one exists — unless the run has ``heal=`` set, where the driver
-    repairs the grid and re-enters (:mod:`repro.resilience.heal`)."""
+    when one exists — unless the run has ``heal=True``, where the driver
+    re-enters from the last checkpointed batch
+    (:func:`repro.summa.batched._amend`)."""
 
 
 class CheckpointError(ReproError, RuntimeError):

@@ -115,6 +115,9 @@ class ExecSpec:
         kernels take their (multiply, merge) implementation tier after a
         colon — ``"spgemm:sorted-heap"`` (Table VII / Fig. 15); the
         default is the vectorised ESC tier.
+    ``heal``
+        ``True`` re-enters the run from the last checkpointed batch when
+        ranks die (needs ``checkpoint_dir``), up to a fixed round budget.
     ``replan``
         ``"off"`` (default) or ``"auto"`` — enable the mid-run
         :class:`~repro.plan.replan.Replanner` at batch boundaries.
@@ -145,8 +148,7 @@ class ExecSpec:
     checkpoint_dir: str | None = None
     resume: bool = False
     checkpoint_keep_last: int | None = None
-    heal: str | None = None
-    world_spares: int = 0
+    heal: bool = False
     world: str = "threads"
     transport: str = "auto"
     replan: str = "off"
@@ -194,7 +196,6 @@ class ExecSpec:
         """
         from ..grid.distribution import BATCH_SCHEMES
         from ..mem import ENFORCE_MODES
-        from ..resilience import HEAL_MODES
         from ..summa.exec import MERGE_POLICIES, OVERLAP_MODES
 
         if self.batches is not None and self.batches < 1:
@@ -224,22 +225,15 @@ class ExecSpec:
             )
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir=")
-        if self.heal is not None:
-            if self.heal not in HEAL_MODES:
-                raise ValueError(
-                    f"unknown heal mode {self.heal!r}; "
-                    f"expected one of {HEAL_MODES}"
-                )
-            if self.checkpoint_dir is None:
-                raise ValueError(
-                    "heal= requires checkpoint_dir=: the re-entry point "
-                    "after a repair is the last durably checkpointed batch"
-                )
-            if self.heal == "spare" and self.world_spares < 1:
-                raise ValueError('heal="spare" needs world_spares >= 1')
-        if self.world_spares < 0:
+        if not isinstance(self.heal, bool):
             raise ValueError(
-                f"world_spares must be >= 0, got {self.world_spares}"
+                f"heal must be True or False, got {self.heal!r} (there are "
+                "no heal modes: a death re-enters at the checkpointed batch)"
+            )
+        if self.heal and self.checkpoint_dir is None:
+            raise ValueError(
+                "heal=True requires checkpoint_dir=: the re-entry point "
+                "after a rank death is the last durably checkpointed batch"
             )
         if self.replan not in REPLAN_MODES:
             raise ValueError(

@@ -16,19 +16,15 @@ the side that *survives* it:
 * graceful degradation — a :class:`~repro.errors.MemoryPressureError`
   makes the driver double the batch count (the paper's own memory
   lever) and rerun, rather than die.
-* healing (:mod:`repro.resilience.heal`) — a rank death under
-  ``heal=`` is the driver's third amendment: :class:`HealContext`
-  repairs the grid (a spare takes the dead position, or it is respawned
-  onto a surviving host — a :class:`HealDecision`) and the run re-enters
-  from the checkpointed batch boundary, bit-identical to a fault-free
-  run.
+* healing — under ``heal=True`` a rank death is the driver's third
+  amendment (:func:`repro.summa.batched._amend`): every batch is an
+  independent column block of ``C``, so the run re-enters from the last
+  checkpointed batch on the same grid, bit-identical to a fault-free
+  run, up to a fixed round budget (past it, a
+  :class:`~repro.errors.HealError`).
 """
 
 from .checkpoint import CheckpointManager, run_key
-from .heal import HEAL_MODES, HealContext, HealDecision
 from .retry import RetryPolicy
 
-__all__ = [
-    "RetryPolicy", "CheckpointManager", "run_key",
-    "HealContext", "HealDecision", "HEAL_MODES",
-]
+__all__ = ["RetryPolicy", "CheckpointManager", "run_key"]

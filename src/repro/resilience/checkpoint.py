@@ -119,13 +119,6 @@ class CheckpointManager:
         os.makedirs(path, exist_ok=True)
         return path
 
-    @classmethod
-    def for_run(cls, root, key: str, keep_last: int | None = None, *,
-                ledger=None) -> "CheckpointManager":
-        """A manager rooted at ``run_dir(root, key)`` — the safe way for
-        concurrent jobs to checkpoint under one shared root."""
-        return cls(cls.run_dir(root, key), keep_last, ledger=ledger)
-
     # ------------------------------------------------------------------ #
     # manifest lifecycle
     # ------------------------------------------------------------------ #

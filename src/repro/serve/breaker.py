@@ -1,10 +1,9 @@
 """Per-grid circuit breaker: healthy → degraded → quarantined.
 
-A resident grid that keeps healing is telling you something: the same
-spare pool absorbs every crash, shrink-mode runs keep narrowing the
-grid, and `/dev/shm` hygiene failures mean worker teardown is no longer
-trustworthy.  The breaker turns that drift into an explicit state
-machine the pool acts on:
+A resident grid that keeps healing is telling you something: its jobs
+keep losing ranks and re-entering, and `/dev/shm` hygiene failures mean
+worker teardown is no longer trustworthy.  The breaker turns that drift
+into an explicit state machine the pool acts on:
 
 * ``healthy`` — dispatch normally;
 * ``degraded`` — still dispatching, but the slot is flagged (stats and

@@ -14,11 +14,12 @@ One instance owns
 
 Robustness contracts (the tested ones):
 
-* **crash transparency** — ``multiply`` jobs run under ``heal=`` (a
-  repair budget and a per-job checkpoint directory), so a rank lost
-  mid-job is repaired, the job re-enters from its last completed batch
-  and the client receives the bit-identical product with the event
-  recorded in ``result.info["resilience"]["heal"]`` — never an error;
+* **crash transparency** — with ``heal=True, checkpoint_root=...``
+  every ``multiply`` job runs under ``heal=True`` in its own checkpoint
+  directory, so a job that loses a rank re-enters from its last
+  completed batch and the client receives the bit-identical product
+  with the event recorded in ``result.info["resilience"]["heal"]`` —
+  never an error;
 * **deadlines** — a job's remaining deadline is installed as the
   execution world's watchdog timeout, so an overrun surfaces as a
   classified hang that the service converts to
@@ -98,8 +99,7 @@ class SpgemmService:
         quantum_s: float = 0.05,
         max_backlog_s: float = 60.0,
         default_deadline_s: float | None = None,
-        heal: str | None = None,
-        world_spares: int = 0,
+        heal: bool = False,
         checkpoint_root=None,
         checkpoint_keep_last: int | None = 2,
         plan_cache_capacity: int = 128,
@@ -107,15 +107,14 @@ class SpgemmService:
         quarantine_after: float = 4.0,
         auto_start: bool = True,
     ) -> None:
-        if heal is not None and checkpoint_root is None:
+        if heal and checkpoint_root is None:
             raise ValueError(
-                "heal= needs checkpoint_root= (a repaired job re-enters "
+                "heal=True needs checkpoint_root= (a healed job re-enters "
                 "from the last completed batch, so jobs must checkpoint)"
             )
         self.world = world
         self.overlap = overlap
         self.heal = heal
-        self.world_spares = int(world_spares)
         self.checkpoint_root = (
             None if checkpoint_root is None else os.fspath(checkpoint_root)
         )
@@ -378,8 +377,8 @@ class SpgemmService:
             transport=slot.transport,
         )
         ckpt_dir = None
-        if self.heal is not None and get_kernel(kernel).checkpointable:
-            # crash transparency: per-job checkpoint subdir + heal=.
+        if self.heal and get_kernel(kernel).checkpointable:
+            # crash transparency: per-job checkpoint subdir + heal=True.
             # The job id joins the key so two concurrent identical jobs
             # can never adopt each other's manifests.
             from ..resilience.checkpoint import CheckpointManager
@@ -390,8 +389,7 @@ class SpgemmService:
             )
             ckpt_dir = CheckpointManager.run_dir(self.checkpoint_root, key)
             run = run.with_spec(
-                heal=self.heal,
-                world_spares=self.world_spares,
+                heal=True,
                 checkpoint_dir=ckpt_dir,
                 checkpoint_keep_last=self.checkpoint_keep_last,
             )

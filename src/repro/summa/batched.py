@@ -3,7 +3,7 @@
 There is one driver, :func:`drive`, a short pipeline of phases: resolve
 the spec → prepare (kernel, aux, shapes, backend; every refusal) → open
 the checkpoint / symbolic pre-pass → execute (the launch loop, re-entered
-on a replan, re-batch or repair amendment) → assemble the report.  Entry
+on a replan, re-batch or heal amendment) → assemble the report.  Entry
 points differ only in the operands they hand it (global matrices, or a
 :class:`~repro.dist.DistContext`'s resident tiles) and in how the
 per-rank pieces are delivered: :func:`run_plan` gathers them into one
@@ -39,14 +39,14 @@ from ..errors import (
     ShapeError,
     SpmdError,
 )
-from ..grid.distribution import extract_a_tile, extract_b_tile, gather_tiles
+from ..grid.distribution import gather_tiles
 from ..grid.grid3d import ProcGrid3D
 from ..kernels import LocalKernel, TileSource, get_kernel
 from ..mem import MemoryLedger
 from ..model.memory import predict_memory
 from ..mp.bridge import DriverCallback
 from ..plan.spec import ExecPlan, ExecSpec, _registry_name
-from ..resilience import CheckpointManager, HealContext
+from ..resilience import CheckpointManager
 from ..resilience import run_key as _checkpoint_run_key
 from ..simmpi.engine import as_injector, open_world
 from ..simmpi.faults import FaultInjector
@@ -56,6 +56,10 @@ from ..utils.timing import StepTimes
 from .core import spmd_batched_summa3d
 from .exec import STEP_KINDS
 from .result import SummaResult
+
+#: re-entries one run may spend on rank deaths under ``heal=True``; the
+#: next death fails the run with a :class:`~repro.errors.HealError`
+MAX_HEAL_ROUNDS = 8
 
 
 class _BatchPieceCollector:
@@ -297,8 +301,6 @@ class _Run:
     comm_backend: object
     #: an operand is a TileSource: tiles already live on the ranks
     resident: bool
-    #: who holds the grid when ranks die (``spec.heal``), else ``None``
-    heal_ctx: HealContext | None
     # checkpoint phase
     ckpt: CheckpointManager | None = None
     ckpt_key: str | None = None
@@ -309,6 +311,11 @@ class _Run:
     collector: _BatchPieceCollector | None = None
     rebatched: list = field(default_factory=list)
     replans: list = field(default_factory=list)
+    #: one event per re-entry after rank deaths (``spec.heal``)
+    heals: list = field(default_factory=list)
+    #: when the region the latest heal answers failed, until the
+    #: re-entered region is submitted (``time.perf_counter()``)
+    heal_failed_at: float | None = None
     world_info: dict = field(default_factory=dict)
     per_rank: list = field(default_factory=list)
     result: SummaResult | None = None
@@ -354,7 +361,7 @@ def _refuse(kern, spec: ExecSpec, resident: bool, hooks: dict) -> None:
     wants_ckpt = {
         "checkpoint_dir": spec.checkpoint_dir is not None,
         "resume": spec.resume,
-        "heal": spec.heal is not None,
+        "heal": spec.heal,
     }
     if any(wants_ckpt.values()) and not kern.checkpointable:
         raise NotImplementedError(
@@ -461,9 +468,6 @@ def _prepare(
         injector=injector, world=world or _one_shot_world,
         postprocess=postprocess, on_batch=on_batch,
         batches=spec.batches, comm_backend=comm_backend, resident=resident,
-        heal_ctx=HealContext(
-            spec.heal, nprocs=spec.nprocs, world_spares=spec.world_spares,
-        ) if spec.heal is not None else None,
     )
 
 
@@ -557,7 +561,7 @@ def _make_collector(run: _Run):
 def _execute(run: _Run) -> list:
     """The one launch loop: open the world, submit the region; when what
     failed it is an amendment — every rank raised the same collective
-    signal, or ranks died under ``heal=`` — apply it and submit again."""
+    signal, or ranks died under ``heal=True`` — apply it and submit again."""
     with _launch(run) as submit:
         while True:
             try:
@@ -580,7 +584,7 @@ def _execute(run: _Run) -> list:
 def _one_shot_world(run: _Run, fn, *args, **fixed):
     """The default world of a run: opened for it, stopped after it — and
     opened again when a rank death stopped it under a region (the process
-    world's rule), so the repaired region gets fresh workers on fresh
+    world's rule), so the re-entered region gets fresh workers on fresh
     queues and inherits nothing a dying rank may have left wedged."""
     spec = run.spec
 
@@ -596,8 +600,11 @@ def _one_shot_world(run: _Run, fn, *args, **fixed):
         nonlocal world
         if not world.alive:
             world = launch()
-        if run.heal_ctx is not None:
-            run.heal_ctx.resubmitted()
+        if run.heal_failed_at is not None:
+            run.heals[-1]["latency_s"] = round(
+                time.perf_counter() - run.heal_failed_at, 6
+            )
+            run.heal_failed_at = None
         return world.submit(
             tracker=run.tracker, timeout=spec.timeout, faults=run.injector,
             checksums=spec.checksums, world_info=run.world_info,
@@ -636,9 +643,8 @@ def _amend(run: _Run, err: SpmdError) -> bool:
     ``err`` carry: a :class:`ReplanSignal` — all ranks raised the same
     decision at the same batch boundary —, memory pressure, answered by
     the paper's own lever of doubling the batch count, or, under
-    ``heal=``, rank deaths, answered by repairing the grid.  Returns
+    ``heal=True``, rank deaths, answered by the re-entry alone.  Returns
     whether the run should re-enter."""
-    failed_at = time.perf_counter()
     failures = list(err.failures.values())
     cur = run.batches or 1
     new_b, new_backend = cur, run.comm_backend
@@ -677,32 +683,30 @@ def _amend(run: _Run, err: SpmdError) -> bool:
         if new_b <= cur:
             raise err  # nothing left to double
         run.rebatched.append({"from": int(cur), "to": int(new_b)})
-    elif run.heal_ctx is not None and failures and all(
+    elif run.spec.heal and failures and all(
         isinstance(e, RankCrashError) for e in failures
     ):
         # the survivors keep nothing a re-entry would not rebuild (tiles
         # re-extracted, communicators re-derived, finished pieces already
-        # streamed to the driver), so a death costs the same re-entry —
-        # plus deciding who holds the dead positions from now on
-        def join_bytes(position):
-            return (extract_a_tile(run.a, run.grid, position).nbytes
-                    + extract_b_tile(run.b, run.grid, position).nbytes)
-
-        try:
-            run.heal_ctx.repair(
-                err.failures, run.ckpt.completed_prefix(), join_bytes,
-                failed_at,
-            )
-        except HealError as exc:
+        # streamed to the driver), so a death costs the re-entry alone
+        if len(run.heals) >= MAX_HEAL_ROUNDS:
+            exc = HealError(f"heal round budget exhausted ({MAX_HEAL_ROUNDS})")
             raise SpmdError(
                 dict.fromkeys(err.failures, exc),
                 checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
             ) from err
+        run.heal_failed_at = time.perf_counter()
+        run.heals.append({
+            "epoch": len(run.heals) + 1,
+            "dead": sorted(int(r) for r in err.failures),
+            "restart_batch": run.ckpt.completed_prefix(),
+            "latency_s": 0.0,
+        })
     else:
         return False
     if run.ckpt is not None and new_b == cur:
         # the column geometry is a function of b alone (a backend flip
-        # and a repair preserve it): completed batches stay durable and
+        # and a heal preserve it): completed batches stay durable and
         # gathered, half-gathered ones are recomputed — resume past them
         run.first_batch = run.ckpt.completed_prefix()
         run.collector.drop_pending()
@@ -772,8 +776,6 @@ def _assemble_report(run: _Run) -> SummaResult:
     info["world"] = (
         dict(run.world_info) if run.world_info else {"world": spec.world}
     )
-    if run.heal_ctx is not None:
-        info["world"]["heal_epochs"] = len(run.heal_ctx.events)
     info["memory"] = _memory_report(run, info, ran_batches)
     info["fiber_piece_nnz"] = [r["fiber_piece_nnz"] for r in per_rank]
     info["batch_scheme"] = spec.batch_scheme
@@ -790,9 +792,8 @@ def _assemble_report(run: _Run) -> SummaResult:
             resilience["checkpoint_dir"] = os.fspath(spec.checkpoint_dir)
             resilience["resumed_from_batch"] = run.first_batch
             resilience["checkpoint_io"] = ckpt.io_stats()
-        if run.heal_ctx is not None:
-            resilience["heal"] = run.heal_ctx.report()
-            resilience["world_spares"] = spec.world_spares
+        if spec.heal:
+            resilience["heal"] = {"heals": len(run.heals), "events": run.heals}
         if run.rebatched:
             resilience["rebatched"] = run.rebatched
         if run.replans:

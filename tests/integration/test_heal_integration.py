@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import HealError, ReproError, SpmdError
+from repro.errors import ReproError, SpmdError
 from repro.simmpi import FaultPlan
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d
@@ -40,24 +40,23 @@ def assert_bit_identical(m, ref):
 
 
 class TestSpareHeal:
+    """A death on a flat grid heals by re-entry at the checkpointed batch."""
+
     def test_crash_mid_run_heals_in_place(self, tmp_path, operands, fault_free):
         a, b = operands
         result = batched_summa3d(
             a, b, nprocs=4, batches=2,
             checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=1,batch=1"]),
-            heal="spare", world_spares=1, timeout=20,
+            heal=True, timeout=20,
         )
         assert_bit_identical(result.matrix, fault_free.matrix)
         heal = result.info["resilience"]["heal"]
-        assert heal["mode"] == "spare"
         assert heal["heals"] == 1
-        assert heal["extra_bytes_moved"] > 0
-        event = heal["events"][0]
-        assert event["dead"] == [{"position": 1, "rank": 1}]
-        # the spare (global rank 4) took over grid position 1
-        assert event["promoted"] == {4: 1}
-        assert result.info["resilience"]["world_spares"] == 1
+        (event,) = heal["events"]
+        assert set(event) == {"epoch", "dead", "restart_batch", "latency_s"}
+        assert event["epoch"] == 1
+        assert event["dead"] == [1]
         # batch 0 completed before the crash: re-entry skipped it
         assert event["restart_batch"] == 1
 
@@ -69,12 +68,12 @@ class TestSpareHeal:
             a, b, nprocs=4, batches=2,
             checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=0,batch=0"]),
-            heal="spare", world_spares=1, timeout=20,
+            heal=True, timeout=20,
         )
         assert_bit_identical(result.matrix, fault_free.matrix)
         assert result.info["resilience"]["heal"]["events"][0]["restart_batch"] == 0
 
-    def test_two_crashes_consume_two_spares(self, tmp_path, operands, fault_free):
+    def test_two_crashes_heal_twice(self, tmp_path, operands, fault_free):
         a, b = operands
         result = batched_summa3d(
             a, b, nprocs=4, batches=2,
@@ -82,30 +81,12 @@ class TestSpareHeal:
             faults=FaultPlan([
                 "crash:rank=1,batch=0", "crash:rank=3,batch=1",
             ]),
-            heal="spare", world_spares=2, timeout=25,
+            heal=True, timeout=25,
         )
         assert_bit_identical(result.matrix, fault_free.matrix)
-        assert result.info["resilience"]["heal"]["heals"] == 2
-
-    def test_spare_exhaustion_is_a_classified_heal_error(
-        self, tmp_path, operands
-    ):
-        a, b = operands
-        with pytest.raises(SpmdError) as info:
-            batched_summa3d(
-                a, b, nprocs=4, batches=2,
-                checkpoint_dir=tmp_path / "ck",
-                faults=FaultPlan([
-                    "crash:rank=1,batch=0", "crash:rank=2,batch=1",
-                ]),
-                heal="spare", world_spares=1, timeout=20,
-            )
-        heal_errors = [
-            e for e in info.value.failures.values()
-            if isinstance(e, HealError)
-        ]
-        assert heal_errors, f"expected HealError: {info.value.failures!r}"
-        assert "no spare rank left" in str(heal_errors[0])
+        heal = result.info["resilience"]["heal"]
+        assert heal["heals"] == 2
+        assert [e["dead"] for e in heal["events"]] == [[1], [3]]
 
     def test_sparse_backend_heals_too(self, tmp_path, operands, fault_free):
         a, b = operands
@@ -113,28 +94,15 @@ class TestSpareHeal:
             a, b, nprocs=4, batches=2, comm_backend="sparse",
             checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=2,batch=1"]),
-            heal="spare", world_spares=1, timeout=25,
+            heal=True, timeout=25,
         )
         assert_bit_identical(result.matrix, fault_free.matrix)
         assert result.info["resilience"]["heal"]["heals"] == 1
 
 
 class TestShrinkHeal:
-    def test_crash_heals_by_host_pool_shrink(self, tmp_path, operands, fault_free):
-        a, b = operands
-        result = batched_summa3d(
-            a, b, nprocs=4, batches=2,
-            checkpoint_dir=tmp_path / "ck",
-            faults=FaultPlan(["crash:rank=2,batch=1"]),
-            heal="shrink", timeout=20,
-        )
-        assert_bit_identical(result.matrix, fault_free.matrix)
-        heal = result.info["resilience"]["heal"]
-        assert heal["mode"] == "shrink"
-        assert heal["heals"] == 1
-        event = heal["events"][0]
-        # position 2 respawned, oversubscribed onto the lowest surviving host
-        assert event["hosts"][2] == 0
+    """A death on a layered grid heals on the same logical grid: partial
+    reductions do not compose across grid geometries."""
 
     def test_layered_grid_heals(self, tmp_path):
         a = random_sparse(32, 32, nnz=350, seed=81)
@@ -144,32 +112,27 @@ class TestShrinkHeal:
             a, b, nprocs=8, layers=2, batches=2,
             checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=5,batch=1"]),
-            heal="shrink", timeout=25,
+            heal=True, timeout=25,
         )
         assert_bit_identical(result.matrix, ref.matrix)
+        assert result.info["resilience"]["heal"]["events"][0]["dead"] == [5]
 
 
 class TestHealValidation:
     def test_heal_requires_checkpoint_dir(self, operands):
         a, b = operands
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            batched_summa3d(a, b, nprocs=4, heal="spare", world_spares=1)
-
-    def test_spare_mode_requires_spares(self, tmp_path, operands):
-        a, b = operands
-        with pytest.raises(ValueError, match="world_spares"):
-            batched_summa3d(
-                a, b, nprocs=4, heal="spare",
-                checkpoint_dir=tmp_path / "ck",
-            )
+            batched_summa3d(a, b, nprocs=4, heal=True)
 
     def test_unknown_mode_rejected(self, tmp_path, operands):
+        """``heal`` is a flag: a mode name is refused, not taken as truthy."""
         a, b = operands
-        with pytest.raises(ValueError, match="heal mode"):
-            batched_summa3d(
-                a, b, nprocs=4, heal="migrate",
-                checkpoint_dir=tmp_path / "ck",
-            )
+        for mode in ("spare", "shrink", "migrate"):
+            with pytest.raises(ValueError, match="heal must be True or False"):
+                batched_summa3d(
+                    a, b, nprocs=4, heal=mode,
+                    checkpoint_dir=tmp_path / "ck",
+                )
 
 
 class TestChaos:
@@ -196,7 +159,7 @@ class TestChaos:
             result = batched_summa3d(
                 a, b, nprocs=nprocs, layers=layers, batches=2,
                 checkpoint_dir=tmp_path / "ck",
-                faults=plan, heal="spare", world_spares=2, timeout=20,
+                faults=plan, heal=True, timeout=20,
             )
         except SpmdError as err:
             # classified failure: every reported cause is a typed repro

@@ -128,13 +128,13 @@ class TestAbortedRegionsAreMetered:
                 a, a, nprocs=4, batches=4, tracker=tracker, timeout=30,
                 checkpoint_dir=tmp_path / world,
                 faults=FaultPlan(["crash:rank=1,batch=2"]),
-                heal="spare", world_spares=1, world=world,
+                heal=True, world=world,
             )
             assert result.info["resilience"]["heal"]["heals"] == 1
             totals[world] = tracker.total_bytes()
             # bench_heal's bound: near the fault-free volume
             assert totals[world] < 1.25 * fault_free.total_bytes()
         # the SIGKILLed rank's own unreported events are the only
-        # permitted gap; 69 440 B is what the survivors and the repaired
-        # region meter (the repaired region alone is about half of it)
+        # permitted gap; 69 440 B is what the survivors and the re-entered
+        # region meter (the re-entered region alone is about half of it)
         assert 69_440 <= totals["processes"] <= totals["threads"]

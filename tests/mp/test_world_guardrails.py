@@ -74,7 +74,7 @@ class TestProcessFaults:
         res = batched_summa3d(
             a, a, nprocs=4, batches=2, checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=1,batch=1"]),
-            heal="spare", world_spares=1, timeout=25.0, world="processes",
+            heal=True, timeout=25.0, world="processes",
         )
         assert (res.matrix.values == ref.matrix.values).all()
         assert res.info["resilience"]["heal"]["heals"] == 1

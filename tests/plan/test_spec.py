@@ -38,8 +38,7 @@ _KNOBS = {
     "checkpoint_dir": st.none() | st.just("/tmp/ckpt"),
     "resume": st.booleans(),
     "checkpoint_keep_last": st.none() | st.integers(1, 4),
-    "heal": st.none() | st.sampled_from(["shrink", "spare"]),
-    "world_spares": st.integers(0, 2),
+    "heal": st.booleans(),
     "world": st.sampled_from(["threads", "processes"]),
     "transport": st.sampled_from(["auto", "pickle", "shm"]),
     "replan": st.sampled_from(["off", "auto"]),
@@ -195,7 +194,7 @@ class TestExecSpecConversionPoint:
         # both are amendments of the driver's one re-entry loop: there is
         # no second protocol for a replan to conflict with
         spec = ExecSpec.from_kwargs(
-            replan="auto", heal="shrink", checkpoint_dir="/tmp/ckpt"
+            replan="auto", heal=True, checkpoint_dir="/tmp/ckpt"
         )
         assert spec.validate() is spec
 

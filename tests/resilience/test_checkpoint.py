@@ -216,8 +216,8 @@ class TestSharedRootConcurrency:
         assert "/.." not in weird.replace(str(tmp_path), "", 1)
 
     def test_for_run_isolates_concurrent_jobs(self, tmp_path, matrix):
-        ck1 = CheckpointManager.for_run(tmp_path, "job-one", keep_last=1)
-        ck2 = CheckpointManager.for_run(tmp_path, "job-two", keep_last=1)
+        ck1 = CheckpointManager(CheckpointManager.run_dir(tmp_path, "job-one"), 1)
+        ck2 = CheckpointManager(CheckpointManager.run_dir(tmp_path, "job-two"), 1)
         assert ck1.directory != ck2.directory
         ck1.start_run("job-one", 3)
         ck2.start_run("job-two", 3)
@@ -233,12 +233,12 @@ class TestSharedRootConcurrency:
                 ck.load_batch(0)
 
     def test_gc_never_touches_sibling_run_dirs(self, tmp_path, matrix):
-        ck1 = CheckpointManager.for_run(tmp_path, "alive")
+        ck1 = CheckpointManager(CheckpointManager.run_dir(tmp_path, "alive"))
         ck1.start_run("alive", 2)
         ck1.write_batch(0, [(0, 1)], matrix)
         # a second job's directory full of batches, plus stray debris in
         # the first job's own directory
-        ck2 = CheckpointManager.for_run(tmp_path, "other")
+        ck2 = CheckpointManager(CheckpointManager.run_dir(tmp_path, "other"))
         ck2.start_run("other", 2)
         ck2.write_batch(0, [(0, 1)], matrix)
         stray = os.path.join(ck1.directory, "batch_9.npz")
@@ -259,10 +259,10 @@ class TestSharedRootConcurrency:
         assert ck1.completed_prefix() == 1
 
     def test_keep_last_tombstones_survive_resume(self, tmp_path, matrix):
-        ck = CheckpointManager.for_run(tmp_path, "resume-me", keep_last=1)
+        ck = CheckpointManager(CheckpointManager.run_dir(tmp_path, "resume-me"), 1)
         ck.start_run("resume-me", 4)
         for i in range(3):
             ck.write_batch(i, [(i, i + 1)], matrix)
-        fresh = CheckpointManager.for_run(tmp_path, "resume-me")
+        fresh = CheckpointManager(CheckpointManager.run_dir(tmp_path, "resume-me"))
         batches, first = fresh.resume_run("resume-me", None)
         assert (batches, first) == (4, 3)  # pruned batches still count

@@ -1,8 +1,11 @@
-"""Unit tests for the healing layer's satellites: checkpoint garbage
-collection, randomized crash plans, and classified error context."""
+"""The healing layer: checkpoint garbage collection, randomized crash
+plans, classified error context, and ``heal=True``'s re-entry through
+the driver (event record, a position dying twice, the round budget)."""
 
 import os
+import time
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -11,9 +14,10 @@ from repro.errors import (
     HealError,
     SpmdError,
 )
-from repro.resilience import HEAL_MODES, CheckpointManager, HealContext
+from repro.resilience import CheckpointManager
 from repro.simmpi import FaultPlan, run_spmd
 from repro.sparse import random_sparse
+from repro.summa import batched, batched_summa3d
 
 
 @pytest.fixture
@@ -132,88 +136,73 @@ class TestErrorContext:
         assert context["redeliveries"] >= 1
 
 
-class TestHealContext:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(HealError):
-            HealContext("migrate")
-
-    def test_modes_are_published(self):
-        assert set(HEAL_MODES) == {"spare", "shrink"}
-
-    def test_report_shape_when_no_heal_happened(self):
-        ctx = HealContext("spare")
-        report = ctx.report()
-        assert report == {
-            "mode": "spare", "events": [], "heals": 0,
-            "extra_bytes_moved": 0,
-        }
-
-
 class TestRepair:
-    """The repair rule, driven the way the driver's amend loop drives it."""
+    """Re-entry after rank deaths, driven through the driver's amend loop
+    (``heal=True``): the same grid re-enters at the checkpointed batch."""
 
     @staticmethod
-    def repair(ctx, dead, restart=0):
-        ctx.repair(dead, restart, lambda position: 100 + position, 0.0)
-        return ctx.events[-1]
+    def run(tmp_path, faults, **knobs):
+        a = random_sparse(48, 48, nnz=400, seed=71)
+        return batched_summa3d(
+            a, a, nprocs=4, batches=4, checkpoint_dir=tmp_path / "ck",
+            faults=faults, timeout=25, **{"heal": True, **knobs},
+        )
 
-    def test_spare_takes_the_position_and_brings_its_host(self):
-        event = self.repair(HealContext("spare", nprocs=4, world_spares=1), {1}, 2)
-        assert event["epoch"] == 1 and event["restart_batch"] == 2
-        assert event["dead"] == [{"position": 1, "rank": 1}]
-        assert event["promoted"] == {4: 1} and event["hosts"][1] == 4
-        assert event["bytes_redistributed"] == 101
+    def test_report_shape_when_no_heal_happened(self, tmp_path):
+        report = self.run(tmp_path, None).info["resilience"]
+        assert report["heal"] == {"heals": 0, "events": []}
+        assert "heal" not in self.run(
+            tmp_path, None, heal=False
+        ).info["resilience"]
 
-    def test_a_repaired_position_can_die_again(self):
-        ctx = HealContext("spare", nprocs=4, world_spares=2)
-        self.repair(ctx, {1})
-        event = self.repair(ctx, {1})
-        assert event["dead"] == [{"position": 1, "rank": 4}]
-        assert event["promoted"] == {5: 1}
-        assert ctx.report()["extra_bytes_moved"] == 202
+    def test_a_repaired_position_can_die_again(self, tmp_path):
+        a = random_sparse(48, 48, nnz=400, seed=71)
+        ref = batched_summa3d(a, a, nprocs=4, batches=4).matrix
+        for world in ("threads", "processes"):
+            result = self.run(
+                tmp_path / world,
+                ["crash:rank=1,batch=1", "crash:rank=1,batch=2"],
+                world=world,
+            )
+            heal = result.info["resilience"]["heal"]
+            assert heal["heals"] == 2, world
+            assert [(e["epoch"], e["dead"], e["restart_batch"])
+                    for e in heal["events"]] == [(1, [1], 1), (2, [1], 2)]
+            m = result.matrix
+            assert np.array_equal(m.indptr, ref.indptr), world
+            assert np.array_equal(m.rowidx, ref.rowidx), world
+            assert np.array_equal(m.values, ref.values), world
 
-    def test_world_spares_is_the_budget(self):
-        ctx = HealContext("spare", nprocs=4, world_spares=1)
-        self.repair(ctx, {0})
-        with pytest.raises(HealError, match="no spare rank left .* position 2"):
-            self.repair(ctx, {2})
-        assert ctx.report()["heals"] == 1
+    def test_round_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batched, "MAX_HEAL_ROUNDS", 1)
+        with pytest.raises(SpmdError) as info:
+            self.run(tmp_path, ["crash:rank=0,batch=1", "crash:rank=2,batch=2"])
+        causes = list(info.value.failures.values())
+        assert causes and all(isinstance(e, HealError) for e in causes)
+        assert "round budget exhausted (1)" in str(causes[0])
+        assert info.value.checkpoint_dir == str(tmp_path / "ck")
 
-    def test_shrink_respawns_onto_the_lowest_surviving_host(self):
-        ctx = HealContext("shrink", nprocs=4)
-        event = self.repair(ctx, {0, 2})
-        assert event["promoted"] == {4: 0, 5: 2}
-        assert event["hosts"] == {0: 1, 1: 1, 2: 1, 3: 3}
-
-    def test_round_budget(self):
-        ctx = HealContext("shrink", nprocs=2, max_rounds=1)
-        self.repair(ctx, {0})
-        with pytest.raises(HealError, match="round budget"):
-            self.repair(ctx, {1})
-
-    def test_latency_runs_until_the_repaired_region_is_submitted(self):
-        ctx = HealContext("spare", nprocs=4, world_spares=1)
-        event = self.repair(ctx, {3})
-        assert event["latency_s"] == 0.0
-        ctx.resubmitted()
-        assert ctx.events[-1]["latency_s"] > 0
-        closed = ctx.events[-1]["latency_s"]
-        ctx.resubmitted()  # a later amendment's submit: nothing open
-        assert ctx.events[-1]["latency_s"] == closed
+    def test_latency_runs_until_the_repaired_region_is_submitted(
+        self, tmp_path
+    ):
+        t0 = time.perf_counter()
+        result = self.run(tmp_path, ["crash:rank=3,batch=2"])
+        wall = time.perf_counter() - t0
+        (event,) = result.info["resilience"]["heal"]["events"]
+        assert event["dead"] == [3]
+        assert 0 < event["latency_s"] < wall
 
 
 def test_a_repaired_run_keeps_what_it_gathered(tmp_path):
     """``keep_last`` pruning (the service's default) turns old batch files
     into tombstones, so a re-entering run must not read back the batches
     it had already gathered — it keeps them and recomputes the rest."""
-    from repro.summa import batched_summa3d
-
     a = random_sparse(48, 48, nnz=400, seed=71)
     ref = batched_summa3d(a, a, nprocs=4, batches=6)
     healed = batched_summa3d(
         a, a, nprocs=4, batches=6, checkpoint_dir=tmp_path / "ck",
         checkpoint_keep_last=2, faults=["crash:rank=1,batch=4"],
-        heal="spare", world_spares=1, timeout=20,
+        heal=True, timeout=20,
     )
     assert healed.info["resilience"]["heal"]["events"][0]["restart_batch"] == 4
     assert healed.matrix.allclose(ref.matrix)

@@ -76,7 +76,7 @@ FEATURES = {
         NotImplementedError, lambda k: k.checkpointable,
     ),
     "heal": (
-        lambda tmp: {"checkpoint_dir": tmp, "heal": "shrink"},
+        lambda tmp: {"checkpoint_dir": tmp, "heal": True},
         NotImplementedError, lambda k: k.checkpointable,
     ),
     "mask": (

@@ -173,7 +173,7 @@ def test_mask_on_plain_spgemm_is_the_postprocess_filter(operands):
 @pytest.mark.parametrize("changes", [
     {"checkpoint_dir": "unused"},
     {"checkpoint_dir": "unused", "resume": True},
-    {"checkpoint_dir": "unused", "heal": "shrink"},
+    {"checkpoint_dir": "unused", "heal": True},
     {"keep_output": False},
     {"comm_backend": "auto"},
     {"batch_scheme": "block"},

@@ -246,6 +246,17 @@ def test_a_rank_death_is_recovered_in_one_function():
     assert sites == {("batched.py", "_amend")}, sites
 
 
+def test_heal_is_re_entry_and_nothing_more():
+    """``heal=True`` re-enters at the checkpointed batch on the same grid:
+    no spare pool, no decision of who holds a dead position, and no
+    redistribution meter beside the tracker."""
+    gone = re.compile(
+        "world_spares|HealDecision|HEAL_MODES|promoted|bytes_redistributed"
+    )
+    assert not _grep(gone, sorted(SRC.rglob("*.py")))
+    assert not (SRC / "resilience" / "heal.py").exists()
+
+
 def test_the_supervisors_share_one_settle_rule():
     """``ThreadWorld.submit`` is launch → join → settle, and what is left
     common to both carriers — how a region ends — is one function."""
@@ -385,15 +396,16 @@ SPEC_FIELDS_NOW = (
     "nprocs", "layers", "batches", "memory_budget", "enforce", "semiring",
     "kernel", "keep_output", "batch_scheme", "merge_policy", "comm_backend",
     "overlap", "timeout", "checksums", "max_retries", "checkpoint_dir",
-    "resume", "checkpoint_keep_last", "heal", "world_spares", "world",
-    "transport", "replan", "max_replans", "replan_force",
+    "resume", "checkpoint_keep_last", "heal", "world", "transport",
+    "replan", "max_replans", "replan_force",
 )
 
 
-def test_the_run_knobs_are_these_25():
-    from repro.plan.spec import SPEC_FIELDS
+def test_the_run_knobs_are_these_24():
+    from repro.plan.spec import SPEC_FIELDS, ExecSpec
 
-    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 25
+    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 24
+    assert ExecSpec().heal is False
 
 
 def _parameters(path, qualname):
