@@ -10,6 +10,7 @@ from .distribution import (
     extract_b_tile,
     gather_tiles,
     nested_slice,
+    squeeze_inner,
 )
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "extract_b_tile",
     "gather_tiles",
     "nested_slice",
+    "squeeze_inner",
 ]

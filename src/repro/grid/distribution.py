@@ -17,6 +17,12 @@ All distributions are *balanced block* partitions computed with
 Because every boundary comes from the same balanced-split function, the
 inner-dimension blocks of A and B align stage-by-stage in SUMMA even when
 nothing divides evenly.
+
+A global sparse pair may be handed to the ranks :class:`Squeezed`: the
+inner indices where both A's column and B's row are empty are dropped.
+The split along the inner dimension stays the caller's; each tile's
+bounds are mapped onto the surviving indices, so a rank holds the same
+entries in a tile only as wide as they need.
 """
 
 from __future__ import annotations
@@ -57,17 +63,84 @@ def b_tile_range(
     return r0, r1, int(cb[j]), int(cb[j + 1])
 
 
-def extract_a_tile(a: SparseMatrix, grid: ProcGrid3D, rank: int) -> SparseMatrix:
+class Squeezed:
+    """A global sparse operand stored without its dead inner indices.
+
+    ``matrix`` is the operand with every inner index outside ``live``
+    dropped (A's columns, B's rows) and the rest renumbered in order;
+    ``live`` is the sorted caller index of each survivor.  ``nrows`` and
+    ``ncols`` stay the caller's: tile bounds are cut on the caller's
+    inner size and mapped through :meth:`narrow`.
+    """
+
+    __slots__ = ("matrix", "live", "nrows", "ncols")
+
+    def __init__(self, matrix: SparseMatrix, live: np.ndarray,
+                 nrows: int, ncols: int) -> None:
+        self.matrix, self.live = matrix, live
+        self.nrows, self.ncols = nrows, ncols
+
+    def narrow(self, start: int, stop: int) -> tuple[int, int]:
+        """The caller's inner range ``[start, stop)`` in the stored
+        numbering: the prefix counts of the surviving indices."""
+        lo, hi = np.searchsorted(self.live, (start, stop))
+        return int(lo), int(hi)
+
+
+def squeeze_inner(a, b) -> tuple:
+    """``(A, B)`` without the inner indices ``k`` where ``A(:, k)`` and
+    ``B(k, :)`` are both empty, as a :class:`Squeezed` pair.  Operands
+    that are not both global sparse matrices, or that have no such index,
+    come back as they are.
+
+    Only the pair's storage changes: every dropped index carries no entry
+    on either side, so each rank's tiles hold the entries they held, in
+    the same order, and the product is bit-identical."""
+    if not (isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix)):
+        return a, b
+    alive = a.indptr[1:] != a.indptr[:-1]
+    alive[b.rowidx] = True
+    if alive.all():
+        return a, b
+    live = np.flatnonzero(alive)
+    # the new index of each survivor, scattered: cheaper than a prefix
+    # sum over the whole dimension when most of it is dead
+    renumber = np.empty(alive.shape[0], dtype=INDEX_DTYPE)
+    renumber[live] = np.arange(live.shape[0], dtype=INDEX_DTYPE)
+    # dropped columns are empty, so a kept column still ends where the
+    # next kept one starts
+    a_live = SparseMatrix(
+        a.nrows, live.shape[0], np.append(a.indptr[live], a.nnz),
+        a.rowidx, a.values,
+        sorted_within_columns=a.sorted_within_columns, validate=False,
+    )
+    # the renumbering is monotone: rows stay in their column order
+    b_live = SparseMatrix(
+        live.shape[0], b.ncols, b.indptr,
+        renumber[b.rowidx], b.values,
+        sorted_within_columns=b.sorted_within_columns, validate=False,
+    )
+    return (
+        Squeezed(a_live, live, a.nrows, a.ncols),
+        Squeezed(b_live, live, b.nrows, b.ncols),
+    )
+
+
+def extract_a_tile(a, grid: ProcGrid3D, rank: int) -> SparseMatrix:
     """The local A tile a rank holds under the 3D distribution."""
     i, j, k = grid.coords(rank)
     r0, r1, c0, c1 = a_tile_range(grid, a.nrows, a.ncols, i, j, k)
+    if isinstance(a, Squeezed):
+        (c0, c1), a = a.narrow(c0, c1), a.matrix
     return submatrix(a, r0, r1, c0, c1)
 
 
-def extract_b_tile(b: SparseMatrix, grid: ProcGrid3D, rank: int) -> SparseMatrix:
+def extract_b_tile(b, grid: ProcGrid3D, rank: int) -> SparseMatrix:
     """The local B tile a rank holds under the 3D distribution."""
     i, j, k = grid.coords(rank)
     r0, r1, c0, c1 = b_tile_range(grid, b.nrows, b.ncols, i, j, k)
+    if isinstance(b, Squeezed):
+        (r0, r1), b = b.narrow(r0, r1), b.matrix
     return submatrix(b, r0, r1, c0, c1)
 
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..errors import DistributionError, ShapeError
 from ..grid.distribution import (
+    Squeezed,
     a_tile_range,
     b_tile_range,
     gather_dense_tiles,
@@ -96,7 +97,7 @@ class TileSource:
 
 def operand_shape(operand) -> tuple[int, int]:
     """Global ``(nrows, ncols)`` of an operand in any accepted form."""
-    if isinstance(operand, (TileSource, SparseMatrix)):
+    if isinstance(operand, (TileSource, SparseMatrix, Squeezed)):
         return (operand.nrows, operand.ncols)
     shape = getattr(operand, "shape", None)
     if shape is not None and len(shape) == 2:
@@ -121,11 +122,12 @@ def resolve_tile(operand, grid: ProcGrid3D, rank: int, which: str, kind: str):
     """The operand protocol: a rank's tile of ``operand`` under the 3D
     distribution (``which`` = ``"A"`` or ``"B"``), honouring the declared
     operand ``kind``.  :class:`TileSource` operands hand out their own
-    tiles; global operands are extracted."""
+    tiles; global operands, :class:`~repro.grid.distribution.Squeezed`
+    ones included, are extracted."""
     if isinstance(operand, TileSource):
         return operand.tile(rank)
     if kind == "sparse":
-        if not isinstance(operand, SparseMatrix):
+        if not isinstance(operand, (SparseMatrix, Squeezed)):
             raise ShapeError(
                 f"operand {which} must be a SparseMatrix for this kernel, "
                 f"got {type(operand).__name__}"

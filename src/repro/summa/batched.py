@@ -39,9 +39,9 @@ from ..errors import (
     ShapeError,
     SpmdError,
 )
-from ..grid.distribution import gather_tiles
+from ..grid.distribution import Squeezed, gather_tiles, squeeze_inner
 from ..grid.grid3d import ProcGrid3D
-from ..kernels import LocalKernel, TileSource, get_kernel
+from ..kernels import LocalKernel, TileSource, get_kernel, operand_shape
 from ..mem import MemoryLedger
 from ..model.memory import predict_memory
 from ..mp.bridge import DriverCallback
@@ -284,6 +284,9 @@ class _Run:
 
     a: object
     b: object
+    #: what every region is handed: ``(a, b)``, as a Squeezed pair when
+    #: global sparse operands have dead inner indices
+    operands: tuple
     spec: ExecSpec
     exec_plan: ExecPlan | None
     kern: LocalKernel
@@ -439,6 +442,12 @@ def _prepare(
                 f"fault addresses one of the rank program's steps {STEP_KINDS}"
             )
 
+    # what the ranks are handed; the checkpoint key, the backend chooser
+    # and the memory models keep reading the caller's operands
+    operands = (a, b)
+    if kern.a_kind == kern.b_kind == "sparse":
+        operands = squeeze_inner(a, b)
+
     comm_backend = spec.comm_backend
     if comm_backend == "auto":
         if kern.supports_symbolic:
@@ -462,8 +471,9 @@ def _prepare(
         postprocess = _MaskFilter(mask, postprocess)
 
     return _Run(
-        a=a, b=b, spec=spec, exec_plan=exec_plan, kern=kern, aux=aux,
-        out_shape=out_shape, grid=ProcGrid3D(spec.nprocs, spec.layers),
+        a=a, b=b, operands=operands, spec=spec, exec_plan=exec_plan,
+        kern=kern, aux=aux, out_shape=out_shape,
+        grid=ProcGrid3D(spec.nprocs, spec.layers),
         tracker=tracker if tracker is not None else CommTracker(),
         injector=injector, world=world or _one_shot_world,
         postprocess=postprocess, on_batch=on_batch,
@@ -631,7 +641,7 @@ def _launch(run: _Run):
     if sink is not None and spec.world == "processes":
         sink = DriverCallback(sink)
     with run.world(
-        run, spmd_batched_summa3d, run.a, run.b, run.grid, spec,
+        run, spmd_batched_summa3d, *run.operands, run.grid, spec,
         kernel=run.kern, aux=run.aux, postprocess=run.postprocess,
         piece_sink=sink, batch_barrier=run.ckpt is not None,
     ) as submit:
@@ -780,6 +790,15 @@ def _assemble_report(run: _Run) -> SummaResult:
     info["fiber_piece_nnz"] = [r["fiber_piece_nnz"] for r in per_rank]
     info["batch_scheme"] = spec.batch_scheme
     info["merge_policy"] = spec.merge_policy
+    # the inner dimension: the caller's size, and how many of its
+    # indices the ranks' tiles span (fewer when dead ones were dropped)
+    dist_a = run.operands[0]
+    inner = operand_shape(run.a)[1]
+    info["inner"] = {
+        "n": inner,
+        "distributed": dist_a.matrix.ncols
+        if isinstance(dist_a, Squeezed) else inner,
+    }
     if run.sym_prepass is not None and "symbolic" not in info:
         info["symbolic"] = run.sym_prepass
     if run.resident:

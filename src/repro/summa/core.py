@@ -162,8 +162,10 @@ def spmd_batched_summa3d(
         This rank's world communicator (size must equal ``grid.nprocs``).
     a, b:
         The *global* input matrices — each rank extracts its own tile,
-        the simulation stand-in for data that is already distributed —
-        or :class:`~repro.kernels.TileSource` views of resident tiles.
+        the simulation stand-in for data that is already distributed;
+        a :class:`~repro.grid.distribution.Squeezed` pair when the driver
+        dropped dead inner indices — or :class:`~repro.kernels.TileSource`
+        views of resident tiles.
     kernel:
         The resolved :class:`~repro.kernels.LocalKernel`.
     aux:

@@ -8,6 +8,7 @@ along with the AllReduce-max statistics it is computed from.
 from __future__ import annotations
 
 from ..errors import ShapeError
+from ..grid.distribution import squeeze_inner
 from ..grid.grid3d import GridComms, ProcGrid3D
 from ..kernels.base import resolve_tile
 from ..model.memory import predict_memory
@@ -23,8 +24,8 @@ from .trace import Tracer
 
 def _spmd_symbolic(
     comm: SimComm,
-    a: SparseMatrix,
-    b: SparseMatrix,
+    a,
+    b,
     grid: ProcGrid3D,
     memory_budget: int,
 ) -> dict:
@@ -59,6 +60,10 @@ def symbolic3d(
     fit (no batch count can help, Sec. II-B).  The result's
     ``info["predicted_memory"]`` carries the Table III closed-form
     per-process estimate at the chosen ``b``.
+
+    The ranks work on the pair without its dead inner indices
+    (:func:`~repro.grid.distribution.squeeze_inner`), as the numeric
+    run does.
     """
     if a.ncols != b.nrows:
         raise ShapeError(
@@ -70,8 +75,7 @@ def symbolic3d(
     per_rank = run_spmd(
         nprocs,
         _spmd_symbolic,
-        a,
-        b,
+        *squeeze_inner(a, b),
         grid,
         memory_budget,
         tracker=tracker,

@@ -14,7 +14,7 @@ from repro.data import load_dataset, planted_partition
 from repro.apps import markov_cluster
 from repro.model import comm_complexity
 from repro.simmpi import CommTracker
-from repro.sparse import multiply, random_sparse
+from repro.sparse import SparseMatrix, multiply, random_sparse
 from repro.sparse.matrix import BYTES_PER_NONZERO
 from repro.summa import batched_summa3d, summa2d, summa3d
 
@@ -64,11 +64,15 @@ class TestCommVolumesMatchModel:
     simulation implements the algorithm the paper analyses.
     """
 
+    @staticmethod
+    def operand(seed):
+        return random_sparse(48, 48, nnz=600, seed=seed)
+
     @pytest.mark.parametrize("nprocs,layers,batches", [
         (4, 1, 1), (4, 1, 3), (8, 2, 1), (8, 2, 2), (16, 4, 2),
     ])
     def test_abcast_volume(self, nprocs, layers, batches):
-        a = random_sparse(48, 48, nnz=600, seed=71)
+        a = self.operand(seed=71)
         tracker = CommTracker()
         batched_summa3d(a, a, nprocs=nprocs, layers=layers, batches=batches,
                         tracker=tracker)
@@ -80,7 +84,7 @@ class TestCommVolumesMatchModel:
         assert expected <= measured <= expected * 1.35
 
     def test_abcast_scales_linearly_with_batches(self):
-        a = random_sparse(48, 48, nnz=600, seed=72)
+        a = self.operand(seed=72)
         volumes = []
         for b in (1, 2, 4):
             tracker = CommTracker()
@@ -90,7 +94,7 @@ class TestCommVolumesMatchModel:
         assert volumes[2] == pytest.approx(4 * volumes[0], rel=0.05)
 
     def test_bbcast_volume_batch_invariant(self):
-        a = random_sparse(48, 48, nnz=600, seed=73)
+        a = self.operand(seed=73)
         volumes = []
         messages = []
         for b in (1, 4):
@@ -105,7 +109,7 @@ class TestCommVolumesMatchModel:
         assert messages[1] == 4 * messages[0]
 
     def test_message_counts_match_model(self):
-        a = random_sparse(48, 48, nnz=600, seed=74)
+        a = self.operand(seed=74)
         nprocs, layers, batches = 16, 4, 3
         tracker = CommTracker()
         batched_summa3d(a, a, nprocs=nprocs, layers=layers, batches=batches,
@@ -121,6 +125,20 @@ class TestCommVolumesMatchModel:
             model["A-Broadcast"]["messages"] * layers * int(math.isqrt(nprocs // layers))
         assert agg["AllToAll-Fiber"]["messages"] == \
             batches * (nprocs // layers)
+
+
+class TestCommVolumesMatchModelDeadInner(TestCommVolumesMatchModel):
+    """The same closed forms on an operand with dead inner indices, which
+    the driver drops before distributing: Table II's counts must not
+    notice."""
+
+    @staticmethod
+    def operand(seed):
+        a = random_sparse(48, 48, nnz=600, seed=seed)
+        rows, cols, vals = a.to_coo()
+        # every fourth index: its row and its column of A are empty
+        keep = (rows % 4 != 1) & (cols % 4 != 1)
+        return SparseMatrix.from_coo(48, 48, rows[keep], cols[keep], vals[keep])
 
 
 class TestApplicationsUnderPressure:
