@@ -3,8 +3,8 @@ process per rank (``repro.mp``).
 
 The threaded world is the deterministic reference but serialises all
 local multiplies behind the GIL; the process world runs them truly in
-parallel and moves large operands through ``multiprocessing.shared_memory``
-instead of pickle.  This bench sweeps ``p`` in {1, 2, 4, 8} over both
+parallel and moves large operands through shared-memory segments under
+``/dev/shm`` instead of pickle.  This bench sweeps ``p`` in {1, 2, 4, 8} over both
 communication backends on a compute-bound SpGEMM, verifies the two
 worlds produce bit-identical products, and prints wall-clock speedup
 plus the shm traffic the transport registry reports.

@@ -31,7 +31,7 @@ UNJUDGED = ("cli.py", "__main__.py", "summa/verify.py", "sparse/spgemm/reference
 #: spec fields one value wide over all four driver sets (or varied by a single
 #: driver) that stay, and why — the same names as DESIGN.md §4's knob table
 KEPT_KNOBS = {
-    "enforce": "ROADMAP 1(c) makes \"warn\" the default under a budget",
+    "enforce": "ROADMAP 3(c) makes \"warn\" the default under a budget",
     "max_retries": "failure handling: bounds retries of a transient fault",
     "replan_force": "the deterministic seam tests/plan and replan x heal stand on",
     "checksums": "failure handling: bench_resilience alone sets it",

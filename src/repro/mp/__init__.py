@@ -2,7 +2,7 @@
 
 One OS process per rank — forked once per world and parked between
 regions (:class:`ProcessWorld`: ``start → submit(region)* → stop``) —
-queues for control traffic, shared-memory segments for bulk payloads.  The threaded simulator in
+pipes for control traffic, shared-memory segments for bulk payloads.  The threaded simulator in
 :mod:`repro.simmpi` stays the deterministic reference; this package is
 the performance world — the same :class:`~repro.simmpi.comm.SimComm`
 ops over another carrier (:class:`MpWorld`), bit-identical products,

@@ -2,24 +2,29 @@
 
 Every communicator op is :class:`~repro.simmpi.comm.SimComm`'s, written
 once over the endpoint primitives of :mod:`repro.simmpi.carrier`; this
-carrier implements them with per-rank queues.  ``post`` encodes a
+carrier implements them over one pipe per ordered rank pair — one
+writer each, so no lock and no feeder thread.  ``post`` encodes a
 payload once through the world's transport (see
-:mod:`repro.mp.transport`) and puts the wire in each destination's
-inbox; ``take`` / ``take_p2p`` pump the inbox into the mailbox until the
-awaited item is there and decode it.  Ledger charging still happens only
-in :meth:`SimComm._deliver`, so a zero-copy receive is charged once, to
-the receiver's ``recv_buffer``.
+:mod:`repro.mp.transport`), pickles the item once and writes it straight
+into each destination's pipe; what does not fit waits in that
+destination's backlog, in order, and is written from the rank's own
+waits (``pump``: on a wait's tick and whenever a backlogged pipe drains)
+— posting never blocks.  ``take`` / ``take_p2p`` pump the pipes into the
+mailbox until the awaited item is there and decode it.  Ledger charging
+still happens only in :meth:`SimComm._deliver`, so a zero-copy receive
+is charged once, to the receiver's ``recv_buffer``.
 
 Hang classification is two-tier.  A blocked wait first ships its
 :class:`~repro.simmpi.carrier.WaitRecord` (op, pending peers, PID) to
 the parent after a short grace period; the parent's cross-process
 watchdog runs :func:`~repro.simmpi.carrier.diagnose` over all shipped
 records, confirms a cycle over two sweeps, and notifies one member with
-a ``("ctl", "hang", ...)`` item — the notified worker raises the
-classified :class:`~repro.errors.HangError` (kind ``"deadlock"`` or
-``"peer-exited"``), built as the thread watchdog builds it.  The flat
-per-rank deadline stays as the backstop (kind ``"timeout"``, dump naming
-this stuck process's PID) for hangs the graph cannot prove.
+a ``("ctl", "hang", ...)`` item on the job pipe — the notified worker
+raises the classified :class:`~repro.errors.HangError` (kind
+``"deadlock"`` or ``"peer-exited"``), built as the thread watchdog
+builds it.  The flat per-rank deadline stays as the backstop (kind
+``"timeout"``, dump naming this stuck process's PID) for hangs the graph
+cannot prove.
 
 Region ``n`` of a world runs on epoch-``n`` communicators
 (:func:`world_comm_id`): what an aborted region left on the wire is
@@ -31,15 +36,19 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as _queue
+import select
+import struct
 import time
-from multiprocessing.connection import wait as _wait_any
+from collections import deque
 
 from ..errors import CommError
 from ..simmpi.carrier import _NOTHING, Endpoint, hang_error
 from ..simmpi.tracker import CommTracker
 from .shm import SegmentRegistry
 from .transport import get_transport, reap_wire
+
+#: length prefix of every item on a rank-pair pipe.
+_HEAD = struct.Struct("<Q")
 
 
 def world_comm_id(epoch: int) -> tuple:
@@ -62,66 +71,150 @@ def comm_epoch(comm_id: tuple) -> int:
 
 
 class MpWorld(Endpoint):
-    """One worker process's endpoint: queues, buffers, transport.
+    """One worker process's endpoint: pipes, buffers, transport.
 
-    Besides the :class:`~repro.simmpi.carrier.Endpoint` surface it holds
-    the worker's side of the parent link — ``jobs`` (the job pipe) and
-    ``results`` (the results queue, also used by the driver-callback
-    bridge and for wait records).
+    ``links`` maps every ordered rank pair ``(src, dst)`` to its pipe's
+    ``(read, write)`` descriptors; the constructor keeps this rank's
+    inbound read ends and outbound write ends and closes the rest, so a
+    peer that exits reads as end-of-file and a vanished reader as
+    ``EPIPE``.  ``jobs`` is the read end of the parent's job pipe
+    (regions, and the parent's ``ctl`` items), ``results`` the write end
+    of this rank's report pipe (:meth:`report`).
     """
 
     real_backoff = True
 
-    def __init__(self, rank: int, inboxes, failed, *, transport: str,
-                 run_id: str) -> None:
+    def __init__(self, rank: int, links: dict, jobs, results, failed, *,
+                 transport: str, run_id: str) -> None:
         super().__init__(rank)
-        self.inboxes = inboxes
-        self.inbox = inboxes[rank]
+        #: inbound read end -> bytes of a partly arrived item
+        self._inbound: dict[int, bytearray] = {}
+        #: destination rank -> outbound (non-blocking) write end
+        self._outbound: dict[int, int] = {}
+        for (src, dst), (read_fd, write_fd) in links.items():
+            if dst == rank:
+                self._inbound[read_fd] = bytearray()
+            else:
+                os.close(read_fd)
+            if src == rank:
+                os.set_blocking(write_fd, False)
+                self._outbound[dst] = write_fd
+            else:
+                os.close(write_fd)
+        #: outbound write end -> frames still to be written, in order
+        self._backlog: dict[int, deque] = {}
+        self._scratch = bytearray(1 << 16)
+        self.jobs, self.results = jobs, results
+        #: jobs read while a region was running (``None``: stop)
+        self._jobs: deque = deque()
+        self._poll = select.poll()
+        for fd in (*self._inbound, jobs.fileno()):
+            self._poll.register(fd, select.POLLIN)
         self.failed = failed
         self.pid = os.getpid()
-        #: read end of the parent's job pipe; installed by the worker main.
-        self.jobs = None
         self.transport = get_transport(transport)(
             SegmentRegistry(run_id, rank), post_ack=self._post_ack
         )
-        #: parent result queue; installed by the worker main.
-        self.results = None
         #: epoch of the latest region this worker began; older wires and
         #: buffers are stale and get reaped, not decoded.
         self.adopted_epoch = 0
 
     # -------------------------------------------------------------- #
-    # region lifecycle: park -> begin_region -> body -> finish -> park
+    # the pipes
     # -------------------------------------------------------------- #
 
     def pump(self, timeout: float) -> bool:
-        """Wait up to ``timeout`` for one inbox item and buffer it;
-        returns whether one arrived."""
-        try:
-            item = self.inbox.get(timeout=timeout)
-        except _queue.Empty:
+        """Wait up to ``timeout`` for traffic — a peer's items, the
+        parent's, room in a backlogged pipe — buffer every item that
+        arrived whole and write what fits of the backlog; returns whether
+        an item arrived."""
+        arrived = False
+        for fd, _event in self._poll.poll(timeout * 1000.0):
+            if fd in self._inbound:
+                arrived |= self._read_peer(fd)
+            elif fd == self.jobs.fileno():
+                arrived |= self._read_job()
+        for fd, frames in list(self._backlog.items()):
+            if _write(fd, frames):
+                del self._backlog[fd]
+                self._poll.unregister(fd)
+        return arrived
+
+    def _read_peer(self, fd: int) -> bool:
+        done = os.readv(fd, [self._scratch])
+        if not done:  # the peer exited; an item it left half-written dies
+            self._poll.unregister(fd)
+            os.close(fd)
+            del self._inbound[fd]
             return False
-        self._demux(item)
-        return True
+        buf = self._inbound[fd]
+        buf += memoryview(self._scratch)[:done]
+        items, pos = [], 0
+        with memoryview(buf) as view:
+            while len(buf) - pos >= _HEAD.size:
+                end = pos + _HEAD.size + _HEAD.unpack_from(buf, pos)[0]
+                if end > len(buf):
+                    break
+                items.append(pickle.loads(view[pos + _HEAD.size:end]))
+                pos = end
+        del buf[:pos]
+        for item in items:
+            self._demux(item)
+        return bool(items)
+
+    def _read_job(self) -> bool:
+        try:
+            job = pickle.loads(self.jobs.recv_bytes())
+        except EOFError:  # every write end closed: the parent is gone
+            self._poll.unregister(self.jobs.fileno())
+            self.failed.set()
+            job = None
+        if job is not None and job[0] == "ctl":
+            self._handle_ctl(job)
+            return True
+        self._jobs.append(job)
+        return False
+
+    def _send(self, dest: int, frame: bytes) -> None:
+        """Write one framed item to ``dest`` now, or queue it behind
+        what is already waiting for that pipe."""
+        if dest == self.rank:
+            self._demux(pickle.loads(memoryview(frame)[_HEAD.size:]))
+            return
+        fd = self._outbound[dest]
+        frames = self._backlog.get(fd)
+        if frames is not None:
+            frames.append(frame)
+        elif not _write(fd, frames := deque([frame])):
+            self._backlog[fd] = frames
+            self._poll.register(fd, select.POLLOUT)
+
+    def report(self, *msg) -> None:
+        """Tell the parent, inline: its supervisor keeps draining the
+        pipe, so a report waits for nothing but the parent.  A parent
+        that is gone is not this rank's error."""
+        blob = pickle.dumps(msg)
+        try:
+            self.results.send_bytes(blob)
+        except OSError:
+            pass
+
+    # -------------------------------------------------------------- #
+    # region lifecycle: park -> begin_region -> body -> finish -> park
+    # -------------------------------------------------------------- #
 
     def next_job(self, parent_pid: int):
         """Park until the parent submits the next region: blocks on the
-        job pipe and the inbox (no idle tick), looks about once a second
-        whether the parent is still there.  Returns the job's fields, or
-        ``None`` when the world was stopped or orphaned.  What arrives in
-        the inbox meanwhile — a faster peer's traffic for the region this
-        rank has not been told about yet, late acks — is buffered."""
-        while True:
-            ready = _wait_any([self.jobs, self.inbox._reader], timeout=1.0)
-            if self.jobs in ready:
-                try:
-                    return pickle.loads(self.jobs.recv_bytes())
-                except EOFError:  # every write end closed: no parent
-                    return None
-            if ready:
-                self.pump(0)
-            elif os.getppid() != parent_pid:
+        job pipe and the peer pipes (no idle tick), looks about once a
+        second whether the parent is still there.  Returns the job's
+        fields, or ``None`` when the world was stopped or orphaned.  What
+        peers send meanwhile — a faster peer's traffic for the region
+        this rank has not been told about yet, late acks — is buffered,
+        and what is left of this rank's backlog is written."""
+        while not self._jobs:
+            if not self.pump(1.0) and os.getppid() != parent_pid:
                 return None
+        return self._jobs.popleft()
 
     def begin_region(self, region: int, timeout: float, checksums: bool,
                      injector) -> None:
@@ -142,8 +235,6 @@ class MpWorld(Endpoint):
         self.step_label = self.backend_label = ""
         self.ledger = self.retry = None
         self._hang_notice = None
-        #: global ranks this rank posted to in the region (see finish)
-        self._sent_to: set[int] = set()
         self.epoch_reset(region)
 
     # -------------------------------------------------------------- #
@@ -151,27 +242,25 @@ class MpWorld(Endpoint):
     # -------------------------------------------------------------- #
 
     def heartbeat(self) -> None:
-        """Drain what is queued first: acks release their segments, and
-        a control item already sitting in the inbox is seen at op entry
-        — before fault injection."""
-        self.drain()
+        """Drain what has arrived first: acks release their segments,
+        and a control item already sitting in the job pipe is seen at op
+        entry — before fault injection."""
+        while self.pump(0):
+            pass
         self.beats += 1
 
     def post(self, dests, key: tuple, obj, meta: bool = False) -> None:
         wire = ("py", obj) if meta else self.transport.encode(
             obj, receivers=len(dests))
+        frame = _frame(("msg", key, wire))
         for dest in dests:
-            self.inboxes[dest].put(("msg", key, wire))
-        self._sent_to.update(dests)
+            self._send(dest, frame)
 
     def _post_ack(self, creator_global: int, name: str) -> None:
-        self.inboxes[creator_global].put(("ack", (name,)))
+        self._send(creator_global, _frame(("ack", (name,))))
 
     def _demux(self, item) -> None:
-        kind = item[0]
-        if kind == "ctl":
-            self._handle_ctl(item)
-        elif kind == "ack":
+        if item[0] == "ack":
             self.transport.segments.ack(item[1])
         elif comm_epoch(item[1][0]) < self.adopted_epoch:
             # stale wire from an aborted region: never decode it, but do
@@ -210,20 +299,11 @@ class MpWorld(Endpoint):
         self.failed.set()
         raise hang_error(kind, me, waits, cycle=cycle)
 
-    def drain(self) -> None:
-        """Process everything currently queued, without blocking."""
-        while True:
-            try:
-                item = self.inbox.get_nowait()
-            except _queue.Empty:
-                return
-            self._demux(item)
-
     def epoch_reset(self, epoch: int) -> None:
         """Begin region ``epoch``: purge pre-``epoch`` buffers + segments.
 
         Selective, not wholesale — a fast peer's new-epoch traffic can
-        land in this inbox *before* this rank is told of the region, and
+        land in this mailbox *before* this rank is told of the region, and
         must survive the reset.  Each dropped wire's shared-memory
         segment is reaped here, as is whatever this rank still owned of
         the aborted region.  Received mappings close with their views.
@@ -239,10 +319,11 @@ class MpWorld(Endpoint):
         self.transport.segments.abandon()
 
     def _await(self, want, ready, comm, op, peers, tag, op_id):
-        """Pump the inbox until ``ready()`` has a wire; decode it.
+        """Pump the pipes until ``ready()`` has a wire; decode it.
 
         Respects the shared abort event (raising :class:`CommError`, the
-        cascade error the engine filters), the parent watchdog's
+        cascade error the engine filters — also for a segment an aborted
+        creator unlinked before it was mapped), the parent watchdog's
         classified hang notices, and the flat per-rank timeout backstop.
         A wait outlasting the grace period ships its record to the
         parent, which classifies over all shipped records.
@@ -251,7 +332,12 @@ class MpWorld(Endpoint):
         if hit is _NOTHING:
             hit = self._block(ready, self._wait_record(
                 comm, op, peers, tag, op_id, time.monotonic()))
-        return self.transport.decode(hit)
+        try:
+            return self.transport.decode(hit)
+        except FileNotFoundError:
+            if not self.failed.is_set():
+                raise
+            raise CommError(f"{op} aborted: a peer rank failed") from None
 
     def _block(self, ready, me):
         self.check_hang_notice(me)
@@ -268,45 +354,35 @@ class MpWorld(Endpoint):
                     return hit
                 self.check_hang_notice(me)
                 now = time.monotonic()
-                if not posted and self.results is not None and now >= watch_at:
-                    self.results.put(("wait", self.rank, me))
+                if not posted and now >= watch_at:
+                    self.report("wait", self.rank, me)
                     posted = True
                 if not arrived and now >= deadline:
                     self.failed.set()
                     raise hang_error("timeout", me, {}, timeout=self.timeout)
         finally:
             if posted:
-                try:
-                    self.results.put(("endwait", self.rank))
-                except Exception:
-                    pass
+                self.report("endwait", self.rank)
 
     # -------------------------------------------------------------- #
     # teardown
     # -------------------------------------------------------------- #
 
     def finish(self) -> None:
-        """Hand every posted item to its pipe and drain outstanding
-        segment acks.
+        """Write out the backlog and drain outstanding segment acks.
 
         Runs after the SPMD body returned, before the rank reports: a
         peer still waiting on one of this rank's messages must not see
-        the rank gone (the parent's peer-exited verdict) while the item
-        sits in a queue's feeder buffer.  An empty ack behind each
-        destination's last item marks the flush: once a queue's buffer
-        is empty, its feeder has written everything before the marker.
-        Every message this rank sent was matched, so each receiver will
-        attach (and ack) as it drains its own queue — the wait ends as
-        soon as the slowest consumer of our broadcasts catches up.
+        the rank gone (the parent's peer-exited verdict) while the
+        message waits in the backlog.  Every message this rank sent was
+        matched, so each receiver will attach (and ack) as it drains its
+        own pipes — the wait ends as soon as the slowest consumer of our
+        broadcasts catches up.
         """
-        queues = [self.inboxes[dest] for dest in self._sent_to]
-        for q in queues:
-            q.put(("ack", ()))
         registry = self.transport.segments
         deadline = time.monotonic() + self.timeout
-        while registry.outstanding() or any(q._buffer for q in queues):
-            tick = self._tick if registry.outstanding() else 0.001
-            if not self.pump(tick) and (
+        while self._backlog or registry.outstanding():
+            if not self.pump(self._tick) and (
                 self.failed.is_set() or time.monotonic() >= deadline
             ):
                 registry.abandon()
@@ -314,3 +390,26 @@ class MpWorld(Endpoint):
 
     def abandon(self) -> None:
         self.transport.segments.abandon()
+
+
+def _frame(item) -> bytes:
+    blob = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEAD.pack(len(blob)) + blob
+
+
+def _write(fd: int, frames: deque) -> bool:
+    """Write ``frames`` in order until the pipe is full; returns whether
+    none is left.  A reader that is gone takes the rest with it: its
+    rank's exit is the parent's to classify."""
+    try:
+        while frames:
+            done = os.write(fd, frames[0])
+            if done < len(frames[0]):
+                frames[0] = memoryview(frames[0])[done:]
+                return False
+            frames.popleft()
+    except BlockingIOError:
+        return False
+    except BrokenPipeError:
+        frames.clear()
+    return True

@@ -5,12 +5,12 @@ stop``.  ``start`` forks one worker per rank; the SPMD body
 ``fn(comm, *args, **kwargs)`` and its arguments are inherited
 copy-on-write, so closures, lambdas and
 :class:`~repro.mp.bridge.DriverCallback` wrappers need not pickle.
-Workers then park on their inbox.  Each ``submit`` is one SPMD region on
+Workers then park on their job pipe.  Each ``submit`` is one SPMD region on
 the parked workers: it ships a deadline, the fault injector and a few
 *picklable* keyword arguments (through the world's transport, so arrays
 ride shared memory); every rank calls the inherited body with them and
 reports its return value — or the exception it raised — with its
-tracker events and transport statistics through its results queue.  The
+tracker events and transport statistics through its report pipe.  The
 return value is a message like any other (:meth:`Transport.ship
 <repro.mp.transport.Transport.ship>`): its large arrays ride one segment
 the driver adopts, only the descriptor is pickled into the pipe, and the
@@ -53,7 +53,6 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _wait_any
 from typing import Any
 
@@ -65,7 +64,7 @@ from ..simmpi.tracker import CommTracker
 from . import bridge
 from .bridge import DriverCallback
 from .comm import MpWorld, world_comm_id
-from .shm import SegmentRegistry, sweep_segments
+from .shm import SegmentRegistry, sweep_dead_runs, sweep_segments
 from .transport import get_transport, reap_wire, receive
 
 _RUN_COUNTER = itertools.count(1)
@@ -98,12 +97,11 @@ def _pickle_exc(rank: int, exc: BaseException) -> bytes:
 def _install_crash_action(rt: MpWorld, injector, rank: int) -> None:
     """Make injected ``crash`` faults kill the worker process for real.
 
-    The action ships the fault log to the parent (so the driver's
-    injector still reports the event), flushes the results queue and
-    abandons the inboxes — a SIGKILL mid-``Queue.put`` would corrupt the
-    pipe for everyone — then raises SIGKILL against itself.  The parent
-    sees exit code ``-SIGKILL``, exactly what a segfaulted or OOM-killed
-    rank looks like."""
+    The action reports the fault log to the parent (so the driver's
+    injector still reports the event), then raises SIGKILL against
+    itself.  The parent sees exit code ``-SIGKILL``, exactly what a
+    segfaulted or OOM-killed rank looks like; an item the rank left
+    half-written in a peer's pipe dies with it."""
 
     def crash_action(spec, event) -> None:
         op = event.op
@@ -112,19 +110,8 @@ def _install_crash_action(rt: MpWorld, injector, rank: int) -> None:
             op = f"batch {event.batch}" + (
                 f" stage {event.stage}" if event.stage is not None else ""
             )
-        try:
-            rt.results.put(("fault", rank, pickle.dumps(injector.snapshot()),
-                            op, event.step))
-            rt.results.close()
-            rt.results.join_thread()
-        except Exception:
-            pass
-        for q in rt.inboxes:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
+        rt.report("fault", rank, pickle.dumps(injector.snapshot()), op,
+                  event.step)
         os.kill(os.getpid(), signal.SIGKILL)
 
     injector.crash_action = crash_action
@@ -135,7 +122,7 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
     """One submitted region on one worker: call the inherited body with
     the shipped keyword arguments and report — the value or the
     exception, and either way what the rank metered."""
-    rank, results = rt.rank, rt.results
+    rank = rt.rank
     wire, injector, checksums = pickle.loads(blob)
     rt.begin_region(region, timeout, checksums, injector)
     if injector is not None:
@@ -154,14 +141,16 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
                          **rt.transport.decode(wire))
         shipped = rt.transport.ship(value)
         rt.finish()
-        results.put(("done", rank, shipped, *meters()))
+        rt.report("done", rank, shipped, *meters())
     except BaseException as exc:  # noqa: BLE001 — reported via SpmdError
-        rt.abandon()
+        # the abort is visible before any segment goes: a receiver that
+        # finds one gone reads it as the abort (MpWorld._await)
         rt.failed.set()
-        results.put(("err", rank, _pickle_exc(rank, exc), *meters()))
+        rt.abandon()
+        rt.report("err", rank, _pickle_exc(rank, exc), *meters())
 
 
-def _worker_main(world: ProcessWorld, rank: int) -> None:
+def _worker_main(world: ProcessWorld, rank: int, links: dict) -> None:
     """A rank process: park, run each submitted region, park again —
     until the world is stopped or the parent is gone."""
     try:  # the task name `pgrep repro-mp-rank` matches (Linux)
@@ -169,17 +158,18 @@ def _worker_main(world: ProcessWorld, rank: int) -> None:
             comm_file.write(f"repro-mp-rank-{rank}")
     except OSError:
         pass
-    rt = MpWorld(rank, world.inboxes, world.failed,
+    # keep only this rank's ends of the parent's pipes: with no stray
+    # copies a vanished parent reads as end-of-file, a vanished rank as
+    # EPIPE (MpWorld does the same with the rank-pair pipes)
+    for grank in range(world.nprocs):
+        world.jobs[grank][1].close()
+        world.results[grank][0].close()
+        if grank != rank:
+            world.jobs[grank][0].close()
+            world.results[grank][1].close()
+    rt = MpWorld(rank, links, world.jobs[rank][0],
+                 world.results[rank][1], world.failed,
                  transport=world.transport, run_id=world.run_id)
-    rt.results = world.results[rank]
-    # keep only this rank's end of the job pipes: with no stray copies a
-    # vanished parent reads as end-of-file, a vanished rank as EPIPE
-    for grank, (reader, writer) in enumerate(world.jobs):
-        writer.close()
-        if grank == rank:
-            rt.jobs = reader
-        else:
-            reader.close()
     bridge.set_runtime(rt)
     code = 1
     try:
@@ -188,28 +178,15 @@ def _worker_main(world: ProcessWorld, rank: int) -> None:
         code = 0
     finally:
         # orphaned or stopped mid-region: whatever this rank still owns
-        # in /dev/shm goes with it; a report already queued must flush,
-        # peer inboxes may never be drained again and are abandoned
+        # in /dev/shm goes with it
         rt.abandon()
-        try:
-            # the last thing this rank tells the parent: from here on it
-            # holds nothing shared, only its own teardown is left
-            rt.results.put(("bye", rank))
-            rt.results.close()
-            rt.results.join_thread()
-        except Exception:
-            pass
-        for q in world.inboxes:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
+        # the last thing this rank tells the parent: from here on it
+        # holds nothing shared, only its own teardown is left
+        rt.report("bye", rank)
         sys.stdout.flush()
         sys.stderr.flush()
-        # skip interpreter teardown: arbitrary destruction order would
-        # spray harmless SharedMemory.__del__ BufferErrors over stderr
-        # when a handle dies before its views
+        # skip interpreter teardown: nothing is left to flush, and the
+        # parent's state this process inherited is not its to finalize
         os._exit(code)
 
 
@@ -279,39 +256,40 @@ class ProcessWorld:
     def start(self) -> ProcessWorld:
         """Fork the workers; they park until the first :meth:`submit`."""
         ctx = multiprocessing.get_context("fork")
-        # Start the resource-tracker daemon *before* forking: all workers
-        # then share one tracker, so a segment registered at creation in
-        # one rank and unregistered at unlink time in another balances
-        # out instead of each rank's private tracker warning of "leaks".
-        resource_tracker.ensure_running()
-        self.inboxes = [ctx.Queue() for _ in range(self.nprocs)]
-        # one results queue per worker, not one for all: a queue's write
-        # lock is shared by its writers, and a rank killed while holding
-        # it would silence every other rank for good
-        self.results = [ctx.Queue() for _ in range(self.nprocs)]
-        # regions are submitted over one plain pipe per worker, written
-        # inline: a ``Queue.put`` would start a feeder thread per inbox
-        # in the parent of every world
-        self.jobs = [ctx.Pipe(duplex=False) for _ in range(self.nprocs)]
+        # a parent killed mid-region left its segments behind
+        sweep_dead_runs()
+        # every pipe has one writer, written inline — no lock, no feeder
+        # thread — and is read only by its owner: one per ordered rank
+        # pair for rank traffic, one per rank each way to the parent
+        # (regions and ctl items down, reports up)
+        nprocs = self.nprocs
+        links = {(src, dst): os.pipe() for src in range(nprocs)
+                 for dst in range(nprocs) if src != dst}
+        self.results = [ctx.Pipe(duplex=False) for _ in range(nprocs)]
+        self.jobs = [ctx.Pipe(duplex=False) for _ in range(nprocs)]
         self.failed = ctx.Event()
         self.callbacks = _scan_callbacks(self.fn, self.args, self.kwargs)
         self.procs = {
             grank: ctx.Process(
-                target=_worker_main, args=(self, grank), daemon=True,
+                target=_worker_main, args=(self, grank, links), daemon=True,
                 name=f"repro-mp-rank-{grank}",
             )
-            for grank in range(self.nprocs)
+            for grank in range(nprocs)
         }
         for proc in self.procs.values():
             proc.start()
-        for reader, _writer in self.jobs:
-            reader.close()
+        for grank in range(nprocs):
+            self.jobs[grank][0].close()
+            self.results[grank][1].close()
+        for fds in links.values():
+            for fd in fds:
+                os.close(fd)
         self.pending = dict(self.procs)
         return self
 
     def stop(self) -> int:
         """Let every worker go, sweep this world's shm segments, close the
-        queues; returns the number of segments swept (0 on a clean world).
+        pipes; returns the number of segments swept (0 on a clean world).
         A worker that said bye is reaped in the background, the others
         (dead, or terminated after a grace period) before returning.
         Idempotent, and on *every* way out of a world — a parent-side
@@ -321,7 +299,7 @@ class ProcessWorld:
         pending, self.pending = self.pending, None
         self.failed.set()  # ranks still inside a region abort their waits
         for grank in pending:  # read once the rank is parked
-            self._submit_job(grank, None)
+            self._send(grank, None)
         byes = self._await_byes(pending, time.monotonic() + 2.0)
         for grank, proc in pending.items():
             if grank in byes:
@@ -337,14 +315,9 @@ class ProcessWorld:
         # every worker said bye, was joined or was killed: nothing can
         # attach now
         swept = sweep_segments(self.run_id)
-        for q in (*self.inboxes, *self.results):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
-        for _reader, writer in self.jobs:
-            writer.close()
+        for grank in range(self.nprocs):
+            self.results[grank][0].close()
+            self.jobs[grank][1].close()
         return swept
 
     def _await_byes(self, pending: dict, grace: float) -> set:
@@ -363,15 +336,18 @@ class ProcessWorld:
             timeout = grace - time.monotonic()
             if not left or timeout <= 0:
                 break
-            _wait_any([*(self.results[g]._reader for g in left),
+            _wait_any([*(self.results[g][0] for g in left),
                        *(p.sentinel for p in left.values())], timeout=timeout)
         return byes
 
     def _said_bye(self, grank: int) -> bool:
+        reports = self.results[grank][0]
         while True:
             try:
-                msg = self.results[grank].get_nowait()
-            except (_queue.Empty, OSError, EOFError):
+                if not reports.poll():
+                    return False
+                msg = pickle.loads(reports.recv_bytes())
+            except (OSError, EOFError):
                 return False
             except Exception:  # a late report that does not unpickle
                 continue
@@ -407,9 +383,9 @@ class ProcessWorld:
         jobs = []
         for grank in self.pending:
             mine = PerRank.pick(kwargs, grank)
-            # pickled here, not in a queue feeder thread: an argument
-            # that cannot cross surfaces at the call site, before any
-            # rank has been told anything
+            # pickled before any job is written: an argument that
+            # cannot cross surfaces at the call site, before any rank
+            # has been told anything
             jobs.append((grank, pickle.dumps(
                 (self._encoder.encode(mine, receivers=1), injector, checksums)
             )))
@@ -427,7 +403,7 @@ class ProcessWorld:
         self.prev_cycle_sig = None
         self.failed.clear()
         for grank, blob in jobs:
-            self._submit_job(grank, (self.region, timeout, blob))
+            self._send(grank, (self.region, timeout, blob))
 
     def _supervise(self) -> None:
         """Serve the region until every live worker has reported."""
@@ -440,10 +416,9 @@ class ProcessWorld:
             # tick as the idle timeout that paces the watchdog and the
             # deadline.  An exited worker's sentinel stays ready, but it
             # is reaped (and leaves the wait set) below, so nothing
-            # spins on it.  `_reader` is a queue's read end;
-            # multiprocessing has no public name for it.
+            # spins on it.
             _wait_any(
-                [*(self.results[g]._reader for g in self.pending),
+                [*(self.results[g][0] for g in self.pending),
                  *(w.sentinel for w in self.pending.values())],
                 timeout=0.05,
             )
@@ -524,29 +499,26 @@ class ProcessWorld:
     # coordinator: messages and worker exits
     # ------------------------------------------------------------------ #
 
-    def _submit_job(self, grank: int, job) -> None:
-        # never write to a dead rank's pipe (a large job would block on
-        # it); the supervisor reaps and classifies the death
+    def _send(self, grank: int, item) -> None:
+        """A job (``None``: stop) or a ``ctl`` item down the job pipe.
+        Never to a dead rank (a large job would block on its pipe); the
+        supervisor reaps and classifies the death."""
         if self.procs[grank].is_alive():
             try:
-                self.jobs[grank][1].send_bytes(pickle.dumps(job))
+                self.jobs[grank][1].send_bytes(pickle.dumps(item))
             except OSError:
                 pass
 
-    def _post(self, grank: int, item: tuple) -> None:
-        try:
-            self.inboxes[grank].put(item)
-        except Exception:
-            pass
-
     def _drain(self) -> None:
-        for q in self.results:
+        for reports, _writer in self.results:
             while True:
                 try:
-                    msg = q.get_nowait()
-                except _queue.Empty:
+                    if not reports.poll():
+                        break
+                    blob = reports.recv_bytes()
+                except EOFError:  # its writer is gone
                     break
-                self._handle(msg)
+                self._handle(pickle.loads(blob))
 
     def _absorb(self, fault_blob) -> None:
         if fault_blob is not None and self.injector is not None:
@@ -614,10 +586,10 @@ class ProcessWorld:
         self.waits.pop(grank, None)
         self.failures.setdefault(grank, self._crash_error(grank, proc))
         self.failed.set()
-        # ranks blocked on their inbox look at ``failed`` when the pump
+        # ranks blocked in a wait look at ``failed`` when the pump
         # returns: wake them now, not a tick (up to 0.2 s) from now
         for peer in self.pending:
-            self._post(peer, ("ctl", "abort"))
+            self._send(peer, ("ctl", "abort"))
 
     # ------------------------------------------------------------------ #
     # coordinator: cross-process watchdog
@@ -629,7 +601,7 @@ class ProcessWorld:
         waits = self.waits
         since = waits[grank].since
         records = {r: waits[r] for r in {grank, *nodes} if r in waits}
-        self._post(grank, ("ctl", "hang", kind, tuple(nodes), records, since))
+        self._send(grank, ("ctl", "hang", kind, tuple(nodes), records, since))
         self.hang_sent = (grank, since)
 
     def _watchdog_sweep(self) -> None:

@@ -1,15 +1,15 @@
 """Shared-memory segments with refcounted ownership handoff.
 
 One segment per message: every qualifying ndarray buffer in a payload is
-packed (64-byte aligned) into a single
-:class:`multiprocessing.shared_memory.SharedMemory` block, and the wire
-carries only the segment name plus per-buffer offsets.  Receivers map
-the block read-only (:func:`adopt_mapping`, the one way a segment is
-mapped on the receive side) and build zero-copy, read-only array views
-on the mapping, which closes with the last of them; the received bytes
-are charged once, to the receiver's ledger ``recv_buffer`` category, at
-the normal delivery chokepoint (:meth:`SimComm._deliver`) — never on the
-sender.
+written (64-byte aligned) into a single file under :data:`SHM_DIR` —
+created ``O_EXCL``, sized with ``ftruncate`` and filled with ``pwrite``,
+so the sender never maps it — and the wire carries only the segment
+name plus per-buffer offsets.  Receivers map the file read-only
+(:func:`adopt_mapping`, the one way a segment is mapped) and build
+zero-copy, read-only array views on the mapping, which closes with the
+last of them; the received bytes are charged once, to the receiver's
+ledger ``recv_buffer`` category, at the normal delivery chokepoint
+(:meth:`SimComm._deliver`) — never on the sender.
 
 Ownership discipline (SpComm3D-style explicit handoff):
 
@@ -22,18 +22,17 @@ Ownership discipline (SpComm3D-style explicit handoff):
   each receiver posts a tiny ack after attaching and the creator
   unlinks when the count drains (:meth:`SegmentRegistry.ack`).
 
-Python 3.11 registers *every* attach with the (fork-shared) resource
-tracker under the same name, so exactly one ``unlink()`` balances the
-books.  A crashed worker leaves its names behind; the parent engine's
-:func:`sweep_segments` backstop removes anything bearing the run prefix
-after all workers have been joined.
+No resource tracker repeats that bookkeeping.  What a crashed worker
+leaves behind the parent engine's :func:`sweep_segments` removes (every
+name bearing the run prefix) once its workers are joined or parked; what
+a killed parent leaves behind the next world start removes
+(:func:`sweep_dead_runs`).
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-from multiprocessing import resource_tracker, shared_memory
 
 #: byte alignment of each packed buffer inside a segment.
 ALIGN = 64
@@ -42,21 +41,14 @@ ALIGN = 64
 SHM_DIR = "/dev/shm"
 
 
-def _untrack(name: str) -> None:
-    """Best-effort resource-tracker unregistration by segment name."""
+def reap_segment(name: str) -> bool:
+    """Unlink one segment by name; ``False`` when it was already gone
+    (racing with another reaper is fine)."""
     try:
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _drop(shm: shared_memory.SharedMemory) -> None:
-    """Unlink a created segment (if still named) and close its handle."""
-    try:
-        shm.unlink()
+        os.unlink(os.path.join(SHM_DIR, name))
     except FileNotFoundError:
-        pass
-    shm.close()
+        return False
+    return True
 
 
 class SegmentRegistry:
@@ -72,34 +64,40 @@ class SegmentRegistry:
         self.rank = int(rank)
         self._counter = 0
         #: created, not yet sent (error-path cleanup unlinks these).
-        self._fresh: dict[str, shared_memory.SharedMemory] = {}
-        #: sent to multiple receivers; name -> (handle, outstanding acks).
-        self._owned: dict[str, shared_memory.SharedMemory] = {}
+        self._fresh: set[str] = set()
+        #: sent to several receivers: name -> outstanding acks.
         self.pending: dict[str, int] = {}
         self.shm_bytes = 0
         self.segments = 0
 
-    def create(self, nbytes: int) -> shared_memory.SharedMemory:
+    def create(self, nbytes: int, chunks) -> str:
+        """A new segment of ``nbytes`` holding each ``(offset, bytes)``
+        chunk; returns its name."""
         name = f"{self.run_id}.{self.rank}.{self._counter}"
         self._counter += 1
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(int(nbytes), 1)
-        )
-        self._fresh[shm.name] = shm
+        fd = os.open(os.path.join(SHM_DIR, name),
+                     os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+        self._fresh.add(name)
+        try:
+            os.ftruncate(fd, max(int(nbytes), 1))
+            for offset, data in chunks:
+                view = memoryview(data)
+                while view:
+                    done = os.pwrite(fd, view, offset)
+                    view, offset = view[done:], offset + done
+        finally:
+            os.close(fd)
         self.shm_bytes += int(nbytes)
         self.segments += 1
-        return shm
+        return name
 
     def sent(self, name: str, receivers: int) -> None:
-        """The segment's message was enqueued to ``receivers`` ranks."""
-        shm = self._fresh.pop(name)
+        """The segment's message was posted to ``receivers`` ranks; with
+        one, ownership went with it (the receiver unlinks on attach)."""
+        self._fresh.discard(name)
         if receivers > 1:
             # ack mode: keep the name until every receiver attached
-            self._owned[name] = shm
             self.pending[name] = int(receivers)
-        else:
-            # ownership transferred: the receiver unlinks after attach
-            shm.close()
 
     def ack(self, names) -> None:
         """Process receiver acks; unlink when a refcount drains."""
@@ -109,7 +107,7 @@ class SegmentRegistry:
                 continue
             if left <= 1:
                 del self.pending[name]
-                _drop(self._owned.pop(name))
+                reap_segment(name)
             else:
                 self.pending[name] = left - 1
 
@@ -122,49 +120,30 @@ class SegmentRegistry:
         what an aborted one left: unlink whatever this process still owns.
         Received mappings close with their last view; the parent sweep
         removes any name a peer never released."""
-        for store in (self._fresh, self._owned):
-            for shm in store.values():
-                _drop(shm)
-            store.clear()
+        for name in (*self._fresh, *self.pending):
+            reap_segment(name)
+        self._fresh.clear()
         self.pending.clear()
 
 
 def adopt_mapping(name: str, owned: bool = True) -> mmap.mmap:
-    """Attach a received segment and map it read-only, without keeping a
-    handle.  An ``owned`` segment (single-receiver handoff) is unlinked
-    at once — the mapping outlives the name; a shared one keeps its name
-    until the creator's last ack.  Arrays built on the mapping keep it
-    open and close it with the last of them — a ``SharedMemory`` that
-    dies before its views prints a ``BufferError`` from ``__del__``
-    instead."""
-    shm = shared_memory.SharedMemory(name=name)
+    """Map a received segment read-only.  An ``owned`` segment
+    (single-receiver handoff) is unlinked at once — the mapping outlives
+    the name; a shared one keeps its name until the creator's last ack.
+    Arrays built on the mapping keep it open and close it with the last
+    of them."""
+    path = os.path.join(SHM_DIR, name)
+    fd = os.open(path, os.O_RDONLY)
     try:
         if owned:
-            shm.unlink()
-        # SharedMemory has no public name for its descriptor
-        return mmap.mmap(shm._fd, shm.size, access=mmap.ACCESS_READ)
+            os.unlink(path)
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
     finally:
-        shm.close()
+        os.close(fd)
 
 
-def reap_segment(name: str) -> bool:
-    """Unlink one segment by name, in-process and tracker-balanced.
-
-    Used for stale-epoch wires a rank drops without decoding: the
-    attach registers with the resource tracker and the unlink
-    unregisters, so the books stay balanced.  Returns ``True`` when the
-    name existed (racing with another reaper is fine)."""
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        # lost the race after attaching: balance the attach registration
-        _untrack(name)
-    shm.close()
-    return True
+def _names() -> list[str]:
+    return os.listdir(SHM_DIR) if os.path.isdir(SHM_DIR) else []
 
 
 def sweep_segments(run_id: str) -> int:
@@ -172,23 +151,33 @@ def sweep_segments(run_id: str) -> int:
     run prefix (workers joined, or parked between regions).  Returns the
     number of names removed — 0 on a clean run.
     """
-    if not os.path.isdir(SHM_DIR):
-        return 0
+    return sum(reap_segment(n) for n in _names() if n.startswith(run_id))
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass
+    return False
+
+
+def sweep_dead_runs() -> int:
+    """World-start backstop for a parent killed mid-region: remove every
+    ``repro-<pid>-*`` name whose creating parent ``pid`` no longer
+    exists in this process's pid namespace.  Returns the number of
+    names removed."""
     removed = 0
-    for fname in os.listdir(SHM_DIR):
-        if not fname.startswith(run_id):
-            continue
-        try:
-            os.unlink(os.path.join(SHM_DIR, fname))
-        except OSError:
-            continue
-        _untrack(fname)
-        removed += 1
+    for name in _names():
+        prefix, _, rest = name.partition("-")
+        pid = rest.partition("-")[0]
+        if prefix == "repro" and pid.isdigit() and _gone(int(pid)):
+            removed += reap_segment(name)
     return removed
 
 
 def leaked_segments(run_id: str) -> list[str]:
     """Names under :data:`SHM_DIR` still bearing ``run_id`` (tests)."""
-    if not os.path.isdir(SHM_DIR):
-        return []
-    return sorted(f for f in os.listdir(SHM_DIR) if f.startswith(run_id))
+    return sorted(n for n in _names() if n.startswith(run_id))

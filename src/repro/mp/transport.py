@@ -3,14 +3,14 @@
 A transport decides how one payload crosses a process boundary:
 
 ``naive``
-    Pickle everything through the per-rank queue — simple, correct,
-    one full copy per hop.
+    Pickle everything into the pipe to the receiving rank — simple,
+    correct, one full copy per hop.
 ``shm``
     Every ndarray buffer (including the three arrays of a
     :class:`~repro.sparse.SparseMatrix` and anything inside an
     :class:`~repro.simmpi.serialization.Envelope`) is packed into one
     shared-memory segment; only a small descriptor travels through the
-    queue, and the receiver maps the segment zero-copy.
+    pipe, and the receiver maps the segment zero-copy.
 ``auto``
     ``shm`` for buffers of at least :data:`AUTO_THRESHOLD` bytes,
     ``naive`` inline for anything smaller — the payload-size heuristic
@@ -109,15 +109,10 @@ class Transport:
             self.naive_bytes += _safe_nbytes(obj)
             return ("py", obj)
         offsets, total = _layout(bufs)
-        seg = self.segments.create(total)
-        for arr, off in zip(bufs, offsets):
-            flat = np.ascontiguousarray(arr).reshape(-1)
-            np.copyto(
-                np.frombuffer(seg.buf, dtype=arr.dtype, count=arr.size,
-                              offset=off),
-                flat,
-            )
-        name = seg.name
+        name = self.segments.create(total, [
+            (off, np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+            for arr, off in zip(bufs, offsets)
+        ])
         self.segments.sent(name, receivers)
         return ("shm", name, self.segments.rank, receivers > 1,
                 tuple(offsets), spec)

@@ -18,7 +18,7 @@ A key is ``(comm_id, kind, op_id, src)``; a point-to-point key is
 :class:`ThreadEndpoint` (ranks are threads of this process; each has a
 mailbox under its own condition, all sharing one lock, and objects pass
 by reference) and :class:`repro.mp.comm.MpWorld` (ranks are forked
-processes; items ride per-rank queues through the transport).
+processes; items ride one pipe per rank pair through the transport).
 
 Hang classification is shared as well: one wait record
 (:class:`WaitRecord`), one classifier (:func:`diagnose`: a pending peer

@@ -595,7 +595,7 @@ def _one_shot_world(run: _Run, fn, *args, **fixed):
     """The default world of a run: opened for it, stopped after it — and
     opened again when a rank death stopped it under a region (the process
     world's rule), so the re-entered region gets fresh workers on fresh
-    queues and inherits nothing a dying rank may have left wedged."""
+    pipes and inherits nothing a dying rank may have left half-written."""
     spec = run.spec
 
     def launch():
@@ -635,8 +635,8 @@ def _launch(run: _Run):
     spec = run.spec
     # Under the process world the collector's sink must run in the
     # driver (it feeds gather/checkpoint state workers cannot see); the
-    # DriverCallback wrapper ships each piece back through the engine's
-    # results queue.
+    # DriverCallback wrapper ships each piece back through the rank's
+    # report pipe.
     sink = run.sink if run.collector is not None else None
     if sink is not None and spec.world == "processes":
         sink = DriverCallback(sink)
