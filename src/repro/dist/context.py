@@ -30,9 +30,9 @@ lifetime (:func:`repro.simmpi.engine.open_world`; in the process world,
 rank workers forked once and parked between regions), each rank keeps
 its tiles in ``comm.world.store`` under the handle's key, and every
 operation is one named region (:data:`REGIONS`) submitted to that world.
-The driver side holds names and sizes only.  The store holds *owning*
-arrays only: a tile received as a zero-copy view of a shared-memory
-segment is copied out before the region ends and releases the segment.
+The driver side holds names and sizes only.  The store holds no view of
+a shared-memory segment: a tile received as a zero-copy view of one is
+copied out before the region ends and releases the segment.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import mmap
 import weakref
 
 import numpy as np
@@ -67,14 +68,6 @@ _KEYS = itertools.count()
 _assemble = get_kernel("spgemm").gather
 
 
-def _digest(m: SparseMatrix) -> bytes:
-    """Content key of a mask: shape, pattern and values."""
-    h = hashlib.blake2b(repr(m.shape).encode(), digest_size=16)
-    for arr in (m.indptr, m.rowidx, m.values):
-        h.update(np.ascontiguousarray(arr))
-    return h.digest()
-
-
 def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
     fn = _STANDARD_LAYOUTS[layout]
     return [
@@ -87,12 +80,21 @@ def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
 # rank side: the regions a context submits, over the rank's tile store
 # ---------------------------------------------------------------------- #
 
+def _on_segment(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is a view of a received shm segment's mapping."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
+
+
 def _keep(store: dict, key, tile: SparseMatrix) -> tuple[int, int]:
     """Store ``tile`` under ``key``; returns the ``(nnz, nbytes)`` the
     driver records.  The store owns its arrays: a received tile may be a
-    read-only view of a shm segment this region's end releases."""
+    read-only view of a shm segment this region's end releases.  Index
+    arrays a :attr:`~repro.sparse.SparseMatrix.structure_key` froze are
+    the caller's own memory and are kept as they are."""
     arrays = (tile.indptr, tile.rowidx, tile.values)
-    if not all(arr.flags.writeable for arr in arrays):
+    if any(_on_segment(arr) for arr in arrays):
         tile = SparseMatrix(
             tile.nrows, tile.ncols, *(np.array(arr) for arr in arrays),
             sorted_within_columns=tile.sorted_within_columns, validate=False,
@@ -301,8 +303,9 @@ class DistContext:
         self._live: dict[int, DistMatrixHandle] = {}
         #: keys freed since the last region; the next one drops them
         self._freed: list[int] = []
-        #: ``(digest, rank-store key)`` of the one mask the ranks keep: a
-        #: chain's mask travels once, and again when its content changes
+        #: ``((structure key, values digest), rank-store key)`` of the one
+        #: mask the ranks keep: a chain's mask travels once, and again
+        #: when its pattern or its values change
         self._held_aux: tuple = (None, None)
         #: set by :meth:`close`; a closed context refuses every operation
         self.closed = False
@@ -589,11 +592,16 @@ class DistContext:
             x.record() if isinstance(x, DistMatrixHandle) else x
             for x in (a, b)
         )
-        digest = aux_key = None
+        content = aux_key = None
         if isinstance(aux, SparseMatrix):
-            digest = _digest(aux)
-            held_digest, held_key = self._held_aux
-            aux_key = held_key if held_digest == digest else next(_KEYS)
+            # the pattern is keyed once per matrix; the values are hashed
+            # per op, since a kernel (SDDMM) may multiply by them
+            content = (
+                aux.structure_key,
+                hashlib.blake2b(aux.values, digest_size=16).digest(),
+            )
+            held_content, held_key = self._held_aux
+            aux_key = held_key if held_content == content else next(_KEYS)
 
         def submit(**amendable):
             # until a region that carried the mask has succeeded, every
@@ -609,7 +617,7 @@ class DistContext:
                 superseded = self._held_aux[1]
                 if superseded is not None:
                     self._freed.append(superseded)
-                self._held_aux = (digest, aux_key)
+                self._held_aux = (content, aux_key)
             return out
 
         try:

@@ -3,8 +3,12 @@ SpGEMM service over a pool of resident grids.
 
 The paper's α–β makespan model and Table III memory model decide whether
 a run fits *before it starts*; this package turns them into admission
-predicates for a stream of jobs.  See DESIGN.md "Serving and overload
-robustness" and docs/API.md for the full lifecycle and error taxonomy.
+predicates for a stream of jobs.  Admission plans each submission once,
+through a :class:`PlanCache` keyed by the operands' exact structure
+(:attr:`~repro.sparse.SparseMatrix.structure_key`), so a graph submitted
+again is neither re-planned nor re-hashed.  See DESIGN.md "Serving and
+overload robustness" and docs/API.md for the full lifecycle and error
+taxonomy.
 
 >>> from repro.serve import SpgemmService
 >>> with SpgemmService(grids=2, nprocs=4, world="threads") as svc:
@@ -25,7 +29,6 @@ from .plan_cache import PlanCache
 from .pool import GridPool, GridSlot
 from .queue import FairQueue
 from .service import SpgemmService
-from .sketch import MatrixSketch, sketch_of
 
 __all__ = [
     "AdmissionController",
@@ -43,11 +46,9 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "KIND_KERNELS",
-    "MatrixSketch",
     "PlanCache",
     "QUARANTINED",
     "REJECT_REASONS",
     "ServeError",
     "SpgemmService",
-    "sketch_of",
 ]

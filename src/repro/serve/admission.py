@@ -273,14 +273,7 @@ class AdmissionController:
 
         charge = self._charge(state, spec, plan, job_bytes)
         state.accepted += 1
-        return Job(
-            spec, plan=plan, cache_hit=hit, cost_s=cost_s, charge=charge,
-            plan_key=self.plan_cache.key(
-                spec.a, spec.b, nprocs=self.nprocs, memory_budget=budget,
-                kernel=kernel, backend=self.backend, overlap=self.overlap,
-                mask=spec.mask,
-            ),
-        )
+        return Job(spec, plan=plan, cache_hit=hit, cost_s=cost_s, charge=charge)
 
     # ------------------------------------------------------------------ #
 

@@ -109,14 +109,12 @@ class Job:
     _ids = iter(range(1, 1 << 62))
     _ids_lock = threading.Lock()
 
-    def __init__(self, spec: JobSpec, *, plan=None, plan_key=None,
-                 cache_hit: bool = False, cost_s: float = 0.0,
-                 charge=None) -> None:
+    def __init__(self, spec: JobSpec, *, plan=None, cache_hit: bool = False,
+                 cost_s: float = 0.0, charge=None) -> None:
         with Job._ids_lock:
             self.id = next(Job._ids)
         self.spec = spec
         self.plan = plan            # ExecPlan from admission
-        self.plan_key = plan_key
         self.cache_hit = bool(cache_hit)
         #: DRR cost unit — the plan's predicted (modelled) seconds
         self.cost_s = float(cost_s)

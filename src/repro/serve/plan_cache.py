@@ -5,16 +5,20 @@ seconds, Table III memory) for *every* submitted job — including the ones
 it rejects — so planning sits on the service's hot path.  Repeat traffic
 (the same graph squared every HipMCL iteration, the same adjacency every
 GNN epoch) re-plans the same structure over and over; the cache keys the
-decision by the operands' :class:`~repro.serve.sketch.MatrixSketch` plus
-every knob that changes the answer (kernel, backend, overlap, grid size,
-memory budget), so a hit is a dict lookup and a miss is one
+decision by each operand's structure — a sparse operand's exact
+:attr:`~repro.sparse.SparseMatrix.structure_key`, a dense panel's shape —
+plus every knob that changes the answer (kernel, backend, overlap, grid
+size, memory budget), so a hit is a dict lookup and a miss is one
 ``auto_config(use_symbolic=False)``.
 
 Invalidation is by construction: any structural change to an operand
-moves its sketch, and any change to kernel/backend/overlap/nprocs/budget
+moves its key, and any change to kernel/backend/overlap/nprocs/budget
 changes the key, so a stale plan can never be returned for different
-inputs.  Values do not enter the key — plans are value-independent
-(see :mod:`repro.serve.sketch`), which is exactly why caching is sound.
+inputs.  Values do not enter the key — ``auto_config`` reads only
+dimensions and the nonzero pattern, so two matrices with one pattern and
+different values share a plan, which is exactly why caching is sound.
+A matrix is keyed once: the key is cached on it (its index arrays turn
+read-only), so repeat submissions of one operand hash nothing.
 """
 
 from __future__ import annotations
@@ -22,9 +26,27 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+import numpy as np
+
 from ..plan.spec import ExecPlan
+from ..sparse.matrix import SparseMatrix
 from ..summa.planner import auto_config
-from .sketch import MatrixSketch, sketch_of
+
+
+def _operand_key(operand):
+    """A sparse operand's :attr:`~repro.sparse.SparseMatrix.structure_key`;
+    a dense panel's geometry (its plan is a pure function of its shape)."""
+    if operand is None:
+        return None
+    if isinstance(operand, SparseMatrix):
+        return operand.structure_key
+    arr = np.asanyarray(operand)
+    if arr.ndim != 2:
+        raise TypeError(
+            f"cannot key operand of type {type(operand).__name__} "
+            f"with ndim={arr.ndim}; expected a SparseMatrix or 2-D panel"
+        )
+    return ("dense", *(int(d) for d in arr.shape))
 
 
 class PlanCache:
@@ -58,26 +80,19 @@ class PlanCache:
     ) -> tuple:
         """The full cache key for one planning question.
 
-        Operands enter as sketches; ``mask`` (masked SpGEMM's pattern)
+        Operands enter by structure; ``mask`` (masked SpGEMM's pattern)
         is an operand too — a different mask changes the effective
         output structure a plan should be priced for.
         """
-        def _sk(x):
-            if x is None:
-                return None
-            if isinstance(x, MatrixSketch):
-                return x
-            return sketch_of(x)
-
         return (
-            _sk(a),
-            _sk(b),
+            _operand_key(a),
+            _operand_key(b),
             str(kernel),
             str(backend),
             str(overlap),
             int(nprocs),
             None if memory_budget is None else int(memory_budget),
-            _sk(mask),
+            _operand_key(mask),
         )
 
     def lookup(self, key: tuple) -> ExecPlan | None:

@@ -22,10 +22,12 @@ What the check costs: the last two invariants together say "the
 column-major keys ``col * nrows + row`` strictly increase", so input whose
 columns are in ascending order takes one linear neighbour compare; only a
 column out of order (hash-suite output, or a defect) costs one sort of
-the keys, to tell a duplicate from disorder.  Nothing hashes.
+the keys, to tell a duplicate from disorder.  The check hashes nothing.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -56,9 +58,15 @@ class SparseMatrix:
         Verify all invariants (linear in ``nnz`` for input in ascending
         order, one key sort otherwise); disable only on hot internal paths
         that construct provably-valid arrays.
+
+    A matrix's structure is keyed at most once: reading
+    :attr:`structure_key` freezes ``indptr`` and ``rowidx`` (see there).
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "rowidx", "values", "sorted_within_columns")
+    __slots__ = (
+        "nrows", "ncols", "indptr", "rowidx", "values",
+        "sorted_within_columns", "_structure_key",
+    )
 
     def __init__(
         self,
@@ -77,8 +85,16 @@ class SparseMatrix:
         self.rowidx = np.ascontiguousarray(rowidx, dtype=INDEX_DTYPE)
         self.values = np.ascontiguousarray(values, dtype=VALUE_DTYPE)
         self.sorted_within_columns = bool(sorted_within_columns)
+        self._structure_key: bytes | None = None
         if validate:
             self._validate()
+
+    def __reduce__(self):
+        # a copy or an unpickled matrix is a new matrix: it starts unkeyed
+        return _rebuild, (
+            self.nrows, self.ncols, self.indptr, self.rowidx, self.values,
+            self.sorted_within_columns,
+        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -138,6 +154,29 @@ class SparseMatrix:
         (also counted at ``r`` bytes/nonzero) stay directly comparable.
         """
         return self.nnz * BYTES_PER_NONZERO
+
+    @property
+    def structure_key(self) -> bytes:
+        """Exact identity of the nonzero pattern: a 16-byte blake2b over
+        the shape, ``indptr`` and ``rowidx``; values stay out.
+
+        Computed on first read and cached.  Keying sets ``indptr`` and
+        ``rowidx`` read-only (``setflags(write=False)``) so the cached
+        key cannot go stale: a keyed pattern is never written in place,
+        while ``values`` stay writable.  A new matrix — from
+        :meth:`sort_indices`, :func:`copy.copy` or a pickle — starts
+        unkeyed, even when it shares the frozen arrays.  Threads reading
+        an unkeyed matrix's key at once may each hash it; they store
+        the same key.
+        """
+        if self._structure_key is None:
+            self.indptr.setflags(write=False)
+            self.rowidx.setflags(write=False)
+            h = hashlib.blake2b(repr(self.shape).encode(), digest_size=16)
+            h.update(self.indptr)
+            h.update(self.rowidx)
+            self._structure_key = h.digest()
+        return self._structure_key
 
     def col_nnz(self) -> np.ndarray:
         """Number of stored entries in each column (length ``ncols``)."""
@@ -286,3 +325,10 @@ class SparseMatrix:
                     raise FormatError(
                         "sorted_within_columns set but a column is unsorted"
                     )
+
+
+def _rebuild(nrows, ncols, indptr, rowidx, values, sorted_within_columns):
+    return SparseMatrix(
+        nrows, ncols, indptr, rowidx, values,
+        sorted_within_columns=sorted_within_columns, validate=False,
+    )

@@ -6,11 +6,14 @@ itself never imports it.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
+from repro.mp.shm import SHM_DIR
 from repro.sparse import SparseMatrix, random_sparse
 from repro.sparse.spgemm import esc, symbolic
 
@@ -94,6 +97,20 @@ def from_scipy(s) -> SparseMatrix:
 
 def dense_equal(m: SparseMatrix, dense: np.ndarray, **kw) -> bool:
     return np.allclose(m.to_dense(), dense, **kw)
+
+
+def shm_names() -> set[str]:
+    """The ``/dev/shm`` segment names this process's worlds own.
+
+    Every segment of a process world carries its parent's run prefix
+    ``repro-<pid>-`` (``repro.mp.engine._fresh_run_id``), so a world
+    another process runs beside the suite is not this suite's leak.  A
+    world whose parent is a subprocess is checked by its own run id
+    (``repro.mp.shm.leaked_segments``).
+    """
+    prefix = f"repro-{os.getpid()}-"
+    names = os.listdir(SHM_DIR) if os.path.isdir(SHM_DIR) else []
+    return {n for n in names if n.startswith(prefix)}
 
 
 @pytest.fixture

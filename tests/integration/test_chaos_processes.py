@@ -10,21 +10,16 @@ test — ``/dev/shm`` must come back clean after every outcome, including
 a kill mid-exchange with segments in flight.
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError, SpmdError
-from repro.mp.shm import SHM_DIR
 from repro.simmpi.faults import FaultPlan
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d
-
-
-def _shm_names():
-    return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
+from tests.conftest import shm_names
 
 
 def assert_bit_identical(m, ref):
@@ -68,7 +63,7 @@ class TestChaosMatrix:
             seed=nprocs, nprocs=nprocs, transient=1, corrupt=1,
             crash=1, max_batch=2,
         )
-        before = _shm_names()
+        before = shm_names()
         t0 = time.monotonic()
         try:
             result = batched_summa3d(
@@ -88,7 +83,7 @@ class TestChaosMatrix:
             assert result.info["resilience"]["heal"]["heals"] >= 1
         # bounded either way, and no shared-memory litter
         assert time.monotonic() - t0 < 60
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
 
 class TestShmHygieneUnderKill:
@@ -97,7 +92,7 @@ class TestShmHygieneUnderKill:
         flight — must not leak ``/dev/shm`` names even without a heal
         layer (the parent sweep is the backstop)."""
         a, b = operands
-        before = _shm_names()
+        before = shm_names()
         with pytest.raises(SpmdError) as info:
             batched_summa3d(
                 a, b, nprocs=4, batches=2,
@@ -108,19 +103,19 @@ class TestShmHygieneUnderKill:
             type(e).__name__ == "RankCrashError"
             for e in info.value.failures.values()
         )
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
     def test_sigkill_with_heal_leaves_no_segments(self, tmp_path, operands,
                                                   references):
         a, b = operands
-        before = _shm_names()
+        before = shm_names()
         result = batched_summa3d(
             a, b, nprocs=4, batches=2, checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=2,batch=1"]),
             heal=True, timeout=25, world="processes", transport="shm",
         )
         assert_bit_identical(result.matrix, references[4].matrix)
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
 
 class TestNoWedge:
@@ -133,7 +128,7 @@ class TestNoWedge:
         tick and the repaired region runs on fresh queues."""
         a, b = operands
         ref = batched_summa3d(a, b, nprocs=8, layers=2, batches=4)
-        before = _shm_names()
+        before = shm_names()
         for i in range(40):
             t0 = time.monotonic()
             result = batched_summa3d(
@@ -148,7 +143,7 @@ class TestNoWedge:
             assert time.monotonic() - t0 < 3.0, i
             assert result.info["resilience"]["heal"]["heals"] == 1, i
             assert_bit_identical(result.matrix, ref.matrix)
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
 
 class TestCheckpointParity:
@@ -177,7 +172,7 @@ class TestAcceptance:
         to the fault-free threaded reference, with the heal recorded and
         zero orphaned segments."""
         a, b = operands
-        before = _shm_names()
+        before = shm_names()
         result = batched_summa3d(
             a, b, nprocs=4, batches=2, checkpoint_dir=tmp_path / "ck",
             faults=FaultPlan(["crash:rank=1,batch=1"]),
@@ -192,4 +187,4 @@ class TestAcceptance:
         assert event["latency_s"] > 0
         assert result.info["world"]["world"] == "processes"
         assert result.info["world"]["transport"] == "shm"
-        assert _shm_names() <= before
+        assert shm_names() <= before

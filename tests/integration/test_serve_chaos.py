@@ -12,7 +12,6 @@ throughput above zero even while chaos jobs are failing on the same
 grids.
 """
 
-import os
 import threading
 
 import numpy as np
@@ -24,15 +23,11 @@ from repro.errors import (
     ReproError,
     SpmdError,
 )
-from repro.mp.shm import SHM_DIR
 from repro.serve import QUARANTINED, SpgemmService
 from repro.simmpi.faults import FaultPlan
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d
-
-
-def _shm_names():
-    return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
+from tests.conftest import shm_names
 
 
 def assert_bit_identical(m, ref):
@@ -53,7 +48,7 @@ class TestChaosAcceptance:
         ``world="processes"`` → the job completes bit-identical, the
         result records the heal, and no shared memory leaks past
         shutdown."""
-        before = _shm_names()
+        before = shm_names()
         with SpgemmService(
             grids=1, nprocs=4, world="processes", timeout=60.0,
             heal=True, checkpoint_root=tmp_path / "ck",
@@ -75,7 +70,7 @@ class TestChaosAcceptance:
             )
             assert_bit_identical(r.matrix, ref.matrix)
             assert svc.stats()["counters"]["heals"] >= 1
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
     def test_unhealed_crash_is_classified_and_breaker_reforks(
         self, a
@@ -83,7 +78,7 @@ class TestChaosAcceptance:
         """Without a heal layer a crashing job fails *classified*; two
         such incidents quarantine the slot's breaker and the service
         re-forks the grid, after which clean traffic flows again."""
-        before = _shm_names()
+        before = shm_names()
         with SpgemmService(
             grids=1, nprocs=4, world="processes", timeout=60.0,
             degrade_after=2.0, quarantine_after=4.0,
@@ -105,7 +100,7 @@ class TestChaosAcceptance:
             assert stats["counters"]["reforks"] >= 1
             assert stats["slots"][0]["breaker"]["trips"] >= 1
             assert stats["slots"][0]["breaker"]["state"] != QUARANTINED
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
 
 class TestChaosUnderLoad:
@@ -114,7 +109,7 @@ class TestChaosUnderLoad:
         them injects crashes; every refusal is classified, every tenant
         completes work, healed jobs stay bit-identical, and the pool
         shuts down shm-clean."""
-        before = _shm_names()
+        before = shm_names()
         completed = {"alice": 0, "bob": 0, "mallory": 0}
         unclassified = []
         lock = threading.Lock()
@@ -163,4 +158,4 @@ class TestChaosUnderLoad:
         assert not unclassified, unclassified
         assert all(n > 0 for n in completed.values()), completed
         assert stats["counters"]["heals"] >= 1
-        assert _shm_names() <= before
+        assert shm_names() <= before

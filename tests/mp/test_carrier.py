@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SpmdError
+from repro.mp.shm import leaked_segments
 from repro.simmpi import run_spmd
-from tests.mp.test_resident_world import shm_names, wait_gone
+from tests.mp.test_resident_world import wait_gone
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                    os.pardir, "src"))
@@ -136,12 +137,12 @@ def test_a_killed_parents_segments_go_with_the_next_world():
     dead, pids = f"repro-{proc.pid}-", []
     try:
         pids = [int(proc.stdout.readline().split()[1]) for _ in range(2)]
-        assert [n for n in shm_names() if n.startswith(dead)]
+        assert leaked_segments(dead)  # the subprocess's names, not ours
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stdout.close()
     assert run_spmd(2, lambda comm: comm.rank, world="processes") == [0, 1]
-    assert not [n for n in shm_names() if n.startswith(dead)]
+    assert not leaked_segments(dead)
     # the orphaned ranks notice their parent is gone and leave
     assert wait_gone(pids, 5.0)

@@ -24,25 +24,19 @@ from repro.errors import (
     RankCrashError,
     SpmdError,
 )
-from repro.mp.shm import SHM_DIR
+from repro.mp.shm import leaked_segments
 from repro.plan import ExecSpec
 from repro.simmpi import CommTracker
 from repro.simmpi.engine import open_world
 from repro.sparse import multiply, random_sparse
 from repro.sparse.ops import column_sums, scale_columns
 from repro.summa import run_plan
+from tests.conftest import shm_names
 
 WORLD_INFO_KEYS = {
     "world", "transport", "run_id", "shm_segments", "shm_bytes",
     "naive_msgs", "naive_bytes", "swept_segments",
 }
-
-
-def shm_names():
-    """Every segment any process world of this repo left in /dev/shm."""
-    if not os.path.isdir(SHM_DIR):
-        return set()
-    return {n for n in os.listdir(SHM_DIR) if n.startswith("repro")}
 
 
 def gone(pid: int) -> bool:
@@ -383,4 +377,5 @@ def test_workers_do_not_outlive_a_parent_that_vanishes():
     run_id, *pids = proc.stdout.split()
     assert len(pids) == 4
     assert wait_gone([int(pid) for pid in pids], 3.0)
-    assert not [n for n in shm_names() if n.startswith(run_id)]
+    # the world's parent was the subprocess: its names are not ours
+    assert not leaked_segments(run_id)

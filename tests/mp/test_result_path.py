@@ -22,11 +22,11 @@ import repro.summa.batched as batched
 from repro.errors import RankCrashError, SpmdError
 from repro.mp.bridge import DriverCallback
 from repro.mp.engine import ProcessWorld
-from repro.mp.shm import SHM_DIR
 from repro.mp.transport import AUTO_THRESHOLD
 from repro.simmpi.engine import run_spmd
 from repro.sparse import SparseMatrix
 from repro.summa import batched_summa3d
+from tests.conftest import shm_names
 
 #: float64s in 1 MB
 BIG = 1 << 17
@@ -35,12 +35,14 @@ Pair = namedtuple("Pair", "rank data")
 
 
 def left_behind(seconds: float = 2.0):
-    """``(segments, rank workers)`` still around after a short grace."""
+    """``(segments, rank workers)`` of this process's worlds still around
+    after a short grace."""
     deadline = time.monotonic() + seconds
     while True:
-        names = sorted(n for n in os.listdir(SHM_DIR) if n.startswith("repro"))
+        names = sorted(shm_names())
         workers = subprocess.run(
-            ["pgrep", "repro-mp-rank"], capture_output=True, text=True,
+            ["pgrep", "-P", str(os.getpid()), "repro-mp-rank"],
+            capture_output=True, text=True,
         ).stdout.split()
         if not (names or workers) or time.monotonic() >= deadline:
             return names, workers

@@ -12,19 +12,15 @@ import numpy as np
 import pytest
 
 from repro.errors import HangError, RankCrashError, SpmdError
-from repro.mp.shm import SHM_DIR
 from repro.simmpi import run_spmd
 from repro.simmpi.faults import FaultPlan
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d
+from tests.conftest import shm_names
 
 
 def _noop(comm):
     return comm.rank
-
-
-def _shm_names():
-    return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
 
 
 def _bcast_body(comm):
@@ -235,11 +231,11 @@ class TestWatchdog:
             comm.recv(source=0, tag=0)
             return None
 
-        before = _shm_names()
+        before = shm_names()
         with pytest.raises(SpmdError):
             run_spmd(2, prog, world="processes", timeout=2.0,
                      transport="shm")
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
 
 def _big_naive_bcast(comm, n):
@@ -290,10 +286,10 @@ class TestShmCleanliness:
             data = comm.bcast(np.arange(100_000, dtype=np.float64), root=0)
             return float(data.sum())
 
-        before = _shm_names()
+        before = shm_names()
         out = run_spmd(4, prog, world="processes", transport="shm")
         assert len(set(out)) == 1
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
     def test_raising_worker_leaves_dev_shm_clean(self):
         import numpy as np
@@ -305,17 +301,17 @@ class TestShmCleanliness:
             comm.barrier()
             return comm.rank
 
-        before = _shm_names()
+        before = shm_names()
         with pytest.raises(SpmdError) as info:
             run_spmd(4, prog, world="processes", transport="shm")
         assert isinstance(info.value.failures[2], RuntimeError)
         assert "boom in worker" in str(info.value.failures[2])
-        assert _shm_names() <= before
+        assert shm_names() <= before
 
     def test_driver_run_leaves_dev_shm_clean(self):
         a = random_sparse(200, 200, nnz=15_000, seed=9)
-        before = _shm_names()
+        before = shm_names()
         result = batched_summa3d(a, a, nprocs=4, batches=2,
                                  world="processes", transport="shm")
         assert result.info["world"]["shm_segments"] > 0
-        assert _shm_names() <= before
+        assert shm_names() <= before

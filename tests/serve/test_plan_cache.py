@@ -1,7 +1,7 @@
 """Plan-cache keying, invalidation, and the cached-plan-is-harmless
-property (ISSUE 9 satellite: sketch equality/miss behaviour, invalidation
-on kernel/backend/overlap/sparsity change, and a property test that a
-cached plan never changes the product)."""
+property: operand-key equality and miss behaviour, invalidation on
+kernel/backend/overlap/sparsity change, and a property test that a cached
+plan never changes the product."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.data.generators import erdos_renyi
 from repro.errors import PlannerError
-from repro.serve import MatrixSketch, PlanCache, sketch_of
+from repro.serve import PlanCache
 from repro.sparse import SparseMatrix, random_sparse
 from repro.summa import batched_summa3d
 
@@ -25,31 +25,40 @@ def b():
     return erdos_renyi(80, avg_degree=4.0, seed=4)
 
 
+def key_of(operand):
+    """The plan cache's key of one operand (``a``'s slot of the full key)."""
+    return PlanCache.key(operand, None, nprocs=4, memory_budget=None)[0]
+
+
 class TestSketch:
+    """An operand's cache key: a sparse operand's exact
+    ``structure_key``, a dense panel's geometry."""
+
     def test_same_structure_same_sketch(self, a):
         clone = SparseMatrix(
             a.nrows, a.ncols, a.indptr.copy(), a.rowidx.copy(),
             a.values.copy(),
         )
-        assert sketch_of(a) == sketch_of(clone)
+        assert clone.structure_key == a.structure_key
+        assert key_of(a) == key_of(clone) == a.structure_key
 
     def test_values_do_not_enter_the_sketch(self, a):
-        """Plans are value-independent, so the sketch must be too —
+        """Plans are value-independent, so the key must be too —
         that is what makes caching across HipMCL iterations sound."""
         scaled = SparseMatrix(
             a.nrows, a.ncols, a.indptr, a.rowidx, a.values * 3.7,
         )
-        assert sketch_of(a) == sketch_of(scaled)
+        assert key_of(a) == key_of(scaled)
 
     def test_sparsity_change_moves_the_sketch(self, a):
-        sk = sketch_of(a)
+        sk = key_of(a)
         dropped = SparseMatrix(  # same shape, column 0 emptied
             a.nrows, a.ncols,
             np.concatenate([[0], a.indptr[1:] - a.indptr[1]]),
             a.rowidx[a.indptr[1]:],
             a.values[a.indptr[1]:],
         )
-        assert sketch_of(dropped) != sk
+        assert key_of(dropped) != sk
 
     def test_shape_change_moves_the_sketch(self, a):
         wider = SparseMatrix(
@@ -57,19 +66,27 @@ class TestSketch:
             np.concatenate([a.indptr, a.indptr[-1:]]),
             a.rowidx, a.values,
         )
-        assert sketch_of(wider) != sketch_of(a)
+        assert key_of(wider) != key_of(a)
+        taller = SparseMatrix(  # same arrays, one more (empty) row
+            a.nrows + 1, a.ncols, a.indptr, a.rowidx, a.values,
+        )
+        assert key_of(taller) != key_of(a)
 
     def test_dense_panel_sketch_is_geometry_only(self):
         x = np.ones((40, 8))
         y = np.random.default_rng(0).standard_normal((40, 8))
-        assert sketch_of(x) == sketch_of(y)
-        assert sketch_of(x) != sketch_of(np.ones((40, 9)))
-        assert sketch_of(x).kind == "dense"
+        assert key_of(x) == key_of(y) == ("dense", 40, 8)
+        assert key_of(x) != key_of(np.ones((40, 9)))
+        with pytest.raises(TypeError):
+            key_of(np.ones(40))
 
     def test_sketch_is_hashable(self, a):
-        sk = sketch_of(a)
-        assert isinstance(sk, MatrixSketch)
-        assert len({sk, sketch_of(a)}) == 1
+        sk = key_of(a)
+        assert isinstance(sk, bytes) and len(sk) == 16
+        assert len({sk, key_of(a)}) == 1
+        full = PlanCache.key(a, a, nprocs=4, memory_budget=None, mask=a)
+        assert len({full, PlanCache.key(a, a, nprocs=4, memory_budget=None,
+                                        mask=a)}) == 1
 
 
 class TestCacheKeying:

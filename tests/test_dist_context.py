@@ -6,6 +6,7 @@ from repro.dist import DistContext
 from repro.errors import DistributionError, ShapeError
 from repro.sparse import multiply, random_sparse
 from repro.sparse.semiring import MIN_PLUS
+from tests.conftest import shm_names
 
 
 @pytest.fixture(scope="module")
@@ -343,16 +344,6 @@ class TestLifecycle:
     def test_process_world_close_sweeps_shm(self, matrix):
         """In the process world every run's shm segments are gone after
         close() — the serving pool relies on this for slot hygiene."""
-        import glob
-
-        def shm_names():
-            return {
-                n for n in map(
-                    lambda p: p.rsplit("/", 1)[-1],
-                    glob.glob("/dev/shm/repro_*"),
-                )
-            }
-
         before = shm_names()
         ctx = DistContext(nprocs=4, world="processes", timeout=60.0)
         try:

@@ -6,10 +6,14 @@ code.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 
 SUBPACKAGES = [
     "repro.sparse",
@@ -67,6 +71,39 @@ class TestTopLevelExports:
         for exc in (ShapeError, FormatError, GridError, DistributionError,
                     MemoryBudgetError, CommError, SpmdError, PlannerError):
             assert issubclass(exc, ReproError)
+
+
+def top_level_table() -> set[str]:
+    """Names in docs/API.md's "Top level" table: the identifier that
+    starts each backticked token of a row's first cell (``prune_*`` kept
+    as a wildcard)."""
+    section = API_DOC.read_text().split("## Top level")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return {
+        re.match(r"[A-Za-z_]\w*\*?", token).group(0)
+        for row in rows[2:]  # past the header and its rule
+        for token in re.findall(r"`([^`]+)`", row.split("|")[1])
+    }
+
+
+def test_api_doc_top_level_table_matches_all():
+    """Both directions: every public name of ``repro.__all__`` is in the
+    table (a wildcard covers the names it prefixes), and every name the
+    table gives — every wildcard too — is exported."""
+    exported = {n for n in repro.__all__ if not n.startswith("__")}
+    documented = top_level_table()
+    wildcards = {n[:-1] for n in documented if n.endswith("*")}
+    covered = {
+        n for n in exported
+        if n in documented or any(n.startswith(w) for w in wildcards)
+    }
+    assert exported - covered == set(), "exported but not in the table"
+    stray = {n for n in documented - exported if not n.endswith("*")}
+    stray |= {
+        w + "*" for w in wildcards
+        if not any(n.startswith(w) for n in exported)
+    }
+    assert stray == set(), "in the table but not exported"
 
 
 class TestSubpackages:
