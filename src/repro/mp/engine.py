@@ -10,7 +10,8 @@ the parked workers: it ships a deadline, the fault injector and a few
 *picklable* keyword arguments (through the world's transport, so arrays
 ride shared memory); every rank calls the inherited body with them and
 reports its return value — or the exception it raised — with its
-tracker events and transport statistics through its report pipe.  The
+tracker events, transport statistics and resource usage (page faults,
+CPU time) through its report pipe.  The
 return value is a message like any other (:meth:`Transport.ship
 <repro.mp.transport.Transport.ship>`): its large arrays ride one segment
 the driver adopts, only the descriptor is pickled into the pipe, and the
@@ -43,11 +44,13 @@ last backstop.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing
 import os
 import pickle
 import queue as _queue
+import resource
 import signal
 import sys
 import threading
@@ -68,6 +71,8 @@ from .shm import SegmentRegistry, sweep_dead_runs, sweep_segments
 from .transport import get_transport, reap_wire, receive
 
 _RUN_COUNTER = itertools.count(1)
+# glibc's malloc_trim, or None where the C library has none
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 def _fresh_run_id() -> str:
@@ -123,14 +128,21 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
     the shipped keyword arguments and report — the value or the
     exception, and either way what the rank metered."""
     rank = rt.rank
+    born = resource.getrusage(resource.RUSAGE_SELF)
     wire, injector, checksums = pickle.loads(blob)
     rt.begin_region(region, timeout, checksums, injector)
     if injector is not None:
         _install_crash_action(rt, injector, rank)
 
     def meters():
+        now = resource.getrusage(resource.RUSAGE_SELF)
         return (
-            pickle.dumps(rt.tracker.events), rt.transport.stats(),
+            pickle.dumps(rt.tracker.events), {
+                **rt.transport.stats(),
+                "rank_minflt": now.ru_minflt - born.ru_minflt,
+                "rank_user_s": now.ru_utime - born.ru_utime,
+                "rank_sys_s": now.ru_stime - born.ru_stime,
+            },
             None if injector is None else pickle.dumps(injector.snapshot()),
         )
 
@@ -167,6 +179,11 @@ def _worker_main(world: ProcessWorld, rank: int, links: dict) -> None:
         if grank != rank:
             world.jobs[grank][0].close()
             world.results[grank][1].close()
+    # the caller's free heap came along with the fork: drop it from this
+    # copy of the address space, so that new arrays take zero-filled
+    # pages instead of copy-on-write copies of pages nobody needs
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     rt = MpWorld(rank, links, world.jobs[rank][0],
                  world.results[rank][1], world.failed,
                  transport=world.transport, run_id=world.run_id)
@@ -491,6 +508,8 @@ class ProcessWorld:
                 **{key: sum(s[key] for s in stats_rows)
                    for key in ("shm_segments", "shm_bytes", "naive_msgs",
                                "naive_bytes")},
+                **{key: sum(s[key] for s in stats_rows[1:])  # ranks only
+                   for key in ("rank_minflt", "rank_user_s", "rank_sys_s")},
                 "swept_segments": swept,
             })
         return settle(values, failures)
