@@ -59,18 +59,10 @@ class CommPlan:
     b_requests:
         Per col-comm peer ``t``: boolean mask over *this rank's* B-batch
         rows that peer ``t`` needs.
-    a_needed:
-        Per stage ``s``: mask over the columns of the A tile arriving from
-        row-peer ``s`` that this rank will touch (receiver view).
-    b_needed:
-        Per stage ``s``: mask over the rows of the B batch arriving from
-        col-peer ``s``.
     """
 
     a_requests: list[np.ndarray | None] = field(default_factory=list)
     b_requests: list[np.ndarray | None] = field(default_factory=list)
-    a_needed: list[np.ndarray] = field(default_factory=list)
-    b_needed: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def derive(
@@ -81,22 +73,17 @@ class CommPlan:
         row_rank: int,
         col_rank: int,
     ) -> "CommPlan":
-        """Build the receiver-side halves of the plan from allgathered
-        occupancy masks.
+        """An unfilled plan sized from the allgathered occupancy masks.
 
         ``a_col_masks[s]`` is the nonempty-column mask of the A tile held
         by row-comm member ``s``; ``b_row_masks[s]`` the nonempty-row mask
-        of the B batch held by col-comm member ``s``.  The request halves
-        (what *peers* need from this rank) are filled in by the request
+        of the B batch held by col-comm member ``s``.  The requests (what
+        *peers* need from this rank) are filled in by the request
         exchange — see :meth:`fill_requests`.
         """
         return cls(
             a_requests=[None] * len(a_col_masks),
             b_requests=[None] * len(b_row_masks),
-            # stage s multiplies A from row-peer s by B from col-peer s:
-            # the B mask selects A columns, the A mask selects B rows.
-            a_needed=[np.asarray(m, dtype=bool) for m in b_row_masks],
-            b_needed=[np.asarray(m, dtype=bool) for m in a_col_masks],
         )
 
     def fill_requests(

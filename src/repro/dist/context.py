@@ -161,8 +161,10 @@ def _multiply(comm: SimComm, store: dict, *, body, a, b, key, aux, aux_key,
               **kwargs):
     """Run the SPMD ``body`` on resident operands (handles arrive as
     their :meth:`DistMatrixHandle.record`; a mask the ranks were sent
-    before arrives as its ``aux_key`` alone).  A sparse product stays
-    here: only its range and size travel back with the report."""
+    before arrives as its ``aux_key`` alone).  The body sinks its batch
+    tiles here, into this rank's tile of the product.  A sparse product
+    stays: only its range and size travel back with the report.  A dense
+    one (spmm's panel) travels back with it."""
     a, b = (
         TileSource(x[1], x[2], lambda _rank, k=x[0]: store[k], x[3])
         if isinstance(x, tuple) else x
@@ -172,15 +174,23 @@ def _multiply(comm: SimComm, store: dict, *, body, a, b, key, aux, aux_key,
         if aux is not None:
             _keep(store, aux_key, aux)
         aux = store[aux_key]
-    out = body(comm, a, b, aux=aux, **kwargs)
-    if key is not None:
-        # Each rank's batch pieces are contiguous in global column space
-        # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
-        # order and report the realised range.
-        pieces = sorted(out["pieces"], key=lambda p: p[2])  # by c0
-        tile = col_concat([p[3] for p in pieces])
-        _batch, r0, c0, _first = pieces[0]
-        out["pieces"] = []
+    kept = []
+    out = body(
+        comm, a, b, aux=aux, piece_sink=lambda *piece: kept.append(piece),
+        **kwargs,
+    )
+    # Each rank's batch tiles are contiguous in global column space
+    # (block-cyclic blocks k*b .. (k+1)*b - 1): join them in global order
+    # and report the realised range.
+    kept.sort(key=lambda piece: piece[2])  # by c0
+    _batch, r0, c0, tile = kept[0]
+    if len(kept) > 1:
+        tiles = [piece[3] for piece in kept]
+        join = col_concat if isinstance(tile, SparseMatrix) else np.hstack
+        tile = join(tiles)
+    if key is None:
+        out["product"] = (r0, c0, tile)
+    else:
         out["stored"] = (
             key, (r0, r0 + tile.nrows, c0, c0 + tile.ncols),
             *_keep(store, key, tile),
@@ -559,8 +569,9 @@ class DistContext:
         self._operand(ha, "A", "spmm left operand")
         x = np.ascontiguousarray(x)
         run = self._drive(ha, x, plan, knobs, kernel="spmm")
-        pieces = [p[1:] for r in run.per_rank for p in r["pieces"]]
-        return run.kern.gather(ha.nrows, x.shape[1], pieces), run.result
+        return run.kern.gather(
+            ha.nrows, x.shape[1], [r["product"] for r in run.per_rank]
+        ), run.result
 
     def _drive(self, ha, b, plan, knobs, *, kernel=None, **runtime):
         """Run the shared driver on resident operands: its regions are
@@ -581,10 +592,12 @@ class DistContext:
         )
 
     @contextlib.contextmanager
-    def _multiply_world(self, run, body, a, b, grid, spec, *, aux, **fixed):
+    def _multiply_world(self, run, body, a, b, grid, spec, *, aux,
+                        piece_sink, **fixed):
         """What :func:`~repro.summa.batched.drive` opens instead of a
         one-shot world: ``submit(**amendable)`` is a ``multiply`` region
-        on the resident ranks, re-entered as often as the run amends."""
+        on the resident ranks, re-entered as often as the run amends.
+        The ranks keep what they compute, so ``piece_sink`` stays here."""
         # a sparse product stays in the ranks under a new key; a dense
         # one (spmm's panel) comes back whole
         key = next(_KEYS) if run.kern.output_kind == "sparse" else None

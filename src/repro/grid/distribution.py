@@ -126,13 +126,21 @@ def squeeze_inner(a, b) -> tuple:
     )
 
 
+def _cut(m: SparseMatrix, r0: int, r1: int, c0: int, c1: int) -> SparseMatrix:
+    """``m[r0:r1, c0:c1]``; a cut spanning all of ``m`` (every ``p = 1``
+    tile) is ``m`` itself, uncopied — matrices are never written in place."""
+    if (r0, r1, c0, c1) == (0, m.nrows, 0, m.ncols):
+        return m
+    return submatrix(m, r0, r1, c0, c1)
+
+
 def extract_a_tile(a, grid: ProcGrid3D, rank: int) -> SparseMatrix:
     """The local A tile a rank holds under the 3D distribution."""
     i, j, k = grid.coords(rank)
     r0, r1, c0, c1 = a_tile_range(grid, a.nrows, a.ncols, i, j, k)
     if isinstance(a, Squeezed):
         (c0, c1), a = a.narrow(c0, c1), a.matrix
-    return submatrix(a, r0, r1, c0, c1)
+    return _cut(a, r0, r1, c0, c1)
 
 
 def extract_b_tile(b, grid: ProcGrid3D, rank: int) -> SparseMatrix:
@@ -141,7 +149,7 @@ def extract_b_tile(b, grid: ProcGrid3D, rank: int) -> SparseMatrix:
     r0, r1, c0, c1 = b_tile_range(grid, b.nrows, b.ncols, i, j, k)
     if isinstance(b, Squeezed):
         (r0, r1), b = b.narrow(r0, r1), b.matrix
-    return submatrix(b, r0, r1, c0, c1)
+    return _cut(b, r0, r1, c0, c1)
 
 
 #: batch layouts: "block-cyclic" is the paper's Fig. 1(i) scheme (each
@@ -243,7 +251,7 @@ def gather_tiles(
     tiles = sorted(
         ((int(r0), int(c0), tile.sort_indices())
          for r0, c0, tile in pieces if tile.nnz),
-        key=lambda piece: piece[0],
+        key=lambda piece: piece[:2],
     )
     if not tiles:
         return SparseMatrix.empty(nrows, ncols)

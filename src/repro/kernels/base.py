@@ -150,9 +150,17 @@ def resolve_tile(operand, grid: ProcGrid3D, rank: int, which: str, kind: str):
 
 
 def _select_columns(tile, local_cols):
-    if isinstance(tile, SparseMatrix):
-        return col_select(tile, local_cols)
-    return np.ascontiguousarray(tile[:, local_cols])
+    """The columns ``local_cols`` (ascending, distinct) of ``tile``: a
+    slice when they are one contiguous range, as at every ``b = 1``,
+    else a gather."""
+    n = local_cols.shape[0]
+    if n and local_cols[-1] - local_cols[0] == n - 1:
+        local_cols = slice(int(local_cols[0]), int(local_cols[0]) + n)
+    if not isinstance(tile, SparseMatrix):
+        return np.ascontiguousarray(tile[:, local_cols])
+    if isinstance(local_cols, slice):
+        return col_slice(tile, local_cols.start, local_cols.stop)
+    return col_select(tile, local_cols)
 
 
 def _slice_columns(tile, start: int, stop: int):
@@ -274,9 +282,9 @@ class LocalKernel(ABC):
         every stage) × the batch's global columns, in batch-local
         column order."""
         if isinstance(aux, SparseMatrix):
-            rows = submatrix(aux, r0, r1, 0, aux.ncols)
-            return col_select(rows, global_cols)
-        return np.ascontiguousarray(aux[r0:r1][:, global_cols])
+            block = _select_columns(aux, global_cols)
+            return submatrix(block, r0, r1, 0, block.ncols)
+        return _select_columns(aux[r0:r1], global_cols)
 
     # ------------------------------------------------------------------ #
     # geometry helpers (kind-dispatched, rarely overridden)

@@ -17,8 +17,8 @@ category         Table III / Sec. III-B term
                  depth-1 overlap doubles the in-flight term
 ``merge_scratch``  unmerged partial results ``r * nnz(Ĉ_ij) / b``
                  (stage partials, merged layer result)
-``output_batch``  the finished batch output tile, and — when the
-                 caller keeps the product — accumulated pieces
+``output_batch``  the finished batch output tile, until it leaves
+                 the rank through the run's sink
 ``checkpoint``   driver-side checkpoint write buffers
 ===============  ====================================================
 

@@ -5,9 +5,11 @@ the spec → prepare (kernel, aux, shapes, backend; every refusal) → open
 the checkpoint / symbolic pre-pass → execute (the launch loop, re-entered
 on a replan, re-batch or heal amendment) → assemble the report.  Entry
 points differ only in the operands they hand it (global matrices, or a
-:class:`~repro.dist.DistContext`'s resident tiles) and in how the
-per-rank pieces are delivered: :func:`run_plan` gathers them into one
-global matrix, the context keeps them distributed.
+:class:`~repro.dist.DistContext`'s resident tiles) and in where the
+finished batch tiles go: every rank hands each one to the run's single
+sink as the batch ends.  :func:`run_plan`'s sink is the driver's
+collector, which assembles one global matrix; a context's ranks keep
+their tiles distributed.
 
 The run configuration is a first-class value: :func:`run_plan` executes
 an :class:`~repro.plan.ExecSpec` (or a resolved
@@ -63,31 +65,35 @@ MAX_HEAL_ROUNDS = 8
 
 
 class _BatchPieceCollector:
-    """Driver-side sink for the memory-constrained streaming path.
+    """The driver's end of a one-shot run's way home: each rank hands
+    every finished batch tile to :meth:`sink` and frees it (from the rank
+    threads, hence the lock; in the parent, under processes).
 
-    When the caller discards the output (``keep_output=False``) but still
-    consumes batches (``on_batch``), ranks used to hold every piece anyway
-    so the driver could gather them afterwards — defeating the point of
-    batching.  Instead each rank now hands its
-    finished piece to :meth:`sink` (called from the rank threads, hence
-    the lock) and frees it; once all ``nprocs`` pieces of a batch are in,
-    the batch is gathered immediately and the pieces dropped.  The driver
-    flushes completed batches in batch order after the run.
-    """
+    With ``per_batch`` (``on_batch`` or a checkpoint takes the batches)
+    a batch is gathered the moment its ``nprocs``-th piece is in; the
+    driver flushes completed batches in batch order after the run.
+    Otherwise the pieces wait in :attr:`pieces` for one assembly."""
 
     def __init__(
-        self, nprocs: int, nrows: int, ncols: int, on_complete=None
+        self, nprocs: int, nrows: int, ncols: int, *, per_batch: bool,
+        on_complete=None,
     ) -> None:
         self._lock = threading.Lock()
         self._nprocs = nprocs
         self._nrows = nrows
         self._ncols = ncols
+        self.per_batch = per_batch
         self._pending: dict[int, list] = {}
         self._on_complete = on_complete
         self.completed: dict[int, tuple[list, SparseMatrix]] = {}
+        #: ``(r0, c0, tile)`` of every batch, when not ``per_batch``
+        self.pieces: list = []
 
-    def sink(self, batch: int, r0: int, c0: int, tile: SparseMatrix) -> None:
+    def sink(self, batch: int, r0: int, c0: int, tile) -> None:
         with self._lock:
+            if not self.per_batch:
+                self.pieces.append((r0, c0, tile))
+                return
             pieces = self._pending.setdefault(batch, [])
             pieces.append((r0, c0, tile))
             if len(pieces) == self._nprocs:
@@ -111,6 +117,10 @@ class _BatchPieceCollector:
         replacements."""
         with self._lock:
             self._pending.clear()
+
+
+def _drop(batch, r0, c0, tile) -> None:
+    """The sink of a run whose product nobody takes: the tile is freed."""
 
 
 def coerce_plan(plan, nprocs, layers, knobs):
@@ -339,10 +349,11 @@ def drive(a, b, plan, *, world=None, pinned=None, **runtime) -> _Run:
     order, on global or resident (:class:`~repro.kernels.TileSource`)
     operands.
 
-    Returns the run with ``per_rank`` (each rank's pieces, for the caller
-    to deliver) and ``result`` (``matrix=None``; ``info``, times and rank
-    traces assembled) set.  ``world`` is for a caller that owns its world
-    (a resident context): a context manager ``world(run, fn, *args,
+    Returns the run with ``per_rank`` (each rank's return value),
+    ``collector`` (what the ranks sank, for :func:`_deliver_gathered`)
+    and ``result`` (``matrix=None``; ``info``, times and rank traces
+    assembled) set.  ``world`` is for a caller that owns its world (a
+    resident context): a context manager ``world(run, fn, *args,
     **fixed)`` yielding the ``submit(**amendable)`` that runs one region
     of ``fn(comm, *args, **fixed, **amendable)``; the default opens a
     one-shot world and stops it.  ``pinned`` are spec fields the caller's
@@ -388,11 +399,10 @@ def _refuse(kern, spec: ExecSpec, resident: bool, hooks: dict) -> None:
             "keep_output=False": not spec.keep_output,
             'comm_backend="auto"':
                 spec.comm_backend == "auto" and kern.supports_symbolic,
-            # a resident sparse product is one contiguous tile per rank,
+            # a rank joins its batch tiles into one contiguous tile,
             # which across layers only the block-cyclic scheme yields
             f"batch_scheme={spec.batch_scheme!r} with layers > 1":
-                spec.batch_scheme != "block-cyclic" and spec.layers > 1
-                and kern.output_kind == "sparse",
+                spec.batch_scheme != "block-cyclic" and spec.layers > 1,
         }
         if any(unmet.values()):
             raise DistributionError(
@@ -553,18 +563,19 @@ def _replan_policy(run: _Run):
 
 
 def _make_collector(run: _Run):
-    """Memory-constrained streaming: when the output is discarded but
-    batches are still consumed, ranks stream each finished piece to the
-    driver instead of holding it, so per-rank memory stays flat.  A
-    checkpointing run always streams: batches must become durable the
-    moment they complete, not after the run."""
+    """The driver's end of the run's way home, or ``None`` when nothing
+    is taken (the output discarded and unconsumed) or the ranks keep the
+    product (a resident context).  A checkpointing run gathers each
+    batch the moment it completes: it must become durable then, not
+    after the run."""
     spec = run.spec
     durable = run.ckpt.write_batch if run.ckpt is not None else None
-    streamed = not spec.keep_output and run.on_batch is not None
-    if durable is None and not streamed:
+    per_batch = durable is not None or run.on_batch is not None
+    if run.resident or not (per_batch or spec.keep_output):
         return None
     return _BatchPieceCollector(
-        spec.nprocs, *run.out_shape, on_complete=durable
+        spec.nprocs, *run.out_shape, per_batch=per_batch,
+        on_complete=durable,
     )
 
 
@@ -635,11 +646,13 @@ def _launch(run: _Run):
     spec = run.spec
     # Under the process world the collector's sink must run in the
     # driver (it feeds gather/checkpoint state workers cannot see); the
-    # DriverCallback wrapper ships each piece back through the rank's
-    # report pipe.
-    sink = run.sink if run.collector is not None else None
-    if sink is not None and spec.world == "processes":
-        sink = DriverCallback(sink)
+    # DriverCallback wrapper ships each piece back on the transport.  A
+    # resident context's world replaces the sink with the ranks' own.
+    sink = _drop
+    if run.collector is not None:
+        sink = run.sink
+        if spec.world == "processes":
+            sink = DriverCallback(sink)
     with run.world(
         run, spmd_batched_summa3d, *run.operands, run.grid, spec,
         kernel=run.kern, aux=run.aux, postprocess=run.postprocess,
@@ -745,9 +758,10 @@ def _memory_report(run: _Run, info: dict, ran_batches: int) -> dict:
             "high_water": ledger.high_water("checkpoint"),
             "current": ledger.current("checkpoint"),
         }
+    # a rank holds one batch tile, whatever keep_output says (finalize)
     model = dict(
         nprocs=spec.nprocs, layers=spec.layers, batches=ran_batches,
-        keep_output=spec.keep_output, overlap=spec.overlap,
+        keep_output=False, overlap=spec.overlap,
     )
     sym_stats = info.get("symbolic") or run.sym_prepass
     if sym_stats is not None:
@@ -857,70 +871,45 @@ def _deliver_gathered(run: _Run, view=None):
     ``on_batch`` hook) and assemble the global product when the output is
     kept.  ``view`` maps what the run computed to what the caller sees
     (row batching's transpose back)."""
-    spec, ckpt, collector = run.spec, run.ckpt, run.collector
-    per_rank, on_batch = run.per_rank, run.on_batch
-    ran_batches = run.result.batches
-    consumed = on_batch is not None
-
-    def consume(batch: int, spans: list, batch_matrix: SparseMatrix) -> None:
-        if consumed:
-            on_batch(
-                batch, spans,
-                batch_matrix if view is None else view(batch_matrix),
-            )
-
+    spec, ckpt, collector, on_batch = (
+        run.spec, run.ckpt, run.collector, run.on_batch
+    )
     matrix = None
-    if ckpt is not None:
+    if collector is not None and not collector.per_batch:
+        # the kernel knows its output representation: sparse kernels
+        # place COO pieces, dense kernels place panels in an ndarray
+        matrix = run.kern.gather(*run.out_shape, collector.pieces)
+    elif spec.keep_output or on_batch is not None:
         # what this run gathered — before or after a geometry-preserving
         # re-entry — comes from the collector, a resumed prefix from the
         # checkpoint; consumption replays in batch order either way, and
-        # the final assembly concatenates the same canonical COO set the
-        # non-checkpointed path would, so products are bit-identical.
+        # the final assembly concatenates the same canonical COO set one
+        # gather of every piece would, so products are bit-identical.
         # When nothing downstream consumes batches the prefix is never
         # loaded back — required under keep_last pruning, where older
         # batch files are tombstones by design (and why a re-entering
         # run keeps what it has gathered instead of reading it back).
-        if spec.keep_output or consumed:
-            batch_matrices = []
-            for batch in range(ran_batches):
-                spans, batch_matrix = (
-                    collector.completed.pop(batch)
-                    if batch in collector.completed
-                    else ckpt.load_batch(batch)
+        completed, batch_matrices = collector.completed, []
+        for batch in range(run.result.batches):
+            spans, batch_matrix = (
+                completed.pop(batch) if batch in completed
+                else ckpt.load_batch(batch)
+            )
+            if on_batch is not None:
+                on_batch(
+                    batch, spans,
+                    batch_matrix if view is None else view(batch_matrix),
                 )
-                consume(batch, spans, batch_matrix)
-                batch_matrices.append(batch_matrix)
-            if spec.keep_output:
-                matrix = gather_tiles(
-                    *run.out_shape, [(0, 0, m) for m in batch_matrices]
-                )
-        else:
-            collector.completed.clear()
+            batch_matrices.append(batch_matrix)
+        if spec.keep_output:
+            matrix = gather_tiles(
+                *run.out_shape, [(0, 0, m) for m in batch_matrices]
+            )
+    if ckpt is not None:
+        collector.completed.clear()
         gc_stats = ckpt.gc()
         if gc_stats["orphans_removed"] or gc_stats["pruned"]:
             run.result.info.setdefault("resilience", {})["checkpoint_gc"] = gc_stats
-    elif collector is not None:
-        for batch in range(ran_batches):
-            consume(batch, *collector.completed.pop(batch))
-    elif spec.keep_output:
-        if consumed:
-            for batch in range(ran_batches):
-                batch_pieces = [
-                    (r0, c0, tile)
-                    for r in per_rank
-                    for (bt, r0, c0, tile) in r["pieces"]
-                    if bt == batch
-                ]
-                batch_matrix = gather_tiles(*run.out_shape, batch_pieces)
-                spans = sorted({(c0, c0 + t.ncols) for _r0, c0, t in batch_pieces})
-                consume(batch, spans, batch_matrix)
-        # the kernel knows its output representation: sparse kernels
-        # concatenate COO pieces, dense kernels place panels in an ndarray
-        matrix = run.kern.gather(*run.out_shape, [
-            (r0, c0, tile)
-            for r in per_rank
-            for (_batch, r0, c0, tile) in r["pieces"]
-        ])
     return matrix if view is None or matrix is None else view(matrix)
 
 

@@ -142,7 +142,7 @@ def spmd_batched_summa3d(
     kernel,
     aux=None,
     postprocess=None,
-    piece_sink=None,
+    piece_sink,
     batch_barrier: bool = False,
     batches: int | None,
     comm_backend="dense",
@@ -178,11 +178,11 @@ def spmd_batched_summa3d(
         rows), distributed along the process-column communicator.  This is
         the hook HipMCL-style pruning uses (paper Sec. V-C).
     piece_sink:
-        Optional ``fn(batch, r0, c0, tile)`` that receives each finished
-        output piece *instead of* it being held in ``pieces`` — the
-        memory-constrained streaming path (per-batch hooks with
-        ``keep_output=False``, checkpointing), where held bytes must not
-        grow with the batch count.
+        ``fn(batch, r0, c0, tile)``, the one way a finished batch tile
+        leaves the rank: it is called once per batch and the rank keeps
+        nothing, so held bytes do not grow with the batch count.  The
+        caller decides what it is — the driver's piece collector for a
+        one-shot run, a rank-local keeper for a resident context.
     batch_barrier:
         Synchronise all ranks at each batch boundary — the checkpointing
         durability guarantee (:func:`repro.summa.exec.batch_barrier`).
@@ -204,9 +204,9 @@ def spmd_batched_summa3d(
 
     Returns (per rank)
     ------------------
-    dict with ``pieces`` (list of ``(batch, r0, c0, tile)``), ``times``,
-    ``batches``, ``max_local_bytes``, the per-rank ``trace``
-    (:class:`~repro.summa.trace.Tracer`) and symbolic statistics when run.
+    dict with ``times``, ``batches``, ``max_local_bytes``, the per-rank
+    ``trace`` (:class:`~repro.summa.trace.Tracer`) and symbolic
+    statistics when run — never the product, which left by ``piece_sink``.
     """
     backend = get_backend(comm_backend)
     kernel = get_kernel(kernel)
@@ -265,7 +265,6 @@ def spmd_batched_summa3d(
         memory=ledger.report(),
     )
     return {
-        "pieces": state.pieces,
         "times": tracer.step_times(),
         "batches": batches,
         "max_local_bytes": ledger.high_water_total,

@@ -103,8 +103,8 @@ class RankState:
     The first block is fixed for the attempt and handed in by
     :func:`repro.summa.core.spmd_batched_summa3d` — the run's
     :class:`~repro.plan.ExecSpec` as it is (steps read ``spec.overlap``,
-    ``.merge_policy``, ``.batch_scheme``, ``.keep_output`` where they use
-    them) and what was resolved from it; the geometry is derived from
+    ``.merge_policy``, ``.batch_scheme`` where they use them) and what
+    was resolved from it; the geometry is derived from
     it; the rest is the working set the steps pass to each other.
     :class:`~repro.kernels.LocalKernel` methods and
     :meth:`repro.plan.Replanner.check` read these attributes by name.
@@ -129,7 +129,7 @@ class RankState:
     b_ncols: int
     batches: int
     postprocess: Callable | None
-    piece_sink: Callable | None
+    piece_sink: Callable
     batch_barrier: bool
     replan: object
 
@@ -156,7 +156,6 @@ class RankState:
     c0: int | None = None
     c1: int | None = None
     prefetched: dict = field(default_factory=dict)
-    pieces: list = field(default_factory=list)
     fiber_piece_nnz: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -509,19 +508,10 @@ def postprocess(state, batch) -> None:
 
 
 def finalize(state, batch) -> None:
-    led = state.ledger
-    handle = state.mem.pop("c_tile", None)
-    if state.piece_sink is not None:
-        # streaming mode: the piece leaves the rank immediately, so
-        # held memory stays flat across batches.
-        state.piece_sink(batch, state.r0, state.c0, state.c_tile)
-        led.release(handle)
-    elif state.spec.keep_output:
-        state.pieces.append((batch, state.r0, state.c0, state.c_tile))
-        # the piece stays resident: its handle stays live
-        state.mem.setdefault("held", []).append(handle)
-    else:
-        led.release(handle)
+    """The batch's tile leaves the rank through the one sink the caller
+    handed it, so a rank holds one batch of C at a time (Alg. 4)."""
+    state.piece_sink(batch, state.r0, state.c0, state.c_tile)
+    state.ledger.release(state.mem.pop("c_tile", None))
     state.c_tile = None
 
 

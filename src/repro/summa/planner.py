@@ -229,7 +229,7 @@ def _auto_config_kernel(
         cand_memory = kern.predict_memory(
             a, b, aux,
             nprocs=nprocs, layers=layers, batches=batches,
-            keep_output=True, overlap=overlap,
+            keep_output=False, overlap=overlap,
         )
         comm = comm_complexity(
             nprocs=nprocs,

@@ -194,9 +194,9 @@ class TestRowBatchingForwarding:
 
 
 class TestStreamingMemory:
-    """Satellite: with ``keep_output=False`` and a piece sink (a per-batch
-    hook), finished pieces leave the ranks immediately, so the per-rank
-    high water must not grow with the batch count."""
+    """Finished pieces leave the ranks as each batch ends, so the
+    per-rank high water must not grow with the batch count — and keeping
+    the product costs the ranks nothing: the driver assembles it."""
 
     def _streamed(self, batches):
         a = random_sparse(60, 60, nnz=1200, seed=81)
@@ -216,7 +216,7 @@ class TestStreamingMemory:
     def test_streaming_beats_keeping(self):
         a, b, streamed, seen = self._streamed(4)
         kept = batched_summa3d(a, b, nprocs=4, batches=4)
-        assert streamed.max_local_bytes < kept.max_local_bytes
+        assert streamed.max_local_bytes == kept.max_local_bytes
         # and streaming loses nothing: the consumed batches reassemble
         assert np.allclose(
             sum(m.to_dense() for m in seen.values()), kept.matrix.to_dense()
@@ -236,4 +236,4 @@ class TestStreamingMemory:
             sum(m.to_dense() for m in seen.values()),
             kept.matrix.to_dense(),
         )
-        assert r.max_local_bytes < kept.max_local_bytes
+        assert r.max_local_bytes == kept.max_local_bytes

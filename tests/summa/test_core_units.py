@@ -79,17 +79,15 @@ class TestSpmdDirectInvocation:
         a_src = TileSource(24, 24, lambda r: extract_a_tile(a, grid, r))
         b_src = TileSource(24, 24, lambda r: extract_b_tile(a, grid, r))
 
-        per_rank = run_spmd(
+        pieces = []
+        run_spmd(
             4, spmd_batched_summa3d, a_src, b_src, grid, ExecSpec(),
             kernel="spgemm", batches=2,
+            piece_sink=lambda _b, r0, c0, tile: pieces.append((r0, c0, tile)),
         )
         from repro.grid.distribution import gather_tiles
 
-        pieces = [
-            (r0, c0, tile)
-            for r in per_rank
-            for (_b, r0, c0, tile) in r["pieces"]
-        ]
+        assert len(pieces) == 4 * 2  # one per rank and batch
         assert gather_tiles(24, 24, pieces).allclose(multiply(a, a))
 
     def test_per_rank_payload_fields(self):
@@ -97,11 +95,12 @@ class TestSpmdDirectInvocation:
         grid = ProcGrid3D(4, 1)
         per_rank = run_spmd(
             4, spmd_batched_summa3d, a, a, grid, ExecSpec(),
-            kernel="spgemm", batches=1,
+            kernel="spgemm", batches=1, piece_sink=lambda *piece: None,
         )
         for r in per_rank:
+            # the product left through the sink: no rank returns it
             assert set(r) == {
-                "pieces", "times", "batches", "max_local_bytes",
+                "times", "batches", "max_local_bytes",
                 "fiber_piece_nnz", "info", "trace",
             }
             assert r["batches"] == 1
@@ -117,4 +116,5 @@ class TestSpmdDirectInvocation:
             run_spmd(
                 1, spmd_batched_summa3d, a, a, grid,
                 ExecSpec(merge_policy="bogus"), kernel="spgemm", batches=1,
+                piece_sink=lambda *piece: None,
             )

@@ -107,7 +107,8 @@ def _run(operand, nprocs, layers, *, injector=None, merge_policy="deferred",
         nprocs, spmd_batched_summa3d, operand, operand,
         ProcGrid3D(nprocs, layers),
         ExecSpec(merge_policy=merge_policy, overlap=overlap),
-        kernel="spgemm", batches=BATCHES, faults=injector, **runtime,
+        kernel="spgemm", batches=BATCHES, faults=injector,
+        piece_sink=lambda *piece: None, **runtime,
     )
     return injector, per_rank
 
