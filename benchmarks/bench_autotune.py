@@ -124,7 +124,7 @@ def run_sweep(*, nprocs=4, seed=5):
     wall_r, replanned = _timed(
         lambda: batched_summa3d(
             a, panel, nprocs, batches=ADVERSARIAL_START, kernel="spmm",
-            replan="auto", max_replans=2,
+            replan="auto",
         )
     )
     plan = replanned.info["plan"]

@@ -64,7 +64,7 @@ def run_sweep(*, nprocs=4, n=96, nnz=900, seed=11):
             predicted = predict_memory(
                 nprocs=nprocs, layers=1, batches=b,
                 max_nnz_a=sym.max_nnz_a, max_nnz_b=sym.max_nnz_b,
-                max_nnz_c=sym.max_nnz_c, nnz_c=ref.nnz, keep_output=False,
+                max_nnz_c=sym.max_nnz_c,
             )
             err = predicted["high_water_total"] / measured["high_water_total"]
             rows.append([

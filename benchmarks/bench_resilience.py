@@ -5,7 +5,8 @@ currency (wall clock in a threaded simulator says nothing about a real
 network):
 
 1. **Fault-free overhead** — what do checksums and checkpointing cost a
-   healthy run?  Checksums must price at exactly
+   healthy run?  Checksums (on under any fault plan, an empty
+   ``FaultPlan()`` included) must price at exactly
    ``CHECKSUM_NBYTES`` per enveloped message (metadata-only, nothing
    payload-proportional); checkpointing adds only the batch-boundary
    barriers (zero payload bytes) plus driver-side disk writes outside
@@ -50,7 +51,7 @@ def _run(a, b, **kwargs):
 def test_fault_free_overhead_is_metadata_only(operands, benchmark):
     a, b = operands
     plain_tracker, plain = _run(a, b)
-    sum_tracker, summed = benchmark(lambda: _run(a, b, checksums=True))
+    sum_tracker, summed = benchmark(lambda: _run(a, b, faults=FaultPlan()))
     ckpt_dir = tempfile.mkdtemp()
     try:
         ck_tracker, ck = _run(a, b, checkpoint_dir=ckpt_dir)

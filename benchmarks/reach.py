@@ -32,10 +32,7 @@ UNJUDGED = ("cli.py", "__main__.py", "summa/verify.py", "sparse/spgemm/reference
 #: driver) that stay, and why — the same names as DESIGN.md §4's knob table
 KEPT_KNOBS = {
     "enforce": "ROADMAP 3(c) makes \"warn\" the default under a budget",
-    "max_retries": "failure handling: bounds retries of a transient fault",
-    "replan_force": "the deterministic seam tests/plan and replan x heal stand on",
-    "checksums": "failure handling: bench_resilience alone sets it",
-    "checkpoint_keep_last": "failure handling: bench_serve --crash alone sets it",
+    "checkpoint_keep_last": "two callers: serve passes 2, one-shot runs None",
     "batch_scheme": "one paper ablation (block vs block-cyclic load balance)",
     "merge_policy": "one paper ablation (Sec. III-A deferred vs incremental)",
     "kernel": "the spgemm:<tier> spellings: Fig. 15 / Table VII / one ablation",

@@ -29,6 +29,7 @@ import sys
 from .data.datasets import DATASETS, load_dataset
 from .model import CORI_HASWELL, CORI_KNL, CORI_KNL_HT, estimate_batches, predict_steps
 from .simmpi import CommTracker
+from .simmpi.engine import WORLDS
 from .sparse import (
     load_matrix,
     load_matrix_market,
@@ -38,7 +39,7 @@ from .sparse import (
     symbolic_nnz,
     transpose,
 )
-from .summa import batched_summa3d
+from .summa import OVERLAP_MODES, batched_summa3d
 
 MACHINES = {
     "cori-knl": CORI_KNL,
@@ -73,11 +74,18 @@ def _operands(args):
 
 def cmd_multiply(args) -> int:
     from .errors import SpmdError
+    from .kernels import get_kernel
 
+    spec = _multiply_spec(args)
+    try:
+        get_kernel(spec.validate().kernel)
+    except ValueError as err:  # a value the spec or the kernel registry refuses
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     a, b = _operands(args)
     tracker = CommTracker()
     try:
-        result = _run_multiply(args, a, b, tracker)
+        result = _run_multiply(args, spec, a, b, tracker)
     except SpmdError as err:
         print(f"error: {err}", file=sys.stderr)
         for rank, failure in sorted(err.failures.items()):
@@ -169,23 +177,23 @@ def cmd_multiply(args) -> int:
 
 
 def _multiply_spec(args):
-    """The CLI's side of the shared spec builder: every ``multiply`` flag
-    that is a run knob is declared with the :class:`~repro.plan.ExecSpec`
-    field as its argparse ``dest``, so the spec is read off the namespace
-    by field name and the two surfaces cannot diverge."""
+    """The spec a ``multiply`` command line asks for: its flags are
+    generated from the :class:`~repro.plan.ExecSpec` fields
+    (:func:`_add_multiply`), so the spec is read off the namespace by
+    field name and the two surfaces cannot diverge."""
     from .plan import SPEC_FIELDS, ExecSpec
 
-    knobs = {name: getattr(args, name) for name in SPEC_FIELDS if hasattr(args, name)}
-    knobs["keep_output"] = args.output is not None or not args.discard
+    knobs = {name: getattr(args, name) for name in SPEC_FIELDS}
+    knobs["keep_output"] = args.keep_output or args.output is not None
     return ExecSpec.from_kwargs(**knobs)
 
 
-def _run_multiply(args, a, b, tracker):
+def _run_multiply(args, spec, a, b, tracker):
     from .summa import run_plan
 
     mask = _load(args.mask) if getattr(args, "mask", None) else None
     return run_plan(
-        a, b, _multiply_spec(args), mask=mask, tracker=tracker,
+        a, b, spec, mask=mask, tracker=tracker,
         faults=args.faults if args.faults else None,
     )
 
@@ -477,86 +485,41 @@ def _add_operands(p):
 
 
 def _add_multiply(sub) -> None:
+    """One ``--<field>`` flag per :class:`~repro.plan.ExecSpec` field,
+    with the field's default, help and value set; the rest are runtime
+    hooks (``--faults``, ``--mask``) or this command's own output."""
+    from dataclasses import fields
+
+    from .plan import SPEC_FIELDS, ExecSpec
+
     p = sub.add_parser("multiply", help="run BatchedSUMMA3D")
     _add_operands(p)
-    p.add_argument("--nprocs", type=int, default=4)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--batches", type=int, default=None)
-    p.add_argument("--memory-budget", type=int, default=None,
-                   help="aggregate budget in bytes (runs the symbolic step)")
-    p.add_argument("--memory-enforce", dest="enforce", default="off",
-                   choices=["off", "warn", "strict"],
-                   help="what the per-rank memory ledger does when the "
-                   "measured high-water mark exceeds the budget: account "
-                   "only, record warnings, or fail the offending stage "
-                   "(strict re-batches to 2b via graceful degradation)")
-    p.add_argument("--kernel", default="spgemm",
-                   choices=["spgemm", "masked_spgemm", "spgemm:unsorted-hash",
-                            "spgemm:sorted-heap", "spgemm:hybrid", "spgemm:spa"],
-                   help="local kernel: plain SpGEMM, or SpGEMM restricted "
-                   "to a mask inside the local multiply (--mask supplies "
-                   "the pattern; without it the symbolic product pattern "
-                   "is synthesised as the mask prologue); spgemm:<tier> "
-                   "swaps the vectorised multiply/merge for one of the "
-                   "loop tiers of Table VII")
+    for f in fields(ExecSpec):
+        if f.name not in SPEC_FIELDS:
+            continue
+        kind = f.metadata.get("type", type(f.default))
+        flag = dict(default=f.default, help=f.metadata["help"])
+        if kind is bool:
+            flag["action"] = argparse.BooleanOptionalAction
+        else:
+            flag["choices"] = f.metadata.get("choices")
+            flag["type"] = kind if kind in (int, float) else None
+        p.add_argument("--" + f.name.replace("_", "-"), **flag)
     p.add_argument("--mask", default=None, metavar="PATH",
                    help="sparse output mask (.npz/.mtx or dataset:<name>) "
                    "for --kernel masked_spgemm")
-    p.add_argument("--comm-backend", default="dense",
-                   choices=["dense", "sparse", "auto"],
-                   help="operand exchange: dense collectives, SpComm3D-style "
-                   "sparse point-to-point, or let the α–β model pick")
-    p.add_argument("--overlap", default="off", choices=["off", "depth1"],
-                   help="stage pipelining: depth1 prefetches the next "
-                   "stage's broadcasts behind the local multiply")
-    p.add_argument("--replan", default="off", choices=["off", "auto"],
-                   help="mid-run replanning: at batch boundaries fold "
-                   "measured per-stage times and memory peaks into the "
-                   "cost models and amend the plan (batch count, comm "
-                   "backend) when the projected saving clears the "
-                   "hysteresis threshold; the product is unchanged")
-    p.add_argument("--world", default="threads",
-                   choices=["threads", "processes"],
-                   help="execution world: the deterministic in-process "
-                   "thread simulator, or one OS process per rank with "
-                   "shared-memory payload transport (true parallelism; "
-                   "bit-identical results)")
-    p.add_argument("--transport", default="auto",
-                   choices=["naive", "shm", "auto"],
-                   help="process-world payload transport: always pickle, "
-                   "always shared memory, or pick by payload size "
-                   "(ignored for --world threads)")
     p.add_argument("--trace-out", default=None,
                    help="export the per-op trace timeline here as "
                    "chrome://tracing JSON")
-    p.add_argument("--output", default=None, help="save product here")
-    p.add_argument("--discard", action="store_true",
-                   help="discard batches (memory-constrained mode)")
+    p.add_argument("--output", default=None,
+                   help="save product here (implies --keep-output)")
     p.add_argument("--faults", action="append", default=[],
                    metavar="SPEC",
                    help="inject a deterministic fault, e.g. "
                    "'transient:rank=1,op=bcast,nth=2', "
                    "'corrupt:rank=3,op=recv,nth=1', 'crash:rank=2,batch=1', "
-                   "'mem-pressure:rank=0,batch=0' (repeatable)")
-    p.add_argument("--max-retries", type=int, default=3,
-                   help="retry budget per communication attempt for "
-                   "injected transient faults")
-    p.add_argument("--checksums", action="store_const", const=True,
-                   help="force per-message envelope checksums on even "
-                   "without fault injection")
-    p.add_argument("--checkpoint-dir", default=None,
-                   help="write a manifest-backed checkpoint of each "
-                   "completed batch here")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the last completed batch in "
-                   "--checkpoint-dir")
-    p.add_argument("--checkpoint-keep-last", type=int, default=None,
-                   metavar="K",
-                   help="garbage-collect all but the newest K checkpointed "
-                   "batch files as the run progresses")
-    p.add_argument("--heal", action="store_true",
-                   help="survive rank crashes (requires --checkpoint-dir): "
-                   "re-enter from the last completed batch")
+                   "'mem-pressure:rank=0,batch=0' (repeatable; turns "
+                   "per-message checksums on)")
     p.set_defaults(func=cmd_multiply)
 
 
@@ -581,7 +544,7 @@ def _add_predict(sub) -> None:
     p.add_argument("--layers", type=int, default=16)
     p.add_argument("--batches", type=int, default=None)
     p.add_argument("--machine", default="cori-knl", choices=sorted(MACHINES))
-    p.add_argument("--overlap", default="off", choices=["off", "depth1"],
+    p.add_argument("--overlap", default="off", choices=OVERLAP_MODES,
                    help="also report the pipelined makespan "
                    "(max(comm, comp) per stage)")
     p.set_defaults(func=cmd_predict)
@@ -636,8 +599,7 @@ def _add_serve(sub) -> None:
     )
     p.add_argument("--grids", type=int, default=2, help="resident grids")
     p.add_argument("--nprocs", type=int, default=4)
-    p.add_argument("--world", default="threads",
-                   choices=["threads", "processes"])
+    p.add_argument("--world", default="threads", choices=WORLDS)
     p.add_argument("--tenants", type=int, default=3)
     p.add_argument("--jobs", type=int, default=12,
                    help="total jobs, round-robin across tenants")

@@ -164,6 +164,11 @@ class DenseCollective(CommBackend):
             return comms.col.bcast(b_batch, root=stage)
 
 
+#: the names ``comm_backend=`` takes: the two registered backends, and
+#: ``"auto"`` for the driver to price both
+COMM_BACKENDS = ("dense", "sparse", "auto")
+
+
 def get_backend(backend) -> CommBackend:
     """Resolve a backend name, class or instance to a fresh-enough instance.
 

@@ -3,9 +3,9 @@
 Before any numeric data moves, :class:`~repro.comm.SparseP2P` runs a cheap
 structural prologue: ranks exchange *bit-packed occupancy masks* of their
 tiles (which columns of the local A tile are nonempty, which rows of the
-local B batch are nonempty) and derive a :class:`CommPlan` — for every
-peer, exactly which segments of the local tile that peer will actually
-touch during the SUMMA stages.
+local B batch are nonempty) and turn them into requests: a
+:class:`CommPlan` holds, for every peer, exactly which segments of the
+local tile that peer will actually touch during the SUMMA stages.
 
 The derivation mirrors SpComm3D's sparsity-aware exchange:
 
@@ -27,7 +27,7 @@ dense exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,42 +55,11 @@ class CommPlan:
     a_requests:
         Per row-comm peer ``t``: boolean mask over *this rank's* A-tile
         columns that peer ``t`` needs (valid when this rank is the stage
-        root on its row communicator).  ``None`` for the self entry.
+        root on its row communicator).
     b_requests:
         Per col-comm peer ``t``: boolean mask over *this rank's* B-batch
         rows that peer ``t`` needs.
     """
 
-    a_requests: list[np.ndarray | None] = field(default_factory=list)
-    b_requests: list[np.ndarray | None] = field(default_factory=list)
-
-    @classmethod
-    def derive(
-        cls,
-        *,
-        a_col_masks: list[np.ndarray],
-        b_row_masks: list[np.ndarray],
-        row_rank: int,
-        col_rank: int,
-    ) -> "CommPlan":
-        """An unfilled plan sized from the allgathered occupancy masks.
-
-        ``a_col_masks[s]`` is the nonempty-column mask of the A tile held
-        by row-comm member ``s``; ``b_row_masks[s]`` the nonempty-row mask
-        of the B batch held by col-comm member ``s``.  The requests (what
-        *peers* need from this rank) are filled in by the request
-        exchange — see :meth:`fill_requests`.
-        """
-        return cls(
-            a_requests=[None] * len(a_col_masks),
-            b_requests=[None] * len(b_row_masks),
-        )
-
-    def fill_requests(
-        self,
-        a_requests: list[np.ndarray | None],
-        b_requests: list[np.ndarray | None],
-    ) -> None:
-        """Attach the root-side request masks received from peers."""
-        self.a_requests = list(a_requests)
-        self.b_requests = list(b_requests)
+    a_requests: list[np.ndarray]
+    b_requests: list[np.ndarray]

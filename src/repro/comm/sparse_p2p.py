@@ -57,15 +57,13 @@ class SparseP2P(CommBackend):
 
     def __init__(self) -> None:
         self.plan: CommPlan | None = None
-        self._a_col_masks: list | None = None
         self._b_requests: list | None = None
 
     def revoke(self) -> None:
-        """Drop the exchange plan and occupancy masks: they were built
+        """Drop the exchange plan and the B requests: they were built
         against a previous entry's communicators, and a re-entry re-runs
         the symbolic prologue from scratch."""
         self.plan = None
-        self._a_col_masks = None
         self._b_requests = None
 
     # ------------------------------------------------------------------ #
@@ -84,7 +82,7 @@ class SparseP2P(CommBackend):
             return
         row, col = comms.row, comms.col
         with comms.world.backend_scope(self.name):
-            if self._a_col_masks is None:
+            if self._b_requests is None:
                 # static half: A-tile occupancy along the row comm, then
                 # tell col-peer t which of its B rows this rank needs
                 # (the nonempty columns of row-peer t's A tile).  A dense
@@ -92,9 +90,9 @@ class SparseP2P(CommBackend):
                 # shipped whole — correct, and the plan collectives stay
                 # in lockstep across ranks.
                 packed = row.allgather(pack_mask(_occupied_columns(a_tile)))
-                self._a_col_masks = [unpack_mask(p) for p in packed]
+                a_col_masks = [unpack_mask(p) for p in packed]
                 received = col.alltoall(
-                    [pack_mask(self._a_col_masks[t]) for t in range(col.size)]
+                    [pack_mask(a_col_masks[t]) for t in range(col.size)]
                 )
                 self._b_requests = [unpack_mask(p) for p in received]
 
@@ -107,14 +105,7 @@ class SparseP2P(CommBackend):
                 [pack_mask(b_row_masks[t]) for t in range(row.size)]
             )
             a_requests = [unpack_mask(p) for p in received]
-
-            self.plan = CommPlan.derive(
-                a_col_masks=self._a_col_masks,
-                b_row_masks=b_row_masks,
-                row_rank=row.rank,
-                col_rank=col.rank,
-            )
-            self.plan.fill_requests(a_requests, self._b_requests)
+            self.plan = CommPlan(a_requests, self._b_requests)
 
     # ------------------------------------------------------------------ #
     # data movement

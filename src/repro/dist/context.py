@@ -623,8 +623,7 @@ class DistContext:
             out = self._submit(
                 "multiply", body=body, a=a, b=b, grid=grid, spec=spec, key=key,
                 aux=None if held else aux, aux_key=aux_key,
-                faults=run.injector, checksums=spec.checksums,
-                **fixed, **amendable,
+                faults=run.injector, **fixed, **amendable,
             )
             if aux_key is not None and not held:
                 superseded = self._held_aux[1]

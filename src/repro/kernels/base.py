@@ -334,7 +334,7 @@ class LocalKernel(ABC):
 
     def predict_memory(
         self, a, b, aux=None, *, nprocs: int, layers: int, batches: int,
-        keep_output: bool = True, overlap: str = "off",
+        overlap: str = "off",
     ) -> dict | None:
         """Per-category per-process footprint estimate, shaped like
         :func:`repro.model.memory.predict_memory` output.  ``None`` means
@@ -355,7 +355,6 @@ class LocalKernel(ABC):
         while batches < max(ncols, 1):
             predicted = self.predict_memory(
                 a, b, aux, nprocs=nprocs, layers=layers, batches=batches,
-                keep_output=False,
             )
             if predicted is None:
                 return 1
@@ -453,22 +452,14 @@ def rows_block_max(nrows: int, grid: ProcGrid3D) -> int:
     return _max_block(split_bounds(nrows, grid.pr))
 
 
-def shape_memory_block(
-    categories: dict, *, held: int, transient: int, batches: int,
-    keep_output: bool, params: dict,
-) -> dict:
+def shape_memory_block(categories: dict, *, transient: int, params: dict) -> dict:
     """Assemble a ``predict_memory``-shaped block from per-category bytes.
 
     ``high_water_total`` follows the Table III worst-instant rule: the
-    resident inputs plus the larger of (per-batch transients next to the
-    output held so far at the last batch) and the final held output.
+    resident inputs plus one batch's transients (a rank holds no
+    accumulated output).
     """
-    inputs = categories.get("a_piece", 0) + categories.get("b_piece", 0)
-    held_final = held if keep_output else 0
-    total = inputs + max(
-        transient + (held_final * (batches - 1)) // max(batches, 1),
-        held_final,
-    )
+    total = categories.get("a_piece", 0) + categories.get("b_piece", 0) + transient
     return {
         "categories": {k: int(v) for k, v in categories.items()},
         "high_water_total": int(math.ceil(total)),

@@ -108,8 +108,7 @@ class SddmmKernel(LocalKernel):
     # ------------------------------------------------------------------ #
 
     def predict_memory(
-        self, a, b, aux=None, *, nprocs, layers, batches,
-        keep_output=True, overlap="off",
+        self, a, b, aux=None, *, nprocs, layers, batches, overlap="off",
     ):
         grid = ProcGrid3D(nprocs, layers)
         am, ak = operand_shape(a)
@@ -139,7 +138,6 @@ class SddmmKernel(LocalKernel):
         if layers > 1:
             recv += bpn * s_nnz
         scratch = 2 * bpn * s_nnz  # accumulator + incoming stage partial
-        held = bpn * s_held
         return shape_memory_block(
             {
                 "a_piece": a_piece,
@@ -148,10 +146,7 @@ class SddmmKernel(LocalKernel):
                 "merge_scratch": scratch,
                 "output_batch": bpn * s_held // max(batches, 1),
             },
-            held=held,
             transient=recv + scratch,
-            batches=batches,
-            keep_output=keep_output,
             params={
                 "kernel": self.name, "nprocs": nprocs, "layers": layers,
                 "batches": batches, "inner_dim": ak, "overlap": overlap,

@@ -82,8 +82,7 @@ class SpmmKernel(LocalKernel):
     # ------------------------------------------------------------------ #
 
     def predict_memory(
-        self, a, b, aux=None, *, nprocs, layers, batches,
-        keep_output=True, overlap="off",
+        self, a, b, aux=None, *, nprocs, layers, batches, overlap="off",
     ):
         grid = ProcGrid3D(nprocs, layers)
         am, ak = operand_shape(a)
@@ -105,7 +104,6 @@ class SpmmKernel(LocalKernel):
             recv += rows_loc * cols_piece * 8 * max(layers - 1, 1)
         # incremental merge: accumulator + incoming stage block
         scratch = 2 * block
-        held = rows_loc * cols_piece * 8 * batches
         return shape_memory_block(
             {
                 "a_piece": a_piece,
@@ -114,10 +112,7 @@ class SpmmKernel(LocalKernel):
                 "merge_scratch": scratch,
                 "output_batch": rows_loc * cols_piece * 8,
             },
-            held=held,
             transient=recv + scratch,
-            batches=batches,
-            keep_output=keep_output,
             params={
                 "kernel": self.name, "nprocs": nprocs, "layers": layers,
                 "batches": batches, "features": bn, "overlap": overlap,

@@ -133,10 +133,7 @@ def predict_memory(
     max_nnz_a: int,
     max_nnz_b: int,
     max_nnz_c: int,
-    nnz_c: int | None = None,
-    keep_output: bool = False,
     overlap: str = "off",
-    imbalance: float = 1.3,
     scale: float = 1.0,
     basis: str = "symbolic",
 ) -> dict:
@@ -155,17 +152,13 @@ def predict_memory(
     * ``merge_scratch`` — the per-batch share of the unmerged
       partial-result fibers, ``r * maxnnz(Ĉ_ij) / b`` — the term Alg. 3
       divides by ``b`` to fit the budget;
-    * ``output_batch`` — with ``keep_output`` the accumulated merged C
-      tile (bounded by ``r * maxnnz(Ĉ_ij)``, or the balanced share of
-      ``nnz_c`` when the merged total is known); otherwise one batch's
-      transient output tile;
+    * ``output_batch`` — one batch's transient output tile (a rank hands
+      each finished batch on and holds no accumulated C);
     * ``checkpoint`` — 0 (driver-side, not a rank cost).
 
-    ``high_water_total`` is *not* the category sum: held output grows
-    across batches while scratch peaks every batch, so the model takes
-    the worst instant of the batch timeline — inputs + the larger of
-    (recv + scratch + held-so-far) at the last batch and the final held
-    output.  Returns a dict shaped like the measured
+    ``high_water_total`` is *not* the category sum: the output tile
+    replaces the scratch it is merged from, so the worst instant of a
+    batch is inputs + recv + scratch.  Returns a dict shaped like the measured
     ``info["memory"]["categories"]`` block so predicted and measured
     compare key for key; ``scale`` applies a calibration factor from
     :func:`fit_memory_model`.
@@ -182,25 +175,13 @@ def predict_memory(
     scratch = math.ceil(r * max_nnz_c / b)
     fiber = scratch if layers > 1 else 0
     recv_buffer = bcast + fiber
-    if keep_output:
-        if nnz_c is not None:
-            held = r * min(max_nnz_c, math.ceil(imbalance * nnz_c / nprocs))
-        else:
-            held = r * max_nnz_c  # no-merge-compression upper bound
-        output = held
-    else:
-        held = 0
-        output = scratch
-    inputs = a_piece + b_piece
-    total = inputs + max(
-        recv_buffer + scratch + (held * (b - 1)) // b, held
-    )
+    total = a_piece + b_piece + recv_buffer + scratch
     categories = {
         "a_piece": a_piece,
         "b_piece": b_piece,
         "recv_buffer": recv_buffer,
         "merge_scratch": scratch,
-        "output_batch": output,
+        "output_batch": scratch,
         "checkpoint": 0,
     }
     return {
@@ -213,7 +194,6 @@ def predict_memory(
             "nprocs": nprocs,
             "layers": layers,
             "batches": b,
-            "keep_output": keep_output,
             "overlap": overlap,
             "scale": scale,
         },

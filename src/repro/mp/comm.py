@@ -216,8 +216,7 @@ class MpWorld(Endpoint):
                 return None
         return self._jobs.popleft()
 
-    def begin_region(self, region: int, timeout: float, checksums: bool,
-                     injector) -> None:
+    def begin_region(self, region: int, timeout: float, injector) -> None:
         """Fresh per-region state: deadline, meters, fault injector.
         The region number is the epoch tag of its communicators, so
         whatever an aborted earlier region left behind (buffered wires,
@@ -228,7 +227,6 @@ class MpWorld(Endpoint):
         # parent watchdog (short enough to classify well before the
         # flat deadline, long enough to skip the fast path entirely)
         self._watch_grace = max(0.05, min(1.0, self.timeout / 20.0))
-        self.checksums = bool(checksums)
         self.injector = injector
         self.tracker = CommTracker()
         self.transport.reset_stats()

@@ -129,8 +129,8 @@ def _run_region(world: ProcessWorld, rt: MpWorld, region: int,
     exception, and either way what the rank metered."""
     rank = rt.rank
     born = resource.getrusage(resource.RUSAGE_SELF)
-    wire, injector, checksums = pickle.loads(blob)
-    rt.begin_region(region, timeout, checksums, injector)
+    wire, injector = pickle.loads(blob)
+    rt.begin_region(region, timeout, injector)
     if injector is not None:
         _install_crash_action(rt, injector, rank)
 
@@ -373,7 +373,7 @@ class ProcessWorld:
 
     def submit(self, *, tracker: CommTracker | None = None,
                timeout: float = DEFAULT_TIMEOUT, world_info: dict | None = None,
-               faults=None, checksums: bool | None = None, **kwargs) -> list:
+               faults=None, **kwargs) -> list:
         """Run one region: every rank calls the body with ``kwargs``
         added (a :class:`~repro.simmpi.engine.PerRank` value hands rank
         ``i`` its ``i``-th element only).  The other arguments and the
@@ -382,7 +382,7 @@ class ProcessWorld:
         shipped to the workers and its activity absorbed back."""
         if self.pending is None:
             raise RuntimeError("this process world is not running")
-        self._begin(float(timeout), as_injector(faults), checksums, kwargs)
+        self._begin(float(timeout), as_injector(faults), kwargs)
         try:
             self._supervise()
         except BaseException:
@@ -394,9 +394,8 @@ class ProcessWorld:
     # one region: begin, supervise, collect
     # ------------------------------------------------------------------ #
 
-    def _begin(self, timeout: float, injector, checksums, kwargs) -> None:
+    def _begin(self, timeout: float, injector, kwargs) -> None:
         """Reset the coordinator's per-region state and post the job."""
-        checksums = (injector is not None) if checksums is None else bool(checksums)
         jobs = []
         for grank in self.pending:
             mine = PerRank.pick(kwargs, grank)
@@ -404,7 +403,7 @@ class ProcessWorld:
             # cannot cross surfaces at the call site, before any rank
             # has been told anything
             jobs.append((grank, pickle.dumps(
-                (self._encoder.encode(mine, receivers=1), injector, checksums)
+                (self._encoder.encode(mine, receivers=1), injector)
             )))
         self.region += 1
         self.timeout = timeout

@@ -37,8 +37,8 @@ configuration, which the plan tests pin.
 
 Hysteresis keeps a noisy-but-stable run from thrashing: a minimum number
 of observed batches, a relative predicted-gain threshold, an absolute
-gain floor, and a hard ``max_replans`` bound (which also guarantees
-termination).
+gain floor, and a hard bound of :data:`MAX_REPLANS` amendments per run
+(which also guarantees termination).
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ from ..summa.trace import (
     STEP_MERGE_LAYER,
     STEP_POSTPROCESS,
 )
+
+#: mid-run amendments one run may adopt (forced ones included)
+MAX_REPLANS = 2
 
 #: steps whose per-batch cost is invariant in ``b`` (paid once per batch:
 #: the full A tile is re-broadcast and the sparse backend re-plans).
@@ -82,12 +85,15 @@ class ReplanPolicy:
     communication estimate for both backends (``(("dense", s),
     ("sparse", s))``) — the backend flip compares their *ratio*, scaled
     by the measured time of the current backend, so the model only has
-    to rank the backends, not predict wall seconds.
+    to rank the backends, not predict wall seconds.  ``force`` holds
+    ``((batch, {field: value}), ...)`` amendments raised unconditionally
+    at those batch boundaries (the driver's test seam,
+    ``repro.summa.batched._REPLAN_FORCE``).
     """
 
     threshold: float = 0.15
     min_batches: int = 1
-    max_replans: int = 1
+    max_replans: int = MAX_REPLANS
     min_gain_s: float = 1e-4
     safety: float = 0.8
     allow_shrink: bool = True

@@ -40,9 +40,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from ..comm.backend import COMM_BACKENDS
 from ..errors import ShapeError
+from ..grid.distribution import BATCH_SCHEMES
+from ..mem import ENFORCE_MODES
+from ..mp.transport import TRANSPORTS
 from ..simmpi.comm import DEFAULT_TIMEOUT
+from ..simmpi.engine import WORLDS
 from ..sparse.matrix import BYTES_PER_NONZERO
+from ..summa.exec import MERGE_POLICIES, OVERLAP_MODES
 
 #: serialisation format version of ``ExecSpec.to_dict`` / ``ExecPlan.to_dict``.
 SPEC_VERSION = 1
@@ -50,8 +56,8 @@ SPEC_VERSION = 1
 #: supported settings of the ``replan=`` knob.
 REPLAN_MODES = ("off", "auto")
 
-#: ``world=`` values accepted by the drivers (mirrors ``repro.simmpi.engine``).
-_WORLDS = ("threads", "processes")
+#: fields that hold a registry name or a live instance of it
+_REGISTRY_FIELDS = ("semiring", "kernel", "comm_backend")
 
 
 def _registry_name(value):
@@ -65,95 +71,104 @@ def _registry_name(value):
     return str(name) if name is not None else str(value)
 
 
+def _knob(default, help: str, *, choices: tuple | None = None, type=None):
+    """One run knob: its default and one-line help, plus — where a string
+    takes one of a fixed set — the value set :meth:`ExecSpec.validate`
+    checks, and the argparse ``type`` where the default does not say it.
+    ``repro multiply`` generates its flags from these."""
+    meta = {"help": help}
+    if choices is not None:
+        meta["choices"] = choices
+    if type is not None:
+        meta["type"] = type
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ExecSpec:
     """Every knob of one multiplication, as one frozen, serialisable value.
 
     The fields are the :func:`~repro.summa.batched_summa3d` keywords
-    (which are derived from this record).  What the less obvious ones
-    mean:
-
-    ``batches``, ``memory_budget``
-        The batch count ``b``; ``None`` lets the symbolic step (Alg. 3)
-        pick it from the budget — aggregate bytes ``M`` over all ranks
-        (a rank's share, what its ledger enforces, is ``M // nprocs``).
-    ``enforce``
-        What a rank's :class:`~repro.mem.MemoryLedger` does when its
-        high-water mark exceeds the per-rank budget: ``"off"`` (account
-        only), ``"warn"`` (record it in the memory report), ``"strict"``
-        (raise a deterministic
-        :class:`~repro.errors.MemoryBudgetExceededError` at the stage
-        boundary that exceeds it; the driver re-batches and re-enters).
-    ``batch_scheme``
-        ``"block-cyclic"`` (paper Fig. 1(i), balances Merge-Fiber) or
-        ``"block"`` (contiguous; the load-imbalance ablation).
-    ``merge_policy``
-        ``"deferred"`` merges all stage partials once per batch (the
-        paper's choice, Alg. 1 line 8); ``"incremental"`` folds each
-        stage into the running result at once — lower transient memory,
-        more merge work in the worst case (Sec. III-A).  Kernels with
-        dense accumulators always fold.
-    ``comm_backend``
-        ``"dense"`` (whole-tile collectives, the paper's Table II),
-        ``"sparse"`` (SpComm3D-style sparsity-aware point-to-point; see
-        :mod:`repro.comm`), ``"auto"`` (the driver prices both), or a
-        :class:`~repro.comm.CommBackend` class/instance.  Bit-identical
-        products either way.
-    ``overlap``
-        ``"off"`` runs the stages strictly in order; ``"depth1"`` starts
-        stage ``s+1``'s operand delivery behind stage ``s``'s local
-        multiply.  Bit-identical products, identical bytes.
-    ``max_retries``
-        Bound on per-attempt retries of transiently-failed communication
-        (:class:`~repro.resilience.RetryPolicy`); ``None`` disables them.
-    ``kernel``
-        The :class:`~repro.kernels.LocalKernel` (name or instance)
-        deciding what a stage computes — ``"spgemm"`` (default),
-        ``"spmm"``, ``"sddmm"`` or ``"masked_spgemm"``.  It declares
-        operand kinds (dense operands ride collectives on both comm
-        backends), the merge rule and the memory footprint.  The SpGEMM
-        kernels take their (multiply, merge) implementation tier after a
-        colon — ``"spgemm:sorted-heap"`` (Table VII / Fig. 15); the
-        default is the vectorised ESC tier.
-    ``heal``
-        ``True`` re-enters the run from the last checkpointed batch when
-        ranks die (needs ``checkpoint_dir``), up to a fixed round budget.
-    ``replan``
-        ``"off"`` (default) or ``"auto"`` — enable the mid-run
-        :class:`~repro.plan.replan.Replanner` at batch boundaries.
-    ``max_replans``
-        Hard bound on mid-run amendments per run (termination guarantee).
-    ``replan_force``
-        Deterministic testing/demo hook: ``((batch, {field: value}),
-        ...)`` amendments applied unconditionally at the named batch
-        boundaries, bypassing measurement.  Serialises like everything
-        else.
+    (which are derived from this record).  Each declares its one-line
+    help beside itself in ``field(metadata=...)``, and a string with a
+    fixed set of values that set: :meth:`validate` checks it, and
+    ``repro multiply`` generates one flag per field from the three.
+    ``semiring``, ``kernel`` and ``comm_backend`` also take a registry
+    instance (a :class:`~repro.kernels.LocalKernel`, a
+    :class:`~repro.comm.CommBackend`, ...).
     """
 
-    nprocs: int = 4
-    layers: int = 1
-    batches: int | None = None
-    memory_budget: int | None = None
-    enforce: str = "off"
-    semiring: object = "plus_times"
-    kernel: object = "spgemm"
-    keep_output: bool = True
-    batch_scheme: str = "block-cyclic"
-    merge_policy: str = "deferred"
-    comm_backend: object = "dense"
-    overlap: str = "off"
-    timeout: float = DEFAULT_TIMEOUT
-    checksums: bool | None = None
-    max_retries: int | None = 3
-    checkpoint_dir: str | None = None
-    resume: bool = False
-    checkpoint_keep_last: int | None = None
-    heal: bool = False
-    world: str = "threads"
-    transport: str = "auto"
-    replan: str = "off"
-    max_replans: int = 1
-    replan_force: tuple = ()
+    nprocs: int = _knob(4, "number of ranks p")
+    layers: int = _knob(1, "layers l of the sqrt(p/l) x sqrt(p/l) x l grid")
+    batches: int | None = _knob(
+        None, "batch count b (default: from the budget, else 1)", type=int,
+    )
+    memory_budget: int | None = _knob(
+        None, "aggregate bytes M over all ranks; Alg. 3 picks b from it "
+        "(a rank's share is M // nprocs)", type=int,
+    )
+    enforce: str = _knob(
+        "off", "what a rank's ledger does over its budget share: account "
+        "only, record a warning, or fail the stage (strict re-batches to "
+        "2b)", choices=ENFORCE_MODES,
+    )
+    semiring: object = _knob("plus_times", "semiring registry name")
+    kernel: object = _knob(
+        "spgemm", "local kernel: spgemm, spmm, sddmm, masked_spgemm, or "
+        "spgemm:<tier> for a Table VII loop tier (e.g. spgemm:sorted-heap)",
+    )
+    keep_output: bool = _knob(
+        True, "assemble the product (--no-keep-output discards each batch)",
+    )
+    batch_scheme: str = _knob(
+        "block-cyclic", "batch columns: block-cyclic (Fig. 1(i), balances "
+        "Merge-Fiber) or block (contiguous; the load-imbalance ablation)",
+        choices=BATCH_SCHEMES,
+    )
+    merge_policy: str = _knob(
+        "deferred", "merge stage partials once per batch (Alg. 1 line 8) "
+        "or fold each stage at once (Sec. III-A)", choices=MERGE_POLICIES,
+    )
+    comm_backend: object = _knob(
+        "dense", "operand exchange: dense collectives, sparse "
+        "(SpComm3D-style point-to-point), or auto (the model prices both)",
+        choices=COMM_BACKENDS,
+    )
+    overlap: str = _knob(
+        "off", "depth1 prefetches stage s+1's operands behind stage s's "
+        "multiply", choices=OVERLAP_MODES,
+    )
+    timeout: float = _knob(
+        DEFAULT_TIMEOUT, "seconds a rank may block in one op before the "
+        "watchdog fails the run",
+    )
+    checkpoint_dir: str | None = _knob(
+        None, "write a manifest-backed checkpoint of each completed batch "
+        "here",
+    )
+    resume: bool = _knob(
+        False, "continue from the last completed batch in checkpoint_dir",
+    )
+    checkpoint_keep_last: int | None = _knob(
+        None, "keep only the newest K checkpointed batch files", type=int,
+    )
+    heal: bool = _knob(
+        False, "re-enter from the last checkpointed batch when ranks die "
+        "(needs checkpoint_dir)",
+    )
+    world: str = _knob(
+        "threads", "one thread or one OS process per rank (bit-identical "
+        "products)", choices=WORLDS,
+    )
+    transport: str = _knob(
+        "auto", "process-world payloads: pickle, shared memory, or by size",
+        choices=TRANSPORTS,
+    )
+    replan: str = _knob(
+        "off", "auto amends b and the comm backend at batch boundaries "
+        "from measured step times (the product is unchanged)",
+        choices=REPLAN_MODES,
+    )
     #: unknown keys from a newer writer's ``to_dict`` — preserved verbatim
     #: so round-tripping a forward-compatible dict is lossless.
     extra: dict = field(default_factory=dict)
@@ -180,8 +195,6 @@ class ExecSpec:
             )
         if knobs.get("checkpoint_dir") is not None:
             knobs["checkpoint_dir"] = os.fspath(knobs["checkpoint_dir"])
-        if knobs.get("replan_force"):
-            knobs["replan_force"] = _canon_force(knobs["replan_force"])
         return cls(**knobs)
 
     # ------------------------------------------------------------------ #
@@ -191,29 +204,21 @@ class ExecSpec:
     def validate(self) -> "ExecSpec":
         """Check the knob combination is runnable; returns ``self``.
 
-        Raises the same exception types (and messages) the drivers
-        historically raised, so existing callers' error handling holds.
+        Raises the exception types the drivers historically raised, so
+        existing callers' error handling holds.
         """
-        from ..grid.distribution import BATCH_SCHEMES
-        from ..mem import ENFORCE_MODES
-        from ..summa.exec import MERGE_POLICIES, OVERLAP_MODES
-
         if self.batches is not None and self.batches < 1:
             raise ShapeError(f"batches must be >= 1, got {self.batches}")
-        for what, value, known in (
-            ("overlap mode", self.overlap, OVERLAP_MODES),
-            ("merge policy", self.merge_policy, MERGE_POLICIES),
-            ("batch scheme", self.batch_scheme, BATCH_SCHEMES),
-        ):
-            if value not in known:
+        for f in fields(self):
+            known = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if f.name in _REGISTRY_FIELDS and not isinstance(value, str):
+                continue  # an instance: the registry resolves it
+            if known is not None and value not in known:
                 raise ValueError(
-                    f"unknown {what} {value!r}; expected one of {known}"
+                    f"unknown {f.name.replace('_', ' ')} {value!r}; "
+                    f"expected one of {known}"
                 )
-        if self.enforce not in ENFORCE_MODES:
-            raise ValueError(
-                f"unknown enforce mode {self.enforce!r}; "
-                f"expected one of {ENFORCE_MODES}"
-            )
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError(
                 f"memory_budget must be > 0, got {self.memory_budget}"
@@ -235,15 +240,6 @@ class ExecSpec:
                 "heal=True requires checkpoint_dir=: the re-entry point "
                 "after a rank death is the last durably checkpointed batch"
             )
-        if self.replan not in REPLAN_MODES:
-            raise ValueError(
-                f"unknown replan mode {self.replan!r}; "
-                f"expected one of {REPLAN_MODES}"
-            )
-        if self.max_replans < 0:
-            raise ValueError(
-                f"max_replans must be >= 0, got {self.max_replans}"
-            )
         return self
 
     # ------------------------------------------------------------------ #
@@ -256,10 +252,8 @@ class ExecSpec:
         d = {"spec_version": SPEC_VERSION}
         for name in SPEC_FIELDS:
             value = getattr(self, name)
-            if name in ("semiring", "kernel", "comm_backend"):
+            if name in _REGISTRY_FIELDS:
                 value = _registry_name(value)
-            elif name == "replan_force":
-                value = [[int(b), dict(a)] for b, a in value]
             d[name] = value
         d.update(self.extra)
         return d
@@ -288,8 +282,6 @@ class ExecSpec:
             d.pop(key, None)
         d.pop("spec_version", None)
         known = {key: d.pop(key) for key in SPEC_FIELDS if key in d}
-        if "replan_force" in known:
-            known["replan_force"] = _canon_force(known["replan_force"] or ())
         return cls(**known, extra=d)
 
     def amended(self, **changes) -> "ExecSpec":
@@ -320,16 +312,11 @@ _REMOVED = {
     "replan_threshold": (0.15, "it is a constant of repro.plan.replan"),
     "replan_min_batches": (1, "it is a constant of repro.plan.replan"),
     "suite": ("esc", 'the tiers are spelt kernel="spgemm:<tier>"'),
+    "checksums": (None, "checksums are on exactly when faults= is given"),
+    "max_retries": (3, "it is repro.resilience.MAX_RETRIES"),
+    "max_replans": (1, "it is repro.plan.replan.MAX_REPLANS"),
+    "replan_force": ([], "it is a private test seam of repro.summa.batched"),
 }
-
-
-def _canon_force(force) -> tuple:
-    """Canonicalise a ``replan_force`` value to ``((batch, {..}), ...)``."""
-    out = []
-    for item in force:
-        batch, amend = item
-        out.append((int(batch), dict(amend)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The injection side lives in :mod:`repro.simmpi.faults`; this package is
 the side that *survives* it:
 
-* :class:`RetryPolicy` — bounded, deterministic retry of transiently
-  failed communication attempts, applied at the entry of every op the
+* :class:`RetryPolicy` — bounded (:data:`MAX_RETRIES`), deterministic
+  retry of transiently failed communication attempts, applied at the entry of every op the
   rank program issues (:meth:`repro.simmpi.comm.SimComm._inject`).  Backoff is *simulated* (recorded, never slept, never random) so
   faulty runs stay exactly reproducible.
 * :class:`CheckpointManager` — a manifest-backed, atomically written
@@ -25,6 +25,6 @@ the side that *survives* it:
 """
 
 from .checkpoint import CheckpointManager, run_key
-from .retry import RetryPolicy
+from .retry import MAX_RETRIES, RetryPolicy
 
-__all__ = ["RetryPolicy", "CheckpointManager", "run_key"]
+__all__ = ["MAX_RETRIES", "RetryPolicy", "CheckpointManager", "run_key"]

@@ -37,6 +37,10 @@ from ..errors import TransientCommError
 #: tracker op label for a retried communication attempt.
 RETRY_OP = "retry"
 
+#: retries of one transiently failed attempt before the fault surfaces;
+#: the rank program installs ``RetryPolicy(MAX_RETRIES)`` on every rank
+MAX_RETRIES = 3
+
 
 class RetryPolicy:
     """Retry transiently-failing communication attempts, boundedly.
@@ -60,7 +64,7 @@ class RetryPolicy:
 
     def __init__(
         self,
-        max_retries: int = 3,
+        max_retries: int = MAX_RETRIES,
         *,
         backoff_base: float = 0.001,
         multiplier: float = 2.0,

@@ -176,7 +176,7 @@ class Endpoint:
     """One rank's end of a carrier.
 
     Holds what the rank's communicators read — ``tracker``, ``timeout``,
-    ``checksums``, ``injector``, ``failed`` (set by the carrier) — its
+    ``injector``, ``failed`` (set by the carrier) — its
     own ``step_label`` / ``backend_label`` / ``ledger`` / ``retry`` /
     ``store`` as plain attributes, its operation-entry counter
     (``beats``), and its mailbox.  A carrier adds ``post`` and ``_await``.
@@ -187,6 +187,11 @@ class Endpoint:
     real_backoff = False
     #: worker process id named in wait records (process carrier only).
     pid = None
+
+    @property
+    def checksums(self) -> bool:
+        """Per-message envelopes: on exactly when faults are injected."""
+        return self.injector is not None
 
     def __init__(self, rank: int) -> None:
         self.rank = int(rank)
@@ -252,20 +257,16 @@ class World:
 
     ``injector`` is an optional :class:`~repro.simmpi.faults.FaultInjector`
     consulted at the entry of every communicator operation and at every
-    delivery.  ``checksums`` enables per-message envelopes
-    (:class:`~repro.simmpi.serialization.Envelope`) on broadcast,
-    point-to-point and all-to-all payloads; it defaults to on exactly
-    when an injector is present.
+    delivery; with one present, broadcast, point-to-point and all-to-all
+    payloads travel in checksummed envelopes
+    (:class:`~repro.simmpi.serialization.Envelope`).
     """
 
     def __init__(self, nprocs: int, stores, *, tracker: CommTracker | None,
-                 timeout: float, injector, checksums: bool | None) -> None:
+                 timeout: float, injector) -> None:
         self.tracker = tracker if tracker is not None else CommTracker()
         self.timeout = timeout
         self.injector = injector
-        self.checksums = bool(
-            checksums if checksums is not None else injector is not None
-        )
         self.failed = threading.Event()
         self.lock = threading.Lock()
         #: global rank -> WaitRecord of its current block (under ``lock``)
@@ -298,7 +299,7 @@ class ThreadEndpoint(Endpoint):
         super().__init__(rank)
         self.shared = world
         self.tracker, self.timeout = world.tracker, world.timeout
-        self.injector, self.checksums = world.injector, world.checksums
+        self.injector = world.injector
         self.failed = world.failed
         self.store = store
         self.cv = threading.Condition(world.lock)

@@ -81,8 +81,8 @@ def open_world(nprocs: int, fn: Callable[..., Any], *args,
                world: str = "threads", transport: str = "auto", **kwargs):
     """Start a world whose every region runs ``fn(comm, *args, **kwargs,
     **submitted)``: returns an object with ``submit(**submitted)`` (one
-    region; ``tracker`` / ``timeout`` / ``faults`` / ``checksums`` /
-    ``world_info`` as in :func:`run_spmd`) and ``stop()``.  The process
+    region; ``tracker`` / ``timeout`` / ``faults`` / ``world_info`` as in
+    :func:`run_spmd`) and ``stop()``.  The process
     world's fork inherits the body; only what is *submitted* must pickle."""
     if nprocs <= 0:
         raise ValueError(f"nprocs must be positive, got {nprocs}")
@@ -102,7 +102,6 @@ def run_spmd(
     tracker: CommTracker | None = None,
     timeout: float = DEFAULT_TIMEOUT,
     faults=None,
-    checksums: bool | None = None,
     world: str = "threads",
     transport: str = "auto",
     world_info: dict | None = None,
@@ -127,10 +126,8 @@ def run_spmd(
     faults:
         Optional :class:`~repro.simmpi.faults.FaultPlan` or
         :class:`~repro.simmpi.faults.FaultInjector` to run the program
-        under deterministic fault injection.
-    checksums:
-        Force per-message envelope checksums on/off; ``None`` enables
-        them exactly when faults are injected.
+        under deterministic fault injection, with per-message envelope
+        checksums on (an empty ``FaultPlan()`` turns on checksums alone).
     world:
         ``"threads"`` (default) runs ranks as threads in this process —
         the deterministic reference.  ``"processes"`` runs one worker
@@ -157,7 +154,7 @@ def run_spmd(
     try:
         return opened.submit(
             tracker=tracker, timeout=timeout, faults=faults,
-            checksums=checksums, world_info=world_info,
+            world_info=world_info,
         )
     finally:
         opened.stop()
@@ -182,14 +179,13 @@ class ThreadWorld:
 
     def submit(self, *, tracker: CommTracker | None = None,
                timeout: float = DEFAULT_TIMEOUT, faults=None,
-               checksums: bool | None = None, world_info: dict | None = None,
-               **submitted) -> list:
+               world_info: dict | None = None, **submitted) -> list:
         """One region on fresh rank threads (see :func:`run_spmd`)."""
         if isinstance(world_info, dict):
             world_info.update({"world": "threads", "transport": None})
         world = World(
             self.nprocs, self.stores, tracker=tracker, timeout=timeout,
-            injector=as_injector(faults), checksums=checksums,
+            injector=as_injector(faults),
         )
         # one slot per rank, each written by that rank's thread only
         results: list[Any] = [None] * self.nprocs

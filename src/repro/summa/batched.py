@@ -63,6 +63,11 @@ from .result import SummaResult
 #: next death fails the run with a :class:`~repro.errors.HealError`
 MAX_HEAL_ROUNDS = 8
 
+#: test seam: ``((batch, {field: value}), ...)`` amendments every run
+#: adopts at those batch boundaries, unmeasured and even under
+#: ``replan="off"`` (tests set it with ``monkeypatch``)
+_REPLAN_FORCE: tuple = ()
+
 
 class _BatchPieceCollector:
     """The driver's end of a one-shot run's way home: each rank hands
@@ -539,11 +544,11 @@ def _open_checkpoint(run: _Run) -> None:
 
 def _replan_policy(run: _Run):
     """Mid-run replanning: the picklable decision policy shipped to every
-    rank.  Forced amendments (``spec.replan_force``) run even with
-    ``replan="off"`` — the deterministic test/demo hook."""
+    rank with each region.  Forced amendments (:data:`_REPLAN_FORCE`) run
+    even with ``replan="off"``."""
     spec = run.spec
     auto = spec.replan == "auto"
-    if not auto and not spec.replan_force:
+    if not auto and not _REPLAN_FORCE:
         return None
     from ..plan.replan import ReplanPolicy, modelled_comm_per_batch
 
@@ -552,13 +557,12 @@ def _replan_policy(run: _Run):
         # () for resident operands: the flip lever then stays off
         modelled = modelled_comm_per_batch(run.a, run.b, spec, run.batches)
     return ReplanPolicy(
-        max_replans=spec.max_replans,
         allow_shrink=auto,
         allow_grow=auto,
         allow_backend_flip=auto and bool(modelled),
         resumable=run.ckpt is not None,
         modelled_comm=modelled,
-        force=spec.replan_force,
+        force=_REPLAN_FORCE,
     )
 
 
@@ -628,8 +632,7 @@ def _one_shot_world(run: _Run, fn, *args, **fixed):
             run.heal_failed_at = None
         return world.submit(
             tracker=run.tracker, timeout=spec.timeout, faults=run.injector,
-            checksums=spec.checksums, world_info=run.world_info,
-            **amendable,
+            world_info=run.world_info, **amendable,
         )
 
     try:
@@ -758,10 +761,9 @@ def _memory_report(run: _Run, info: dict, ran_batches: int) -> dict:
             "high_water": ledger.high_water("checkpoint"),
             "current": ledger.current("checkpoint"),
         }
-    # a rank holds one batch tile, whatever keep_output says (finalize)
     model = dict(
         nprocs=spec.nprocs, layers=spec.layers, batches=ran_batches,
-        keep_output=False, overlap=spec.overlap,
+        overlap=spec.overlap,
     )
     sym_stats = info.get("symbolic") or run.sym_prepass
     if sym_stats is not None:
@@ -820,7 +822,7 @@ def _assemble_report(run: _Run) -> SummaResult:
     if run.injector is not None:
         info["fault_stats"] = run.injector.stats()
     if run.injector is not None or ckpt is not None or run.rebatched or run.replans:
-        resilience: dict = {"max_retries": spec.max_retries}
+        resilience: dict = {}
         if ckpt is not None:
             resilience["checkpoint_dir"] = os.fspath(spec.checkpoint_dir)
             resilience["resumed_from_batch"] = run.first_batch

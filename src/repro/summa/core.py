@@ -33,7 +33,7 @@ from ..mem import MemoryLedger
 from ..model.memory import batches_for_budget
 from ..plan.spec import ExecSpec
 from ..grid.grid3d import GridComms, ProcGrid3D
-from ..resilience import RetryPolicy
+from ..resilience import MAX_RETRIES, RetryPolicy
 from ..simmpi.comm import SimComm
 from ..sparse.matrix import SparseMatrix
 from ..sparse.semiring import get_semiring
@@ -231,9 +231,7 @@ def spmd_batched_summa3d(
         budget=None if budget is None else budget // grid.nprocs,
     )
     comm.world.ledger = ledger
-    comm.world.retry = (
-        RetryPolicy(spec.max_retries) if spec.max_retries is not None else None
-    )
+    comm.world.retry = RetryPolicy(MAX_RETRIES)
     comms = GridComms.build(comm, grid)
     tracer = Tracer(rank=comm.rank)
     info: dict = {}

@@ -228,8 +228,7 @@ def _auto_config_kernel(
             )
         cand_memory = kern.predict_memory(
             a, b, aux,
-            nprocs=nprocs, layers=layers, batches=batches,
-            keep_output=False, overlap=overlap,
+            nprocs=nprocs, layers=layers, batches=batches, overlap=overlap,
         )
         comm = comm_complexity(
             nprocs=nprocs,

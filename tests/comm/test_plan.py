@@ -8,7 +8,7 @@ structure-preserving tile filters on empty and hypersparse tiles.
 import numpy as np
 import pytest
 
-from repro.comm import CommPlan, pack_mask, unpack_mask
+from repro.comm import pack_mask, unpack_mask
 from repro.sparse import SparseMatrix, random_sparse
 from repro.sparse.ops import (
     mask_columns,
@@ -94,24 +94,3 @@ class TestTileFilters:
         dropped = mask_rows(m, np.arange(100) != 42)
         assert dropped.nnz == 0
         assert dropped.shape == (100, 100)
-
-
-class TestCommPlan:
-    def test_derive_swaps_roles(self):
-        a_cols = [np.array([True, False]), np.array([False, True])]
-        b_rows = [np.array([True, True]), np.array([False, False])]
-        plan = CommPlan.derive(
-            a_col_masks=a_cols, b_row_masks=b_rows, row_rank=0, col_rank=1
-        )
-        assert plan.a_requests == [None, None]
-
-    def test_fill_requests(self):
-        plan = CommPlan.derive(
-            a_col_masks=[np.ones(3, bool)],
-            b_row_masks=[np.ones(3, bool)],
-            row_rank=0,
-            col_rank=0,
-        )
-        req = [np.array([True, False, True])]
-        plan.fill_requests(req, [None])
-        assert np.array_equal(plan.a_requests[0], req[0])

@@ -69,7 +69,7 @@ class TestChaosMatrix:
             result = batched_summa3d(
                 a, b, nprocs=nprocs, layers=_LAYERS[nprocs], batches=2,
                 checkpoint_dir=tmp_path / "ck",
-                faults=plan, heal=True, max_retries=3, timeout=25,
+                faults=plan, heal=True, timeout=25,
                 world="processes", transport=transport,
             )
         except SpmdError as err:

@@ -23,9 +23,18 @@ from repro.errors import (
     SpmdError,
     TransientCommError,
 )
+from repro.resilience import MAX_RETRIES
 from repro.simmpi import CommTracker, FaultPlan, run_spmd
 from repro.sparse import random_sparse
 from repro.summa import batched_summa3d, symbolic3d
+
+
+def _exhausting(op):
+    """Transients on rank 1's first attempt at ``op`` and on each of its
+    ``MAX_RETRIES`` retries: the retry budget runs out."""
+    return FaultPlan([
+        f"transient:rank=1,op={op},nth={n}" for n in range(1, MAX_RETRIES + 2)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +215,12 @@ class TestInjectedCommFaults:
         assert r.fault_stats["retries"] == 2
 
     def test_retry_budget_exhaustion_surfaces_transient(self, operands):
+        # the first attempt and its MAX_RETRIES retries all fail
         a, b = operands
         with pytest.raises(SpmdError) as info:
             batched_summa3d(
-                a, b, nprocs=4, batches=2, timeout=15, max_retries=0,
-                faults=FaultPlan(["transient:rank=1,op=bcast,nth=1"]),
+                a, b, nprocs=4, batches=2, timeout=15,
+                faults=_exhausting("bcast"),
             )
         assert any(
             isinstance(e, TransientCommError)
@@ -254,8 +264,8 @@ class TestInjectedCommFaults:
         ]
         with pytest.raises(SpmdError) as info:
             batched_summa3d(
-                a, b, nprocs=4, batches=3, timeout=15, faults=fault,
-                max_retries=None, **extra(tmp_path / "off"),
+                a, b, nprocs=4, batches=3, timeout=15,
+                faults=_exhausting(op), **extra(tmp_path / "off"),
             )
         assert isinstance(info.value.failures[1], TransientCommError)
 
@@ -318,7 +328,7 @@ class TestInjectedCommFaults:
         summed_tracker = CommTracker()
         summed = batched_summa3d(
             a, b, nprocs=4, batches=2, tracker=summed_tracker,
-            checksums=True, timeout=15,
+            faults=FaultPlan(), timeout=15,
         )
         assert_bit_identical(summed.matrix, plain.matrix)
         overhead = summed_tracker.total_bytes() - plain_tracker.total_bytes()

@@ -148,8 +148,7 @@ class TestMemoryModel:
         a = random_sparse(64, 64, nnz=600, seed=8)
         x = np.zeros((64, 8))
         model = get_kernel("spmm").predict_memory(
-            a, x, None, nprocs=4, layers=1, batches=2,
-            keep_output=True, overlap="off",
+            a, x, None, nprocs=4, layers=1, batches=2, overlap="off",
         )
         cats = model["categories"]
         assert cats["b_piece"] > 0
@@ -161,8 +160,7 @@ class TestMemoryModel:
     def test_spgemm_defers_to_symbolic_model(self):
         a = random_sparse(16, 16, nnz=40, seed=9)
         assert get_kernel("spgemm").predict_memory(
-            a, a, None, nprocs=4, layers=1, batches=1,
-            keep_output=True, overlap="off",
+            a, a, None, nprocs=4, layers=1, batches=1, overlap="off",
         ) is None
 
     def test_batches_for_budget_monotone(self):

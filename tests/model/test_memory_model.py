@@ -76,14 +76,6 @@ class TestPredictMemory:
         )
         assert d1["high_water_total"] > off["high_water_total"]
 
-    def test_keep_output_adds_held_term(self):
-        drop = predict_memory(nprocs=16, layers=1, batches=4, **STATS)
-        keep = predict_memory(
-            nprocs=16, layers=1, batches=4, keep_output=True, **STATS
-        )
-        assert keep["high_water_total"] >= drop["high_water_total"]
-        assert keep["categories"]["output_batch"] > 0
-
     def test_scale_applies_linearly(self):
         base = predict_memory(nprocs=16, layers=1, batches=2, **STATS)
         scaled = predict_memory(

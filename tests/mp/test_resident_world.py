@@ -289,9 +289,12 @@ class TestResidentContext:
             hc, _ = ctx.multiply(ha, hb, postprocess=lambda b, c0, c1, blk: blk)
             assert hc.to_global().allclose(multiply(matrix, matrix))
 
-    def test_forced_replan_reenters_without_a_second_fork(self, forks, matrix):
-        spec = ExecSpec(batches=2, replan_force=((0, {"batches": 4}),))
-        with DistContext(nprocs=4, world="processes") as ctx:
+    def test_forced_replan_reenters_without_a_second_fork(
+        self, forced_replans, forks, matrix
+    ):
+        spec = ExecSpec(batches=2)
+        with DistContext(nprocs=4, world="processes") as ctx, \
+                forced_replans((0, {"batches": 4})):
             ha, hb = ctx.distribute(matrix, "A"), ctx.distribute(matrix, "B")
             hc, resident = ctx.multiply(ha, hb, plan=spec)
             product = hc.to_global()
@@ -299,9 +302,10 @@ class TestResidentContext:
         assert resident.batches == 4
         assert resident.info["resilience"]["replans"][0]["to"]["batches"] == 4
         del forks[:]
-        one_shot = run_plan(
-            matrix, matrix, spec.amended(nprocs=4, world="processes")
-        )
+        with forced_replans((0, {"batches": 4})):
+            one_shot = run_plan(
+                matrix, matrix, spec.amended(nprocs=4, world="processes")
+            )
         assert len(forks) == 4  # two regions, one world
         assert one_shot.batches == 4
         assert one_shot.info["world"]["region"] == 1

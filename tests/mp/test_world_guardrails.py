@@ -54,10 +54,9 @@ class TestProcessFaults:
         a = random_sparse(30, 30, nnz=120, seed=1)
         plan = ["transient:rank=1,op=bcast,nth=1",
                 "corrupt:rank=2,op=bcast,nth=1"]
-        ref = batched_summa3d(a, a, nprocs=4, faults=FaultPlan(plan),
-                              max_retries=3)
+        ref = batched_summa3d(a, a, nprocs=4, faults=FaultPlan(plan))
         res = batched_summa3d(a, a, nprocs=4, faults=FaultPlan(plan),
-                              max_retries=3, world="processes", timeout=20.0)
+                              world="processes", timeout=20.0)
         assert (res.matrix.values == ref.matrix.values).all()
         ref_fs, fs = ref.info["fault_stats"], res.info["fault_stats"]
         assert fs["fired"] == ref_fs["fired"] == 2

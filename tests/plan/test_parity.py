@@ -126,3 +126,77 @@ class TestPlanEntryPoints:
         r = batched_summa3d_rows(a, b, plan=spec)
         assert r.info["batch_axis"] == "rows"
         assert r.matrix.allclose(batched_summa3d(a, b, 4, batches=2).matrix)
+
+
+class TestCliSurface:
+    """``repro multiply`` is the third surface derived from the spec: one
+    flag per field, generated with the field's default, help and value
+    set, so neither can differ between the two."""
+
+    @staticmethod
+    def _multiply():
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return sub.choices["multiply"]
+
+    def test_every_field_has_exactly_one_flag(self):
+        actions = self._multiply()._actions
+        for name in SPEC_FIELDS:
+            (flag,) = [a for a in actions if a.dest == name]
+            assert "--" + name.replace("_", "-") in flag.option_strings
+            assert flag.help
+
+    def test_no_flags_parse_to_the_spec_defaults(self):
+        from repro.cli import _multiply_spec
+
+        args = self._multiply().parse_args(["a.npz"])
+        assert _multiply_spec(args) == ExecSpec()
+
+    def test_flags_reach_their_fields(self):
+        from repro.cli import _multiply_spec
+
+        args = self._multiply().parse_args([
+            "a.npz", "--batches", "3", "--timeout", "7.5", "--enforce",
+            "warn", "--memory-budget", "1000", "--no-keep-output", "--heal",
+            "--checkpoint-dir", "ck", "--merge-policy", "incremental",
+        ])
+        assert _multiply_spec(args) == ExecSpec(
+            batches=3, timeout=7.5, enforce="warn", memory_budget=1000,
+            keep_output=False, heal=True, checkpoint_dir="ck",
+            merge_policy="incremental",
+        )
+        # --output always keeps the product
+        args = self._multiply().parse_args(
+            ["a.npz", "--no-keep-output", "--output", "c.npz"]
+        )
+        assert _multiply_spec(args).keep_output is True
+
+    def test_a_value_set_is_the_tuple_validate_checks(self):
+        from repro.comm.backend import COMM_BACKENDS
+        from repro.grid.distribution import BATCH_SCHEMES
+        from repro.mem import ENFORCE_MODES
+        from repro.mp.transport import TRANSPORTS
+        from repro.plan import REPLAN_MODES
+        from repro.simmpi.engine import WORLDS
+        from repro.summa import MERGE_POLICIES, OVERLAP_MODES
+
+        owners = {
+            "enforce": ENFORCE_MODES, "batch_scheme": BATCH_SCHEMES,
+            "merge_policy": MERGE_POLICIES, "overlap": OVERLAP_MODES,
+            "world": WORLDS, "transport": TRANSPORTS, "replan": REPLAN_MODES,
+            "comm_backend": COMM_BACKENDS,
+        }
+        flags = {a.dest: a for a in self._multiply()._actions}
+        for name in SPEC_FIELDS:
+            assert flags[name].choices is owners.get(name), name
+        for name, known in owners.items():
+            for value in known:
+                ExecSpec(**{name: value, "memory_budget": 1}).validate()
+            with pytest.raises(ValueError, match=name.replace("_", " ")):
+                ExecSpec(**{name: "bogus"}).validate()

@@ -169,15 +169,15 @@ def _operands(kernel):
 
 class TestReplanBitIdentity:
     @pytest.mark.parametrize("kernel,backend,world", CASES)
-    def test_forced_rebatch_matches_fixed_plan(self, kernel, backend, world):
+    def test_forced_rebatch_matches_fixed_plan(
+        self, forced_replans, kernel, backend, world
+    ):
         a, b = _operands(kernel)
         common = dict(
             kernel=kernel, comm_backend=backend, world=world, timeout=60.0,
         )
-        replanned = batched_summa3d(
-            a, b, 4, batches=4,
-            replan_force=((1, {"batches": 2}),), **common,
-        )
+        with forced_replans((1, {"batches": 2})):
+            replanned = batched_summa3d(a, b, 4, batches=4, **common)
         fixed = batched_summa3d(a, b, 4, batches=2, **common)
         assert _identical(replanned.matrix, fixed.matrix)
 
@@ -193,12 +193,12 @@ class TestReplanBitIdentity:
         # the fixed-plan run carries revision 0 and no replan log
         assert fixed.info["plan"]["revision"] == 0
 
-    def test_forced_backend_flip_matches_fixed_plan(self):
+    def test_forced_backend_flip_matches_fixed_plan(self, forced_replans):
         a, b = _operands("spgemm")
-        replanned = batched_summa3d(
-            a, b, 4, batches=3, comm_backend="dense",
-            replan_force=((0, {"comm_backend": "sparse"}),), timeout=60.0,
-        )
+        with forced_replans((0, {"comm_backend": "sparse"})):
+            replanned = batched_summa3d(
+                a, b, 4, batches=3, comm_backend="dense", timeout=60.0,
+            )
         fixed = batched_summa3d(
             a, b, 4, batches=3, comm_backend="sparse", timeout=60.0,
         )
@@ -211,11 +211,10 @@ class TestReplanBitIdentity:
         assert event["from"]["backend"] == "dense"
         assert event["to"]["backend"] == "sparse"
 
-    def test_final_plan_spec_reflects_amendment(self):
+    def test_final_plan_spec_reflects_amendment(self, forced_replans):
         a, b = _operands("spgemm")
-        r = batched_summa3d(
-            a, b, 4, batches=4, replan_force=((0, {"batches": 2}),),
-        )
+        with forced_replans((0, {"batches": 2})):
+            r = batched_summa3d(a, b, 4, batches=4)
         spec = ExecSpec.from_dict(r.info["plan"]["spec"])
         assert spec.batches == 2
 
@@ -233,16 +232,17 @@ class TestReplanComposesWithHeal:
         ids=["rebatch", "flip"],
     )
     def test_forced_replan_and_crash_match_fixed_plan(
-        self, tmp_path, amended, crash_batch, world
+        self, forced_replans, tmp_path, amended, crash_batch, world
     ):
         a, b = _operands("spgemm")
         final = {"batches": 6, "comm_backend": "dense", **amended}
-        run = batched_summa3d(
-            a, b, 4, batches=6, comm_backend="dense",
-            replan_force=((1, amended),), checkpoint_dir=tmp_path / "ck",
-            faults=[f"crash:rank=1,batch={crash_batch}"],
-            heal=True, world=world, timeout=60.0,
-        )
+        with forced_replans((1, amended)):
+            run = batched_summa3d(
+                a, b, 4, batches=6, comm_backend="dense",
+                checkpoint_dir=tmp_path / "ck",
+                faults=[f"crash:rank=1,batch={crash_batch}"],
+                heal=True, world=world, timeout=60.0,
+            )
         fixed = batched_summa3d(a, b, 4, timeout=60.0, **final)
         assert _identical(run.matrix, fixed.matrix)
         resilience = run.info["resilience"]

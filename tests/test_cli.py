@@ -60,6 +60,18 @@ class TestMultiply:
             "--memory-budget", str(30 * m.nnz * 24),
         ]) == 0
 
+    def test_an_unknown_knob_value_is_refused_before_the_run(
+        self, matrix_file, capsys
+    ):
+        path, _ = matrix_file
+        with pytest.raises(SystemExit):  # a value set: argparse refuses
+            main(["multiply", path, "--comm-backend", "spars"])
+        # a registry name, or a combination: refused before any rank runs
+        assert main(["multiply", path, "--kernel", "spgem"]) == 2
+        assert "unknown local kernel 'spgem'" in capsys.readouterr().err
+        assert main(["multiply", path, "--enforce", "strict"]) == 2
+        assert "needs a budget" in capsys.readouterr().err
+
     def test_matrix_market_roundtrip(self, matrix_file, tmp_path):
         path, m = matrix_file
         out_path = tmp_path / "c.mtx"

@@ -114,13 +114,10 @@ def test_plan_fields_reach_the_run():
     assert result.trace and "model" not in info["memory"]
 
 
-def test_merge_policy_and_amendments_honoured(operands):
+def test_merge_policy_and_amendments_honoured(forced_replans, operands):
     a, b, _mask = operands
-    spec = ExecSpec(
-        batches=2, merge_policy="incremental",
-        replan_force=((0, {"batches": 4}),),
-    )
-    with DistContext(NPROCS, LAYERS) as ctx:
+    spec = ExecSpec(batches=2, merge_policy="incremental")
+    with DistContext(NPROCS, LAYERS) as ctx, forced_replans((0, {"batches": 4})):
         product, resident, ref = both_ways(ctx, a, b, spec)
     assert bit_identical(product, ref.matrix)
     assert resident.batches == 4

@@ -395,16 +395,15 @@ def test_partition_boundaries_come_from_split_bounds_only():
 SPEC_FIELDS_NOW = (
     "nprocs", "layers", "batches", "memory_budget", "enforce", "semiring",
     "kernel", "keep_output", "batch_scheme", "merge_policy", "comm_backend",
-    "overlap", "timeout", "checksums", "max_retries", "checkpoint_dir",
-    "resume", "checkpoint_keep_last", "heal", "world", "transport",
-    "replan", "max_replans", "replan_force",
+    "overlap", "timeout", "checkpoint_dir", "resume", "checkpoint_keep_last",
+    "heal", "world", "transport", "replan",
 )
 
 
-def test_the_run_knobs_are_these_24():
+def test_the_run_knobs_are_these_20():
     from repro.plan.spec import SPEC_FIELDS, ExecSpec
 
-    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 24
+    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 20
     assert ExecSpec().heal is False
 
 
