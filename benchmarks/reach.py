@@ -74,7 +74,7 @@ def drivers():
         "paper": _bench("fig*", "table*", "eq2*", "ablation*"),
         "examples": [[sys.executable, f] for f in sorted(glob.glob(f"{REPO}/examples/*.py"))],
         "system-benches": _bench("world", "heal", "overlap", "sparse_comm", "memory", "kernels",
-                                 "autotune", "resilience") + [serve, serve + ["--crash"]],
+                                 "resilience") + [serve, serve + ["--crash"]],
     }
 
 

@@ -138,8 +138,9 @@ __all__ = [
 
 # distributed layer re-exports — imported last so the sparse substrate has
 # no import-time dependency on the distributed modules
+# (summa before plan: plan.spec reads summa.exec's value sets, and the
+# summa package's drivers import plan.spec)
 from .grid import ProcGrid3D  # noqa: E402
-from .plan import ExecPlan, ExecSpec  # noqa: E402
 from .summa import (  # noqa: E402
     batched_summa3d,
     batched_summa3d_rows,
@@ -148,6 +149,7 @@ from .summa import (  # noqa: E402
     summa3d,
     symbolic3d,
 )
+from .plan import ExecPlan, ExecSpec  # noqa: E402
 
 # subpackages exposed for attribute access (repro.apps.markov_cluster, ...)
 from . import apps, comm, data, kernels, mem, model, simmpi, sparse, summa, grid, utils  # noqa: E402,F401

@@ -158,12 +158,6 @@ def cmd_multiply(args) -> int:
             print(f"  epoch {event['epoch']}: lost {dead}; resumed from "
                   f"batch {event['restart_batch']} after "
                   f"{event['latency_s'] * 1e3:.1f} ms")
-    if resilience is not None and resilience.get("replans"):
-        for event in resilience["replans"]:
-            print(f"replan: batch {event['at_batch']} [{event['reason']}] "
-                  f"b {event['from']['batches']} -> {event['to']['batches']}, "
-                  f"backend {event['from']['backend']} -> "
-                  f"{event['to']['backend']}")
     print(result.step_times.format_table("step times (critical path)"))
     print(tracker.format_table())
     if args.trace_out is not None:

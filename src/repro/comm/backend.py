@@ -96,7 +96,7 @@ class CommBackend(ABC):
         """Discard all cached per-run plan state.
 
         Called on every (re-)entry of the SPMD body — a first launch, or
-        an amended one (replan, re-batch, a repaired grid): anything
+        an amended one (re-batch, heal): anything
         derived from the previous entry's communicators — exchange
         plans, occupancy masks, outstanding prefetches — must be
         recomputed against the ones just built.  Default no-op: the

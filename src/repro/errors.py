@@ -130,32 +130,6 @@ class MemoryBudgetExceededError(MemoryPressureError):
     it exactly like injected memory pressure."""
 
 
-class ReplanSignal(ReproError, RuntimeError):
-    """A mid-run replanning decision, raised *collectively* by every rank
-    at the same batch boundary (the :class:`~repro.plan.Replanner` agrees
-    on max-allreduced measurements first, so the pure decision is
-    identical everywhere).  Not a failure: the driver catches it, amends
-    the plan (``amended`` maps spec fields to new values — ``batches``
-    and/or ``comm_backend``) and re-enters through the PR 3 re-batch
-    path.  ``batches`` carries the batch count the run was executing
-    under, so the driver can amend even when it delegated the choice to
-    the in-band symbolic pass.  All keywords default to ``None``/empty so
-    the default ``BaseException.__reduce__`` pickles instances across the
-    process world."""
-
-    def __init__(self, message: str, *, batch: int | None = None,
-                 batches: int | None = None, amended: dict | None = None,
-                 reason: str | None = None,
-                 measurements: dict | None = None):
-        super().__init__(message)
-        self.batch = batch
-        self.batches = batches
-        self.amended = dict(amended or {})
-        self.reason = reason
-        self.measurements = dict(measurements or {})
-        self.with_context(batch=batch, reason=reason)
-
-
 class RankCrashError(ReproError, RuntimeError):
     """The hard death of one rank (an injected crash, the stand-in for a
     node failure; under the process world a worker process that really

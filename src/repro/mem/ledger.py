@@ -311,11 +311,6 @@ class MemoryLedger:
     def high_water(self, category: str) -> int:
         return self._high_water[category]
 
-    def batch_peak(self, batch: int) -> int:
-        """Peak total bytes observed while executing ``batch`` (0 if the
-        batch was never entered) — the replanner's measured-memory input."""
-        return self._batch_peaks.get(batch, 0)
-
     def report(self) -> dict:
         """This rank's contribution to the uniform ``info["memory"]``
         block (see :meth:`merge_reports`)."""

@@ -22,8 +22,8 @@ the next one and is reaped, never decoded.  One-shot
 — same per-rank return list, same :class:`~repro.errors.SpmdError` with
 cascade filtering as the threaded world.
 
-A region in which ranks **raise** (any exception, a collective
-:class:`~repro.errors.ReplanSignal`, a classified
+A region in which ranks **raise** (any exception, an injected
+:class:`~repro.errors.MemoryPressureError`, a classified
 :class:`~repro.errors.HangError`) fails alone: the error surfaces, the
 world's segments are swept, the workers park for the next submit.  A
 rank **process that dies** (``SIGKILL``, an injected ``crash`` —

@@ -8,7 +8,7 @@ configuration becomes a *value*:
 
 * :class:`ExecSpec` — the frozen record of every run knob (kernel /
   semiring, comm backend, overlap, world/transport, batching, budget +
-  enforcement, resilience, checkpointing, replanning).
+  enforcement, resilience, checkpointing).
   ``ExecSpec.from_kwargs`` is the **single** legacy-kwargs → spec
   conversion point every driver shares, and ``to_dict`` / ``from_dict``
   round-trip the spec through JSON (unknown keys ride along in
@@ -18,9 +18,9 @@ configuration becomes a *value*:
 * :class:`ExecPlan` — a *resolved* spec: the chosen ``(layers,
   batches, backend)`` triple plus the model's predicted makespan and
   Table III memory estimate and the provenance of how the choice was
-  made (explicit / auto-tuned / mid-run replan, with the measurements
-  that drove it).  ``repro.summa.auto_config`` returns one, the serving
-  plan cache stores them, ``run_plan`` executes them, and every
+  made (explicit or auto-tuned, with the scoring basis).
+  ``repro.summa.auto_config`` returns one, the serving plan cache
+  stores them, ``run_plan`` executes them, and every
   :class:`~repro.summa.result.SummaResult` records the final resolved
   plan verbatim in ``info["plan"]``.
 
@@ -37,8 +37,10 @@ to their registry ``name``, so persisted plans are always plain data.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 from ..comm.backend import COMM_BACKENDS
 from ..errors import ShapeError
@@ -52,9 +54,6 @@ from ..summa.exec import MERGE_POLICIES, OVERLAP_MODES
 
 #: serialisation format version of ``ExecSpec.to_dict`` / ``ExecPlan.to_dict``.
 SPEC_VERSION = 1
-
-#: supported settings of the ``replan=`` knob.
-REPLAN_MODES = ("off", "auto")
 
 #: fields that hold a registry name or a live instance of it
 _REGISTRY_FIELDS = ("semiring", "kernel", "comm_backend")
@@ -164,11 +163,6 @@ class ExecSpec:
         "auto", "process-world payloads: pickle, shared memory, or by size",
         choices=TRANSPORTS,
     )
-    replan: str = _knob(
-        "off", "auto amends b and the comm backend at batch boundaries "
-        "from measured step times (the product is unchanged)",
-        choices=REPLAN_MODES,
-    )
     #: unknown keys from a newer writer's ``to_dict`` — preserved verbatim
     #: so round-tripping a forward-compatible dict is lossless.
     extra: dict = field(default_factory=dict)
@@ -207,8 +201,18 @@ class ExecSpec:
         Raises the exception types the drivers historically raised, so
         existing callers' error handling holds.
         """
-        if self.batches is not None and self.batches < 1:
-            raise ShapeError(f"batches must be >= 1, got {self.batches}")
+        b = self.batches
+        if b is not None and (
+            isinstance(b, bool) or not isinstance(b, Integral) or b < 1
+        ):
+            raise ShapeError(f"batches must be an int >= 1, got {b!r}")
+        t = self.timeout
+        if isinstance(t, bool) or not isinstance(t, Real) or not (
+            math.isfinite(t) and t > 0
+        ):
+            raise ValueError(
+                f"timeout must be a finite number of seconds > 0, got {t!r}"
+            )
         for f in fields(self):
             known = f.metadata.get("choices")
             value = getattr(self, f.name)
@@ -295,6 +299,12 @@ SPEC_FIELDS = tuple(
     f.name for f in fields(ExecSpec) if f.name != "extra"
 )
 
+_CHOSEN_ONCE = (
+    "b and the comm backend are chosen once, before the run (batches=, "
+    "memory_budget=, comm_backend=); memory pressure under "
+    'enforce="strict" still re-batches'
+)
+
 #: former knobs a stored plan may still carry → (the one value it may
 #: hold, what replaces it).  Outside input: see :meth:`ExecSpec.from_dict`.
 _REMOVED = {
@@ -309,13 +319,14 @@ _REMOVED = {
         False, "a complement mask is a postprocess= filter of the caller's",
     ),
     "spill_dir": (None, "save each batch from an on_batch= hook"),
-    "replan_threshold": (0.15, "it is a constant of repro.plan.replan"),
-    "replan_min_batches": (1, "it is a constant of repro.plan.replan"),
+    "replan_threshold": (0.15, _CHOSEN_ONCE),
+    "replan_min_batches": (1, _CHOSEN_ONCE),
     "suite": ("esc", 'the tiers are spelt kernel="spgemm:<tier>"'),
     "checksums": (None, "checksums are on exactly when faults= is given"),
     "max_retries": (3, "it is repro.resilience.MAX_RETRIES"),
-    "max_replans": (1, "it is repro.plan.replan.MAX_REPLANS"),
-    "replan_force": ([], "it is a private test seam of repro.summa.batched"),
+    "max_replans": (1, _CHOSEN_ONCE),
+    "replan_force": ([], _CHOSEN_ONCE),
+    "replan": ("off", _CHOSEN_ONCE),
 }
 
 
@@ -329,10 +340,7 @@ class ExecPlan:
     that positional order.
 
     ``provenance`` records *how* the plan was chosen — ``{"mode":
-    "explicit" | "auto" | "replan", ...}`` with mode-specific detail
-    (the scoring basis for ``auto``, the measurements and amendment for
-    ``replan``).  ``revision`` counts mid-run amendments: an original
-    plan is revision 0 and every adopted replan bumps it by one.
+    "explicit" | "auto", ...}`` with the scoring basis for ``auto``.
     """
 
     layers: int = 1
@@ -343,7 +351,6 @@ class ExecPlan:
     predicted_memory: dict | None = None
     spec: ExecSpec | None = None
     provenance: dict = field(default_factory=dict)
-    revision: int = 0
     extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
@@ -373,7 +380,6 @@ class ExecPlan:
             "predicted_memory": self.predicted_memory,
             "spec": None if self.spec is None else self.spec.to_dict(),
             "provenance": dict(self.provenance),
-            "revision": self.revision,
         }
         d.update(self.extra)
         return d
@@ -384,12 +390,14 @@ class ExecPlan:
             raise TypeError(f"ExecPlan.from_dict needs a dict, got {type(d)}")
         known_names = {
             "layers", "batches", "predicted_seconds", "candidates",
-            "backend", "predicted_memory", "spec", "provenance", "revision",
+            "backend", "predicted_memory", "spec", "provenance",
         }
         known = {}
         extra = {}
         for key, value in d.items():
-            if key == "spec_version":
+            # a stored ``revision`` counted mid-run amendments, which no
+            # run makes now: it says nothing about the plan
+            if key in ("spec_version", "revision"):
                 continue
             if key in known_names:
                 known[key] = value

@@ -44,9 +44,9 @@ MANIFEST_VERSION = 1
 
 #: execution-plan knobs that determine the batch files' column geometry —
 #: a resume under a plan differing in any of these would mix incompatible
-#: column blocks.  Deliberately *excludes* knobs a replan may legally
-#: change between attempts (``comm_backend``) or that do not shape the
-#: output (budgets, overlap, world/transport, timeouts, resilience).
+#: column blocks.  Deliberately *excludes* knobs that do not shape the
+#: output (comm backend, budgets, overlap, world/transport, timeouts,
+#: resilience).
 PLAN_GEOMETRY_KEYS = (
     "nprocs", "layers", "kernel", "semiring", "batch_scheme", "merge_policy",
 )

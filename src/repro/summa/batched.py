@@ -3,7 +3,7 @@
 There is one driver, :func:`drive`, a short pipeline of phases: resolve
 the spec → prepare (kernel, aux, shapes, backend; every refusal) → open
 the checkpoint / symbolic pre-pass → execute (the launch loop, re-entered
-on a replan, re-batch or heal amendment) → assemble the report.  Entry
+on a re-batch or heal amendment) → assemble the report.  Entry
 points differ only in the operands they hand it (global matrices, or a
 :class:`~repro.dist.DistContext`'s resident tiles) and in where the
 finished batch tiles go: every rank hands each one to the run's single
@@ -17,8 +17,8 @@ an :class:`~repro.plan.ExecSpec` (or a resolved
 :func:`batched_summa3d`, :func:`batched_summa3d_rows`, :func:`summa2d`,
 :func:`summa3d` — are thin shims whose knobs funnel through the single
 conversion point :meth:`~repro.plan.ExecSpec.from_kwargs`.  Every result
-records the final resolved plan verbatim in ``info["plan"]``, including
-any mid-run amendments the :class:`~repro.plan.Replanner` made.
+records the final resolved plan verbatim in ``info["plan"]``, with the
+batch count a memory-pressure re-batch ended at.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..errors import (
     HealError,
     MemoryPressureError,
     RankCrashError,
-    ReplanSignal,
     ShapeError,
     SpmdError,
 )
@@ -62,11 +61,6 @@ from .result import SummaResult
 #: re-entries one run may spend on rank deaths under ``heal=True``; the
 #: next death fails the run with a :class:`~repro.errors.HealError`
 MAX_HEAL_ROUNDS = 8
-
-#: test seam: ``((batch, {field: value}), ...)`` amendments every run
-#: adopts at those batch boundaries, unmeasured and even under
-#: ``replan="off"`` (tests set it with ``monkeypatch``)
-_REPLAN_FORCE: tuple = ()
 
 
 class _BatchPieceCollector:
@@ -233,8 +227,7 @@ def batched_summa3d(
     Returns
     -------
     SummaResult — with ``info["plan"]`` recording the final resolved
-    :class:`~repro.plan.ExecPlan` (as a dict), including any mid-run
-    replanning amendments.
+    :class:`~repro.plan.ExecPlan` (as a dict).
     """
     return run_plan(
         a, b, coerce_plan(plan, nprocs, layers, knobs),
@@ -314,8 +307,9 @@ class _Run:
     world: object
     postprocess: object
     on_batch: object
-    #: the two fields mid-run amendments (replan / re-batch) rewrite
+    #: the field a memory-pressure re-batch rewrites
     batches: int | None
+    #: the backend every region runs on, ``"auto"`` already decided
     comm_backend: object
     #: an operand is a TileSource: tiles already live on the ranks
     resident: bool
@@ -325,10 +319,8 @@ class _Run:
     first_batch: int = 0
     sym_prepass: dict | None = None
     # execute phase
-    replan_policy: object = None
     collector: _BatchPieceCollector | None = None
     rebatched: list = field(default_factory=list)
-    replans: list = field(default_factory=list)
     #: one event per re-entry after rank deaths (``spec.heal``)
     heals: list = field(default_factory=list)
     #: when the region the latest heal answers failed, until the
@@ -359,15 +351,14 @@ def drive(a, b, plan, *, world=None, pinned=None, **runtime) -> _Run:
     and ``result`` (``matrix=None``; ``info``, times and rank traces
     assembled) set.  ``world`` is for a caller that owns its world (a
     resident context): a context manager ``world(run, fn, *args,
-    **fixed)`` yielding the ``submit(**amendable)`` that runs one region
-    of ``fn(comm, *args, **fixed, **amendable)``; the default opens a
+    **fixed)`` yielding the ``submit(batches=, start_batch=)`` that runs
+    one region of ``fn(comm, *args, **fixed, batches=, start_batch=)``; the default opens a
     one-shot world and stops it.  ``pinned`` are spec fields the caller's
     slot fixes, whatever the plan says; ``runtime`` are
     :func:`run_plan`'s runtime-only arguments.
     """
     run = _prepare(a, b, *_plan_to_spec(plan, pinned), world, **runtime)
     _open_checkpoint(run)
-    run.replan_policy = _replan_policy(run)
     run.collector = _make_collector(run)
     run.per_rank = _execute(run)
     run.result = _assemble_report(run)
@@ -542,30 +533,6 @@ def _open_checkpoint(run: _Run) -> None:
         ckpt.start_run(run.ckpt_key, run.batches, run.ckpt_plan(run.batches))
 
 
-def _replan_policy(run: _Run):
-    """Mid-run replanning: the picklable decision policy shipped to every
-    rank with each region.  Forced amendments (:data:`_REPLAN_FORCE`) run
-    even with ``replan="off"``."""
-    spec = run.spec
-    auto = spec.replan == "auto"
-    if not auto and not _REPLAN_FORCE:
-        return None
-    from ..plan.replan import ReplanPolicy, modelled_comm_per_batch
-
-    modelled = ()
-    if auto and run.kern.supports_symbolic:
-        # () for resident operands: the flip lever then stays off
-        modelled = modelled_comm_per_batch(run.a, run.b, spec, run.batches)
-    return ReplanPolicy(
-        allow_shrink=auto,
-        allow_grow=auto,
-        allow_backend_flip=auto and bool(modelled),
-        resumable=run.ckpt is not None,
-        modelled_comm=modelled,
-        force=_REPLAN_FORCE,
-    )
-
-
 def _make_collector(run: _Run):
     """The driver's end of the run's way home, or ``None`` when nothing
     is taken (the output discarded and unconsumed) or the ranks keep the
@@ -585,15 +552,12 @@ def _make_collector(run: _Run):
 
 def _execute(run: _Run) -> list:
     """The one launch loop: open the world, submit the region; when what
-    failed it is an amendment — every rank raised the same collective
-    signal, or ranks died under ``heal=True`` — apply it and submit again."""
+    failed it is an amendment — memory pressure, or ranks died under
+    ``heal=True`` — apply it and submit again."""
     with _launch(run) as submit:
         while True:
             try:
-                return submit(
-                    batches=run.batches, comm_backend=run.comm_backend,
-                    start_batch=run.first_batch, replan=run.replan_policy,
-                )
+                return submit(batches=run.batches, start_batch=run.first_batch)
             except SpmdError as err:
                 if _amend(run, err):
                     continue
@@ -644,8 +608,8 @@ def _one_shot_world(run: _Run, fn, *args, **fixed):
 @contextlib.contextmanager
 def _launch(run: _Run):
     """Open the run's world on the SPMD body; yields ``submit(batches=,
-    comm_backend=, start_batch=, replan=)`` — what an amendment changes
-    is what a submit carries, everything else is fixed here."""
+    start_batch=)`` — what an amendment changes is what a submit
+    carries, everything else is fixed here."""
     spec = run.spec
     # Under the process world the collector's sink must run in the
     # driver (it feeds gather/checkpoint state workers cannot see); the
@@ -660,89 +624,56 @@ def _launch(run: _Run):
         run, spmd_batched_summa3d, *run.operands, run.grid, spec,
         kernel=run.kern, aux=run.aux, postprocess=run.postprocess,
         piece_sink=sink, batch_barrier=run.ckpt is not None,
+        comm_backend=run.comm_backend,
     ) as submit:
         yield submit
 
 
 def _amend(run: _Run, err: SpmdError) -> bool:
     """Apply a mid-run amendment, if that is what the failed ranks of
-    ``err`` carry: a :class:`ReplanSignal` — all ranks raised the same
-    decision at the same batch boundary —, memory pressure, answered by
-    the paper's own lever of doubling the batch count, or, under
-    ``heal=True``, rank deaths, answered by the re-entry alone.  Returns
-    whether the run should re-enter."""
+    ``err`` carry: memory pressure, answered by the paper's own lever of
+    doubling the batch count and restarting from batch 0, or, under
+    ``heal=True``, rank deaths, answered by resuming past the durable
+    prefix.  Returns whether the run should re-enter."""
     failures = list(err.failures.values())
-    cur = run.batches or 1
-    new_b, new_backend = cur, run.comm_backend
-    if failures and all(isinstance(e, ReplanSignal) for e in failures):
-        sig = failures[0]
-        cur = sig.batches or cur
-        new_b = int(sig.amended.get("batches", cur))
-        new_backend = sig.amended.get("comm_backend", new_backend)
-        run.replans.append({
-            "at_batch": sig.batch,
-            "reason": sig.reason,
-            "from": {
-                "batches": int(cur),
-                "backend": _registry_name(run.comm_backend),
-            },
-            "to": {
-                "batches": int(new_b),
-                "backend": _registry_name(new_backend),
-            },
-            "measurements": dict(sig.measurements),
-        })
-        # one amendment spent; a force that fired never re-fires
-        run.replan_policy = replace(
-            run.replan_policy,
-            revision=run.replan_policy.revision + 1,
-            force=tuple(
-                (bt, am) for bt, am in run.replan_policy.force
-                if int(bt) != sig.batch
-            ),
-        )
-    elif failures and all(
-        isinstance(e, MemoryPressureError) for e in failures
-    ):
-        cur = next((e.batches for e in failures if e.batches), None) or cur
+    if failures and all(isinstance(e, MemoryPressureError) for e in failures):
+        cur = next((e.batches for e in failures if e.batches), None)
+        cur = cur or run.batches or 1
         new_b = min(cur * 2, max(1, run.out_shape[1]))
         if new_b <= cur:
             raise err  # nothing left to double
         run.rebatched.append({"from": int(cur), "to": int(new_b)})
-    elif run.spec.heal and failures and all(
-        isinstance(e, RankCrashError) for e in failures
-    ):
-        # the survivors keep nothing a re-entry would not rebuild (tiles
-        # re-extracted, communicators re-derived, finished pieces already
-        # streamed to the driver), so a death costs the re-entry alone
-        if len(run.heals) >= MAX_HEAL_ROUNDS:
-            exc = HealError(f"heal round budget exhausted ({MAX_HEAL_ROUNDS})")
-            raise SpmdError(
-                dict.fromkeys(err.failures, exc),
-                checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
-            ) from err
-        run.heal_failed_at = time.perf_counter()
-        run.heals.append({
-            "epoch": len(run.heals) + 1,
-            "dead": sorted(int(r) for r in err.failures),
-            "restart_batch": run.ckpt.completed_prefix(),
-            "latency_s": 0.0,
-        })
-    else:
-        return False
-    if run.ckpt is not None and new_b == cur:
-        # the column geometry is a function of b alone (a backend flip
-        # and a heal preserve it): completed batches stay durable and
-        # gathered, half-gathered ones are recomputed — resume past them
-        run.first_batch = run.ckpt.completed_prefix()
-        run.collector.drop_pending()
-    else:
-        run.first_batch = 0
+        # the column geometry is a function of b: every batch computed
+        # so far, checkpointed or not, is invalid — restart
+        run.batches, run.first_batch = new_b, 0
         if run.ckpt is not None:
-            # every checkpointed batch is invalid — restart
             run.ckpt.reset(run.ckpt_key, new_b, run.ckpt_plan(new_b))
         run.collector = _make_collector(run)
-    run.batches, run.comm_backend = new_b, new_backend
+        return True
+    if not (run.spec.heal and failures and all(
+        isinstance(e, RankCrashError) for e in failures
+    )):
+        return False
+    # the survivors keep nothing a re-entry would not rebuild (tiles
+    # re-extracted, communicators re-derived, finished pieces already
+    # streamed to the driver), so a death costs the re-entry alone
+    if len(run.heals) >= MAX_HEAL_ROUNDS:
+        exc = HealError(f"heal round budget exhausted ({MAX_HEAL_ROUNDS})")
+        raise SpmdError(
+            dict.fromkeys(err.failures, exc),
+            checkpoint_dir=os.fspath(run.spec.checkpoint_dir),
+        ) from err
+    run.heal_failed_at = time.perf_counter()
+    # completed batches stay durable and gathered, half-gathered ones are
+    # recomputed — resume past them
+    run.first_batch = run.ckpt.completed_prefix()
+    run.collector.drop_pending()
+    run.heals.append({
+        "epoch": len(run.heals) + 1,
+        "dead": sorted(int(r) for r in err.failures),
+        "restart_batch": run.first_batch,
+        "latency_s": 0.0,
+    })
     return True
 
 
@@ -821,7 +752,7 @@ def _assemble_report(run: _Run) -> SummaResult:
         info["resident"] = True
     if run.injector is not None:
         info["fault_stats"] = run.injector.stats()
-    if run.injector is not None or ckpt is not None or run.rebatched or run.replans:
+    if run.injector is not None or ckpt is not None or run.rebatched:
         resilience: dict = {}
         if ckpt is not None:
             resilience["checkpoint_dir"] = os.fspath(spec.checkpoint_dir)
@@ -831,8 +762,6 @@ def _assemble_report(run: _Run) -> SummaResult:
             resilience["heal"] = {"heals": len(run.heals), "events": run.heals}
         if run.rebatched:
             resilience["rebatched"] = run.rebatched
-        if run.replans:
-            resilience["replans"] = run.replans
         info["resilience"] = resilience
 
     # The final resolved plan, recorded verbatim: what actually ran,
@@ -841,9 +770,6 @@ def _assemble_report(run: _Run) -> SummaResult:
     backend_name = info.get("comm_backend", _registry_name(run.comm_backend))
     prov = dict(src.provenance)
     prov.setdefault("mode", "explicit")
-    if run.replans:
-        prov["replans"] = list(prov.get("replans", ())) + run.replans
-        prov["mode"] = "replan"
     info["plan"] = replace(
         src,
         layers=spec.layers,
@@ -851,7 +777,6 @@ def _assemble_report(run: _Run) -> SummaResult:
         backend=backend_name,
         spec=spec.amended(batches=int(ran_batches), comm_backend=backend_name),
         provenance=prov,
-        revision=src.revision + len(run.replans),
     ).to_dict()
 
     return SummaResult(

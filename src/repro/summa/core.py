@@ -147,7 +147,6 @@ def spmd_batched_summa3d(
     batches: int | None,
     comm_backend="dense",
     start_batch: int = 0,
-    replan=None,
 ) -> dict:
     """Alg. 4 (BatchedSUMMA3D) as executed by one rank: resolve ``b``,
     build the rank's state, :func:`~repro.summa.exec.run_batches`, report.
@@ -155,8 +154,8 @@ def spmd_batched_summa3d(
     ``spec`` is the run's validated :class:`~repro.plan.ExecSpec`; the
     steps read its fields where they use them.  The keywords are what a
     spec does not hold — the driver's resolutions, the runtime hooks, and
-    the four values an amendment (replan, re-batch, repair) changes
-    between submits of one run, which override the spec's:
+    the values an amendment (re-batch, heal) changes between submits of
+    one run, which override the spec's:
 
     comm:
         This rank's world communicator (size must equal ``grid.nprocs``).
@@ -194,13 +193,6 @@ def spmd_batched_summa3d(
     start_batch:
         First batch to execute (resume support): batches below it are
         assumed durably checkpointed by the driver.
-    replan:
-        Optional :class:`~repro.plan.ReplanPolicy`.  When set, a
-        ``replan-check`` step runs after every non-final batch; the
-        :class:`~repro.plan.Replanner` built from the policy may raise a
-        collective :class:`~repro.errors.ReplanSignal` carrying an
-        amended plan, which the driver applies through the re-batch
-        path.  ``None`` (default) runs no check at all.
 
     Returns (per rank)
     ------------------
@@ -242,10 +234,6 @@ def spmd_batched_summa3d(
             comms, a, b, a_tile, b_tile, aux, kernel, budget, tracer,
         )
     ledger.batches = batches
-    if replan is not None:
-        from ..plan.replan import Replanner
-
-        replan = Replanner(replan, start_batch=start_batch)
 
     a_tile, b_tile = kernel.prepare_tiles(a_tile, b_tile)
     state = RankState(
@@ -254,7 +242,7 @@ def spmd_batched_summa3d(
         a_tile=a_tile, b_tile=b_tile, aux=aux,
         a_nrows=operand_shape(a)[0], b_ncols=operand_shape(b)[1],
         batches=batches, postprocess=postprocess, piece_sink=piece_sink,
-        batch_barrier=batch_barrier, replan=replan,
+        batch_barrier=batch_barrier,
     )
     run_batches(state, start_batch)
 

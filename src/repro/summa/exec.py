@@ -90,7 +90,6 @@ _STEPS = {
     "postprocess": (STEP_POSTPROCESS, True),
     "finalize": ("Finalize", False),
     "batch-barrier": ("Batch-Barrier", False),
-    "replan-check": ("Replan-Check", False),
 }
 #: the kinds a plan-level fault may name (``FaultSpec.kind_op``).
 STEP_KINDS = tuple(_STEPS)
@@ -106,8 +105,8 @@ class RankState:
     ``.merge_policy``, ``.batch_scheme`` where they use them) and what
     was resolved from it; the geometry is derived from
     it; the rest is the working set the steps pass to each other.
-    :class:`~repro.kernels.LocalKernel` methods and
-    :meth:`repro.plan.Replanner.check` read these attributes by name.
+    :class:`~repro.kernels.LocalKernel` methods read these attributes by
+    name.
 
     ``mem`` maps logical buffer names (``"a_recv"``, ``"d_local"``, the
     ``"partials"`` list, prefetch keys …) to the live
@@ -131,7 +130,6 @@ class RankState:
     postprocess: Callable | None
     piece_sink: Callable
     batch_barrier: bool
-    replan: object
 
     # geometry: this rank's row block and super-column of the output
     grid: object = field(init=False)
@@ -273,11 +271,6 @@ def run_batches(state: RankState, start_batch: int = 0) -> None:
         if state.batch_barrier:
             with step(state, "batch-barrier", batch):
                 batch_barrier(state)
-        # after the barrier, so a checkpointed batch is durable before
-        # any amendment abandons the attempt
-        if state.replan is not None and batch + 1 < state.batches:
-            with step(state, "replan-check", batch):
-                state.replan.check(state, batch)
 
 
 # --------------------------------------------------------------------- #

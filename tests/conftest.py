@@ -6,7 +6,6 @@ itself never imports it.
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import numpy as np
@@ -112,22 +111,6 @@ def shm_names() -> set[str]:
     prefix = f"repro-{os.getpid()}-"
     names = os.listdir(SHM_DIR) if os.path.isdir(SHM_DIR) else []
     return {n for n in names if n.startswith(prefix)}
-
-
-@pytest.fixture
-def forced_replans(monkeypatch):
-    """``with forced_replans((batch, {field: value}), ...):`` — every run
-    inside adopts those amendments at those batch boundaries, unmeasured
-    (the driver's seam ``repro.summa.batched._REPLAN_FORCE``)."""
-    import repro.summa.batched as driver
-
-    @contextlib.contextmanager
-    def forced(*amendments):
-        with monkeypatch.context() as patch:
-            patch.setattr(driver, "_REPLAN_FORCE", amendments)
-            yield
-
-    return forced
 
 
 @pytest.fixture

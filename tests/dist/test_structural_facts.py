@@ -345,15 +345,15 @@ class TestTheMaskTravelsOnce:
                     assert held[-1] in store
                     assert held[0] not in store and held[2] not in store
 
-    def test_an_amended_run_resends_until_a_region_succeeds(
-        self, forced_replans, graph
-    ):
+    def test_an_amended_run_resends_until_a_region_succeeds(self, graph):
         spec = ExecSpec(batches=2, kernel="masked_spgemm")
         with DistContext(4, 1) as ctx:
             log = submits(ctx)
             ha, hb = ctx.distribute(graph, "A"), ctx.distribute(graph, "B")
-            with forced_replans((0, {"batches": 4})):
-                hc, result = ctx.multiply(ha, hb, plan=spec, mask=graph)
+            hc, result = ctx.multiply(
+                ha, hb, plan=spec, mask=graph,
+                faults=["mem-pressure:rank=0,batch=1"],
+            )
             hc2, _ = ctx.multiply(ha, hb, plan=spec, mask=graph)
             sent = [kw["aux"] is not None for name, kw in log if name == "multiply"]
             assert result.batches == 4 and sent == [True, True, False]

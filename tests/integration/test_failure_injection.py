@@ -238,10 +238,11 @@ class TestInjectedCommFaults:
             "barrier", "Batch-Barrier",
             lambda tmp: {"checkpoint_dir": tmp / "ck"},
         ),
-        # without a budget there is no Symbolic pass, so the check's
-        # max-allreduce is the run's first (and unlabelled) allreduce
-        "replan-check-allreduce": (
-            "allreduce", "", lambda tmp: {"replan": "auto"},
+        # with a budget and no batch count, Alg. 3's max-allreduces run
+        # in-band (a budget this large picks b = 1: the same product)
+        "symbolic-allreduce": (
+            "allreduce", "Symbolic",
+            lambda tmp: {"batches": None, "memory_budget": 1 << 30},
         ),
     }
 
@@ -252,8 +253,8 @@ class TestInjectedCommFaults:
         base = batched_summa3d(a, b, nprocs=4, batches=3, timeout=15)
         fault = FaultPlan([f"transient:rank=1,op={op},nth=1"])
         r = batched_summa3d(
-            a, b, nprocs=4, batches=3, timeout=15, faults=fault,
-            **extra(tmp_path / "healed"),
+            a, b, nprocs=4, timeout=15, faults=fault,
+            **{"batches": 3, **extra(tmp_path / "healed")},
         )
         assert_bit_identical(r.matrix, base.matrix)
         assert r.fault_stats["injected"] == {"transient": 1}
@@ -264,8 +265,8 @@ class TestInjectedCommFaults:
         ]
         with pytest.raises(SpmdError) as info:
             batched_summa3d(
-                a, b, nprocs=4, batches=3, timeout=15,
-                faults=_exhausting(op), **extra(tmp_path / "off"),
+                a, b, nprocs=4, timeout=15, faults=_exhausting(op),
+                **{"batches": 3, **extra(tmp_path / "off")},
             )
         assert isinstance(info.value.failures[1], TransientCommError)
 

@@ -289,23 +289,21 @@ class TestResidentContext:
             hc, _ = ctx.multiply(ha, hb, postprocess=lambda b, c0, c1, blk: blk)
             assert hc.to_global().allclose(multiply(matrix, matrix))
 
-    def test_forced_replan_reenters_without_a_second_fork(
-        self, forced_replans, forks, matrix
-    ):
+    def test_a_rebatch_reenters_without_a_second_fork(self, forks, matrix):
         spec = ExecSpec(batches=2)
-        with DistContext(nprocs=4, world="processes") as ctx, \
-                forced_replans((0, {"batches": 4})):
+        pressure = ["mem-pressure:rank=0,batch=1"]
+        with DistContext(nprocs=4, world="processes") as ctx:
             ha, hb = ctx.distribute(matrix, "A"), ctx.distribute(matrix, "B")
-            hc, resident = ctx.multiply(ha, hb, plan=spec)
+            hc, resident = ctx.multiply(ha, hb, plan=spec, faults=pressure)
             product = hc.to_global()
         assert len(forks) == 4
         assert resident.batches == 4
-        assert resident.info["resilience"]["replans"][0]["to"]["batches"] == 4
+        assert resident.info["resilience"]["rebatched"] == [{"from": 2, "to": 4}]
         del forks[:]
-        with forced_replans((0, {"batches": 4})):
-            one_shot = run_plan(
-                matrix, matrix, spec.amended(nprocs=4, world="processes")
-            )
+        one_shot = run_plan(
+            matrix, matrix, spec.amended(nprocs=4, world="processes"),
+            faults=pressure,
+        )
         assert len(forks) == 4  # two regions, one world
         assert one_shot.batches == 4
         assert one_shot.info["world"]["region"] == 1

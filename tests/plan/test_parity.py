@@ -182,14 +182,13 @@ class TestCliSurface:
         from repro.grid.distribution import BATCH_SCHEMES
         from repro.mem import ENFORCE_MODES
         from repro.mp.transport import TRANSPORTS
-        from repro.plan import REPLAN_MODES
         from repro.simmpi.engine import WORLDS
         from repro.summa import MERGE_POLICIES, OVERLAP_MODES
 
         owners = {
             "enforce": ENFORCE_MODES, "batch_scheme": BATCH_SCHEMES,
             "merge_policy": MERGE_POLICIES, "overlap": OVERLAP_MODES,
-            "world": WORLDS, "transport": TRANSPORTS, "replan": REPLAN_MODES,
+            "world": WORLDS, "transport": TRANSPORTS,
             "comm_backend": COMM_BACKENDS,
         }
         flags = {a.dest: a for a in self._multiply()._actions}

@@ -3,6 +3,7 @@ the single-conversion-point contract, and the amendment transition."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,7 +40,6 @@ _KNOBS = {
     "heal": st.booleans(),
     "world": st.sampled_from(["threads", "processes"]),
     "transport": st.sampled_from(["auto", "pickle", "shm"]),
-    "replan": st.sampled_from(["off", "auto"]),
 }
 assert set(_KNOBS) == set(SPEC_FIELDS), (
     "knob strategy drifted from ExecSpec fields: "
@@ -54,7 +54,8 @@ future_keys = st.dictionaries(
     st.text(
         alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=3, max_size=12
     ).filter(
-        lambda k: k not in SPEC_FIELDS + tuple(_REMOVED) and k != "spec_version"
+        lambda k: k not in SPEC_FIELDS + tuple(_REMOVED)
+        and k not in ("spec_version", "revision")
     ),
     st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=8),
     max_size=3,
@@ -129,6 +130,14 @@ class TestExecSpecRoundTrip:
         with pytest.raises(ValueError, match=f"{key}=.*no longer a knob: "):
             ExecSpec.from_dict(old)
 
+    def test_a_stored_replan_off_loads_and_auto_is_refused(self):
+        old = dict(ExecSpec.from_kwargs(batches=3).to_dict(), replan="off")
+        spec = ExecSpec.from_dict(old)
+        assert spec == ExecSpec.from_kwargs(batches=3)
+        assert "replan" not in spec.extra and "replan" not in spec.to_dict()
+        with pytest.raises(ValueError, match="replan='auto'.*chosen once"):
+            ExecSpec.from_dict(dict(old, replan="auto"))
+
     def test_older_dict_with_the_one_r_loads_without_the_key(self):
         # a manifest from before bytes_per_nonzero stopped being a knob
         old = dict(ExecSpec.from_kwargs(batches=3).to_dict(), bytes_per_nonzero=24)
@@ -163,8 +172,8 @@ class TestExecSpecRoundTrip:
         ({"memory_budget_per_rank": 10**6}, "memory_budget = per_rank × nprocs"),
         ({"spill_dir": "/tmp/spill"}, "on_batch="),
         ({"mask_complement": True}, "postprocess="),
-        ({"replan_threshold": 0.5}, "repro.plan.replan"),
-        ({"replan_min_batches": 2}, "repro.plan.replan"),
+        ({"replan_threshold": 0.5}, "chosen once, before the run"),
+        ({"replan_min_batches": 2}, "chosen once, before the run"),
         ({"suite": "spa", "kernel": "masked_spgemm"}, "spgemm:<tier>"),
     ])
     def test_any_other_value_of_a_removed_knob_is_refused(self, stored, names):
@@ -200,16 +209,25 @@ class TestExecSpecConversionPoint:
         with pytest.raises(ValueError, match=knob.replace("_", " ")):
             ExecSpec.from_kwargs(**{knob: "bogus"}).validate()
 
-    def test_validate_rejects_bad_replan_mode(self):
-        with pytest.raises(ValueError, match="replan"):
-            ExecSpec.from_kwargs(replan="maybe").validate()
+    @pytest.mark.parametrize("batches", [1.5, 2.0, True, "2"])
+    def test_validate_rejects_batches_that_are_not_ints(self, batches):
+        with pytest.raises(ShapeError, match="batches must be an int >= 1"):
+            ExecSpec.from_kwargs(batches=batches).validate()
 
-    def test_validate_accepts_replan_with_heal(self):
-        # both are amendments of the driver's one re-entry loop: there is
-        # no second protocol for a replan to conflict with
-        spec = ExecSpec.from_kwargs(
-            replan="auto", heal=True, checkpoint_dir="/tmp/ckpt"
-        )
+    @pytest.mark.parametrize(
+        "timeout", [-1, 0, 0.0, float("nan"), float("inf"), True, None, "5"]
+    )
+    def test_validate_rejects_a_timeout_that_is_not_finite_and_positive(
+        self, timeout
+    ):
+        with pytest.raises(ValueError, match="timeout must be a finite"):
+            ExecSpec.from_kwargs(timeout=timeout).validate()
+
+    @pytest.mark.parametrize("knobs", [
+        {"batches": np.int64(3)}, {"timeout": 5}, {"timeout": np.float64(0.5)},
+    ])
+    def test_validate_accepts_numpy_and_int_numbers(self, knobs):
+        spec = ExecSpec.from_kwargs(**knobs)
         assert spec.validate() is spec
 
     def test_validate_rejects_a_budget_that_is_not_positive(self):
@@ -233,7 +251,6 @@ class TestExecPlanRoundTrip:
             predicted_memory={"per_rank": 1024},
             spec=ExecSpec.from_kwargs(**knobs),
             provenance={"mode": "auto", "machine": "cori-knl"},
-            revision=1,
         )
         d = plan.to_dict()
         d.update(future)
@@ -245,6 +262,12 @@ class TestExecPlanRoundTrip:
     def test_round_trip_without_spec(self):
         plan = ExecPlan(layers=2, batches=4, backend="dense")
         assert ExecPlan.from_dict(plan.to_dict()) == plan
+
+    def test_a_stored_revision_is_dropped(self):
+        # written while mid-run replanning counted its amendments
+        plan = ExecPlan(layers=2, batches=4, backend="dense")
+        stored = dict(plan.to_dict(), revision=1)
+        assert ExecPlan.from_dict(stored) == plan
 
 
 class TestExecPlanAmend:

@@ -6,7 +6,9 @@ import os
 import pytest
 
 from repro.errors import CheckpointError
+from repro.plan import ExecSpec
 from repro.resilience import CheckpointManager, run_key
+from repro.resilience.checkpoint import PLAN_GEOMETRY_KEYS
 from repro.sparse import random_sparse
 
 
@@ -266,3 +268,48 @@ class TestSharedRootConcurrency:
         fresh = CheckpointManager(CheckpointManager.run_dir(tmp_path, "resume-me"))
         batches, first = fresh.resume_run("resume-me", None)
         assert (batches, first) == (4, 3)  # pruned batches still count
+
+
+class TestCheckpointPlanGuard:
+    """A manifest embeds the plan it was written under; a resume under a
+    plan whose batch geometry differs is refused."""
+
+    SPEC = ExecSpec.from_kwargs(nprocs=4, layers=1, batches=4)
+
+    def test_resume_rejects_geometry_mismatch(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        mgr.start_run("k", 4, self.SPEC.to_dict())
+        with pytest.raises(CheckpointError, match="layers"):
+            CheckpointManager(tmp_path).resume_run(
+                "k", plan=self.SPEC.amended(layers=2).to_dict()
+            )
+
+    def test_resume_accepts_round_tripped_plan(self, tmp_path):
+        mgr = CheckpointManager(tmp_path)
+        mgr.start_run("k", 4, self.SPEC.to_dict())
+        resumed = ExecSpec.from_dict(self.SPEC.to_dict())
+        batches, first = CheckpointManager(tmp_path).resume_run(
+            "k", plan=resumed.to_dict()
+        )
+        assert (batches, first) == (4, 0)
+
+    def test_resume_accepts_a_manifest_that_still_names_r(self, tmp_path):
+        # written before bytes_per_nonzero left the spec (it only ever
+        # fed the batch count, which resume checks on its own)
+        mgr = CheckpointManager(tmp_path)
+        mgr.start_run("k", 4, dict(self.SPEC.to_dict(), bytes_per_nonzero=24))
+        assert CheckpointManager(tmp_path).resume_run(
+            "k", plan=self.SPEC.to_dict()
+        ) == (4, 0)
+
+    def test_backend_flip_is_not_a_geometry_change(self, tmp_path):
+        # comm_backend moves the same values and leaves the column blocks
+        # alone, so a resume on the other backend keeps durable batches
+        assert "comm_backend" not in PLAN_GEOMETRY_KEYS
+        mgr = CheckpointManager(tmp_path)
+        mgr.start_run("k", 4, self.SPEC.to_dict())
+        flipped = self.SPEC.amended(comm_backend="sparse")
+        batches, first = CheckpointManager(tmp_path).resume_run(
+            "k", plan=flipped.to_dict()
+        )
+        assert (batches, first) == (4, 0)

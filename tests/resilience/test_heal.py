@@ -193,6 +193,35 @@ class TestRepair:
         assert 0 < event["latency_s"] < wall
 
 
+class TestRebatchComposesWithHeal:
+    """A memory-pressure re-batch and a heal are the two amendments of
+    one launch loop.  They compose in either order — the crash before the
+    re-batch (batch 0) or in the re-batched run (batches 2 and 5) — and
+    the product is the one a fixed-``b`` run gives."""
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("crash_batch", [0, 2, 5])
+    def test_rebatch_and_crash_match_fixed_b(self, tmp_path, crash_batch, world):
+        a = random_sparse(48, 48, nnz=320, seed=21)
+        b = random_sparse(48, 48, nnz=320, seed=22)
+        run = batched_summa3d(
+            a, b, 4, batches=3, checkpoint_dir=tmp_path / "ck",
+            faults=["mem-pressure:rank=0,batch=1",
+                    f"crash:rank=1,batch={crash_batch}"],
+            heal=True, world=world, timeout=60.0,
+        )
+        fixed = batched_summa3d(a, b, 4, batches=6, timeout=60.0).matrix
+        m = run.matrix
+        assert np.array_equal(m.indptr, fixed.indptr)
+        assert np.array_equal(m.rowidx, fixed.rowidx)
+        assert np.array_equal(m.values, fixed.values)
+        resilience = run.info["resilience"]
+        (event,) = resilience["heal"]["events"]
+        assert event["restart_batch"] == crash_batch
+        assert resilience["rebatched"] == [{"from": 3, "to": 6}]
+        assert run.batches == run.info["plan"]["batches"] == 6
+
+
 def test_a_repaired_run_keeps_what_it_gathered(tmp_path):
     """``keep_last`` pruning (the service's default) turns old batch files
     into tombstones, so a re-entering run must not read back the batches

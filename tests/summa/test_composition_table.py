@@ -119,6 +119,18 @@ def test_a_misspelt_name_never_reaches_a_launch(typo):
     ) is ValueError
 
 
+@pytest.mark.parametrize("bad", [
+    {"timeout": -1}, {"timeout": 0}, {"timeout": float("nan")},
+    {"batches": 1.5}, {"batches": 2.0},
+], ids=["timeout-negative", "timeout-zero", "timeout-nan",
+        "batches-fraction", "batches-float"])
+def test_a_bad_number_never_reaches_a_launch(bad):
+    """Refused by ``ExecSpec.validate()``, not by a hung first bcast, a
+    disarmed watchdog or four ranks' ``TypeError``."""
+    got = outcome(lambda: batched_summa3d(SPARSE, SPARSE, nprocs=4, **bad))
+    assert got is not None and issubclass(got, ValueError), got
+
+
 @pytest.mark.parametrize("kernel", available_kernels())
 def test_sample_is_sddmm_only(kernel):
     a, b, _runtime = operands(kernel)

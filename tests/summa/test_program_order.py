@@ -16,7 +16,7 @@ from repro.comm import DenseCollective
 from repro.data.generators import erdos_renyi
 from repro.errors import SpmdError
 from repro.grid import ProcGrid3D
-from repro.plan import ExecSpec, ReplanPolicy
+from repro.plan import ExecSpec
 from repro.simmpi import run_spmd
 from repro.simmpi.faults import FaultInjector, FaultPlan
 from repro.summa import STEP_KINDS
@@ -26,8 +26,7 @@ from repro.summa.core import spmd_batched_summa3d
 BATCHES = 3
 
 
-def alg4(*, stages, layers, incremental, postprocess, barrier, replan,
-         start_batch):
+def alg4(*, stages, layers, incremental, postprocess, barrier, start_batch):
     """``(kind, span label, batch, stage, timed)`` in program order."""
     for batch in range(start_batch, BATCHES):
         yield "col-split", "ColSplit", batch, None, False
@@ -53,8 +52,6 @@ def alg4(*, stages, layers, incremental, postprocess, barrier, replan,
         yield "finalize", "Finalize", batch, None, False
         if barrier:
             yield "batch-barrier", "Batch-Barrier", batch, None, False
-        if replan and batch + 1 < BATCHES:
-            yield "replan-check", "Replan-Check", batch, None, False
 
 
 class RecordingInjector(FaultInjector):
@@ -128,8 +125,8 @@ def test_every_rank_runs_alg4(operand, monkeypatch, layers, policy, overlap):
         finalize(state, batch)
 
     monkeypatch.setattr(rank_program, "finalize", spy)
-    for postprocess, barrier, replan, start_batch in itertools.product(
-        (False, True), (False, True), (False, True), (0, 1)
+    for postprocess, barrier, start_batch in itertools.product(
+        (False, True), (False, True), (0, 1)
     ):
         deliveries.clear()
         injector, per_rank = _run(
@@ -137,13 +134,10 @@ def test_every_rank_runs_alg4(operand, monkeypatch, layers, policy, overlap):
             comm_backend=RecordingBackend, start_batch=start_batch,
             postprocess=_identity if postprocess else None,
             batch_barrier=barrier,
-            # a policy that never amends: the check step runs and returns
-            replan=ReplanPolicy(max_replans=0) if replan else None,
         )
         expected = list(alg4(
             stages=stages, layers=layers, incremental=policy == "incremental",
-            postprocess=postprocess, barrier=barrier, replan=replan,
-            start_batch=start_batch,
+            postprocess=postprocess, barrier=barrier, start_batch=start_batch,
         ))
         hooks = [(kind, batch, s) for kind, _, batch, s, _ in expected]
         spans = [(op, batch, s, timed) for _, op, batch, s, timed in expected]

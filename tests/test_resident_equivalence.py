@@ -114,16 +114,18 @@ def test_plan_fields_reach_the_run():
     assert result.trace and "model" not in info["memory"]
 
 
-def test_merge_policy_and_amendments_honoured(forced_replans, operands):
+def test_merge_policy_and_amendments_honoured(operands):
     a, b, _mask = operands
     spec = ExecSpec(batches=2, merge_policy="incremental")
-    with DistContext(NPROCS, LAYERS) as ctx, forced_replans((0, {"batches": 4})):
-        product, resident, ref = both_ways(ctx, a, b, spec)
+    with DistContext(NPROCS, LAYERS) as ctx:
+        product, resident, ref = both_ways(
+            ctx, a, b, spec, faults=["mem-pressure:rank=0,batch=1"],
+        )
     assert bit_identical(product, ref.matrix)
-    assert resident.batches == 4
+    assert resident.batches == ref.batches == 4
     assert resident.info["merge_policy"] == "incremental"
-    assert resident.info["resilience"]["replans"][0]["to"]["batches"] == 4
-    assert resident.info["plan"]["revision"] == 1
+    assert resident.info["resilience"]["rebatched"] == [{"from": 2, "to": 4}]
+    assert resident.info["plan"]["batches"] == 4
 
 
 def test_block_scheme_honoured_on_a_flat_grid(operands):

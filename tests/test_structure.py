@@ -396,14 +396,14 @@ SPEC_FIELDS_NOW = (
     "nprocs", "layers", "batches", "memory_budget", "enforce", "semiring",
     "kernel", "keep_output", "batch_scheme", "merge_policy", "comm_backend",
     "overlap", "timeout", "checkpoint_dir", "resume", "checkpoint_keep_last",
-    "heal", "world", "transport", "replan",
+    "heal", "world", "transport",
 )
 
 
-def test_the_run_knobs_are_these_20():
+def test_the_run_knobs_are_these_19():
     from repro.plan.spec import SPEC_FIELDS, ExecSpec
 
-    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 20
+    assert SPEC_FIELDS == SPEC_FIELDS_NOW and len(SPEC_FIELDS) == 19
     assert ExecSpec().heal is False
 
 
@@ -421,10 +421,10 @@ def test_a_run_knob_is_declared_once():
     """Below the keyword surfaces a knob travels inside the spec: the rank
     body, the rank's state and the resident context's two multiplies
     redeclare none of its fields.  Excepted are what an amendment rewrites
-    between submits (``batches`` / ``comm_backend`` / ``replan``) and what
-    was *resolved* from a field — the kernel, and on the state the
+    between submits (``batches``) and what was *resolved* from a field —
+    the kernel, the comm backend ``"auto"`` decided, and on the state the
     semiring object its steps hand to the local kernels."""
-    resolved = {"batches", "comm_backend", "replan", "kernel"}
+    resolved = {"batches", "comm_backend", "kernel"}
     (state,) = [
         node for node in ast.parse(RANK_LOOP.read_text()).body
         if isinstance(node, ast.ClassDef) and node.name == "RankState"
@@ -471,3 +471,20 @@ def test_suite_is_a_word_of_the_sparse_layer():
         if not any(int(hit.split(":")[1]) in lines for lines in shim)
     ]
     assert not stray, stray
+
+
+def test_b_and_the_backend_are_chosen_before_the_run():
+    """No mid-run replanning: nothing in the library or its API reference
+    re-decides ``b`` or the comm backend from measured step times."""
+    names = re.compile(
+        r"ReplanSignal|Replanner|ReplanPolicy|decide_replan|REPLAN_MODES"
+        r"|_REPLAN_FORCE|replan-check"
+    )
+    api = SRC.parent.parent / "docs" / "API.md"
+    hits = _grep(names, sorted(SRC.rglob("*.py")))
+    hits += [
+        f"docs/API.md:{n}: {line.strip()}"
+        for n, line in enumerate(api.read_text().splitlines(), 1)
+        if names.search(line)
+    ]
+    assert not hits, hits
