@@ -71,7 +71,7 @@ def drivers():
     serve = [sys.executable, f"{REPO}/benchmarks/bench_serve.py", "--smoke"]  # a script, not tests
     return {
         "e2e": [run + ["--smoke"]] + [run + ["--trace", "1", "--workload", w] for w in WORKLOADS],
-        "paper": _bench("fig*", "table*", "eq2*", "ablation*"),
+        "paper": _bench("paper"),
         "examples": [[sys.executable, f] for f in sorted(glob.glob(f"{REPO}/examples/*.py"))],
         "system-benches": _bench("world", "heal", "overlap", "sparse_comm", "memory", "kernels",
                                  "resilience") + [serve, serve + ["--crash"]],

@@ -43,36 +43,21 @@ def _masked_wedges(
     layers: int,
     memory_budget: int | None,
     tracker: CommTracker | None,
-    *,
-    push_mask: bool = True,
 ) -> SparseMatrix:
     if a.nrows != a.ncols:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     adj = _pattern(a)
-    lower = tril(adj, -1)
-    upper = triu(adj, 1)
-    if push_mask:
-        # GraphBLAS-style: the mask filters each batch inside the
-        # distributed pipeline, so non-edge wedge counts never accumulate
-        result = batched_summa3d(
-            lower,
-            upper,
-            nprocs=nprocs,
-            layers=layers,
-            memory_budget=memory_budget,
-            mask=adj,
-            tracker=tracker,
-        )
-        return result.matrix
-    result = batched_summa3d(
-        lower,
-        upper,
+    # GraphBLAS-style: the mask filters each batch inside the distributed
+    # pipeline, so non-edge wedge counts never accumulate
+    return batched_summa3d(
+        tril(adj, -1),
+        triu(adj, 1),
         nprocs=nprocs,
         layers=layers,
         memory_budget=memory_budget,
+        mask=adj,
         tracker=tracker,
-    )
-    return hadamard(result.matrix, adj)
+    ).matrix
 
 
 def count_triangles(

@@ -3,8 +3,8 @@
 Each entry pairs the paper's reported statistics with a generator that
 produces a laptop-scale stand-in preserving the statistics that drive the
 algorithm: output expansion ``nnz(C)/nnz(A)``, compression factor
-``cf = flops/nnz(C)``, and degree skew.  ``bench_table5_datasets`` prints
-paper vs. achieved values side by side.
+``cf = flops/nnz(C)``, and degree skew.  The ``table5`` entry of
+``benchmarks/bench_paper.py`` prints paper vs. achieved values side by side.
 """
 
 from __future__ import annotations

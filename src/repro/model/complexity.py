@@ -1,9 +1,9 @@
 """Closed-form communication and computation complexity (Tables II & III).
 
 Each function returns the paper's expressions verbatim, parameterised by
-``(p, l, b)`` and the matrix statistics.  ``bench_table2_comm_model`` and
-``bench_table3_comp_model`` compare these against volumes metered on the
-simulated runtime and operation counts measured in the kernels.
+``(p, l, b)`` and the matrix statistics.  The ``table2`` and ``table3``
+entries of ``benchmarks/bench_paper.py`` compare these against volumes
+metered on the simulated runtime and operation counts measured in the kernels.
 """
 
 from __future__ import annotations

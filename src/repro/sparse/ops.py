@@ -289,7 +289,7 @@ def permute(
     ``None`` leaves that dimension untouched.  CombBLAS/HipMCL apply a
     random symmetric permutation before distributing skewed matrices so
     that block distributions become load balanced — the technique the
-    ``bench_ablation_imbalance`` experiment measures.
+    ``ablation_imbalance`` entry of ``benchmarks/bench_paper.py`` measures.
     """
     rows, cols, vals = a.to_coo()
     if row_perm is not None:

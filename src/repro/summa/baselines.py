@@ -6,7 +6,8 @@ The paper positions SUMMA-based 2D/3D algorithms against two families
 a 2D shift-based scheme used by DBCSR [9].  Both are implemented on the
 same simulated runtime so their metered communication can be compared
 head-to-head with SUMMA — the classic motivation for 2D/3D algorithms
-becomes a measurable fact (see ``bench_ablation_baselines``).
+becomes a measurable fact (the ``ablation_baselines`` entry of
+``benchmarks/bench_paper.py``).
 """
 
 from __future__ import annotations

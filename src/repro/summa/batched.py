@@ -501,11 +501,15 @@ def _open_checkpoint(run: _Run) -> None:
         spec.checkpoint_dir, keep_last=spec.checkpoint_keep_last,
         ledger=MemoryLedger(rank="driver"),
     )
+    # the mask filters every batch by its pattern, so a different one is a
+    # different product; unmasked runs keep the key they always had
+    masked = isinstance(run.postprocess, _MaskFilter)
     run.ckpt_key = _checkpoint_run_key(
         run.a, run.b,
         nprocs=spec.nprocs, layers=spec.layers,
         batch_scheme=spec.batch_scheme, merge_policy=spec.merge_policy,
         semiring=_registry_name(spec.semiring), **run.kern.run_key_items(),
+        **({"mask": run.postprocess.mask.structure_key.hex()} if masked else {}),
     )
     manifest = ckpt.load_manifest() if spec.resume else None
     if run.batches is None and manifest is None:

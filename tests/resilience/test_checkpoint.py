@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
@@ -313,3 +314,37 @@ class TestCheckpointPlanGuard:
             "k", plan=flipped.to_dict()
         )
         assert (batches, first) == (4, 0)
+
+
+class TestMaskedResume:
+    """The output mask filters every batch, so it is part of the run: a
+    resume under another mask is refused, one under the same mask adopts
+    the durable prefix and ends bit-identical to a fresh masked run."""
+
+    @staticmethod
+    def _crash_then_resume(tmp_path, first, second):
+        from repro.errors import SpmdError
+        from repro.simmpi.faults import FaultPlan
+        from repro.summa import batched_summa3d
+
+        a = random_sparse(64, 64, nnz=400, seed=11)
+        b = random_sparse(64, 64, nnz=400, seed=12)
+        run = dict(nprocs=4, timeout=15, checkpoint_dir=tmp_path / "ck")
+        with pytest.raises(SpmdError):
+            batched_summa3d(a, b, batches=4, mask=first,
+                            faults=FaultPlan(["crash:rank=1,batch=2"]), **run)
+        resumed = batched_summa3d(a, b, mask=second, resume=True, **run)
+        return resumed, batched_summa3d(a, b, nprocs=4, batches=4, mask=second)
+
+    def test_a_different_mask_is_refused(self, tmp_path):
+        masks = [random_sparse(64, 64, nnz=900, seed=s) for s in (13, 14)]
+        with pytest.raises(CheckpointError, match="different"):
+            self._crash_then_resume(tmp_path, *masks)
+
+    def test_the_same_mask_resumes_bit_identical(self, tmp_path):
+        mask = random_sparse(64, 64, nnz=900, seed=13)
+        resumed, fresh = self._crash_then_resume(tmp_path, mask, mask)
+        assert resumed.info["resilience"]["resumed_from_batch"] == 2
+        for name in ("indptr", "rowidx", "values"):
+            assert np.array_equal(getattr(resumed.matrix, name),
+                                  getattr(fresh.matrix, name))

@@ -47,3 +47,21 @@ def test_kept_knobs_are_the_ones_design_explains():
     assert sorted(rows) == sorted(reach.KEPT_KNOBS)
     assert set(reach.KEPT_KNOBS) <= set(SPEC_FIELDS)
     assert all(reach.KEPT_KNOBS.values())           # each with its reason
+
+
+def test_paper_entries_are_the_rows_design_indexes():
+    """DESIGN §4 has one row per entry of the paper runner, read off its
+    ``@claim(...)`` decorators without importing or running it."""
+    import ast
+
+    tree = ast.parse((REPO / "benchmarks" / "bench_paper.py").read_text())
+    entries = [
+        deco.args[0].value
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        for deco in node.decorator_list
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "claim"
+    ]
+    section = (REPO / "DESIGN.md").read_text().split("## 4. Per-experiment index")[1]
+    rows = re.findall(r"\| `(\w+)` \|$", section.split("\n### ")[0], flags=re.M)
+    assert len(entries) == len(set(entries))
+    assert sorted(rows) == sorted(entries)
